@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DomainViolation, FlowFamily, as_state, inf_norm
-from .verify import ConditionReport, SamplePlan, _Accumulator, _triples, default_plan
+from .core import DomainViolation, FlowFamily, as_state, inf_norm, scaled_tol
+from .verify import Accumulator, ConditionReport, SamplePlan, default_plan
 
 __all__ = [
     "OneParamGroup",
@@ -24,6 +24,7 @@ __all__ = [
     "check_time_shift",
     "detect_autonomous",
     "to_group",
+    "group_from_family",
     "check_group_law",
     "family_from_group",
 ]
@@ -61,17 +62,11 @@ class OneParamGroup:
             return False
 
 
-def _autonomy_tol(fam: FlowFamily) -> float:
-    # closed forms are compared at full precision; numeric families carry
-    # integration error on both sides of the shift
-    return 1e-9 if fam.tol_hint == 0.0 else 50.0 * fam.tol_hint
-
-
 def check_time_shift(fam: FlowFamily, plan: SamplePlan, tol: float | None = None) -> ConditionReport:
     """Residual of F_{tau+c, rho+c}(a) = F_{tau, rho}(a) over plan shifts c."""
-    tol = _autonomy_tol(fam) if tol is None else tol
-    acc = _Accumulator()
-    for tau, rho, a in _triples(plan):
+    tol = scaled_tol(fam.tol_hint) if tol is None else tol
+    acc = Accumulator()
+    for tau, rho, a in plan.samples(2):
         try:
             base = fam.evaluate(tau, rho, a)
         except DomainViolation:
@@ -109,6 +104,11 @@ def to_group(fam: FlowFamily, plan: SamplePlan | None = None, tol: float | None 
             f"time-shift residual {report.max_residual:.3g} exceeds {report.tolerance:.3g} "
             f"at {report.worst_case}"
         )
+    return group_from_family(fam)
+
+
+def group_from_family(fam: FlowFamily) -> OneParamGroup:
+    """G_alpha = F_{alpha, 0} without the time-shift check; to_group checks first."""
 
     def g(alpha: float, a: np.ndarray) -> np.ndarray:
         return fam.evaluate(alpha, 0.0, a)
@@ -126,9 +126,9 @@ def check_group_law(group: OneParamGroup, plan: SamplePlan, tol: float = 1e-9) -
     exist while the direct map is undefined scores an infinite residual,
     matching the two-parameter composition check.
     """
-    acc = _Accumulator()
+    acc = Accumulator()
     note = None
-    for alpha, beta, a in _triples(plan):
+    for alpha, beta, a in plan.samples(2):
         try:
             inner = group.evaluate(beta, a)
             outer = group.evaluate(alpha, inner)

@@ -23,13 +23,13 @@ import numpy as np
 
 from . import catalog as _catalog
 from . import expr as ex
-from .autonomous import NotAutonomous, check_group_law, check_time_shift, to_group
+from .autonomous import NotAutonomous, check_group_law, check_time_shift, group_from_family, to_group
 from .core import DomainSpec, DomainViolation, FlowFamily, VectorField
-from .core import closed_form_family
+from .core import closed_form_family, scaled_tol
 from .integrate import IntegratorConfig, escape_interval, numeric_family
 from .linear import NotAffine, NotInvertible, SingularWronskian, mollify, sincov_decompose, smooth_apply
-from .reconstruct import ReconstructionConfig, ReconstructionFailed, field_from_family
-from .verify import ConditionReport, SamplePlan, SuiteTolerances, default_plan, run_suite
+from .reconstruct import ReconstructionConfig, ReconstructionFailed, field_from_family, field_gap
+from .verify import Accumulator, ConditionReport, SamplePlan, SuiteTolerances, default_plan, run_suite
 
 __all__ = ["ConfigError", "RunSpec", "load_config", "main"]
 
@@ -57,8 +57,15 @@ class RunSpec:
     tolerances: SuiteTolerances
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)}
+def _section(path: str, data: dict, key: str, cls) -> dict:
+    """The config object under key; its keys must be fields of the dataclass cls."""
+    cfg = data.get(key, {})
+    if not isinstance(cfg, dict):
+        raise ConfigError(path, key, "must be an object")
+    unknown = set(cfg) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(path, key, f"unknown keys: {sorted(unknown)}")
+    return cfg
 
 
 def load_config(path: str) -> RunSpec:
@@ -87,7 +94,7 @@ def load_config(path: str) -> RunSpec:
         name = system["catalog"]
         try:
             entry = _catalog.get(name)
-        except KeyError as err:
+        except (KeyError, TypeError) as err:
             raise ConfigError(path, "system.catalog", str(err)) from None
         n = entry.n
         system_name = f"catalog:{entry.name}"
@@ -103,15 +110,17 @@ def load_config(path: str) -> RunSpec:
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(path, "system.field", f"needs integer n and rhs list ({err})") from None
         dom = fdef.get("domain", {})
-        time_box = tuple(dom["time"]) if "time" in dom else (-math.inf, math.inf)
+        if not isinstance(dom, dict):
+            raise ConfigError(path, "system.field", "domain must be an object")
         try:
+            time_box = tuple(dom["time"]) if "time" in dom else (-math.inf, math.inf)
             spec = DomainSpec(n, time_box=time_box, space_predicate=dom.get("predicate"))
             field_obj = VectorField.from_strings(rhs, spec)
         except ex.ParseError as err:
             raise ConfigError(
                 path, "system.field", f"expression error at offset {err.offset}: {err.message}"
             ) from None
-        except (ex.ValidationError, ValueError) as err:
+        except (ex.ValidationError, TypeError, ValueError) as err:
             raise ConfigError(path, "system.field", str(err)) from None
         system_name = "field"
     else:
@@ -129,32 +138,22 @@ def load_config(path: str) -> RunSpec:
             raise ConfigError(
                 path, "system.family", f"expression error at offset {err.offset}: {err.message}"
             ) from None
-        except (ex.ValidationError, ValueError) as err:
+        except (ex.ValidationError, TypeError, ValueError) as err:
             raise ConfigError(path, "system.family", str(err)) from None
         system_name = "family"
 
-    integrator_cfg = data.get("integrator", {})
-    if not isinstance(integrator_cfg, dict):
-        raise ConfigError(path, "integrator", "must be an object")
-    unknown = set(integrator_cfg) - _field_names(IntegratorConfig)
-    if unknown:
-        raise ConfigError(path, "integrator", f"unknown keys: {sorted(unknown)}")
-    if "window" in integrator_cfg:
-        integrator_cfg = {**integrator_cfg, "window": tuple(integrator_cfg["window"])}
+    integrator_cfg = _section(path, data, "integrator", IntegratorConfig)
     try:
+        if "window" in integrator_cfg:
+            integrator_cfg = {**integrator_cfg, "window": tuple(integrator_cfg["window"])}
         integrator = IntegratorConfig(**integrator_cfg)
     except (TypeError, ValueError) as err:
         raise ConfigError(path, "integrator", str(err)) from None
 
-    plan_cfg = data.get("plan")
-    if plan_cfg is None:
+    if data.get("plan") is None:
         plan = default_plan(n)
     else:
-        if not isinstance(plan_cfg, dict):
-            raise ConfigError(path, "plan", "must be an object")
-        unknown = set(plan_cfg) - _field_names(SamplePlan)
-        if unknown:
-            raise ConfigError(path, "plan", f"unknown keys: {sorted(unknown)}")
+        plan_cfg = _section(path, data, "plan", SamplePlan)
         try:
             plan = SamplePlan(
                 tuple(plan_cfg.get("time_grid", ())),
@@ -167,14 +166,8 @@ def load_config(path: str) -> RunSpec:
         if plan.n != n:
             raise ConfigError(path, "plan", f"state dimension {plan.n} does not match system n={n}")
 
-    tol_cfg = data.get("tolerances", {})
-    if not isinstance(tol_cfg, dict):
-        raise ConfigError(path, "tolerances", "must be an object")
-    unknown = set(tol_cfg) - _field_names(SuiteTolerances)
-    if unknown:
-        raise ConfigError(path, "tolerances", f"unknown keys: {sorted(unknown)}")
     try:
-        tolerances = SuiteTolerances(**tol_cfg)
+        tolerances = SuiteTolerances(**_section(path, data, "tolerances", SuiteTolerances))
     except (TypeError, ValueError) as err:
         raise ConfigError(path, "tolerances", str(err)) from None
 
@@ -228,6 +221,15 @@ def _condition_record(rep: ConditionReport) -> dict:
     }
 
 
+def _emit_conditions(out, reports) -> int:
+    """One record per condition, then the pass/fail summary; returns the exit code."""
+    for rep in reports:
+        _emit(out, _condition_record(rep))
+    failed = [rep.condition_name for rep in reports if not rep.passed]
+    _emit(out, {"kind": "summary", "pass": not failed, "failed": failed})
+    return 1 if failed else 0
+
+
 def _meta_record(args, spec: RunSpec) -> dict:
     record = {
         "kind": "meta",
@@ -254,10 +256,6 @@ def _resolve_family(spec: RunSpec) -> FlowFamily:
     return numeric_family(spec.field, spec.integrator)
 
 
-def _scaled_tol(hint: float) -> float:
-    return 1e-9 if hint == 0.0 else 50.0 * hint
-
-
 # --- CSV artifacts -----------------------------------------------------------
 
 
@@ -266,12 +264,9 @@ def _write_field_csv(field, path: str):
     header = ["t"] + [f"x{k + 1}" for k in range(n)] + [f"f{k + 1}" for k in range(n)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for it, t in enumerate(field.times):
-            for idx in np.ndindex(*[len(ax) for ax in field.axes]):
-                xs = [field.axes[k][idx[k]] for k in range(n)]
-                fs = field.table[(it, *idx)]
-                row = [float(t), *map(float, xs), *map(float, fs)]
-                fh.write(",".join(repr(v) for v in row) + "\n")
+        for t, x, f in field.sites():
+            row = [t, *map(float, x), *map(float, f)]
+            fh.write(",".join(repr(v) for v in row) + "\n")
 
 
 def _write_decomposition_csv(dec, path: str):
@@ -327,12 +322,7 @@ def _cmd_interval(args, spec: RunSpec, out) -> int:
 
 def _cmd_verify(args, spec: RunSpec, out) -> int:
     family = _resolve_family(spec)
-    report = run_suite(family, spec.plan, spec.tolerances)
-    for rep in report.conditions:
-        _emit(out, _condition_record(rep))
-    failed = [rep.condition_name for rep in report.conditions if not rep.passed]
-    _emit(out, {"kind": "summary", "pass": report.passed, "failed": failed})
-    return 0 if report.passed else 1
+    return _emit_conditions(out, run_suite(family, spec.plan, spec.tolerances).conditions)
 
 
 def _cmd_reconstruct(args, spec: RunSpec, out) -> int:
@@ -347,34 +337,17 @@ def _cmd_reconstruct(args, spec: RunSpec, out) -> int:
     except ReconstructionFailed as err:
         _emit(out, {"kind": "error", "message": str(err)})
         return 1
-    total = int(len(field.times) * np.prod([len(ax) for ax in field.axes]))
+    knots = list(field.table.shape[:-1])
     summary = {
         "kind": "summary",
         "command": "reconstruct",
-        "sites": total,
+        "sites": math.prod(knots),
         "skipped": field.skipped_sites,
         "time_span": [float(field.times[0]), float(field.times[-1])],
-        "knots": [len(field.times)] + [len(ax) for ax in field.axes],
+        "knots": knots,
     }
     if spec.field is not None:
-        worst = -math.inf
-        compared = 0
-        for it, t in enumerate(field.times):
-            for idx in np.ndindex(*[len(ax) for ax in field.axes]):
-                site = field.table[(it, *idx)]
-                if not np.all(np.isfinite(site)):
-                    continue
-                x = np.array([field.axes[k][idx[k]] for k in range(field.n)])
-                if not spec.field.domain.contains(float(t), x):
-                    continue
-                try:
-                    ref = spec.field(float(t), x)
-                except ex.EvalError:
-                    continue
-                compared += 1
-                worst = max(worst, float(np.max(np.abs(site - ref))))
-        summary["max_field_gap"] = worst if compared else None
-        summary["compared_sites"] = compared
+        summary["max_field_gap"], summary["compared_sites"] = field_gap(field, spec.field)
     _emit(out, summary)
     if args.out:
         _write_field_csv(field, args.out)
@@ -384,18 +357,10 @@ def _cmd_reconstruct(args, spec: RunSpec, out) -> int:
 def _cmd_autonomous(args, spec: RunSpec, out) -> int:
     family = _resolve_family(spec)
     shift = check_time_shift(family, spec.plan, args.tol)
-    _emit(out, _condition_record(shift))
     if not shift.passed:
-        _emit(out, {"kind": "summary", "pass": False, "failed": ["time_shift"]})
-        return 1
-    group = to_group(family, spec.plan, args.tol)
-    law = check_group_law(group, spec.plan, tol=_scaled_tol(group.tol_hint))
-    _emit(out, _condition_record(law))
-    _emit(
-        out,
-        {"kind": "summary", "pass": law.passed, "failed": [] if law.passed else ["group_law"]},
-    )
-    return 0 if law.passed else 1
+        return _emit_conditions(out, [shift])
+    law = check_group_law(group_from_family(family), spec.plan, tol=scaled_tol(family.tol_hint))
+    return _emit_conditions(out, [shift, law])
 
 
 def _cmd_decompose(args, spec: RunSpec, out) -> int:
@@ -442,33 +407,17 @@ def _cmd_mollify(args, spec: RunSpec, out) -> int:
     )
     if not args.alpha:
         return 0
-    worst = -math.inf
-    checked = 0
+    acc = Accumulator()
     for alpha in args.alpha:
         mapped = smooth_apply(group, average, alpha)
         for s in spec.plan.state_grid:
             a = np.asarray(s, dtype=float)
-            if not group.in_domain(alpha, a):
-                continue
-            checked += 1
-            worst = max(worst, float(np.max(np.abs(mapped(a) - group.evaluate(alpha, a)))))
-    tol = max(1e-8, _scaled_tol(group.tol_hint))
-    passed = checked > 0 and worst <= tol
-    _emit(
-        out,
-        {
-            "kind": "condition",
-            "name": "smoothing",
-            "max_residual": worst if checked else 0.0,
-            "worst_case": None,
-            "pass": passed,
-            "samples_checked": checked,
-            "samples_skipped": 0,
-            "tolerance": tol,
-            "note": None,
-        },
-    )
-    return 0 if passed else 1
+            if group.in_domain(alpha, a):  # states outside are not counted as skips
+                acc.record(float(np.max(np.abs(mapped(a) - group.evaluate(alpha, a)))), None)
+    tol = max(1e-8, scaled_tol(group.tol_hint))
+    smoothing = acc.report("smoothing", tol, force_fail=not acc.checked)
+    _emit(out, _condition_record(smoothing))
+    return 0 if smoothing.passed else 1
 
 
 _COMMANDS = {

@@ -28,6 +28,7 @@ __all__ = [
     "as_state",
     "inf_norm",
     "state_close",
+    "scaled_tol",
     "DomainSpec",
     "VectorField",
     "FlowFamily",
@@ -83,6 +84,15 @@ def state_close(a, b, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) ->
     if a.shape != b.shape:
         return False
     return bool(np.all(np.abs(a - b) <= atol + rtol * np.abs(a)))
+
+
+def scaled_tol(tol_hint: float) -> float:
+    """Default tolerance for a check on a family or group with this tol_hint.
+
+    Exact evaluators are compared at 1e-9; integration-backed ones carry
+    their error on both sides of a comparison, so they get 50x the hint.
+    """
+    return 1e-9 if tol_hint == 0.0 else 50.0 * tol_hint
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +175,18 @@ class FlowFamily:
     """Two-parameter family of partial maps on states.
 
     evaluator(tau, sigma, a) returns the mapped state or raises
-    DomainViolation(out_of_domain); domain_query(tau, sigma, a) is the
-    matching membership test.  The two must agree: membership true iff
-    evaluation succeeds.  tol_hint records the intrinsic accuracy of the
-    evaluator (0 means exact up to rounding), which downstream checks use
-    to widen their tolerances for integration-backed families.
+    DomainViolation(out_of_domain).  Membership is derived from it: true iff
+    evaluation succeeds.  A cheaper domain_query(tau, sigma, a) may be
+    supplied instead and must agree with the evaluator.  tol_hint records
+    the intrinsic accuracy of the evaluator (0 means exact up to rounding),
+    which downstream checks use to widen their tolerances for
+    integration-backed families.
     """
 
     n: int
     kind: str  # closed_form | numeric | group_backed | affine_backed
     evaluator: Callable[[float, float, np.ndarray], np.ndarray]
-    domain_query: Callable[[float, float, np.ndarray], bool]
+    domain_query: Callable[[float, float, np.ndarray], bool] | None = None
     tol_hint: float = 0.0
 
     def __post_init__(self):
@@ -208,6 +219,9 @@ class FlowFamily:
         if not (math.isfinite(tau) and math.isfinite(sigma)):
             return False
         try:
+            if self.domain_query is None:
+                self.evaluator(float(tau), float(sigma), arr)
+                return True
             return bool(self.domain_query(float(tau), float(sigma), arr))
         except DomainViolation:
             return False
@@ -250,14 +264,7 @@ def closed_form_family(
         except ex.EvalError as err:
             raise DomainViolation("out_of_domain", f"evaluation failed: {err}") from None
 
-    def domain_query(tau: float, sigma: float, a: np.ndarray) -> bool:
-        try:
-            evaluator(tau, sigma, a)
-            return True
-        except DomainViolation:
-            return False
-
-    return FlowFamily(n=n, kind=kind, evaluator=evaluator, domain_query=domain_query, tol_hint=tol_hint)
+    return FlowFamily(n=n, kind=kind, evaluator=evaluator, tol_hint=tol_hint)
 
 
 # ---------------------------------------------------------------------------

@@ -283,20 +283,7 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
                 "out_of_domain", f"trajectory escapes at t={ev.time} ({ev.kind})"
             ) from None
 
-    def domain_query(tau: float, sigma: float, a: np.ndarray) -> bool:
-        try:
-            evaluator(tau, sigma, a)
-            return True
-        except DomainViolation:
-            return False
-
-    return FlowFamily(
-        n=field.n,
-        kind="numeric",
-        evaluator=evaluator,
-        domain_query=domain_query,
-        tol_hint=cfg.rel_tol,
-    )
+    return FlowFamily(n=field.n, kind="numeric", evaluator=evaluator, tol_hint=cfg.rel_tol)
 
 
 def escape_interval(

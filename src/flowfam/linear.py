@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .core import DomainViolation, FlowFamily, as_state, inf_norm
-from .verify import ConditionReport, SamplePlan, _Accumulator
+from .core import DomainViolation, FlowFamily, as_state, inf_norm, scaled_tol
+from .verify import Accumulator, ConditionReport, SamplePlan
 
 __all__ = [
     "AffineMap",
@@ -32,6 +33,8 @@ __all__ = [
     "NotAffineField",
     "SingularWronskian",
     "NotInvertible",
+    "probe_affine",
+    "affine_defect",
     "check_affine",
     "detect_affine",
     "sincov_decompose",
@@ -62,6 +65,14 @@ class SingularWronskian(Exception):
 
 class NotInvertible(Exception):
     """The mollifier average is singular; try a smaller window."""
+
+
+def _check_wronskian(W: np.ndarray, t: float):
+    sv = np.linalg.svd(W, compute_uv=False)
+    if not sv[-1] > _SV_RATIO * sv[0]:
+        raise SingularWronskian(
+            f"W at grid time {t} has singular-value ratio {sv[-1] / sv[0] if sv[0] else 0.0:.3g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -119,14 +130,38 @@ class AffineMap:
 # --- affinity detection ----------------------------------------------------
 
 
-def _affinity_tol(fam: FlowFamily) -> float:
-    return 1e-9 if fam.tol_hint == 0.0 else 50.0 * fam.tol_hint
+def probe_affine(fn, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) with b = fn(0) and columns A e_k = fn(e_k) - fn(0).
+
+    This is the map a -> A a + b that fn is, if fn is affine on R^n;
+    affine_defect tests whether it is.
+    """
+    b = np.asarray(fn(np.zeros(n)), dtype=float)
+    A = np.empty((n, n))
+    for k in range(n):
+        A[:, k] = np.asarray(fn(np.eye(n)[k]), dtype=float) - b
+    return A, b
+
+
+def affine_defect(fn, A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> float | None:
+    """Residual at the first probe lam e_k, lam in (-1, 2), where fn leaves a -> A a + b.
+
+    A probe fails when |fn(lam e_k) - want| > tol (1 + |want|), with want
+    = lam A e_k + b, all in the infinity norm; None when every probe holds.
+    """
+    for k in range(A.shape[0]):
+        for lam in (-1.0, 2.0):
+            want = lam * A[:, k] + b
+            gap = inf_norm(np.asarray(fn(lam * np.eye(A.shape[0])[k]), dtype=float) - want)
+            if gap > tol * (1.0 + inf_norm(want)):
+                return gap
+    return None
 
 
 def check_affine(fam: FlowFamily, plan: SamplePlan, tol: float | None = None) -> ConditionReport:
     """Residual of F(la + (1-l)b) = l F(a) + (1-l) F(b) over sampled mixes."""
-    tol = _affinity_tol(fam) if tol is None else tol
-    acc = _Accumulator()
+    tol = scaled_tol(fam.tol_hint) if tol is None else tol
+    acc = Accumulator()
 
     def probe(tau, sigma, a, b):
         for lam in _MIX_WEIGHTS:
@@ -202,12 +237,8 @@ class SincovDecomposition:
             raise ValueError(f"h must be (len(grid), n), got {h.shape}")
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(h))):
             raise ValueError("decomposition entries must be finite")
-        for i, mat in enumerate(W):
-            sv = np.linalg.svd(mat, compute_uv=False)
-            if not sv[-1] > _SV_RATIO * sv[0]:
-                raise SingularWronskian(
-                    f"W at grid time {grid[i]} has singular-value ratio {sv[-1] / sv[0] if sv[0] else 0.0:.3g}"
-                )
+        for t, mat in zip(grid, W):
+            _check_wronskian(mat, t)
         W.flags.writeable = False
         h.flags.writeable = False
         object.__setattr__(self, "grid", grid)
@@ -251,19 +282,11 @@ def sincov_decompose(
                 f"affinity residual {rep.max_residual:.3g} exceeds {rep.tolerance:.3g} "
                 f"at {rep.worst_case}"
             )
-    basis_vectors = np.eye(n)
     W = np.empty((len(grid), n, n))
     h = np.empty((len(grid), n))
     for i, tau in enumerate(grid):
-        origin = fam.evaluate(tau, tau0, np.zeros(n))
-        for k in range(n):
-            W[i, :, k] = fam.evaluate(tau, tau0, basis_vectors[k]) - origin
-        sv = np.linalg.svd(W[i], compute_uv=False)
-        if not sv[-1] > _SV_RATIO * sv[0]:
-            raise SingularWronskian(
-                f"W at grid time {tau} has singular-value ratio "
-                f"{sv[-1] / sv[0] if sv[0] else 0.0:.3g}"
-            )
+        W[i], origin = probe_affine(partial(fam.evaluate, tau, tau0), n)
+        _check_wronskian(W[i], tau)
         h[i] = np.linalg.solve(W[i], origin)
     return SincovDecomposition(tau0=float(tau0), grid=grid, W=W, h=h)
 
@@ -306,20 +329,7 @@ def family_from_decomposition(dec: SincovDecomposition, enforce_time_span: bool 
             )
         return W_tau @ (np.linalg.solve(W_sigma, a) + h_tau - h_sigma)
 
-    def domain_query(tau: float, sigma: float, a: np.ndarray) -> bool:
-        try:
-            evaluator(tau, sigma, a)
-        except DomainViolation:
-            return False
-        return True
-
-    return FlowFamily(
-        n=dec.n,
-        kind="affine_backed",
-        evaluator=evaluator,
-        domain_query=domain_query,
-        tol_hint=0.0,
-    )
+    return FlowFamily(n=dec.n, kind="affine_backed", evaluator=evaluator)
 
 
 # --- consistency with a generating field ------------------------------------
@@ -327,24 +337,14 @@ def family_from_decomposition(dec: SincovDecomposition, enforce_time_span: bool 
 
 def _affine_field_parts(fld, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Extract (A, c) with f(tau, x) = A x + c by basis probes; verify affinity."""
-    n = fld.n
+    fn = partial(fld, tau)
     try:
-        c = np.asarray(fld(tau, np.zeros(n)), dtype=float)
-        A = np.empty((n, n))
-        for k in range(n):
-            A[:, k] = np.asarray(fld(tau, np.eye(n)[k]), dtype=float) - c
-        for k in range(n):
-            for lam in (-1.0, 2.0):
-                got = np.asarray(fld(tau, lam * np.eye(n)[k]), dtype=float)
-                want = lam * A[:, k] + c
-                scale = 1.0 + float(np.max(np.abs(want)))
-                if inf_norm(got - want) > 1e-9 * scale:
-                    raise NotAffineField(
-                        f"field is not affine in the state at time {tau} "
-                        f"(residual {inf_norm(got - want):.3g})"
-                    )
+        A, c = probe_affine(fn, fld.n)
+        gap = affine_defect(fn, A, c)
     except (ArithmeticError, DomainViolation) as err:
         raise NotAffineField(f"could not probe the field at time {tau}: {err}") from None
+    if gap is not None:
+        raise NotAffineField(f"field is not affine in the state at time {tau} (residual {gap:.3g})")
     return A, c
 
 
@@ -357,7 +357,7 @@ def wronski_consistency(dec: SincovDecomposition, fld, tol: float = 1e-3) -> Con
     """
     if len(dec.grid) < 3:
         raise ValueError("need at least three grid times for central differences")
-    acc = _Accumulator()
+    acc = Accumulator()
     grid = np.asarray(dec.grid, dtype=float)
     p = np.array([dec.particular(i) for i in range(len(grid))])
     for i in range(1, len(grid) - 1):
@@ -390,52 +390,36 @@ class Mollifier:
     error_bound: float = 0.0
 
 
-def _group_affine(group, beta: float) -> AffineMap:
-    b = group.evaluate(beta, np.zeros(group.n))
-    A = np.empty((group.n, group.n))
-    for k in range(group.n):
-        A[:, k] = group.evaluate(beta, np.eye(group.n)[k]) - b
-    return AffineMap(A, b)
+def _window_average(group, center: float, eps: float, panels: int) -> AffineMap:
+    """Composite-Simpson average of G_beta over [center - eps, center + eps].
 
-
-def _check_group_affine(group, beta: float, tol: float = 1e-9):
-    mapped = _group_affine(group, beta)
-    for k in range(group.n):
-        for lam in (-1.0, 2.0):
-            probe = lam * np.eye(group.n)[k]
-            want = mapped(probe)
-            got = group.evaluate(beta, probe)
-            if inf_norm(got - want) > tol * (1.0 + inf_norm(want)):
-                raise NotAffine(
-                    f"group is not affine at parameter {beta} "
-                    f"(residual {inf_norm(got - want):.3g})"
-                )
-
-
-def _simpson_average(sample, lo: float, hi: float, panels: int):
+    The group must be affine at the window's ends and center; each node is
+    probed once and its A and b are averaged side by side.
+    """
+    lo, hi = center - eps, center + eps
+    for beta in (lo, center, hi):
+        probe = partial(group.evaluate, beta)
+        gap = affine_defect(probe, *probe_affine(probe, group.n))
+        if gap is not None:
+            raise NotAffine(f"group is not affine at parameter {beta} (residual {gap:.3g})")
     if panels < 2 or panels % 2 != 0:
         raise ValueError("panel count must be even and at least 2")
-    xs = np.linspace(lo, hi, panels + 1)
     weights = np.ones(panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    total = None
-    for w, x in zip(weights, xs):
-        val = w * np.asarray(sample(float(x)), dtype=float)
-        total = val if total is None else total + val
+    totals = None
+    for w, x in zip(weights, np.linspace(lo, hi, panels + 1)):
+        vals = [w * part for part in probe_affine(partial(group.evaluate, float(x)), group.n)]
+        totals = vals if totals is None else [t + v for t, v in zip(totals, vals)]
     step = (hi - lo) / panels
-    return total * (step / 3.0) / (hi - lo)
+    return AffineMap(*(t * (step / 3.0) / (hi - lo) for t in totals))
 
 
 def mollify(group, eps: float, panels: int = 256) -> Mollifier:
     """Average an affine group over [-eps, eps] into an invertible map."""
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("window half-width must be positive and finite")
-    for beta in (-eps, 0.0, eps):
-        _check_group_affine(group, beta)
-    A = _simpson_average(lambda b: _group_affine(group, b).A, -eps, eps, panels)
-    b = _simpson_average(lambda b: _group_affine(group, b).b, -eps, eps, panels)
-    H = AffineMap(A, b)
+    H = _window_average(group, 0.0, eps, panels)
     # the average of maps that include the identity lives at unit scale, so
     # anchor the rank floor there: a uniformly tiny H (e.g. a full-turn
     # rotation average) is useless even though its singular values are equal
@@ -456,9 +440,4 @@ def smooth_apply(group, m: Mollifier, alpha: float) -> AffineMap:
     error, but it is defined for any group the window can average, which is
     what lets a merely-continuous group be smoothed.
     """
-    for beta in (alpha - m.eps, alpha, alpha + m.eps):
-        _check_group_affine(group, beta)
-    A = _simpson_average(lambda g: _group_affine(group, g).A, alpha - m.eps, alpha + m.eps, m.panels)
-    b = _simpson_average(lambda g: _group_affine(group, g).b, alpha - m.eps, alpha + m.eps, m.panels)
-    window = AffineMap(A, b)
-    return window.compose(m.H.inverse())
+    return _window_average(group, alpha, m.eps, m.panels).compose(m.H.inverse())

@@ -40,6 +40,7 @@ __all__ = [
     "TabulatedVectorField",
     "diagonal_rate",
     "field_from_family",
+    "field_gap",
     "roundtrip_error",
 ]
 
@@ -93,6 +94,13 @@ class BoxDomain:
         )
 
 
+def _sites(times: np.ndarray, axes: list[np.ndarray]):
+    """(table index, t, x) for every site of the time-major product grid."""
+    for it, t in enumerate(times):
+        for idx in np.ndindex(*[len(ax) for ax in axes]):
+            yield (it, *idx), float(t), np.array([ax[i] for ax, i in zip(axes, idx)])
+
+
 class TabulatedVectorField:
     """Multilinear interpolation over a rectangular (time x state) table.
 
@@ -130,6 +138,11 @@ class TabulatedVectorField:
             state_hi=tuple(float(ax[-1]) for ax in self.axes),
             blowup_radius=blowup_radius,
         )
+
+    def sites(self):
+        """(t, x, tabulated value) for every site, time-major; holes are NaN."""
+        for index, t, x in _sites(self.times, self.axes):
+            yield t, x, self.table[index]
 
     def __call__(self, t: float, x) -> np.ndarray:
         coords = [float(t), *[float(c) for c in np.asarray(x, dtype=float)]]
@@ -232,21 +245,37 @@ def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig | None = None) 
     table = np.empty((len(times), *[len(ax) for ax in axes], fam.n))
     skipped = 0
     total = len(times) * int(np.prod([len(ax) for ax in axes]))
-    for it, tau in enumerate(times):
-        for idx in np.ndindex(*[len(ax) for ax in axes]):
-            a = np.array([axes[k][idx[k]] for k in range(fam.n)])
-            try:
-                table[(it, *idx)] = diagonal_rate(
-                    fam, float(tau), a, h=cfg.h, richardson=cfg.richardson
-                )
-            except SampleSkipped:
-                table[(it, *idx)] = np.nan
-                skipped += 1
+    for index, tau, a in _sites(times, axes):
+        try:
+            table[index] = diagonal_rate(fam, tau, a, h=cfg.h, richardson=cfg.richardson)
+        except SampleSkipped:
+            table[index] = np.nan
+            skipped += 1
     if skipped * 2 > total:
         raise ReconstructionFailed(
             f"{skipped} of {total} sites skipped; the grid barely touches the domain"
         )
     return TabulatedVectorField(times, axes, table, skipped_sites=skipped)
+
+
+def field_gap(tab: TabulatedVectorField, fld) -> tuple[float | None, int]:
+    """Worst |tabulated - fld| over the sites where both are defined, and their count.
+
+    A site counts when its tabulated value is finite, it lies in fld's
+    domain and fld evaluates there; the worst gap is None when none does.
+    """
+    worst = -math.inf
+    compared = 0
+    for t, x, value in tab.sites():
+        if not np.all(np.isfinite(value)) or not fld.domain.contains(t, x):
+            continue
+        try:
+            ref = fld(t, x)
+        except ex.EvalError:
+            continue
+        compared += 1
+        worst = max(worst, float(np.max(np.abs(value - ref))))
+    return (worst if compared else None), compared
 
 
 def roundtrip_error(

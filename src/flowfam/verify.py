@@ -39,6 +39,7 @@ __all__ = [
     "SamplePlan",
     "SuiteTolerances",
     "ConditionReport",
+    "Accumulator",
     "VerificationReport",
     "default_plan",
     "check_identity",
@@ -104,6 +105,21 @@ class SamplePlan:
         box = np.asarray(self.state_grid, dtype=float)
         return rng.uniform(box.min(axis=0), box.max(axis=0), size=(count, self.n))
 
+    def samples(self, k: int) -> Iterator[tuple]:
+        """(t_1, ..., t_k, a) samples: the grid product, then the random batch.
+
+        The grid part runs t_1 slowest and the state fastest.  The random
+        batch draws its k time columns and then its states from a fresh
+        generator on the plan seed, so every caller sees the same draws.
+        """
+        for point in product(*[self.time_grid] * k, self.state_grid):
+            yield (*point[:-1], np.asarray(point[-1], dtype=float))
+        rng = self._rng()
+        times = [self.random_times(rng, self.random_count) for _ in range(k)]
+        states = self.random_states(rng, self.random_count)
+        for *ts, s in zip(*times, states):
+            yield (*map(float, ts), s)
+
 
 def default_plan(n: int, random_count: int = 25, seed: int = 12345) -> SamplePlan:
     """Stock plan used by the command-line tool; sensible for n <= 3."""
@@ -149,8 +165,14 @@ class VerificationReport:
         raise KeyError(name)
 
 
-class _Accumulator:
-    """Residual max-tracker with stable worst-case selection."""
+class Accumulator:
+    """Builds one ConditionReport from per-sample outcomes.
+
+    Residual checks ``record`` each sample and keep the first sample with
+    the largest residual as the worst case.  Set-based checks ``count``
+    violations instead: the residual is the violation total and the worst
+    case is the first violating sample.
+    """
 
     def __init__(self):
         self.checked = 0
@@ -167,8 +189,22 @@ class _Accumulator:
             self.max_residual = residual
             self.worst = witness
 
-    def report(self, name: str, tol: float, note: str | None = None, force_fail: bool = False):
-        max_res = self.max_residual if self.checked else 0.0
+    def count(self, violations: int, witness: dict | None = None):
+        self.checked += 1
+        self.max_residual = max(self.max_residual, 0.0) + violations
+        if violations and self.worst is None:
+            self.worst = witness
+
+    def report(
+        self,
+        name: str,
+        tol: float,
+        note: str | None = None,
+        force_fail: bool = False,
+        empty_residual: float = 0.0,
+    ) -> ConditionReport:
+        """The report; empty_residual stands in for the residual when nothing was checked."""
+        max_res = self.max_residual if self.checked else empty_residual
         passed = (not force_fail) and max_res <= tol
         return ConditionReport(
             condition_name=name,
@@ -182,50 +218,10 @@ class _Accumulator:
         )
 
 
-def _pairs(plan: SamplePlan) -> Iterator[tuple[float, np.ndarray]]:
-    """(time, state) samples: grid product, then the random batch."""
-    for t in plan.time_grid:
-        for s in plan.state_grid:
-            yield t, np.asarray(s, dtype=float)
-    rng = plan._rng()
-    times = plan.random_times(rng, plan.random_count)
-    states = plan.random_states(rng, plan.random_count)
-    for t, s in zip(times, states):
-        yield float(t), s
-
-
-def _triples(plan: SamplePlan) -> Iterator[tuple[float, float, np.ndarray]]:
-    for t1 in plan.time_grid:
-        for t2 in plan.time_grid:
-            for s in plan.state_grid:
-                yield t1, t2, np.asarray(s, dtype=float)
-    rng = plan._rng()
-    t1s = plan.random_times(rng, plan.random_count)
-    t2s = plan.random_times(rng, plan.random_count)
-    states = plan.random_states(rng, plan.random_count)
-    for t1, t2, s in zip(t1s, t2s, states):
-        yield float(t1), float(t2), s
-
-
-def _quadruples(plan: SamplePlan) -> Iterator[tuple[float, float, float, np.ndarray]]:
-    for t1 in plan.time_grid:
-        for t2 in plan.time_grid:
-            for t3 in plan.time_grid:
-                for s in plan.state_grid:
-                    yield t1, t2, t3, np.asarray(s, dtype=float)
-    rng = plan._rng()
-    t1s = plan.random_times(rng, plan.random_count)
-    t2s = plan.random_times(rng, plan.random_count)
-    t3s = plan.random_times(rng, plan.random_count)
-    states = plan.random_states(rng, plan.random_count)
-    for t1, t2, t3, s in zip(t1s, t2s, t3s, states):
-        yield float(t1), float(t2), float(t3), s
-
-
 def check_identity(fam: FlowFamily, plan: SamplePlan, tol: float = 1e-9) -> ConditionReport:
     """F_{ss}(a) must return a wherever the diagonal triple is in the domain."""
-    acc = _Accumulator()
-    for sigma, a in _pairs(plan):
+    acc = Accumulator()
+    for sigma, a in plan.samples(1):
         try:
             out = fam.evaluate(sigma, sigma, a)
         except DomainViolation:
@@ -237,8 +233,8 @@ def check_identity(fam: FlowFamily, plan: SamplePlan, tol: float = 1e-9) -> Cond
 
 def check_inverse(fam: FlowFamily, plan: SamplePlan, tol: float = 1e-9) -> ConditionReport:
     """Composing F_{sr} with F_{rs} must restore the state when both legs exist."""
-    acc = _Accumulator()
-    for rho, sigma, a in _triples(plan):
+    acc = Accumulator()
+    for rho, sigma, a in plan.samples(2):
         try:
             mid = fam.evaluate(sigma, rho, a)
         except DomainViolation:
@@ -260,9 +256,9 @@ def check_cocycle(fam: FlowFamily, plan: SamplePlan, tol: float = 1e-9) -> Condi
     A guarded sample whose direct map F_{tau rho}(a) is undefined violates
     the condition and scores an infinite residual.
     """
-    acc = _Accumulator()
+    acc = Accumulator()
     note = None
-    for tau, sigma, rho, a in _quadruples(plan):
+    for tau, sigma, rho, a in plan.samples(3):
         try:
             hop = fam.evaluate(sigma, rho, a)
         except DomainViolation:
@@ -289,26 +285,13 @@ def check_domain_inclusion(fam: FlowFamily, plan: SamplePlan) -> ConditionReport
 
     The residual is the violation count over the applicable samples.
     """
-    checked = skipped = violations = 0
-    worst = None
-    for rho, sigma, a in _triples(plan):
+    acc = Accumulator()
+    for rho, sigma, a in plan.samples(2):
         if not fam.in_domain(rho, sigma, a):
-            skipped += 1
+            acc.skip()
             continue
-        checked += 1
-        if not fam.in_domain(sigma, sigma, a):
-            violations += 1
-            if worst is None:
-                worst = {"rho": rho, "sigma": sigma, "a": list(a)}
-    return ConditionReport(
-        condition_name="domain_inclusion",
-        samples_checked=checked,
-        samples_skipped=skipped,
-        max_residual=float(violations),
-        worst_case=worst,
-        tolerance=0.0,
-        passed=violations == 0,
-    )
+        acc.count(not fam.in_domain(sigma, sigma, a), {"rho": rho, "sigma": sigma, "a": list(a)})
+    return acc.report("domain_inclusion", 0.0)
 
 
 def check_interval(fam: FlowFamily, plan: SamplePlan) -> ConditionReport:
@@ -317,39 +300,15 @@ def check_interval(fam: FlowFamily, plan: SamplePlan) -> ConditionReport:
     Each (rho, a) anchor scans the sorted time grid; a false between the
     first and last true is a gap.  The residual counts gaps over all anchors.
     """
-    checked = violations = 0
-    worst = None
-    rng = plan._rng()
-    anchors = [
-        (rho, np.asarray(s, dtype=float)) for rho in plan.time_grid for s in plan.state_grid
-    ]
-    anchors += [
-        (float(t), s)
-        for t, s in zip(
-            plan.random_times(rng, plan.random_count),
-            plan.random_states(rng, plan.random_count),
-        )
-    ]
-    for rho, a in anchors:
-        checked += 1
+    acc = Accumulator()
+    for rho, a in plan.samples(1):
         flags = [fam.in_domain(tau, rho, a) for tau in plan.time_grid]
         inside = [i for i, f in enumerate(flags) if f]
-        if not inside:
-            continue  # nothing defined at this anchor; vacuously contiguous
-        for i in range(inside[0], inside[-1] + 1):
-            if not flags[i]:
-                violations += 1
-                if worst is None:
-                    worst = {"rho": rho, "a": list(a), "tau": plan.time_grid[i]}
-    return ConditionReport(
-        condition_name="interval",
-        samples_checked=checked,
-        samples_skipped=0,
-        max_residual=float(violations),
-        worst_case=worst,
-        tolerance=0.0,
-        passed=violations == 0,
-    )
+        # an anchor with nothing defined is vacuously contiguous
+        gaps = [i for i in range(inside[0], inside[-1] + 1) if not flags[i]] if inside else []
+        witness = {"rho": rho, "a": list(a), "tau": plan.time_grid[gaps[0]]} if gaps else None
+        acc.count(len(gaps), witness)
+    return acc.report("interval", 0.0)
 
 
 def check_openness(fam: FlowFamily, plan: SamplePlan, delta: float = 1e-4) -> ConditionReport:
@@ -363,45 +322,21 @@ def check_openness(fam: FlowFamily, plan: SamplePlan, delta: float = 1e-4) -> Co
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    checked = skipped = violations = 0
-    worst = None
+    acc = Accumulator()
     nonempty = False
-    for tau, sigma, a in _triples(plan):
+    for tau, sigma, a in plan.samples(2):
         if not fam.in_domain(tau, sigma, a):
-            skipped += 1
+            acc.skip()
             continue
         nonempty = True
         if not all(fam.in_domain(*p) for p in _axis_probes(tau, sigma, a, delta)):
-            skipped += 1  # within delta of a boundary
+            acc.skip()  # within delta of a boundary
             continue
-        checked += 1
-        bad = sum(
-            0 if fam.in_domain(*p) else 1 for p in _axis_probes(tau, sigma, a, delta / 2.0)
-        )
-        if bad:
-            violations += bad
-            if worst is None:
-                worst = {"tau": tau, "sigma": sigma, "a": list(a)}
+        bad = sum(not fam.in_domain(*p) for p in _axis_probes(tau, sigma, a, delta / 2.0))
+        acc.count(bad, {"tau": tau, "sigma": sigma, "a": list(a)})
     if not nonempty:
-        return ConditionReport(
-            condition_name="openness",
-            samples_checked=0,
-            samples_skipped=skipped,
-            max_residual=math.inf,
-            worst_case=None,
-            tolerance=0.0,
-            passed=False,
-            note="K empty over plan",
-        )
-    return ConditionReport(
-        condition_name="openness",
-        samples_checked=checked,
-        samples_skipped=skipped,
-        max_residual=float(violations),
-        worst_case=worst,
-        tolerance=0.0,
-        passed=violations == 0,
-    )
+        return acc.report("openness", 0.0, note="K empty over plan", empty_residual=math.inf)
+    return acc.report("openness", 0.0)
 
 
 def _axis_probes(tau: float, sigma: float, a: np.ndarray, eps: float):

@@ -12,6 +12,7 @@ from flowfam.autonomous import (
     check_time_shift,
     detect_autonomous,
     family_from_group,
+    group_from_family,
     to_group,
 )
 from flowfam.core import DomainViolation, closed_form_family
@@ -239,3 +240,9 @@ def test_family_from_group_passes_composition_checks():
     assert check_identity(rebuilt, plan).passed
     assert check_inverse(rebuilt, plan).passed
     assert check_cocycle(rebuilt, plan).passed
+
+
+def test_group_from_family_skips_the_shift_check():
+    group = group_from_family(shear_family())  # to_group would refuse it
+    assert group.evaluate(0.5, [1.0])[0] == pytest.approx(math.exp(0.125))
+    assert group.in_domain(0.5, [1.0])

@@ -1,0 +1,42 @@
+"""Module boundaries inside the package: no module imports a sibling's private names.
+
+A name that starts with an underscore belongs to its module.  When a
+sibling needs it, the name is made public instead of imported across the
+boundary.
+"""
+
+import ast
+from pathlib import Path
+
+import flowfam
+
+PACKAGE = Path(flowfam.__file__).parent
+
+
+def _private_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        internal = node.level > 0 or (node.module or "").split(".")[0] == "flowfam"
+        if not internal:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.append(f"{path.name}:{node.lineno} imports {alias.name} from {node.module}")
+    return found
+
+
+def test_package_modules_found():
+    assert {"core.py", "verify.py", "cli.py"} <= {p.name for p in PACKAGE.glob("*.py")}
+
+
+def test_no_module_imports_private_names_from_a_sibling():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _private_imports(path)]
+    assert found == []
+
+
+def test_detector_sees_a_private_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .verify import SamplePlan, _hidden\nfrom os import _exit\n")
+    assert _private_imports(probe) == ["probe.py:1 imports _hidden from verify"]

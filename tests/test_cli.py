@@ -147,6 +147,28 @@ def test_unknown_integrator_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"system": {"field": {"n": 1, "rhs": ["x1"], "domain": [1, 2]}}}, "system.field"),
+        ({"system": {"field": {"n": 1, "rhs": ["x1"], "domain": {"time": 5}}}}, "system.field"),
+        ({**RICCATI, "integrator": {"window": 3}}, "integrator"),
+        ({"system": {"catalog": ["riccati"]}}, "system.catalog"),
+        ({"system": {"family": {"n": 1, "components": [5]}}}, "system.family"),
+    ],
+    ids=["domain-list", "time-scalar", "window-scalar", "catalog-list", "component-number"],
+)
+def test_malformed_value_is_config_error(tmp_path, capsys, payload, field):
+    path = write_config(tmp_path, payload)
+    with pytest.raises(ConfigError, match=field):
+        load_config(path)
+    code, recs = run_cli(
+        ["flow", "--config", path, "--tau", "0", "--sigma", "0", "--a", "1"], capsys
+    )
+    assert code == 2
+    assert recs == [{"kind": "error", "message": recs[0]["message"]}]
+
+
 def test_plan_overrides(tmp_path):
     path = write_config(tmp_path, {**RICCATI, "plan": SMALL_PLAN})
     spec = load_config(path)
@@ -372,6 +394,26 @@ def test_autonomous_pass(tmp_path, capsys):
     names = [r["name"] for r in recs if r["kind"] == "condition"]
     assert names == ["time_shift", "group_law"]
     assert recs[-1]["pass"] is True
+
+
+def test_autonomous_runs_time_shift_once(tmp_path, capsys, monkeypatch):
+    import flowfam.autonomous
+    import flowfam.cli
+
+    calls = []
+    original = flowfam.autonomous.check_time_shift
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flowfam.autonomous, "check_time_shift", counting)
+    monkeypatch.setattr(flowfam.cli, "check_time_shift", counting)
+    cfg = write_config(tmp_path, {**RICCATI, "plan": SMALL_PLAN})
+    code, recs = run_cli(["autonomous", "--config", cfg, "--no-timestamp"], capsys)
+    assert code == 0
+    assert [r["name"] for r in recs if r["kind"] == "condition"] == ["time_shift", "group_law"]
+    assert len(calls) == 1
 
 
 def test_autonomous_rejects_shear(tmp_path, capsys):

@@ -16,6 +16,7 @@ from flowfam.core import (
     as_state,
     closed_form_family,
     inf_norm,
+    scaled_tol,
     solution_value,
     state_close,
 )
@@ -221,3 +222,27 @@ def test_solution_value(riccati):
     with pytest.raises(DomainViolation) as exc:
         solution_value(sol, riccati, 2.5)
     assert exc.value.kind == "out_of_domain"
+
+
+def test_scaled_tol_rule():
+    assert scaled_tol(0.0) == 1e-9
+    assert scaled_tol(1e-10) == pytest.approx(5e-9)
+
+
+def test_membership_derives_from_evaluator():
+    def ev(tau, sigma, a):
+        if tau > 1.0:
+            raise DomainViolation("out_of_domain", "past 1")
+        return a
+
+    fam = FlowFamily(1, "closed_form", ev)
+    assert fam.domain_query is None
+    assert fam.in_domain(0.5, 0.0, [1.0])
+    assert not fam.in_domain(1.5, 0.0, [1.0])
+    assert not fam.in_domain(math.nan, 0.0, [1.0])
+
+
+def test_supplied_domain_query_is_used():
+    fam = FlowFamily(1, "closed_form", lambda tau, sigma, a: a, lambda tau, sigma, a: tau < 0.0)
+    assert fam.in_domain(-1.0, 0.0, [1.0])
+    assert not fam.in_domain(1.0, 0.0, [1.0])

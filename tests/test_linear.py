@@ -15,10 +15,12 @@ from flowfam.linear import (
     NotInvertible,
     SincovDecomposition,
     SingularWronskian,
+    affine_defect,
     check_affine,
     detect_affine,
     family_from_decomposition,
     mollify,
+    probe_affine,
     sincov_decompose,
     smooth_apply,
     wronski_consistency,
@@ -397,3 +399,34 @@ def test_affine_of_affine_group_with_offset():
     got = smooth_apply(group, mollify(group, 0.25), 0.7)
     assert abs(got.A[0, 0] - math.exp(0.7)) <= 1e-8
     assert abs(got.b[0] - (math.exp(0.7) - 1.0)) <= 1e-8
+
+
+# --- the shared affine probe ------------------------------------------------
+
+
+def test_probe_affine_reads_matrix_and_offset():
+    A = np.array([[1.0, 2.0], [3.0, 4.0]])
+    b = np.array([0.5, -0.5])
+    got_A, got_b = probe_affine(lambda x: A @ x + b, 2)
+    assert np.array_equal(got_A, A) and np.array_equal(got_b, b)
+    assert affine_defect(lambda x: A @ x + b, got_A, got_b) is None
+
+
+def test_affine_defect_reports_first_failing_probe():
+    fn = lambda x: x + 0.1 * x**2  # noqa: E731
+    A, b = probe_affine(fn, 1)  # A = 1.1, b = 0
+    # lam = -1: fn(-1) = -0.9 against want -1.1
+    assert affine_defect(fn, A, b) == pytest.approx(0.2)
+
+
+def test_mollify_probes_each_node_once():
+    calls = []
+
+    def g(alpha, a):
+        calls.append(alpha)
+        return a.copy()
+
+    group = OneParamGroup(n=1, g=g, domain_query=lambda alpha, a: True)
+    mollify(group, 0.25, panels=16)
+    # three affinity checks of (n + 1) + 2n evaluations, then n + 1 per node
+    assert len(calls) == 3 * 4 + 17 * 2

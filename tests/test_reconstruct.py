@@ -18,6 +18,7 @@ from flowfam.reconstruct import (
     TabulatedVectorField,
     diagonal_rate,
     field_from_family,
+    field_gap,
     roundtrip_error,
 )
 from flowfam.verify import SamplePlan
@@ -315,3 +316,30 @@ def test_interpolation_exact_on_affine_data():
     got = field(0.7, [0.3, 1.9])
     want = np.array([3 * 0.7 - 0.3 + 2 * 1.9 + 1, 0.7 + 0.3])
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_sites_are_time_major():
+    table = np.arange(2 * 3 * 1, dtype=float).reshape(2, 3, 1)
+    tab = TabulatedVectorField(np.array([0.0, 1.0]), [np.array([-1.0, 0.0, 1.0])], table)
+    sites = [(t, float(x[0]), float(v[0])) for t, x, v in tab.sites()]
+    expected = [
+        (t, x, float(3 * i + j))
+        for i, t in enumerate((0.0, 1.0))
+        for j, x in enumerate((-1.0, 0.0, 1.0))
+    ]
+    assert sites == expected
+
+
+def test_field_gap_skips_holes_and_counts_compared():
+    from flowfam.catalog import get
+
+    fld = get("exp_scalar").field()
+    times, knots = np.array([0.0, 1.0]), np.array([-1.0, 0.0, 1.0])
+    table = np.broadcast_to(knots[None, :, None], (2, 3, 1)).copy()
+    table[1, 2, 0] = np.nan
+    table[0, 0, 0] += 0.25
+    worst, compared = field_gap(TabulatedVectorField(times, [knots], table), fld)
+    assert compared == 5
+    assert worst == pytest.approx(0.25)
+    empty = TabulatedVectorField(times, [knots], np.full((2, 3, 1), np.nan))
+    assert field_gap(empty, fld) == (None, 0)

@@ -9,6 +9,7 @@ from flowfam.core import DomainSpec, DomainViolation, FlowFamily, VectorField, c
 from flowfam.integrate import IntegratorConfig, numeric_family
 from flowfam.verify import (
     CONDITION_NAMES,
+    Accumulator,
     SamplePlan,
     SuiteTolerances,
     check_cocycle,
@@ -311,3 +312,50 @@ def test_default_plan_shapes():
     assert p1.n == 1 and len(p1.state_grid) == 5
     p2 = default_plan(2)
     assert p2.n == 2 and len(p2.state_grid) == 9
+
+
+# --- the shared sample generator and report builder -------------------------
+
+
+def test_samples_grid_order_then_seeded_draws():
+    plan = SamplePlan((0.0, 1.0), ((5.0,), (6.0,)), random_count=2, seed=3)
+    samples = list(plan.samples(2))
+    grid = [(t1, t2, float(s[0])) for t1, t2, s in samples[:8]]
+    assert grid == [(t1, t2, a) for t1 in (0.0, 1.0) for t2 in (0.0, 1.0) for a in (5.0, 6.0)]
+    rng = np.random.default_rng(3)
+    t1s, t2s = rng.uniform(0.0, 1.0, size=2), rng.uniform(0.0, 1.0, size=2)
+    states = rng.uniform([5.0], [6.0], size=(2, 1))
+    for (t1, t2, a), e1, e2, es in zip(samples[8:], t1s, t2s, states):
+        assert (t1, t2) == (float(e1), float(e2))
+        assert type(t1) is float
+        assert np.array_equal(a, es)
+    assert len(samples) == 10
+
+
+def test_samples_arity():
+    plan = SamplePlan((0.0, 1.0, 2.0), ((0.0,),), random_count=4)
+    for k in (1, 2, 3):
+        samples = list(plan.samples(k))
+        assert len(samples) == 3**k + 4
+        assert all(len(s) == k + 1 for s in samples)
+
+
+def test_accumulator_counts_keep_first_witness():
+    acc = Accumulator()
+    acc.skip()
+    acc.count(0, None)
+    acc.count(2, {"first": True})
+    acc.count(1, {"first": False})
+    rep = acc.report("counted", 0.0)
+    assert (rep.samples_checked, rep.samples_skipped) == (3, 1)
+    assert rep.max_residual == 3.0
+    assert rep.worst_case == {"first": True}
+    assert not rep.passed
+
+
+def test_accumulator_empty_report():
+    assert Accumulator().report("none", 0.0).max_residual == 0.0
+    assert Accumulator().report("none", 0.0).passed
+    assert not Accumulator().report("none", 1.0, force_fail=True).passed
+    rep = Accumulator().report("none", 0.0, empty_residual=math.inf)
+    assert math.isinf(rep.max_residual) and not rep.passed
