@@ -113,6 +113,24 @@ def test_check_affine_witness_structure():
     assert rep.samples_skipped > 0  # mixes that left the hyperbola domain
 
 
+def test_check_affine_pinned_reports():
+    # riccati's worst case comes from the random batch, so its draw order is pinned too
+    rep = check_affine(riccati_family(), default_plan(1))
+    assert rep.max_residual == pytest.approx(6.135018135649929, rel=1e-12)
+    assert rep.worst_case == {
+        "tau": -0.33394742927307264,
+        "sigma": 0.5715113602491968,
+        "lambda": 2.0,
+        "a": [-0.686267447607089],
+        "b": [-0.3868991517072178],
+    }
+    assert (rep.samples_checked, rep.samples_skipped) == (1653, 582)
+    rep = check_affine(rotation_family(), default_plan(2))
+    assert rep.max_residual == pytest.approx(8.881784197001252e-16, rel=1e-12)
+    assert rep.worst_case == {"tau": -1.0, "sigma": 1.5, "lambda": -1.0, "a": [-1.0, -1.0], "b": [1.0, 1.0]}
+    assert (rep.samples_checked, rep.samples_skipped) == (7851, 0)
+
+
 # --- Sincov decomposition --------------------------------------------------
 
 
