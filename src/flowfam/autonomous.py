@@ -39,13 +39,12 @@ class OneParamGroup:
     """One-parameter family of maps G_alpha with G_0 the identity.
 
     g(alpha, a) returns the moved state or raises DomainViolation;
-    domain_query(alpha, a) answers membership without evaluating side
-    effects.  tol_hint carries the accuracy of a numerically-backed group.
+    membership is derived from it: true iff g succeeds.  tol_hint carries
+    the accuracy of a numerically-backed group.
     """
 
     n: int
     g: Callable = field(repr=False)
-    domain_query: Callable = field(repr=False)
     tol_hint: float = 0.0
 
     def evaluate(self, alpha: float, a) -> np.ndarray:
@@ -56,8 +55,11 @@ class OneParamGroup:
 
     def in_domain(self, alpha: float, a) -> bool:
         arr = as_state(a, self.n)
+        if not math.isfinite(alpha):
+            return False
         try:
-            return bool(self.domain_query(float(alpha), arr))
+            self.g(float(alpha), arr)
+            return True
         except DomainViolation:
             return False
 
@@ -85,12 +87,12 @@ def check_time_shift(fam: FlowFamily, plan: SamplePlan, tol: float | None = None
     return acc.report("time_shift", tol)
 
 
-def detect_autonomous(fam: FlowFamily, plan: SamplePlan | None = None, tol: float | None = None) -> bool:
+def detect_autonomous(fam: FlowFamily, plan: SamplePlan | None = None) -> bool:
     plan = plan or default_plan(fam.n)
-    return check_time_shift(fam, plan, tol).passed
+    return check_time_shift(fam, plan).passed
 
 
-def to_group(fam: FlowFamily, plan: SamplePlan | None = None, tol: float | None = None) -> OneParamGroup:
+def to_group(fam: FlowFamily, plan: SamplePlan | None = None) -> OneParamGroup:
     """Collapse an autonomous family to G_alpha = F_{alpha, 0}.
 
     Runs the time-shift check first and refuses families that fail it;
@@ -98,7 +100,7 @@ def to_group(fam: FlowFamily, plan: SamplePlan | None = None, tol: float | None 
     useful range.
     """
     plan = plan or default_plan(fam.n)
-    report = check_time_shift(fam, plan, tol)
+    report = check_time_shift(fam, plan)
     if not report.passed:
         raise NotAutonomous(
             f"time-shift residual {report.max_residual:.3g} exceeds {report.tolerance:.3g} "
@@ -113,10 +115,7 @@ def group_from_family(fam: FlowFamily) -> OneParamGroup:
     def g(alpha: float, a: np.ndarray) -> np.ndarray:
         return fam.evaluate(alpha, 0.0, a)
 
-    def domain_query(alpha: float, a: np.ndarray) -> bool:
-        return fam.in_domain(alpha, 0.0, a)
-
-    return OneParamGroup(n=fam.n, g=g, domain_query=domain_query, tol_hint=fam.tol_hint)
+    return OneParamGroup(n=fam.n, g=g, tol_hint=fam.tol_hint)
 
 
 def check_group_law(group: OneParamGroup, plan: SamplePlan, tol: float = 1e-9) -> ConditionReport:
@@ -152,13 +151,4 @@ def family_from_group(group: OneParamGroup) -> FlowFamily:
     def evaluator(tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
         return group.g(tau - sigma, a)
 
-    def domain_query(tau: float, sigma: float, a: np.ndarray) -> bool:
-        return group.domain_query(tau - sigma, a)
-
-    return FlowFamily(
-        n=group.n,
-        kind="group_backed",
-        evaluator=evaluator,
-        domain_query=domain_query,
-        tol_hint=group.tol_hint,
-    )
+    return FlowFamily(n=group.n, kind="group_backed", evaluator=evaluator, tol_hint=group.tol_hint)

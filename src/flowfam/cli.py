@@ -13,6 +13,7 @@ domain, 2 on usage or config errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -26,7 +27,7 @@ from . import expr as ex
 from .autonomous import NotAutonomous, check_group_law, check_time_shift, group_from_family, to_group
 from .core import DomainSpec, DomainViolation, FlowFamily, VectorField
 from .core import closed_form_family, scaled_tol
-from .integrate import IntegratorConfig, escape_interval, numeric_family
+from .integrate import IntegratorConfig, StepBudgetExceeded, escape_interval, numeric_family
 from .linear import NotAffine, NotInvertible, SingularWronskian, mollify, sincov_decompose, smooth_apply
 from .reconstruct import ReconstructionConfig, ReconstructionFailed, field_from_family, field_gap
 from .verify import Accumulator, ConditionReport, SamplePlan, SuiteTolerances, default_plan, run_suite
@@ -68,6 +69,18 @@ def _section(path: str, data: dict, key: str, cls) -> dict:
     return cfg
 
 
+@contextlib.contextmanager
+def _config_errors(path: str, key: str):
+    """Re-raise ParseError (with its offset), KeyError, TypeError and ValueError
+    (ValidationError included) from building the object under key as a ConfigError."""
+    try:
+        yield
+    except ex.ParseError as err:
+        raise ConfigError(path, key, f"expression error at offset {err.offset}: {err.message}") from None
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(path, key, str(err)) from None
+
+
 def load_config(path: str) -> RunSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -91,11 +104,8 @@ def load_config(path: str) -> RunSpec:
     field_obj: VectorField | None = None
     family_obj: FlowFamily | None = None
     if sources[0] == "catalog":
-        name = system["catalog"]
-        try:
-            entry = _catalog.get(name)
-        except (KeyError, TypeError) as err:
-            raise ConfigError(path, "system.catalog", str(err)) from None
+        with _config_errors(path, "system.catalog"):
+            entry = _catalog.get(system["catalog"])
         n = entry.n
         system_name = f"catalog:{entry.name}"
         field_obj = entry.field()
@@ -104,72 +114,44 @@ def load_config(path: str) -> RunSpec:
         fdef = system["field"]
         if not isinstance(fdef, dict):
             raise ConfigError(path, "system.field", "must be an object")
-        try:
-            n = int(fdef["n"])
-            rhs = list(fdef["rhs"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(path, "system.field", f"needs integer n and rhs list ({err})") from None
         dom = fdef.get("domain", {})
         if not isinstance(dom, dict):
             raise ConfigError(path, "system.field", "domain must be an object")
-        try:
-            time_box = tuple(dom["time"]) if "time" in dom else (-math.inf, math.inf)
+        with _config_errors(path, "system.field"):
+            n = int(fdef["n"])
+            time_box = dom.get("time", (-math.inf, math.inf))
             spec = DomainSpec(n, time_box=time_box, space_predicate=dom.get("predicate"))
-            field_obj = VectorField.from_strings(rhs, spec)
-        except ex.ParseError as err:
-            raise ConfigError(
-                path, "system.field", f"expression error at offset {err.offset}: {err.message}"
-            ) from None
-        except (ex.ValidationError, TypeError, ValueError) as err:
-            raise ConfigError(path, "system.field", str(err)) from None
+            field_obj = VectorField.from_strings(list(fdef["rhs"]), spec)
         system_name = "field"
     else:
         fdef = system["family"]
         if not isinstance(fdef, dict):
             raise ConfigError(path, "system.family", "must be an object")
-        try:
+        with _config_errors(path, "system.family"):
             n = int(fdef["n"])
             components = list(fdef["components"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(path, "system.family", f"needs integer n and components list ({err})") from None
-        try:
             family_obj = closed_form_family(n, components, predicate=fdef.get("domain_predicate"))
-        except ex.ParseError as err:
-            raise ConfigError(
-                path, "system.family", f"expression error at offset {err.offset}: {err.message}"
-            ) from None
-        except (ex.ValidationError, TypeError, ValueError) as err:
-            raise ConfigError(path, "system.family", str(err)) from None
         system_name = "family"
 
-    integrator_cfg = _section(path, data, "integrator", IntegratorConfig)
-    try:
-        if "window" in integrator_cfg:
-            integrator_cfg = {**integrator_cfg, "window": tuple(integrator_cfg["window"])}
-        integrator = IntegratorConfig(**integrator_cfg)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(path, "integrator", str(err)) from None
+    with _config_errors(path, "integrator"):
+        integrator = IntegratorConfig(**_section(path, data, "integrator", IntegratorConfig))
 
     if data.get("plan") is None:
         plan = default_plan(n)
     else:
         plan_cfg = _section(path, data, "plan", SamplePlan)
-        try:
+        with _config_errors(path, "plan"):
             plan = SamplePlan(
                 tuple(plan_cfg.get("time_grid", ())),
                 tuple(tuple(s) for s in plan_cfg.get("state_grid", ())),
                 random_count=int(plan_cfg.get("random_count", 25)),
                 seed=int(plan_cfg.get("seed", 12345)),
             )
-        except (TypeError, ValueError) as err:
-            raise ConfigError(path, "plan", str(err)) from None
         if plan.n != n:
             raise ConfigError(path, "plan", f"state dimension {plan.n} does not match system n={n}")
 
-    try:
+    with _config_errors(path, "tolerances"):
         tolerances = SuiteTolerances(**_section(path, data, "tolerances", SuiteTolerances))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(path, "tolerances", str(err)) from None
 
     return RunSpec(
         n=n,
@@ -303,7 +285,7 @@ def _cmd_interval(args, spec: RunSpec, out) -> int:
         return 2
     try:
         interval = escape_interval(spec.field, args.rho, args.a, spec.integrator)
-    except (ValueError, DomainViolation) as err:
+    except (ValueError, DomainViolation, StepBudgetExceeded) as err:
         _emit(out, {"kind": "error", "message": str(err)})
         return 1
     _emit(

@@ -8,9 +8,6 @@ affine decompositions) but expose one contract: ``evaluate`` and
 ``in_domain`` over triples (tau, sigma, a), agreeing with each other
 pointwise.  Everything is immutable after construction, so values can be
 shared across threads without locks.
-
-Tolerance convention used package-wide: componentwise
-``|err_i| <= atol + rtol*|ref_i|`` with defaults ``atol = rtol = 1e-9``.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ __all__ = [
     "DomainViolation",
     "as_state",
     "inf_norm",
-    "state_close",
     "scaled_tol",
     "DomainSpec",
     "VectorField",
@@ -37,12 +33,7 @@ __all__ = [
     "CompleteSolution",
     "solution_value",
     "ESCAPE_KINDS",
-    "DEFAULT_ATOL",
-    "DEFAULT_RTOL",
 ]
-
-DEFAULT_ATOL = 1e-9
-DEFAULT_RTOL = 1e-9
 
 # endpoint classifications for escape intervals
 ESCAPE_KINDS = ("blow_up", "left_domain", "window_limit", "unbounded", "step_underflow")
@@ -77,15 +68,6 @@ def inf_norm(v) -> float:
     return float(np.max(np.abs(np.asarray(v, dtype=float))))
 
 
-def state_close(a, b, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> bool:
-    """Componentwise |a-b| <= atol + rtol*|a|, the package-wide comparison."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        return False
-    return bool(np.all(np.abs(a - b) <= atol + rtol * np.abs(a)))
-
-
 def scaled_tol(tol_hint: float) -> float:
     """Default tolerance for a check on a family or group with this tol_hint.
 
@@ -104,23 +86,20 @@ class DomainSpec:
 
     Membership = t inside the open time_box AND space_predicate > 0 (when a
     predicate is present).  Strict inequalities keep the set open by
-    construction.  blowup_radius is not part of membership; it is the
-    threshold past which integration declares a blow-up.
+    construction.
     """
 
     n: int
     time_box: tuple[float, float] = (-math.inf, math.inf)
     space_predicate: ex.Expression | None = None
-    blowup_radius: float = 1e6
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        lo, hi = self.time_box
+        lo, hi = map(float, self.time_box)
         if not lo < hi:
             raise ValueError("time_box must be a non-empty open interval")
-        if not self.blowup_radius > 0:
-            raise ValueError("blowup_radius must be positive")
+        object.__setattr__(self, "time_box", (lo, hi))
         if isinstance(self.space_predicate, str):
             object.__setattr__(self, "space_predicate", ex.parse(self.space_predicate))
         if self.space_predicate is not None:
@@ -176,17 +155,14 @@ class FlowFamily:
 
     evaluator(tau, sigma, a) returns the mapped state or raises
     DomainViolation(out_of_domain).  Membership is derived from it: true iff
-    evaluation succeeds.  A cheaper domain_query(tau, sigma, a) may be
-    supplied instead and must agree with the evaluator.  tol_hint records
-    the intrinsic accuracy of the evaluator (0 means exact up to rounding),
-    which downstream checks use to widen their tolerances for
-    integration-backed families.
+    evaluation succeeds.  tol_hint records the intrinsic accuracy of the
+    evaluator (0 means exact up to rounding), which downstream checks use to
+    widen their tolerances for integration-backed families.
     """
 
     n: int
     kind: str  # closed_form | numeric | group_backed | affine_backed
     evaluator: Callable[[float, float, np.ndarray], np.ndarray]
-    domain_query: Callable[[float, float, np.ndarray], bool] | None = None
     tol_hint: float = 0.0
 
     def __post_init__(self):
@@ -219,10 +195,8 @@ class FlowFamily:
         if not (math.isfinite(tau) and math.isfinite(sigma)):
             return False
         try:
-            if self.domain_query is None:
-                self.evaluator(float(tau), float(sigma), arr)
-                return True
-            return bool(self.domain_query(float(tau), float(sigma), arr))
+            self.evaluator(float(tau), float(sigma), arr)
+            return True
         except DomainViolation:
             return False
 
@@ -232,8 +206,6 @@ def closed_form_family(
     components: Sequence,
     predicate=None,
     time_box: tuple[float, float] | None = None,
-    kind: str = "closed_form",
-    tol_hint: float = 0.0,
 ) -> FlowFamily:
     """Build a family from explicit component expressions over (tau, sigma, a).
 
@@ -264,7 +236,7 @@ def closed_form_family(
         except ex.EvalError as err:
             raise DomainViolation("out_of_domain", f"evaluation failed: {err}") from None
 
-    return FlowFamily(n=n, kind=kind, evaluator=evaluator, tol_hint=tol_hint)
+    return FlowFamily(n=n, kind="closed_form", evaluator=evaluator)
 
 
 # ---------------------------------------------------------------------------

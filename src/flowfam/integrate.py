@@ -40,6 +40,7 @@ from .core import (
 __all__ = [
     "IntegratorConfig",
     "EscapeEvent",
+    "StepBudgetExceeded",
     "dopri5_step",
     "advance",
     "numeric_family",
@@ -90,11 +91,12 @@ class IntegratorConfig:
             raise ValueError("need 0 < h_min < h_init")
         if not self.blowup_radius > 0:
             raise ValueError("blowup_radius must be positive")
-        lo, hi = self.window
+        lo, hi = map(float, self.window)
         if not lo < hi:
             raise ValueError("window must be a nonempty interval")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+        object.__setattr__(self, "window", (lo, hi))
+        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+            raise ValueError("max_steps must be an integer >= 1")
 
 
 class EscapeEvent(Exception):
@@ -108,6 +110,10 @@ class EscapeEvent(Exception):
         super().__init__(message or f"{kind} at t={time}")
         self.kind = kind
         self.time = time
+
+
+class StepBudgetExceeded(RuntimeError):
+    """The integrator took max_steps steps without reaching the target time."""
 
 
 def dopri5_step(f, t: float, y: np.ndarray, h: float, k1: np.ndarray | None = None):
@@ -131,9 +137,9 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg: Integrator
     return float(np.max(np.abs(err) / scale))
 
 
-def _classify(t: float, y: np.ndarray, field: VectorField, radius: float) -> str | None:
+def _classify(t: float, y: np.ndarray, field: VectorField, cfg: IntegratorConfig) -> str | None:
     """Escape kind at an accepted point, or None when the point is fine."""
-    if inf_norm(y) > radius:
+    if inf_norm(y) > cfg.blowup_radius:
         return "blow_up"
     if not field.domain.contains(t, y):
         return "left_domain"
@@ -151,7 +157,6 @@ def _integrate(
     """Drive (rho, a) to time tau; raises EscapeEvent when the solution quits first."""
     if tau == rho:
         return a.copy()
-    radius = min(field.domain.blowup_radius, cfg.blowup_radius)
     direction = 1.0 if tau > rho else -1.0
     t, y = rho, a.copy()
     h = direction * min(cfg.h_init, abs(tau - rho))
@@ -160,7 +165,7 @@ def _integrate(
     while True:
         steps += 1
         if steps > cfg.max_steps:
-            raise RuntimeError(f"integration exceeded {cfg.max_steps} steps at t={t}")
+            raise StepBudgetExceeded(f"integration exceeded {cfg.max_steps} steps at t={t}")
         last = abs(h) >= abs(tau - t)
         if last:
             h = tau - t
@@ -184,10 +189,10 @@ def _integrate(
         )
         if err <= 1.0:
             t_new = tau if last else t + h
-            kind = _classify(t_new, y_new, field, radius)
+            kind = _classify(t_new, y_new, field, cfg)
             if kind is not None:
                 if refine:
-                    t_star, kind = _refine_escape(field, t, y, t_new, cfg, kind, radius)
+                    t_star, kind = _bisect_escape(field, t, y, t_new, cfg, kind)
                     raise EscapeEvent(kind, t_star)
                 raise EscapeEvent(kind, t_new)
             if last:
@@ -202,14 +207,13 @@ def _integrate(
                 raise EscapeEvent("step_underflow", t)
 
 
-def _refine_escape(
+def _bisect_escape(
     field: VectorField,
     t_good: float,
     y_good: np.ndarray,
     t_bad: float,
     cfg: IntegratorConfig,
     kind: str,
-    radius: float,
 ) -> tuple[float, str]:
     """Bisect the last accepted step down to a 5e-7 bracket around the escape.
 
@@ -224,7 +228,7 @@ def _refine_escape(
         except EscapeEvent as ev:
             t_bad, kind = ev.time, ev.kind
             continue
-        bad_kind = _classify(mid, y_mid, field, radius)
+        bad_kind = _classify(mid, y_mid, field, cfg)
         if bad_kind is None:
             t_good, y_good = mid, y_mid
         else:
@@ -238,13 +242,13 @@ def advance(
     a,
     tau: float,
     cfg: IntegratorConfig | None = None,
-    refine_escape: bool = True,
 ) -> np.ndarray:
     """State at time tau of the solution through (rho, a); backward when tau < rho.
 
     Raises EscapeEvent when the solution quits before reaching tau, with the
     escape time bracketed to width <= 1e-6 (bisection over the last accepted
-    step).  Zero-length requests return a unchanged.
+    step), and StepBudgetExceeded (a RuntimeError) when max_steps run out
+    first.  Zero-length requests return a unchanged.
     """
     cfg = cfg or IntegratorConfig()
     arr = as_state(a, field.n)
@@ -253,7 +257,7 @@ def advance(
         raise ValueError(f"times must lie in the window [{lo}, {hi}]")
     if not field.domain.contains(rho, arr):
         raise ValueError(f"initial condition ({rho}, {arr}) outside the field domain")
-    return as_state(_integrate(field, rho, arr, tau, cfg, refine=refine_escape), field.n)
+    return as_state(_integrate(field, rho, arr, tau, cfg, refine=True), field.n)
 
 
 def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> FlowFamily:
@@ -261,10 +265,10 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
 
     Membership of (tau, sigma, a) holds when both parameters sit in the
     window, (sigma, a) is in the field's domain, and integration from sigma
-    to tau completes without escaping.  Escape refinement is skipped here
-    since only the yes/no answer matters, which keeps repeated evaluation
-    near the boundary cheap.  tol_hint advertises rel_tol so downstream
-    checks can widen comparisons accordingly.
+    to tau completes within max_steps without escaping.  Escape refinement
+    is skipped here since only the yes/no answer matters, which keeps
+    repeated evaluation near the boundary cheap.  tol_hint advertises
+    rel_tol so downstream checks can widen comparisons accordingly.
     """
     cfg = cfg or IntegratorConfig()
     lo, hi = cfg.window
@@ -282,6 +286,8 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
             raise DomainViolation(
                 "out_of_domain", f"trajectory escapes at t={ev.time} ({ev.kind})"
             ) from None
+        except StepBudgetExceeded as err:
+            raise DomainViolation("out_of_domain", str(err)) from None
 
     return FlowFamily(n=field.n, kind="numeric", evaluator=evaluator, tol_hint=cfg.rel_tol)
 

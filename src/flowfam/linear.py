@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -143,27 +142,31 @@ def probe_affine(fn, n: int) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def affine_defect(fn, A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> float | None:
+def affine_defect(fn, A: np.ndarray, b: np.ndarray) -> float | None:
     """Residual at the first probe lam e_k, lam in (-1, 2), where fn leaves a -> A a + b.
 
-    A probe fails when |fn(lam e_k) - want| > tol (1 + |want|), with want
+    A probe fails when |fn(lam e_k) - want| > 1e-9 (1 + |want|), with want
     = lam A e_k + b, all in the infinity norm; None when every probe holds.
     """
     for k in range(A.shape[0]):
         for lam in (-1.0, 2.0):
             want = lam * A[:, k] + b
             gap = inf_norm(np.asarray(fn(lam * np.eye(A.shape[0])[k]), dtype=float) - want)
-            if gap > tol * (1.0 + inf_norm(want)):
+            if gap > 1e-9 * (1.0 + inf_norm(want)):
                 return gap
     return None
 
 
-def check_affine(fam: FlowFamily, plan: SamplePlan, tol: float | None = None) -> ConditionReport:
-    """Residual of F(la + (1-l)b) = l F(a) + (1-l) F(b) over sampled mixes."""
-    tol = scaled_tol(fam.tol_hint) if tol is None else tol
-    acc = Accumulator()
+def check_affine(fam: FlowFamily, plan: SamplePlan) -> ConditionReport:
+    """Residual of F(la + (1-l)b) = l F(a) + (1-l) F(b) over sampled mixes.
 
-    def probe(tau, sigma, a, b):
+    The (tau, sigma, a, b) samples come from plan.samples(2, 2); pairs with
+    a == b are skipped, since every mix of them is trivially affine.
+    """
+    acc = Accumulator()
+    for tau, sigma, a, b in plan.samples(2, 2):
+        if np.array_equal(a, b):
+            continue
         for lam in _MIX_WEIGHTS:
             mix = lam * a + (1.0 - lam) * b
             try:
@@ -182,26 +185,11 @@ def check_affine(fam: FlowFamily, plan: SamplePlan, tol: float | None = None) ->
                     "b": list(map(float, b)),
                 },
             )
-
-    states = [np.asarray(s, dtype=float) for s in plan.state_grid]
-    for tau in plan.time_grid:
-        for sigma in plan.time_grid:
-            for a, b in product(states, states):
-                if np.array_equal(a, b):
-                    continue
-                probe(tau, sigma, a, b)
-    rng = plan._rng()
-    taus = plan.random_times(rng, plan.random_count)
-    sigmas = plan.random_times(rng, plan.random_count)
-    a_draw = plan.random_states(rng, plan.random_count)
-    b_draw = plan.random_states(rng, plan.random_count)
-    for tau, sigma, a, b in zip(taus, sigmas, a_draw, b_draw):
-        probe(float(tau), float(sigma), a, b)
-    return acc.report("affinity", tol)
+    return acc.report("affinity", scaled_tol(fam.tol_hint))
 
 
-def detect_affine(fam: FlowFamily, plan: SamplePlan, tol: float | None = None) -> bool:
-    return check_affine(fam, plan, tol).passed
+def detect_affine(fam: FlowFamily, plan: SamplePlan) -> bool:
+    return check_affine(fam, plan).passed
 
 
 # --- Sincov decomposition ---------------------------------------------------
@@ -258,7 +246,6 @@ def sincov_decompose(
     tau0: float,
     grid,
     check: bool = True,
-    tol: float | None = None,
 ) -> SincovDecomposition:
     """Probe an affine family into Wronski matrices plus offsets.
 
@@ -276,7 +263,7 @@ def sincov_decompose(
             tuple(tuple(map(float, s)) for s in basis),
             random_count=0,
         )
-        rep = check_affine(fam, plan, tol)
+        rep = check_affine(fam, plan)
         if not rep.passed:
             raise NotAffine(
                 f"affinity residual {rep.max_residual:.3g} exceeds {rep.tolerance:.3g} "
@@ -301,13 +288,12 @@ def _interp_stack(grid: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
     return (1.0 - w) * stack[i] + w * stack[i + 1]
 
 
-def family_from_decomposition(dec: SincovDecomposition, enforce_time_span: bool = True) -> FlowFamily:
+def family_from_decomposition(dec: SincovDecomposition) -> FlowFamily:
     """Evaluate W_tau(W_sigma^{-1} a + h_tau - h_sigma), interpolating W and h.
 
     Linear entrywise interpolation between grid times; times outside the
-    grid span are out of domain unless enforce_time_span=False, which
-    extrapolates from the end cells instead.  The diagonal short-circuits
-    to the identity so F_{tt}(a) = a exactly.
+    grid span are out of domain.  The diagonal short-circuits to the
+    identity so F_{tt}(a) = a exactly.
     """
     grid = np.asarray(dec.grid, dtype=float)
     lo, hi = grid[0], grid[-1]
@@ -316,7 +302,7 @@ def family_from_decomposition(dec: SincovDecomposition, enforce_time_span: bool 
         return _interp_stack(grid, dec.W, t), _interp_stack(grid, dec.h, t)
 
     def evaluator(tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
-        if enforce_time_span and not (lo <= tau <= hi and lo <= sigma <= hi):
+        if not (lo <= tau <= hi and lo <= sigma <= hi):
             raise DomainViolation("out_of_domain", "time outside the decomposition grid span")
         if tau == sigma:
             return a.copy()

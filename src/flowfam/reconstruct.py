@@ -34,7 +34,6 @@ from .verify import SamplePlan, default_plan
 
 __all__ = [
     "ReconstructionConfig",
-    "SampleSkipped",
     "ReconstructionFailed",
     "BoxDomain",
     "TabulatedVectorField",
@@ -43,10 +42,6 @@ __all__ = [
     "field_gap",
     "roundtrip_error",
 ]
-
-
-class SampleSkipped(Exception):
-    """The two-sided stencil left the family's domain at this site."""
 
 
 class ReconstructionFailed(Exception):
@@ -82,7 +77,6 @@ class BoxDomain:
     time_hi: float
     state_lo: tuple[float, ...]
     state_hi: tuple[float, ...]
-    blowup_radius: float = 1e6
 
     def contains(self, t: float, x) -> bool:
         if not (self.time_lo <= t <= self.time_hi):
@@ -112,7 +106,7 @@ class TabulatedVectorField:
     """
 
     def __init__(self, times: np.ndarray, axes: list[np.ndarray], table: np.ndarray,
-                 skipped_sites: int = 0, blowup_radius: float = 1e6):
+                 skipped_sites: int = 0):
         self.times = np.asarray(times, dtype=float)
         self.axes = [np.asarray(ax, dtype=float) for ax in axes]
         self.table = np.asarray(table, dtype=float)
@@ -136,7 +130,6 @@ class TabulatedVectorField:
             time_hi=float(self.times[-1]),
             state_lo=tuple(float(ax[0]) for ax in self.axes),
             state_hi=tuple(float(ax[-1]) for ax in self.axes),
-            blowup_radius=blowup_radius,
         )
 
     def sites(self):
@@ -182,33 +175,18 @@ def diagonal_rate(
     a,
     h: float = 1e-4,
     richardson: bool = True,
-    mode: str = "central",
 ) -> np.ndarray:
-    """Finite-difference estimate of the family's diagonal rate at (tau, a).
+    """Central-difference estimate of the family's diagonal rate at (tau, a).
 
-    central: [F_{tau+h,tau}(a) - F_{tau-h,tau}(a)] / 2h, optionally with one
-    Richardson step.  forward: [F_{tau+h,tau}(a) - a] / h, first order, no
-    Richardson; useful as a one-sided fallback and for order comparisons.
-    Raises SampleSkipped when the stencil leaves the family's domain.
+    [F_{tau+h,tau}(a) - F_{tau-h,tau}(a)] / 2h, optionally sharpened by one
+    Richardson step.  The family's DomainViolation passes through when the
+    stencil leaves its domain.
     """
     arr = as_state(a, fam.n)
 
     def central(step: float) -> np.ndarray:
-        try:
-            fp = fam.evaluate(tau + step, tau, arr)
-            fm = fam.evaluate(tau - step, tau, arr)
-        except DomainViolation as err:
-            raise SampleSkipped(f"stencil left the domain at tau={tau}: {err}") from None
-        return (fp - fm) / (2.0 * step)
+        return (fam.evaluate(tau + step, tau, arr) - fam.evaluate(tau - step, tau, arr)) / (2.0 * step)
 
-    if mode == "forward":
-        try:
-            fp = fam.evaluate(tau + h, tau, arr)
-        except DomainViolation as err:
-            raise SampleSkipped(f"stencil left the domain at tau={tau}: {err}") from None
-        return (fp - arr) / h
-    if mode != "central":
-        raise ValueError(f"unknown mode '{mode}'")
     d_h = central(h)
     if not richardson:
         return d_h
@@ -248,7 +226,7 @@ def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig | None = None) 
     for index, tau, a in _sites(times, axes):
         try:
             table[index] = diagonal_rate(fam, tau, a, h=cfg.h, richardson=cfg.richardson)
-        except SampleSkipped:
+        except DomainViolation:
             table[index] = np.nan
             skipped += 1
     if skipped * 2 > total:
@@ -288,7 +266,7 @@ def roundtrip_error(
 
     Reconstructs the field, integrates it back into a numeric family, and
     returns the max infinity-norm gap over the evaluation plan's (tau,
-    sigma, a) triples, guarded so both routes are defined; triples where
+    sigma, a) samples, guarded so both routes are defined; samples where
     either route is undefined are skipped.
     """
     icfg = icfg or IntegratorConfig()
@@ -297,17 +275,14 @@ def roundtrip_error(
     plan = eval_plan or default_plan(fam.n, random_count=0)
     worst = -math.inf
     compared = 0
-    for tau in plan.time_grid:
-        for sigma in plan.time_grid:
-            for s in plan.state_grid:
-                a = np.asarray(s, dtype=float)
-                try:
-                    original = fam.evaluate(tau, sigma, a)
-                    redone = rebuilt.evaluate(tau, sigma, a)
-                except DomainViolation:
-                    continue
-                compared += 1
-                worst = max(worst, inf_norm(original - redone))
+    for tau, sigma, a in plan.samples(2):
+        try:
+            original = fam.evaluate(tau, sigma, a)
+            redone = rebuilt.evaluate(tau, sigma, a)
+        except DomainViolation:
+            continue
+        compared += 1
+        worst = max(worst, inf_norm(original - redone))
     if compared == 0:
         raise ReconstructionFailed("no evaluation-plan triple was defined on both routes")
     return worst

@@ -27,6 +27,7 @@ not separately sampled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -94,41 +95,31 @@ class SamplePlan:
     def n(self) -> int:
         return len(self.state_grid[0])
 
-    def _rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+    def samples(self, k: int, m: int = 1) -> Iterator[tuple]:
+        """(t_1, ..., t_k, a_1, ..., a_m) samples: the grid product, then the random batch.
 
-    def random_times(self, rng, count: int) -> np.ndarray:
-        lo, hi = self.time_grid[0], self.time_grid[-1]
-        return rng.uniform(lo, hi, size=count)
-
-    def random_states(self, rng, count: int) -> np.ndarray:
-        box = np.asarray(self.state_grid, dtype=float)
-        return rng.uniform(box.min(axis=0), box.max(axis=0), size=(count, self.n))
-
-    def samples(self, k: int) -> Iterator[tuple]:
-        """(t_1, ..., t_k, a) samples: the grid product, then the random batch.
-
-        The grid part runs t_1 slowest and the state fastest.  The random
-        batch draws its k time columns and then its states from a fresh
+        The grid part runs t_1 slowest and a_m fastest.  The random batch
+        draws its k time columns and then its m state columns from a fresh
         generator on the plan seed, so every caller sees the same draws.
         """
-        for point in product(*[self.time_grid] * k, self.state_grid):
-            yield (*point[:-1], np.asarray(point[-1], dtype=float))
-        rng = self._rng()
-        times = [self.random_times(rng, self.random_count) for _ in range(k)]
-        states = self.random_states(rng, self.random_count)
-        for *ts, s in zip(*times, states):
-            yield (*map(float, ts), s)
+        for point in product(*[self.time_grid] * k, *[self.state_grid] * m):
+            yield (*point[:k], *(np.asarray(s, dtype=float) for s in point[k:]))
+        rng = np.random.Generator(np.random.PCG64(self.seed))
+        box = np.asarray(self.state_grid, dtype=float)
+        times = rng.uniform(self.time_grid[0], self.time_grid[-1], size=(k, self.random_count))
+        states = rng.uniform(box.min(axis=0), box.max(axis=0), size=(m, self.random_count, self.n))
+        for draw in zip(*times, *states):
+            yield (*map(float, draw[:k]), *draw[k:])
 
 
-def default_plan(n: int, random_count: int = 25, seed: int = 12345) -> SamplePlan:
+def default_plan(n: int, random_count: int = 25) -> SamplePlan:
     """Stock plan used by the command-line tool; sensible for n <= 3."""
     times = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
     if n == 1:
         states = ((-1.0,), (-0.5,), (0.0,), (0.25,), (0.5,))
     else:
         states = tuple(product((-1.0, 0.0, 1.0), repeat=n))
-    return SamplePlan(times, states, random_count=random_count, seed=seed)
+    return SamplePlan(times, states, random_count=random_count)
 
 
 @dataclass(frozen=True)
@@ -139,6 +130,13 @@ class SuiteTolerances:
     inverse: float = 1e-9
     cocycle: float = 1e-9
     openness_delta: float = 1e-4
+
+    def __post_init__(self):
+        residual = (self.identity, self.inverse, self.cocycle)
+        if not all(isinstance(v, numbers.Real) and v >= 0 for v in residual):
+            raise ValueError("identity, inverse and cocycle tolerances must be non-negative numbers")
+        if not (isinstance(self.openness_delta, numbers.Real) and self.openness_delta > 0):
+            raise ValueError("openness_delta must be a positive number")
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,6 @@ def test_group_law_flags_broken_group():
     broken = OneParamGroup(
         n=1,
         g=lambda alpha, a: a + alpha + 0.1 * alpha**2,
-        domain_query=lambda alpha, a: True,
     )
     plan = SamplePlan((-1.0, 0.0, 1.0), ((0.0,), (0.5,)), random_count=10)
     rep = check_group_law(broken, plan)
@@ -184,7 +183,8 @@ def test_group_law_notes_undefined_direct_map():
             raise DomainViolation("out_of_domain", "window")
         return a * math.exp(alpha)
 
-    group = OneParamGroup(n=1, g=g, domain_query=lambda alpha, a: abs(alpha) < 0.75)
+    group = OneParamGroup(n=1, g=g)
+    assert group.in_domain(0.5, [1.0]) and not group.in_domain(1.0, [1.0])
     plan = SamplePlan((0.5,), ((1.0,),), random_count=0)
     rep = check_group_law(group, plan)
     assert not rep.passed

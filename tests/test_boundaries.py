@@ -1,8 +1,9 @@
-"""Module boundaries inside the package: no module imports a sibling's private names.
+"""Module boundaries inside the package: no module reaches another's private names.
 
-A name that starts with an underscore belongs to its module.  When a
-sibling needs it, the name is made public instead of imported across the
-boundary.
+A name that starts with an underscore belongs to its module or object.
+When a sibling needs it, the name is made public instead of imported
+across the boundary or read off another object.  Attributes of ``self``
+and ``cls`` and dunder names are exempt.
 """
 
 import ast
@@ -27,6 +28,19 @@ def _private_imports(path: Path) -> list[str]:
     return found
 
 
+def _private_attributes(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")):
+            continue
+        if node.attr.startswith("__") and node.attr.endswith("__"):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        found.append(f"{path.name}:{node.lineno} reaches {ast.unparse(node)}")
+    return found
+
+
 def test_package_modules_found():
     assert {"core.py", "verify.py", "cli.py"} <= {p.name for p in PACKAGE.glob("*.py")}
 
@@ -40,3 +54,19 @@ def test_detector_sees_a_private_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .verify import SamplePlan, _hidden\nfrom os import _exit\n")
     assert _private_imports(probe) == ["probe.py:1 imports _hidden from verify"]
+
+
+def test_no_module_reaches_private_attributes():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _private_attributes(path)]
+    assert found == []
+
+
+def test_detector_sees_a_private_attribute(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "rng = plan._rng()\n"
+        "self._own, cls._too = 1, 2\n"
+        "object.__setattr__(x, 'a', 1)\n"
+        "x.public = y.__class__\n"
+    )
+    assert _private_attributes(probe) == ["probe.py:1 reaches plan._rng"]

@@ -155,8 +155,22 @@ def test_unknown_integrator_key(tmp_path):
         ({**RICCATI, "integrator": {"window": 3}}, "integrator"),
         ({"system": {"catalog": ["riccati"]}}, "system.catalog"),
         ({"system": {"family": {"n": 1, "components": [5]}}}, "system.family"),
+        ({"system": {"field": {"n": 1, "rhs": ["x1"], "domain": {"time": ["a", "b"]}}}}, "system.field"),
+        ({**RICCATI, "integrator": {"window": ["a", "b"]}}, "integrator"),
+        ({**RICCATI, "tolerances": {"identity": "x"}}, "tolerances"),
+        ({**RICCATI, "integrator": {"max_steps": 2.5}}, "integrator"),
     ],
-    ids=["domain-list", "time-scalar", "window-scalar", "catalog-list", "component-number"],
+    ids=[
+        "domain-list",
+        "time-scalar",
+        "window-scalar",
+        "catalog-list",
+        "component-number",
+        "time-strings",
+        "window-strings",
+        "tolerance-string",
+        "max-steps-fraction",
+    ],
 )
 def test_malformed_value_is_config_error(tmp_path, capsys, payload, field):
     path = write_config(tmp_path, payload)
@@ -229,6 +243,23 @@ def test_flow_dimension_mismatch_exits_2(tmp_path, capsys):
     assert recs[1]["message"] == "dimension_mismatch"
 
 
+# x' = x from 0 to 0.1 needs more than three steps from the default h_init
+SHORT_BUDGET = {"system": {"field": {"n": 1, "rhs": ["x1"]}}, "integrator": {"max_steps": 3}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["flow", "--tau", "0.1", "--sigma", "0", "--a", "1"], ["interval", "--rho", "0", "--a", "1"]],
+    ids=["flow", "interval"],
+)
+def test_step_budget_exhaustion_is_an_error_record(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, SHORT_BUDGET)
+    code, recs = run_cli([*argv, "--config", cfg, "--no-timestamp"], capsys)
+    assert code == 1
+    assert len(recs) == 2 and recs[1]["kind"] == "error"
+    assert "exceeded 3 steps" in recs[1].get("detail", recs[1]["message"])
+
+
 def test_flow_config_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("not json")
@@ -287,6 +318,16 @@ def test_verify_pass(tmp_path, capsys):
     assert {"identity", "inverse", "cocycle"} <= set(names)
     summary = recs[-1]
     assert summary == {"kind": "summary", "pass": True, "failed": []}
+
+
+def test_verify_skips_samples_that_exhaust_the_step_budget(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**SHORT_BUDGET, "plan": SMALL_PLAN})
+    code, recs = run_cli(["verify", "--config", cfg, "--no-timestamp"], capsys)
+    assert code == 0 and recs[-1] == {"kind": "summary", "pass": True, "failed": []}
+    counts = {r["name"]: (r["samples_checked"], r["samples_skipped"]) for r in recs[1:-1]}
+    # only the tau == sigma samples, which need no steps, are checked
+    assert counts["inverse"] == (9, 21)
+    assert counts["cocycle"] == (9, 75)
 
 
 def test_verify_failure_flags_condition(tmp_path, capsys):

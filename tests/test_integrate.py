@@ -105,14 +105,6 @@ def test_advance_blow_up(riccati_field):
     assert abs(exc.value.time - 2.0) <= 1e-3
 
 
-def test_advance_unrefined_escape(riccati_field):
-    with pytest.raises(EscapeEvent) as exc:
-        advance(riccati_field, 0.0, [0.5], 3.0, CFG, refine_escape=False)
-    # without bisection the reported time is the first flagged point
-    assert exc.value.kind == "blow_up"
-    assert 1.99 <= exc.value.time <= 2.01
-
-
 def test_advance_preconditions(riccati_field):
     with pytest.raises(ValueError):
         advance(riccati_field, 0.0, [0.5], 99.0, CFG)  # target beyond window

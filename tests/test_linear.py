@@ -238,10 +238,6 @@ def test_time_span_enforced_by_default():
     with pytest.raises(DomainViolation):
         rebuilt.evaluate(1.5, 0.0, [0.1])
     assert not rebuilt.in_domain(-0.1, 0.0, [0.1])
-    relaxed = family_from_decomposition(
-        sincov_decompose(affine_family(), 0.0, (0.0, 1.0)), enforce_time_span=False
-    )
-    assert np.isfinite(relaxed.evaluate(1.5, 0.0, [0.1])[0])
 
 
 def test_interpolated_wronskian_can_degenerate():
@@ -316,7 +312,7 @@ def test_mollify_rotation_half_pi():
 
 
 def test_mollify_identity_group_is_identity():
-    group = OneParamGroup(n=1, g=lambda alpha, a: a.copy(), domain_query=lambda alpha, a: True)
+    group = OneParamGroup(n=1, g=lambda alpha, a: a.copy())
     m = mollify(group, 0.3)
     assert np.allclose(m.H.A, np.eye(1), atol=1e-15)
     assert np.allclose(m.H.b, 0.0, atol=1e-15)
@@ -324,7 +320,7 @@ def test_mollify_identity_group_is_identity():
 
 def test_mollify_translation_group_cancels():
     v = np.array([1.0, -2.0])
-    group = OneParamGroup(n=2, g=lambda alpha, a: a + alpha * v, domain_query=lambda alpha, a: True)
+    group = OneParamGroup(n=2, g=lambda alpha, a: a + alpha * v)
     m = mollify(group, 0.5)
     assert np.allclose(m.H.A, np.eye(2), atol=1e-15)
     assert np.max(np.abs(m.H.b)) <= 1e-15  # odd integrand cancels node by node
@@ -341,7 +337,7 @@ def test_mollify_rejects_nonaffine_group():
 
 
 def test_mollify_parameter_validation():
-    group = OneParamGroup(n=1, g=lambda alpha, a: a.copy(), domain_query=lambda alpha, a: True)
+    group = OneParamGroup(n=1, g=lambda alpha, a: a.copy())
     with pytest.raises(ValueError):
         mollify(group, 0.0)
     with pytest.raises(ValueError):
@@ -359,7 +355,7 @@ def test_mollifier_limit_monotone():
 
 
 def test_mollifier_error_bound_scales():
-    group = OneParamGroup(n=1, g=lambda alpha, a: a.copy(), domain_query=lambda alpha, a: True)
+    group = OneParamGroup(n=1, g=lambda alpha, a: a.copy())
     wide = mollify(group, 0.4, panels=64)
     narrow = mollify(group, 0.2, panels=64)
     fine = mollify(group, 0.4, panels=128)
@@ -444,7 +440,7 @@ def test_mollify_probes_each_node_once():
         calls.append(alpha)
         return a.copy()
 
-    group = OneParamGroup(n=1, g=g, domain_query=lambda alpha, a: True)
+    group = OneParamGroup(n=1, g=g)
     mollify(group, 0.25, panels=16)
     # three affinity checks of (n + 1) + 2n evaluations, then n + 1 per node
     assert len(calls) == 3 * 4 + 17 * 2

@@ -332,6 +332,24 @@ def test_samples_grid_order_then_seeded_draws():
     assert len(samples) == 10
 
 
+def test_samples_two_states_order():
+    plan = SamplePlan((0.0, 1.0), ((5.0, 0.0), (6.0, 1.0)), random_count=2, seed=3)
+    samples = list(plan.samples(2, 2))
+    grid = [(t1, t2, tuple(a), tuple(b)) for t1, t2, a, b in samples[:16]]
+    states = [(5.0, 0.0), (6.0, 1.0)]
+    assert grid == [
+        (t1, t2, a, b) for t1 in (0.0, 1.0) for t2 in (0.0, 1.0) for a in states for b in states
+    ]
+    rng = np.random.default_rng(3)
+    t1s, t2s = rng.uniform(0.0, 1.0, size=2), rng.uniform(0.0, 1.0, size=2)
+    a_draws = rng.uniform([5.0, 0.0], [6.0, 1.0], size=(2, 2))
+    b_draws = rng.uniform([5.0, 0.0], [6.0, 1.0], size=(2, 2))
+    for (t1, t2, a, b), e1, e2, ea, eb in zip(samples[16:], t1s, t2s, a_draws, b_draws):
+        assert (t1, t2) == (float(e1), float(e2))
+        assert np.array_equal(a, ea) and np.array_equal(b, eb)
+    assert len(samples) == 18
+
+
 def test_samples_arity():
     plan = SamplePlan((0.0, 1.0, 2.0), ((0.0,),), random_count=4)
     for k in (1, 2, 3):
