@@ -71,8 +71,8 @@ def _section(path: str, data: dict, key: str, cls) -> dict:
 
 @contextlib.contextmanager
 def _config_errors(path: str, key: str):
-    """Re-raise ParseError (with its offset), KeyError, TypeError and ValueError
-    (ValidationError included) from building the object under key as a ConfigError."""
+    """Report what building the config object under key raises as a ConfigError:
+    ParseError with its offset, or a KeyError, TypeError or ValueError (ValidationError too)."""
     try:
         yield
     except ex.ParseError as err:

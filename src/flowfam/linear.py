@@ -158,11 +158,7 @@ def affine_defect(fn, A: np.ndarray, b: np.ndarray) -> float | None:
 
 
 def check_affine(fam: FlowFamily, plan: SamplePlan) -> ConditionReport:
-    """Residual of F(la + (1-l)b) = l F(a) + (1-l) F(b) over sampled mixes.
-
-    The (tau, sigma, a, b) samples come from plan.samples(2, 2); pairs with
-    a == b are skipped, since every mix of them is trivially affine.
-    """
+    """Residual of F(la + (1-l)b) = l F(a) + (1-l) F(b) over plan.samples(2, 2), a != b."""
     acc = Accumulator()
     for tau, sigma, a, b in plan.samples(2, 2):
         if np.array_equal(a, b):
