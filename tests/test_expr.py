@@ -1,6 +1,9 @@
 """Expression language: parser, printer, evaluator, validation."""
 
+import json
 import math
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -130,6 +133,31 @@ def test_error_offsets(source, offset):
     with pytest.raises(ParseError) as exc:
         parse(source)
     assert exc.value.offset == offset
+
+
+# float.hex of each CORPUS entry's value, or its EvalError kind, at the two
+# points of the table, under the convention the entry validates against.
+CORPUS_EVAL = Path(__file__).parent / "golden" / "expr_corpus_eval.json"
+
+
+def _corpus_row(source, point):
+    tree, t, state = parse(source), point["time"], point["state"]
+    try:
+        validate(tree, len(state))
+        convention, run = "field", partial(evaluate_expr, tree, t, state)
+    except ValidationError:
+        validate_family(tree, len(state))
+        convention, run = "family", partial(evaluate_family, tree, t, point["sigma"], state)
+    try:
+        return [convention, run().hex()]
+    except EvalError as err:
+        return [convention, err.kind]
+
+
+def test_corpus_evaluation_pinned():
+    table = json.loads(CORPUS_EVAL.read_text())
+    got = {source: [_corpus_row(source, p) for p in table["points"]] for source, _ in CORPUS}
+    assert got == table["rows"]
 
 
 def test_evaluate_basics():
