@@ -80,13 +80,17 @@ def scaled_tol(tol_hint: float) -> float:
 # ---------------------------------------------------------------------------
 # Vector fields and their domains
 
+def _as_expression(e) -> ex.Expression:
+    return ex.parse(e) if isinstance(e, str) else e
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Open subset of (t, x) space where a vector field is defined.
 
     Membership = t inside the open time_box AND space_predicate > 0 (when a
     predicate is present).  Strict inequalities keep the set open by
-    construction.
+    construction.  The predicate is compiled once, here.
     """
 
     n: int
@@ -100,31 +104,26 @@ class DomainSpec:
         if not lo < hi:
             raise ValueError("time_box must be a non-empty open interval")
         object.__setattr__(self, "time_box", (lo, hi))
-        if isinstance(self.space_predicate, str):
-            object.__setattr__(self, "space_predicate", ex.parse(self.space_predicate))
-        if self.space_predicate is not None:
-            ex.validate(self.space_predicate, self.n)
+        pred = _as_expression(self.space_predicate)
+        object.__setattr__(self, "space_predicate", pred)
+        object.__setattr__(self, "_predicate", None if pred is None else ex.compile_field(pred, self.n))
 
     def contains(self, t: float, x) -> bool:
         """Total membership test; evaluation failures count as outside."""
         lo, hi = self.time_box
         if not (lo < t < hi) or not math.isfinite(t):
             return False
-        if self.space_predicate is None:
+        if self._predicate is None:
             return True
         try:
-            return ex.evaluate_expr(self.space_predicate, t, x) > 0.0
+            return self._predicate(t, x) > 0.0
         except ex.EvalError:
             return False
 
 
-def _as_expression(e) -> ex.Expression:
-    return ex.parse(e) if isinstance(e, str) else e
-
-
 @dataclass(frozen=True)
 class VectorField:
-    """Right-hand side f(t, x) of an n-dimensional first-order ODE."""
+    """Right-hand side f(t, x) of an n-dimensional first-order ODE; compiled once, here."""
 
     n: int
     domain: DomainSpec
@@ -135,15 +134,14 @@ class VectorField:
             raise ValueError(f"need {self.n} rhs components, got {len(self.rhs)}")
         if self.domain.n != self.n:
             raise ValueError("domain dimension does not match field dimension")
-        for component in self.rhs:
-            ex.validate(component, self.n)
+        object.__setattr__(self, "_rhs", tuple(ex.compile_field(c, self.n) for c in self.rhs))
 
     @classmethod
     def from_strings(cls, components: Sequence[str], domain: DomainSpec) -> "VectorField":
         return cls(domain.n, domain, tuple(ex.parse(c) for c in components))
 
     def __call__(self, t: float, x) -> np.ndarray:
-        return np.array([ex.evaluate_expr(c, t, x) for c in self.rhs], dtype=float)
+        return np.array([f(t, x) for f in self._rhs], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +214,8 @@ def closed_form_family(
     comps = tuple(_as_expression(c) for c in components)
     if len(comps) != n:
         raise ValueError(f"need {n} components, got {len(comps)}")
-    for c in comps:
-        ex.validate_family(c, n)
-    pred = _as_expression(predicate) if predicate is not None else None
-    if pred is not None:
-        ex.validate_family(pred, n)
+    fns = tuple(ex.compile_family(c, n) for c in comps)
+    pred = ex.compile_family(_as_expression(predicate), n) if predicate is not None else None
 
     def evaluator(tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
         if time_box is not None:
@@ -228,11 +223,11 @@ def closed_form_family(
             if not (lo < tau < hi and lo < sigma < hi):
                 raise DomainViolation("out_of_domain", "parameter outside the family time box")
         try:
-            if pred is not None and not ex.evaluate_family(pred, tau, sigma, a) > 0.0:
+            if pred is not None and not pred(tau, sigma, a) > 0.0:
                 raise DomainViolation(
                     "out_of_domain", f"domain predicate not positive at ({tau}, {sigma}, {a})"
                 )
-            return np.array([ex.evaluate_family(c, tau, sigma, a) for c in comps], dtype=float)
+            return np.array([f(tau, sigma, a) for f in fns], dtype=float)
         except ex.EvalError as err:
             raise DomainViolation("out_of_domain", f"evaluation failed: {err}") from None
 

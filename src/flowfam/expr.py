@@ -17,8 +17,8 @@ minus owns the sign.
 Two variable conventions share one parser.  Vector fields and predicates
 are written over ``t, x1..xn``; flow maps are written over
 ``tau, sigma, a1..an``.  ``parse`` accepts either spelling, and
-``validate`` / ``validate_family`` enforce the convention for a given
-context and dimension.  Any other identifier is rejected at parse time.
+``compile_field`` / ``compile_family`` enforce the convention for a given
+context and dimension as they compile.  Any other identifier is rejected at parse time.
 
 Everything here is immutable and pure, so expressions can be shared freely
 across threads.
@@ -27,9 +27,10 @@ across threads.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Any, Callable, Union
 
 __all__ = [
     "Num",
@@ -43,13 +44,10 @@ __all__ = [
     "ValidationError",
     "FUNCTIONS",
     "parse",
-    "evaluate_expr",
-    "evaluate_family",
-    "validate",
-    "validate_family",
+    "compile_field",
+    "compile_family",
     "pretty_print",
     "format_number",
-    "variables",
 ]
 
 
@@ -287,122 +285,99 @@ def parse(source: str) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation: the tree is walked once, into nested closures
 
-def _eval(e: Expression, scalars: dict, vectors: dict) -> float:
-    if isinstance(e, Bin):
-        a = _eval(e.left, scalars, vectors)
-        b = _eval(e.right, scalars, vectors)
-        op = e.op
-        if op == "+":
-            v = a + b
-        elif op == "-":
-            v = a - b
-        elif op == "*":
-            v = a * b
-        elif op == "/":
-            if b == 0.0:
-                raise EvalError("division_by_zero", "division by zero")
-            v = a / b
-        else:  # ^
-            if a == 0.0 and b < 0.0:
-                raise EvalError("division_by_zero", "zero base with negative exponent")
-            if a < 0.0 and not float(b).is_integer():
-                raise EvalError("domain", "fractional power of negative base")
-            try:
-                v = math.pow(a, b)
-            except OverflowError:
-                raise EvalError("nonfinite", "overflow in power") from None
-        if not math.isfinite(v):
-            raise EvalError("nonfinite", f"non-finite result from '{op}'")
-        return v
-    if isinstance(e, Var):
-        name = e.name
-        if name in scalars:
-            return scalars[name]
-        vec = vectors.get(name[0])
-        if vec is None:
-            raise ValueError(f"unknown variable '{name}' in this context; validate first")
-        k = int(name[1:])
-        if k > len(vec):
-            raise ValueError(f"variable '{name}' exceeds dimension {len(vec)}; validate first")
-        return float(vec[k - 1])
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Call):
-        a = _eval(e.arg, scalars, vectors)
-        if e.fn == "log":
-            if a <= 0.0:
-                raise EvalError("domain", "log of non-positive value")
-            return math.log(a)
-        if e.fn == "sqrt":
-            if a < 0.0:
-                raise EvalError("domain", "sqrt of negative value")
-            return math.sqrt(a)
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvalError("division_by_zero", "division by zero")
+    return a / b
+
+
+def _pow(a: float, b: float) -> float:
+    if a == 0.0 and b < 0.0:
+        raise EvalError("division_by_zero", "zero base with negative exponent")
+    if a < 0.0 and not float(b).is_integer():
+        raise EvalError("domain", "fractional power of negative base")
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        raise EvalError("nonfinite", "overflow in power") from None
+
+
+def _log(a: float) -> float:
+    if a <= 0.0:
+        raise EvalError("domain", "log of non-positive value")
+    return math.log(a)
+
+
+def _sqrt(a: float) -> float:
+    if a < 0.0:
+        raise EvalError("domain", "sqrt of negative value")
+    return math.sqrt(a)
+
+
+def _finite_call(name: str):
+    fn = FUNCTIONS[name]
+
+    def call(a: float) -> float:
         try:
-            v = FUNCTIONS[e.fn](a)
+            v = fn(a)
         except OverflowError:
-            raise EvalError("nonfinite", f"overflow in {e.fn}") from None
+            raise EvalError("nonfinite", f"overflow in {name}") from None
         if not math.isfinite(v):
-            raise EvalError("nonfinite", f"non-finite result from {e.fn}")
+            raise EvalError("nonfinite", f"non-finite result from {name}")
         return v
+
+    return call
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
+_CALLS = {**{name: _finite_call(name) for name in FUNCTIONS}, "log": _log, "sqrt": _sqrt}
+
+
+def _build(e: Expression, scalars: tuple, prefix: str, n: int):
+    """Closure computing ``e`` from ``env = (*scalar values, state)``; the leftmost
+    variable outside ``scalars`` and ``prefix1..prefixn`` raises ValidationError."""
+    if isinstance(e, Bin):
+        left, right = _build(e.left, scalars, prefix, n), _build(e.right, scalars, prefix, n)
+        op, message = _OPERATORS[e.op], f"non-finite result from '{e.op}'"
+
+        def binary(env):
+            v = op(left(env), right(env))
+            if not math.isfinite(v):
+                raise EvalError("nonfinite", message)
+            return v
+
+        return binary
+    if isinstance(e, Var):
+        if e.name in scalars:
+            return operator.itemgetter(scalars.index(e.name))
+        if e.name[0] == prefix and int(e.name[1:]) <= n:
+            k = int(e.name[1:]) - 1
+            return lambda env: float(env[-1][k])  # the state, read when the closure runs
+        raise ValidationError(e.name, f"variable '{e.name}' not allowed (dimension {n})")
+    if isinstance(e, Num):
+        value = e.value
+        return lambda env: value
+    if isinstance(e, Call):
+        fn, arg = _CALLS[e.fn], _build(e.arg, scalars, prefix, n)
+        return lambda env: fn(arg(env))
     if isinstance(e, Neg):
-        return -_eval(e.operand, scalars, vectors)
+        operand = _build(e.operand, scalars, prefix, n)
+        return lambda env: -operand(env)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def evaluate_expr(e: Expression, t: float, x) -> float:
-    """Evaluate a field/predicate expression at time ``t`` and state ``x``.
-
-    ``e`` must have been validated against ``len(x)``.  Raises EvalError
-    on division by zero, domain violations, or non-finite results.
-    """
-    return _eval(e, {"t": float(t)}, {"x": x})
+def compile_field(e: Expression, n: int) -> Callable[[float, Any], float]:
+    """f(t, x) computing ``e`` over t and x1..xn, or ValidationError; f raises EvalError."""
+    f = _build(e, ("t",), "x", n)
+    return lambda t, x: f((float(t), x))
 
 
-def evaluate_family(e: Expression, tau: float, sigma: float, a) -> float:
-    """Evaluate a flow-map expression at parameters (tau, sigma) and state ``a``."""
-    return _eval(e, {"tau": float(tau), "sigma": float(sigma)}, {"a": a})
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-def variables(e: Expression) -> Iterator[str]:
-    """Yield every variable name occurring in ``e`` (with repetitions)."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            yield node.name
-        elif isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, Bin):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
-        elif not isinstance(node, Num):
-            raise TypeError(f"not an expression node: {node!r}")
-
-
-def _check_vars(e: Expression, scalar_names: tuple, prefix: str, n: int) -> None:
-    for name in variables(e):
-        if name in scalar_names:
-            continue
-        if name[0] == prefix and int(name[1:]) <= n:
-            continue
-        raise ValidationError(name, f"variable '{name}' not allowed (dimension {n})")
-
-
-def validate(e: Expression, n: int) -> None:
-    """Check that ``e`` only uses t and x1..xn; raises ValidationError otherwise."""
-    _check_vars(e, ("t",), "x", n)
-
-
-def validate_family(e: Expression, n: int) -> None:
-    """Check that ``e`` only uses tau, sigma and a1..an."""
-    _check_vars(e, ("tau", "sigma"), "a", n)
+def compile_family(e: Expression, n: int) -> Callable[[float, float, Any], float]:
+    """f(tau, sigma, a) computing ``e`` over tau, sigma and a1..an, or ValidationError."""
+    f = _build(e, ("tau", "sigma"), "a", n)
+    return lambda tau, sigma, a: f((float(tau), float(sigma), a))
 
 
 # ---------------------------------------------------------------------------

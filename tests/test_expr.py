@@ -18,12 +18,10 @@ from flowfam.expr import (
     ParseError,
     ValidationError,
     Var,
-    evaluate_expr,
-    evaluate_family,
+    compile_family,
+    compile_field,
     parse,
     pretty_print,
-    validate,
-    validate_family,
 )
 
 # Golden corpus: (source, canonical fully-parenthesized form).  Every entry
@@ -143,11 +141,9 @@ CORPUS_EVAL = Path(__file__).parent / "golden" / "expr_corpus_eval.json"
 def _corpus_row(source, point):
     tree, t, state = parse(source), point["time"], point["state"]
     try:
-        validate(tree, len(state))
-        convention, run = "field", partial(evaluate_expr, tree, t, state)
+        convention, run = "field", partial(compile_field(tree, len(state)), t, state)
     except ValidationError:
-        validate_family(tree, len(state))
-        convention, run = "family", partial(evaluate_family, tree, t, point["sigma"], state)
+        convention, run = "family", partial(compile_family(tree, len(state)), t, point["sigma"], state)
     try:
         return [convention, run().hex()]
     except EvalError as err:
@@ -161,12 +157,12 @@ def test_corpus_evaluation_pinned():
 
 
 def test_evaluate_basics():
-    assert evaluate_expr(parse("x1^2"), 0.0, [0.5]) == 0.25
-    assert evaluate_expr(parse("x1^3"), 0.0, [-2.0]) == -8.0
-    got = evaluate_expr(parse("exp(t)*(x1+1)-1"), math.log(2.0), [0.0])
+    assert compile_field(parse("x1^2"), 1)(0.0, [0.5]) == 0.25
+    assert compile_field(parse("x1^3"), 1)(0.0, [-2.0]) == -8.0
+    got = compile_field(parse("exp(t)*(x1+1)-1"), 1)(math.log(2.0), [0.0])
     assert abs(got - 1.0) <= 1e-12
-    assert evaluate_family(parse("a1/(1 + (sigma - tau)*a1)"), 1.0, 0.0, [0.5]) == 1.0
-    assert evaluate_family(parse("tau - sigma"), 3.0, 1.0, [0.0]) == 2.0
+    assert compile_family(parse("a1/(1 + (sigma - tau)*a1)"), 1)(1.0, 0.0, [0.5]) == 1.0
+    assert compile_family(parse("tau - sigma"), 1)(3.0, 1.0, [0.0]) == 2.0
 
 
 @pytest.mark.parametrize(
@@ -184,34 +180,41 @@ def test_evaluate_basics():
     ],
 )
 def test_eval_error_kinds(source, x, kind):
+    f = compile_field(parse(source), len(x))
     with pytest.raises(EvalError) as exc:
-        evaluate_expr(parse(source), 0.0, x)
+        f(0.0, x)
     assert exc.value.kind == kind
 
 
 def test_validate():
-    validate(parse("x1"), 1)
-    validate(parse("t"), 3)
-    validate(parse("x3 + t*x1"), 3)
+    compile_field(parse("x1"), 1)
+    compile_field(parse("t"), 3)
+    compile_field(parse("x3 + t*x1"), 3)
     with pytest.raises(ValidationError) as exc:
-        validate(parse("x2"), 1)
+        compile_field(parse("x2"), 1)
     assert exc.value.variable == "x2"
     with pytest.raises(ValidationError):
-        validate(parse("tau"), 2)  # flow-map variable in a field context
+        compile_field(parse("tau"), 2)  # flow-map variable in a field context
     with pytest.raises(ValidationError):
-        validate(parse("a1"), 2)
+        compile_field(parse("a1"), 2)
 
 
 def test_validate_family():
-    validate_family(parse("a2 + tau*sigma"), 2)
-    validate_family(parse("tau - sigma"), 1)
+    compile_family(parse("a2 + tau*sigma"), 2)
+    compile_family(parse("tau - sigma"), 1)
     with pytest.raises(ValidationError) as exc:
-        validate_family(parse("a3"), 2)
+        compile_family(parse("a3"), 2)
     assert exc.value.variable == "a3"
     with pytest.raises(ValidationError):
-        validate_family(parse("x1"), 2)
+        compile_family(parse("x1"), 2)
     with pytest.raises(ValidationError):
-        validate_family(parse("t"), 1)
+        compile_family(parse("t"), 1)
+
+
+def test_validation_names_the_leftmost_bad_variable():
+    with pytest.raises(ValidationError, match=r"^variable 'x3' not allowed \(dimension 2\)$") as exc:
+        compile_field(parse("sin(x3) + tau*x5"), 2)
+    assert exc.value.variable == "x3"
 
 
 # --- property tests -------------------------------------------------------
@@ -247,10 +250,11 @@ def test_eval_finite_or_error(source, t, xs):
     # inf/nan must never escape
     tree = parse(source)
     try:
-        if any(name in ("tau", "sigma") or name.startswith("a") for name in fx.variables(tree)):
-            value = evaluate_family(tree, t, xs[0], xs)
-        else:
-            value = evaluate_expr(tree, t, xs)
+        run = partial(compile_field(tree, len(xs)), t, xs)
+    except ValidationError:
+        run = partial(compile_family(tree, len(xs)), t, xs[0], xs)
+    try:
+        value = run()
     except EvalError:
         return
     assert math.isfinite(value)
