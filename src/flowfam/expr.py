@@ -316,9 +316,7 @@ def _sqrt(a: float) -> float:
     return math.sqrt(a)
 
 
-def _finite_call(name: str):
-    fn = FUNCTIONS[name]
-
+def _finite_call(name: str, fn):
     def call(a: float) -> float:
         try:
             v = fn(a)
@@ -332,7 +330,7 @@ def _finite_call(name: str):
 
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
-_CALLS = {**{name: _finite_call(name) for name in FUNCTIONS}, "log": _log, "sqrt": _sqrt}
+_CALLS = {**{name: _finite_call(name, fn) for name, fn in FUNCTIONS.items()}, "log": _log, "sqrt": _sqrt}
 
 
 def _build(e: Expression, scalars: tuple, prefix: str, n: int):
