@@ -69,6 +69,15 @@ def _section(path: str, data: dict, key: str, cls) -> dict:
     return cfg
 
 
+def _reject_booleans(path: str, key: str, value) -> None:
+    """No config value is a boolean, and bool would otherwise pass as the integer 1 or 0."""
+    if isinstance(value, bool):
+        raise ConfigError(path, key, "true/false is not a config value")
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for k, v in items:
+        _reject_booleans(path, f"{key}.{k}" if key else str(k), v)
+
+
 @contextlib.contextmanager
 def _config_errors(path: str, key: str):
     """Report what building the config object under key raises as a ConfigError:
@@ -93,6 +102,7 @@ def load_config(path: str) -> RunSpec:
         raise ConfigError(path, "<json>", f"invalid JSON at offset {err.pos}: {err.msg}") from None
     if not isinstance(data, dict):
         raise ConfigError(path, "<json>", "top level must be an object")
+    _reject_booleans(path, "", data)
 
     system = data.get("system")
     if not isinstance(system, dict):
@@ -121,7 +131,9 @@ def load_config(path: str) -> RunSpec:
             n = int(fdef["n"])
             time_box = dom.get("time", (-math.inf, math.inf))
             spec = DomainSpec(n, time_box=time_box, space_predicate=dom.get("predicate"))
-            field_obj = VectorField.from_strings(list(fdef["rhs"]), spec)
+            if not isinstance(fdef["rhs"], list):  # a string would split into characters
+                raise TypeError("rhs must be a list of expressions")
+            field_obj = VectorField.from_strings(fdef["rhs"], spec)
         system_name = "field"
     else:
         fdef = system["family"]
@@ -129,7 +141,9 @@ def load_config(path: str) -> RunSpec:
             raise ConfigError(path, "system.family", "must be an object")
         with _config_errors(path, "system.family"):
             n = int(fdef["n"])
-            components = list(fdef["components"])
+            components = fdef["components"]
+            if not isinstance(components, list):
+                raise TypeError("components must be a list of expressions")
             family_obj = closed_form_family(n, components, predicate=fdef.get("domain_predicate"))
         system_name = "family"
 
@@ -225,11 +239,28 @@ def _meta_record(args, spec: RunSpec) -> dict:
     return record
 
 
+def _number(cast, expected: str, ok=math.isfinite):
+    """argparse type: text cast to a number for which ok holds; anything else is a usage error."""
+
+    def parse(text: str):
+        try:
+            if ok(value := cast(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got '{text}'")
+
+    return parse
+
+
+_real = _number(float, "a finite real")
+_positive = _number(float, "a positive finite real", lambda v: 0 < v < math.inf)
+_seed = _number(int, "an integer in [0, 2^64)", lambda v: 0 <= v < 2**64)
+_panels = _number(int, "an even integer >= 2", lambda v: v >= 2 and v % 2 == 0)
+
+
 def _parse_state(text: str) -> list:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got '{text}'") from None
+    return [_real(part) for part in text.split(",") if part.strip() != ""]
 
 
 def _resolve_family(spec: RunSpec) -> FlowFamily:
@@ -426,18 +457,18 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="output path (CSV for reconstruct/decompose, NDJSON otherwise)")
-        p.add_argument("--seed", type=int, help="override the sample plan seed")
+        p.add_argument("--seed", type=_seed, help="override the sample plan seed")
         p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp for reproducible output")
 
     p = sub.add_parser("flow", help="evaluate F_{tau,sigma}(a)")
     common(p)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--tau", type=_real, required=True)
+    p.add_argument("--sigma", type=_real, required=True)
     p.add_argument("--a", type=_parse_state, required=True)
 
     p = sub.add_parser("interval", help="escape interval through (rho, a)")
     common(p)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--rho", type=_real, required=True)
     p.add_argument("--a", type=_parse_state, required=True)
 
     p = sub.add_parser("verify", help="run the flow-condition suite")
@@ -445,21 +476,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="tabulate the generating vector field")
     common(p)
-    p.add_argument("--h", type=float, default=1e-4, help="finite-difference step")
+    p.add_argument("--h", type=_positive, default=1e-4, help="finite-difference step")
     p.add_argument("--no-richardson", action="store_true", help="plain central differences")
 
     p = sub.add_parser("autonomous", help="detect time-shift invariance and check the group law")
     common(p)
-    p.add_argument("--tol", type=float, help="override the autonomy tolerance")
+    p.add_argument("--tol", type=_positive, help="override the autonomy tolerance")
 
     p = sub.add_parser("decompose", help="Sincov decomposition of an affine family")
     common(p)
-    p.add_argument("--tau0", type=float, default=0.0, help="gauge base time")
+    p.add_argument("--tau0", type=_real, default=0.0, help="gauge base time")
 
     p = sub.add_parser("mollify", help="window-average an affine group")
     common(p)
-    p.add_argument("--eps", type=float, required=True, help="window half-width")
-    p.add_argument("--panels", type=int, default=256, help="Simpson panel count (even)")
+    p.add_argument("--eps", type=_positive, required=True, help="window half-width")
+    p.add_argument("--panels", type=_panels, default=256, help="Simpson panel count (even)")
     p.add_argument("--alpha", type=_parse_state, default=[], help="parameters for the smoothing check")
 
     return parser

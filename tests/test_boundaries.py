@@ -7,6 +7,7 @@ and ``cls`` and dunder names are exempt.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import flowfam
@@ -43,6 +44,19 @@ def _private_attributes(path: Path) -> list[str]:
 
 def test_package_modules_found():
     assert {"core.py", "verify.py", "cli.py"} <= {p.name for p in PACKAGE.glob("*.py")}
+
+
+def test_every_exported_name_resolves():
+    # __main__ runs the CLI when imported, and exports nothing
+    modules = [flowfam] + [
+        importlib.import_module(f"flowfam.{p.stem}")
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.stem not in ("__init__", "__main__")
+    ]
+    missing = [
+        f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)
+    ]
+    assert missing == []
 
 
 def test_no_module_imports_private_names_from_a_sibling():

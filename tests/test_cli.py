@@ -159,6 +159,12 @@ def test_unknown_integrator_key(tmp_path):
         ({**RICCATI, "integrator": {"window": ["a", "b"]}}, "integrator"),
         ({**RICCATI, "tolerances": {"identity": "x"}}, "tolerances"),
         ({**RICCATI, "integrator": {"max_steps": 2.5}}, "integrator"),
+        ({"system": {"field": {"n": 1, "rhs": "x1"}}}, "system.field: rhs must be a list"),
+        ({"system": {"family": {"n": 1, "components": "a1"}}}, "system.family: components must be a list"),
+        ({**RICCATI, "integrator": {"max_steps": True}}, "integrator.max_steps"),
+        ({**RICCATI, "tolerances": {"identity": True}}, "tolerances.identity"),
+        ({**RICCATI, "plan": {**SMALL_PLAN, "random_count": True}}, "plan.random_count"),
+        ({"system": {"field": {"n": True, "rhs": ["x1"]}}}, "system.field.n"),
     ],
     ids=[
         "domain-list",
@@ -170,6 +176,12 @@ def test_unknown_integrator_key(tmp_path):
         "window-strings",
         "tolerance-string",
         "max-steps-fraction",
+        "rhs-string",
+        "components-string",
+        "max-steps-bool",
+        "tolerance-bool",
+        "random-count-bool",
+        "n-bool",
     ],
 )
 def test_malformed_value_is_config_error(tmp_path, capsys, payload, field):
@@ -181,6 +193,45 @@ def test_malformed_value_is_config_error(tmp_path, capsys, payload, field):
     )
     assert code == 2
     assert recs == [{"kind": "error", "message": recs[0]["message"]}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--tau", "nan", "--sigma", "0", "--a", "1,0"],
+        ["flow", "--tau", "0", "--sigma", "0", "--a", "nan,0"],
+        ["mollify", "--eps", "0.25", "--alpha=nan"],
+        ["mollify", "--eps", "nan"],
+        ["mollify", "--eps", "-1"],
+        ["mollify", "--eps", "0.25", "--panels", "3"],
+        ["reconstruct", "--h", "nan"],
+        ["reconstruct", "--h", "0"],
+        ["decompose", "--tau0", "nan"],
+        ["verify", "--seed=-1"],
+        ["autonomous", "--tol", "nan"],
+    ],
+    ids=[
+        "flow-tau-nan",
+        "flow-state-nan",
+        "mollify-alpha-nan",
+        "mollify-eps-nan",
+        "mollify-eps-negative",
+        "mollify-panels-odd",
+        "reconstruct-h-nan",
+        "reconstruct-h-zero",
+        "decompose-tau0-nan",
+        "verify-seed-negative",
+        "autonomous-tol-nan",
+    ],
+)
+def test_bad_numeric_argument_is_a_usage_error(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, {"system": {"catalog": "rotation"}})
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", cfg, "--no-timestamp"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err and "expected" in err
 
 
 def test_plan_overrides(tmp_path):
