@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -78,6 +79,13 @@ def _reject_booleans(path: str, key: str, value) -> None:
         _reject_booleans(path, f"{key}.{k}" if key else str(k), v)
 
 
+def _integer(path: str, key: str, value) -> int:
+    """A count or seed must be a JSON integer; int() would truncate 1.9 to 1."""
+    if not isinstance(value, int):
+        raise ConfigError(path, key, f"must be an integer, got {value!r}")
+    return value
+
+
 @contextlib.contextmanager
 def _config_errors(path: str, key: str):
     """Report what building the config object under key raises as a ConfigError:
@@ -128,7 +136,7 @@ def load_config(path: str) -> RunSpec:
         if not isinstance(dom, dict):
             raise ConfigError(path, "system.field", "domain must be an object")
         with _config_errors(path, "system.field"):
-            n = int(fdef["n"])
+            n = _integer(path, "system.field.n", fdef["n"])
             time_box = dom.get("time", (-math.inf, math.inf))
             spec = DomainSpec(n, time_box=time_box, space_predicate=dom.get("predicate"))
             if not isinstance(fdef["rhs"], list):  # a string would split into characters
@@ -140,7 +148,7 @@ def load_config(path: str) -> RunSpec:
         if not isinstance(fdef, dict):
             raise ConfigError(path, "system.family", "must be an object")
         with _config_errors(path, "system.family"):
-            n = int(fdef["n"])
+            n = _integer(path, "system.family.n", fdef["n"])
             components = fdef["components"]
             if not isinstance(components, list):
                 raise TypeError("components must be a list of expressions")
@@ -158,8 +166,8 @@ def load_config(path: str) -> RunSpec:
             plan = SamplePlan(
                 tuple(plan_cfg.get("time_grid", ())),
                 tuple(tuple(s) for s in plan_cfg.get("state_grid", ())),
-                random_count=int(plan_cfg.get("random_count", 25)),
-                seed=int(plan_cfg.get("seed", 12345)),
+                random_count=_integer(path, "plan.random_count", plan_cfg.get("random_count", 25)),
+                seed=_integer(path, "plan.seed", plan_cfg.get("seed", 12345)),
             )
         if plan.n != n:
             raise ConfigError(path, "plan", f"state dimension {plan.n} does not match system n={n}")
@@ -497,8 +505,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a reader that closed stdout early shows here at the latest
+    except BrokenPipeError:
+        # as in the Python docs' SIGPIPE note: point stdout at devnull so the
+        # interpreter's last flush stays quiet, and exit 1 with nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args) -> int:
     try:
         spec = load_config(args.config)
     except ConfigError as err:

@@ -13,6 +13,7 @@ shared across threads without locks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -168,6 +169,8 @@ class FlowFamily:
             raise ValueError(f"unknown family kind '{self.kind}'")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
+        if not (isinstance(self.tol_hint, numbers.Real) and 0 <= self.tol_hint < math.inf):
+            raise ValueError("tol_hint must be a finite real >= 0")
 
     def _coerce(self, a) -> np.ndarray:
         arr = np.asarray(a, dtype=float).reshape(-1)

@@ -30,7 +30,7 @@ import numpy as np
 from . import expr as ex
 from .core import DomainViolation, FlowFamily, as_state, inf_norm
 from .integrate import IntegratorConfig, numeric_family
-from .verify import SamplePlan, default_plan
+from .verify import Accumulator, SamplePlan, default_plan
 
 __all__ = [
     "ReconstructionConfig",
@@ -50,18 +50,16 @@ class ReconstructionFailed(Exception):
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Finite-difference step, Richardson switch, and the tabulation plan.
+    """Tabulation plan, finite-difference step and Richardson switch.
 
-    grid=None falls back to a dense one-dimensional default; callers with
-    n > 1 or specific ranges should pass their own plan.  The plan's state
-    points are decomposed into per-axis knot sets, so a product grid is
-    reproduced exactly and a scattered set is completed to its bounding
-    product.
+    The plan's state points are decomposed into per-axis knot sets, so a
+    product grid is reproduced exactly and a scattered set is completed to
+    its bounding product.
     """
 
+    grid: SamplePlan
     h: float = 1e-4
     richardson: bool = True
-    grid: SamplePlan | None = None
 
     def __post_init__(self):
         if not (self.h > 0 and math.isfinite(self.h)):
@@ -193,19 +191,7 @@ def diagonal_rate(
     return (4.0 * central(h / 2.0) - d_h) / 3.0
 
 
-def _default_dense_plan(n: int) -> SamplePlan:
-    times = tuple(np.linspace(-1.5, 1.5, 13))
-    if n == 1:
-        states = tuple((s,) for s in np.linspace(-2.0, 2.0, 2001))
-    else:
-        from itertools import product
-
-        knots = np.linspace(-2.0, 2.0, 41)
-        states = tuple(product(knots, repeat=n))
-    return SamplePlan(times, states, random_count=0)
-
-
-def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig | None = None) -> TabulatedVectorField:
+def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig) -> TabulatedVectorField:
     """Tabulate the family's diagonal rate into an interpolating vector field.
 
     The family must act as the identity on the diagonal at the sample sites
@@ -213,8 +199,7 @@ def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig | None = None) 
     Sites where the stencil cannot stay in-domain become holes; more than
     50% holes aborts with ReconstructionFailed.
     """
-    cfg = cfg or ReconstructionConfig()
-    plan = cfg.grid or _default_dense_plan(fam.n)
+    plan = cfg.grid
     if plan.n != fam.n:
         raise ValueError(f"plan dimension {plan.n} != family dimension {fam.n}")
     times = np.asarray(plan.time_grid, dtype=float)
@@ -258,7 +243,7 @@ def field_gap(tab: TabulatedVectorField, fld) -> tuple[float | None, int]:
 
 def roundtrip_error(
     fam: FlowFamily,
-    cfg: ReconstructionConfig | None = None,
+    cfg: ReconstructionConfig,
     icfg: IntegratorConfig | None = None,
     eval_plan: SamplePlan | None = None,
 ) -> float:
@@ -273,16 +258,10 @@ def roundtrip_error(
     field = field_from_family(fam, cfg)
     rebuilt = numeric_family(field, icfg)
     plan = eval_plan or default_plan(fam.n, random_count=0)
-    worst = -math.inf
-    compared = 0
+    acc = Accumulator()
     for tau, sigma, a in plan.samples(2):
-        try:
-            original = fam.evaluate(tau, sigma, a)
-            redone = rebuilt.evaluate(tau, sigma, a)
-        except DomainViolation:
-            continue
-        compared += 1
-        worst = max(worst, inf_norm(original - redone))
-    if compared == 0:
+        with acc:
+            acc.record(inf_norm(fam.evaluate(tau, sigma, a) - rebuilt.evaluate(tau, sigma, a)), None)
+    if not acc.checked:
         raise ReconstructionFailed("no evaluation-plan triple was defined on both routes")
-    return worst
+    return acc.max_residual

@@ -15,10 +15,10 @@ These quantify over continua, so the checks sample: a deterministic grid
 own generator from the plan seed, so report content does not depend on
 which checks run or in what order.
 
-The cocycle guard evaluates the two legs first and treats a failure of
-either as a skip, never letting a DomainViolation escape; when both legs
-succeed but the direct map is undefined, that is itself a violation of the
-condition and is reported with an infinite residual.  Bijectivity is
+The residual checks run each sample under their Accumulator's guard, so
+a DomainViolation in it counts as one skip and never escapes; when the
+cocycle's two legs succeed but the direct map is undefined, that is itself
+a violation of the condition, reported with an infinite residual.  Bijectivity is
 certified through the inverse check (injectivity plus surjectivity at the
 sampled points); surjectivity onto an analytically-specified codomain is
 not separately sampled.
@@ -172,6 +172,11 @@ class Accumulator:
     the largest residual as the worst case.  Set-based checks ``count``
     violations instead: the residual is the violation total and the worst
     case is the first violating sample.
+
+    ``with acc:`` guards one sample: a DomainViolation raised inside it
+    counts as one skip and ends the sample; any other exception propagates.
+    ``compare`` scores an undefined direct map as an infinite residual and
+    leaves its note for the report.
     """
 
     def __init__(self):
@@ -179,15 +184,34 @@ class Accumulator:
         self.skipped = 0
         self.max_residual = -math.inf
         self.worst = None
+        self.note = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None and issubclass(exc_type, DomainViolation):
+            self.skipped += 1
+            return True
+        return False
 
     def skip(self):
         self.skipped += 1
 
-    def record(self, residual: float, witness: dict):
+    def record(self, residual: float, witness: dict | None):
         self.checked += 1
         if residual > self.max_residual:
             self.max_residual = residual
             self.worst = witness
+
+    def compare(self, value, direct, witness: dict, note: str):
+        """Record |value - direct()|, or an infinite residual and note when direct() is undefined."""
+        try:
+            residual = inf_norm(value - direct())
+        except DomainViolation:
+            residual = math.inf
+            self.note = note
+        self.record(residual, witness)
 
     def count(self, violations: int, witness: dict | None = None):
         self.checked += 1
@@ -214,7 +238,7 @@ class Accumulator:
             worst_case=self.worst,
             tolerance=tol,
             passed=passed,
-            note=note,
+            note=self.note if note is None else note,
         )
 
 
@@ -222,12 +246,8 @@ def check_identity(fam: FlowFamily, plan: SamplePlan, tol: float = 1e-9) -> Cond
     """F_{ss}(a) must return a wherever the diagonal triple is in the domain."""
     acc = Accumulator()
     for sigma, a in plan.samples(1):
-        try:
-            out = fam.evaluate(sigma, sigma, a)
-        except DomainViolation:
-            acc.skip()
-            continue
-        acc.record(inf_norm(out - a), {"sigma": sigma, "a": list(a)})
+        with acc:
+            acc.record(inf_norm(fam.evaluate(sigma, sigma, a) - a), {"sigma": sigma, "a": list(a)})
     return acc.report("identity", tol)
 
 
@@ -235,17 +255,9 @@ def check_inverse(fam: FlowFamily, plan: SamplePlan, tol: float = 1e-9) -> Condi
     """Composing F_{sr} with F_{rs} must restore the state when both legs exist."""
     acc = Accumulator()
     for rho, sigma, a in plan.samples(2):
-        try:
-            mid = fam.evaluate(sigma, rho, a)
-        except DomainViolation:
-            acc.skip()
-            continue
-        try:
-            back = fam.evaluate(rho, sigma, mid)
-        except DomainViolation:
-            acc.skip()
-            continue
-        acc.record(inf_norm(back - a), {"rho": rho, "sigma": sigma, "a": list(a)})
+        with acc:
+            back = fam.evaluate(rho, sigma, fam.evaluate(sigma, rho, a))
+            acc.record(inf_norm(back - a), {"rho": rho, "sigma": sigma, "a": list(a)})
     return acc.report("inverse", tol)
 
 
@@ -257,27 +269,13 @@ def check_cocycle(fam: FlowFamily, plan: SamplePlan, tol: float = 1e-9) -> Condi
     the condition and scores an infinite residual.
     """
     acc = Accumulator()
-    note = None
     for tau, sigma, rho, a in plan.samples(3):
-        try:
-            hop = fam.evaluate(sigma, rho, a)
-        except DomainViolation:
-            acc.skip()
-            continue
-        try:
-            two_leg = fam.evaluate(tau, sigma, hop)
-        except DomainViolation:
-            acc.skip()
-            continue
-        witness = {"tau": tau, "sigma": sigma, "rho": rho, "a": list(a)}
-        try:
-            direct = fam.evaluate(tau, rho, a)
-        except DomainViolation:
-            acc.record(math.inf, witness)
-            note = "guard held but the direct map was undefined"
-            continue
-        acc.record(inf_norm(two_leg - direct), witness)
-    return acc.report("cocycle", tol, note=note)
+        with acc:
+            two_leg = fam.evaluate(tau, sigma, fam.evaluate(sigma, rho, a))
+            witness = {"tau": tau, "sigma": sigma, "rho": rho, "a": list(a)}
+            acc.compare(two_leg, lambda: fam.evaluate(tau, rho, a), witness,
+                        "guard held but the direct map was undefined")
+    return acc.report("cocycle", tol)
 
 
 def check_domain_inclusion(fam: FlowFamily, plan: SamplePlan) -> ConditionReport:

@@ -132,7 +132,7 @@ def test_criterion_4_condition_suite(gate):
     def collapse(tau, sigma, a):
         return a.copy() if tau == sigma else np.zeros_like(a)
 
-    non_bijective = FlowFamily(1, "closed_form", collapse, lambda tau, sigma, a: True)
+    non_bijective = FlowFamily(1, "closed_form", collapse)
     drifted = closed_form_family(1, ["a1 + 0.01*(tau - sigma)^3"])
 
     plan = default_plan(1)

@@ -4,6 +4,10 @@ A name that starts with an underscore belongs to its module or object.
 When a sibling needs it, the name is made public instead of imported
 across the boundary or read off another object.  Attributes of ``self``
 and ``cls`` and dunder names are exempt.
+
+A sample that leaves the domain is one rule, kept by ``verify.Accumulator``:
+its guard counts the skip and ``compare`` scores an undefined direct map,
+so no ``except DomainViolation`` handler skips or records by hand.
 """
 
 import ast
@@ -39,6 +43,23 @@ def _private_attributes(path: Path) -> list[str]:
         if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
             continue
         found.append(f"{path.name}:{node.lineno} reaches {ast.unparse(node)}")
+    return found
+
+
+def _hand_written_guards(path: Path) -> list[str]:
+    found = []
+    for handler in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+            continue
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        names = {c.id if isinstance(c, ast.Name) else getattr(c, "attr", None) for c in caught}
+        if "DomainViolation" not in names:
+            continue
+        for node in (n for stmt in handler.body for n in ast.walk(stmt)):
+            call = node.func if isinstance(node, ast.Call) else None
+            if isinstance(call, ast.Attribute) and call.attr in ("skip", "record"):
+                where = f"{path.name}:{node.lineno}"
+                found.append(f"{where} calls {ast.unparse(call)} under except DomainViolation")
     return found
 
 
@@ -84,3 +105,28 @@ def test_detector_sees_a_private_attribute(tmp_path):
         "x.public = y.__class__\n"
     )
     assert _private_attributes(probe) == ["probe.py:1 reaches plan._rng"]
+
+
+def test_no_handler_skips_or_records_a_domain_violation():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _hand_written_guards(path)]
+    assert found == []
+
+
+def test_detector_sees_a_hand_written_guard(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "try:\n"
+        "    f()\n"
+        "except DomainViolation:\n"
+        "    acc.skip()\n"
+        "except (ValueError, core.DomainViolation):\n"
+        "    acc.record(inf, None)\n"
+        "except KeyError:\n"
+        "    acc.skip()\n"
+        "except DomainViolation:\n"
+        "    residual = inf\n"
+    )
+    assert _hand_written_guards(probe) == [
+        "probe.py:4 calls acc.skip under except DomainViolation",
+        "probe.py:6 calls acc.record under except DomainViolation",
+    ]

@@ -165,6 +165,10 @@ def test_unknown_integrator_key(tmp_path):
         ({**RICCATI, "tolerances": {"identity": True}}, "tolerances.identity"),
         ({**RICCATI, "plan": {**SMALL_PLAN, "random_count": True}}, "plan.random_count"),
         ({"system": {"field": {"n": True, "rhs": ["x1"]}}}, "system.field.n"),
+        ({"system": {"field": {"n": 1.9, "rhs": ["x1"]}}}, "system.field.n"),
+        ({"system": {"family": {"n": 1.0, "components": ["a1"]}}}, "system.family.n"),
+        ({**RICCATI, "plan": {**SMALL_PLAN, "seed": 3.9}}, "plan.seed"),
+        ({**RICCATI, "plan": {**SMALL_PLAN, "random_count": 2.5}}, "plan.random_count"),
     ],
     ids=[
         "domain-list",
@@ -182,6 +186,10 @@ def test_unknown_integrator_key(tmp_path):
         "tolerance-bool",
         "random-count-bool",
         "n-bool",
+        "n-fraction",
+        "family-n-float",
+        "seed-fraction",
+        "random-count-fraction",
     ],
 )
 def test_malformed_value_is_config_error(tmp_path, capsys, payload, field):
@@ -682,6 +690,24 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     assert json.loads(lines[1]) == {"kind": "value", "value": [1.0]}
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    cfg = write_config(tmp_path, RICCATI)
+    # -u writes each record when it is emitted, so the condition records
+    # meet a pipe whose reader left after the meta record
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "flowfam", "verify", "--config", cfg, "--no-timestamp"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert json.loads(proc.stdout.readline())["kind"] == "meta"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert stderr == ""
 
 
 def test_every_line_is_json_even_with_nonfinite(tmp_path, capsys):

@@ -164,8 +164,18 @@ def test_family_time_box():
 
 
 def test_family_kind_checked():
-    with pytest.raises(ValueError):
-        FlowFamily(1, "mystery", lambda t, s, a: a, lambda t, s, a: True)
+    with pytest.raises(ValueError, match="kind"):
+        FlowFamily(1, "mystery", lambda t, s, a: a)
+
+
+@pytest.mark.parametrize(
+    "hint",
+    [lambda t, s, a: True, "1e-6", -1e-9, math.nan, math.inf],
+    ids=["function", "string", "negative", "nan", "inf"],
+)
+def test_family_tol_hint_checked(hint):
+    with pytest.raises(ValueError, match="tol_hint"):
+        FlowFamily(1, "closed_form", lambda t, s, a: a, hint)
 
 
 def test_nonfinite_parameters_rejected(riccati):

@@ -103,10 +103,11 @@ def test_rate_skips_when_stencil_leaves_domain():
 
 
 def test_config_rejects_bad_step():
+    plan = SamplePlan((0.0, 1.0), ((0.0,), (1.0,)), random_count=0)
     with pytest.raises(ValueError):
-        ReconstructionConfig(h=0.0)
+        ReconstructionConfig(grid=plan, h=0.0)
     with pytest.raises(ValueError):
-        ReconstructionConfig(h=math.inf)
+        ReconstructionConfig(grid=plan, h=math.inf)
 
 
 # --- tabulated field -----------------------------------------------------
@@ -181,12 +182,6 @@ def test_reconstruction_fails_when_mostly_holes():
     )
     with pytest.raises(ReconstructionFailed):
         field_from_family(fam, ReconstructionConfig(grid=plan))
-
-
-def test_default_plan_used_when_grid_omitted():
-    field = field_from_family(exp_family(), ReconstructionConfig(h=1e-4, richardson=True))
-    assert field.n == 1
-    assert abs(field(0.2, [1.5])[0] - 1.5) <= 1e-8
 
 
 # --- roundtrips ----------------------------------------------------------

@@ -50,7 +50,7 @@ def constant_maps_family():
     def ev(tau, sigma, a):
         return a.copy() if tau == sigma else np.zeros_like(a)
 
-    return FlowFamily(1, "closed_form", ev, lambda tau, sigma, a: True)
+    return FlowFamily(1, "closed_form", ev)
 
 
 def cocycle_only_family():
@@ -80,7 +80,7 @@ def shrunk_diagonal_family():
             raise DomainViolation("out_of_domain", "shrunk diagonal")
         return a.copy()
 
-    return FlowFamily(1, "closed_form", ev, dq)
+    return FlowFamily(1, "closed_form", ev)
 
 
 def gap_domain_family():
@@ -95,14 +95,14 @@ def gap_domain_family():
             raise DomainViolation("out_of_domain", "inside the gap")
         return a.copy()
 
-    return FlowFamily(1, "closed_form", ev, dq)
+    return FlowFamily(1, "closed_form", ev)
 
 
 def empty_family():
     def ev(tau, sigma, a):
         raise DomainViolation("out_of_domain", "empty family")
 
-    return FlowFamily(1, "closed_form", ev, lambda tau, sigma, a: False)
+    return FlowFamily(1, "closed_form", ev)
 
 
 # --- per-check behavior -------------------------------------------------------
@@ -183,6 +183,25 @@ def test_cocycle_guard_never_leaks(riccati):
     rep = check_cocycle(riccati, SamplePlan(times, states, random_count=200), tol=1e-9)
     assert rep.samples_skipped > 0
     assert rep.samples_checked > 0
+
+
+def test_cocycle_scores_an_undefined_direct_map():
+    # legs of 0.9 stay short of the gap; the direct map over 1.8 falls inside it
+    rep = check_cocycle(gap_domain_family(), SamplePlan((0.0, 0.9, 1.8), ((0.0,),), random_count=0))
+    assert not rep.passed
+    assert math.isinf(rep.max_residual)
+    assert rep.note == "guard held but the direct map was undefined"
+    assert rep.worst_case == {"tau": 0.0, "sigma": 0.9, "rho": 1.8, "a": [0.0]}
+    # 17 of the 27 triples have both legs; the two with an undefined direct map count as checked
+    assert (rep.samples_checked, rep.samples_skipped) == (17, 10)
+
+
+def test_check_lets_other_errors_through():
+    def ev(tau, sigma, a):
+        raise ZeroDivisionError("evaluator bug")
+
+    with pytest.raises(ZeroDivisionError):
+        check_cocycle(FlowFamily(1, "closed_form", ev), default_plan(1))
 
 
 def test_domain_inclusion_passes_reference(riccati, plan):
@@ -377,3 +396,15 @@ def test_accumulator_empty_report():
     assert not Accumulator().report("none", 1.0, force_fail=True).passed
     rep = Accumulator().report("none", 0.0, empty_residual=math.inf)
     assert math.isinf(rep.max_residual) and not rep.passed
+
+
+def test_guard_skips_domain_violations_only():
+    acc = Accumulator()
+    with acc:
+        raise DomainViolation("out_of_domain", "outside")
+    with pytest.raises(ZeroDivisionError):
+        with acc:
+            raise ZeroDivisionError("not a domain question")
+    with pytest.raises(KeyError):
+        acc.compare(np.zeros(1), lambda: {}["missing"], {}, "unused")
+    assert (acc.checked, acc.skipped, acc.note) == (0, 1, None)
