@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DomainViolation, FlowFamily, as_state, inf_norm, scaled_tol
+from .core import DomainViolation, FlowFamily, as_state, check_tol_hint, inf_norm, scaled_tol
 from .verify import Accumulator, ConditionReport, SamplePlan, default_plan
 
 __all__ = [
@@ -46,6 +46,9 @@ class OneParamGroup:
     n: int
     g: Callable = field(repr=False)
     tol_hint: float = 0.0
+
+    def __post_init__(self):
+        check_tol_hint(self.tol_hint)
 
     def evaluate(self, alpha: float, a) -> np.ndarray:
         arr = as_state(a, self.n)

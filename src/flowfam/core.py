@@ -6,8 +6,9 @@ passing through a at time sigma".  Families arrive from four sources
 (closed-form expressions, numerical integration, one-parameter groups,
 affine decompositions) but expose one contract: ``evaluate`` and
 ``in_domain`` over triples (tau, sigma, a), agreeing with each other
-pointwise.  Everything is immutable after construction, so values can be
-shared across threads without locks.
+pointwise.  The types here are immutable after construction; a numeric
+family (``flowfam.integrate.numeric_family``) holds a mutable trajectory
+cache and is not thread-safe.  Nothing in flowfam evaluates concurrently.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "as_state",
     "inf_norm",
     "scaled_tol",
+    "check_tol_hint",
     "DomainSpec",
     "VectorField",
     "FlowFamily",
@@ -66,7 +68,7 @@ def as_state(values, n: int | None = None) -> np.ndarray:
 
 
 def inf_norm(v) -> float:
-    return float(np.max(np.abs(np.asarray(v, dtype=float))))
+    return float(np.abs(np.asarray(v, dtype=float)).max())
 
 
 def scaled_tol(tol_hint: float) -> float:
@@ -76,6 +78,12 @@ def scaled_tol(tol_hint: float) -> float:
     their error on both sides of a comparison, so they get 50x the hint.
     """
     return 1e-9 if tol_hint == 0.0 else 50.0 * tol_hint
+
+
+def check_tol_hint(tol_hint) -> None:
+    """Raise ValueError unless tol_hint is a finite real >= 0, as scaled_tol needs."""
+    if not (isinstance(tol_hint, numbers.Real) and 0 <= tol_hint < math.inf):
+        raise ValueError("tol_hint must be a finite real >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +177,7 @@ class FlowFamily:
             raise ValueError(f"unknown family kind '{self.kind}'")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        if not (isinstance(self.tol_hint, numbers.Real) and 0 <= self.tol_hint < math.inf):
-            raise ValueError("tol_hint must be a finite real >= 0")
+        check_tol_hint(self.tol_hint)
 
     def _coerce(self, a) -> np.ndarray:
         arr = np.asarray(a, dtype=float).reshape(-1)

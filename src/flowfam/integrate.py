@@ -15,13 +15,17 @@ reported as the bracket midpoint (bracket width 5e-7, comfortably inside
 the 1e-6 contract).  Escapes surface as EscapeEvent exceptions; a numeric
 FlowFamily translates them into domain membership.
 
-All entry points are pure given immutable inputs; every call owns its
-scratch arrays, so families built here can be evaluated concurrently.
+A numeric family keeps a bounded cache of the step loop's tries per Cauchy
+datum (sigma, a) and direction, so a query replays only the tries from the
+first one that reaches tau.  That cache is mutable state: a numeric family
+is not thread-safe, and nothing in flowfam evaluates concurrently.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +74,7 @@ _SAFETY = 0.9
 _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 _BRACKET_WIDTH = 5e-7  # escape-time bracket, half the 1e-6 contract
+_TRAJECTORY_CACHE_SIZE = 128  # trajectories per numeric family, bounded for peak memory
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,7 @@ def dopri5_step(f, t: float, y: np.ndarray, h: float, k1: np.ndarray | None = No
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg: IntegratorConfig) -> float:
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.max(np.abs(err) / scale))
+    return float((np.abs(err) / scale).max())
 
 
 def _classify(t: float, y: np.ndarray, field: VectorField, cfg: IntegratorConfig) -> str | None:
@@ -144,6 +149,14 @@ def _classify(t: float, y: np.ndarray, field: VectorField, cfg: IntegratorConfig
     if not field.domain.contains(t, y):
         return "left_domain"
     return None
+
+
+def _first_try(field: VectorField, rho: float, a: np.ndarray, target: float, cfg: IntegratorConfig):
+    """Loop state (t, h, steps, y, k1) before the first try from (rho, a) toward target."""
+    direction = 1.0 if target > rho else -1.0
+    y = a.copy()
+    k1 = field(rho, y)  # (rho, a) in the domain, so this must succeed
+    return rho, direction * min(cfg.h_init, abs(target - rho)), 0, y, k1
 
 
 def _integrate(
@@ -157,12 +170,20 @@ def _integrate(
     """Drive (rho, a) to time tau; raises EscapeEvent when the solution quits first."""
     if tau == rho:
         return a.copy()
-    direction = 1.0 if tau > rho else -1.0
-    t, y = rho, a.copy()
-    h = direction * min(cfg.h_init, abs(tau - rho))
-    k1 = field(t, y)  # (rho, a) in the domain, so this must succeed
-    steps = 0
+    return _drive(field, tau, cfg, refine, _first_try(field, rho, a, tau, cfg))
+
+
+def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, state, record=None):
+    """The step loop: make tries from state (t, h, steps, y, k1) until one lands on tau.
+
+    A try's step is clipped at tau when |h| >= |tau - t|.  record, when given,
+    sees the state before each try; returning True ends the loop, which then
+    returns None.
+    """
+    t, h, steps, y, k1 = state
     while True:
+        if record is not None and record(t, h, steps, y, k1):
+            return None
         steps += 1
         if steps > cfg.max_steps:
             raise StepBudgetExceeded(f"integration exceeded {cfg.max_steps} steps at t={t}")
@@ -171,9 +192,7 @@ def _integrate(
             h = tau - t
         try:
             y_new, err_vec, k_last = dopri5_step(field, t, y, h, k1)
-            stage_ok = bool(
-                np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))
-            )
+            stage_ok = bool(np.isfinite(y_new).all() and np.isfinite(err_vec).all())
         except ex.EvalError:
             stage_ok = False
         if not stage_ok:
@@ -260,6 +279,111 @@ def advance(
     return as_state(_integrate(field, rho, arr, tau, cfg, refine=True), field.n)
 
 
+class _Trajectory:
+    """The step loop's tries from one Cauchy datum toward one window edge.
+
+    Row j holds the loop state (t, h, y, k1) before try j + 1, so j is its
+    step count; rows are flat in one array of doubles.  While end is None
+    the last row is the next try, not yet made.  Otherwise end says how the
+    loop ended: an escape's (kind, time) or the step-budget message.
+    Exceptions are rebuilt from these on every query; a stored one would
+    keep its traceback's frames alive.
+    """
+
+    __slots__ = ("n", "rows", "end")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows = array("d")
+        self.end = None
+
+    def __len__(self) -> int:
+        return len(self.rows) // (2 + 2 * self.n)
+
+    def record(self, t: float, h: float, y: np.ndarray, k1: np.ndarray) -> None:
+        self.rows.append(t)
+        self.rows.append(h)
+        self.rows.frombytes(y.tobytes())
+        self.rows.frombytes(k1.tobytes())
+
+    def state(self, j: int):
+        """Row j as the loop state (t, h, steps, y, k1)."""
+        width = 2 + 2 * self.n
+        row = self.rows[j * width:(j + 1) * width]
+        values = np.array(row[2:])
+        return row[0], row[1], j, values[:self.n], values[self.n:]
+
+    def first_reaching(self, tau: float) -> int | None:
+        """Index of the first row whose step reaches tau (the loop's clipping test)."""
+        table = np.frombuffer(self.rows).reshape(-1, 2 + 2 * self.n)
+        hits = np.flatnonzero(np.abs(table[:, 1]) >= np.abs(tau - table[:, 0]))
+        return int(hits[0]) if hits.size else None
+
+
+class _TrajectoryCache:
+    """LRU map (sigma, direction, a) -> _Trajectory for one numeric family.
+
+    The integration from (sigma, a) to tau makes exactly the tries of the
+    loop toward the window edge until the first one whose step reaches tau,
+    where it clips the step.  So tau is answered by running the loop from
+    that recorded try, and every value, escape and step-budget outcome is
+    the one a direct integration gives, whatever was queried before.
+    """
+
+    def __init__(self, field: VectorField, cfg: IntegratorConfig):
+        self.field = field
+        self.cfg = cfg
+        self.entries: OrderedDict[bytes, _Trajectory] = OrderedDict()
+
+    def solve(self, tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
+        """_integrate(field, sigma, a, tau, cfg, refine=False) for tau != sigma."""
+        direction = 1.0 if tau > sigma else -1.0
+        lo, hi = self.cfg.window
+        edge = hi if direction > 0 else lo
+        # one bytes key: compact, and it keeps -0.0 apart from 0.0, which a field may tell apart
+        key = array("d", (sigma, direction)).tobytes() + a.tobytes()
+        entry = self.entries.get(key)
+        if entry is None:
+            t, h, _, y, k1 = _first_try(self.field, sigma, a, edge, self.cfg)
+            entry = _Trajectory(self.field.n)
+            entry.record(t, h, y, k1)
+            self.entries[key] = entry
+            if len(self.entries) > _TRAJECTORY_CACHE_SIZE:
+                self.entries.popitem(last=False)
+        else:
+            self.entries.move_to_end(key)
+        return _drive(self.field, tau, self.cfg, False, self._start(entry, tau, edge))
+
+    def _start(self, entry: _Trajectory, tau: float, edge: float):
+        """The state before the first try whose step reaches tau, extending the entry as needed."""
+        j = entry.first_reaching(tau)
+        if j is not None:
+            return entry.state(j)
+        if entry.end is None:
+            self._extend(entry, tau, edge)
+        if entry.end is None:
+            return entry.state(len(entry) - 1)
+        if isinstance(entry.end, str):
+            raise StepBudgetExceeded(entry.end)
+        raise EscapeEvent(*entry.end)
+
+    def _extend(self, entry: _Trajectory, tau: float, edge: float) -> None:
+        """Make the pending try and the ones after it, toward edge, until one reaches tau."""
+        pending = len(entry) - 1
+
+        def record(t, h, steps, y, k1):
+            if steps > pending:  # the pending try has its row already
+                entry.record(t, h, y, k1)
+            return abs(h) >= abs(tau - t)
+
+        try:
+            _drive(self.field, edge, self.cfg, False, entry.state(pending), record)
+        except EscapeEvent as ev:
+            entry.end = (ev.kind, ev.time)
+        except StepBudgetExceeded as err:
+            entry.end = str(err)
+
+
 def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> FlowFamily:
     """Flow family realized by integrating the field on demand.
 
@@ -269,9 +393,17 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     is skipped here since only the yes/no answer matters, which keeps
     repeated evaluation near the boundary cheap.  tol_hint advertises
     rel_tol so downstream checks can widen comparisons accordingly.
+
+    The family records the step loop's tries from each Cauchy datum (sigma,
+    a) in each direction, for the 128 data used last, and answers a query by
+    replaying only the tries from the first one that reaches tau.  Results
+    are bit-identical to integrating each query from scratch and do not
+    depend on earlier queries.  The cache makes the family mutable: it is
+    not thread-safe.
     """
     cfg = cfg or IntegratorConfig()
     lo, hi = cfg.window
+    trajectories = _TrajectoryCache(field, cfg)
 
     def evaluator(tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
         if not (lo <= tau <= hi and lo <= sigma <= hi):
@@ -281,7 +413,7 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
         if tau == sigma:
             return a.copy()
         try:
-            return _integrate(field, sigma, a, tau, cfg, refine=False)
+            return trajectories.solve(tau, sigma, a)
         except EscapeEvent as ev:
             raise DomainViolation(
                 "out_of_domain", f"trajectory escapes at t={ev.time} ({ev.kind})"

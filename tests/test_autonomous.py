@@ -121,6 +121,13 @@ def test_to_group_carries_tol_hint():
     assert group.tol_hint == 1e-9
 
 
+@pytest.mark.parametrize("hint", [lambda: 0, math.nan], ids=["function", "nan"])
+def test_group_tol_hint_checked(hint):
+    # the family's rule: a group that builds must be usable by scaled_tol
+    with pytest.raises(ValueError, match="tol_hint"):
+        OneParamGroup(1, lambda alpha, a: a.copy(), hint)
+
+
 def test_group_domain_query_total():
     group = to_group(riccati_family())
     assert group.in_domain(0.5, [0.5])

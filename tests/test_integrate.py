@@ -1,20 +1,26 @@
-"""Adaptive integrator: oracle agreement, escapes, step control."""
+"""Adaptive integrator: oracle agreement, escapes, step control, trajectory cache."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowfam import catalog, integrate
 from flowfam.core import DomainSpec, DomainViolation, VectorField
 from flowfam.integrate import (
     EscapeEvent,
     IntegratorConfig,
+    StepBudgetExceeded,
     advance,
     complete_solution,
     dopri5_step,
     escape_interval,
     numeric_family,
 )
+from flowfam.verify import SamplePlan, default_plan, run_suite
 
 CFG = IntegratorConfig()
 
@@ -267,3 +273,155 @@ def test_complete_solution_bundle(riccati_field):
     assert sol.rho == 0.0
     assert sol.interval.contains(1.9)
     assert not sol.interval.contains(2.1)
+
+
+# --- trajectory cache ------------------------------------------------------------
+
+def count_steps(monkeypatch):
+    """Count dopri5_step calls from here on; returns the reader."""
+    calls = []
+    step = integrate.dopri5_step
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "dopri5_step", counted)
+    return lambda: len(calls)
+
+
+def outcome(fam, tau, sigma, a):
+    """evaluate's bytes, or the DomainViolation's kind and message."""
+    try:
+        return fam.evaluate(tau, sigma, a).tobytes()
+    except DomainViolation as err:
+        return (err.kind, str(err))
+
+
+def direct(field, tau, sigma, a, cfg=CFG):
+    """advance's bytes or failure class: the path that keeps no cache."""
+    try:
+        return advance(field, sigma, a, tau, cfg).tobytes()
+    except EscapeEvent:
+        return "escape"
+    except StepBudgetExceeded:
+        return "budget"
+
+
+ROTATION = VectorField.from_strings(["-x2", "x1"], DomainSpec(2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    rhs=st.sampled_from([("x1^2",), ("-x2", "x1")]),
+    times=st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=3, unique=True),
+    states=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=2, unique=True),
+    order=st.randoms(use_true_random=False),
+)
+def test_cache_answers_do_not_depend_on_query_order(rhs, times, states, order):
+    field = VectorField.from_strings(list(rhs), DomainSpec(len(rhs)))
+    triples = [(tau, sigma, [s] * field.n) for tau in times for sigma in times for s in states]
+    warm = numeric_family(field, CFG)
+    for tau, sigma, a in triples:
+        warm.in_domain(tau, sigma, a)
+    cold = numeric_family(field, CFG)
+    order.shuffle(triples)
+    for tau, sigma, a in triples:
+        got = outcome(cold, tau, sigma, a)
+        assert outcome(warm, tau, sigma, a) == got
+        member = isinstance(got, bytes)
+        assert warm.in_domain(tau, sigma, a) == cold.in_domain(tau, sigma, a) == member
+        ref = direct(field, tau, sigma, a)
+        if isinstance(got, bytes):
+            assert got == ref
+        else:
+            assert ref in ("escape", "budget")
+
+
+def test_step_rejected_at_the_clipped_size(monkeypatch):
+    # x' = tanh(50 (t - 1)) turns sharply at t = 1: from (0, 0) the loop tries
+    # h ~ 0.93 at t = 0.781 and is rejected, so tau = 1.7 clips that recorded
+    # try to ~0.92, is rejected again and walks on with smaller steps
+    field = VectorField.from_strings(["tanh(50*(t - 1))"], DomainSpec(1))
+    fam = numeric_family(field, CFG)
+    fam.evaluate(3.0, 0.0, [0.0])  # records the tries to t = 3
+    steps = count_steps(monkeypatch)
+    got = fam.evaluate(1.7, 0.0, [0.0])
+    assert steps() > 1
+    assert got.tobytes() == advance(field, 0.0, [0.0], 1.7, CFG).tobytes()
+
+
+def test_escape_replayed_from_the_cache(riccati_field):
+    fam = numeric_family(riccati_field, CFG)
+    first = outcome(fam, 3.0, 0.0, [0.5])
+    assert first[0] == "out_of_domain" and "(blow_up)" in first[1]
+    for tau in (2.5, 49.0, 3.0):  # past the blow-up near t = 2: the recorded escape
+        fresh = numeric_family(riccati_field, CFG)
+        assert outcome(fam, tau, 0.0, [0.5]) == outcome(fresh, tau, 0.0, [0.5]) == first
+    assert outcome(fam, 1.9, 0.0, [0.5]) == advance(riccati_field, 0.0, [0.5], 1.9, CFG).tobytes()
+
+
+def test_step_budget_reached_through_the_cache():
+    field = VectorField.from_strings(["x1"], DomainSpec(1))
+    cfg = IntegratorConfig(max_steps=10)
+    fam = numeric_family(field, cfg)
+    first = outcome(fam, 40.0, 0.0, [1.0])
+    assert first[0] == "out_of_domain" and "exceeded 10 steps" in first[1]
+    t_out = float(first[1].rsplit("t=", 1)[1])  # where the 11th try would start
+    for tau in (39.0, 40.0, t_out, t_out - 1e-9, 0.3):  # t_out is the 10th try's reach
+        got = outcome(fam, tau, 0.0, [1.0])
+        assert got == outcome(numeric_family(field, cfg), tau, 0.0, [1.0])
+        ref = direct(field, tau, 0.0, [1.0], cfg)
+        assert got == (first if ref == "budget" else ref)
+    assert direct(field, t_out, 0.0, [1.0], cfg) != "budget"
+
+
+def test_cache_keeps_the_128_data_used_last(monkeypatch):
+    fam = numeric_family(ROTATION, CFG)
+    steps = count_steps(monkeypatch)
+
+    def cost(a):
+        before = steps()
+        fam.evaluate(1.0, 0.0, a)
+        return steps() - before
+
+    cold = cost([1.0, 0.0])
+    assert cold > 10 and cost([1.0, 0.0]) == 1  # a hit replays one clipped try
+    others = iter([[2.0 + k / 1000, 0.0] for k in range(255)])
+    for _ in range(127):
+        cost(next(others))
+    assert cost([1.0, 0.0]) == 1  # 128 data: still cached, now used last
+    for _ in range(128):
+        cost(next(others))
+    assert cost([1.0, 0.0]) == cold  # 128 newer data pushed it out
+
+
+def test_dropped_family_frees_its_field():
+    # reference counting alone must free it: an escape or budget message kept
+    # as an exception would hold its traceback's frames, and the field, in a cycle
+    field = VectorField.from_strings(["x1^2"], DomainSpec(1))
+    ref = weakref.ref(field)
+    gc.disable()
+    try:
+        # riccati from (0, 0.5) blows up near t = 2 (an escape), or runs out
+        # of 50 steps first (the budget); the second query replays the end
+        for cfg in (CFG, IntegratorConfig(max_steps=50)):
+            fam = numeric_family(field, cfg)
+            assert fam.in_domain(1.0, 0.0, [0.5])
+            assert not fam.in_domain(3.0, 0.0, [0.5])
+            assert not fam.in_domain(3.0, 0.0, [0.5])
+            del fam
+        del field
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_default_plan_shape_step_count(monkeypatch):
+    # the benchmark's verify-numeric plan on rotation: 18,305 steps when
+    # every query integrates from scratch
+    field = catalog.get("rotation").field()
+    plan = SamplePlan((-0.2, 0.0, 0.2), default_plan(2).state_grid, random_count=2)
+    steps = count_steps(monkeypatch)
+    assert run_suite(numeric_family(field), plan).passed
+    assert steps() <= 10_278
