@@ -6,6 +6,7 @@ pinned here and nowhere else; loosening one is a release decision, not a
 test fix.
 """
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -110,6 +111,14 @@ def test_criterion_3_reconstruction(gate):
     rt = roundtrip_error(fam, cfg, eval_plan=eval_plan)
     ok = recovery <= 1e-6 and rt <= 1e-5
     gate(3, ok, f"field recovery {recovery:.3e}, flow round-trip {rt:.3e}")
+    # bit-level pins: a faster tabulation or interpolation must reproduce
+    # the table and both figures exactly, not merely within the bounds
+    assert recovery.hex() == "0x1.b418000000000p-36"  # 2.479e-11
+    assert rt.hex() == "0x1.6a6c9c6d00000p-19"  # 2.700e-06
+    assert field.skipped_sites == 0
+    assert hashlib.sha256(field.table.tobytes()).hexdigest() == (
+        "112c1e30daed040ce8ff9ab6cb33046a27aefb9da0a743c14e165e87fd520154"
+    )
 
 
 def test_criterion_4_condition_suite(gate):
