@@ -165,12 +165,19 @@ class FlowFamily:
     evaluation succeeds.  tol_hint records the intrinsic accuracy of the
     evaluator (0 means exact up to rounding), which downstream checks use to
     widen their tolerances for integration-backed families.
+
+    batch_evaluator(tau[m], sigma[m], a[m, n]) -> (values[m, n], ok[m]),
+    when given, is a lane form of evaluator: values[i] equals evaluator's
+    result bit for bit where ok[i], and ok[i] is False exactly where
+    evaluator raises DomainViolation.  Without one, evaluate_batch loops
+    over evaluate.
     """
 
     n: int
     kind: str  # closed_form | numeric | group_backed | affine_backed
     evaluator: Callable[[float, float, np.ndarray], np.ndarray]
     tol_hint: float = 0.0
+    batch_evaluator: Callable | None = None
 
     def __post_init__(self):
         if self.kind not in ("closed_form", "numeric", "group_backed", "affine_backed"):
@@ -197,6 +204,43 @@ class FlowFamily:
             raise ValueError("parameters tau, sigma must be finite")
         return as_state(self.evaluator(float(tau), float(sigma), arr), self.n)
 
+    def evaluate_batch(self, tau, sigma, a) -> tuple[np.ndarray, np.ndarray]:
+        """Lanes (tau[i], sigma[i], a[i]) at once: (values[m, n], ok[m]).
+
+        values[i] is evaluate(tau[i], sigma[i], a[i]) bit for bit where
+        ok[i]; ok[i] is False exactly where that call raises DomainViolation,
+        and values[i] is NaN there.  The errors evaluate raises for bad input
+        (wrong dimension, non-finite states or parameters, a non-finite
+        result) are raised for the whole batch.
+        """
+        tau = np.asarray(tau, dtype=float).reshape(-1)
+        sigma = np.asarray(sigma, dtype=float).reshape(-1)
+        arr = np.asarray(a, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.n:
+            raise DomainViolation(
+                "dimension_mismatch", f"states have shape {arr.shape}, family dimension is {self.n}"
+            )
+        if not tau.shape == sigma.shape == arr.shape[:1]:
+            raise ValueError("tau, sigma and the states need one lane each")
+        if not np.isfinite(arr).all():
+            raise ValueError("state components must be finite")
+        if not (np.isfinite(tau).all() and np.isfinite(sigma).all()):
+            raise ValueError("parameters tau, sigma must be finite")
+        if self.batch_evaluator is None:
+            values, ok = np.full(arr.shape, math.nan), np.zeros(len(tau), dtype=bool)
+            for i in range(len(tau)):
+                try:
+                    values[i] = self.evaluate(tau[i], sigma[i], arr[i])
+                    ok[i] = True
+                except DomainViolation:
+                    pass
+            return values, ok
+        values, ok = self.batch_evaluator(tau, sigma, arr)
+        if not np.isfinite(values[ok]).all():
+            raise ValueError("state components must be finite")  # as evaluate's as_state
+        values[~ok] = math.nan
+        return values, ok
+
     def in_domain(self, tau: float, sigma: float, a) -> bool:
         """Total membership test for the triple (tau, sigma, a)."""
         arr = self._coerce(a)  # dimension errors are caller bugs, let them out
@@ -219,13 +263,17 @@ def closed_form_family(
 
     Membership requires tau and sigma inside the open time_box (when given),
     predicate > 0 (when given), and every component to evaluate to a finite
-    value; evaluation and membership therefore agree by construction.
+    value; evaluation and membership therefore agree by construction.  The
+    lane kernels behind evaluate_batch are compiled on its first call, so
+    families that are never batched do not pay for them.
     """
     comps = tuple(_as_expression(c) for c in components)
     if len(comps) != n:
         raise ValueError(f"need {n} components, got {len(comps)}")
     fns = tuple(ex.compile_family(c, n) for c in comps)
-    pred = ex.compile_family(_as_expression(predicate), n) if predicate is not None else None
+    pred_expr = _as_expression(predicate)
+    pred = ex.compile_family(pred_expr, n) if pred_expr is not None else None
+    lanes = []  # (component kernels, predicate kernel), once compiled
 
     def evaluator(tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
         if time_box is not None:
@@ -241,7 +289,25 @@ def closed_form_family(
         except ex.EvalError as err:
             raise DomainViolation("out_of_domain", f"evaluation failed: {err}") from None
 
-    return FlowFamily(n=n, kind="closed_form", evaluator=evaluator)
+    def batch_evaluator(tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):
+        if not lanes:
+            lanes.append(tuple(ex.compile_family_lanes(c, n) for c in comps))
+            lanes.append(None if pred_expr is None else ex.compile_family_lanes(pred_expr, n))
+        kernels, pred_kernel = lanes
+        ok = np.ones(len(tau), dtype=bool)
+        if time_box is not None:
+            lo, hi = time_box
+            ok &= (lo < tau) & (tau < hi) & (lo < sigma) & (sigma < hi)
+        if pred_kernel is not None:
+            p, p_ok = pred_kernel(tau, sigma, a)
+            ok &= p_ok & (p > 0.0)
+        values = np.empty(a.shape)
+        for k, f in enumerate(kernels):
+            values[:, k], k_ok = f(tau, sigma, a)
+            ok &= k_ok
+        return values, ok
+
+    return FlowFamily(n=n, kind="closed_form", evaluator=evaluator, batch_evaluator=batch_evaluator)
 
 
 # ---------------------------------------------------------------------------

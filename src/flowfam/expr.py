@@ -20,6 +20,15 @@ are written over ``t, x1..xn``; flow maps are written over
 ``compile_field`` / ``compile_family`` enforce the convention for a given
 context and dimension as they compile.  Any other identifier is rejected at parse time.
 
+``compile_family_lanes`` compiles a family expression a second way, over
+lane arrays: lane i of its values equals ``compile_family``'s result at
+lane i's point bit for bit, and its ok mask is False exactly where that
+call raises EvalError.  ``+ - * /``, negation, ``sin``, ``cos``, ``sqrt``
+and ``abs`` run elementwise in numpy, which rounds them as ``math`` and
+Python floats do; ``exp``, ``tanh``, ``log`` and ``^`` call the scalar
+functions lane by lane, since numpy's versions differ from ``math`` in the
+last bit for some arguments.
+
 Everything here is immutable and pure, so expressions can be shared freely
 across threads.
 """
@@ -31,6 +40,8 @@ import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Union
+
+import numpy as np
 
 __all__ = [
     "Num",
@@ -46,6 +57,7 @@ __all__ = [
     "parse",
     "compile_field",
     "compile_family",
+    "compile_family_lanes",
     "pretty_print",
     "format_number",
 ]
@@ -322,6 +334,8 @@ def _finite_call(name: str, fn):
             v = fn(a)
         except OverflowError:
             raise EvalError("nonfinite", f"overflow in {name}") from None
+        except ValueError:  # sin or cos of an infinite literal such as 1e400
+            raise EvalError("nonfinite", f"non-finite argument to {name}") from None
         if not math.isfinite(v):
             raise EvalError("nonfinite", f"non-finite result from {name}")
         return v
@@ -331,6 +345,15 @@ def _finite_call(name: str, fn):
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
 _CALLS = {**{name: _finite_call(name, fn) for name, fn in FUNCTIONS.items()}, "log": _log, "sqrt": _sqrt}
+
+
+def _slot(e: Var, scalars: tuple, prefix: str, n: int) -> tuple[bool, int]:
+    """(True, i) for scalar i, (False, k) for state component k, else ValidationError."""
+    if e.name in scalars:
+        return True, scalars.index(e.name)
+    if e.name[0] == prefix and int(e.name[1:]) <= n:
+        return False, int(e.name[1:]) - 1
+    raise ValidationError(e.name, f"variable '{e.name}' not allowed (dimension {n})")
 
 
 def _build(e: Expression, scalars: tuple, prefix: str, n: int):
@@ -348,12 +371,10 @@ def _build(e: Expression, scalars: tuple, prefix: str, n: int):
 
         return binary
     if isinstance(e, Var):
-        if e.name in scalars:
-            return operator.itemgetter(scalars.index(e.name))
-        if e.name[0] == prefix and int(e.name[1:]) <= n:
-            k = int(e.name[1:]) - 1
-            return lambda env: float(env[-1][k])  # the state, read when the closure runs
-        raise ValidationError(e.name, f"variable '{e.name}' not allowed (dimension {n})")
+        scalar, i = _slot(e, scalars, prefix, n)
+        if scalar:
+            return operator.itemgetter(i)
+        return lambda env: float(env[-1][i])  # the state, read when the closure runs
     if isinstance(e, Num):
         value = e.value
         return lambda env: value
@@ -376,6 +397,110 @@ def compile_family(e: Expression, n: int) -> Callable[[float, float, Any], float
     """f(tau, sigma, a) computing ``e`` over tau, sigma and a1..an, or ValidationError."""
     f = _build(e, ("tau", "sigma"), "a", n)
     return lambda tau, sigma, a: f((float(tau), float(sigma), a))
+
+
+# ---------------------------------------------------------------------------
+# Lane compilation: the same tree over arrays of points, with an ok mask
+
+_ELEMENTWISE = {"sin": np.sin, "cos": np.cos, "abs": np.abs}  # then the finite check
+
+
+def _per_lane(fn, ok: np.ndarray, *args: np.ndarray):
+    """fn applied lane by lane where ok; a lane whose call raises EvalError drops out of ok."""
+    values, ok = np.full(ok.shape, math.nan), ok.copy()
+    columns = [a.tolist() for a in args]
+    for i in np.flatnonzero(ok).tolist():
+        try:
+            values[i] = fn(*[c[i] for c in columns])
+        except EvalError:
+            ok[i] = False
+    return values, ok
+
+
+def _build_lanes(e: Expression, scalars: tuple, prefix: str, n: int):
+    """Lane closure: ``env = (*scalar arrays, states[m, n])`` to (values[m], ok[m]).
+
+    ok tracks each check of the scalar closure explicitly; NaN propagation
+    would not do, since ``(1/0)^0`` is 1 in IEEE arithmetic.  Lanes outside
+    ok hold arbitrary values.
+    """
+    if isinstance(e, Bin):
+        left, right = _build_lanes(e.left, scalars, prefix, n), _build_lanes(e.right, scalars, prefix, n)
+        if e.op == "^":
+            def power(env):
+                (x, x_ok), (y, y_ok) = left(env), right(env)
+                v, ok = _per_lane(_pow, x_ok & y_ok, x, y)
+                return v, ok & np.isfinite(v)
+
+            return power
+        op = operator.truediv if e.op == "/" else _OPERATORS[e.op]
+
+        def binary(env):
+            (x, x_ok), (y, y_ok) = left(env), right(env)
+            v = op(x, y)
+            ok = x_ok & y_ok & np.isfinite(v)
+            if e.op == "/":
+                ok &= y != 0.0
+            return v, ok
+
+        return binary
+    if isinstance(e, Var):
+        scalar, i = _slot(e, scalars, prefix, n)
+        if scalar:
+            return lambda env: (env[i], np.ones(env[i].shape, dtype=bool))
+        return lambda env: (env[-1][:, i], np.ones(env[-1].shape[0], dtype=bool))
+    if isinstance(e, Num):
+        value = e.value
+        return lambda env: (np.full(env[-1].shape[0], value), np.ones(env[-1].shape[0], dtype=bool))
+    if isinstance(e, Call):
+        arg = _build_lanes(e.arg, scalars, prefix, n)
+        if e.fn == "sqrt":
+            def root(env):
+                x, ok = arg(env)
+                return np.sqrt(x), ok & ~(x < 0.0)
+
+            return root
+        if e.fn in _ELEMENTWISE:
+            fn = _ELEMENTWISE[e.fn]
+
+            def elementwise(env):
+                x, ok = arg(env)
+                v = fn(x)
+                return v, ok & np.isfinite(v)
+
+            return elementwise
+        fn = _CALLS[e.fn]
+
+        def scalar_call(env):
+            x, ok = arg(env)
+            return _per_lane(fn, ok, x)
+
+        return scalar_call
+    if isinstance(e, Neg):
+        operand = _build_lanes(e.operand, scalars, prefix, n)
+
+        def negate(env):
+            x, ok = operand(env)
+            return -x, ok
+
+        return negate
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def compile_family_lanes(e: Expression, n: int):
+    """f(tau[m], sigma[m], a[m, n]) -> (values[m], ok[m]), the lane form of compile_family.
+
+    Where ok[i], values[i] is compile_family's result at (tau[i], sigma[i],
+    a[i]) bit for bit; ok[i] is False exactly where that call raises
+    EvalError.  Raises ValidationError as compile_family does.
+    """
+    f = _build_lanes(e, ("tau", "sigma"), "a", n)
+
+    def lanes(tau, sigma, a):
+        with np.errstate(all="ignore"):  # failed lanes may overflow or divide by zero
+            return f((tau, sigma, a))
+
+    return lanes
 
 
 # ---------------------------------------------------------------------------

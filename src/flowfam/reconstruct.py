@@ -18,11 +18,23 @@ left as holes (never extrapolated); a reconstruction with more than half
 its sites skipped is refused.  Queries that touch a hole, or stray more
 than one cell beyond the box, fail evaluation the same way an expression
 would, which the integrator already knows how to handle.
+
+Tabulation evaluates the stencil one time knot at a time, every state site
+of the knot in one ``FlowFamily.evaluate_batch`` call per stencil point (four
+with Richardson, two without); ``diagonal_rate`` is the same stencil over a
+batch of one, so a table entry and a direct rate agree bit for bit.
+Interpolation reads the field's own contiguous arrays through memoryviews:
+it locates each coordinate's cell with ``bisect_left``, then sums the
+2^(n+1) cell corners in a fixed order (corner c takes the upper knot on
+axis d when bit d of c is set; its weight is 1.0 times the per-axis
+factors in axis order, time first; the sum starts at 0.0 and skips zero
+weights), so results do not depend on how the table is laid out in memory.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,9 +117,9 @@ class TabulatedVectorField:
 
     def __init__(self, times: np.ndarray, axes: list[np.ndarray], table: np.ndarray,
                  skipped_sites: int = 0):
-        self.times = np.asarray(times, dtype=float)
-        self.axes = [np.asarray(ax, dtype=float) for ax in axes]
-        self.table = np.asarray(table, dtype=float)
+        self.times = np.ascontiguousarray(times, dtype=float)
+        self.axes = [np.ascontiguousarray(ax, dtype=float) for ax in axes]
+        self.table = np.ascontiguousarray(table, dtype=float)
         self.n = len(self.axes)
         self.skipped_sites = int(skipped_sites)
         if self.times.ndim != 1 or len(self.times) < 2:
@@ -129,6 +141,16 @@ class TabulatedVectorField:
             state_lo=tuple(float(ax[0]) for ax in self.axes),
             state_hi=tuple(float(ax[-1]) for ax in self.axes),
         )
+        # knots per axis (time first) and the flat table, read without copies;
+        # a step of one knot along axis d moves strides[d] doubles in the table
+        self._knots = [memoryview(ax) for ax in (self.times, *self.axes)]
+        self._flat = memoryview(self.table.reshape(-1))
+        self._strides = [stride // self.table.itemsize for stride in self.table.strides[:-1]]
+        self._corners = [
+            (sum(s for d, s in enumerate(self._strides) if corner >> d & 1),
+             tuple(corner >> d & 1 for d in range(len(self._strides))))
+            for corner in range(1 << len(self._strides))
+        ]
 
     def sites(self):
         """(t, x, tabulated value) for every site, time-major; holes are NaN."""
@@ -137,34 +159,31 @@ class TabulatedVectorField:
 
     def __call__(self, t: float, x) -> np.ndarray:
         coords = [float(t), *[float(c) for c in np.asarray(x, dtype=float)]]
-        all_axes = [self.times, *self.axes]
-        if len(coords) != len(all_axes):
+        if len(coords) != len(self._knots):
             raise ValueError(f"state has wrong dimension for this field ({self.n})")
-        cells = []
-        weights = []
-        for ax, c in zip(all_axes, coords):
-            i = int(np.searchsorted(ax, c)) - 1
-            i = min(max(i, 0), len(ax) - 2)
-            lo, hi = ax[i], ax[i + 1]
-            w = (c - lo) / (hi - lo)
+        base = 0
+        factors = []  # per axis: (lower knot's factor, upper knot's factor)
+        for knots, stride, c in zip(self._knots, self._strides, coords):
+            i = min(max(bisect_left(knots, c) - 1, 0), len(knots) - 2)
+            lo = knots[i]
+            w = (c - lo) / (knots[i + 1] - lo)
             if w < -1.0 or w > 2.0:  # more than one cell beyond the box
                 raise ex.EvalError("domain", f"query {c} outside the tabulated box")
-            cells.append(i)
-            weights.append(w)
-        out = np.zeros(self.n)
-        dims = len(all_axes)
-        for corner in range(1 << dims):
+            base += i * stride
+            factors.append((1.0 - w, w))
+        n, flat = self.n, self._flat
+        out = [0.0] * n
+        for offset, bits in self._corners:
             weight = 1.0
-            key = []
-            for d in range(dims):
-                bit = (corner >> d) & 1
-                weight *= weights[d] if bit else (1.0 - weights[d])
-                key.append(cells[d] + bit)
+            for factor, bit in zip(factors, bits):
+                weight *= factor[bit]
             if weight != 0.0:
-                out += weight * self.table[tuple(key)]
-        if not np.all(np.isfinite(out)):
+                start = base + offset
+                for k in range(n):
+                    out[k] += weight * flat[start + k]
+        if not all(map(math.isfinite, out)):
             raise ex.EvalError("domain", "query touches a skipped tabulation site")
-        return out
+        return np.array(out)
 
 
 def diagonal_rate(
@@ -177,18 +196,30 @@ def diagonal_rate(
     """Central-difference estimate of the family's diagonal rate at (tau, a).
 
     [F_{tau+h,tau}(a) - F_{tau-h,tau}(a)] / 2h, optionally sharpened by one
-    Richardson step.  The family's DomainViolation passes through when the
-    stencil leaves its domain.
+    Richardson step.  Raises DomainViolation when the stencil leaves the
+    family's domain.
     """
     arr = as_state(a, fam.n)
+    rates, ok = _stencil(fam, float(tau), arr[None, :], h, richardson)
+    if not ok[0]:
+        raise DomainViolation("out_of_domain", f"the stencil at ({tau}, {arr}) leaves the family's domain")
+    return rates[0]
 
-    def central(step: float) -> np.ndarray:
-        return (fam.evaluate(tau + step, tau, arr) - fam.evaluate(tau - step, tau, arr)) / (2.0 * step)
 
-    d_h = central(h)
+def _stencil(fam: FlowFamily, tau: float, states: np.ndarray, h: float, richardson: bool):
+    """Diagonal rates at (tau, states[i]) for every lane i, and where the stencil stays in the domain."""
+    sigma = np.full(len(states), tau)
+
+    def central(step: float):
+        up, up_ok = fam.evaluate_batch(np.full(len(states), tau + step), sigma, states)
+        down, down_ok = fam.evaluate_batch(np.full(len(states), tau - step), sigma, states)
+        return (up - down) / (2.0 * step), up_ok & down_ok
+
+    d_h, ok = central(h)
     if not richardson:
-        return d_h
-    return (4.0 * central(h / 2.0) - d_h) / 3.0
+        return d_h, ok
+    d_half, half_ok = central(h / 2.0)
+    return (4.0 * d_half - d_h) / 3.0, ok & half_ok
 
 
 def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig) -> TabulatedVectorField:
@@ -205,15 +236,16 @@ def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig) -> TabulatedVe
     times = np.asarray(plan.time_grid, dtype=float)
     points = np.asarray(plan.state_grid, dtype=float)
     axes = [np.unique(points[:, k]) for k in range(fam.n)]
+    # one lane per state site, in the table's (time-major, C) order
+    states = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, fam.n)
     table = np.empty((len(times), *[len(ax) for ax in axes], fam.n))
     skipped = 0
-    total = len(times) * int(np.prod([len(ax) for ax in axes]))
-    for index, tau, a in _sites(times, axes):
-        try:
-            table[index] = diagonal_rate(fam, tau, a, h=cfg.h, richardson=cfg.richardson)
-        except DomainViolation:
-            table[index] = np.nan
-            skipped += 1
+    total = len(times) * len(states)
+    for it, tau in enumerate(times):
+        rates, ok = _stencil(fam, float(tau), states, cfg.h, cfg.richardson)
+        rates[~ok] = np.nan
+        table[it] = rates.reshape(table.shape[1:])
+        skipped += len(ok) - int(np.count_nonzero(ok))
     if skipped * 2 > total:
         raise ReconstructionFailed(
             f"{skipped} of {total} sites skipped; the grid barely touches the domain"
