@@ -152,10 +152,14 @@ def _classify(t: float, y: np.ndarray, field: VectorField, cfg: IntegratorConfig
 
 
 def _first_try(field: VectorField, rho: float, a: np.ndarray, target: float, cfg: IntegratorConfig):
-    """Loop state (t, h, steps, y, k1) before the first try from (rho, a) toward target."""
+    """Loop state (t, h, steps, y, k1) before the first try from (rho, a) toward target.
+
+    Raises EvalError when the field cannot be evaluated at (rho, a), which
+    its domain may contain all the same.
+    """
     direction = 1.0 if target > rho else -1.0
     y = a.copy()
-    k1 = field(rho, y)  # (rho, a) in the domain, so this must succeed
+    k1 = field(rho, y)
     return rho, direction * min(cfg.h_init, abs(target - rho)), 0, y, k1
 
 
@@ -167,10 +171,17 @@ def _integrate(
     cfg: IntegratorConfig,
     refine: bool,
 ) -> np.ndarray:
-    """Drive (rho, a) to time tau; raises EscapeEvent when the solution quits first."""
+    """Drive (rho, a) to time tau; raises EscapeEvent when the solution quits first.
+
+    A start where the field cannot be evaluated raises ValueError.
+    """
     if tau == rho:
         return a.copy()
-    return _drive(field, tau, cfg, refine, _first_try(field, rho, a, tau, cfg))
+    try:
+        state = _first_try(field, rho, a, tau, cfg)
+    except ex.EvalError as err:
+        raise ValueError(f"field cannot be evaluated at the initial condition ({rho}, {a}): {err}") from None
+    return _drive(field, tau, cfg, refine, state)
 
 
 def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, state, record=None):
@@ -267,7 +278,9 @@ def advance(
     Raises EscapeEvent when the solution quits before reaching tau, with the
     escape time bracketed to width <= 1e-6 (bisection over the last accepted
     step), and StepBudgetExceeded (a RuntimeError) when max_steps run out
-    first.  Zero-length requests return a unchanged.
+    first.  Zero-length requests return a unchanged.  A start outside the
+    window or the field's domain, or where the field cannot be evaluated,
+    raises ValueError.
     """
     cfg = cfg or IntegratorConfig()
     arr = as_state(a, field.n)
@@ -420,6 +433,10 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
             ) from None
         except StepBudgetExceeded as err:
             raise DomainViolation("out_of_domain", str(err)) from None
+        except ex.EvalError as err:  # the slope at the start; the step loop handles its own
+            raise DomainViolation(
+                "out_of_domain", f"field cannot be evaluated at ({sigma}, {a}): {err}"
+            ) from None
 
     return FlowFamily(n=field.n, kind="numeric", evaluator=evaluator, tol_hint=cfg.rel_tol)
 
@@ -431,7 +448,9 @@ def escape_interval(
 
     Integrates toward each window edge; reaching the edge is reported as
     window_limit (possibly-unbounded directions are never claimed finite),
-    anything else carries the refined escape time and its kind.
+    anything else carries the refined escape time and its kind.  A start
+    outside the window or the field's domain, or where the field cannot be
+    evaluated, raises ValueError.
     """
     cfg = cfg or IntegratorConfig()
     arr = as_state(a, field.n)

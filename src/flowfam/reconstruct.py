@@ -146,10 +146,13 @@ class TabulatedVectorField:
         self._knots = [memoryview(ax) for ax in (self.times, *self.axes)]
         self._flat = memoryview(self.table.reshape(-1))
         self._strides = [stride // self.table.itemsize for stride in self.table.strides[:-1]]
+        # corner c: its offset from the cell's lower corner, and per axis d the
+        # position of its factor in (1 - w_0, w_0, 1 - w_1, w_1, ...)
+        dims = len(self._strides)
         self._corners = [
-            (sum(s for d, s in enumerate(self._strides) if corner >> d & 1),
-             tuple(corner >> d & 1 for d in range(len(self._strides))))
-            for corner in range(1 << len(self._strides))
+            (sum(s for d, s in enumerate(self._strides) if c >> d & 1),
+             tuple(2 * d + (c >> d & 1) for d in range(dims)))
+            for c in range(1 << dims)
         ]
 
     def sites(self):
@@ -158,11 +161,12 @@ class TabulatedVectorField:
             yield t, x, self.table[index]
 
     def __call__(self, t: float, x) -> np.ndarray:
-        coords = [float(t), *[float(c) for c in np.asarray(x, dtype=float)]]
+        state = np.asarray(x, dtype=float)
+        coords = [float(t), *(state.tolist() if state.ndim == 1 else map(float, state))]
         if len(coords) != len(self._knots):
             raise ValueError(f"state has wrong dimension for this field ({self.n})")
         base = 0
-        factors = []  # per axis: (lower knot's factor, upper knot's factor)
+        factors = []
         for knots, stride, c in zip(self._knots, self._strides, coords):
             i = min(max(bisect_left(knots, c) - 1, 0), len(knots) - 2)
             lo = knots[i]
@@ -170,13 +174,13 @@ class TabulatedVectorField:
             if w < -1.0 or w > 2.0:  # more than one cell beyond the box
                 raise ex.EvalError("domain", f"query {c} outside the tabulated box")
             base += i * stride
-            factors.append((1.0 - w, w))
+            factors += (1.0 - w, w)
         n, flat = self.n, self._flat
         out = [0.0] * n
-        for offset, bits in self._corners:
+        for offset, picks in self._corners:
             weight = 1.0
-            for factor, bit in zip(factors, bits):
-                weight *= factor[bit]
+            for j in picks:
+                weight *= factors[j]
             if weight != 0.0:
                 start = base + offset
                 for k in range(n):

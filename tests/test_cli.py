@@ -319,6 +319,23 @@ def test_step_budget_exhaustion_is_an_error_record(tmp_path, capsys, argv):
     assert "exceeded 3 steps" in recs[1].get("detail", recs[1]["message"])
 
 
+# the field's domain holds t = 3, where sqrt(2 - t) has no value
+WALLED = {"system": {"field": {"n": 1, "rhs": ["sqrt(2 - t)"]}}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["flow", "--tau", "4", "--sigma", "3", "--a", "0"], ["interval", "--rho", "3", "--a", "0"]],
+    ids=["flow", "interval"],
+)
+def test_unevaluable_start_is_an_error_record(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, WALLED)
+    code, recs = run_cli([*argv, "--config", cfg, "--no-timestamp"], capsys)
+    assert code == 1
+    assert len(recs) == 2 and recs[1]["kind"] == "error"
+    assert "sqrt of negative value" in recs[1].get("detail", recs[1]["message"])
+
+
 def test_flow_config_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("not json")

@@ -268,6 +268,22 @@ def test_escape_interval_left_domain():
     assert j.lower == -50.0 and j.lower_kind == "window_limit"
 
 
+def test_start_where_the_field_cannot_be_evaluated():
+    # the domain holds every (t, x), but sqrt(2 - t) has no value at t = 3
+    field = VectorField.from_strings(["sqrt(2 - t)"], DomainSpec(1))
+    fam = numeric_family(field, CFG)
+    assert not fam.in_domain(4.0, 3.0, [0.0])
+    with pytest.raises(DomainViolation) as exc:
+        fam.evaluate(4.0, 3.0, [0.0])
+    assert exc.value.kind == "out_of_domain"
+    assert "sqrt of negative value" in str(exc.value)
+    assert fam.in_domain(1.0, 0.0, [0.0])  # a start the field reaches stays fine
+    with pytest.raises(ValueError, match="field cannot be evaluated at the initial condition"):
+        escape_interval(field, 3.0, [0.0], CFG)
+    with pytest.raises(ValueError, match="field cannot be evaluated at the initial condition"):
+        advance(field, 3.0, [0.0], 4.0, CFG)
+
+
 def test_complete_solution_bundle(riccati_field):
     sol = complete_solution(riccati_field, 0.0, [0.5], CFG)
     assert sol.rho == 0.0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flowfam import expr as ex
 from flowfam.core import DomainViolation, closed_form_family
-from flowfam.integrate import IntegratorConfig
+from flowfam.integrate import IntegratorConfig, numeric_family
 from flowfam.reconstruct import (
     BoxDomain,
     ReconstructionConfig,
@@ -171,6 +171,24 @@ def test_holes_are_skipped_not_extrapolated():
     assert np.allclose(field(0.0, [0.5]), [0.5], atol=1e-9)
     with pytest.raises(ex.EvalError):
         field(-0.9999, [0.5])  # interpolation would touch a hole
+
+
+def test_start_touching_a_hole_leaves_the_rebuilt_domain():
+    fam = closed_form_family(1, ["exp(tau - sigma)*a1"], time_box=(-1.0, 1.0))
+    plan = SamplePlan(
+        (-0.99995, -0.5, 0.0, 0.5, 0.99995),
+        tuple((s,) for s in np.linspace(-1.0, 1.0, 5)),
+        random_count=0,
+    )
+    cfg = ReconstructionConfig(grid=plan)
+    rebuilt = numeric_family(field_from_family(fam, cfg))
+    with pytest.raises(DomainViolation) as exc:
+        rebuilt.evaluate(0.0, -0.9999, [0.5])  # the slope at the start reads a hole
+    assert exc.value.kind == "out_of_domain"
+    assert not rebuilt.in_domain(0.0, -0.9999, [0.5])
+    # the same start inside roundtrip_error is one skipped sample, not a crash
+    eval_plan = SamplePlan((-0.9999, 0.0), ((0.5,),), random_count=0)
+    assert roundtrip_error(fam, cfg, eval_plan=eval_plan) <= 1e-12
 
 
 def test_reconstruction_fails_when_mostly_holes():
