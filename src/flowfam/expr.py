@@ -433,15 +433,13 @@ def _build_lanes(e: Expression, scalars: tuple, prefix: str, n: int):
                 return v, ok & np.isfinite(v)
 
             return power
+        # x / 0 is inf or nan here, so the finite check drops the lanes _div rejects
         op = operator.truediv if e.op == "/" else _OPERATORS[e.op]
 
         def binary(env):
             (x, x_ok), (y, y_ok) = left(env), right(env)
             v = op(x, y)
-            ok = x_ok & y_ok & np.isfinite(v)
-            if e.op == "/":
-                ok &= y != 0.0
-            return v, ok
+            return v, x_ok & y_ok & np.isfinite(v)
 
         return binary
     if isinstance(e, Var):

@@ -247,8 +247,7 @@ def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig) -> TabulatedVe
     total = len(times) * len(states)
     for it, tau in enumerate(times):
         rates, ok = _stencil(fam, float(tau), states, cfg.h, cfg.richardson)
-        rates[~ok] = np.nan
-        table[it] = rates.reshape(table.shape[1:])
+        table[it] = rates.reshape(table.shape[1:])  # NaN where ok is False: a hole
         skipped += len(ok) - int(np.count_nonzero(ok))
     if skipped * 2 > total:
         raise ReconstructionFailed(

@@ -8,6 +8,10 @@ and ``cls`` and dunder names are exempt.
 A sample that leaves the domain is one rule, kept by ``verify.Accumulator``:
 its guard counts the skip and ``compare`` scores an undefined direct map,
 so no ``except DomainViolation`` handler skips or records by hand.
+
+Lane kernels equal the scalar closures bit for bit only while they leave
+``exp``, ``tanh``, ``log`` and powers to ``math``: numpy's versions round
+some arguments differently, so no module references them.
 """
 
 import ast
@@ -61,6 +65,25 @@ def _hand_written_guards(path: Path) -> list[str]:
                 where = f"{path.name}:{node.lineno}"
                 found.append(f"{where} calls {ast.unparse(call)} under except DomainViolation")
     return found
+
+
+# numpy functions whose results differ from math's in the last bit for some lanes
+_LANE_UNSAFE = {"exp", "tanh", "log", "power", "float_power"}
+
+
+def _lane_unsafe_numpy(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, f"imports {a.name} from numpy") for a in node.names if a.name in _LANE_UNSAFE]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in _LANE_UNSAFE
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            found.append((node.lineno, f"uses {ast.unparse(node)}"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
 
 
 def test_package_modules_found():
@@ -129,4 +152,26 @@ def test_detector_sees_a_hand_written_guard(tmp_path):
     assert _hand_written_guards(probe) == [
         "probe.py:4 calls acc.skip under except DomainViolation",
         "probe.py:6 calls acc.record under except DomainViolation",
+    ]
+
+
+def test_no_module_uses_numpy_where_it_differs_from_math():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _lane_unsafe_numpy(path)]
+    assert found == []
+
+
+def test_detector_sees_lane_unsafe_numpy(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "from numpy import power, sin\n"
+        "y = np.exp(x) + numpy.tanh(x) + np.sin(x) + math.exp(x) + np.log1p(x) + np.log(x)\n"
+        "z = np.float_power\n"
+    )
+    assert _lane_unsafe_numpy(probe) == [
+        "probe.py:2 imports power from numpy",
+        "probe.py:3 uses np.exp",
+        "probe.py:3 uses np.log",
+        "probe.py:3 uses numpy.tanh",
+        "probe.py:4 uses np.float_power",
     ]

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from flowfam import catalog
+from flowfam import expr as ex
 from flowfam.core import (
     CompleteSolution,
     DomainSpec,
@@ -19,6 +21,7 @@ from flowfam.core import (
     scaled_tol,
     solution_value,
 )
+from flowfam.integrate import IntegratorConfig, numeric_family
 
 
 @pytest.fixture()
@@ -238,3 +241,120 @@ def test_membership_derives_from_evaluator():
     assert fam.in_domain(0.5, 0.0, [1.0])
     assert not fam.in_domain(1.5, 0.0, [1.0])
     assert not fam.in_domain(math.nan, 0.0, [1.0])
+
+
+# --- evaluate_batch ---------------------------------------------------------
+
+def lanes(n, m, seed=0):
+    """m lanes (tau, sigma, a[m, n]) on [-3, 3], a third of them special values."""
+    rng = np.random.default_rng(seed)
+    # 5e-5 zeroes the pinhole predicate, where > 0 and >= 0 part
+    special = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 0.99999, 5e-5, 1e-300, 1e200, -1e200]
+
+    def column():
+        v = rng.uniform(-3.0, 3.0, m)
+        pick = rng.random(m) < 0.35
+        v[pick] = rng.choice(special, int(pick.sum()))
+        return v
+
+    return column(), column(), np.stack([column() for _ in range(n)], axis=1)
+
+
+def assert_batch_matches(fam, tau, sigma, a):
+    """Lane i of evaluate_batch is evaluate's bytes, or NaN and not ok where it raises."""
+    values, ok = fam.evaluate_batch(tau, sigma, a)
+    assert values.shape == (len(tau), fam.n) and ok.shape == (len(tau),) and ok.dtype == bool
+    failed = 0
+    for i in range(len(tau)):
+        try:
+            want = fam.evaluate(tau[i], sigma[i], a[i])
+        except DomainViolation:
+            assert not ok[i] and np.isnan(values[i]).all(), (tau[i], sigma[i], a[i])
+            failed += 1
+            continue
+        assert ok[i] and values[i].tobytes() == want.tobytes(), (tau[i], sigma[i], a[i])
+    return failed
+
+
+def _hand_written_gap():
+    def ev(tau, sigma, a):
+        if 1.0 <= abs(tau - sigma) <= 2.0:
+            raise DomainViolation("out_of_domain", "inside the gap")
+        return a * 2.0
+
+    return FlowFamily(1, "closed_form", ev)
+
+
+BATCH_FAMILIES = {
+    **{f"catalog-{name}": catalog.get(name).family for name in catalog.names()},
+    # the golden reports' set-based counterexamples
+    "gap": lambda: closed_form_family(1, ["exp(tau - sigma)*a1"], predicate="(tau - 0.5)^2 - 0.01"),
+    "pinhole": lambda: closed_form_family(1, ["exp(tau - sigma)*a1"], predicate="(sigma - 0.00005)^2"),
+    "empty": lambda: closed_form_family(1, ["exp(tau - sigma)*a1"], predicate="-1"),
+    "time-box": lambda: closed_form_family(2, ["a1*tau", "log(a2)"], time_box=(-1.0, 1.5)),
+    "hand-written": _hand_written_gap,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+def test_evaluate_batch_matches_evaluate(name):
+    fam = BATCH_FAMILIES[name]()
+    failed = assert_batch_matches(fam, *lanes(fam.n, 2000))
+    assert 0 < failed < 2000 or name in ("catalog-zero", "catalog-rotation", "empty")
+
+
+def test_evaluate_batch_pins_the_special_lanes():
+    tau, sigma, a = np.array([1.0, 1.0, 0.2]), np.array([0.0, 0.0, 0.0]), np.array([[0.5], [1.0], [-0.0]])
+    values, ok = catalog.get("riccati").family().evaluate_batch(tau, sigma, a)
+    # a = 1 reaches the pole at tau - sigma = 1; -0.0 keeps its sign
+    assert ok.tolist() == [True, False, True]
+    assert values[0, 0] == 1.0 and math.isnan(values[1, 0]) and math.copysign(1.0, values[2, 0]) == -1.0
+
+
+def test_evaluate_batch_rejects_bad_input(riccati):
+    with pytest.raises(DomainViolation) as exc:
+        riccati.evaluate_batch([0.0], [0.0], [[0.1, 0.2]])
+    assert exc.value.kind == "dimension_mismatch"
+    with pytest.raises(ValueError, match="one lane each"):
+        riccati.evaluate_batch([0.0, 1.0], [0.0], [[0.1], [0.2]])
+    with pytest.raises(ValueError, match="state components"):
+        riccati.evaluate_batch([0.0], [0.0], [[math.nan]])
+    with pytest.raises(ValueError, match="parameters"):
+        riccati.evaluate_batch([math.inf], [0.0], [[0.1]])
+    values, ok = riccati.evaluate_batch([], [], np.empty((0, 1)))
+    assert values.shape == (0, 1) and ok.shape == (0,)
+
+
+def test_lane_kernels_compiled_on_the_first_batch(monkeypatch):
+    compiled = []
+
+    def counting(e, n):
+        compiled.append(ex.pretty_print(e))
+        return original(e, n)
+
+    original = ex.compile_family_lanes
+    monkeypatch.setattr(ex, "compile_family_lanes", counting)
+    fam = catalog.get("riccati").family()
+    fam.evaluate(1.0, 0.0, [0.5])
+    assert compiled == []
+    fam.evaluate_batch([1.0], [0.0], [[0.5]])
+    fam.evaluate_batch([1.0], [0.0], [[0.5]])
+    assert compiled == ["(a1 / (1 + ((sigma - tau) * a1)))", "(1 - ((tau - sigma) * a1))"]
+
+
+_NUMERIC = {name: numeric_family(catalog.get(name).field(), IntegratorConfig()) for name in ("riccati", "rotation")}
+_CLOSED = {name: catalog.get(name).family() for name in catalog.names()}
+_lane = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted([f"closed-{k}" for k in _CLOSED] + [f"numeric-{k}" for k in _NUMERIC])),
+    st.lists(st.tuples(_lane, _lane, _lane, _lane), min_size=1, max_size=6),
+)
+def test_evaluate_batch_lane_is_evaluate(name, rows):
+    # riccati's flow leaves both domains (blow-up, the predicate) inside this box
+    route, system = name.split("-", 1)
+    fam = (_CLOSED if route == "closed" else _NUMERIC)[system]
+    data = np.array(rows)
+    assert_batch_matches(fam, data[:, 0], data[:, 1], data[:, 2:2 + fam.n])

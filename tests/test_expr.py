@@ -5,6 +5,7 @@ import math
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +20,7 @@ from flowfam.expr import (
     ValidationError,
     Var,
     compile_family,
+    compile_family_lanes,
     compile_field,
     parse,
     pretty_print,
@@ -177,6 +179,8 @@ def test_evaluate_basics():
         ("exp(x1)", [1000.0], "nonfinite"),
         ("x1*x1", [1e200], "nonfinite"),
         ("x1^400", [10.0], "nonfinite"),
+        ("sin(1e400)", [0.0], "nonfinite"),  # math.sin raises ValueError on inf
+        ("cos(-1e400)", [0.0], "nonfinite"),
     ],
 )
 def test_eval_error_kinds(source, x, kind):
@@ -258,3 +262,94 @@ def test_eval_finite_or_error(source, t, xs):
     except EvalError:
         return
     assert math.isfinite(value)
+
+
+# --- lane kernels ---------------------------------------------------------
+
+# values that reach every error path: zeros of both signs, negatives under
+# log, sqrt and fractional powers, and magnitudes that overflow exp or *
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 710.0, -710.0, 1e200, -1e200, 1e-300]
+
+
+def lane_points(n, m, seed=0):
+    """m lanes (tau, sigma, a[m, n]): uniform on [-3, 3], about a third special values."""
+    rng = np.random.default_rng(seed)
+
+    def column():
+        v = rng.uniform(-3.0, 3.0, m)
+        pick = rng.random(m) < 0.35
+        v[pick] = rng.choice(_SPECIAL, int(pick.sum()))
+        return v
+
+    return column(), column(), np.stack([column() for _ in range(n)], axis=1)
+
+
+def assert_lanes_match(tree, n, tau, sigma, a):
+    """Lane i of the kernel equals the scalar closure bit for bit, or both fail."""
+    scalar = compile_family(tree, n)
+    values, ok = compile_family_lanes(tree, n)(tau, sigma, a)
+    failed = 0
+    for i in range(len(tau)):
+        try:
+            want = scalar(tau[i], sigma[i], a[i])
+        except EvalError:
+            assert not ok[i], (pretty_print(tree), tau[i], sigma[i], a[i])
+            failed += 1
+            continue
+        assert ok[i], (pretty_print(tree), tau[i], sigma[i], a[i])
+        assert float(values[i]).hex() == want.hex(), (pretty_print(tree), tau[i], sigma[i], a[i])
+    return failed
+
+
+def _family_corpus():
+    entries = []
+    for source, _ in CORPUS:
+        try:
+            compile_family(parse(source), 12)
+        except ValidationError:
+            continue
+        entries.append(source)
+    return entries
+
+
+def test_family_corpus_is_not_empty():
+    assert {"a1/(1 + (sigma - tau)*a1)", "42", "exp(tau)*a1 - exp(sigma)*a2"} <= set(_family_corpus())
+
+
+@pytest.mark.parametrize("source", _family_corpus())
+def test_lane_kernel_matches_scalar_on_corpus(source):
+    assert_lanes_match(parse(source), 12, *lane_points(12, 3000))
+
+
+# (source, whether some lanes of lane_points fail): the second column keeps
+# each error path exercised; infinite literals are ok values until checked
+@pytest.mark.parametrize(
+    "source,fails",
+    [
+        ("a1^0.5", True), ("a1^-1", True), ("a1^a2", True), ("(-a1)^3", True),
+        ("2^a1", True), ("a1^400", True), ("log(a1)", True), ("sqrt(a1)", True),
+        ("exp(a1)*a2", True), ("tanh(a1*1e300)", True), ("abs(a1)/a2", True),
+        ("1/(a1*a2)", True), ("a1*1e300*a2", True), ("sin(1e400)", True),
+        ("sin(a1) + cos(a2)", False), ("-(a1 - a2)", False), ("tanh(a1)", False),
+        ("sqrt(1e400)", False), ("log(1e400)", False), ("1/1e400 + a1", False), ("-1e400", False),
+        ("1e400^0", False),  # pow(inf, 0) is 1: a finite check on the operands would fail it
+    ],
+)
+def test_lane_kernel_matches_scalar_on_error_paths(source, fails):
+    failed = assert_lanes_match(parse(source), 2, *lane_points(2, 2000, seed=1))
+    assert bool(failed) == fails
+
+
+def test_lane_kernel_tracks_failures_that_nan_forgets():
+    # 1/0 fails, and IEEE pow(inf, 0) or pow(nan, 0) would bring back a finite 1
+    tree = parse("(1/(a1 - a1))^0")
+    tau, sigma, a = lane_points(1, 50)
+    values, ok = compile_family_lanes(tree, 1)(tau, sigma, a)
+    assert not ok.any()
+    assert assert_lanes_match(tree, 1, tau, sigma, a) == 50
+
+
+def test_lane_kernel_validates_like_compile_family():
+    with pytest.raises(ValidationError) as exc:
+        compile_family_lanes(parse("sin(x3) + tau*a5"), 2)
+    assert exc.value.variable == "x3"

@@ -1,12 +1,14 @@
 """Vector-field recovery: finite-difference rates, tabulation, roundtrips."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowfam import catalog
 from flowfam import expr as ex
 from flowfam.core import DomainViolation, closed_form_family
 from flowfam.integrate import IntegratorConfig, numeric_family
@@ -336,3 +338,169 @@ def test_field_gap_skips_holes_and_counts_compared():
     assert worst == pytest.approx(0.25)
     empty = TabulatedVectorField(times, [knots], np.full((2, 3, 1), np.nan))
     assert field_gap(empty, fld) == (None, 0)
+
+
+# --- bit-for-bit references ----------------------------------------------
+#
+# Tabulation and interpolation are batched and gathered; these are the
+# scalar loops they replaced, kept to pin every output bit.
+
+
+def reference_table(fam, cfg):
+    """(table, skipped): one scalar central-difference stencil per site, time-major."""
+    times = np.asarray(cfg.grid.time_grid, dtype=float)
+    points = np.asarray(cfg.grid.state_grid, dtype=float)
+    axes = [np.unique(points[:, k]) for k in range(fam.n)]
+    table = np.empty((len(times), *[len(ax) for ax in axes], fam.n))
+    skipped = 0
+    for it, tau in enumerate(times):
+        for idx in np.ndindex(*[len(ax) for ax in axes]):
+            tau, a = float(tau), np.array([ax[i] for ax, i in zip(axes, idx)])
+
+            def central(step):
+                up, down = fam.evaluate(tau + step, tau, a), fam.evaluate(tau - step, tau, a)
+                return (up - down) / (2.0 * step)
+
+            try:
+                d_h = central(cfg.h)
+                table[(it, *idx)] = (4.0 * central(cfg.h / 2.0) - d_h) / 3.0 if cfg.richardson else d_h
+            except DomainViolation:
+                table[(it, *idx)] = np.nan
+                skipped += 1
+    return table, skipped
+
+
+def reference_interp(field, t, x):
+    """The per-corner interpolation loop, as TabulatedVectorField.__call__ once ran it."""
+    coords = [float(t), *[float(c) for c in np.asarray(x, dtype=float)]]
+    all_axes = [field.times, *field.axes]
+    if len(coords) != len(all_axes):
+        raise ValueError(f"state has wrong dimension for this field ({field.n})")
+    cells, weights = [], []
+    for ax, c in zip(all_axes, coords):
+        i = int(np.searchsorted(ax, c)) - 1
+        i = min(max(i, 0), len(ax) - 2)
+        lo, hi = ax[i], ax[i + 1]
+        w = (c - lo) / (hi - lo)
+        if w < -1.0 or w > 2.0:
+            raise ex.EvalError("domain", f"query {c} outside the tabulated box")
+        cells.append(i)
+        weights.append(w)
+    out = np.zeros(field.n)
+    dims = len(all_axes)
+    for corner in range(1 << dims):
+        weight = 1.0
+        key = []
+        for d in range(dims):
+            bit = (corner >> d) & 1
+            weight *= weights[d] if bit else (1.0 - weights[d])
+            key.append(cells[d] + bit)
+        if weight != 0.0:
+            out += weight * field.table[tuple(key)]
+    if not np.all(np.isfinite(out)):
+        raise ex.EvalError("domain", "query touches a skipped tabulation site")
+    return out
+
+
+def outcome(fn, *args):
+    """Result bytes, or the EvalError's kind and message."""
+    try:
+        return fn(*args).tobytes()
+    except ex.EvalError as err:
+        return err.kind, str(err)
+
+
+def _catalog_plan(n):
+    times = (-1.1, -0.35, 0.4, 1.6)
+    if n == 1:
+        return SamplePlan(times, tuple((s,) for s in np.linspace(-2.4, 2.4, 61)), random_count=0)
+    return SamplePlan(times, tuple(product(np.linspace(-2.0, 2.0, 9), repeat=n)), random_count=0)
+
+
+@pytest.mark.parametrize("richardson", [True, False], ids=["richardson", "plain"])
+@pytest.mark.parametrize("name", catalog.names())
+def test_table_matches_the_scalar_stencil(name, richardson):
+    fam = catalog.get(name).family()
+    # h = 0.5 pushes riccati's stencil past its pole for |a| >= 2, which leaves holes
+    for h in (1e-4, 0.5):
+        cfg = ReconstructionConfig(grid=_catalog_plan(fam.n), h=h, richardson=richardson)
+        table, skipped = reference_table(fam, cfg)
+        field = field_from_family(fam, cfg)
+        assert field.table.tobytes() == table.tobytes()
+        assert field.skipped_sites == skipped
+        assert skipped > 0 if (name, h) == ("riccati", 0.5) else skipped == 0
+
+
+@pytest.mark.parametrize("richardson", [True, False], ids=["richardson", "plain"])
+def test_table_with_holes_matches_the_scalar_stencil(richardson):
+    fam = closed_form_family(2, ["exp(tau - sigma)*a1", "a2 + (tau - sigma)*sqrt(a1 + 0.6)"],
+                             time_box=(-1.0, 1.0))
+    plan = SamplePlan((-0.99995, -0.5, 0.3, 0.6),
+                      tuple(product(np.linspace(-1.0, 1.0, 5), repeat=2)), random_count=0)
+    cfg = ReconstructionConfig(grid=plan, richardson=richardson)
+    table, skipped = reference_table(fam, cfg)
+    field = field_from_family(fam, cfg)
+    assert field.table.tobytes() == table.tobytes()
+    assert field.skipped_sites == skipped == 25 + 3 * 5  # the edge row, and a1 = -1
+
+
+def test_diagonal_rate_is_the_table_entry():
+    fam = riccati_family()
+    cfg = ReconstructionConfig(grid=_catalog_plan(1))
+    field = field_from_family(fam, cfg)
+    for it, tau in enumerate(field.times):
+        for ia, a in enumerate(field.axes[0]):
+            assert diagonal_rate(fam, tau, [a]).tobytes() == field.table[it, ia].tobytes()
+
+
+def _holey_field(rng, times, axes, holes):
+    table = rng.uniform(-3.0, 3.0, (len(times), *[len(ax) for ax in axes], len(axes)))
+    flat = table.reshape(-1, len(axes))
+    flat[rng.choice(len(flat), holes, replace=False)] = np.nan
+    return TabulatedVectorField(times, axes, table)
+
+
+def _queries(rng, knots, count):
+    """Coordinates along one axis: knots, cell interiors, up to a cell past the box, far out."""
+    lo, hi, cell = knots[0], knots[-1], knots[1] - knots[0]
+    kinds = rng.integers(0, 4, count)
+    return np.where(
+        kinds == 0, rng.choice(knots, count),
+        np.where(kinds == 1, rng.uniform(lo, hi, count),
+                 np.where(kinds == 2, rng.uniform(lo - 1.2 * cell, hi + 1.2 * cell, count),
+                          rng.uniform(lo - 5.0 * (hi - lo), hi + 5.0 * (hi - lo), count))))
+
+
+@pytest.mark.parametrize("holes", [0, 5], ids=["full", "holes"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_interpolation_matches_the_corner_loop(n, holes):
+    rng = np.random.default_rng(7 + n + holes)
+    times = np.cumsum(rng.uniform(0.2, 1.0, 6)) - 2.0
+    axes = [np.cumsum(rng.uniform(0.1, 0.5, 7)) - 1.5 for _ in range(n)]
+    field = _holey_field(rng, times, axes, holes)
+    count = 3000
+    coords = [_queries(rng, knots, count) for knots in (times, *axes)]
+    seen = set()
+    for q in range(count):
+        t, x = coords[0][q], [c[q] for c in coords[1:]]
+        got = outcome(field, t, x)
+        assert got == outcome(reference_interp, field, t, x), (t, x)
+        if q % 5 == 0:  # a state given as a list, not an array
+            assert outcome(field, t, np.array(x).tolist()) == got
+        seen.add("value" if isinstance(got, bytes) else "hole" if "skipped" in got[1] else "box")
+    # values and queries beyond the box came up, and holes did whenever the table has them
+    assert seen == ({"value", "box", "hole"} if holes else {"value", "box"})
+
+
+def test_interpolation_matches_the_corner_loop_on_edge_cases():
+    rng = np.random.default_rng(3)
+    field = _holey_field(rng, np.array([0.0, 1.0, 2.5]), [np.array([-1.0, 0.0, 2.0])], 1)
+    for t, x in [(0.0, [-1.0]), (2.5, [2.0]), (-0.0, [-0.0]), (1.0, [math.nan]),
+                 (math.nan, [0.0]), (math.inf, [0.0]), (0.5, [-math.inf]), (-1.0, [4.0]),
+                 (-1.0000001, [0.0]), (5.0, [0.0]), (3.5, [4.0 + 1e-12])]:
+        assert outcome(field, t, x) == outcome(reference_interp, field, t, x), (t, x)
+    with pytest.raises(ValueError):
+        field(0.0, [0.1, 0.2])
+    # the sum starts at +0.0, so a knot holding -0.0 interpolates to +0.0
+    field.table[1, 1, 0] = -0.0
+    assert outcome(field, 1.0, [0.0]) == outcome(reference_interp, field, 1.0, [0.0]) == b"\0" * 8
