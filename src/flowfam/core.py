@@ -13,6 +13,7 @@ cache and is not thread-safe.  Nothing in flowfam evaluates concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -273,7 +274,11 @@ def closed_form_family(
     fns = tuple(ex.compile_family(c, n) for c in comps)
     pred_expr = _as_expression(predicate)
     pred = ex.compile_family(pred_expr, n) if pred_expr is not None else None
-    lanes = []  # (component kernels, predicate kernel), once compiled
+
+    @functools.cache
+    def lane_kernels():
+        kernels = tuple(ex.compile_family_lanes(c, n) for c in comps)
+        return kernels, None if pred_expr is None else ex.compile_family_lanes(pred_expr, n)
 
     def evaluator(tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
         if time_box is not None:
@@ -290,10 +295,7 @@ def closed_form_family(
             raise DomainViolation("out_of_domain", f"evaluation failed: {err}") from None
 
     def batch_evaluator(tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):
-        if not lanes:
-            lanes.append(tuple(ex.compile_family_lanes(c, n) for c in comps))
-            lanes.append(None if pred_expr is None else ex.compile_family_lanes(pred_expr, n))
-        kernels, pred_kernel = lanes
+        kernels, pred_kernel = lane_kernels()
         ok = np.ones(len(tau), dtype=bool)
         if time_box is not None:
             lo, hi = time_box

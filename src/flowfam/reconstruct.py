@@ -28,7 +28,8 @@ it locates each coordinate's cell with ``bisect_left``, then sums the
 2^(n+1) cell corners in a fixed order (corner c takes the upper knot on
 axis d when bit d of c is set; its weight is 1.0 times the per-axis
 factors in axis order, time first; the sum starts at 0.0 and skips zero
-weights), so results do not depend on how the table is laid out in memory.
+weights), so a query's value is fixed bit for bit by the table, and a hole
+under a zero weight is never read.
 """
 
 from __future__ import annotations
@@ -98,13 +99,6 @@ class BoxDomain:
         )
 
 
-def _sites(times: np.ndarray, axes: list[np.ndarray]):
-    """(table index, t, x) for every site of the time-major product grid."""
-    for it, t in enumerate(times):
-        for idx in np.ndindex(*[len(ax) for ax in axes]):
-            yield (it, *idx), float(t), np.array([ax[i] for ax, i in zip(axes, idx)])
-
-
 class TabulatedVectorField:
     """Multilinear interpolation over a rectangular (time x state) table.
 
@@ -157,8 +151,10 @@ class TabulatedVectorField:
 
     def sites(self):
         """(t, x, tabulated value) for every site, time-major; holes are NaN."""
-        for index, t, x in _sites(self.times, self.axes):
-            yield t, x, self.table[index]
+        for it, t in enumerate(self.times):
+            for idx in np.ndindex(*[len(ax) for ax in self.axes]):
+                x = np.array([ax[i] for ax, i in zip(self.axes, idx)])
+                yield float(t), x, self.table[(it, *idx)]
 
     def __call__(self, t: float, x) -> np.ndarray:
         state = np.asarray(x, dtype=float)

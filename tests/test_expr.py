@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from flowfam import catalog
 from flowfam import expr as fx
 from flowfam.expr import (
     Bin,
@@ -319,6 +320,22 @@ def test_family_corpus_is_not_empty():
 @pytest.mark.parametrize("source", _family_corpus())
 def test_lane_kernel_matches_scalar_on_corpus(source):
     assert_lanes_match(parse(source), 12, *lane_points(12, 3000))
+
+
+def _catalog_expressions():
+    """(n, source) for every catalog family component and predicate, and the golden
+    reports' gap, pinhole and empty predicates."""
+    found = []
+    for name in catalog.names():
+        entry = catalog.get(name)
+        found += [(entry.n, c) for c in entry.family_components]
+        found += [(entry.n, entry.family_predicate)] if entry.family_predicate else []
+    return found + [(1, "(tau - 0.5)^2 - 0.01"), (1, "(sigma - 0.00005)^2"), (1, "-1")]
+
+
+@pytest.mark.parametrize("n,source", _catalog_expressions())
+def test_lane_kernel_matches_scalar_on_catalog(n, source):
+    assert_lanes_match(parse(source), n, *lane_points(n, 3000, seed=2))
 
 
 # (source, whether some lanes of lane_points fail): the second column keeps
