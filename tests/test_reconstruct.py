@@ -355,10 +355,10 @@ def reference_table(fam, cfg):
     skipped = 0
     for it, tau in enumerate(times):
         for idx in np.ndindex(*[len(ax) for ax in axes]):
-            tau, a = float(tau), np.array([ax[i] for ax, i in zip(axes, idx)])
+            t, a = float(tau), np.array([ax[i] for ax, i in zip(axes, idx)])
 
             def central(step):
-                up, down = fam.evaluate(tau + step, tau, a), fam.evaluate(tau - step, tau, a)
+                up, down = fam.evaluate(t + step, t, a), fam.evaluate(t - step, t, a)
                 return (up - down) / (2.0 * step)
 
             try:
