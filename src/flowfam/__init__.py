@@ -13,7 +13,6 @@ from .autonomous import (
     OneParamGroup,
     check_group_law,
     check_time_shift,
-    detect_autonomous,
     family_from_group,
     to_group,
 )
@@ -42,7 +41,6 @@ from .linear import (
     SincovDecomposition,
     SingularWronskian,
     check_affine,
-    detect_affine,
     family_from_decomposition,
     mollify,
     sincov_decompose,
@@ -99,8 +97,6 @@ __all__ = [
     "closed_form_family",
     "complete_solution",
     "default_plan",
-    "detect_affine",
-    "detect_autonomous",
     "diagonal_rate",
     "escape_interval",
     "family_from_decomposition",

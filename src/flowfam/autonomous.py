@@ -9,20 +9,18 @@ is sampled: shift every (tau, rho, a) sample by each plan time and compare.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import DomainViolation, FlowFamily, as_state, check_tol_hint, inf_norm, scaled_tol
+from .core import FlowFamily, inf_norm, scaled_tol
 from .verify import Accumulator, ConditionReport, SamplePlan, default_plan
 
 __all__ = [
     "OneParamGroup",
     "NotAutonomous",
     "check_time_shift",
-    "detect_autonomous",
     "to_group",
     "group_from_family",
     "check_group_law",
@@ -38,33 +36,28 @@ class NotAutonomous(Exception):
 class OneParamGroup:
     """One-parameter family of maps G_alpha with G_0 the identity.
 
-    g(alpha, a) returns the moved state or raises DomainViolation;
-    membership is derived from it: true iff g succeeds.  tol_hint carries
-    the accuracy of a numerically-backed group.
+    A view of its group-backed family F_{tau, sigma} = G_{tau - sigma}
+    (``family``): G_alpha is F_{alpha, 0}, so evaluation, membership and
+    validation are the family's.  g(alpha, a) returns the moved state or
+    raises DomainViolation; tol_hint carries the accuracy of a
+    numerically-backed group.
     """
 
     n: int
     g: Callable = field(repr=False)
     tol_hint: float = 0.0
+    family: FlowFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_tol_hint(self.tol_hint)
+        g = self.g
+        spread = FlowFamily(self.n, "group_backed", lambda tau, sigma, a: g(tau - sigma, a), self.tol_hint)
+        object.__setattr__(self, "family", spread)
 
     def evaluate(self, alpha: float, a) -> np.ndarray:
-        arr = as_state(a, self.n)
-        if not math.isfinite(alpha):
-            raise ValueError("group parameter must be finite")
-        return as_state(self.g(float(alpha), arr), self.n)
+        return self.family.evaluate(alpha, 0.0, a)
 
     def in_domain(self, alpha: float, a) -> bool:
-        arr = as_state(a, self.n)
-        if not math.isfinite(alpha):
-            return False
-        try:
-            self.g(float(alpha), arr)
-            return True
-        except DomainViolation:
-            return False
+        return self.family.in_domain(alpha, 0.0, a)
 
 
 def check_time_shift(fam: FlowFamily, plan: SamplePlan, tol: float | None = None) -> ConditionReport:
@@ -82,11 +75,6 @@ def check_time_shift(fam: FlowFamily, plan: SamplePlan, tol: float | None = None
                         {"tau": tau, "rho": rho, "shift": c, "a": list(map(float, a))},
                     )
     return acc.report("time_shift", tol)
-
-
-def detect_autonomous(fam: FlowFamily, plan: SamplePlan | None = None) -> bool:
-    plan = plan or default_plan(fam.n)
-    return check_time_shift(fam, plan).passed
 
 
 def to_group(fam: FlowFamily, plan: SamplePlan | None = None) -> OneParamGroup:
@@ -108,11 +96,7 @@ def to_group(fam: FlowFamily, plan: SamplePlan | None = None) -> OneParamGroup:
 
 def group_from_family(fam: FlowFamily) -> OneParamGroup:
     """G_alpha = F_{alpha, 0} without the time-shift check; to_group checks first."""
-
-    def g(alpha: float, a: np.ndarray) -> np.ndarray:
-        return fam.evaluate(alpha, 0.0, a)
-
-    return OneParamGroup(n=fam.n, g=g, tol_hint=fam.tol_hint)
+    return OneParamGroup(fam.n, lambda alpha, a: fam.evaluator(alpha, 0.0, a), fam.tol_hint)
 
 
 def check_group_law(group: OneParamGroup, plan: SamplePlan, tol: float = 1e-9) -> ConditionReport:
@@ -133,9 +117,5 @@ def check_group_law(group: OneParamGroup, plan: SamplePlan, tol: float = 1e-9) -
 
 
 def family_from_group(group: OneParamGroup) -> FlowFamily:
-    """Spread a one-parameter group back out as F_{tau, sigma} = G_{tau-sigma}."""
-
-    def evaluator(tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
-        return group.g(tau - sigma, a)
-
-    return FlowFamily(n=group.n, kind="group_backed", evaluator=evaluator, tol_hint=group.tol_hint)
+    """The group spread back out as F_{tau, sigma} = G_{tau-sigma}: its own family."""
+    return group.family

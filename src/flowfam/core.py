@@ -28,7 +28,6 @@ __all__ = [
     "as_state",
     "inf_norm",
     "scaled_tol",
-    "check_tol_hint",
     "DomainSpec",
     "VectorField",
     "FlowFamily",
@@ -79,12 +78,6 @@ def scaled_tol(tol_hint: float) -> float:
     their error on both sides of a comparison, so they get 50x the hint.
     """
     return 1e-9 if tol_hint == 0.0 else 50.0 * tol_hint
-
-
-def check_tol_hint(tol_hint) -> None:
-    """Raise ValueError unless tol_hint is a finite real >= 0, as scaled_tol needs."""
-    if not (isinstance(tol_hint, numbers.Real) and 0 <= tol_hint < math.inf):
-        raise ValueError("tol_hint must be a finite real >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +178,8 @@ class FlowFamily:
             raise ValueError(f"unknown family kind '{self.kind}'")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        check_tol_hint(self.tol_hint)
+        if not (isinstance(self.tol_hint, numbers.Real) and 0 <= self.tol_hint < math.inf):
+            raise ValueError("tol_hint must be a finite real >= 0")  # as scaled_tol needs
 
     def _coerce(self, a) -> np.ndarray:
         arr = np.asarray(a, dtype=float).reshape(-1)
@@ -290,9 +284,12 @@ def closed_form_family(
                 raise DomainViolation(
                     "out_of_domain", f"domain predicate not positive at ({tau}, {sigma}, {a})"
                 )
-            return np.array([f(tau, sigma, a) for f in fns], dtype=float)
+            values = [f(tau, sigma, a) for f in fns]
         except ex.EvalError as err:
             raise DomainViolation("out_of_domain", f"evaluation failed: {err}") from None
+        if not all(map(math.isfinite, values)):  # an overflowing literal such as 1e400
+            raise DomainViolation("out_of_domain", f"a component is not finite at ({tau}, {sigma}, {a})")
+        return np.array(values, dtype=float)
 
     def batch_evaluator(tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):
         kernels, pred_kernel = lane_kernels()
@@ -307,6 +304,7 @@ def closed_form_family(
         for k, f in enumerate(kernels):
             values[:, k], k_ok = f(tau, sigma, a)
             ok &= k_ok
+        ok &= np.isfinite(values).all(axis=1)
         return values, ok
 
     return FlowFamily(n=n, kind="closed_form", evaluator=evaluator, batch_evaluator=batch_evaluator)

@@ -401,8 +401,9 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     """Flow family realized by integrating the field on demand.
 
     Membership of (tau, sigma, a) holds when both parameters sit in the
-    window, (sigma, a) is in the field's domain, and integration from sigma
-    to tau completes within max_steps without escaping.  Escape refinement
+    window, (sigma, a) is in the field's domain and the field evaluates
+    there (on the diagonal too), and integration from sigma to tau
+    completes within max_steps without escaping.  Escape refinement
     is skipped here since only the yes/no answer matters, which keeps
     repeated evaluation near the boundary cheap.  tol_hint advertises
     rel_tol so downstream checks can widen comparisons accordingly.
@@ -423,9 +424,10 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
             raise DomainViolation("out_of_domain", "parameter outside the integration window")
         if not field.domain.contains(sigma, a):
             raise DomainViolation("out_of_domain", f"({sigma}, {a}) outside the field domain")
-        if tau == sigma:
-            return a.copy()
         try:
+            if tau == sigma:
+                field(sigma, a)  # the start must be one the field can evaluate, on the diagonal too
+                return a.copy()
             return trajectories.solve(tau, sigma, a)
         except EscapeEvent as ev:
             raise DomainViolation(

@@ -35,7 +35,6 @@ __all__ = [
     "probe_affine",
     "affine_defect",
     "check_affine",
-    "detect_affine",
     "sincov_decompose",
     "family_from_decomposition",
     "wronski_consistency",
@@ -66,9 +65,15 @@ class NotInvertible(Exception):
     """The mollifier average is singular; try a smaller window."""
 
 
+def _rank_test(M: np.ndarray, floor: float = 0.0) -> tuple[np.ndarray, bool]:
+    """M's singular values, and whether the smallest clears _SV_RATIO of max(largest, floor)."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    return sv, bool(sv[-1] > _SV_RATIO * max(sv[0], floor))
+
+
 def _check_wronskian(W: np.ndarray, t: float):
-    sv = np.linalg.svd(W, compute_uv=False)
-    if not sv[-1] > _SV_RATIO * sv[0]:
+    sv, full_rank = _rank_test(W)
+    if not full_rank:
         raise SingularWronskian(
             f"W at grid time {t} has singular-value ratio {sv[-1] / sv[0] if sv[0] else 0.0:.3g}"
         )
@@ -106,17 +111,13 @@ class AffineMap:
     def __call__(self, a) -> np.ndarray:
         return self.A @ as_state(a, self.n) + self.b
 
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.A, compute_uv=False)
-
     @property
     def is_invertible(self) -> bool:
-        sv = self.singular_values()
-        return bool(sv[-1] > _SV_RATIO * sv[0])
+        return _rank_test(self.A)[1]
 
     def inverse(self) -> "AffineMap":
-        if not self.is_invertible:
-            sv = self.singular_values()
+        sv, full_rank = _rank_test(self.A)
+        if not full_rank:
             raise NotInvertible(f"smallest singular value {sv[-1]:.3g} of {sv[0]:.3g}")
         A_inv = np.linalg.inv(self.A)
         return AffineMap(A_inv, -A_inv @ self.b)
@@ -178,10 +179,6 @@ def check_affine(fam: FlowFamily, plan: SamplePlan) -> ConditionReport:
                     },
                 )
     return acc.report("affinity", scaled_tol(fam.tol_hint))
-
-
-def detect_affine(fam: FlowFamily, plan: SamplePlan) -> bool:
-    return check_affine(fam, plan).passed
 
 
 # --- Sincov decomposition ---------------------------------------------------
@@ -300,8 +297,7 @@ def family_from_decomposition(dec: SincovDecomposition) -> FlowFamily:
             return a.copy()
         W_tau, h_tau = resolve(tau)
         W_sigma, h_sigma = resolve(sigma)
-        sv = np.linalg.svd(W_sigma, compute_uv=False)
-        if not sv[-1] > _SV_RATIO * sv[0]:
+        if not _rank_test(W_sigma)[1]:
             raise DomainViolation(
                 "out_of_domain", f"interpolated Wronski matrix singular at time {sigma}"
             )
@@ -401,8 +397,8 @@ def mollify(group, eps: float, panels: int = 256) -> Mollifier:
     # the average of maps that include the identity lives at unit scale, so
     # anchor the rank floor there: a uniformly tiny H (e.g. a full-turn
     # rotation average) is useless even though its singular values are equal
-    sv = H.singular_values()
-    if not sv[-1] > _SV_RATIO * max(sv[0], 1.0):
+    sv, full_rank = _rank_test(H.A, floor=1.0)
+    if not full_rank:
         raise NotInvertible(
             f"window average is singular (smallest singular value {sv[-1]:.3g}); "
             "shrink the window"

@@ -16,12 +16,13 @@ own generator from the plan seed, so report content does not depend on
 which checks run or in what order.
 
 The residual checks run each sample under their Accumulator's guard, so
-a DomainViolation in it counts as one skip and never escapes; when the
-cocycle's two legs succeed but the direct map is undefined, that is itself
-a violation of the condition, reported with an infinite residual.  Bijectivity is
-certified through the inverse check (injectivity plus surjectivity at the
-sampled points); surjectivity onto an analytically-specified codomain is
-not separately sampled.
+an out_of_domain DomainViolation in it counts as one skip and never
+escapes, while a plan of the wrong dimension raises dimension_mismatch.
+When the cocycle's two legs succeed but the direct map is undefined, that
+is itself a violation of the condition, reported with an infinite
+residual.  Bijectivity is certified through the inverse check
+(injectivity plus surjectivity at the sampled points); surjectivity onto
+an analytically-specified codomain is not separately sampled.
 """
 
 from __future__ import annotations
@@ -173,8 +174,10 @@ class Accumulator:
     violations instead: the residual is the violation total and the worst
     case is the first violating sample.
 
-    ``with acc:`` guards one sample: a DomainViolation raised inside it
-    counts as one skip and ends the sample; any other exception propagates.
+    ``with acc:`` guards one sample: an ``out_of_domain`` DomainViolation
+    raised inside it counts as one skip and ends the sample; any other
+    exception propagates, ``dimension_mismatch`` included, since a state of
+    the wrong length is a caller's error and not a point outside the domain.
     ``compare`` scores an undefined direct map as an infinite residual and
     leaves its note for the report.
     """
@@ -190,7 +193,7 @@ class Accumulator:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None and issubclass(exc_type, DomainViolation):
+        if isinstance(exc, DomainViolation) and exc.kind == "out_of_domain":
             self.skipped += 1
             return True
         return False

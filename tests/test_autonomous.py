@@ -10,7 +10,6 @@ from flowfam.autonomous import (
     OneParamGroup,
     check_group_law,
     check_time_shift,
-    detect_autonomous,
     family_from_group,
     group_from_family,
     to_group,
@@ -51,23 +50,23 @@ def drift_family():
 
 
 def test_detect_riccati_autonomous():
-    assert detect_autonomous(riccati_family())
+    assert check_time_shift(riccati_family(), default_plan(1)).passed
 
 
 def test_detect_identity_autonomous():
-    assert detect_autonomous(closed_form_family(1, ["a1"]))
+    assert check_time_shift(closed_form_family(1, ["a1"]), default_plan(1)).passed
 
 
 def test_detect_rotation_autonomous():
-    assert detect_autonomous(rotation_family())
+    assert check_time_shift(rotation_family(), default_plan(2)).passed
 
 
 def test_detect_quadratic_drift_not_autonomous():
-    assert not detect_autonomous(drift_family())
+    assert not check_time_shift(drift_family(), default_plan(1)).passed
 
 
 def test_detect_shear_not_autonomous():
-    assert not detect_autonomous(shear_family())
+    assert not check_time_shift(shear_family(), default_plan(1)).passed
 
 
 def test_time_shift_report_names_worst_sample():
@@ -82,7 +81,7 @@ def test_time_shift_report_names_worst_sample():
 def test_detect_numeric_family_with_scaled_tolerance():
     field_fam = numeric_family(_riccati_field(), IntegratorConfig())
     plan = SamplePlan((-0.5, 0.0, 0.5), ((-0.3,), (0.0,), (0.3,)), random_count=5)
-    assert detect_autonomous(field_fam, plan)
+    assert check_time_shift(field_fam, plan).passed
 
 
 def _riccati_field():
@@ -140,6 +139,25 @@ def test_group_rejects_nonfinite_parameter():
     group = to_group(riccati_family())
     with pytest.raises(ValueError):
         group.evaluate(math.nan, [0.1])
+
+
+def test_group_state_of_the_wrong_length_is_a_dimension_mismatch():
+    # the family's rule: a group is a view of its family
+    group = to_group(riccati_family())
+    for query in (group.evaluate, group.in_domain):
+        with pytest.raises(DomainViolation) as exc:
+            query(0.5, [0.1, 0.2])
+        assert exc.value.kind == "dimension_mismatch"
+
+
+def test_group_is_a_view_of_its_family():
+    group = OneParamGroup(1, lambda alpha, a: a + alpha, 1e-6)
+    fam = family_from_group(group)
+    assert fam is group.family
+    assert (fam.kind, fam.n, fam.tol_hint) == ("group_backed", 1, 1e-6)
+    assert fam.evaluate(1.5, 0.25, [1.0]).tolist() == group.evaluate(1.25, [1.0]).tolist() == [2.25]
+    with pytest.raises(ValueError, match="dimension"):
+        OneParamGroup(0, lambda alpha, a: a)
 
 
 # --- group law -----------------------------------------------------------

@@ -336,6 +336,15 @@ def test_unevaluable_start_is_an_error_record(tmp_path, capsys, argv):
     assert "sqrt of negative value" in recs[1].get("detail", recs[1]["message"])
 
 
+@pytest.mark.parametrize("component", ["sqrt(1e400)", "-1e400", "1e400", "log(1e400)"])
+def test_overflowing_component_is_an_error_record(tmp_path, capsys, component):
+    cfg = write_config(tmp_path, {"system": {"family": {"n": 1, "components": [component]}}})
+    argv = ["flow", "--config", cfg, "--tau", "1", "--sigma", "0", "--a", "0.5", "--no-timestamp"]
+    code, recs = run_cli(argv, capsys)
+    assert code == 1
+    assert recs[1]["kind"] == "error" and recs[1]["message"] == "out_of_domain"
+
+
 def test_flow_config_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("not json")

@@ -325,6 +325,18 @@ def test_evaluate_batch_rejects_bad_input(riccati):
     assert values.shape == (0, 1) and ok.shape == (0,)
 
 
+@pytest.mark.parametrize("component", ["sqrt(1e400)", "-1e400", "1e400", "log(1e400)"])
+def test_overflowing_component_is_out_of_domain(component):
+    # the literal overflows to inf at parse time and these operations pass it through
+    fam = closed_form_family(2, ["a1", component])
+    with pytest.raises(DomainViolation) as exc:
+        fam.evaluate(1.0, 0.0, [0.5, 0.5])
+    assert exc.value.kind == "out_of_domain"
+    assert not fam.in_domain(1.0, 0.0, [0.5, 0.5])
+    values, ok = fam.evaluate_batch([1.0, 0.0], [0.0, 0.0], [[0.5, 0.5], [-1.0, 2.0]])
+    assert not ok.any() and np.isnan(values).all()
+
+
 def test_lane_kernels_compiled_on_the_first_batch(monkeypatch):
     compiled = []
 

@@ -284,6 +284,17 @@ def test_start_where_the_field_cannot_be_evaluated():
         advance(field, 3.0, [0.0], 4.0, CFG)
 
 
+def test_unevaluable_start_is_out_of_domain_on_the_diagonal_too():
+    # membership must be open: the diagonal cannot hold where both neighbours fail
+    fam = numeric_family(VectorField.from_strings(["sqrt(2 - t)"], DomainSpec(1)), CFG)
+    assert [fam.in_domain(3.0 + d, 3.0, [0.0]) for d in (-1e-9, 0.0, 1e-9)] == [False] * 3
+    with pytest.raises(DomainViolation) as exc:
+        fam.evaluate(3.0, 3.0, [0.0])
+    assert exc.value.kind == "out_of_domain"
+    assert "sqrt of negative value" in str(exc.value)
+    assert fam.evaluate(1.0, 1.0, [0.25]).tolist() == [0.25]  # an evaluable start is still exact
+
+
 def test_complete_solution_bundle(riccati_field):
     sol = complete_solution(riccati_field, 0.0, [0.5], CFG)
     assert sol.rho == 0.0

@@ -17,7 +17,6 @@ from flowfam.linear import (
     SingularWronskian,
     affine_defect,
     check_affine,
-    detect_affine,
     family_from_decomposition,
     mollify,
     probe_affine,
@@ -94,15 +93,15 @@ def test_affine_map_entries_frozen():
 
 
 def test_detect_affine_on_affine_family():
-    assert detect_affine(affine_family(), default_plan(1))
+    assert check_affine(affine_family(), default_plan(1)).passed
 
 
 def test_detect_affine_on_identity():
-    assert detect_affine(closed_form_family(1, ["a1"]), default_plan(1))
+    assert check_affine(closed_form_family(1, ["a1"]), default_plan(1)).passed
 
 
 def test_detect_affine_rejects_riccati():
-    assert not detect_affine(riccati_family(), default_plan(1))
+    assert not check_affine(riccati_family(), default_plan(1)).passed
 
 
 def test_check_affine_witness_structure():

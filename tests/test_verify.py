@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from flowfam.autonomous import check_group_law, check_time_shift, to_group
 from flowfam.core import DomainSpec, DomainViolation, FlowFamily, VectorField, closed_form_family
 from flowfam.integrate import IntegratorConfig, numeric_family
+from flowfam.linear import check_affine
+from flowfam.reconstruct import ReconstructionConfig, roundtrip_error
 from flowfam.verify import (
     CONDITION_NAMES,
     Accumulator,
@@ -408,3 +411,37 @@ def test_guard_skips_domain_violations_only():
     with pytest.raises(KeyError):
         acc.compare(np.zeros(1), lambda: {}["missing"], {}, "unused")
     assert (acc.checked, acc.skipped, acc.note) == (0, 1, None)
+
+
+def test_guard_lets_dimension_mismatch_through():
+    acc = Accumulator()
+    with pytest.raises(DomainViolation) as exc:
+        with acc:
+            raise DomainViolation("dimension_mismatch", "state of the wrong length")
+    assert exc.value.kind == "dimension_mismatch"
+    assert (acc.checked, acc.skipped) == (0, 0)
+
+
+# each check of a one-dimensional family, handed a two-dimensional plan
+WRONG_DIMENSION = {
+    "check_identity": check_identity,
+    "check_inverse": check_inverse,
+    "check_cocycle": check_cocycle,
+    "check_time_shift": check_time_shift,
+    "to_group": to_group,
+    "check_group_law": lambda fam, plan: check_group_law(to_group(fam), plan),
+    "check_affine": check_affine,
+    "roundtrip_error": lambda fam, plan: roundtrip_error(
+        fam,
+        ReconstructionConfig(grid=SamplePlan((-0.2, 0.0, 0.2), ((-0.2,), (0.0,), (0.2,)), random_count=0)),
+        eval_plan=plan,
+    ),
+}
+
+
+@pytest.mark.parametrize("check", WRONG_DIMENSION.values(), ids=WRONG_DIMENSION.keys())
+def test_plan_of_the_wrong_dimension_is_a_dimension_mismatch(riccati, check):
+    # not a skip: a plan that never fits the family must not pass vacuously
+    with pytest.raises(DomainViolation) as exc:
+        check(riccati, default_plan(2))
+    assert exc.value.kind == "dimension_mismatch"
