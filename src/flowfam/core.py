@@ -143,8 +143,9 @@ class VectorField:
     def from_strings(cls, components: Sequence[str], domain: DomainSpec) -> "VectorField":
         return cls(domain.n, domain, tuple(ex.parse(c) for c in components))
 
-    def __call__(self, t: float, x) -> np.ndarray:
-        return np.array([f(t, x) for f in self._rhs], dtype=float)
+    def __call__(self, t: float, x) -> tuple:
+        """The slope at (t, x) as a tuple of n floats; x is any sequence of n floats."""
+        return tuple([f(t, x) for f in self._rhs])
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +155,9 @@ class VectorField:
 class FlowFamily:
     """Two-parameter family of partial maps on states.
 
-    evaluator(tau, sigma, a) returns the mapped state or raises
-    DomainViolation(out_of_domain).  Membership is derived from it: true iff
+    evaluator(tau, sigma, a) returns the mapped state as a sequence of n
+    floats or raises DomainViolation(out_of_domain); a value that is not
+    finite is out of the domain too.  Membership is derived from it: true iff
     evaluation succeeds.  tol_hint records the intrinsic accuracy of the
     evaluator (0 means exact up to rounding), which downstream checks use to
     widen their tolerances for integration-backed families.
@@ -169,7 +171,7 @@ class FlowFamily:
 
     n: int
     kind: str  # closed_form | numeric | group_backed | affine_backed
-    evaluator: Callable[[float, float, np.ndarray], np.ndarray]
+    evaluator: Callable[[float, float, np.ndarray], Sequence[float]]
     tol_hint: float = 0.0
     batch_evaluator: Callable | None = None
 
@@ -192,12 +194,19 @@ class FlowFamily:
             raise ValueError("state components must be finite")
         return arr
 
+    def _value(self, tau: float, sigma: float, arr: np.ndarray) -> np.ndarray:
+        """The evaluator's state at (tau, sigma, arr); a non-finite one is out of the domain."""
+        value = np.array(self.evaluator(tau, sigma, arr), dtype=float).reshape(-1)
+        if value.shape == (self.n,) and not np.isfinite(value).all():
+            raise DomainViolation("out_of_domain", f"the state at ({tau}, {sigma}, {arr}) is not finite")
+        return as_state(value, self.n)
+
     def evaluate(self, tau: float, sigma: float, a) -> np.ndarray:
         """F_{tau sigma}(a); raises DomainViolation outside the domain set."""
         arr = self._coerce(a)
         if not (math.isfinite(tau) and math.isfinite(sigma)):
             raise ValueError("parameters tau, sigma must be finite")
-        return as_state(self.evaluator(float(tau), float(sigma), arr), self.n)
+        return self._value(float(tau), float(sigma), arr)
 
     def evaluate_batch(self, tau, sigma, a) -> tuple[np.ndarray, np.ndarray]:
         """Lanes (tau[i], sigma[i], a[i]) at once: (values[m, n], ok[m]).
@@ -205,8 +214,8 @@ class FlowFamily:
         values[i] is evaluate(tau[i], sigma[i], a[i]) bit for bit where
         ok[i]; ok[i] is False exactly where that call raises DomainViolation,
         and values[i] is NaN there.  The errors evaluate raises for bad input
-        (wrong dimension, non-finite states or parameters, a non-finite
-        result) are raised for the whole batch.
+        (wrong dimension, non-finite states or parameters) are raised for the
+        whole batch.
         """
         tau = np.asarray(tau, dtype=float).reshape(-1)
         sigma = np.asarray(sigma, dtype=float).reshape(-1)
@@ -231,8 +240,7 @@ class FlowFamily:
                     pass
             return values, ok
         values, ok = self.batch_evaluator(tau, sigma, arr)
-        if not np.isfinite(values[ok]).all():
-            raise ValueError("state components must be finite")  # as evaluate's as_state
+        ok &= np.isfinite(values).all(axis=1)  # as evaluate's rule for a non-finite state
         values[~ok] = math.nan
         return values, ok
 
@@ -242,7 +250,7 @@ class FlowFamily:
         if not (math.isfinite(tau) and math.isfinite(sigma)):
             return False
         try:
-            self.evaluator(float(tau), float(sigma), arr)
+            self._value(float(tau), float(sigma), arr)
             return True
         except DomainViolation:
             return False
@@ -258,7 +266,8 @@ def closed_form_family(
 
     Membership requires tau and sigma inside the open time_box (when given),
     predicate > 0 (when given), and every component to evaluate to a finite
-    value; evaluation and membership therefore agree by construction.  The
+    value (FlowFamily's rule, which an overflowing literal such as 1e400
+    breaks); evaluation and membership therefore agree by construction.  The
     lane kernels behind evaluate_batch are compiled on its first call, so
     families that are never batched do not pay for them.
     """
@@ -284,12 +293,9 @@ def closed_form_family(
                 raise DomainViolation(
                     "out_of_domain", f"domain predicate not positive at ({tau}, {sigma}, {a})"
                 )
-            values = [f(tau, sigma, a) for f in fns]
+            return [f(tau, sigma, a) for f in fns]
         except ex.EvalError as err:
             raise DomainViolation("out_of_domain", f"evaluation failed: {err}") from None
-        if not all(map(math.isfinite, values)):  # an overflowing literal such as 1e400
-            raise DomainViolation("out_of_domain", f"a component is not finite at ({tau}, {sigma}, {a})")
-        return np.array(values, dtype=float)
 
     def batch_evaluator(tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):
         kernels, pred_kernel = lane_kernels()
@@ -304,7 +310,6 @@ def closed_form_family(
         for k, f in enumerate(kernels):
             values[:, k], k_ok = f(tau, sigma, a)
             ok &= k_ok
-        ok &= np.isfinite(values).all(axis=1)
         return values, ok
 
     return FlowFamily(n=n, kind="closed_form", evaluator=evaluator, batch_evaluator=batch_evaluator)

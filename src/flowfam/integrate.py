@@ -38,7 +38,6 @@ from .core import (
     FlowFamily,
     VectorField,
     as_state,
-    inf_norm,
 )
 
 __all__ = [
@@ -52,23 +51,18 @@ __all__ = [
     "complete_solution",
 ]
 
-# Dormand-Prince 5(4) tableau.  _A rows are the stage coupling coefficients,
-# row i giving the weights of k_0..k_{i-1}; the 7th stage point coincides
-# with the 5th-order solution (FSAL).  _E = b5 - b4 yields the embedded
-# error estimate.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+# Dormand-Prince 5(4) tableau, unrolled into dopri5_step: stage i is taken at
+# t + c_i h and y + h (a_i1 k1 + a_i2 k2 + ...), the seventh stage point is
+# the 5th-order solution (FSAL), and e = b5 - b4 weighs the error estimate.
+# Zero entries (a_72, e_2) are left out of the sums.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
@@ -121,66 +115,69 @@ class StepBudgetExceeded(RuntimeError):
     """The integrator took max_steps steps without reaching the target time."""
 
 
-def dopri5_step(f, t: float, y: np.ndarray, h: float, k1: np.ndarray | None = None):
+def dopri5_step(f, t: float, y: tuple, h: float, k1: tuple | None = None):
     """One Dormand-Prince step of size h from (t, y).
 
     Returns (y5, err, k_last): the 5th-order solution, the embedded error
     estimate (difference of the 5th- and 4th-order solutions, an O(h^5)
-    quantity), and the slope at (t+h, y5) for reuse as the next k1.
+    quantity), and the slope at (t+h, y5) for reuse as the next k1.  Every
+    component is summed left to right in the tableau's order, in plain
+    float arithmetic.
     """
-    k = np.empty((7, y.shape[0]))
-    k[0] = f(t, y) if k1 is None else k1
-    for i in range(1, 6):
-        k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
-    y5 = y + h * (_A[6] @ k[:6])
-    k[6] = f(t + h, y5)
-    return y5, h * (_E @ k), k[6]
+    if k1 is None:
+        k1 = f(t, y)
+    k2 = f(t + _C2 * h, tuple([y0 + h * (_A21 * a) for y0, a in zip(y, k1)]))
+    k3 = f(t + _C3 * h, tuple([y0 + h * (_A31 * a + _A32 * b) for y0, a, b in zip(y, k1, k2)]))
+    k4 = f(t + _C4 * h, tuple([y0 + h * (_A41 * a + _A42 * b + _A43 * c)
+                               for y0, a, b, c in zip(y, k1, k2, k3)]))
+    k5 = f(t + _C5 * h, tuple([y0 + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                               for y0, a, b, c, d in zip(y, k1, k2, k3, k4)]))
+    k6 = f(t + h, tuple([y0 + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                         for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
+    y5 = tuple([y0 + h * (_A71 * a + _A73 * c + _A74 * d + _A75 * e + _A76 * g)
+                for y0, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
+    k7 = f(t + h, y5)
+    err = tuple([h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q)
+                 for a, c, d, e, g, q in zip(k1, k3, k4, k5, k6, k7)])
+    return y5, err, k7
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg: IntegratorConfig) -> float:
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float((np.abs(err) / scale).max())
+def _error_norm(err: tuple, y0: tuple, y1: tuple, cfg: IntegratorConfig) -> float:
+    """max_i |e_i| / (abs_tol + rel_tol * max(|y0_i|, |y1_i|))."""
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    return max([abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b))) for e, a, b in zip(err, y0, y1)])
 
 
-def _classify(t: float, y: np.ndarray, field: VectorField, cfg: IntegratorConfig) -> str | None:
+def _classify(t: float, y: tuple, field: VectorField, cfg: IntegratorConfig) -> str | None:
     """Escape kind at an accepted point, or None when the point is fine."""
-    if inf_norm(y) > cfg.blowup_radius:
+    if max(map(abs, y)) > cfg.blowup_radius:
         return "blow_up"
     if not field.domain.contains(t, y):
         return "left_domain"
     return None
 
 
-def _first_try(field: VectorField, rho: float, a: np.ndarray, target: float, cfg: IntegratorConfig):
+def _first_try(field: VectorField, rho: float, a: tuple, target: float, cfg: IntegratorConfig):
     """Loop state (t, h, steps, y, k1) before the first try from (rho, a) toward target.
 
     Raises EvalError when the field cannot be evaluated at (rho, a), which
     its domain may contain all the same.
     """
     direction = 1.0 if target > rho else -1.0
-    y = a.copy()
-    k1 = field(rho, y)
-    return rho, direction * min(cfg.h_init, abs(target - rho)), 0, y, k1
+    return rho, direction * min(cfg.h_init, abs(target - rho)), 0, a, field(rho, a)
 
 
-def _integrate(
-    field: VectorField,
-    rho: float,
-    a: np.ndarray,
-    tau: float,
-    cfg: IntegratorConfig,
-    refine: bool,
-) -> np.ndarray:
+def _integrate(field: VectorField, rho: float, a: tuple, tau: float, cfg: IntegratorConfig, refine: bool) -> tuple:
     """Drive (rho, a) to time tau; raises EscapeEvent when the solution quits first.
 
     A start where the field cannot be evaluated raises ValueError.
     """
     if tau == rho:
-        return a.copy()
+        return a
     try:
         state = _first_try(field, rho, a, tau, cfg)
     except ex.EvalError as err:
-        raise ValueError(f"field cannot be evaluated at the initial condition ({rho}, {a}): {err}") from None
+        raise ValueError(f"field cannot be evaluated at the initial condition ({rho}, {list(a)}): {err}") from None
     return _drive(field, tau, cfg, refine, state)
 
 
@@ -203,7 +200,7 @@ def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, 
             h = tau - t
         try:
             y_new, err_vec, k_last = dopri5_step(field, t, y, h, k1)
-            stage_ok = bool(np.isfinite(y_new).all() and np.isfinite(err_vec).all())
+            stage_ok = all(map(math.isfinite, y_new)) and all(map(math.isfinite, err_vec))
         except ex.EvalError:
             stage_ok = False
         if not stage_ok:
@@ -240,7 +237,7 @@ def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, 
 def _bisect_escape(
     field: VectorField,
     t_good: float,
-    y_good: np.ndarray,
+    y_good: tuple,
     t_bad: float,
     cfg: IntegratorConfig,
     kind: str,
@@ -284,12 +281,13 @@ def advance(
     """
     cfg = cfg or IntegratorConfig()
     arr = as_state(a, field.n)
+    y = tuple(arr.tolist())
     lo, hi = cfg.window
     if not (lo <= rho <= hi and lo <= tau <= hi):
         raise ValueError(f"times must lie in the window [{lo}, {hi}]")
-    if not field.domain.contains(rho, arr):
+    if not field.domain.contains(rho, y):
         raise ValueError(f"initial condition ({rho}, {arr}) outside the field domain")
-    return as_state(_integrate(field, rho, arr, tau, cfg, refine=True), field.n)
+    return as_state(_integrate(field, rho, y, tau, cfg, refine=True), field.n)
 
 
 class _Trajectory:
@@ -313,24 +311,20 @@ class _Trajectory:
     def __len__(self) -> int:
         return len(self.rows) // (2 + 2 * self.n)
 
-    def record(self, t: float, h: float, y: np.ndarray, k1: np.ndarray) -> None:
-        self.rows.append(t)
-        self.rows.append(h)
-        self.rows.frombytes(y.tobytes())
-        self.rows.frombytes(k1.tobytes())
+    def record(self, t: float, h: float, y: tuple, k1: tuple) -> None:
+        self.rows.extend((t, h, *y, *k1))
 
     def state(self, j: int):
         """Row j as the loop state (t, h, steps, y, k1)."""
-        width = 2 + 2 * self.n
+        width, n = 2 + 2 * self.n, self.n
         row = self.rows[j * width:(j + 1) * width]
-        values = np.array(row[2:])
-        return row[0], row[1], j, values[:self.n], values[self.n:]
+        return row[0], row[1], j, tuple(row[2:2 + n]), tuple(row[2 + n:])
 
     def first_reaching(self, tau: float) -> int | None:
         """Index of the first row whose step reaches tau (the loop's clipping test)."""
-        table = np.frombuffer(self.rows).reshape(-1, 2 + 2 * self.n)
-        hits = np.flatnonzero(np.abs(table[:, 1]) >= np.abs(tau - table[:, 0]))
-        return int(hits[0]) if hits.size else None
+        width = 2 + 2 * self.n
+        tries = enumerate(zip(self.rows[::width], self.rows[1::width]))
+        return next((j for j, (t, h) in tries if abs(h) >= abs(tau - t)), None)
 
 
 class _TrajectoryCache:
@@ -348,13 +342,13 @@ class _TrajectoryCache:
         self.cfg = cfg
         self.entries: OrderedDict[bytes, _Trajectory] = OrderedDict()
 
-    def solve(self, tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
+    def solve(self, tau: float, sigma: float, a: tuple) -> tuple:
         """_integrate(field, sigma, a, tau, cfg, refine=False) for tau != sigma."""
         direction = 1.0 if tau > sigma else -1.0
         lo, hi = self.cfg.window
         edge = hi if direction > 0 else lo
         # one bytes key: compact, and it keeps -0.0 apart from 0.0, which a field may tell apart
-        key = array("d", (sigma, direction)).tobytes() + a.tobytes()
+        key = array("d", (sigma, direction, *a)).tobytes()
         entry = self.entries.get(key)
         if entry is None:
             t, h, _, y, k1 = _first_try(self.field, sigma, a, edge, self.cfg)
@@ -419,16 +413,17 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     lo, hi = cfg.window
     trajectories = _TrajectoryCache(field, cfg)
 
-    def evaluator(tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
+    def evaluator(tau: float, sigma: float, a: np.ndarray) -> tuple:
         if not (lo <= tau <= hi and lo <= sigma <= hi):
             raise DomainViolation("out_of_domain", "parameter outside the integration window")
-        if not field.domain.contains(sigma, a):
+        y = tuple(a.tolist())
+        if not field.domain.contains(sigma, y):
             raise DomainViolation("out_of_domain", f"({sigma}, {a}) outside the field domain")
         try:
             if tau == sigma:
-                field(sigma, a)  # the start must be one the field can evaluate, on the diagonal too
-                return a.copy()
-            return trajectories.solve(tau, sigma, a)
+                field(sigma, y)  # the start must be one the field can evaluate, on the diagonal too
+                return y
+            return trajectories.solve(tau, sigma, y)
         except EscapeEvent as ev:
             raise DomainViolation(
                 "out_of_domain", f"trajectory escapes at t={ev.time} ({ev.kind})"
@@ -456,17 +451,18 @@ def escape_interval(
     """
     cfg = cfg or IntegratorConfig()
     arr = as_state(a, field.n)
+    y = tuple(arr.tolist())
     lo, hi = cfg.window
     if not lo <= rho <= hi:
         raise ValueError(f"rho must lie in the window [{lo}, {hi}]")
-    if not field.domain.contains(rho, arr):
+    if not field.domain.contains(rho, y):
         raise ValueError(f"initial condition ({rho}, {arr}) outside the field domain")
 
     def one_side(edge: float) -> tuple[float, str]:
         if edge == rho:
             return edge, "window_limit"
         try:
-            _integrate(field, rho, arr, edge, cfg, refine=True)
+            _integrate(field, rho, y, edge, cfg, refine=True)
             return edge, "window_limit"
         except EscapeEvent as ev:
             return ev.time, ev.kind

@@ -301,7 +301,8 @@ def family_from_decomposition(dec: SincovDecomposition) -> FlowFamily:
             raise DomainViolation(
                 "out_of_domain", f"interpolated Wronski matrix singular at time {sigma}"
             )
-        return W_tau @ (np.linalg.solve(W_sigma, a) + h_tau - h_sigma)
+        with np.errstate(over="ignore", invalid="ignore"):  # FlowFamily rules a non-finite state out
+            return W_tau @ (np.linalg.solve(W_sigma, a) + h_tau - h_sigma)
 
     return FlowFamily(n=dec.n, kind="affine_backed", evaluator=evaluator)
 

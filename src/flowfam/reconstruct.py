@@ -92,11 +92,7 @@ class BoxDomain:
     def contains(self, t: float, x) -> bool:
         if not (self.time_lo <= t <= self.time_hi):
             return False
-        arr = np.asarray(x, dtype=float)
-        return bool(
-            np.all(arr >= np.asarray(self.state_lo))
-            and np.all(arr <= np.asarray(self.state_hi))
-        )
+        return all(lo <= v <= hi for lo, v, hi in zip(self.state_lo, x, self.state_hi))
 
 
 class TabulatedVectorField:
@@ -156,9 +152,9 @@ class TabulatedVectorField:
                 x = np.array([ax[i] for ax, i in zip(self.axes, idx)])
                 yield float(t), x, self.table[(it, *idx)]
 
-    def __call__(self, t: float, x) -> np.ndarray:
-        state = np.asarray(x, dtype=float)
-        coords = [float(t), *(state.tolist() if state.ndim == 1 else map(float, state))]
+    def __call__(self, t: float, x) -> tuple:
+        """The interpolated slope at (t, x) as a tuple of n floats; x is any sequence of n floats."""
+        coords = [float(t), *map(float, x)]
         if len(coords) != len(self._knots):
             raise ValueError(f"state has wrong dimension for this field ({self.n})")
         base = 0
@@ -183,7 +179,7 @@ class TabulatedVectorField:
                     out[k] += weight * flat[start + k]
         if not all(map(math.isfinite, out)):
             raise ex.EvalError("domain", "query touches a skipped tabulation site")
-        return np.array(out)
+        return tuple(out)
 
 
 def diagonal_rate(

@@ -12,6 +12,9 @@ so no ``except DomainViolation`` handler skips or records by hand.
 Lane kernels equal the scalar closures bit for bit only while they leave
 ``exp``, ``tanh``, ``log`` and powers to ``math``: numpy's versions round
 some arguments differently, so no module references them.
+
+The integrator's scalar step loop makes no numpy call: it runs on tuples of
+floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
 """
 
 import ast
@@ -84,6 +87,24 @@ def _lane_unsafe_numpy(path: Path) -> list[str]:
         ):
             found.append((node.lineno, f"uses {ast.unparse(node)}"))
     return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
+
+
+# the scalar step loop runs on tuples of floats: numpy there brings back
+# per-call dispatch on tiny arrays, and BLAS products whose fused
+# multiply-adds make results depend on the machine
+_STEP_LOOP = {"dopri5_step", "_drive", "_error_norm", "_classify", "_first_try", "_integrate", "_bisect_escape",
+              "_Trajectory"}
+
+
+def _numpy_in_step_loop(path: Path) -> list[str]:
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in _STEP_LOOP):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.append(f"{path.name}:{node.lineno} {top.name} uses {ast.unparse(node)}")
+    return found
 
 
 def test_package_modules_found():
@@ -174,4 +195,28 @@ def test_detector_sees_lane_unsafe_numpy(tmp_path):
         "probe.py:3 uses np.log",
         "probe.py:3 uses numpy.tanh",
         "probe.py:4 uses np.float_power",
+    ]
+
+
+def test_step_loop_uses_no_numpy():
+    path = PACKAGE / "integrate.py"
+    defined = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body if hasattr(node, "name")}
+    assert _STEP_LOOP <= defined  # a rename must not empty the check
+    assert _numpy_in_step_loop(path) == []
+
+
+def test_detector_sees_numpy_in_the_step_loop(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _drive(y):\n"
+        "    return np.isfinite(y).all()\n"
+        "class _Trajectory:\n"
+        "    def state(self):\n"
+        "        return numpy.array(self.rows)\n"
+        "def advance(a):\n"
+        "    return np.asarray(a)\n"
+    )
+    assert _numpy_in_step_loop(probe) == [
+        "probe.py:2 _drive uses np.isfinite",
+        "probe.py:5 _Trajectory uses numpy.array",
     ]

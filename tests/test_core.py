@@ -1,6 +1,7 @@
 """Core types: states, domains, flow families, escape intervals, solutions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from flowfam.core import (
     scaled_tol,
     solution_value,
 )
+from flowfam.autonomous import OneParamGroup
 from flowfam.integrate import IntegratorConfig, numeric_family
+from flowfam.linear import SincovDecomposition, family_from_decomposition
 
 
 @pytest.fixture()
@@ -335,6 +338,49 @@ def test_overflowing_component_is_out_of_domain(component):
     assert not fam.in_domain(1.0, 0.0, [0.5, 0.5])
     values, ok = fam.evaluate_batch([1.0, 0.0], [0.0, 0.0], [[0.5, 0.5], [-1.0, 2.0]])
     assert not ok.any() and np.isnan(values).all()
+
+
+def _overflowing(alpha, a):
+    with np.errstate(over="ignore"):  # the caller's own arithmetic; only its result is under test
+        return a * 1e300 * 1e300 if alpha > 0 else a
+
+
+# per kind: the family, a triple whose state overflows, and a triple that maps a to itself
+NON_FINITE = {
+    "affine_backed": (
+        family_from_decomposition(SincovDecomposition(0.0, (0.0, 1.0), [[[1.0]], [[1e300]]], [[0.0], [0.0]])),
+        (1.0, 0.0, [1e300]),
+        (0.5, 0.5, [1e300]),
+    ),
+    "group_backed": (OneParamGroup(1, _overflowing).family, (0.5, 0.0, [1.0]), (-0.5, 0.0, [1.0])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE))
+def test_non_finite_state_is_out_of_domain(kind):
+    # one rule for every kind: a state that is not finite is outside the domain,
+    # in evaluate, in_domain and evaluate_batch alike, and no numpy warning leaks
+    fam, bad, good = NON_FINITE[kind]
+    assert fam.kind == kind
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainViolation) as exc:
+            fam.evaluate(*bad)
+        assert exc.value.kind == "out_of_domain"
+        assert not fam.in_domain(*bad)
+        values, ok = fam.evaluate_batch(*zip(bad, good))
+    assert ok.tolist() == [False, True]
+    assert np.isnan(values[0]).all() and values[1].tolist() == good[2]
+
+
+def test_non_finite_batch_lane_is_out_of_domain():
+    # a batch evaluator's non-finite lane is dropped like evaluate's, not raised
+    fam = FlowFamily(1, "closed_form", lambda tau, sigma, a: [math.inf],
+                     batch_evaluator=lambda tau, sigma, a: (np.array([[1.0], [math.inf]]), np.ones(2, dtype=bool)))
+    values, ok = fam.evaluate_batch([0.0, 1.0], [0.0, 0.0], [[1.0], [1.0]])
+    assert ok.tolist() == [True, False]
+    assert values[0, 0] == 1.0 and math.isnan(values[1, 0])
+    assert not fam.in_domain(0.0, 0.0, [1.0])
 
 
 def test_lane_kernels_compiled_on_the_first_batch(monkeypatch):

@@ -11,8 +11,11 @@ one domain has a hole around tau = 0.5 (interval and inclusion
 violations), one misses the single sigma that openness half-probes land
 on (openness violations), and one is empty (openness fails outright).
 
-Regenerate the files (only when a report change is intended) with
-``PYTHONPATH=src python tests/test_golden.py``.
+A mismatch is reported record by record: the case, the record's name (its
+kind for meta and summary records), each changed key (dotted into nested
+objects) and its old and new JSON values.  Regenerate the files (only when a
+report change is intended) with ``PYTHONPATH=src python tests/test_golden.py``,
+which prints the same list for every file it changes.
 """
 
 import contextlib
@@ -91,6 +94,35 @@ def _golden_path(case: str) -> Path:
     return GOLDEN / f"{case}.ndjson"
 
 
+def _flat(record: dict, prefix: str = "") -> dict:
+    """Record keys dotted into nested objects, each with its JSON text."""
+    out = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = json.dumps(value)
+    return out
+
+
+def changed_records(case: str, old: str, new: str) -> list[str]:
+    """One line per changed key of each record: case, record name, key, old -> new."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    lines = []
+    for i in range(max(len(old_lines), len(new_lines))):
+        before = json.loads(old_lines[i]) if i < len(old_lines) else {}
+        after = json.loads(new_lines[i]) if i < len(new_lines) else {}
+        name = after.get("name", after.get("kind")) or before.get("name", before.get("kind"))
+        flat_before, flat_after = _flat(before), _flat(after)
+        keys = [k for k in sorted(flat_before.keys() | flat_after.keys()) if flat_before.get(k) != flat_after.get(k)]
+        for key in keys:
+            was, now = flat_before.get(key, "(absent)"), flat_after.get(key, "(absent)")
+            lines.append(f"{case} {name} {key}: {was} -> {now}")
+        if not keys and old_lines[i:i + 1] != new_lines[i:i + 1]:  # same values, other bytes
+            lines.append(f"{case} {name} record {i + 1}: {old_lines[i:i + 1]} -> {new_lines[i:i + 1]}")
+    return lines
+
+
 def _expected_code(text: str) -> int:
     """0 when the last record passes or is a plain summary, 1 on failure or error."""
     last = json.loads(text.splitlines()[-1])
@@ -103,7 +135,7 @@ def _expected_code(text: str) -> int:
 def test_report_matches_golden(case):
     code, text = _report(case)
     golden = _golden_path(case).read_bytes()
-    assert text.encode("utf-8") == golden
+    assert text.encode("utf-8") == golden, "\n".join(changed_records(case, golden.decode("utf-8"), text))
     assert code == _expected_code(text)
 
 
@@ -116,5 +148,9 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
         _, text = _report(case)
-        _golden_path(case).write_bytes(text.encode("utf-8"))
-        print(f"wrote {_golden_path(case)}")
+        path = _golden_path(case)
+        old = path.read_text(encoding="utf-8") if path.exists() else ""
+        if old != text:
+            path.write_bytes(text.encode("utf-8"))
+            print(f"wrote {path}")
+            print("\n".join(changed_records(case, old, text)))

@@ -86,6 +86,32 @@ def test_fsal_slope_reusable(riccati_field):
     assert np.allclose(k_last, riccati_field(0.1, y1))
 
 
+# float.hex of (y5, err, k_last) for one step from fixed inputs.  The step sums
+# each stage left to right in plain float arithmetic, so these are the same on
+# every IEEE-double machine; a BLAS product would fuse multiply-adds and move
+# the error estimate's last bits (riccati's err read -0x1.c0e0688b23252p-30).
+STEP_PINS = [
+    (["x1^2"], 0.0, (0.5,), 0.1, [
+        ["0x1.0d79435e4cf5bp-1"], ["-0x1.c0e0688accccdp-30"], ["0x1.1ba81104ee9b9p-2"],
+    ]),
+    (["-x2", "x1"], 0.25, (1.0, -0.5), 0.2, [
+        ["0x1.1453a387cbad8p+0", "-0x1.2a5b4f78aad34p-2"],
+        ["-0x1.41d612413e667p-23", "-0x1.0a006b8eb999ap-22"],
+        ["0x1.2a5b4f78aad34p-2", "0x1.1453a387cbad8p+0"],
+    ]),
+]
+
+
+@pytest.mark.parametrize("rhs,t,y,h,pinned", STEP_PINS, ids=["riccati", "rotation"])
+def test_step_pinned_bit_for_bit(rhs, t, y, h, pinned):
+    field = VectorField.from_strings(rhs, DomainSpec(len(rhs)))
+    parts = dopri5_step(field, t, y, h)
+    assert all(type(part) is tuple and all(type(v) is float for v in part) for part in parts)
+    assert [[v.hex() for v in part] for part in parts] == pinned
+    # the FSAL slope given back as k1 takes the same step
+    assert dopri5_step(field, t, y, h, field(t, y)) == parts
+
+
 # --- advance ------------------------------------------------------------------
 
 def test_advance_riccati_oracle(riccati_field):

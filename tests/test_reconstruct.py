@@ -340,6 +340,19 @@ def test_field_gap_skips_holes_and_counts_compared():
     assert field_gap(empty, fld) == (None, 0)
 
 
+def test_both_fields_return_a_tuple_of_floats():
+    # one rhs contract for the integrator: a tuple of n floats from any sequence of n floats
+    rotation = catalog.get("rotation").field()
+    times, axes = np.array([0.0, 1.0]), [np.array([-1.0, 1.0]), np.array([0.0, 4.0])]
+    table = np.arange(16, dtype=float).reshape(2, 2, 2, 2)
+    tabulated = TabulatedVectorField(times, axes, table)
+    for fld in (rotation, tabulated):
+        for x in ((0.5, 1.5), [0.5, 1.5], np.array([0.5, 1.5])):
+            got = fld(0.25, x)
+            assert type(got) is tuple and len(got) == 2 and all(type(v) is float for v in got)
+            assert got == fld(0.25, (0.5, 1.5))
+
+
 # --- bit-for-bit references ----------------------------------------------
 #
 # Tabulation and interpolation are batched and gathered; these are the
@@ -405,7 +418,7 @@ def reference_interp(field, t, x):
 def outcome(fn, *args):
     """Result bytes, or the EvalError's kind and message."""
     try:
-        return fn(*args).tobytes()
+        return np.asarray(fn(*args), dtype=float).tobytes()
     except ex.EvalError as err:
         return err.kind, str(err)
 
