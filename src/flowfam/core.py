@@ -61,7 +61,7 @@ def as_state(values, n: int | None = None) -> np.ndarray:
         raise ValueError(f"state has length {arr.shape[0]}, expected {n}")
     if arr.size == 0:
         raise ValueError("state must have at least one component")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):  # a state is short: cheaper than numpy's reduction
         raise ValueError("state components must be finite")
     arr.flags.writeable = False
     return arr
@@ -190,14 +190,14 @@ class FlowFamily:
                 "dimension_mismatch",
                 f"state has length {arr.shape[0]}, family dimension is {self.n}",
             )
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, arr.tolist())):
             raise ValueError("state components must be finite")
         return arr
 
     def _value(self, tau: float, sigma: float, arr: np.ndarray) -> np.ndarray:
         """The evaluator's state at (tau, sigma, arr); a non-finite one is out of the domain."""
         value = np.array(self.evaluator(tau, sigma, arr), dtype=float).reshape(-1)
-        if value.shape == (self.n,) and not np.isfinite(value).all():
+        if value.shape == (self.n,) and not all(map(math.isfinite, value.tolist())):
             raise DomainViolation("out_of_domain", f"the state at ({tau}, {sigma}, {arr}) is not finite")
         return as_state(value, self.n)
 

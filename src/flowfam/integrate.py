@@ -7,6 +7,11 @@ most 1, and the next step is h * clip(0.9 * err^(-1/5), 0.2, 5).  The last
 stage is the slope at the accepted point (FSAL), so each accepted step
 costs six fresh rhs evaluations.
 
+The step loop runs on tuples of floats (field(t, x) returns one): every sum
+is plain IEEE double arithmetic, left to right in the tableau's order, with
+no BLAS and no fused multiply-add, so its results are the same on every
+IEEE-double machine.  numpy enters only at the FlowFamily boundary.
+
 Integration stops early when the trajectory escapes: norm past the blow-up
 radius, domain predicate failing, or the step size collapsing below h_min.
 Escape times are bracketed by bisection over the last accepted step, with
@@ -234,14 +239,8 @@ def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, 
                 raise EscapeEvent("step_underflow", t)
 
 
-def _bisect_escape(
-    field: VectorField,
-    t_good: float,
-    y_good: tuple,
-    t_bad: float,
-    cfg: IntegratorConfig,
-    kind: str,
-) -> tuple[float, str]:
+def _bisect_escape(field: VectorField, t_good: float, y_good: tuple, t_bad: float, cfg: IntegratorConfig,
+                   kind: str) -> tuple[float, str]:
     """Bisect the last accepted step down to a 5e-7 bracket around the escape.
 
     Candidate midpoints are reached by re-integrating from the good end, so

@@ -92,7 +92,7 @@ class BoxDomain:
     def contains(self, t: float, x) -> bool:
         if not (self.time_lo <= t <= self.time_hi):
             return False
-        return all(lo <= v <= hi for lo, v, hi in zip(self.state_lo, x, self.state_hi))
+        return all(lo <= v <= hi for lo, v, hi in zip(self.state_lo, x, self.state_hi, strict=True))
 
 
 class TabulatedVectorField:

@@ -139,6 +139,21 @@ def test_report_matches_golden(case):
     assert code == _expected_code(text)
 
 
+def test_changed_records_lists_each_changed_key():
+    old = '{"kind":"meta","seed":7}\n{"kind":"condition","max_residual":0.5,"name":"inverse","worst_case":{"a":[1.0]}}\n'
+    new = '{"kind":"meta", "seed":7}\n{"kind":"condition","max_residual":0.25,"name":"inverse","worst_case":{"a":[2.0]}}\n'
+    assert changed_records("case", old, old) == []
+    assert changed_records("case", old, new) == [
+        'case meta record 1: [\'{"kind":"meta","seed":7}\'] -> [\'{"kind":"meta", "seed":7}\']',
+        "case inverse max_residual: 0.5 -> 0.25",
+        "case inverse worst_case.a: [1.0] -> [2.0]",
+    ]
+    assert changed_records("case", old, old + '{"kind":"summary","pass":true}\n') == [
+        "case summary kind: (absent) -> \"summary\"",
+        "case summary pass: (absent) -> true",
+    ]
+
+
 def test_every_golden_file_has_a_case():
     on_disk = {p.stem for p in GOLDEN.glob("*.ndjson")}
     assert on_disk == set(CASES)
