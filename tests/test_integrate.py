@@ -88,8 +88,8 @@ def test_fsal_slope_reusable(riccati_field):
 
 # float.hex of (y5, err, k_last) for one step from fixed inputs.  The step sums
 # each stage left to right in plain float arithmetic, so these are the same on
-# every IEEE-double machine; a BLAS product would fuse multiply-adds and move
-# the error estimate's last bits (riccati's err read -0x1.c0e0688b23252p-30).
+# every IEEE-double machine; a BLAS product that fuses multiply-adds moves the
+# error estimate's last bits.
 STEP_PINS = [
     (["x1^2"], 0.0, (0.5,), 0.1, [
         ["0x1.0d79435e4cf5bp-1"], ["-0x1.c0e0688accccdp-30"], ["0x1.1ba81104ee9b9p-2"],
