@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FlowFamily, inf_norm, scaled_tol
-from .verify import Accumulator, ConditionReport, SamplePlan, default_plan
+from .core import FlowFamily, scaled_tol
+from .verify import Accumulator, ConditionReport, SamplePlan, default_plan, evaluate_where, lane_gap
 
 __all__ = [
     "OneParamGroup",
@@ -61,19 +61,30 @@ class OneParamGroup:
 
 
 def check_time_shift(fam: FlowFamily, plan: SamplePlan, tol: float | None = None) -> ConditionReport:
-    """Residual of F_{tau+c, rho+c}(a) = F_{tau, rho}(a) over plan shifts c."""
+    """Residual of F_{tau+c, rho+c}(a) = F_{tau, rho}(a) over plan shifts c.
+
+    A sample whose unshifted map is undefined is one skip; otherwise each
+    shift is a lane of its own.
+    """
     tol = scaled_tol(fam.tol_hint) if tol is None else tol
+    (tau, rho), (a,) = plan.columns(2)
+    base, ok = fam.evaluate_batch(tau, rho, a)
+    rows = np.flatnonzero(ok)
+    shifts = np.array(plan.time_grid)
+    shifted, shifted_ok = fam.evaluate_batch(
+        (tau[rows, None] + shifts).reshape(-1),
+        (rho[rows, None] + shifts).reshape(-1),
+        np.repeat(a[rows], len(shifts), axis=0),
+    )
+    shifted = shifted.reshape(len(rows), len(shifts), fam.n)
+
+    def witness(i, j):
+        return {"tau": float(tau[rows[i]]), "rho": float(rho[rows[i]]), "shift": plan.time_grid[j],
+                "a": a[rows[i]].tolist()}
+
     acc = Accumulator()
-    for tau, rho, a in plan.samples(2):
-        with acc:
-            base = fam.evaluate(tau, rho, a)
-            for c in plan.time_grid:
-                with acc:
-                    shifted = fam.evaluate(tau + c, rho + c, a)
-                    acc.record(
-                        inf_norm(shifted - base),
-                        {"tau": tau, "rho": rho, "shift": c, "a": list(map(float, a))},
-                    )
+    acc.skip(len(ok) - len(rows))
+    acc.lanes(lane_gap(shifted, base[rows, None, :]), shifted_ok.reshape(len(rows), len(shifts)), witness)
     return acc.report("time_shift", tol)
 
 
@@ -106,13 +117,19 @@ def check_group_law(group: OneParamGroup, plan: SamplePlan, tol: float = 1e-9) -
     exist while the direct map is undefined scores an infinite residual,
     matching the two-parameter composition check.
     """
+    (alpha, beta), (a,) = plan.columns(2)
+    fam, zero = group.family, np.zeros(len(alpha))
+    inner, ok = fam.evaluate_batch(beta, zero, a)
+    outer, ok = evaluate_where(fam, alpha, zero, inner, ok)
+    direct, direct_ok = evaluate_where(fam, alpha + beta, zero, a, ok)
     acc = Accumulator()
-    for alpha, beta, a in plan.samples(2):
-        with acc:
-            outer = group.evaluate(alpha, group.evaluate(beta, a))
-            witness = {"alpha": alpha, "beta": beta, "a": list(map(float, a))}
-            acc.compare(outer, lambda: group.evaluate(alpha + beta, a), witness,
-                        "legs of the composition exist but the direct map is undefined")
+    acc.lanes(
+        lane_gap(outer, direct),
+        ok,
+        lambda i: {"alpha": float(alpha[i]), "beta": float(beta[i]), "a": a[i].tolist()},
+        direct_ok,
+        "legs of the composition exist but the direct map is undefined",
+    )
     return acc.report("group_law", tol)
 
 

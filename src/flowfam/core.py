@@ -165,8 +165,8 @@ class FlowFamily:
     batch_evaluator(tau[m], sigma[m], a[m, n]) -> (values[m, n], ok[m]),
     when given, is a lane form of evaluator: values[i] equals evaluator's
     result bit for bit where ok[i], and ok[i] is False exactly where
-    evaluator raises DomainViolation.  Without one, evaluate_batch loops
-    over evaluate.
+    evaluator raises an out_of_domain DomainViolation.  Without one,
+    evaluate_batch loops over evaluate.
     """
 
     n: int
@@ -212,10 +212,11 @@ class FlowFamily:
         """Lanes (tau[i], sigma[i], a[i]) at once: (values[m, n], ok[m]).
 
         values[i] is evaluate(tau[i], sigma[i], a[i]) bit for bit where
-        ok[i]; ok[i] is False exactly where that call raises DomainViolation,
-        and values[i] is NaN there.  The errors evaluate raises for bad input
-        (wrong dimension, non-finite states or parameters) are raised for the
-        whole batch.
+        ok[i]; ok[i] is False exactly where that call raises an out_of_domain
+        DomainViolation, and values[i] is NaN there.  The errors evaluate
+        raises for bad input (wrong dimension, non-finite states or
+        parameters) are raised for the whole batch, and any other error an
+        evaluator raises leaves the batch.
         """
         tau = np.asarray(tau, dtype=float).reshape(-1)
         sigma = np.asarray(sigma, dtype=float).reshape(-1)
@@ -236,8 +237,9 @@ class FlowFamily:
                 try:
                     values[i] = self.evaluate(tau[i], sigma[i], arr[i])
                     ok[i] = True
-                except DomainViolation:
-                    pass
+                except DomainViolation as err:
+                    if err.kind != "out_of_domain":
+                        raise
             return values, ok
         values, ok = self.batch_evaluator(tau, sigma, arr)
         ok &= np.isfinite(values).all(axis=1)  # as evaluate's rule for a non-finite state

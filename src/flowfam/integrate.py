@@ -405,7 +405,9 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     a) in each direction, for the 128 data used last, and answers a query by
     replaying only the tries from the first one that reaches tau.  Results
     are bit-identical to integrating each query from scratch and do not
-    depend on earlier queries.  The cache makes the family mutable: it is
+    depend on earlier queries.  evaluate_batch answers its lanes grouped by
+    Cauchy datum, in order of first appearance, so the lanes that share a
+    start replay one trajectory.  The cache makes the family mutable: it is
     not thread-safe.
     """
     cfg = cfg or IntegratorConfig()
@@ -434,7 +436,28 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
                 "out_of_domain", f"field cannot be evaluated at ({sigma}, {a}): {err}"
             ) from None
 
-    return FlowFamily(n=field.n, kind="numeric", evaluator=evaluator, tol_hint=cfg.rel_tol)
+    def batch_evaluator(tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):
+        # lanes grouped by Cauchy datum (sigma, direction, a), as the cache keys it, in order of
+        # first appearance: lanes that share a start replay one trajectory however the caller
+        # ordered them, and no other datum can push it out of the cache between them
+        data = np.column_stack([sigma, np.where(tau > sigma, 1.0, -1.0), a])
+        groups = {}
+        for i, key in enumerate(map(bytes, data)):
+            groups.setdefault(key, []).append(i)
+        taus, sigmas = tau.tolist(), sigma.tolist()
+        values, ok = np.full(a.shape, math.nan), np.zeros(len(taus), dtype=bool)
+        for lanes in groups.values():
+            for i in lanes:
+                try:
+                    values[i] = evaluator(taus[i], sigmas[i], a[i])
+                    ok[i] = True
+                except DomainViolation:
+                    pass
+        return values, ok
+
+    return FlowFamily(
+        n=field.n, kind="numeric", evaluator=evaluator, tol_hint=cfg.rel_tol, batch_evaluator=batch_evaluator
+    )
 
 
 def escape_interval(

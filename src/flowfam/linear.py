@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .core import DomainViolation, FlowFamily, as_state, inf_norm, scaled_tol
-from .verify import Accumulator, ConditionReport, SamplePlan
+from .verify import Accumulator, ConditionReport, SamplePlan, lane_gap
 
 __all__ = [
     "AffineMap",
@@ -159,25 +159,33 @@ def affine_defect(fn, A: np.ndarray, b: np.ndarray) -> float | None:
 
 
 def check_affine(fam: FlowFamily, plan: SamplePlan) -> ConditionReport:
-    """Residual of F(la + (1-l)b) = l F(a) + (1-l) F(b) over plan.samples(2, 2), a != b."""
+    """Residual of F(la + (1-l)b) = l F(a) + (1-l) F(b) over plan.columns(2, 2), a != b.
+
+    Each sample is a lane per mixing weight l; a lane is a skip unless
+    F(la + (1-l)b), F(a) and F(b) all exist.
+    """
+    (tau, sigma), (a, b) = plan.columns(2, 2)
+    keep = np.flatnonzero((a != b).any(axis=1))
+    tau, sigma, a, b = tau[keep], sigma[keep], a[keep], b[keep]
+    count, weights = len(tau), len(_MIX_WEIGHTS)
+    lam = np.array(_MIX_WEIGHTS)[None, :, None]
+    mixed = lam * a[:, None, :] + (1.0 - lam) * b[:, None, :]
+    values, ok = fam.evaluate_batch(
+        np.concatenate([np.repeat(tau, weights), tau, tau]),
+        np.concatenate([np.repeat(sigma, weights), sigma, sigma]),
+        np.concatenate([mixed.reshape(-1, plan.n), a, b]),
+    )
+    cuts = [count * weights, count * (weights + 1)]
+    (left, f_a, f_b), (left_ok, a_ok, b_ok) = np.split(values, cuts), np.split(ok, cuts)
+    right = lam * f_a[:, None, :] + (1.0 - lam) * f_b[:, None, :]
+    ok = left_ok.reshape(count, weights) & (a_ok & b_ok)[:, None]
+
+    def witness(i, j):
+        return {"tau": float(tau[i]), "sigma": float(sigma[i]), "lambda": _MIX_WEIGHTS[j],
+                "a": a[i].tolist(), "b": b[i].tolist()}
+
     acc = Accumulator()
-    for tau, sigma, a, b in plan.samples(2, 2):
-        if np.array_equal(a, b):
-            continue
-        for lam in _MIX_WEIGHTS:
-            with acc:
-                left = fam.evaluate(tau, sigma, lam * a + (1.0 - lam) * b)
-                right = lam * fam.evaluate(tau, sigma, a) + (1.0 - lam) * fam.evaluate(tau, sigma, b)
-                acc.record(
-                    inf_norm(left - right),
-                    {
-                        "tau": tau,
-                        "sigma": sigma,
-                        "lambda": lam,
-                        "a": list(map(float, a)),
-                        "b": list(map(float, b)),
-                    },
-                )
+    acc.lanes(lane_gap(left.reshape(mixed.shape), right), ok, witness)
     return acc.report("affinity", scaled_tol(fam.tol_hint))
 
 

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .core import DomainViolation, FlowFamily, as_state, inf_norm
+from .core import DomainViolation, FlowFamily, as_state
 from .integrate import IntegratorConfig, numeric_family
-from .verify import Accumulator, SamplePlan, default_plan
+from .verify import Accumulator, SamplePlan, default_plan, evaluate_where, lane_gap
 
 __all__ = [
     "ReconstructionConfig",
@@ -285,10 +285,11 @@ def roundtrip_error(
     field = field_from_family(fam, cfg)
     rebuilt = numeric_family(field, icfg)
     plan = eval_plan or default_plan(fam.n, random_count=0)
+    (tau, sigma), (a,) = plan.columns(2)
+    want, ok = fam.evaluate_batch(tau, sigma, a)
+    got, ok = evaluate_where(rebuilt, tau, sigma, a, ok)
     acc = Accumulator()
-    for tau, sigma, a in plan.samples(2):
-        with acc:
-            acc.record(inf_norm(fam.evaluate(tau, sigma, a) - rebuilt.evaluate(tau, sigma, a)), None)
+    acc.lanes(lane_gap(want, got), ok, lambda i: None)
     if not acc.checked:
         raise ReconstructionFailed("no evaluation-plan triple was defined on both routes")
     return acc.max_residual

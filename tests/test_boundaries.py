@@ -5,9 +5,10 @@ When a sibling needs it, the name is made public instead of imported
 across the boundary or read off another object.  Attributes of ``self``
 and ``cls`` and dunder names are exempt.
 
-A sample that leaves the domain is one rule, kept by ``verify.Accumulator``:
-its guard counts the skip and ``compare`` scores an undefined direct map,
-so no ``except DomainViolation`` handler skips or records by hand.
+A sample that leaves the domain is one rule, kept by ``Accumulator.lanes``:
+a lane whose legs do not all exist is a skip, and a lane whose legs exist
+while its direct map does not scores an infinite residual, so no
+``except DomainViolation`` handler skips or records by hand.
 
 Lane kernels equal the scalar closures bit for bit only while they leave
 ``exp``, ``tanh``, ``log`` and powers to ``math``: numpy's versions round
@@ -15,6 +16,10 @@ some arguments differently, so no module references them.
 
 The integrator's scalar step loop makes no numpy call: it runs on tuples of
 floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
+
+No module uses numpy.random: a plan's draws come from ``flowfam.pcg``, and
+importing numpy.random loads secrets, hashlib and libcrypto, about 6 MB
+resident.
 """
 
 import ast
@@ -105,6 +110,26 @@ def _numpy_in_step_loop(path: Path) -> list[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
                 found.append(f"{path.name}:{node.lineno} {top.name} uses {ast.unparse(node)}")
     return found
+
+
+def _numpy_random(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith("numpy.random")]
+            found += [(node.lineno, f"imports {name}") for name in names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, "imports random from numpy") for a in node.names if a.name == "random"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+            found.append((node.lineno, f"imports from {node.module}"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            found.append((node.lineno, f"uses {ast.unparse(node)}"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
 
 
 def test_package_modules_found():
@@ -219,4 +244,27 @@ def test_detector_sees_numpy_in_the_step_loop(tmp_path):
     assert _numpy_in_step_loop(probe) == [
         "probe.py:2 _drive uses np.isfinite",
         "probe.py:5 _Trajectory uses numpy.array",
+    ]
+
+
+def test_no_module_uses_numpy_random():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _numpy_random(path)]
+    assert found == []
+
+
+def test_detector_sees_numpy_random(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy.random\n"
+        "from numpy import random, sin\n"
+        "from numpy.random import default_rng\n"
+        "rng = np.random.default_rng(3) if numpy.random else random.Random(3)\n"
+        "x = np.sin(rng.random())\n"
+    )
+    assert _numpy_random(probe) == [
+        "probe.py:1 imports numpy.random",
+        "probe.py:2 imports random from numpy",
+        "probe.py:3 imports from numpy.random",
+        "probe.py:4 uses np.random",
+        "probe.py:4 uses numpy.random",
     ]

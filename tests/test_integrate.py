@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 import weakref
 
 import numpy as np
@@ -478,3 +479,27 @@ def test_default_plan_shape_step_count(monkeypatch):
     steps = count_steps(monkeypatch)
     assert run_suite(numeric_family(field), plan).passed
     assert steps() <= 10_278
+
+
+def test_batch_equals_a_loop_of_evaluate_on_shuffled_lanes():
+    # x' = x^2 inside x < 2, over the window (-5, 5) and 25 steps: lanes outside the window,
+    # starts outside the field's domain, escapes, budget overruns, and signed zeros, which the
+    # cache key keeps apart (a diagonal lane returns its start, sign and all)
+    field = VectorField.from_strings(["x1^2"], DomainSpec(1, space_predicate="2 - x1"))
+    cfg = IntegratorConfig(window=(-5.0, 5.0), max_steps=25)
+    times = (-6.0, -4.9, -0.0, 0.0, 0.3, 1.5, 4.9)
+    lanes = [(tau, sigma, [a]) for tau in times for sigma in times[1:-1] for a in (-0.4, -0.0, 0.0, 0.5, 1.5, 3.0)]
+    random.Random(11).shuffle(lanes)
+    loop = numeric_family(field, cfg)
+    want = [outcome(loop, tau, sigma, a) for tau, sigma, a in lanes]
+    reasons = [w[1] for w in want if not isinstance(w, bytes)]
+    for reason in ("integration window", "field domain", "escapes", "exceeded 25 steps"):
+        assert any(reason in r for r in reasons), reason
+    tau, sigma, a = (np.array(col, dtype=float) for col in zip(*lanes))
+    values, ok = numeric_family(field, cfg).evaluate_batch(tau, sigma, a)
+    assert ok.tolist() == [isinstance(w, bytes) for w in want]
+    assert [v.tobytes() for v in values[ok]] == [w for w in want if isinstance(w, bytes)]
+    assert np.isnan(values[~ok]).all()
+    assert {values[i].tobytes() for i, l in enumerate(lanes) if l[0] == l[1] and l[2] == [0.0]} == {
+        np.array([-0.0]).tobytes(), np.array([0.0]).tobytes()
+    }

@@ -1,11 +1,16 @@
 """Condition checks: pass on the reference family, fail on counterexamples."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowfam.autonomous import check_group_law, check_time_shift, to_group
+import flowfam
+from flowfam.autonomous import OneParamGroup, check_group_law, check_time_shift, to_group
 from flowfam.core import DomainSpec, DomainViolation, FlowFamily, VectorField, closed_form_family
 from flowfam.integrate import IntegratorConfig, numeric_family
 from flowfam.linear import check_affine
@@ -329,6 +334,36 @@ def test_plan_validation():
         SamplePlan((0.0, math.inf), ((0.0,),))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("random_count", 2.5), ("random_count", True), ("random_count", "3"), ("seed", 3.9), ("seed", -0.5),
+     ("seed", True), ("seed", False), ("seed", None)],
+)
+def test_plan_rejects_a_count_or_seed_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=field):
+        SamplePlan((0.0, 1.0), ((0.0,),), **{field: value})
+
+
+def test_plan_takes_any_integral_count_and_seed():
+    plan = SamplePlan((0.0, 1.0), ((0.0,),), random_count=np.int64(2), seed=np.uint64(2**64 - 1))
+    assert (type(plan.random_count), type(plan.seed), plan.seed) == (int, int, 2**64 - 1)
+    assert len(plan.columns(1)[0][0]) == 4
+
+
+def test_seeded_run_never_loads_numpy_random():
+    # the draws come from flowfam.pcg; numpy.random would load secrets, hashlib and libcrypto
+    code = (
+        "import sys\n"
+        "from flowfam.catalog import get\n"
+        "from flowfam.verify import default_plan, run_suite\n"
+        "assert run_suite(get('rotation').family(), default_plan(2, random_count=25)).passed\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(flowfam.__file__).parent.parent)] + sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "False\n"
+
+
 def test_default_plan_shapes():
     p1 = default_plan(1)
     assert p1.n == 1 and len(p1.state_grid) == 5
@@ -339,53 +374,54 @@ def test_default_plan_shapes():
 # --- the shared sample generator and report builder -------------------------
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def test_samples_grid_order_then_seeded_draws():
     plan = SamplePlan((0.0, 1.0), ((5.0,), (6.0,)), random_count=2, seed=3)
-    samples = list(plan.samples(2))
-    grid = [(t1, t2, float(s[0])) for t1, t2, s in samples[:8]]
-    assert grid == [(t1, t2, a) for t1 in (0.0, 1.0) for t2 in (0.0, 1.0) for a in (5.0, 6.0)]
+    (t1, t2), (a,) = plan.columns(2)
+    grid = list(zip(t1[:8].tolist(), t2[:8].tolist(), a[:8, 0].tolist()))
+    assert grid == [(x, y, s) for x in (0.0, 1.0) for y in (0.0, 1.0) for s in (5.0, 6.0)]
     rng = np.random.default_rng(3)
     t1s, t2s = rng.uniform(0.0, 1.0, size=2), rng.uniform(0.0, 1.0, size=2)
     states = rng.uniform([5.0], [6.0], size=(2, 1))
-    for (t1, t2, a), e1, e2, es in zip(samples[8:], t1s, t2s, states):
-        assert (t1, t2) == (float(e1), float(e2))
-        assert type(t1) is float
-        assert np.array_equal(a, es)
-    assert len(samples) == 10
+    assert (_bits(t1[8:]), _bits(t2[8:]), _bits(a[8:])) == (_bits(t1s), _bits(t2s), _bits(states))
+    assert t1.dtype == t2.dtype == a.dtype == np.float64
+    assert a.shape == (10, 1)
 
 
 def test_samples_two_states_order():
     plan = SamplePlan((0.0, 1.0), ((5.0, 0.0), (6.0, 1.0)), random_count=2, seed=3)
-    samples = list(plan.samples(2, 2))
-    grid = [(t1, t2, tuple(a), tuple(b)) for t1, t2, a, b in samples[:16]]
+    (t1, t2), (a, b) = plan.columns(2, 2)
+    grid = [(x, y, tuple(u), tuple(v)) for x, y, u, v in zip(t1[:16], t2[:16], a[:16].tolist(), b[:16].tolist())]
     states = [(5.0, 0.0), (6.0, 1.0)]
     assert grid == [
-        (t1, t2, a, b) for t1 in (0.0, 1.0) for t2 in (0.0, 1.0) for a in states for b in states
+        (x, y, u, v) for x in (0.0, 1.0) for y in (0.0, 1.0) for u in states for v in states
     ]
     rng = np.random.default_rng(3)
     t1s, t2s = rng.uniform(0.0, 1.0, size=2), rng.uniform(0.0, 1.0, size=2)
     a_draws = rng.uniform([5.0, 0.0], [6.0, 1.0], size=(2, 2))
     b_draws = rng.uniform([5.0, 0.0], [6.0, 1.0], size=(2, 2))
-    for (t1, t2, a, b), e1, e2, ea, eb in zip(samples[16:], t1s, t2s, a_draws, b_draws):
-        assert (t1, t2) == (float(e1), float(e2))
-        assert np.array_equal(a, ea) and np.array_equal(b, eb)
-    assert len(samples) == 18
+    assert (_bits(t1[16:]), _bits(t2[16:])) == (_bits(t1s), _bits(t2s))
+    assert (_bits(a[16:]), _bits(b[16:])) == (_bits(a_draws), _bits(b_draws))
+    assert a.shape == b.shape == (18, 2)
 
 
 def test_samples_arity():
     plan = SamplePlan((0.0, 1.0, 2.0), ((0.0,),), random_count=4)
     for k in (1, 2, 3):
-        samples = list(plan.samples(k))
-        assert len(samples) == 3**k + 4
-        assert all(len(s) == k + 1 for s in samples)
+        for m in (1, 2):
+            times, states = plan.columns(k, m)
+            assert (len(times), len(states)) == (k, m)
+            assert all(t.shape == (3**k + 4,) for t in times)
+            assert all(s.shape == (3**k + 4, 1) for s in states)
 
 
 def test_accumulator_counts_keep_first_witness():
     acc = Accumulator()
     acc.skip()
-    acc.count(0, None)
-    acc.count(2, {"first": True})
-    acc.count(1, {"first": False})
+    acc.count(np.array([0, 2, 1]), lambda i: {"first": i == 1})
     rep = acc.report("counted", 0.0)
     assert (rep.samples_checked, rep.samples_skipped) == (3, 1)
     assert rep.max_residual == 3.0
@@ -401,25 +437,51 @@ def test_accumulator_empty_report():
     assert math.isinf(rep.max_residual) and not rep.passed
 
 
-def test_guard_skips_domain_violations_only():
+def test_lanes_keep_the_first_largest_residual_in_lane_order():
     acc = Accumulator()
-    with acc:
-        raise DomainViolation("out_of_domain", "outside")
-    with pytest.raises(ZeroDivisionError):
-        with acc:
+    residual = np.array([[0.1, 0.3], [0.3, math.nan], [0.2, 0.3]])
+    ok = np.array([[True, True], [True, True], [False, True]])
+    acc.lanes(residual, ok, lambda i, j: (i, j))
+    acc.lanes(np.array([0.3]), np.array([True]), lambda i: "later")  # a tie with a later batch
+    assert (acc.checked, acc.skipped, acc.max_residual, acc.worst) == (6, 1, 0.3, (0, 1))
+
+
+def test_lanes_score_an_undefined_direct_map():
+    acc = Accumulator()
+    direct_ok = np.array([True, False, False])
+    acc.lanes(np.array([0.5, math.nan, math.nan]), np.array([True, True, False]), lambda i: i, direct_ok, "undefined")
+    assert (acc.checked, acc.skipped, acc.max_residual, acc.worst, acc.note) == (2, 1, math.inf, 1, "undefined")
+
+
+def test_guard_skips_domain_violations_only():
+    # a lane is a skip where evaluate_batch says out_of_domain; any other error leaves the check
+    def ev(tau, sigma, a):
+        if a[0] > 0.0:
             raise ZeroDivisionError("not a domain question")
-    with pytest.raises(KeyError):
-        acc.compare(np.zeros(1), lambda: {}["missing"], {}, "unused")
+        raise DomainViolation("out_of_domain", "outside")
+
+    fam = FlowFamily(1, "closed_form", ev)
+    _, ok = fam.evaluate_batch([0.0], [0.0], [[-1.0]])
+    acc = Accumulator()
+    acc.lanes(np.array([math.nan]), ok, lambda i: {"lane": i})
     assert (acc.checked, acc.skipped, acc.note) == (0, 1, None)
+    with pytest.raises(ZeroDivisionError):
+        check_identity(fam, SamplePlan((0.0,), ((-1.0,), (1.0,)), random_count=0))
 
 
 def test_guard_lets_dimension_mismatch_through():
-    acc = Accumulator()
+    # a group whose map reads a state of the wrong length: not a skip, from either leg
+    def g(alpha, a):
+        raise DomainViolation("dimension_mismatch", "state of the wrong length")
+
+    group = OneParamGroup(1, g)
+    for batch in ([0.0], [0.0], [[1.0]]), ([0.0], [0.0], [[1.0, 2.0]]):
+        with pytest.raises(DomainViolation) as exc:
+            group.family.evaluate_batch(*batch)
+        assert exc.value.kind == "dimension_mismatch"
     with pytest.raises(DomainViolation) as exc:
-        with acc:
-            raise DomainViolation("dimension_mismatch", "state of the wrong length")
+        check_group_law(group, default_plan(1))
     assert exc.value.kind == "dimension_mismatch"
-    assert (acc.checked, acc.skipped) == (0, 0)
 
 
 # each check of a one-dimensional family, handed a two-dimensional plan
