@@ -123,10 +123,29 @@ class DomainSpec:
         except ex.EvalError:
             return False
 
+    @functools.cached_property
+    def _predicate_lanes(self):
+        return None if self.space_predicate is None else ex.compile_field_lanes(self.space_predicate, self.n)
+
+    def contains_lanes(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """contains over lanes (t[m], x[m, n]): a bool mask, lane i equal to contains(t[i], x[i]).
+
+        The predicate's lane kernel is compiled on the first call.
+        """
+        lo, hi = self.time_box
+        inside = (lo < t) & (t < hi) & np.isfinite(t)
+        if self._predicate_lanes is not None:
+            p, ok = self._predicate_lanes(t, x)
+            inside &= ok & (p > 0.0)
+        return inside
+
 
 @dataclass(frozen=True)
 class VectorField:
-    """Right-hand side f(t, x) of an n-dimensional first-order ODE; compiled once, here."""
+    """Right-hand side f(t, x) of an n-dimensional first-order ODE; compiled once, here.
+
+    lanes is its lane form, which numeric families batch their steps through.
+    """
 
     n: int
     domain: DomainSpec
@@ -146,6 +165,23 @@ class VectorField:
     def __call__(self, t: float, x) -> tuple:
         """The slope at (t, x) as a tuple of n floats; x is any sequence of n floats."""
         return tuple([f(t, x) for f in self._rhs])
+
+    @functools.cached_property
+    def _rhs_lanes(self):
+        return tuple(ex.compile_field_lanes(c, self.n) for c in self.rhs)
+
+    def lanes(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slopes at lanes (t[m], x[m, n]): (values[m, n], ok[m]).
+
+        Where ok[i], values[i] equals self(t[i], x[i]) bit for bit; ok[i] is
+        False exactly where that call raises EvalError.  The lane kernels
+        are compiled on the first call.
+        """
+        values, ok = np.empty(x.shape), np.ones(len(t), dtype=bool)
+        for k, f in enumerate(self._rhs_lanes):
+            values[:, k], k_ok = f(t, x)
+            ok &= k_ok
+        return values, ok
 
 
 # ---------------------------------------------------------------------------

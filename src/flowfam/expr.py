@@ -20,14 +20,16 @@ are written over ``t, x1..xn``; flow maps are written over
 ``compile_field`` / ``compile_family`` enforce the convention for a given
 context and dimension as they compile.  Any other identifier is rejected at parse time.
 
-``compile_family_lanes`` compiles a family expression a second way, over
-lane arrays: lane i of its values equals ``compile_family``'s result at
-lane i's point bit for bit, and its ok mask is False exactly where that
-call raises EvalError.  ``+ - * /``, negation, ``sin``, ``cos``, ``sqrt``
-and ``abs`` run elementwise in numpy, which rounds them as ``math`` and
-Python floats do; ``exp``, ``tanh``, ``log`` and ``^`` call the scalar
-functions lane by lane, since numpy's versions differ from ``math`` in the
-last bit for some arguments.
+``compile_field_lanes`` and ``compile_family_lanes`` compile an expression
+a second way, over lane arrays: lane i of its values equals
+``compile_field``'s or ``compile_family``'s result at lane i's point bit for
+bit, and its ok mask is False exactly where that call raises EvalError.
+``+ - * /``, negation, ``sin``, ``cos``, ``sqrt`` and ``abs`` run
+elementwise in numpy, which rounds them as ``math`` and Python floats do;
+``exp``, ``tanh``, ``log`` and ``^`` call the ``math`` functions lane by
+lane, since numpy's versions differ from ``math`` in the last bit for some
+arguments.  ``^`` checks its domain rules as masks first, so ``math.pow``
+runs only on the lanes it accepts.
 
 Everything here is immutable and pure, so expressions can be shared freely
 across threads.
@@ -57,6 +59,7 @@ __all__ = [
     "parse",
     "compile_field",
     "compile_family",
+    "compile_field_lanes",
     "compile_family_lanes",
     "pretty_print",
     "format_number",
@@ -417,6 +420,28 @@ def _per_lane(fn, ok: np.ndarray, *args: np.ndarray):
     return values, ok
 
 
+def _power_lanes(left, right):
+    """Lane closure of ``left ^ right``: _pow's domain rules first, then math.pow lane by lane.
+
+    A zero base with a negative exponent drops out as a mask, and a negative
+    base with an exponent that is not an integer lane by lane, so math.pow
+    sees only lanes it accepts; on an overflow the lanes go through _pow one
+    by one instead.
+    """
+    def power(env):
+        (x, x_ok), (y, y_ok) = left(env), right(env)
+        bases, exponents = x.tolist(), y.tolist()
+        ok = (x_ok & y_ok & ~((x == 0.0) & (y < 0.0))).tolist()
+        ok = np.array([o and not (b < 0.0 and not e.is_integer()) for o, b, e in zip(ok, bases, exponents)], dtype=bool)
+        try:
+            v = np.array([math.pow(b, e) if o else math.nan for o, b, e in zip(ok.tolist(), bases, exponents)])
+        except OverflowError:
+            v, ok = _per_lane(_pow, x_ok & y_ok, x, y)
+        return v, ok & np.isfinite(v)
+
+    return power
+
+
 def _build_lanes(e: Expression, scalars: tuple, prefix: str, n: int):
     """Lane closure: ``env = (*scalar arrays, states[m, n])`` to (values[m], ok[m]).
 
@@ -427,12 +452,7 @@ def _build_lanes(e: Expression, scalars: tuple, prefix: str, n: int):
     if isinstance(e, Bin):
         left, right = _build_lanes(e.left, scalars, prefix, n), _build_lanes(e.right, scalars, prefix, n)
         if e.op == "^":
-            def power(env):
-                (x, x_ok), (y, y_ok) = left(env), right(env)
-                v, ok = _per_lane(_pow, x_ok & y_ok, x, y)
-                return v, ok & np.isfinite(v)
-
-            return power
+            return _power_lanes(left, right)
         # x / 0 is inf or nan here, so the finite check drops the lanes _div rejects
         op = operator.truediv if e.op == "/" else _OPERATORS[e.op]
 
@@ -485,6 +505,24 @@ def _build_lanes(e: Expression, scalars: tuple, prefix: str, n: int):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _quiet(f):
+    def lanes(*env):
+        with np.errstate(all="ignore"):  # failed lanes may overflow or divide by zero
+            return f(env)
+
+    return lanes
+
+
+def compile_field_lanes(e: Expression, n: int):
+    """f(t[m], x[m, n]) -> (values[m], ok[m]), the lane form of compile_field.
+
+    Where ok[i], values[i] is compile_field's result at (t[i], x[i]) bit for
+    bit; ok[i] is False exactly where that call raises EvalError.  Raises
+    ValidationError as compile_field does.
+    """
+    return _quiet(_build_lanes(e, ("t",), "x", n))
+
+
 def compile_family_lanes(e: Expression, n: int):
     """f(tau[m], sigma[m], a[m, n]) -> (values[m], ok[m]), the lane form of compile_family.
 
@@ -492,13 +530,7 @@ def compile_family_lanes(e: Expression, n: int):
     a[i]) bit for bit; ok[i] is False exactly where that call raises
     EvalError.  Raises ValidationError as compile_family does.
     """
-    f = _build_lanes(e, ("tau", "sigma"), "a", n)
-
-    def lanes(tau, sigma, a):
-        with np.errstate(all="ignore"):  # failed lanes may overflow or divide by zero
-            return f((tau, sigma, a))
-
-    return lanes
+    return _quiet(_build_lanes(e, ("tau", "sigma"), "a", n))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ __all__ = [
     "EscapeEvent",
     "StepBudgetExceeded",
     "dopri5_step",
+    "dopri5_lanes",
     "advance",
     "numeric_family",
     "escape_interval",
@@ -74,6 +75,7 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 _BRACKET_WIDTH = 5e-7  # escape-time bracket, half the 1e-6 contract
 _TRAJECTORY_CACHE_SIZE = 128  # trajectories per numeric family, bounded for peak memory
+_TAIL_LANES = 16  # at or below this many lanes the scalar loop is cheaper than numpy's per-call cost
 
 
 @dataclass(frozen=True)
@@ -162,14 +164,15 @@ def _classify(t: float, y: tuple, field: VectorField, cfg: IntegratorConfig) -> 
     return None
 
 
-def _first_try(field: VectorField, rho: float, a: tuple, target: float, cfg: IntegratorConfig):
+def _first_try(field: VectorField, rho: float, a: tuple, target: float, cfg: IntegratorConfig, k1=None):
     """Loop state (t, h, steps, y, k1) before the first try from (rho, a) toward target.
 
-    Raises EvalError when the field cannot be evaluated at (rho, a), which
-    its domain may contain all the same.
+    k1, when given, is the slope field(rho, a) already at hand.  Raises
+    EvalError when the field cannot be evaluated at (rho, a), which its
+    domain may contain all the same.
     """
     direction = 1.0 if target > rho else -1.0
-    return rho, direction * min(cfg.h_init, abs(target - rho)), 0, a, field(rho, a)
+    return rho, direction * min(cfg.h_init, abs(target - rho)), 0, a, field(rho, a) if k1 is None else k1
 
 
 def _integrate(field: VectorField, rho: float, a: tuple, tau: float, cfg: IntegratorConfig, refine: bool) -> tuple:
@@ -262,6 +265,140 @@ def _bisect_escape(field: VectorField, t_good: float, y_good: tuple, t_bad: floa
     return 0.5 * (t_good + t_bad), kind
 
 
+def dopri5_lanes(f, t: np.ndarray, y: np.ndarray, h: np.ndarray, k1: np.ndarray, live: np.ndarray):
+    """dopri5_step over lanes t[m], y[m, n], h[m] and k1[m, n]: (y5, err, k_last, ok).
+
+    f(t[m], x[m, n]) returns (slopes[m, n], ok[m]), a lane form of the
+    field.  Lanes outside live are idle: they take a zero step, and their
+    results mean nothing.  Each stage sum is a chain of elementwise ufuncs
+    in dopri5_step's order, each rounding once, so a live lane i equals
+    dopri5_step on lane i bit for bit wherever ok[i]; ok[i] is False exactly
+    where that call raises EvalError or returns a y5 or err that is not
+    finite.
+    """
+    h = np.where(live, h, 0.0)
+    hc = h[:, None]
+    k2, ok2 = f(t + _C2 * h, y + hc * (_A21 * k1))
+    k3, ok3 = f(t + _C3 * h, y + hc * (_A31 * k1 + _A32 * k2))
+    k4, ok4 = f(t + _C4 * h, y + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5, ok5 = f(t + _C5 * h, y + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6, ok6 = f(t + h, y + hc * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+    y5 = y + hc * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
+    k7, ok7 = f(t + h, y5)
+    err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    ok = ok2 & ok3 & ok4 & ok5 & ok6 & ok7 & np.isfinite(y5).all(axis=1) & np.isfinite(err).all(axis=1)
+    return y5, err, k7, ok
+
+
+def _capacity(k: int) -> int:
+    """The least lane capacity of at least k lanes: 16, 24, 32, 48, 64, 96, 128, ...
+
+    Lane arrays come in these lengths only, the lanes past the running ones
+    idle.  numpy keeps a few freed buffers of every small size for reuse,
+    so arrays that shrank one lane at a time would leave buffers of every
+    length resident.
+    """
+    size = _TAIL_LANES
+    while size < k:
+        size = size * 3 // 2 if size & (size - 1) == 0 else size * 4 // 3
+    return size
+
+
+def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, state, record=None):
+    """_drive over lanes: lane i runs the step loop from state i toward target[i], all lanes in step.
+
+    state is (t[m], h[m], steps[m], y[m, n], k1[m, n]).  Each try is one
+    dopri5_lanes call, then _drive's step control in elementwise form; the
+    step factor takes Python's float ** lane by lane, since numpy's power
+    rounds differently.  So every lane makes the tries _drive makes and ends
+    as it does.  The lanes sit in arrays of _capacity lengths, with ids
+    naming them and a live mask; idle slots carry the id m.  record, when
+    given, sees (ids, live, t, h, steps, y, k1) before each try, and a live
+    lane then ends before the first try whose step reaches its target, as
+    _drive does with a record hook that returns True there.  Once at most
+    _TAIL_LANES lanes run, numpy's per-call cost outweighs the work and they
+    stop in place.
+
+    Returns (landed, values, ends, tail): landed[i] where lane i landed on
+    its target, values[i] its state there; ends maps a lane that escaped to
+    (kind, time) and one that ran out of steps to the budget message; tail
+    lists (lane, state) for the lanes stopped in place, as the loop state
+    _drive resumes them from.
+    """
+    m = len(target)
+    idle = _capacity(m) - m
+    ids, live = np.array([*range(m), *[m] * idle]), np.array([True] * m + [False] * idle)
+    # idle slots copy lane 0's state, where the field can be evaluated
+    t, h, steps, y, k1, target = (np.concatenate([c, np.repeat(c[:1], idle, axis=0)]) for c in (*state, target))
+    landed, values, ends = np.zeros(m + 1, dtype=bool), np.full((m + 1, y.shape[1]), math.nan), {}
+    with np.errstate(all="ignore"):  # a failed lane carries inf or nan through its stages
+        while True:
+            last = np.abs(h) >= np.abs(target - t)
+            if record is not None:
+                record(ids, live, t, h, steps, y, k1)
+                live &= ~last
+            running = np.count_nonzero(live)
+            if running <= _TAIL_LANES:
+                tail = [(int(ids[k]), _state(t, h, steps, y, k1, k)) for k in _where(live)]
+                return landed[:m], values[:m], ends, tail
+            if _capacity(running) < len(ids):  # the running lanes and the first idle ones, in order
+                spare = _capacity(running) - running
+                keep = [alive or (spare := spare - 1) >= 0 for alive in live.tolist()]
+                ids, live, t, h, steps, y, k1, target, last = (
+                    c[keep] for c in (ids, live, t, h, steps, y, k1, target, last))
+            steps = steps + 1.0
+            over = live & (steps > cfg.max_steps)
+            for k in _where(over):
+                ends[int(ids[k])] = f"integration exceeded {cfg.max_steps} steps at t={float(t[k])}"
+            live &= ~over
+            if record is None:
+                h = np.where(last, target - t, h)
+            y_new, err_vec, k_last, ok = dopri5_lanes(field.lanes, t, y, h, k1, live)
+            ok &= live
+            err = (np.abs(err_vec) / (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))).max(axis=1)
+            err = np.where(ok, err, 1.0)
+            accepted = ok & (err <= 1.0)
+            t_new = np.where(last, target, t + h)
+            # a failed stage halves h; otherwise h takes _drive's factor, in Python floats lane by lane
+            h = h * np.array([0.5 if not k else _FACTOR_MAX if e == 0.0 else
+                              min(_FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * e ** -0.2))
+                              for k, e in zip(ok.tolist(), err.tolist())])
+            blow_up = np.abs(y_new).max(axis=1) > cfg.blowup_radius
+            escaped = accepted & (blow_up | ~field.domain.contains_lanes(t_new, y_new))
+            underflow = live & ~accepted & (np.abs(h) < cfg.h_min)
+            for k in _where(escaped):
+                ends[int(ids[k])] = ("blow_up" if blow_up[k] else "left_domain", float(t_new[k]))
+            for k in _where(underflow):
+                ends[int(ids[k])] = ("step_underflow", float(t[k]))
+            done = accepted & last & ~escaped
+            if done.any():
+                landed[ids] |= done
+                values[ids] = np.where(done[:, None], y_new, values[ids])
+            moved = accepted & ~last & ~escaped
+            t = np.where(moved, t_new, t)
+            y = np.where(moved[:, None], y_new, y)
+            k1 = np.where(moved[:, None], k_last, k1)
+            # keep crawling; only a failed step underflows
+            h = np.where(moved & (np.abs(h) < cfg.h_min), np.where(h < 0.0, -cfg.h_min, cfg.h_min), h)
+            live &= ~(escaped | underflow | done)
+
+
+def _where(mask: np.ndarray) -> list:
+    """The indices where mask holds, as a list: an index array would take as many sizes as there are counts."""
+    return [k for k, b in enumerate(mask.tolist()) if b] if mask.any() else []
+
+
+def _state(t: np.ndarray, h: np.ndarray, steps: np.ndarray, y: np.ndarray, k1: np.ndarray, k: int):
+    """Lane k of the columns as the scalar loop state (t, h, steps, y, k1) that _drive takes."""
+    return float(t[k]), float(h[k]), int(steps[k]), tuple(y[k].tolist()), tuple(k1[k].tolist())
+
+
+def _states(t: np.ndarray, h: np.ndarray, steps: np.ndarray, y: np.ndarray, k1: np.ndarray) -> list:
+    """Lane columns as the scalar loop states (t, h, steps, y, k1) that _drive takes."""
+    return [(ti, hi, int(si), tuple(yi), tuple(ki)) for ti, hi, si, yi, ki in
+            zip(t.tolist(), h.tolist(), steps.tolist(), y.tolist(), k1.tolist())]
+
+
 def advance(
     field: VectorField,
     rho: float,
@@ -287,6 +424,11 @@ def advance(
     if not field.domain.contains(rho, y):
         raise ValueError(f"initial condition ({rho}, {arr}) outside the field domain")
     return as_state(_integrate(field, rho, y, tau, cfg, refine=True), field.n)
+
+
+def _row_state(row, steps: int, n: int):
+    """A recorded row (t, h, y, k1) as the loop state (t, h, steps, y, k1)."""
+    return row[0], row[1], steps, tuple(row[2:2 + n]), tuple(row[2 + n:])
 
 
 class _Trajectory:
@@ -315,9 +457,8 @@ class _Trajectory:
 
     def state(self, j: int):
         """Row j as the loop state (t, h, steps, y, k1)."""
-        width, n = 2 + 2 * self.n, self.n
-        row = self.rows[j * width:(j + 1) * width]
-        return row[0], row[1], j, tuple(row[2:2 + n]), tuple(row[2 + n:])
+        width = 2 + 2 * self.n
+        return _row_state(self.rows[j * width:(j + 1) * width], j, self.n)
 
     def first_reaching(self, tau: float) -> int | None:
         """Index of the first row whose step reaches tau (the loop's clipping test)."""
@@ -389,6 +530,184 @@ class _TrajectoryCache:
         except StepBudgetExceeded as err:
             entry.end = str(err)
 
+    def solve_lanes(self, tau: np.ndarray, sigma: np.ndarray, a: np.ndarray, inside: np.ndarray):
+        """(values, ok) for lanes (tau, sigma, a), where inside says the start is in the window and domain.
+
+        Each lane is answered as the scalar evaluator answers it once those
+        checks pass: a diagonal lane returns its start where the field can
+        be evaluated there, and any other lane takes solve's value.  Phase 2
+        runs every query, one lane each, from its start (see _starts) to its
+        tau.
+        """
+        values, ok = np.full(a.shape, math.nan), np.zeros(len(tau), dtype=bool)
+        lanes, rows = self._starts(tau, sigma, a, inside, values, ok)
+        n = self.field.n
+        state = (rows[:, 0], rows[:, 1], rows[:, -1], rows[:, 2:2 + n], rows[:, 2 + n:-1])
+        if len(lanes) > _TAIL_LANES:
+            landed, reached, _, tail = _drive_lanes(self.field, self.cfg, tau[lanes], state)
+            values[lanes[landed]], ok[lanes[landed]] = reached[landed], True
+        else:
+            tail = list(enumerate(_states(*state)))
+        for q, loop_state in tail:
+            try:
+                values[lanes[q]] = _drive(self.field, float(tau[lanes[q]]), self.cfg, False, loop_state)
+                ok[lanes[q]] = True
+            except (EscapeEvent, StepBudgetExceeded):
+                pass
+        return values, ok
+
+    def _starts(self, tau, sigma, a, inside, values, ok) -> tuple[np.ndarray, np.ndarray]:
+        """The lanes that phase 2 runs and their starts, as rows (t, h, y, k1, steps).
+
+        Diagonal lanes get their values and ok here.  The data are looked up
+        and entered in the cache in order of first appearance, as solve
+        would meet them, so the cache ends in the state a loop of solve over
+        the lanes grouped by datum leaves, and the step loop makes the same
+        tries.  A query starts from the first recorded try that reaches its
+        tau; phase 1 runs the other data on, one lane per datum, until their
+        farthest query is reached.
+        """
+        groups, inside_l, taus = {}, inside.tolist(), tau.tolist()
+        for i, key in enumerate(map(bytes, np.column_stack([sigma, np.where(tau > sigma, 1.0, -1.0), a]))):
+            lanes = groups.setdefault(key, [])
+            if inside_l[i]:
+                lanes.append(i)
+        # a datum with an entry was evaluable at its start; the others get their slopes here
+        fresh = {lanes[0]: j for j, lanes in enumerate(v for k, v in groups.items() if v and k not in self.entries)}
+        if fresh:
+            slopes, evaluable = self.field.lanes(sigma[list(fresh)], a[list(fresh)])
+        queried = 0  # data with a lane off the diagonal, which meet the cache
+        for lanes in groups.values():
+            if lanes and not (lanes[0] in fresh and not evaluable[fresh[lanes[0]]]):
+                sigma_i = float(sigma[lanes[0]])
+                on_diagonal = [i for i in lanes if taus[i] == sigma_i]
+                values[on_diagonal], ok[on_diagonal] = a[on_diagonal], True
+                queried += len(on_diagonal) < len(lanes)
+        lo, hi = self.cfg.window
+        width, jobs = 2 + 2 * self.field.n, _Jobs()
+        starts = np.full((len(tau), width + 1), math.nan)  # NaN until the lane has a start
+        for key, lanes in groups.items():
+            if not lanes or lanes[0] in fresh and not evaluable[fresh[lanes[0]]]:
+                continue  # no lane, or the field cannot be evaluated at the start
+            head, sigma_i = lanes[0], float(sigma[lanes[0]])
+            lanes = [i for i in lanes if taus[i] != sigma_i]
+            if not lanes:
+                continue
+            queried -= 1
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+            else:  # new, or pushed out earlier in this batch, when solve makes its first try again
+                slope = tuple(slopes[fresh[head]].tolist()) if head in fresh else None
+                edge = hi if taus[lanes[0]] > sigma_i else lo
+                t, h, _, y, k1 = _first_try(self.field, sigma_i, tuple(a[head].tolist()), edge, self.cfg, slope)
+                entry = _Trajectory(self.field.n)
+                entry.record(t, h, y, k1)
+                self.entries[key] = entry
+                if len(self.entries) > _TRAJECTORY_CACHE_SIZE:
+                    self.entries.popitem(last=False)
+            waiting = []
+            for i in lanes:
+                j = entry.first_reaching(taus[i])
+                if j is not None:
+                    starts[i, :width], starts[i, width] = entry.rows[j * width:(j + 1) * width], j
+                elif entry.end is None:
+                    waiting.append(i)
+            if waiting:
+                waiting.sort(key=lambda i: abs(taus[i] - sigma_i), reverse=True)
+                # the cache keeps the data it meets last, and only they record their tries
+                jobs.add(entry if queried < _TRAJECTORY_CACHE_SIZE else None, entry, waiting)
+        self._run_on_lanes(jobs, taus, starts)
+        lanes = np.arange(len(tau))[np.isfinite(starts[:, 0])]
+        return lanes, starts[lanes]
+
+    def _run_on_lanes(self, jobs: "_Jobs", taus: list, starts: np.ndarray) -> None:
+        """Phase 1: each job's datum runs on from its pending try until its farthest query is reached.
+
+        The entries of kept jobs record the tries and how the loop ends.
+        Before each try, every query whose tau the try's step reaches takes
+        the loop state as its starts row.  A query the loop never reaches,
+        since it escapes or runs out of steps first, keeps its NaN row.
+        """
+        n, queues = self.field.n, jobs.queues
+        if len(queues) <= _TAIL_LANES:
+            tail = list(enumerate(_states(*jobs.state(n))))
+        else:
+            state = jobs.state(n)
+            # one more slot for the id of idle lanes, which is never kept and never reaches a query
+            pending = np.append(state[2], math.inf)
+            kept = np.array([entry is not None for entry in jobs.kept] + [False])
+            nearest = np.array([taus[queue[-1]] for queue in queues] + [math.inf])
+            row_bytes = 8 * (2 + 2 * n)
+
+            def record(ids, live, t, h, steps, y, k1):
+                new = _where(live & kept[ids] & (steps > pending[ids]))  # a pending try has its row already
+                if new:
+                    rows = np.column_stack([t, h, y, k1]).tobytes()
+                    for k in new:
+                        jobs.kept[int(ids[k])].rows.frombytes(rows[k * row_bytes:(k + 1) * row_bytes])
+                hit = live & (np.abs(h) >= np.abs(nearest[ids] - t))
+                for k in _where(hit):
+                    i = int(ids[k])
+                    if _capture(queues[i], taus, _state(t, h, steps, y, k1, k), starts):
+                        nearest[i] = taus[queues[i][-1]]
+
+            target = np.array([taus[queue[0]] for queue in queues])
+            _, _, ends, tail = _drive_lanes(self.field, self.cfg, target, state, record)
+            for i, end in ends.items():
+                if jobs.kept[i] is not None:
+                    jobs.kept[i].end = end
+        for i, loop_state in tail:
+            self._run_on(jobs.kept[i], queues[i], taus, loop_state, starts)
+
+    def _run_on(self, entry: _Trajectory | None, queue: list, taus: list, state, starts: np.ndarray) -> None:
+        """_run_on_lanes for one job, in the scalar loop from state."""
+        pending = state[2]
+
+        def record(t, h, steps, y, k1):
+            if entry is not None and steps > pending:  # the pending try has its row already
+                entry.record(t, h, y, k1)
+            return not _capture(queue, taus, (t, h, steps, y, k1), starts)
+
+        try:
+            _drive(self.field, taus[queue[0]], self.cfg, False, state, record)
+        except EscapeEvent as ev:
+            if entry is not None:
+                entry.end = (ev.kind, ev.time)
+        except StepBudgetExceeded as err:
+            if entry is not None:
+                entry.end = str(err)
+
+
+class _Jobs:
+    """Phase 1's data: the pending try of each as one flat row, its kept entry or None, its queue.
+
+    A queue lists the lanes of the datum's queries, farthest tau first.
+    """
+
+    def __init__(self):
+        self.rows, self.steps, self.kept, self.queues = array("d"), array("d"), [], []
+
+    def add(self, kept: _Trajectory | None, entry: _Trajectory, queue: list) -> None:
+        width = 2 + 2 * entry.n
+        self.rows.extend(entry.rows[-width:])
+        self.steps.append(len(entry) - 1)
+        self.kept.append(kept)
+        self.queues.append(queue)
+
+    def state(self, n: int) -> tuple:
+        """The pending tries as lane columns (t, h, steps, y, k1)."""
+        rows = np.frombuffer(self.rows).reshape(len(self.queues), 2 + 2 * n)
+        return rows[:, 0], rows[:, 1], np.frombuffer(self.steps), rows[:, 2:2 + n], rows[:, 2 + n:]
+
+
+def _capture(queue: list, taus: list, state, starts: np.ndarray) -> bool:
+    """Give state to every query at the end of queue whose tau its step reaches; True while queries wait."""
+    t, h, steps, y, k1 = state
+    while queue and abs(h) >= abs(taus[queue[-1]] - t):
+        starts[queue.pop()] = (t, h, *y, *k1, steps)
+    return bool(queue)
+
 
 def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> FlowFamily:
     """Flow family realized by integrating the field on demand.
@@ -437,6 +756,9 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
             ) from None
 
     def batch_evaluator(tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):
+        if len(tau) > _TAIL_LANES and isinstance(field, VectorField):
+            inside = (lo <= tau) & (tau <= hi) & (lo <= sigma) & (sigma <= hi)
+            return trajectories.solve_lanes(tau, sigma, a, inside & field.domain.contains_lanes(sigma, a))
         # lanes grouped by Cauchy datum (sigma, direction, a), as the cache keys it, in order of
         # first appearance: lanes that share a start replay one trajectory however the caller
         # ordered them, and no other datum can push it out of the cache between them
