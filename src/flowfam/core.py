@@ -93,7 +93,8 @@ class DomainSpec:
 
     Membership = t inside the open time_box AND space_predicate > 0 (when a
     predicate is present).  Strict inequalities keep the set open by
-    construction.  The predicate is compiled once, here.
+    construction.  The predicate is compiled once, here; its lane form,
+    behind contains_lanes, on the first call.
     """
 
     n: int

@@ -10,7 +10,12 @@ costs six fresh rhs evaluations.
 The step loop runs on tuples of floats (field(t, x) returns one): every sum
 is plain IEEE double arithmetic, left to right in the tableau's order, with
 no BLAS and no fused multiply-add, so its results are the same on every
-IEEE-double machine.  numpy enters only at the FlowFamily boundary.
+IEEE-double machine.  The same loop also runs over numpy lanes, for a
+numeric family's batches: each stage sum is a chain of elementwise ufuncs in
+the tableau's order, each rounding once, the field is evaluated by its lane
+kernels (VectorField.lanes), and the step factor takes Python's float ** lane
+by lane, since numpy's power rounds differently.  So a lane makes the tries
+of the scalar loop bit for bit.
 
 Integration stops early when the trajectory escapes: norm past the blow-up
 radius, domain predicate failing, or the step size collapsing below h_min.
@@ -22,15 +27,21 @@ FlowFamily translates them into domain membership.
 
 A numeric family keeps a bounded cache of the step loop's tries per Cauchy
 datum (sigma, a) and direction, so a query replays only the tries from the
-first one that reaches tau.  That cache is mutable state: a numeric family
-is not thread-safe, and nothing in flowfam evaluates concurrently.
+first one that reaches tau.  A batch shares those trajectories in two
+phases: one lane per datum runs the tries that no record reaches far enough
+yet, then one lane per query runs from its reaching try to tau; the last 16
+lanes of either finish in the scalar loop.  That cache is mutable state: a
+numeric family is not thread-safe, and nothing in flowfam evaluates
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +91,11 @@ _TAIL_LANES = 16  # at or below this many lanes the scalar loop is cheaper than 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step-control and escape-detection knobs for the adaptive integrator."""
+    """Step-control and escape-detection knobs for the adaptive integrator.
+
+    Each knob must be a number, and the window two finite numbers: an
+    infinite edge would leave the step loop with no end but max_steps.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -91,13 +106,21 @@ class IntegratorConfig:
     max_steps: int = 10**6
 
     def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "h_init", "h_min", "blowup_radius"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if not 0 < self.h_min < self.h_init:
             raise ValueError("need 0 < h_min < h_init")
         if not self.blowup_radius > 0:
             raise ValueError("blowup_radius must be positive")
-        lo, hi = map(float, self.window)
+        window = tuple(self.window) if isinstance(self.window, Iterable) else ()
+        if len(window) != 2 or not all(isinstance(end, numbers.Real) for end in window):
+            raise ValueError(f"window must be two numbers, got {self.window!r}")
+        lo, hi = map(float, window)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"window ends must be finite, got {self.window!r}")
         if not lo < hi:
             raise ValueError("window must be a nonempty interval")
         object.__setattr__(self, "window", (lo, hi))
@@ -265,18 +288,15 @@ def _bisect_escape(field: VectorField, t_good: float, y_good: tuple, t_bad: floa
     return 0.5 * (t_good + t_bad), kind
 
 
-def dopri5_lanes(f, t: np.ndarray, y: np.ndarray, h: np.ndarray, k1: np.ndarray, live: np.ndarray):
+def dopri5_lanes(f, t: np.ndarray, y: np.ndarray, h: np.ndarray, k1: np.ndarray):
     """dopri5_step over lanes t[m], y[m, n], h[m] and k1[m, n]: (y5, err, k_last, ok).
 
     f(t[m], x[m, n]) returns (slopes[m, n], ok[m]), a lane form of the
-    field.  Lanes outside live are idle: they take a zero step, and their
-    results mean nothing.  Each stage sum is a chain of elementwise ufuncs
-    in dopri5_step's order, each rounding once, so a live lane i equals
-    dopri5_step on lane i bit for bit wherever ok[i]; ok[i] is False exactly
-    where that call raises EvalError or returns a y5 or err that is not
-    finite.
+    field.  Each stage sum is a chain of elementwise ufuncs in dopri5_step's
+    order, each rounding once, so lane i equals dopri5_step on lane i bit
+    for bit wherever ok[i]; ok[i] is False exactly where that call raises
+    EvalError or returns a y5 or err that is not finite.
     """
-    h = np.where(live, h, 0.0)
     hc = h[:, None]
     k2, ok2 = f(t + _C2 * h, y + hc * (_A21 * k1))
     k3, ok3 = f(t + _C3 * h, y + hc * (_A31 * k1 + _A32 * k2))
@@ -290,34 +310,18 @@ def dopri5_lanes(f, t: np.ndarray, y: np.ndarray, h: np.ndarray, k1: np.ndarray,
     return y5, err, k7, ok
 
 
-def _capacity(k: int) -> int:
-    """The least lane capacity of at least k lanes: 16, 24, 32, 48, 64, 96, 128, ...
-
-    Lane arrays come in these lengths only, the lanes past the running ones
-    idle.  numpy keeps a few freed buffers of every small size for reuse,
-    so arrays that shrank one lane at a time would leave buffers of every
-    length resident.
-    """
-    size = _TAIL_LANES
-    while size < k:
-        size = size * 3 // 2 if size & (size - 1) == 0 else size * 4 // 3
-    return size
-
-
 def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, state, record=None):
     """_drive over lanes: lane i runs the step loop from state i toward target[i], all lanes in step.
 
     state is (t[m], h[m], steps[m], y[m, n], k1[m, n]).  Each try is one
-    dopri5_lanes call, then _drive's step control in elementwise form; the
-    step factor takes Python's float ** lane by lane, since numpy's power
-    rounds differently.  So every lane makes the tries _drive makes and ends
-    as it does.  The lanes sit in arrays of _capacity lengths, with ids
-    naming them and a live mask; idle slots carry the id m.  record, when
-    given, sees (ids, live, t, h, steps, y, k1) before each try, and a live
-    lane then ends before the first try whose step reaches its target, as
-    _drive does with a record hook that returns True there.  Once at most
-    _TAIL_LANES lanes run, numpy's per-call cost outweighs the work and they
-    stop in place.
+    dopri5_lanes call over the running lanes, then _drive's step control in
+    elementwise form; the step factor takes Python's float ** lane by lane,
+    since numpy's power rounds differently.  So every lane makes the tries
+    _drive makes and ends as it does.  record, when given, sees (lanes, t,
+    h, steps, y, k1) before each try, and a lane then ends before the first
+    try whose step reaches its target, as _drive does with a record hook
+    that returns True there.  Once at most _TAIL_LANES lanes run, numpy's
+    per-call cost outweighs the work and they stop in place.
 
     Returns (landed, values, ends, tail): landed[i] where lane i landed on
     its target, values[i] its state there; ends maps a lane that escaped to
@@ -325,36 +329,28 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
     lists (lane, state) for the lanes stopped in place, as the loop state
     _drive resumes them from.
     """
-    m = len(target)
-    idle = _capacity(m) - m
-    ids, live = np.array([*range(m), *[m] * idle]), np.array([True] * m + [False] * idle)
-    # idle slots copy lane 0's state, where the field can be evaluated
-    t, h, steps, y, k1, target = (np.concatenate([c, np.repeat(c[:1], idle, axis=0)]) for c in (*state, target))
-    landed, values, ends = np.zeros(m + 1, dtype=bool), np.full((m + 1, y.shape[1]), math.nan), {}
+    t, h, steps, y, k1 = state
+    lanes = np.arange(len(t))
+    landed, values, ends = np.zeros(len(t), dtype=bool), np.full(y.shape, math.nan), {}
     with np.errstate(all="ignore"):  # a failed lane carries inf or nan through its stages
         while True:
             last = np.abs(h) >= np.abs(target - t)
             if record is not None:
-                record(ids, live, t, h, steps, y, k1)
-                live &= ~last
-            running = np.count_nonzero(live)
-            if running <= _TAIL_LANES:
-                tail = [(int(ids[k]), _state(t, h, steps, y, k1, k)) for k in _where(live)]
-                return landed[:m], values[:m], ends, tail
-            if _capacity(running) < len(ids):  # the running lanes and the first idle ones, in order
-                spare = _capacity(running) - running
-                keep = [alive or (spare := spare - 1) >= 0 for alive in live.tolist()]
-                ids, live, t, h, steps, y, k1, target, last = (
-                    c[keep] for c in (ids, live, t, h, steps, y, k1, target, last))
+                record(lanes, t, h, steps, y, k1)
+                if last.any():
+                    lanes, t, h, steps, y, k1, target = _keep(~last, lanes, t, h, steps, y, k1, target)
+                    last = last[~last]
+            if len(lanes) <= _TAIL_LANES:
+                return landed, values, ends, [(i, _state(t, h, steps, y, k1, k)) for k, i in enumerate(lanes.tolist())]
             steps = steps + 1.0
-            over = live & (steps > cfg.max_steps)
-            for k in _where(over):
-                ends[int(ids[k])] = f"integration exceeded {cfg.max_steps} steps at t={float(t[k])}"
-            live &= ~over
+            over = steps > cfg.max_steps
+            if over.any():
+                for k in _where(over):
+                    ends[int(lanes[k])] = f"integration exceeded {cfg.max_steps} steps at t={float(t[k])}"
+                lanes, t, h, steps, y, k1, target, last = _keep(~over, lanes, t, h, steps, y, k1, target, last)
             if record is None:
                 h = np.where(last, target - t, h)
-            y_new, err_vec, k_last, ok = dopri5_lanes(field.lanes, t, y, h, k1, live)
-            ok &= live
+            y_new, err_vec, k_last, ok = dopri5_lanes(field.lanes, t, y, h, k1)
             err = (np.abs(err_vec) / (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))).max(axis=1)
             err = np.where(ok, err, 1.0)
             accepted = ok & (err <= 1.0)
@@ -365,22 +361,27 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
                               for k, e in zip(ok.tolist(), err.tolist())])
             blow_up = np.abs(y_new).max(axis=1) > cfg.blowup_radius
             escaped = accepted & (blow_up | ~field.domain.contains_lanes(t_new, y_new))
-            underflow = live & ~accepted & (np.abs(h) < cfg.h_min)
+            underflow = ~accepted & (np.abs(h) < cfg.h_min)
             for k in _where(escaped):
-                ends[int(ids[k])] = ("blow_up" if blow_up[k] else "left_domain", float(t_new[k]))
+                ends[int(lanes[k])] = ("blow_up" if blow_up[k] else "left_domain", float(t_new[k]))
             for k in _where(underflow):
-                ends[int(ids[k])] = ("step_underflow", float(t[k]))
+                ends[int(lanes[k])] = ("step_underflow", float(t[k]))
             done = accepted & last & ~escaped
-            if done.any():
-                landed[ids] |= done
-                values[ids] = np.where(done[:, None], y_new, values[ids])
+            landed[lanes[done]] = True
+            values[lanes[done]] = y_new[done]
             moved = accepted & ~last & ~escaped
             t = np.where(moved, t_new, t)
             y = np.where(moved[:, None], y_new, y)
             k1 = np.where(moved[:, None], k_last, k1)
             # keep crawling; only a failed step underflows
             h = np.where(moved & (np.abs(h) < cfg.h_min), np.where(h < 0.0, -cfg.h_min, cfg.h_min), h)
-            live &= ~(escaped | underflow | done)
+            running = ~(escaped | underflow | done)
+            if not running.all():
+                lanes, t, h, steps, y, k1, target = _keep(running, lanes, t, h, steps, y, k1, target)
+
+
+def _keep(mask: np.ndarray, *columns: np.ndarray) -> list:
+    return [c[mask] for c in columns]
 
 
 def _where(mask: np.ndarray) -> list:
@@ -391,12 +392,6 @@ def _where(mask: np.ndarray) -> list:
 def _state(t: np.ndarray, h: np.ndarray, steps: np.ndarray, y: np.ndarray, k1: np.ndarray, k: int):
     """Lane k of the columns as the scalar loop state (t, h, steps, y, k1) that _drive takes."""
     return float(t[k]), float(h[k]), int(steps[k]), tuple(y[k].tolist()), tuple(k1[k].tolist())
-
-
-def _states(t: np.ndarray, h: np.ndarray, steps: np.ndarray, y: np.ndarray, k1: np.ndarray) -> list:
-    """Lane columns as the scalar loop states (t, h, steps, y, k1) that _drive takes."""
-    return [(ti, hi, int(si), tuple(yi), tuple(ki)) for ti, hi, si, yi, ki in
-            zip(t.tolist(), h.tolist(), steps.tolist(), y.tolist(), k1.tolist())]
 
 
 def advance(
@@ -426,11 +421,6 @@ def advance(
     return as_state(_integrate(field, rho, y, tau, cfg, refine=True), field.n)
 
 
-def _row_state(row, steps: int, n: int):
-    """A recorded row (t, h, y, k1) as the loop state (t, h, steps, y, k1)."""
-    return row[0], row[1], steps, tuple(row[2:2 + n]), tuple(row[2 + n:])
-
-
 class _Trajectory:
     """The step loop's tries from one Cauchy datum toward one window edge.
 
@@ -457,8 +447,9 @@ class _Trajectory:
 
     def state(self, j: int):
         """Row j as the loop state (t, h, steps, y, k1)."""
-        width = 2 + 2 * self.n
-        return _row_state(self.rows[j * width:(j + 1) * width], j, self.n)
+        width, n = 2 + 2 * self.n, self.n
+        row = self.rows[j * width:(j + 1) * width]
+        return row[0], row[1], j, tuple(row[2:2 + n]), tuple(row[2 + n:])
 
     def first_reaching(self, tau: float) -> int | None:
         """Index of the first row whose step reaches tau (the loop's clipping test)."""
@@ -547,7 +538,7 @@ class _TrajectoryCache:
             landed, reached, _, tail = _drive_lanes(self.field, self.cfg, tau[lanes], state)
             values[lanes[landed]], ok[lanes[landed]] = reached[landed], True
         else:
-            tail = list(enumerate(_states(*state)))
+            tail = [(q, _state(*state, q)) for q in range(len(lanes))]
         for q, loop_state in tail:
             try:
                 values[lanes[q]] = _drive(self.field, float(tau[lanes[q]]), self.cfg, False, loop_state)
@@ -629,26 +620,23 @@ class _TrajectoryCache:
         the loop state as its starts row.  A query the loop never reaches,
         since it escapes or runs out of steps first, keeps its NaN row.
         """
-        n, queues = self.field.n, jobs.queues
+        n, queues, state = self.field.n, jobs.queues, jobs.state(self.field.n)
         if len(queues) <= _TAIL_LANES:
-            tail = list(enumerate(_states(*jobs.state(n))))
+            tail = [(i, _state(*state, i)) for i in range(len(queues))]
         else:
-            state = jobs.state(n)
-            # one more slot for the id of idle lanes, which is never kept and never reaches a query
-            pending = np.append(state[2], math.inf)
-            kept = np.array([entry is not None for entry in jobs.kept] + [False])
-            nearest = np.array([taus[queue[-1]] for queue in queues] + [math.inf])
+            pending = state[2]
+            kept = np.array([entry is not None for entry in jobs.kept])
+            nearest = np.array([taus[queue[-1]] for queue in queues])
             row_bytes = 8 * (2 + 2 * n)
 
-            def record(ids, live, t, h, steps, y, k1):
-                new = _where(live & kept[ids] & (steps > pending[ids]))  # a pending try has its row already
+            def record(lanes, t, h, steps, y, k1):
+                new = _where(kept[lanes] & (steps > pending[lanes]))  # a pending try has its row already
                 if new:
                     rows = np.column_stack([t, h, y, k1]).tobytes()
                     for k in new:
-                        jobs.kept[int(ids[k])].rows.frombytes(rows[k * row_bytes:(k + 1) * row_bytes])
-                hit = live & (np.abs(h) >= np.abs(nearest[ids] - t))
-                for k in _where(hit):
-                    i = int(ids[k])
+                        jobs.kept[int(lanes[k])].rows.frombytes(rows[k * row_bytes:(k + 1) * row_bytes])
+                for k in _where(np.abs(h) >= np.abs(nearest[lanes] - t)):
+                    i = int(lanes[k])
                     if _capture(queues[i], taus, _state(t, h, steps, y, k1, k), starts):
                         nearest[i] = taus[queues[i][-1]]
 
@@ -724,10 +712,19 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     a) in each direction, for the 128 data used last, and answers a query by
     replaying only the tries from the first one that reaches tau.  Results
     are bit-identical to integrating each query from scratch and do not
-    depend on earlier queries.  evaluate_batch answers its lanes grouped by
-    Cauchy datum, in order of first appearance, so the lanes that share a
-    start replay one trajectory.  The cache makes the family mutable: it is
+    depend on earlier queries.  The cache makes the family mutable: it is
     not thread-safe.
+
+    evaluate_batch meets the data of its lanes in order of first
+    appearance, as a loop of evaluate over the lanes grouped by datum
+    would, and makes the same tries.  On a VectorField, a batch of more
+    than 16 lanes runs in two phases over numpy lanes: phase 1 runs each
+    datum whose recorded tries do not reach its farthest tau on from its
+    pending try, one lane per datum, and phase 2 runs each query, one lane
+    each, from the first try that reaches its tau.  Lanes still running
+    once 16 or fewer are left finish in the scalar loop, and a batch of 16
+    lanes or fewer never enters numpy's step.  Other fields, such as a
+    TabulatedVectorField, which has no lane form, run the grouped loop.
     """
     cfg = cfg or IntegratorConfig()
     lo, hi = cfg.window
@@ -759,9 +756,9 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
         if len(tau) > _TAIL_LANES and isinstance(field, VectorField):
             inside = (lo <= tau) & (tau <= hi) & (lo <= sigma) & (sigma <= hi)
             return trajectories.solve_lanes(tau, sigma, a, inside & field.domain.contains_lanes(sigma, a))
-        # lanes grouped by Cauchy datum (sigma, direction, a), as the cache keys it, in order of
-        # first appearance: lanes that share a start replay one trajectory however the caller
-        # ordered them, and no other datum can push it out of the cache between them
+        # the grouped loop: lanes grouped by Cauchy datum (sigma, direction, a), as the cache keys
+        # it, in order of first appearance, so that lanes that share a start replay one trajectory
+        # however the caller ordered them, and no other datum can push it out of the cache between them
         data = np.column_stack([sigma, np.where(tau > sigma, 1.0, -1.0), a])
         groups = {}
         for i, key in enumerate(map(bytes, data)):

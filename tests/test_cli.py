@@ -381,6 +381,30 @@ def test_interval_full_window_exits_0(tmp_path, capsys):
     assert recs[1]["upper_kind"] == "window_limit"
 
 
+def test_interval_rejects_an_infinite_window(tmp_path, capsys):
+    # JSON 1e400 parses to inf: the window used to load, and interval then ran out of steps
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"system": {"catalog": "rotation"}, "integrator": {"window": [-1, 1e400], "max_steps": 1000}}')
+    with pytest.raises(ConfigError, match="integrator: window ends must be finite"):
+        load_config(str(cfg))
+    code, recs = run_cli(
+        ["interval", "--config", str(cfg), "--rho", "0", "--a", "1,0", "--no-timestamp"], capsys
+    )
+    assert code == 2
+    assert recs == [{"kind": "error", "message": recs[0]["message"]}]
+    assert "window ends must be finite" in recs[0]["message"]
+
+
+@pytest.mark.parametrize("integrator", [{"rel_tol": "abc"}, {"window": ["-1", "inf"]}, {"h_min": None}])
+def test_integrator_value_that_is_not_a_number_names_its_key(tmp_path, capsys, integrator):
+    path = write_config(tmp_path, {**RICCATI, "integrator": integrator})
+    key = next(iter(integrator))
+    with pytest.raises(ConfigError, match=f"integrator: {key} must be"):
+        load_config(path)
+    code, recs = run_cli(["flow", "--config", path, "--tau", "0", "--sigma", "0", "--a", "1"], capsys)
+    assert code == 2 and recs[0]["kind"] == "error" and f"{key} must be" in recs[0]["message"]
+
+
 def test_interval_requires_field(tmp_path, capsys):
     cfg = write_config(
         tmp_path, {"system": {"family": {"n": 1, "components": ["a1"]}}}

@@ -400,6 +400,26 @@ def test_lane_kernels_compiled_on_the_first_batch(monkeypatch):
     assert compiled == ["(a1 / (1 + ((sigma - tau) * a1)))", "(1 - ((tau - sigma) * a1))"]
 
 
+def test_field_lane_kernels_compiled_on_the_first_batch(monkeypatch):
+    # building a field or a numeric family, and scalar queries, compile no lane kernel
+    compiled = []
+
+    def counting(e, n):
+        compiled.append(ex.pretty_print(e))
+        return original(e, n)
+
+    original = ex.compile_field_lanes
+    monkeypatch.setattr(ex, "compile_field_lanes", counting)
+    field = VectorField.from_strings(["x1^2", "-x2"], DomainSpec(2, space_predicate="4 - x1^2"))
+    fam = numeric_family(field, IntegratorConfig())
+    fam.evaluate(0.5, 0.0, [0.5, 0.5])
+    fam.evaluate_batch(np.full(16, 0.5), np.zeros(16), np.full((16, 2), 0.5))  # small: the scalar loop
+    assert compiled == []
+    for _ in range(2):
+        fam.evaluate_batch(np.linspace(-0.5, 0.5, 40), np.zeros(40), np.full((40, 2), 0.5))
+    assert sorted(compiled) == ["(-x2)", "(4 - (x1 ^ 2))", "(x1 ^ 2)"]
+
+
 _NUMERIC = {name: numeric_family(catalog.get(name).field(), IntegratorConfig()) for name in ("riccati", "rotation")}
 _CLOSED = {name: catalog.get(name).family() for name in catalog.names()}
 _lane = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)

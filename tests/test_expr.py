@@ -23,6 +23,7 @@ from flowfam.expr import (
     compile_family,
     compile_family_lanes,
     compile_field,
+    compile_field_lanes,
     parse,
     pretty_print,
 )
@@ -364,6 +365,35 @@ def test_lane_kernel_tracks_failures_that_nan_forgets():
     values, ok = compile_family_lanes(tree, 1)(tau, sigma, a)
     assert not ok.any()
     assert assert_lanes_match(tree, 1, tau, sigma, a) == 50
+
+
+def test_power_lanes_mix_every_rule_of_the_scalar_power():
+    # 0^-1 and (-0.0)^-1 divide by zero, 0^0 is 1, (-2)^0.5 has no real value, (-2)^3 is
+    # fine, and 2^2000 overflows, which sends the whole batch through the scalar rule
+    lanes = [(0.0, -1.0), (-0.0, -1.0), (0.0, 0.0), (-2.0, 0.5), (-2.0, 3.0), (1.5, 2.0), (-1.5, -2.0),
+             (3.0, 0.25), (2.0, 2000.0)]
+    tree = parse("a1^a2")
+    for a in (np.array(lanes), np.array(lanes[:-1])):  # with the overflow and without it
+        zeros = np.zeros(len(a))
+        assert assert_lanes_match(tree, 2, zeros, zeros, a) == 3 + (len(a) == len(lanes))
+
+
+def test_field_lanes_match_compile_field():
+    # the field form reads t and x1..xn; a1 is not one of its variables
+    for source in ("x1^2", "-x2", "sqrt(2 - t)*x1 + exp(x1)/(1 + x1^2)", "t^0.5 - x1^3"):
+        tree = parse(source)
+        scalar = compile_field(tree, 2)
+        t, _, x = lane_points(2, 500, seed=4)
+        values, ok = compile_field_lanes(tree, 2)(t, x)
+        for i in range(len(t)):
+            try:
+                want = scalar(t[i], x[i])
+            except EvalError:
+                assert not ok[i], (source, t[i], x[i])
+                continue
+            assert ok[i] and float(values[i]).hex() == want.hex(), (source, t[i], x[i])
+    with pytest.raises(ValidationError):
+        compile_field_lanes(parse("a1 + x1"), 2)
 
 
 def test_lane_kernel_validates_like_compile_family():

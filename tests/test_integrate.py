@@ -62,11 +62,28 @@ def test_config_defaults():
         {"blowup_radius": 0.0},
         {"window": (3.0, 3.0)},
         {"max_steps": 0},
+        {"window": (-1.0, math.inf)},
+        {"window": (-1.0, 1e400)},
+        {"window": (math.nan, 1.0)},
+        {"window": ("-1", "1")},
+        {"window": (-1.0, 0.0, 1.0)},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         IntegratorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "h_init", "h_min", "blowup_radius"])
+def test_config_names_a_knob_that_is_not_a_number(key):
+    # a string used to reach a comparison and fail with "'>' not supported ..."
+    with pytest.raises(ValueError, match=f"^{key} must be a number, got 'abc'$"):
+        IntegratorConfig(**{key: "abc"})
+
+
+def test_config_window_may_be_any_pair_of_finite_numbers():
+    assert IntegratorConfig(window=np.array([-1, 2])).window == (-1.0, 2.0)
+    assert IntegratorConfig(window=[-3, 4.5]).window == (-3.0, 4.5)
 
 
 # --- one-step order behavior -------------------------------------------------
@@ -332,16 +349,22 @@ def test_complete_solution_bundle(riccati_field):
 # --- trajectory cache ------------------------------------------------------------
 
 def count_steps(monkeypatch):
-    """Count dopri5_step calls from here on; returns the reader."""
-    calls = []
-    step = integrate.dopri5_step
+    """Count DP5 tries from here on, one per dopri5_step call and one per lane of a
+    dopri5_lanes call; returns the reader."""
+    calls = [0]
+    step, lanes = integrate.dopri5_step, integrate.dopri5_lanes
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls[0] += 1
         return step(*args, **kwargs)
 
+    def counted_lanes(f, t, *args):
+        calls[0] += len(t)
+        return lanes(f, t, *args)
+
     monkeypatch.setattr(integrate, "dopri5_step", counted)
-    return lambda: len(calls)
+    monkeypatch.setattr(integrate, "dopri5_lanes", counted_lanes)
+    return lambda: calls[0]
 
 
 def outcome(fam, tau, sigma, a):
@@ -471,14 +494,23 @@ def test_dropped_family_frees_its_field():
         gc.enable()
 
 
-def test_default_plan_shape_step_count(monkeypatch):
-    # the benchmark's verify-numeric plan on rotation: 18,305 steps when
-    # every query integrates from scratch
-    field = catalog.get("rotation").field()
-    plan = SamplePlan((-0.2, 0.0, 0.2), default_plan(2).state_grid, random_count=2)
+def bench_plan_steps(monkeypatch, name):
+    """DP5 tries of the suite on the benchmark's verify-numeric plan for a catalog field."""
+    field = catalog.get(name).field()
+    plan = SamplePlan((-0.2, 0.0, 0.2), default_plan(field.n).state_grid, random_count=2)
     steps = count_steps(monkeypatch)
     assert run_suite(numeric_family(field), plan).passed
-    assert steps() <= 10_278
+    return steps()
+
+
+def test_default_plan_shape_step_count(monkeypatch):
+    # rotation: 18,305 steps when every query integrates from scratch; a lane step counts once per lane
+    assert bench_plan_steps(monkeypatch, "rotation") <= 10_278
+
+
+def test_default_plan_shape_step_count_riccati(monkeypatch):
+    # the count of a loop of evaluate over lanes grouped by datum, which the lane driver repeats
+    assert bench_plan_steps(monkeypatch, "riccati") <= 2_860
 
 
 def test_batch_equals_a_loop_of_evaluate_on_shuffled_lanes():
@@ -503,3 +535,113 @@ def test_batch_equals_a_loop_of_evaluate_on_shuffled_lanes():
     assert {values[i].tobytes() for i, l in enumerate(lanes) if l[0] == l[1] and l[2] == [0.0]} == {
         np.array([-0.0]).tobytes(), np.array([0.0]).tobytes()
     }
+
+
+def grouped_loop(fam, tau, sigma, a):
+    """outcome of each lane by a loop of evaluate over the lanes grouped by Cauchy datum
+    (sigma, direction, a) in order of first appearance: the order the lane driver enters
+    data in the cache, so that both make the same tries."""
+    groups = {}
+    for i in range(len(tau)):
+        key = np.array([sigma[i], 1.0 if tau[i] > sigma[i] else -1.0, *a[i]]).tobytes()
+        groups.setdefault(key, []).append(i)
+    got = [None] * len(tau)
+    for lanes in groups.values():
+        for i in lanes:
+            got[i] = outcome(fam, tau[i], sigma[i], a[i])
+    return got
+
+
+def assert_batch_is(want, values, ok):
+    assert ok.tolist() == [isinstance(w, bytes) for w in want]
+    assert [v.tobytes() for v in values[ok]] == [w for w in want if isinstance(w, bytes)]
+    assert np.isnan(values[~ok]).all()
+
+
+# (rhs, domain predicate, max_steps, spread of the states) over the window (-3, 3), blow-up past 1e3
+LANE_FIELDS = {
+    # blows up near t = sigma + 1/a, and sqrt(1 - t) has no value past t = 1: step underflow
+    "riccati-wall": (["sqrt(1 - t) + x1^2"], None, 2000, 2.5),
+    # a spiral out of the disk of radius 2, with a step budget some lanes run out of
+    "spiral": (["x1 - x2", "x1 + x2"], "4 - x1^2 - x2^2", 60, 1.2),
+    # nothing escapes, so the data's lanes in phase 1 end one by one
+    "smooth": (["0.3*x1 + t"], None, 10**6, 1.0),
+}
+
+
+def lane_family(name, seed=3):
+    """The field, its config, and 30 data (sigma, a) each queried at six taus, one of them
+    sigma itself and one outside the window: 180 shuffled lanes (tau, sigma, a)."""
+    rhs, predicate, max_steps, spread = LANE_FIELDS[name]
+    field = VectorField.from_strings(rhs, DomainSpec(len(rhs), space_predicate=predicate))
+    rng = random.Random(seed)
+    lanes = []
+    for _ in range(30):
+        sigma, a = rng.uniform(-1.0, 0.5), [rng.uniform(-spread, spread) for _ in rhs]
+        taus = [sigma, *(rng.uniform(-2.8, 2.8) for _ in range(4)), rng.choice([-3.5, 3.5])]
+        lanes += [(tau, sigma, a) for tau in taus]
+    rng.shuffle(lanes)
+    data = [np.array(col, dtype=float) for col in zip(*lanes)]
+    return field, IntegratorConfig(window=(-3.0, 3.0), max_steps=max_steps, blowup_radius=1e3), data
+
+
+@pytest.mark.parametrize("name", LANE_FIELDS)
+def test_lane_driver_equals_the_grouped_loop_with_its_step_count(monkeypatch, name):
+    field, cfg, (tau, sigma, a) = lane_family(name)
+    steps = count_steps(monkeypatch)
+    want = grouped_loop(numeric_family(field, cfg), tau, sigma, a)
+    loop_steps = steps()
+    values, ok = numeric_family(field, cfg).evaluate_batch(tau, sigma, a)
+    assert steps() - loop_steps == loop_steps
+    assert_batch_is(want, values, ok)
+    kinds = {"riccati-wall": ["(blow_up)", "(step_underflow)"], "spiral": ["(left_domain)", "exceeded 60 steps"]}
+    reasons = " ".join(w[1] for w in want if not isinstance(w, bytes))
+    for kind in kinds.get(name, []) + ["integration window"]:
+        assert kind in reasons
+
+
+def test_lane_driver_runs_both_phases_and_hands_its_tail_to_the_scalar_loop(monkeypatch):
+    lanes, calls = integrate._drive_lanes, set()
+
+    def spied(field, cfg, target, state, record=None):
+        landed, values, ends, tail = lanes(field, cfg, target, state, record)
+        calls.add((1 if record else 2, len(target) > 16, bool(tail)))
+        return landed, values, ends, tail
+
+    monkeypatch.setattr(integrate, "_drive_lanes", spied)
+    for name in LANE_FIELDS:
+        field, cfg, (tau, sigma, a) = lane_family(name)
+        assert_batch_is(grouped_loop(numeric_family(field, cfg), tau, sigma, a),
+                        *numeric_family(field, cfg).evaluate_batch(tau, sigma, a))
+    assert {(1, True, True), (2, True, True)} <= calls
+
+
+@pytest.mark.parametrize("name", LANE_FIELDS)
+def test_consecutive_batches_share_trajectories_like_the_grouped_loop(monkeypatch, name):
+    field, cfg, first = lane_family(name, seed=5)
+    second = [np.concatenate([x[:90], y[:90]]) for x, y in zip(first, lane_family(name, seed=6)[2])]
+    lanes, loop = numeric_family(field, cfg), numeric_family(field, cfg)
+    steps = count_steps(monkeypatch)
+    for tau, sigma, a in (first, second):
+        before = steps()
+        want = grouped_loop(loop, tau, sigma, a)
+        loop_steps = steps() - before
+        values, ok = lanes.evaluate_batch(tau, sigma, a)
+        assert steps() - before - loop_steps == loop_steps
+        assert_batch_is(want, values, ok)
+    before = steps()
+    cold_values, cold_ok = numeric_family(field, cfg).evaluate_batch(*second)
+    assert steps() - before > loop_steps  # the warm family reused the first batch's tries
+    assert cold_ok.tolist() == ok.tolist() and cold_values[ok].tobytes() == values[ok].tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 16])
+def test_small_batches_never_step_in_lanes(monkeypatch, count):
+    def refuse(*args):
+        raise AssertionError("a batch of at most 16 lanes stepped in numpy")
+
+    field, cfg, data = lane_family("riccati-wall")
+    tau, sigma, a = (col[:count] for col in data)
+    want = grouped_loop(numeric_family(field, cfg), tau, sigma, a)
+    monkeypatch.setattr(integrate, "dopri5_lanes", refuse)
+    assert_batch_is(want, *numeric_family(field, cfg).evaluate_batch(tau, sigma, a))
