@@ -572,7 +572,8 @@ class _TrajectoryCache:
             if lanes and not (lanes[0] in fresh and not evaluable[fresh[lanes[0]]]):
                 sigma_i = float(sigma[lanes[0]])
                 on_diagonal = [i for i in lanes if taus[i] == sigma_i]
-                values[on_diagonal], ok[on_diagonal] = a[on_diagonal], True
+                for i in on_diagonal:
+                    values[i], ok[i] = a[i], True
                 queried += len(on_diagonal) < len(lanes)
         lo, hi = self.cfg.window
         width, jobs = 2 + 2 * self.field.n, _Jobs()
