@@ -421,20 +421,23 @@ def _per_lane(fn, ok: np.ndarray, *args: np.ndarray):
 
 
 def _power_lanes(left, right):
-    """Lane closure of ``left ^ right``: _pow's domain rules first, then math.pow lane by lane.
+    """Lane closure of ``left ^ right``: _pow's domain rules as masks, then math.pow lane by lane.
 
-    A zero base with a negative exponent drops out as a mask, and a negative
-    base with an exponent that is not an integer lane by lane, so math.pow
-    sees only lanes it accepts; on an overflow the lanes go through _pow one
-    by one instead.
+    A zero base with a negative exponent and a negative base with an
+    exponent that is not an integer drop out first, so math.pow sees only
+    lanes it accepts; on an overflow the lanes go through _pow one by one
+    instead.
     """
     def power(env):
         (x, x_ok), (y, y_ok) = left(env), right(env)
-        bases, exponents = x.tolist(), y.tolist()
-        ok = (x_ok & y_ok & ~((x == 0.0) & (y < 0.0))).tolist()
-        ok = np.array([o and not (b < 0.0 and not e.is_integer()) for o, b, e in zip(ok, bases, exponents)], dtype=bool)
+        fractional = ~np.isfinite(y) | (np.floor(y) != y)  # float.is_integer's False
+        ok = x_ok & y_ok & ~((x == 0.0) & (y < 0.0)) & ~((x < 0.0) & fractional)
         try:
-            v = np.array([math.pow(b, e) if o else math.nan for o, b, e in zip(ok.tolist(), bases, exponents)])
+            if ok.all():
+                v = np.array(list(map(math.pow, x.tolist(), y.tolist())))
+            else:
+                v = np.full(ok.shape, math.nan)
+                v[ok] = list(map(math.pow, x[ok].tolist(), y[ok].tolist()))
         except OverflowError:
             v, ok = _per_lane(_pow, x_ok & y_ok, x, y)
         return v, ok & np.isfinite(v)
