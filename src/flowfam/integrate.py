@@ -385,7 +385,11 @@ def _keep(mask: np.ndarray, *columns: np.ndarray) -> list:
 
 
 def _where(mask: np.ndarray) -> list:
-    """The indices where mask holds, as a list: an index array would take as many sizes as there are counts."""
+    """The indices where mask holds, as a list of ints.
+
+    Built in Python: numpy keeps freed buffers of each small size for reuse,
+    so an index array for every count met would stay resident.
+    """
     return [k for k, b in enumerate(mask.tolist()) if b] if mask.any() else []
 
 
@@ -671,7 +675,9 @@ class _TrajectoryCache:
 class _Jobs:
     """Phase 1's data: the pending try of each as one flat row, its kept entry or None, its queue.
 
-    A queue lists the lanes of the datum's queries, farthest tau first.
+    A queue lists the lanes of the datum's queries, farthest tau first.  An
+    entry the batch pushes out of the cache is not held here, so it is freed
+    when it leaves the cache, as in the scalar loop.
     """
 
     def __init__(self):
