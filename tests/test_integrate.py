@@ -645,3 +645,33 @@ def test_small_batches_never_step_in_lanes(monkeypatch, count):
     want = grouped_loop(numeric_family(field, cfg), tau, sigma, a)
     monkeypatch.setattr(integrate, "dopri5_lanes", refuse)
     assert_batch_is(want, *numeric_family(field, cfg).evaluate_batch(tau, sigma, a))
+
+
+def test_batches_of_more_data_than_the_cache_holds_match_the_grouped_loop(monkeypatch):
+    # the first batch's 200 data leave its last 128 in the cache; the second meets 28 of
+    # them again, which the cache then keeps as used last, before 110 new data push out
+    # all the others; the third meets 18 of the 28, still recorded
+    field = VectorField.from_strings(["0.3*x1 + t"], DomainSpec(1))
+    rng = random.Random(8)
+    data = [(rng.uniform(-1.0, 0.5), rng.uniform(-1.0, 1.0)) for _ in range(310)]
+    lanes, loop = numeric_family(field, CFG), numeric_family(field, CFG)
+    steps = count_steps(monkeypatch)
+    for batch in (data[:200], data[72:100] + data[200:], data[82:100]):
+        tau, sigma, a = (np.array(col, dtype=float) for col in zip(
+            *[(sigma + rng.uniform(0.1, 2.0), sigma, [a]) for sigma, a in batch for _ in range(2)]))
+        before = steps()
+        want = grouped_loop(loop, tau, sigma, a)
+        loop_steps = steps() - before
+        assert_batch_is(want, *lanes.evaluate_batch(tau, sigma, a))
+        assert steps() - before - loop_steps == loop_steps
+    assert loop_steps < 2 * 18 * 3  # the third batch replayed recorded tries
+
+
+def test_batch_lanes_whose_start_the_field_cannot_evaluate():
+    # sqrt(1 - t) has no value at a start past t = 1: the datum is out of the domain, on the diagonal too
+    field, cfg, (tau, sigma, a) = lane_family("riccati-wall")
+    sigma = np.where(np.arange(len(sigma)) % 3 == 0, sigma + 1.8, sigma)
+    tau = np.where(np.arange(len(tau)) % 7 == 0, sigma, tau)
+    want = grouped_loop(numeric_family(field, cfg), tau, sigma, a)
+    assert any("sqrt of negative value" in w[1] for w in want if not isinstance(w, bytes))
+    assert_batch_is(want, *numeric_family(field, cfg).evaluate_batch(tau, sigma, a))
