@@ -13,7 +13,6 @@ from .autonomous import (
     OneParamGroup,
     check_group_law,
     check_time_shift,
-    family_from_group,
     to_group,
 )
 from .core import (
@@ -100,7 +99,6 @@ __all__ = [
     "diagonal_rate",
     "escape_interval",
     "family_from_decomposition",
-    "family_from_group",
     "field_from_family",
     "mollify",
     "numeric_family",

@@ -24,7 +24,6 @@ __all__ = [
     "to_group",
     "group_from_family",
     "check_group_law",
-    "family_from_group",
 ]
 
 
@@ -131,8 +130,3 @@ def check_group_law(group: OneParamGroup, plan: SamplePlan, tol: float = 1e-9) -
         "legs of the composition exist but the direct map is undefined",
     )
     return acc.report("group_law", tol)
-
-
-def family_from_group(group: OneParamGroup) -> FlowFamily:
-    """The group spread back out as F_{tau, sigma} = G_{tau-sigma}: its own family."""
-    return group.family

@@ -10,12 +10,12 @@ costs six fresh rhs evaluations.
 The step loop runs on tuples of floats (field(t, x) returns one): every sum
 is plain IEEE double arithmetic, left to right in the tableau's order, with
 no BLAS and no fused multiply-add, so its results are the same on every
-IEEE-double machine.  The same loop also runs over numpy lanes, for a
-numeric family's batches: each stage sum is a chain of elementwise ufuncs in
+IEEE-double machine.  The same loop also runs over numpy lanes, for every
+batch of a numeric family: each stage sum is a chain of elementwise ufuncs in
 the tableau's order, each rounding once, the field is evaluated by its lane
-kernels (VectorField.lanes), and the step factor takes Python's float ** lane
-by lane, since numpy's power rounds differently.  So a lane makes the tries
-of the scalar loop bit for bit.
+form (field.lanes and field.domain.contains_lanes), and the step factor takes
+Python's float ** lane by lane, since numpy's power rounds differently.  So a
+lane makes the tries of the scalar loop bit for bit.
 
 Integration stops early when the trajectory escapes: norm past the blow-up
 radius, domain predicate failing, or the step size collapsing below h_min.
@@ -29,10 +29,10 @@ A numeric family keeps a bounded cache of the step loop's tries per Cauchy
 datum (sigma, a) and direction, so a query replays only the tries from the
 first one that reaches tau.  A batch shares those trajectories in two
 phases: one lane per datum runs the tries that no record reaches far enough
-yet, then one lane per query runs from its reaching try to tau; the last 16
-lanes of either finish in the scalar loop.  That cache is mutable state: a
-numeric family is not thread-safe, and nothing in flowfam evaluates
-concurrently.
+yet, then one lane per query runs from its reaching try to tau.  Once 16 or
+fewer lanes of either phase run, they finish in the scalar loop, so a small
+batch makes all its tries there.  That cache is mutable state: a numeric
+family is not thread-safe, and nothing in flowfam evaluates concurrently.
 """
 
 from __future__ import annotations
@@ -89,12 +89,17 @@ _TRAJECTORY_CACHE_SIZE = 128  # trajectories per numeric family, bounded for pea
 _TAIL_LANES = 16  # at or below this many lanes the scalar loop is cheaper than numpy's per-call cost
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step-control and escape-detection knobs for the adaptive integrator.
 
     Each knob must be a number, and the window two finite numbers: an
-    infinite edge would leave the step loop with no end but max_steps.
+    infinite edge would leave the step loop with no end but max_steps.  A
+    bool is refused for each, though Python counts it as an int.
     """
 
     rel_tol: float = 1e-10
@@ -107,7 +112,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "h_init", "h_min", "blowup_radius"):
-            if not isinstance(getattr(self, name), numbers.Real):
+            if not _is_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
@@ -116,7 +121,7 @@ class IntegratorConfig:
         if not self.blowup_radius > 0:
             raise ValueError("blowup_radius must be positive")
         window = tuple(self.window) if isinstance(self.window, Iterable) else ()
-        if len(window) != 2 or not all(isinstance(end, numbers.Real) for end in window):
+        if len(window) != 2 or not all(map(_is_number, window)):
             raise ValueError(f"window must be two numbers, got {self.window!r}")
         lo, hi = map(float, window)
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -124,8 +129,8 @@ class IntegratorConfig:
         if not lo < hi:
             raise ValueError("window must be a nonempty interval")
         object.__setattr__(self, "window", (lo, hi))
-        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
-            raise ValueError("max_steps must be an integer >= 1")
+        if not (isinstance(self.max_steps, int) and not isinstance(self.max_steps, bool) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 class EscapeEvent(Exception):
@@ -321,7 +326,8 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
     h, steps, y, k1) before each try, and a lane then ends before the first
     try whose step reaches its target, as _drive does with a record hook
     that returns True there.  Once at most _TAIL_LANES lanes run, numpy's
-    per-call cost outweighs the work and they stop in place.
+    per-call cost outweighs the work and they stop in place; this is the
+    one place that chooses between numpy and the scalar loop.
 
     Returns (landed, values, ends, tail): landed[i] where lane i landed on
     its target, values[i] its state there; ends maps a lane that escaped to
@@ -481,36 +487,45 @@ class _TrajectoryCache:
         """_integrate(field, sigma, a, tau, cfg, refine=False) for tau != sigma."""
         direction = 1.0 if tau > sigma else -1.0
         lo, hi = self.cfg.window
-        edge = hi if direction > 0 else lo
         # one bytes key: compact, and it keeps -0.0 apart from 0.0, which a field may tell apart
-        key = array("d", (sigma, direction, *a)).tobytes()
-        entry = self.entries.get(key)
-        if entry is None:
-            t, h, _, y, k1 = _first_try(self.field, sigma, a, edge, self.cfg)
-            entry = _Trajectory(self.field.n)
-            entry.record(t, h, y, k1)
-            self.entries[key] = entry
-            if len(self.entries) > _TRAJECTORY_CACHE_SIZE:
-                self.entries.popitem(last=False)
-        else:
-            self.entries.move_to_end(key)
-        return _drive(self.field, tau, self.cfg, False, self._start(entry, tau, edge))
+        entry = self._entry(array("d", (sigma, direction, *a)).tobytes(), sigma, a, hi if direction > 0 else lo)
+        return _drive(self.field, tau, self.cfg, False, self._start(entry, tau))
 
-    def _start(self, entry: _Trajectory, tau: float, edge: float):
+    def _entry(self, key: bytes, sigma: float, a: tuple, edge: float, k1=None) -> _Trajectory:
+        """The entry for key, now used last; a new one holds the first try from (sigma, a) toward edge.
+
+        k1, when given, is the slope at (sigma, a).  Raises EvalError, and
+        enters nothing, where the field cannot be evaluated at a new start.
+        """
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            return entry
+        t, h, _, y, k1 = _first_try(self.field, sigma, a, edge, self.cfg, k1)
+        entry = self.entries[key] = _Trajectory(self.field.n)
+        entry.record(t, h, y, k1)
+        if len(self.entries) > _TRAJECTORY_CACHE_SIZE:
+            self.entries.popitem(last=False)
+        return entry
+
+    def _start(self, entry: _Trajectory, tau: float):
         """The state before the first try whose step reaches tau, extending the entry as needed."""
         j = entry.first_reaching(tau)
         if j is not None:
             return entry.state(j)
         if entry.end is None:
-            self._extend(entry, tau, edge)
+            self._extend(entry, tau)
         if entry.end is None:
             return entry.state(len(entry) - 1)
         if isinstance(entry.end, str):
             raise StepBudgetExceeded(entry.end)
         raise EscapeEvent(*entry.end)
 
-    def _extend(self, entry: _Trajectory, tau: float, edge: float) -> None:
-        """Make the pending try and the ones after it, toward edge, until one reaches tau."""
+    def _extend(self, entry: _Trajectory, tau: float) -> None:
+        """Make the pending try and the ones after it until one reaches tau.
+
+        The loop ends before that try, so no try it makes is clipped at tau.
+        """
         pending = len(entry) - 1
 
         def record(t, h, steps, y, k1):
@@ -519,7 +534,7 @@ class _TrajectoryCache:
             return abs(h) >= abs(tau - t)
 
         try:
-            _drive(self.field, edge, self.cfg, False, entry.state(pending), record)
+            _drive(self.field, tau, self.cfg, False, entry.state(pending), record)
         except EscapeEvent as ev:
             entry.end = (ev.kind, ev.time)
         except StepBudgetExceeded as err:
@@ -538,11 +553,8 @@ class _TrajectoryCache:
         lanes, rows = self._starts(tau, sigma, a, inside, values, ok)
         n = self.field.n
         state = (rows[:, 0], rows[:, 1], rows[:, -1], rows[:, 2:2 + n], rows[:, 2 + n:-1])
-        if len(lanes) > _TAIL_LANES:
-            landed, reached, _, tail = _drive_lanes(self.field, self.cfg, tau[lanes], state)
-            values[lanes[landed]], ok[lanes[landed]] = reached[landed], True
-        else:
-            tail = [(q, _state(*state, q)) for q in range(len(lanes))]
+        landed, reached, _, tail = _drive_lanes(self.field, self.cfg, tau[lanes], state)
+        values[lanes[landed]], ok[lanes[landed]] = reached[landed], True
         for q, loop_state in tail:
             try:
                 values[lanes[q]] = _drive(self.field, float(tau[lanes[q]]), self.cfg, False, loop_state)
@@ -571,37 +583,26 @@ class _TrajectoryCache:
         fresh = {lanes[0]: j for j, lanes in enumerate(v for k, v in groups.items() if v and k not in self.entries)}
         if fresh:
             slopes, evaluable = self.field.lanes(sigma[list(fresh)], a[list(fresh)])
-        queried = 0  # data with a lane off the diagonal, which meet the cache
-        for lanes in groups.values():
-            if lanes and not (lanes[0] in fresh and not evaluable[fresh[lanes[0]]]):
-                sigma_i = float(sigma[lanes[0]])
-                on_diagonal = [i for i in lanes if taus[i] == sigma_i]
-                for i in on_diagonal:
-                    values[i], ok[i] = a[i], True
-                queried += len(on_diagonal) < len(lanes)
-        lo, hi = self.cfg.window
-        width, jobs = 2 + 2 * self.field.n, _Jobs()
-        starts = np.full((len(tau), width + 1), math.nan)  # NaN until the lane has a start
+        data = []  # (key, head, lanes off the diagonal) of each datum that meets the cache, in order
         for key, lanes in groups.items():
             if not lanes or lanes[0] in fresh and not evaluable[fresh[lanes[0]]]:
                 continue  # no lane, or the field cannot be evaluated at the start
-            head, sigma_i = lanes[0], float(sigma[lanes[0]])
-            lanes = [i for i in lanes if taus[i] != sigma_i]
-            if not lanes:
-                continue
-            queried -= 1
-            entry = self.entries.get(key)
-            if entry is not None:
-                self.entries.move_to_end(key)
-            else:  # new, or pushed out earlier in this batch, when solve makes its first try again
-                slope = tuple(slopes[fresh[head]].tolist()) if head in fresh else None
-                edge = hi if taus[lanes[0]] > sigma_i else lo
-                t, h, _, y, k1 = _first_try(self.field, sigma_i, tuple(a[head].tolist()), edge, self.cfg, slope)
-                entry = _Trajectory(self.field.n)
-                entry.record(t, h, y, k1)
-                self.entries[key] = entry
-                if len(self.entries) > _TRAJECTORY_CACHE_SIZE:
-                    self.entries.popitem(last=False)
+            sigma_i, off = float(sigma[lanes[0]]), []
+            for i in lanes:
+                if taus[i] == sigma_i:
+                    values[i], ok[i] = a[i], True
+                else:
+                    off.append(i)
+            if off:
+                data.append((key, lanes[0], off))
+        lo, hi = self.cfg.window
+        width, jobs = 2 + 2 * self.field.n, _Jobs()
+        starts = np.full((len(tau), width + 1), math.nan)  # NaN until the lane has a start
+        for q, (key, head, lanes) in enumerate(data):
+            sigma_i = float(sigma[head])
+            slope = tuple(slopes[fresh[head]].tolist()) if head in fresh else None
+            # new, or pushed out earlier in this batch, when solve makes its first try again
+            entry = self._entry(key, sigma_i, tuple(a[head].tolist()), hi if taus[lanes[0]] > sigma_i else lo, slope)
             waiting = []
             for i in lanes:
                 j = entry.first_reaching(taus[i])
@@ -612,7 +613,7 @@ class _TrajectoryCache:
             if waiting:
                 waiting.sort(key=lambda i: abs(taus[i] - sigma_i), reverse=True)
                 # the cache keeps the data it meets last, and only they record their tries
-                jobs.add(entry if queried < _TRAJECTORY_CACHE_SIZE else None, entry, waiting)
+                jobs.add(entry if len(data) - q <= _TRAJECTORY_CACHE_SIZE else None, entry, waiting)
         self._run_on_lanes(jobs, taus, starts)
         lanes = np.arange(len(tau))[np.isfinite(starts[:, 0])]
         return lanes, starts[lanes]
@@ -626,30 +627,27 @@ class _TrajectoryCache:
         since it escapes or runs out of steps first, keeps its NaN row.
         """
         n, queues, state = self.field.n, jobs.queues, jobs.state(self.field.n)
-        if len(queues) <= _TAIL_LANES:
-            tail = [(i, _state(*state, i)) for i in range(len(queues))]
-        else:
-            pending = state[2]
-            kept = np.array([entry is not None for entry in jobs.kept])
-            nearest = np.array([taus[queue[-1]] for queue in queues])
-            row_bytes = 8 * (2 + 2 * n)
+        pending = state[2]
+        kept = np.array([entry is not None for entry in jobs.kept], dtype=bool)
+        nearest = np.array([taus[queue[-1]] for queue in queues])
+        row_bytes = 8 * (2 + 2 * n)
 
-            def record(lanes, t, h, steps, y, k1):
-                new = _where(kept[lanes] & (steps > pending[lanes]))  # a pending try has its row already
-                if new:
-                    rows = np.column_stack([t, h, y, k1]).tobytes()
-                    for k in new:
-                        jobs.kept[int(lanes[k])].rows.frombytes(rows[k * row_bytes:(k + 1) * row_bytes])
-                for k in _where(np.abs(h) >= np.abs(nearest[lanes] - t)):
-                    i = int(lanes[k])
-                    if _capture(queues[i], taus, _state(t, h, steps, y, k1, k), starts):
-                        nearest[i] = taus[queues[i][-1]]
+        def record(lanes, t, h, steps, y, k1):
+            new = _where(kept[lanes] & (steps > pending[lanes]))  # a pending try has its row already
+            if new:
+                rows = np.column_stack([t, h, y, k1]).tobytes()
+                for k in new:
+                    jobs.kept[int(lanes[k])].rows.frombytes(rows[k * row_bytes:(k + 1) * row_bytes])
+            for k in _where(np.abs(h) >= np.abs(nearest[lanes] - t)):
+                i = int(lanes[k])
+                if _capture(queues[i], taus, _state(t, h, steps, y, k1, k), starts):
+                    nearest[i] = taus[queues[i][-1]]
 
-            target = np.array([taus[queue[0]] for queue in queues])
-            _, _, ends, tail = _drive_lanes(self.field, self.cfg, target, state, record)
-            for i, end in ends.items():
-                if jobs.kept[i] is not None:
-                    jobs.kept[i].end = end
+        target = np.array([taus[queue[0]] for queue in queues])
+        _, _, ends, tail = _drive_lanes(self.field, self.cfg, target, state, record)
+        for i, end in ends.items():
+            if jobs.kept[i] is not None:
+                jobs.kept[i].end = end
         for i, loop_state in tail:
             self._run_on(jobs.kept[i], queues[i], taus, loop_state, starts)
 
@@ -724,14 +722,12 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
 
     evaluate_batch meets the data of its lanes in order of first
     appearance, as a loop of evaluate over the lanes grouped by datum
-    would, and makes the same tries.  On a VectorField, a batch of more
-    than 16 lanes runs in two phases over numpy lanes: phase 1 runs each
-    datum whose recorded tries do not reach its farthest tau on from its
-    pending try, one lane per datum, and phase 2 runs each query, one lane
-    each, from the first try that reaches its tau.  Lanes still running
-    once 16 or fewer are left finish in the scalar loop, and a batch of 16
-    lanes or fewer never enters numpy's step.  Other fields, such as a
-    TabulatedVectorField, which has no lane form, run the grouped loop.
+    would, and makes the same tries.  It runs in two phases over the
+    field's lane form: phase 1 runs each datum whose recorded tries do not
+    reach its farthest tau on from its pending try, one lane per datum, and
+    phase 2 runs each query, one lane each, from the first try that reaches
+    its tau.  Lanes still running once 16 or fewer are left finish in the
+    scalar loop.
     """
     cfg = cfg or IntegratorConfig()
     lo, hi = cfg.window
@@ -760,26 +756,8 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
             ) from None
 
     def batch_evaluator(tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):
-        if len(tau) > _TAIL_LANES and isinstance(field, VectorField):
-            inside = (lo <= tau) & (tau <= hi) & (lo <= sigma) & (sigma <= hi)
-            return trajectories.solve_lanes(tau, sigma, a, inside & field.domain.contains_lanes(sigma, a))
-        # the grouped loop: lanes grouped by Cauchy datum (sigma, direction, a), as the cache keys
-        # it, in order of first appearance, so that lanes that share a start replay one trajectory
-        # however the caller ordered them, and no other datum can push it out of the cache between them
-        data = np.column_stack([sigma, np.where(tau > sigma, 1.0, -1.0), a])
-        groups = {}
-        for i, key in enumerate(map(bytes, data)):
-            groups.setdefault(key, []).append(i)
-        taus, sigmas = tau.tolist(), sigma.tolist()
-        values, ok = np.full(a.shape, math.nan), np.zeros(len(taus), dtype=bool)
-        for lanes in groups.values():
-            for i in lanes:
-                try:
-                    values[i] = evaluator(taus[i], sigmas[i], a[i])
-                    ok[i] = True
-                except DomainViolation:
-                    pass
-        return values, ok
+        inside = (lo <= tau) & (tau <= hi) & (lo <= sigma) & (sigma <= hi)
+        return trajectories.solve_lanes(tau, sigma, a, inside & field.domain.contains_lanes(sigma, a))
 
     return FlowFamily(
         n=field.n, kind="numeric", evaluator=evaluator, tol_hint=cfg.rel_tol, batch_evaluator=batch_evaluator

@@ -9,9 +9,9 @@ optionally sharpened by one Richardson step (4 D_{h/2} - D_h) / 3, and
 tabulated over a rectangular grid (the per-axis unique values of the plan's
 state points crossed with its time grid).  The result behaves like a
 VectorField: it has a dimension, a domain (the closed tabulated box), and
-is callable at (t, x) via multilinear interpolation, so it can be handed
-straight back to the integrator to close the loop family -> field ->
-family.
+is callable at (t, x) via multilinear interpolation, one call per lane
+for a batch of points, so it can be handed straight back to the integrator
+to close the loop family -> field -> family.
 
 Sites whose two-sided stencil leaves the family's domain are skipped and
 left as holes (never extrapolated); a reconstruction with more than half
@@ -94,12 +94,18 @@ class BoxDomain:
             return False
         return all(lo <= v <= hi for lo, v, hi in zip(self.state_lo, x, self.state_hi, strict=True))
 
+    def contains_lanes(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """contains over lanes (t[m], x[m, n]): a bool mask, lane i equal to contains(t[i], x[i])."""
+        inside = (self.time_lo <= t) & (t <= self.time_hi)
+        return inside & ((np.array(self.state_lo) <= x) & (x <= np.array(self.state_hi))).all(axis=1)
+
 
 class TabulatedVectorField:
     """Multilinear interpolation over a rectangular (time x state) table.
 
     Duck-compatible with VectorField for the integrator: exposes n, domain,
-    and __call__(t, x).  Values one cell beyond an edge are linearly
+    __call__(t, x) and its lane form lanes(t, x), and the domain answers
+    contains and contains_lanes.  Values one cell beyond an edge are linearly
     continued from the edge cell so Runge-Kutta stage points may overshoot
     slightly; anything farther out, or touching a skipped-site hole, raises
     an evaluation error.
@@ -180,6 +186,20 @@ class TabulatedVectorField:
         if not all(map(math.isfinite, out)):
             raise ex.EvalError("domain", "query touches a skipped tabulation site")
         return tuple(out)
+
+    def lanes(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slopes at lanes (t[m], x[m, n]): (values[m, n], ok[m]), one __call__ per lane.
+
+        values[i] is self(t[i], x[i]) where ok[i], and NaN where that call
+        raises EvalError, which is exactly where ok[i] is False.
+        """
+        values, ok = np.full(x.shape, math.nan), np.ones(len(t), dtype=bool)
+        for i, (t_i, x_i) in enumerate(zip(t.tolist(), x.tolist())):
+            try:
+                values[i] = self(t_i, x_i)
+            except ex.EvalError:
+                ok[i] = False
+        return values, ok
 
 
 def diagonal_rate(

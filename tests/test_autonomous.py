@@ -10,7 +10,6 @@ from flowfam.autonomous import (
     OneParamGroup,
     check_group_law,
     check_time_shift,
-    family_from_group,
     group_from_family,
     to_group,
 )
@@ -152,7 +151,7 @@ def test_group_state_of_the_wrong_length_is_a_dimension_mismatch():
 
 def test_group_is_a_view_of_its_family():
     group = OneParamGroup(1, lambda alpha, a: a + alpha, 1e-6)
-    fam = family_from_group(group)
+    fam = group.family
     assert fam is group.family
     assert (fam.kind, fam.n, fam.tol_hint) == ("group_backed", 1, 1e-6)
     assert fam.evaluate(1.5, 0.25, [1.0]).tolist() == group.evaluate(1.25, [1.0]).tolist() == [2.25]
@@ -245,7 +244,7 @@ def test_group_inverse_restores_state():
 
 def test_family_from_group_round_trip():
     fam = riccati_family()
-    rebuilt = family_from_group(to_group(fam))
+    rebuilt = to_group(fam).family
     assert rebuilt.kind == "group_backed"
     for tau, sigma, a0 in ((0.5, -0.5, 0.3), (-0.25, 1.0, -0.4), (1.5, 1.5, 0.2)):
         a = np.array([a0])
@@ -256,7 +255,7 @@ def test_family_from_group_round_trip():
 
 
 def test_family_from_group_passes_composition_checks():
-    rebuilt = family_from_group(to_group(riccati_family()))
+    rebuilt = to_group(riccati_family()).family
     plan = SamplePlan(
         (-0.4, 0.0, 0.4),
         ((-0.4,), (0.0,), (0.4,)),

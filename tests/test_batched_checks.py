@@ -14,7 +14,7 @@ import pytest
 import scalar_checks as scalar
 
 from flowfam import autonomous, linear, reconstruct, verify
-from flowfam.autonomous import OneParamGroup, family_from_group, group_from_family
+from flowfam.autonomous import OneParamGroup, group_from_family
 from flowfam.catalog import get, names
 from flowfam.core import DomainViolation, closed_form_family
 from flowfam.integrate import IntegratorConfig, numeric_family
@@ -101,7 +101,7 @@ def test_families_that_break_the_set_based_checks(predicate):
 
 def test_group_backed_family():
     group = _bounded_group()
-    _assert_same(family_from_group(group), default_plan(1), group)
+    _assert_same(group.family, default_plan(1), group)
 
 
 def test_affine_backed_family():

@@ -17,6 +17,10 @@ some arguments differently, so no module references them.
 The integrator's scalar step loop makes no numpy call: it runs on tuples of
 floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
 
+A numeric family has one batch path: the integrator tests no field's type
+or attributes, and only ``_drive_lanes`` reads ``_TAIL_LANES``, the lane
+count at which the scalar loop takes over.
+
 No module uses numpy.random: a plan's draws come from ``flowfam.pcg``, and
 importing numpy.random loads secrets, hashlib and libcrypto, about 6 MB
 resident.
@@ -110,6 +114,27 @@ def _numpy_in_step_loop(path: Path) -> list[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
                 found.append(f"{path.name}:{node.lineno} {top.name} uses {ast.unparse(node)}")
     return found
+
+
+def _batch_forks(path: Path) -> list[str]:
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "hasattr")
+                and "field" in ast.unparse(node).lower()
+            ):
+                found.append((node.lineno, f"tests {ast.unparse(node)}"))
+            elif (
+                isinstance(node, ast.Name)
+                and node.id == "_TAIL_LANES"
+                and isinstance(node.ctx, ast.Load)
+                and getattr(top, "name", None) != "_drive_lanes"
+            ):
+                found.append((node.lineno, "reads _TAIL_LANES"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
 
 
 def _numpy_random(path: Path) -> list[str]:
@@ -244,6 +269,36 @@ def test_detector_sees_numpy_in_the_step_loop(tmp_path):
     assert _numpy_in_step_loop(probe) == [
         "probe.py:2 _drive uses np.isfinite",
         "probe.py:5 _Trajectory uses numpy.array",
+    ]
+
+
+def test_one_batch_path_in_the_integrator():
+    path = PACKAGE / "integrate.py"
+    names = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body if hasattr(node, "name")}
+    assert "_drive_lanes" in names  # a rename must not exempt every reader
+    assert _batch_forks(path) == []
+
+
+def test_detector_sees_a_batch_fork(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "_TAIL_LANES = 16\n"
+        "def _drive_lanes(lanes):\n"
+        "    return len(lanes) <= _TAIL_LANES\n"
+        "def batch(field, tau):\n"
+        "    if len(tau) > _TAIL_LANES and isinstance(field, VectorField):\n"
+        "        return hasattr(self.field, 'lanes')\n"
+        "    return isinstance(tau, np.ndarray)\n"
+        "class Cache:\n"
+        "    def solve(self, t):\n"
+        "        return isinstance(t, TabulatedVectorField) or t > _TAIL_LANES\n"
+    )
+    assert _batch_forks(probe) == [
+        "probe.py:5 reads _TAIL_LANES",
+        "probe.py:5 tests isinstance(field, VectorField)",
+        "probe.py:6 tests hasattr(self.field, 'lanes')",
+        "probe.py:10 reads _TAIL_LANES",
+        "probe.py:10 tests isinstance(t, TabulatedVectorField)",
     ]
 
 

@@ -413,8 +413,8 @@ def test_field_lane_kernels_compiled_on_the_first_batch(monkeypatch):
     field = VectorField.from_strings(["x1^2", "-x2"], DomainSpec(2, space_predicate="4 - x1^2"))
     fam = numeric_family(field, IntegratorConfig())
     fam.evaluate(0.5, 0.0, [0.5, 0.5])
-    fam.evaluate_batch(np.full(16, 0.5), np.zeros(16), np.full((16, 2), 0.5))  # small: the scalar loop
     assert compiled == []
+    fam.evaluate_batch(np.full(16, 0.5), np.zeros(16), np.full((16, 2), 0.5))  # small: compiles as a large one
     for _ in range(2):
         fam.evaluate_batch(np.linspace(-0.5, 0.5, 40), np.zeros(40), np.full((40, 2), 0.5))
     assert sorted(compiled) == ["(-x2)", "(4 - (x1 ^ 2))", "(x1 ^ 2)"]

@@ -21,6 +21,7 @@ from flowfam.integrate import (
     escape_interval,
     numeric_family,
 )
+from flowfam.reconstruct import TabulatedVectorField
 from flowfam.verify import SamplePlan, default_plan, run_suite
 
 CFG = IntegratorConfig()
@@ -67,6 +68,9 @@ def test_config_defaults():
         {"window": (math.nan, 1.0)},
         {"window": ("-1", "1")},
         {"window": (-1.0, 0.0, 1.0)},
+        {"max_steps": True},        # a bool is an int to Python, and ran as a budget of one step
+        {"window": (True, 5.0)},
+        {"window": (-1.0, False)},
     ],
 )
 def test_config_validation(kwargs):
@@ -79,6 +83,8 @@ def test_config_names_a_knob_that_is_not_a_number(key):
     # a string used to reach a comparison and fail with "'>' not supported ..."
     with pytest.raises(ValueError, match=f"^{key} must be a number, got 'abc'$"):
         IntegratorConfig(**{key: "abc"})
+    with pytest.raises(ValueError, match=f"^{key} must be a number, got True$"):
+        IntegratorConfig(**{key: True})
 
 
 def test_config_window_may_be_any_pair_of_finite_numbers():
@@ -675,3 +681,74 @@ def test_batch_lanes_whose_start_the_field_cannot_evaluate():
     want = grouped_loop(numeric_family(field, cfg), tau, sigma, a)
     assert any("sqrt of negative value" in w[1] for w in want if not isinstance(w, bytes))
     assert_batch_is(want, *numeric_family(field, cfg).evaluate_batch(tau, sigma, a))
+
+
+def assert_batch_matches_the_grouped_loop(monkeypatch, field, cfg, tau, sigma, a):
+    """A batch's bytes, ok mask and exact step count equal the grouped loop's; returns the loop's outcomes."""
+    steps = count_steps(monkeypatch)
+    want = grouped_loop(numeric_family(field, cfg), tau, sigma, a)
+    loop_steps = steps()
+    assert_batch_is(want, *numeric_family(field, cfg).evaluate_batch(tau, sigma, a))
+    assert steps() - loop_steps == loop_steps
+    return want
+
+
+def reasons(want):
+    return " ".join(w[1] for w in want if not isinstance(w, bytes))
+
+
+def test_an_empty_batch(monkeypatch):
+    field, cfg, _ = lane_family("spiral")
+    empty = np.zeros(0)
+    assert assert_batch_matches_the_grouped_loop(monkeypatch, field, cfg, empty, empty, np.zeros((0, 2))) == []
+
+
+def test_a_batch_all_on_the_diagonal(monkeypatch):
+    # sqrt(1 - t) has no value at the starts moved past t = 1, so their diagonal lanes are out of the domain
+    field, cfg, (_, sigma, a) = lane_family("riccati-wall")
+    sigma = np.where(np.arange(len(sigma)) % 4 == 0, sigma + 1.8, sigma)
+    want = assert_batch_matches_the_grouped_loop(monkeypatch, field, cfg, sigma, sigma, a)
+    assert any(isinstance(w, bytes) for w in want) and "sqrt of negative value" in reasons(want)
+
+
+def test_a_batch_all_outside_the_window(monkeypatch):
+    field, cfg, (tau, sigma, a) = lane_family("spiral")
+    half = np.arange(len(tau)) % 2 == 0
+    tau, sigma = np.where(half, np.where(tau > sigma, 3.5, -3.5), tau), np.where(half, sigma, sigma - 4.0)
+    want = assert_batch_matches_the_grouped_loop(monkeypatch, field, cfg, tau, sigma, a)
+    assert all(not isinstance(w, bytes) and "integration window" in w[1] for w in want)
+
+
+def test_a_batch_whose_starts_the_field_cannot_evaluate(monkeypatch):
+    field, cfg, (tau, sigma, a) = lane_family("riccati-wall")
+    want = assert_batch_matches_the_grouped_loop(monkeypatch, field, cfg, tau, sigma + 2.1, a)
+    assert not any(isinstance(w, bytes) for w in want)
+    assert "sqrt of negative value" in reasons(want) and "integration window" in reasons(want)
+
+
+def test_a_tabulated_field_batch_steps_in_lanes(monkeypatch):
+    # x' = 0.5 x - 0.3 t tabulated on [-1, 2] x [-2, 2] with a hole at (0.5, 1.0): starts beyond
+    # the box, trajectories leaving it, and ones stopped by the hole beside lanes that land
+    times, knots = np.linspace(-1.0, 2.0, 13), np.linspace(-2.0, 2.0, 17)
+    table = (0.5 * knots[None, :] - 0.3 * times[:, None])[..., None]
+    table[6, 12, 0] = np.nan
+    field, cfg = TabulatedVectorField(times, [knots], table), IntegratorConfig(window=(-3.0, 3.0))
+    rng, lanes = random.Random(4), []
+    for _ in range(24):
+        sigma, a = rng.uniform(-0.8, 1.5), [rng.uniform(-2.4, 2.4)]
+        taus = (sigma, rng.uniform(-2.5, 2.5), rng.uniform(-0.9, 1.9), rng.choice([-3.5, 3.5]))
+        lanes += [(tau, sigma, a) for tau in taus]
+    rng.shuffle(lanes)
+    drive_lanes, phase_2 = integrate._drive_lanes, []
+
+    def spied(field, cfg, target, state, record=None):
+        if record is None:
+            phase_2.append(len(target))
+        return drive_lanes(field, cfg, target, state, record)
+
+    monkeypatch.setattr(integrate, "_drive_lanes", spied)
+    tau, sigma, a = (np.array(col, dtype=float) for col in zip(*lanes))
+    want = assert_batch_matches_the_grouped_loop(monkeypatch, field, cfg, tau, sigma, a)
+    assert phase_2[0] > 16 and any(isinstance(w, bytes) for w in want)
+    for reason in ("field domain", "(left_domain)", "(step_underflow)", "integration window"):
+        assert reason in reasons(want)

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowfam import catalog
@@ -517,3 +517,32 @@ def test_interpolation_matches_the_corner_loop_on_edge_cases():
     # the sum starts at +0.0, so a knot holding -0.0 interpolates to +0.0
     field.table[1, 1, 0] = -0.0
     assert outcome(field, 1.0, [0.0]) == outcome(reference_interp, field, 1.0, [0.0]) == b"\0" * 8
+
+
+# a 2-D table with two holes; coordinates on and between the knots, at the box's edges,
+# up to and past one cell beyond them, and not finite
+_LANE_TIMES, _LANE_AXES = np.array([0.0, 1.0, 2.5]), [np.array([-1.0, 0.0, 2.0]), np.array([-0.5, 0.5])]
+_LANE_FIELD = _holey_field(np.random.default_rng(11), _LANE_TIMES, _LANE_AXES, 2)
+
+
+def _lane_coordinate(knots):
+    lo, hi, cell = float(knots[0]), float(knots[-1]), float(knots[1] - knots[0])
+    edges = [*knots.tolist(), -0.0, lo - cell, hi + cell, lo - 1.01 * cell, hi + 1.01 * cell,
+             math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), math.nan, math.inf, -math.inf]
+    return st.one_of(st.sampled_from(edges), st.floats(lo - 3.0 * cell, hi + 3.0 * cell))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(*map(_lane_coordinate, [_LANE_TIMES, *_LANE_AXES])), min_size=1, max_size=12))
+@example([(0.0, -1.0, -0.5), (2.5, 2.0, 0.5), (2.5, -1.0, 0.5), (0.0, 2.0, -0.5),  # the box's corners
+          (math.nextafter(2.5, 3.0), 2.0, 0.5), (0.0, -1.0, math.nextafter(-0.5, -1.0))])
+def test_tabulated_lanes_are_its_scalar_calls(points):
+    t, x = np.array([p[0] for p in points]), np.array([p[1:] for p in points])
+    values, ok = _LANE_FIELD.lanes(t, x)
+    inside = _LANE_FIELD.domain.contains_lanes(t, x)
+    assert values.shape == x.shape and ok.dtype == inside.dtype == bool
+    for i, (t_i, *x_i) in enumerate(points):
+        want = outcome(_LANE_FIELD, t_i, x_i)
+        assert ok[i] == isinstance(want, bytes)
+        assert values[i].tobytes() == want if ok[i] else np.isnan(values[i]).all()
+        assert inside[i] == _LANE_FIELD.domain.contains(t_i, x_i)
