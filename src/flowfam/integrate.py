@@ -601,7 +601,7 @@ class _TrajectoryCache:
         for q, (key, head, lanes) in enumerate(data):
             sigma_i = float(sigma[head])
             slope = tuple(slopes[fresh[head]].tolist()) if head in fresh else None
-            # new, or pushed out earlier in this batch, when solve makes its first try again
+            # no slope for a datum that had an entry; if this batch pushed it out, _entry evaluates one again
             entry = self._entry(key, sigma_i, tuple(a[head].tolist()), hi if taus[lanes[0]] > sigma_i else lo, slope)
             waiting = []
             for i in lanes:
