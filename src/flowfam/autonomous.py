@@ -40,16 +40,25 @@ class OneParamGroup:
     validation are the family's.  g(alpha, a) returns the moved state or
     raises DomainViolation; tol_hint carries the accuracy of a
     numerically-backed group.
+
+    batch_g(alpha[m], a[m, n]) -> (values[m, n], ok[m]), when given, is a
+    lane form of g, as FlowFamily.batch_evaluator is of its evaluator: it
+    changes no result.  The family then answers its batches by it, at
+    tau - sigma subtracted lane by lane as the scalar subtraction does.
     """
 
     n: int
     g: Callable = field(repr=False)
     tol_hint: float = 0.0
+    batch_g: Callable | None = field(default=None, repr=False)
     family: FlowFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = self.g
-        spread = FlowFamily(self.n, "group_backed", lambda tau, sigma, a: g(tau - sigma, a), self.tol_hint)
+        g, batch_g = self.g, self.batch_g
+        spread = FlowFamily(
+            self.n, "group_backed", lambda tau, sigma, a: g(tau - sigma, a), self.tol_hint,
+            None if batch_g is None else lambda tau, sigma, a: batch_g(tau - sigma, a),
+        )
         object.__setattr__(self, "family", spread)
 
     def evaluate(self, alpha: float, a) -> np.ndarray:
@@ -105,8 +114,15 @@ def to_group(fam: FlowFamily, plan: SamplePlan | None = None) -> OneParamGroup:
 
 
 def group_from_family(fam: FlowFamily) -> OneParamGroup:
-    """G_alpha = F_{alpha, 0} without the time-shift check; to_group checks first."""
-    return OneParamGroup(fam.n, lambda alpha, a: fam.evaluator(alpha, 0.0, a), fam.tol_hint)
+    """G_alpha = F_{alpha, 0} without the time-shift check; to_group checks first.
+
+    The group's lane form is fam's batch_evaluator at sigma = 0, when fam has one.
+    """
+    batch = fam.batch_evaluator
+    return OneParamGroup(
+        fam.n, lambda alpha, a: fam.evaluator(alpha, 0.0, a), fam.tol_hint,
+        None if batch is None else lambda alpha, a: batch(alpha, np.zeros(len(alpha)), a),
+    )
 
 
 def check_group_law(group: OneParamGroup, plan: SamplePlan, tol: float = 1e-9) -> ConditionReport:

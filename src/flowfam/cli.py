@@ -322,6 +322,10 @@ def _cmd_interval(args, spec: RunSpec, out) -> int:
     if spec.field is None:
         _emit(out, {"kind": "error", "message": "interval requires a vector field (catalog or field config)"})
         return 2
+    if len(args.a) != spec.field.n:  # a usage error, as flow reports it
+        detail = f"state has length {len(args.a)}, field dimension is {spec.field.n}"
+        _emit(out, {"kind": "error", "message": "dimension_mismatch", "detail": detail})
+        return 2
     try:
         interval = escape_interval(spec.field, args.rho, args.a, spec.integrator)
     except (ValueError, DomainViolation, StepBudgetExceeded) as err:
@@ -388,7 +392,7 @@ def _cmd_decompose(args, spec: RunSpec, out) -> int:
     family = _resolve_family(spec)
     try:
         dec = sincov_decompose(family, args.tau0, spec.plan.time_grid)
-    except (NotAffine, SingularWronskian) as err:
+    except (NotAffine, SingularWronskian, DomainViolation) as err:  # a probe may leave the domain
         _emit(out, {"kind": "error", "message": str(err)})
         return 1
     _emit(
@@ -411,7 +415,8 @@ def _cmd_mollify(args, spec: RunSpec, out) -> int:
     try:
         group = to_group(family, spec.plan)
         average = mollify(group, args.eps, args.panels)
-    except (NotAutonomous, NotAffine, NotInvertible) as err:
+        smoothed = [(alpha, smooth_apply(group, average, alpha)) for alpha in args.alpha]
+    except (NotAutonomous, NotAffine, NotInvertible, DomainViolation) as err:  # a probe may leave the domain
         _emit(out, {"kind": "error", "message": str(err)})
         return 1
     _emit(
@@ -429,8 +434,7 @@ def _cmd_mollify(args, spec: RunSpec, out) -> int:
     if not args.alpha:
         return 0
     acc = Accumulator()
-    for alpha in args.alpha:
-        mapped = smooth_apply(group, average, alpha)
+    for alpha, mapped in smoothed:
         for s in spec.plan.state_grid:
             a = np.asarray(s, dtype=float)
             if group.in_domain(alpha, a):  # states outside are not counted as skips

@@ -8,7 +8,8 @@ affine decompositions) but expose one contract: ``evaluate`` and
 ``in_domain`` over triples (tau, sigma, a), agreeing with each other
 pointwise.  The types here are immutable after construction; a numeric
 family (``flowfam.integrate.numeric_family``) holds a mutable trajectory
-cache and is not thread-safe.  Nothing in flowfam evaluates concurrently.
+cache, which serves its batches only (point queries integrate directly),
+and is not thread-safe.  Nothing in flowfam evaluates concurrently.
 """
 
 from __future__ import annotations

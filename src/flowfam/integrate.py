@@ -26,13 +26,15 @@ the 1e-6 contract).  Escapes surface as EscapeEvent exceptions; a numeric
 FlowFamily translates them into domain membership.
 
 A numeric family keeps a bounded cache of the step loop's tries per Cauchy
-datum (sigma, a) and direction, so a query replays only the tries from the
-first one that reaches tau.  A batch shares those trajectories in two
-phases: one lane per datum runs the tries that no record reaches far enough
-yet, then one lane per query runs from its reaching try to tau.  Once 16 or
-fewer lanes of either phase run, they finish in the scalar loop, so a small
-batch makes all its tries there.  That cache is mutable state: a numeric
-family is not thread-safe, and nothing in flowfam evaluates concurrently.
+datum (sigma, a) and direction, which serves its batches only: a batch
+replays only the tries from the first one that reaches each tau, in two
+phases.  One lane per datum runs the tries that no record reaches far
+enough yet, then one lane per query runs from its reaching try to tau.
+Once 16 or fewer lanes of either phase run, they finish in the scalar loop,
+so a small batch makes all its tries there.  Point queries, advance and
+escape_interval integrate directly and never touch the cache.  That cache
+is mutable state: a numeric family is not thread-safe, and nothing in
+flowfam evaluates concurrently.
 """
 
 from __future__ import annotations
@@ -437,9 +439,8 @@ class _Trajectory:
     Row j holds the loop state (t, h, y, k1) before try j + 1, so j is its
     step count; rows are flat in one array of doubles.  While end is None
     the last row is the next try, not yet made.  Otherwise end says how the
-    loop ended: an escape's (kind, time) or the step-budget message.
-    Exceptions are rebuilt from these on every query; a stored one would
-    keep its traceback's frames alive.
+    loop ended: an escape's (kind, time) or the step-budget message, kept
+    as data: a stored exception would keep its traceback's frames alive.
     """
 
     __slots__ = ("n", "rows", "end")
@@ -455,12 +456,6 @@ class _Trajectory:
     def record(self, t: float, h: float, y: tuple, k1: tuple) -> None:
         self.rows.extend((t, h, *y, *k1))
 
-    def state(self, j: int):
-        """Row j as the loop state (t, h, steps, y, k1)."""
-        width, n = 2 + 2 * self.n, self.n
-        row = self.rows[j * width:(j + 1) * width]
-        return row[0], row[1], j, tuple(row[2:2 + n]), tuple(row[2 + n:])
-
     def first_reaching(self, tau: float) -> int | None:
         """Index of the first row whose step reaches tau (the loop's clipping test)."""
         width = 2 + 2 * self.n
@@ -473,23 +468,15 @@ class _TrajectoryCache:
 
     The integration from (sigma, a) to tau makes exactly the tries of the
     loop toward the window edge until the first one whose step reaches tau,
-    where it clips the step.  So tau is answered by running the loop from
-    that recorded try, and every value, escape and step-budget outcome is
-    the one a direct integration gives, whatever was queried before.
+    where it clips the step.  So a lane at tau runs the loop from that
+    recorded try, and every value and membership is the one a direct
+    integration gives, whatever was batched before.
     """
 
     def __init__(self, field: VectorField, cfg: IntegratorConfig):
         self.field = field
         self.cfg = cfg
         self.entries: OrderedDict[bytes, _Trajectory] = OrderedDict()
-
-    def solve(self, tau: float, sigma: float, a: tuple) -> tuple:
-        """_integrate(field, sigma, a, tau, cfg, refine=False) for tau != sigma."""
-        direction = 1.0 if tau > sigma else -1.0
-        lo, hi = self.cfg.window
-        # one bytes key: compact, and it keeps -0.0 apart from 0.0, which a field may tell apart
-        entry = self._entry(array("d", (sigma, direction, *a)).tobytes(), sigma, a, hi if direction > 0 else lo)
-        return _drive(self.field, tau, self.cfg, False, self._start(entry, tau))
 
     def _entry(self, key: bytes, sigma: float, a: tuple, edge: float, k1=None) -> _Trajectory:
         """The entry for key, now used last; a new one holds the first try from (sigma, a) toward edge.
@@ -508,46 +495,14 @@ class _TrajectoryCache:
             self.entries.popitem(last=False)
         return entry
 
-    def _start(self, entry: _Trajectory, tau: float):
-        """The state before the first try whose step reaches tau, extending the entry as needed."""
-        j = entry.first_reaching(tau)
-        if j is not None:
-            return entry.state(j)
-        if entry.end is None:
-            self._extend(entry, tau)
-        if entry.end is None:
-            return entry.state(len(entry) - 1)
-        if isinstance(entry.end, str):
-            raise StepBudgetExceeded(entry.end)
-        raise EscapeEvent(*entry.end)
-
-    def _extend(self, entry: _Trajectory, tau: float) -> None:
-        """Make the pending try and the ones after it until one reaches tau.
-
-        The loop ends before that try, so no try it makes is clipped at tau.
-        """
-        pending = len(entry) - 1
-
-        def record(t, h, steps, y, k1):
-            if steps > pending:  # the pending try has its row already
-                entry.record(t, h, y, k1)
-            return abs(h) >= abs(tau - t)
-
-        try:
-            _drive(self.field, tau, self.cfg, False, entry.state(pending), record)
-        except EscapeEvent as ev:
-            entry.end = (ev.kind, ev.time)
-        except StepBudgetExceeded as err:
-            entry.end = str(err)
-
     def solve_lanes(self, tau: np.ndarray, sigma: np.ndarray, a: np.ndarray, inside: np.ndarray):
         """(values, ok) for lanes (tau, sigma, a), where inside says the start is in the window and domain.
 
         Each lane is answered as the scalar evaluator answers it once those
         checks pass: a diagonal lane returns its start where the field can
-        be evaluated there, and any other lane takes solve's value.  Phase 2
-        runs every query, one lane each, from its start (see _starts) to its
-        tau.
+        be evaluated there, and any other lane takes the value of a direct
+        integration from its start to its tau.  Phase 2 runs every query,
+        one lane each, from its start (see _starts) to its tau.
         """
         values, ok = np.full(a.shape, math.nan), np.zeros(len(tau), dtype=bool)
         lanes, rows = self._starts(tau, sigma, a, inside, values, ok)
@@ -567,12 +522,12 @@ class _TrajectoryCache:
         """The lanes that phase 2 runs and their starts, as rows (t, h, y, k1, steps).
 
         Diagonal lanes get their values and ok here.  The data are looked up
-        and entered in the cache in order of first appearance, as solve
-        would meet them, so the cache ends in the state a loop of solve over
-        the lanes grouped by datum leaves, and the step loop makes the same
-        tries.  A query starts from the first recorded try that reaches its
-        tau; phase 1 runs the other data on, one lane per datum, until their
-        farthest query is reached.
+        and entered in the cache in order of first appearance, so the cache
+        ends in the state a loop of one-lane batches over the lanes grouped
+        by datum leaves, and the step loop makes the same tries.  A query
+        starts from the first recorded try that reaches its tau; phase 1
+        runs the other data on, one lane per datum, until their farthest
+        query is reached.
         """
         groups, inside_l, taus = {}, inside.tolist(), tau.tolist()
         for i, key in enumerate(map(bytes, np.column_stack([sigma, np.where(tau > sigma, 1.0, -1.0), a]))):
@@ -713,21 +668,18 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     repeated evaluation near the boundary cheap.  tol_hint advertises
     rel_tol so downstream checks can widen comparisons accordingly.
 
-    The family records the step loop's tries from each Cauchy datum (sigma,
-    a) in each direction, for the 128 data used last, and answers a query by
-    replaying only the tries from the first one that reaches tau.  Results
-    are bit-identical to integrating each query from scratch and do not
-    depend on earlier queries.  The cache makes the family mutable: it is
-    not thread-safe.
-
-    evaluate_batch meets the data of its lanes in order of first
-    appearance, as a loop of evaluate over the lanes grouped by datum
-    would, and makes the same tries.  It runs in two phases over the
-    field's lane form: phase 1 runs each datum whose recorded tries do not
-    reach its farthest tau on from its pending try, one lane per datum, and
-    phase 2 runs each query, one lane each, from the first try that reaches
-    its tau.  Lanes still running once 16 or fewer are left finish in the
-    scalar loop.
+    evaluate integrates each point query directly.  evaluate_batch records
+    the step loop's tries from each Cauchy datum (sigma, a) in each
+    direction, for the 128 data its batches used last, and answers a lane
+    by replaying only the tries from the first one that reaches its tau.
+    Both give the bits of a direct integration, whatever was asked before.
+    A batch meets the data of its lanes in order of first appearance, and
+    runs in two phases over the field's lane form: phase 1 runs each datum
+    whose recorded tries do not reach its farthest tau on from its pending
+    try, one lane per datum, and phase 2 runs each query, one lane each,
+    from the first try that reaches its tau.  Lanes still running once 16
+    or fewer are left finish in the scalar loop.  The cache makes the
+    family mutable: it is not thread-safe.
     """
     cfg = cfg or IntegratorConfig()
     lo, hi = cfg.window
@@ -740,10 +692,8 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
         if not field.domain.contains(sigma, y):
             raise DomainViolation("out_of_domain", f"({sigma}, {a}) outside the field domain")
         try:
-            if tau == sigma:
-                field(sigma, y)  # the start must be one the field can evaluate, on the diagonal too
-                return y
-            return trajectories.solve(tau, sigma, y)
+            state = _first_try(field, sigma, y, tau, cfg)  # the field must evaluate at the start, on the diagonal too
+            return y if tau == sigma else _drive(field, tau, cfg, False, state)
         except EscapeEvent as ev:
             raise DomainViolation(
                 "out_of_domain", f"trajectory escapes at t={ev.time} ({ev.kind})"

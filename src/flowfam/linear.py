@@ -33,6 +33,7 @@ __all__ = [
     "SingularWronskian",
     "NotInvertible",
     "probe_affine",
+    "probe_affine_lanes",
     "affine_defect",
     "check_affine",
     "sincov_decompose",
@@ -141,6 +142,23 @@ def probe_affine(fn, n: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(n):
         A[:, k] = np.asarray(fn(np.eye(n)[k]), dtype=float) - b
     return A, b
+
+
+def probe_affine_lanes(fam: FlowFamily, tau: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """probe_affine(partial(fam.evaluate, tau[i], sigma[i]), n) at every lane i: (A[m, n, n], b[m, n]).
+
+    The basis points 0, e_1, ..., e_n of every lane go to one evaluate_batch
+    call.  Raises DomainViolation when a lane's probe leaves fam's domain.
+    """
+    n, m = fam.n, len(tau)
+    basis = np.vstack([np.zeros(n), np.eye(n)])
+    values, ok = fam.evaluate_batch(np.repeat(tau, n + 1), np.repeat(sigma, n + 1), np.tile(basis, (m, 1)))
+    if not ok.all():
+        i = int(np.argmin(ok)) // (n + 1)
+        raise DomainViolation("out_of_domain", f"affine probe at tau={tau[i]}, sigma={sigma[i]} left the domain")
+    values = values.reshape(m, n + 1, n)
+    b = values[:, 0]
+    return (values[:, 1:] - b[:, None, :]).transpose(0, 2, 1), b
 
 
 def affine_defect(fn, A: np.ndarray, b: np.ndarray) -> float | None:
@@ -266,12 +284,11 @@ def sincov_decompose(
                 f"affinity residual {rep.max_residual:.3g} exceeds {rep.tolerance:.3g} "
                 f"at {rep.worst_case}"
             )
-    W = np.empty((len(grid), n, n))
+    W, origin = probe_affine_lanes(fam, np.array(grid), np.full(len(grid), float(tau0)))
     h = np.empty((len(grid), n))
     for i, tau in enumerate(grid):
-        W[i], origin = probe_affine(partial(fam.evaluate, tau, tau0), n)
         _check_wronskian(W[i], tau)
-        h[i] = np.linalg.solve(W[i], origin)
+        h[i] = np.linalg.solve(W[i], origin[i])
     return SincovDecomposition(tau0=float(tau0), grid=grid, W=W, h=h)
 
 
@@ -376,8 +393,8 @@ class Mollifier:
 def _window_average(group, center: float, eps: float, panels: int) -> AffineMap:
     """Composite-Simpson average of G_beta over [center - eps, center + eps].
 
-    The group must be affine at the window's ends and center; each node is
-    probed once and its A and b are averaged side by side.
+    The group must be affine at the window's ends and center; the nodes are
+    probed in one batch and their A and b are averaged side by side.
     """
     lo, hi = center - eps, center + eps
     for beta in (lo, center, hi):
@@ -390,12 +407,13 @@ def _window_average(group, center: float, eps: float, panels: int) -> AffineMap:
     weights = np.ones(panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    totals = None
-    for w, x in zip(weights, np.linspace(lo, hi, panels + 1)):
-        vals = [w * part for part in probe_affine(partial(group.evaluate, float(x)), group.n)]
-        totals = vals if totals is None else [t + v for t, v in zip(totals, vals)]
+    nodes = np.linspace(lo, hi, panels + 1)
+    A, b = probe_affine_lanes(group.family, nodes, np.zeros(len(nodes)))
+    total_A, total_b = weights[0] * A[0], weights[0] * b[0]
+    for w, A_x, b_x in zip(weights[1:], A[1:], b[1:]):  # summed node by node, in node order
+        total_A, total_b = total_A + w * A_x, total_b + w * b_x
     step = (hi - lo) / panels
-    return AffineMap(*(t * (step / 3.0) / (hi - lo) for t in totals))
+    return AffineMap(*(t * (step / 3.0) / (hi - lo) for t in (total_A, total_b)))
 
 
 def mollify(group, eps: float, panels: int = 256) -> Mollifier:

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowfam import catalog
 from flowfam.autonomous import (
     NotAutonomous,
     OneParamGroup,
@@ -270,3 +272,41 @@ def test_group_from_family_skips_the_shift_check():
     group = group_from_family(shear_family())  # to_group would refuse it
     assert group.evaluate(0.5, [1.0])[0] == pytest.approx(math.exp(0.125))
     assert group.in_domain(0.5, [1.0])
+
+
+def _bounded_group():
+    """a e^alpha for |alpha| < 0.6, hand-written with no lane form."""
+
+    def g(alpha, a):
+        if abs(alpha) >= 0.6:
+            raise DomainViolation("out_of_domain", "outside the group's parameter window")
+        return a * math.exp(alpha)
+
+    return OneParamGroup(1, g)
+
+
+# riccati blows up at tau - sigma = 1/a, inside the drawn lanes, for both routes
+GROUPS = {
+    "closed_form": lambda: group_from_family(catalog.get("riccati").family()),
+    "numeric": lambda: group_from_family(numeric_family(catalog.get("riccati").field())),
+    "hand_written": _bounded_group,
+}
+TIMES = st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.25, 1.0, 2.0]) | st.floats(-2.0, 2.0)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=10, deadline=None)
+@given(lanes=st.lists(st.tuples(TIMES, TIMES, st.sampled_from([-1.0, 0.0, 0.8]) | st.floats(-1.5, 1.5)),
+                      max_size=40))
+def test_group_family_lanes_equal_evaluate(name, lanes):
+    group = GROUPS[name]()
+    assert (group.batch_g is None) == (name == "hand_written")
+    tau, sigma, a = (np.array([lane[k] for lane in lanes], dtype=float) for k in range(3))
+    values, ok = group.family.evaluate_batch(tau, sigma, a.reshape(-1, 1))
+    for i, (t, s, x) in enumerate(lanes):
+        try:
+            want = group.family.evaluate(t, s, [x]).tobytes()
+        except DomainViolation:
+            assert not ok[i] and np.isnan(values[i]).all()
+        else:
+            assert ok[i] and values[i].tobytes() == want

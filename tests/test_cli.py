@@ -300,6 +300,11 @@ def test_flow_dimension_mismatch_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert recs[1]["message"] == "dimension_mismatch"
+    # interval reports the same usage error in the same record
+    code, recs = run_cli(["interval", "--config", cfg, "--rho", "0", "--a", "0.5,0.5", "--no-timestamp"], capsys)
+    assert code == 2
+    assert recs[1] == {"kind": "error", "message": "dimension_mismatch",
+                       "detail": "state has length 2, field dimension is 1"}
 
 
 # x' = x from 0 to 0.1 needs more than three steps from the default h_init
@@ -625,6 +630,28 @@ def test_decompose_tau0_flag(tmp_path, capsys):
     )
     assert code == 0
     assert recs[1]["tau0"] == 1.0
+
+
+# --- affine probes outside the domain ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "predicate, argv, where",
+    [
+        ("1.2 - tau", ["decompose"], "tau=1.5, sigma=0.0"),  # the probe at grid time 1.5
+        ("0.2 - tau + sigma", ["mollify", "--eps", "0.25"], "(0.25, 0.0"),  # the window's end
+        ("1.2 - tau + sigma", ["mollify", "--eps", "0.25", "--alpha=1.0"], "(1.25, 0.0"),  # the smoothing window's
+    ],
+    ids=["decompose", "mollify", "mollify-smoothing"],
+)
+def test_a_probe_that_leaves_the_domain_is_an_error_record(tmp_path, capsys, predicate, argv, where):
+    family = {"n": 1, "components": ["a1 + tau - sigma"], "domain_predicate": predicate}
+    cfg = write_config(tmp_path, {"system": {"family": family}})
+    code = main([*argv, "--config", cfg, "--no-timestamp"])
+    out, err = capsys.readouterr()
+    last = json.loads(out.splitlines()[-1])
+    assert code == 1 and err == ""
+    assert last == {"kind": "error", "message": last["message"]} and where in last["message"]
 
 
 # --- mollify -----------------------------------------------------------------

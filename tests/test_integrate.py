@@ -1,5 +1,6 @@
 """Adaptive integrator: oracle agreement, escapes, step control, trajectory cache."""
 
+import contextlib
 import gc
 import math
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowfam import catalog, integrate
+from flowfam.autonomous import check_group_law, group_from_family
 from flowfam.core import DomainSpec, DomainViolation, VectorField
 from flowfam.integrate import (
     EscapeEvent,
@@ -21,6 +23,7 @@ from flowfam.integrate import (
     escape_interval,
     numeric_family,
 )
+from flowfam.linear import mollify, smooth_apply
 from flowfam.reconstruct import TabulatedVectorField
 from flowfam.verify import SamplePlan, default_plan, run_suite
 
@@ -354,6 +357,20 @@ def test_complete_solution_bundle(riccati_field):
 
 # --- trajectory cache ------------------------------------------------------------
 
+DOPRI5_STEP, DOPRI5_LANES = integrate.dopri5_step, integrate.dopri5_lanes
+
+
+@contextlib.contextmanager
+def uncounted():
+    """Tries made inside are not counted by count_steps."""
+    counted = integrate.dopri5_step, integrate.dopri5_lanes
+    integrate.dopri5_step, integrate.dopri5_lanes = DOPRI5_STEP, DOPRI5_LANES
+    try:
+        yield
+    finally:
+        integrate.dopri5_step, integrate.dopri5_lanes = counted
+
+
 def count_steps(monkeypatch):
     """Count DP5 tries from here on, one per dopri5_step call and one per lane of a
     dopri5_lanes call; returns the reader."""
@@ -381,6 +398,12 @@ def outcome(fam, tau, sigma, a):
         return (err.kind, str(err))
 
 
+def one_lane(fam, tau, sigma, a):
+    """The bytes of a batch of the one lane (tau, sigma, a), or None where it is not ok."""
+    values, ok = fam.evaluate_batch([tau], [sigma], [a])
+    return values[0].tobytes() if ok[0] else None
+
+
 def direct(field, tau, sigma, a, cfg=CFG):
     """advance's bytes or failure class: the path that keeps no cache."""
     try:
@@ -406,17 +429,16 @@ def test_cache_answers_do_not_depend_on_query_order(rhs, times, states, order):
     triples = [(tau, sigma, [s] * field.n) for tau in times for sigma in times for s in states]
     warm = numeric_family(field, CFG)
     for tau, sigma, a in triples:
-        warm.in_domain(tau, sigma, a)
+        one_lane(warm, tau, sigma, a)
     cold = numeric_family(field, CFG)
     order.shuffle(triples)
     for tau, sigma, a in triples:
-        got = outcome(cold, tau, sigma, a)
-        assert outcome(warm, tau, sigma, a) == got
-        member = isinstance(got, bytes)
-        assert warm.in_domain(tau, sigma, a) == cold.in_domain(tau, sigma, a) == member
+        got = one_lane(cold, tau, sigma, a)
+        assert one_lane(warm, tau, sigma, a) == got
+        assert warm.in_domain(tau, sigma, a) == cold.in_domain(tau, sigma, a) == (got is not None)
         ref = direct(field, tau, sigma, a)
-        if isinstance(got, bytes):
-            assert got == ref
+        if got is not None:
+            assert got == outcome(cold, tau, sigma, a) == ref
         else:
             assert ref in ("escape", "budget")
 
@@ -427,35 +449,46 @@ def test_step_rejected_at_the_clipped_size(monkeypatch):
     # try to ~0.92, is rejected again and walks on with smaller steps
     field = VectorField.from_strings(["tanh(50*(t - 1))"], DomainSpec(1))
     fam = numeric_family(field, CFG)
-    fam.evaluate(3.0, 0.0, [0.0])  # records the tries to t = 3
+    one_lane(fam, 3.0, 0.0, [0.0])  # records the tries to t = 3
     steps = count_steps(monkeypatch)
-    got = fam.evaluate(1.7, 0.0, [0.0])
-    assert steps() > 1
-    assert got.tobytes() == advance(field, 0.0, [0.0], 1.7, CFG).tobytes()
+    got = one_lane(fam, 1.7, 0.0, [0.0])
+    replayed = steps()
+    one_lane(numeric_family(field, CFG), 1.7, 0.0, [0.0])
+    assert 1 < replayed < steps() - replayed
+    assert got == advance(field, 0.0, [0.0], 1.7, CFG).tobytes()
 
 
-def test_escape_replayed_from_the_cache(riccati_field):
+def test_escape_replayed_from_the_cache(monkeypatch, riccati_field):
     fam = numeric_family(riccati_field, CFG)
-    first = outcome(fam, 3.0, 0.0, [0.5])
-    assert first[0] == "out_of_domain" and "(blow_up)" in first[1]
-    for tau in (2.5, 49.0, 3.0):  # past the blow-up near t = 2: the recorded escape
-        fresh = numeric_family(riccati_field, CFG)
-        assert outcome(fam, tau, 0.0, [0.5]) == outcome(fresh, tau, 0.0, [0.5]) == first
-    assert outcome(fam, 1.9, 0.0, [0.5]) == advance(riccati_field, 0.0, [0.5], 1.9, CFG).tobytes()
+    assert one_lane(fam, 3.0, 0.0, [0.5]) is None  # records the blow-up near t = 2
+    reason = outcome(fam, 3.0, 0.0, [0.5])
+    assert reason[0] == "out_of_domain" and "(blow_up)" in reason[1]
+    steps = count_steps(monkeypatch)
+    for tau in (2.5, 49.0, 3.0):  # past the blow-up: the recorded escape, with no try made
+        assert one_lane(fam, tau, 0.0, [0.5]) is None
+    assert steps() == 0
+    for tau in (2.5, 49.0, 3.0):
+        assert one_lane(numeric_family(riccati_field, CFG), tau, 0.0, [0.5]) is None
+    assert one_lane(fam, 1.9, 0.0, [0.5]) == advance(riccati_field, 0.0, [0.5], 1.9, CFG).tobytes()
 
 
-def test_step_budget_reached_through_the_cache():
+def test_step_budget_reached_through_the_cache(monkeypatch):
     field = VectorField.from_strings(["x1"], DomainSpec(1))
     cfg = IntegratorConfig(max_steps=10)
     fam = numeric_family(field, cfg)
-    first = outcome(fam, 40.0, 0.0, [1.0])
-    assert first[0] == "out_of_domain" and "exceeded 10 steps" in first[1]
-    t_out = float(first[1].rsplit("t=", 1)[1])  # where the 11th try would start
+    assert one_lane(fam, 40.0, 0.0, [1.0]) is None  # records the tries up to the budget
+    reason = outcome(fam, 40.0, 0.0, [1.0])
+    assert reason[0] == "out_of_domain" and "exceeded 10 steps" in reason[1]
+    t_out = float(reason[1].rsplit("t=", 1)[1])  # where the 11th try would start
+    steps = count_steps(monkeypatch)
+    for tau in (39.0, 40.0):  # past the budget: the recorded end, with no try made
+        assert one_lane(fam, tau, 0.0, [1.0]) is None
+    assert steps() == 0
     for tau in (39.0, 40.0, t_out, t_out - 1e-9, 0.3):  # t_out is the 10th try's reach
-        got = outcome(fam, tau, 0.0, [1.0])
-        assert got == outcome(numeric_family(field, cfg), tau, 0.0, [1.0])
+        got = one_lane(fam, tau, 0.0, [1.0])
+        assert got == one_lane(numeric_family(field, cfg), tau, 0.0, [1.0])
         ref = direct(field, tau, 0.0, [1.0], cfg)
-        assert got == (first if ref == "budget" else ref)
+        assert got == (None if ref == "budget" else ref)
     assert direct(field, t_out, 0.0, [1.0], cfg) != "budget"
 
 
@@ -465,7 +498,7 @@ def test_cache_keeps_the_128_data_used_last(monkeypatch):
 
     def cost(a):
         before = steps()
-        fam.evaluate(1.0, 0.0, a)
+        one_lane(fam, 1.0, 0.0, a)
         return steps() - before
 
     cold = cost([1.0, 0.0])
@@ -479,6 +512,31 @@ def test_cache_keeps_the_128_data_used_last(monkeypatch):
     assert cost([1.0, 0.0]) == cold  # 128 newer data pushed it out
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    rhs=st.sampled_from([("x1^2",), ("-x2", "x1")]),
+    points=st.lists(st.tuples(st.floats(-1.0, 2.5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), max_size=6),
+)
+def test_point_queries_leave_the_cache_untouched(rhs, points):
+    # the batch queries some of the points' data, so a cache they fed would save tries
+    field = VectorField.from_strings(list(rhs), DomainSpec(len(rhs)))
+    states = [[a] * field.n for _, _, a in points] + [[0.5] * field.n]
+    sigmas = [sigma for _, sigma, _ in points] + [0.0]
+    batch = (np.array([1.5] * len(sigmas)), np.array(sigmas), np.array(states))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        steps = count_steps(monkeypatch)
+        cold = numeric_family(field, CFG).evaluate_batch(*batch)
+        cold_steps = steps()
+        fam = numeric_family(field, CFG)
+        for (tau, sigma, _), a in zip(points, states):
+            fam.in_domain(tau, sigma, a)
+            fam.in_domain(1.5, sigma, a)
+        before = steps()
+        values, ok = fam.evaluate_batch(*batch)
+        assert steps() - before == cold_steps
+    assert ok.tolist() == cold[1].tolist() and values.tobytes() == cold[0].tobytes()
+
+
 def test_dropped_family_frees_its_field():
     # reference counting alone must free it: an escape or budget message kept
     # as an exception would hold its traceback's frames, and the field, in a cycle
@@ -487,11 +545,12 @@ def test_dropped_family_frees_its_field():
     gc.disable()
     try:
         # riccati from (0, 0.5) blows up near t = 2 (an escape), or runs out
-        # of 50 steps first (the budget); the second query replays the end
+        # of 50 steps first (the budget); the second batch replays the end
         for cfg in (CFG, IntegratorConfig(max_steps=50)):
             fam = numeric_family(field, cfg)
-            assert fam.in_domain(1.0, 0.0, [0.5])
-            assert not fam.in_domain(3.0, 0.0, [0.5])
+            assert one_lane(fam, 1.0, 0.0, [0.5]) is not None
+            assert one_lane(fam, 3.0, 0.0, [0.5]) is None
+            assert one_lane(fam, 3.0, 0.0, [0.5]) is None
             assert not fam.in_domain(3.0, 0.0, [0.5])
             del fam
         del field
@@ -519,6 +578,24 @@ def test_default_plan_shape_step_count_riccati(monkeypatch):
     assert bench_plan_steps(monkeypatch, "riccati") <= 2_860
 
 
+@pytest.mark.parametrize("name, tries", [("riccati", 6_180), ("rotation", 7_759)])
+def test_numeric_group_law_step_count(monkeypatch, name, tries):
+    # the group's batches share trajectories through the cache; probe by probe the law makes
+    # 19,067 tries on riccati and 29,378 on rotation
+    field = catalog.get(name).field()
+    steps = count_steps(monkeypatch)
+    assert check_group_law(group_from_family(numeric_family(field)), default_plan(field.n)).passed
+    assert steps() == tries
+
+
+def test_numeric_mollifier_step_count(monkeypatch):
+    # the Simpson nodes' probes are one batch each; probe by probe they make 14,286 tries
+    group = group_from_family(numeric_family(ROTATION))
+    steps = count_steps(monkeypatch)
+    smooth_apply(group, mollify(group, 0.25), 0.3)
+    assert steps() == 2_053
+
+
 def test_batch_equals_a_loop_of_evaluate_on_shuffled_lanes():
     # x' = x^2 inside x < 2, over the window (-5, 5) and 25 steps: lanes outside the window,
     # starts outside the field's domain, escapes, budget overruns, and signed zeros, which the
@@ -544,9 +621,11 @@ def test_batch_equals_a_loop_of_evaluate_on_shuffled_lanes():
 
 
 def grouped_loop(fam, tau, sigma, a):
-    """outcome of each lane by a loop of evaluate over the lanes grouped by Cauchy datum
-    (sigma, direction, a) in order of first appearance: the order the lane driver enters
-    data in the cache, so that both make the same tries."""
+    """outcome of each lane by a loop of one-lane batches over the lanes grouped by Cauchy
+    datum (sigma, direction, a) in order of first appearance: the order the lane driver
+    enters data in the cache, so that both make the same tries.  A batch of one lane makes
+    all its tries in the scalar loop.  A failed lane takes evaluate's reason, whose tries
+    are not counted."""
     groups = {}
     for i in range(len(tau)):
         key = np.array([sigma[i], 1.0 if tau[i] > sigma[i] else -1.0, *a[i]]).tobytes()
@@ -554,7 +633,12 @@ def grouped_loop(fam, tau, sigma, a):
     got = [None] * len(tau)
     for lanes in groups.values():
         for i in lanes:
-            got[i] = outcome(fam, tau[i], sigma[i], a[i])
+            got[i] = one_lane(fam, tau[i], sigma[i], a[i])
+    with uncounted():
+        for i in range(len(tau)):
+            if got[i] is None:
+                got[i] = outcome(fam, tau[i], sigma[i], a[i])
+                assert not isinstance(got[i], bytes)
     return got
 
 
@@ -749,6 +833,6 @@ def test_a_tabulated_field_batch_steps_in_lanes(monkeypatch):
     monkeypatch.setattr(integrate, "_drive_lanes", spied)
     tau, sigma, a = (np.array(col, dtype=float) for col in zip(*lanes))
     want = assert_batch_matches_the_grouped_loop(monkeypatch, field, cfg, tau, sigma, a)
-    assert phase_2[0] > 16 and any(isinstance(w, bytes) for w in want)
+    assert phase_2[-1] > 16 and any(isinstance(w, bytes) for w in want)  # the batch's, after the loop's one-lane ones
     for reason in ("field domain", "(left_domain)", "(step_underflow)", "integration window"):
         assert reason in reasons(want)

@@ -1,6 +1,7 @@
 """Affine machinery: Sincov decomposition, Wronski checks, mollifier."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from flowfam.linear import (
     family_from_decomposition,
     mollify,
     probe_affine,
+    probe_affine_lanes,
     sincov_decompose,
     smooth_apply,
     wronski_consistency,
@@ -423,6 +425,23 @@ def test_probe_affine_reads_matrix_and_offset():
     got_A, got_b = probe_affine(lambda x: A @ x + b, 2)
     assert np.array_equal(got_A, A) and np.array_equal(got_b, b)
     assert affine_defect(lambda x: A @ x + b, got_A, got_b) is None
+
+
+@pytest.mark.parametrize("fam", [rotation_family(), to_group(rotation_family()).family,
+                                 OneParamGroup(2, lambda alpha, a: a + alpha).family],
+                         ids=["closed_form", "group_backed", "no_lane_form"])
+def test_probe_affine_lanes_is_probe_affine_at_every_lane(fam):
+    tau, sigma = np.array([-1.0, 0.0, 0.3, 2.5, -0.0]), np.array([0.0, 0.0, -0.7, 1.0, 0.0])
+    A, b = probe_affine_lanes(fam, tau, sigma)
+    for i in range(len(tau)):
+        want_A, want_b = probe_affine(partial(fam.evaluate, tau[i], sigma[i]), 2)
+        assert A[i].tobytes() == want_A.tobytes() and b[i].tobytes() == want_b.tobytes()
+
+
+def test_probe_affine_lanes_names_the_lane_that_leaves_the_domain():
+    fam = closed_form_family(1, ["a1 + tau - sigma"], predicate="1.2 - tau")
+    with pytest.raises(DomainViolation, match="tau=1.5, sigma=0.5"):
+        probe_affine_lanes(fam, np.array([0.0, 1.5, 2.0]), np.array([0.0, 0.5, 0.0]))
 
 
 def test_affine_defect_reports_first_failing_probe():
