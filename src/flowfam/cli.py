@@ -362,6 +362,9 @@ def _cmd_reconstruct(args, spec: RunSpec, out) -> int:
     except ReconstructionFailed as err:
         _emit(out, {"kind": "error", "message": str(err)})
         return 1
+    except ValueError as err:  # fewer than two distinct knots on an axis: the plan cannot be tabulated
+        _emit(out, {"kind": "error", "message": str(ConfigError(args.config, "plan", str(err)))})
+        return 2
     knots = list(field.table.shape[:-1])
     summary = {
         "kind": "summary",
@@ -433,12 +436,14 @@ def _cmd_mollify(args, spec: RunSpec, out) -> int:
     )
     if not args.alpha:
         return 0
+    states = np.array(spec.plan.state_grid, dtype=float)
+    lanes = [(mapped, a) for _, mapped in smoothed for a in states]  # alpha-major, as np.repeat
+    values, ok = group.family.evaluate_batch(
+        np.repeat(args.alpha, len(states)), np.zeros(len(lanes)), np.array([a for _, a in lanes]))
     acc = Accumulator()
-    for alpha, mapped in smoothed:
-        for s in spec.plan.state_grid:
-            a = np.asarray(s, dtype=float)
-            if group.in_domain(alpha, a):  # states outside are not counted as skips
-                acc.record(float(np.max(np.abs(mapped(a) - group.evaluate(alpha, a)))), None)
+    for (mapped, a), value, a_ok in zip(lanes, values, ok):
+        if a_ok:  # states outside are not counted as skips
+            acc.record(float(np.max(np.abs(mapped(a) - value))), None)
     tol = max(1e-8, scaled_tol(group.tol_hint))
     smoothing = acc.report("smoothing", tol, force_fail=not acc.checked)
     _emit(out, _condition_record(smoothing))

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .core import DomainViolation, FlowFamily, as_state, inf_norm, scaled_tol
+from .core import DomainViolation, FlowFamily, as_state, scaled_tol
 from .verify import Accumulator, ConditionReport, SamplePlan, lane_gap
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "SingularWronskian",
     "NotInvertible",
     "probe_affine",
-    "probe_affine_lanes",
     "affine_defect",
     "check_affine",
     "sincov_decompose",
@@ -131,49 +129,48 @@ class AffineMap:
 # --- affinity detection ----------------------------------------------------
 
 
-def probe_affine(fn, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) with b = fn(0) and columns A e_k = fn(e_k) - fn(0).
+def _probe(batch, tau: np.ndarray, sigma: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """batch at every point of points[p, n] for every lane (tau[i], sigma[i]), in one call: values[m, p, n].
 
-    This is the map a -> A a + b that fn is, if fn is affine on R^n;
-    affine_defect tests whether it is.
-    """
-    b = np.asarray(fn(np.zeros(n)), dtype=float)
-    A = np.empty((n, n))
-    for k in range(n):
-        A[:, k] = np.asarray(fn(np.eye(n)[k]), dtype=float) - b
-    return A, b
-
-
-def probe_affine_lanes(fam: FlowFamily, tau: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """probe_affine(partial(fam.evaluate, tau[i], sigma[i]), n) at every lane i: (A[m, n, n], b[m, n]).
-
-    The basis points 0, e_1, ..., e_n of every lane go to one evaluate_batch
-    call.  Raises DomainViolation when a lane's probe leaves fam's domain.
-    """
-    n, m = fam.n, len(tau)
-    basis = np.vstack([np.zeros(n), np.eye(n)])
-    values, ok = fam.evaluate_batch(np.repeat(tau, n + 1), np.repeat(sigma, n + 1), np.tile(basis, (m, 1)))
+    Raises DomainViolation naming the first lane with a point outside the domain."""
+    m, p = len(tau), len(points)
+    values, ok = batch(np.repeat(tau, p), np.repeat(sigma, p), np.tile(points, (m, 1)))
     if not ok.all():
-        i = int(np.argmin(ok)) // (n + 1)
+        i = int(np.argmin(ok)) // p
         raise DomainViolation("out_of_domain", f"affine probe at tau={tau[i]}, sigma={sigma[i]} left the domain")
-    values = values.reshape(m, n + 1, n)
+    return values.reshape(m, p, points.shape[1])
+
+
+def probe_affine(batch, tau: np.ndarray, sigma: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A[m, n, n], b[m, n]) with b[i] = F_i(0) and columns A[i] e_k = F_i(e_k) - F_i(0).
+
+    F_i is lane (tau[i], sigma[i]) of batch(tau[k], sigma[k], x[k, n]) ->
+    (values, ok), a lane form such as FlowFamily.evaluate_batch.  (A[i], b[i])
+    is the map a -> A a + b that F_i is if F_i is affine, which affine_defect
+    tests.  The basis points of all lanes go to one batch call (see _probe).
+    """
+    values = _probe(batch, tau, sigma, np.vstack([np.zeros(n), np.eye(n)]))
     b = values[:, 0]
     return (values[:, 1:] - b[:, None, :]).transpose(0, 2, 1), b
 
 
-def affine_defect(fn, A: np.ndarray, b: np.ndarray) -> float | None:
-    """Residual at the first probe lam e_k, lam in (-1, 2), where fn leaves a -> A a + b.
+def affine_defect(batch, tau: np.ndarray, sigma: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each lane's residual at its first probe lam e_k, lam in (-1, 2), where F_i leaves a -> A[i] a + b[i].
 
-    A probe fails when |fn(lam e_k) - want| > 1e-9 (1 + |want|), with want
-    = lam A e_k + b, all in the infinity norm; None when every probe holds.
+    Lanes are read as in probe_affine and probes in (k, lam) order.  A probe
+    fails when |F_i(lam e_k) - want| > 1e-9 (1 + |want|), with want = lam
+    A[i] e_k + b[i], in the infinity norm; gap[i] is NaN where all hold.  The
+    probes of all lanes go to one batch call (see _probe).
     """
-    for k in range(A.shape[0]):
-        for lam in (-1.0, 2.0):
-            want = lam * A[:, k] + b
-            gap = inf_norm(np.asarray(fn(lam * np.eye(A.shape[0])[k]), dtype=float) - want)
-            if gap > 1e-9 * (1.0 + inf_norm(want)):
-                return gap
-    return None
+    n = A.shape[1]
+    lam = np.array([-1.0, 2.0])[:, None]
+    got = _probe(batch, tau, sigma, (lam * np.eye(n)[:, None, :]).reshape(2 * n, n))  # lam e_k, (k, lam) order
+    columns = A.transpose(0, 2, 1)  # columns[i, k] = A[i] e_k
+    want = (lam * columns[:, :, None, :] + b[:, None, None, :]).reshape(got.shape)
+    gap = np.abs(got - want).max(axis=-1)
+    fails = gap > 1e-9 * (1.0 + np.abs(want).max(axis=-1))
+    first = gap[np.arange(len(gap)), np.argmax(fails, axis=1)]
+    return np.where(fails.any(axis=1), first, math.nan)
 
 
 def check_affine(fam: FlowFamily, plan: SamplePlan) -> ConditionReport:
@@ -266,10 +263,10 @@ def sincov_decompose(
 
     W_tau's columns are F_{tau,tau0}(e_k) - F_{tau,tau0}(0) and the
     particular value p(tau) = F_{tau,tau0}(0) gives h_tau = W_tau^{-1}
-    p(tau).  check=True first samples the affinity condition on the grid
-    and refuses non-affine families.
+    p(tau) at each distinct grid time.  check=True first samples the
+    affinity condition on the grid and refuses non-affine families.
     """
-    grid = tuple(sorted(float(t) for t in grid))
+    grid = tuple(sorted({float(t) for t in grid}))
     n = fam.n
     if check:
         basis = [np.zeros(n)] + [e for e in np.eye(n)] + [-e for e in np.eye(n)]
@@ -284,7 +281,7 @@ def sincov_decompose(
                 f"affinity residual {rep.max_residual:.3g} exceeds {rep.tolerance:.3g} "
                 f"at {rep.worst_case}"
             )
-    W, origin = probe_affine_lanes(fam, np.array(grid), np.full(len(grid), float(tau0)))
+    W, origin = probe_affine(fam.evaluate_batch, np.array(grid), np.full(len(grid), float(tau0)), n)
     h = np.empty((len(grid), n))
     for i, tau in enumerate(grid):
         _check_wronskian(W[i], tau)
@@ -335,16 +332,17 @@ def family_from_decomposition(dec: SincovDecomposition) -> FlowFamily:
 # --- consistency with a generating field ------------------------------------
 
 
-def _affine_field_parts(fld, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (A, c) with f(tau, x) = A x + c by basis probes; verify affinity."""
-    fn = partial(fld, tau)
+def _affine_field_parts(fld, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A[m], c[m]) with f(times[i], x) = A[i] x + c[i], by basis probes of fld's lane form; verify affinity."""
+    batch, sigma = (lambda t, _, x: fld.lanes(t, x)), np.zeros(len(times))
     try:
-        A, c = probe_affine(fn, fld.n)
-        gap = affine_defect(fn, A, c)
-    except (ArithmeticError, DomainViolation) as err:
-        raise NotAffineField(f"could not probe the field at time {tau}: {err}") from None
-    if gap is not None:
-        raise NotAffineField(f"field is not affine in the state at time {tau} (residual {gap:.3g})")
+        A, c = probe_affine(batch, times, sigma, fld.n)
+        gap = affine_defect(batch, times, sigma, A, c)
+    except DomainViolation as err:
+        raise NotAffineField(f"could not probe the field: {err}") from None
+    for t, g in zip(times, gap):
+        if not math.isnan(g):
+            raise NotAffineField(f"field is not affine in the state at time {t} (residual {g:.3g})")
     return A, c
 
 
@@ -352,17 +350,17 @@ def wronski_consistency(dec: SincovDecomposition, fld, tol: float = 1e-3) -> Con
     """Central-difference check of dW/dtau = A W and d(Wh)/dtau = A(Wh) + c.
 
     Differentiates the decomposition's grid data at interior grid times and
-    compares against the affine field's matrix and offset there.  Needs at
-    least three grid times.
+    compares against the matrix and offset of the affine field there, probed
+    in one batch of fld.lanes.  Needs at least three grid times.
     """
     if len(dec.grid) < 3:
         raise ValueError("need at least three grid times for central differences")
     acc = Accumulator()
     grid = np.asarray(dec.grid, dtype=float)
     p = np.array([dec.particular(i) for i in range(len(grid))])
-    for i in range(1, len(grid) - 1):
+    field_A, field_c = _affine_field_parts(fld, grid[1:-1])
+    for i, A, c in zip(range(1, len(grid) - 1), field_A, field_c):
         span = grid[i + 1] - grid[i - 1]
-        A, c = _affine_field_parts(fld, float(grid[i]))
         dW = (dec.W[i + 1] - dec.W[i - 1]) / span
         dp = (p[i + 1] - p[i - 1]) / span
         res_matrix = float(np.max(np.abs(dW - A @ dec.W[i])))
@@ -393,14 +391,15 @@ class Mollifier:
 def _window_average(group, center: float, eps: float, panels: int) -> AffineMap:
     """Composite-Simpson average of G_beta over [center - eps, center + eps].
 
-    The group must be affine at the window's ends and center; the nodes are
-    probed in one batch and their A and b are averaged side by side.
+    The group must be affine at the window's ends and center, which are
+    probed in one batch; the nodes are probed in another, and their A and b
+    are averaged side by side.
     """
     lo, hi = center - eps, center + eps
-    for beta in (lo, center, hi):
-        probe = partial(group.evaluate, beta)
-        gap = affine_defect(probe, *probe_affine(probe, group.n))
-        if gap is not None:
+    batch, ends = group.family.evaluate_batch, np.array([lo, center, hi])
+    gaps = affine_defect(batch, ends, np.zeros(3), *probe_affine(batch, ends, np.zeros(3), group.n))
+    for beta, gap in zip(ends, gaps):
+        if not math.isnan(gap):
             raise NotAffine(f"group is not affine at parameter {beta} (residual {gap:.3g})")
     if panels < 2 or panels % 2 != 0:
         raise ValueError("panel count must be even and at least 2")
@@ -408,7 +407,7 @@ def _window_average(group, center: float, eps: float, panels: int) -> AffineMap:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     nodes = np.linspace(lo, hi, panels + 1)
-    A, b = probe_affine_lanes(group.family, nodes, np.zeros(len(nodes)))
+    A, b = probe_affine(batch, nodes, np.zeros(len(nodes)), group.n)
     total_A, total_b = weights[0] * A[0], weights[0] * b[0]
     for w, A_x, b_x in zip(weights[1:], A[1:], b[1:]):  # summed node by node, in node order
         total_A, total_b = total_A + w * A_x, total_b + w * b_x

@@ -539,6 +539,24 @@ def test_reconstruct_mostly_outside_domain_fails(tmp_path, capsys):
     assert recs[1]["kind"] == "error"
 
 
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        ({"time_grid": [-0.5, 0.5], "state_grid": [[0.5]]}, "need at least two knots per state axis"),
+        ({"time_grid": [0.0], "state_grid": [[-0.3], [0.3]]}, "need at least two time knots"),
+    ],
+    ids=["one-state-knot", "one-time-knot"],
+)
+def test_reconstruct_a_plan_too_small_to_tabulate_is_a_config_error(tmp_path, capsys, plan, message):
+    cfg = write_config(tmp_path, {**RICCATI, "plan": {**plan, "random_count": 0}})
+    code = main(["reconstruct", "--config", cfg, "--no-timestamp"])
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 2 and err == ""
+    assert [r["kind"] for r in records] == ["meta", "error"]
+    assert records[1]["message"] == f"{cfg}: plan: {message}"
+
+
 # --- autonomous --------------------------------------------------------------
 
 
@@ -632,6 +650,15 @@ def test_decompose_tau0_flag(tmp_path, capsys):
     assert recs[1]["tau0"] == 1.0
 
 
+def test_decompose_takes_each_repeated_plan_time_once(tmp_path, capsys):
+    plan = {"time_grid": [0.0, 0.0, 0.5], "state_grid": [[0.5, 0.0], [0.25, 1.0]], "random_count": 0}
+    cfg = write_config(tmp_path, {"system": {"catalog": "rotation"}, "plan": plan})
+    code = main(["decompose", "--config", cfg, "--no-timestamp"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert json.loads(out.splitlines()[-1])["grid"] == [0.0, 0.5]
+
+
 # --- affine probes outside the domain ------------------------------------------
 
 
@@ -639,8 +666,8 @@ def test_decompose_tau0_flag(tmp_path, capsys):
     "predicate, argv, where",
     [
         ("1.2 - tau", ["decompose"], "tau=1.5, sigma=0.0"),  # the probe at grid time 1.5
-        ("0.2 - tau + sigma", ["mollify", "--eps", "0.25"], "(0.25, 0.0"),  # the window's end
-        ("1.2 - tau + sigma", ["mollify", "--eps", "0.25", "--alpha=1.0"], "(1.25, 0.0"),  # the smoothing window's
+        ("0.2 - tau + sigma", ["mollify", "--eps", "0.25"], "tau=0.25, sigma=0.0"),  # the window's end
+        ("1.2 - tau + sigma", ["mollify", "--eps", "0.25", "--alpha=1.0"], "tau=1.25, sigma=0.0"),  # the smoothing window's
     ],
     ids=["decompose", "mollify", "mollify-smoothing"],
 )
@@ -699,6 +726,20 @@ def test_mollify_rejects_nonautonomous(tmp_path, capsys):
     )
     assert code == 1
     assert recs[1]["kind"] == "error"
+
+
+def test_mollify_smoothing_check_makes_no_scalar_query(tmp_path, capsys, monkeypatch):
+    from flowfam.core import FlowFamily
+
+    def scalar_query(*args):
+        raise AssertionError("a scalar evaluate or in_domain call")
+
+    monkeypatch.setattr(FlowFamily, "evaluate", scalar_query)
+    monkeypatch.setattr(FlowFamily, "in_domain", scalar_query)
+    cfg = write_config(tmp_path, {"system": {"field": {"n": 2, "rhs": ["-x2", "x1"]}}})
+    code, recs = run_cli(["mollify", "--config", cfg, "--eps", "0.25", "--alpha", "0.3", "--no-timestamp"], capsys)
+    assert code == 0
+    assert (recs[2]["samples_checked"], recs[2]["samples_skipped"]) == (9, 0)
 
 
 # --- shared flags ------------------------------------------------------------

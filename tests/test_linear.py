@@ -8,6 +8,7 @@ import pytest
 
 from flowfam.autonomous import OneParamGroup, to_group
 from flowfam.core import DomainSpec, DomainViolation, VectorField, closed_form_family
+from flowfam.integrate import numeric_family
 from flowfam.linear import (
     AffineMap,
     Mollifier,
@@ -21,7 +22,6 @@ from flowfam.linear import (
     family_from_decomposition,
     mollify,
     probe_affine,
-    probe_affine_lanes,
     sincov_decompose,
     smooth_apply,
     wronski_consistency,
@@ -289,6 +289,20 @@ def test_wronski_consistency_rejects_nonaffine_field():
         wronski_consistency(dec, fld, tol=1e-3)
 
 
+def test_wronski_consistency_names_the_first_time_the_field_is_not_affine_at():
+    fld = VectorField.from_strings(["x1 + (t - 0.25)*x1^2"], DomainSpec(1))
+    dec = sincov_decompose(affine_family(), 0.0, (0.0, 0.25, 0.5, 0.75, 1.0), check=False)
+    with pytest.raises(NotAffineField, match=r"at time 0\.5 \(residual 0\.5\)"):
+        wronski_consistency(dec, fld, tol=1e-3)
+
+
+def test_wronski_consistency_reports_a_field_it_cannot_probe():
+    fld = VectorField.from_strings(["sqrt(x1 + t - 0.4)"], DomainSpec(1))
+    dec = sincov_decompose(affine_family(), 0.0, (0.0, 0.25, 0.5, 1.0), check=False)
+    with pytest.raises(NotAffineField, match="could not probe the field: affine probe at tau=0.25"):
+        wronski_consistency(dec, fld, tol=1e-3)
+
+
 def test_wronski_consistency_needs_interior_points():
     dec = sincov_decompose(affine_family(), 0.0, (0.0, 1.0), check=False)
     fld = VectorField.from_strings(["x1 + 1"], DomainSpec(1))
@@ -419,36 +433,88 @@ def test_affine_of_affine_group_with_offset():
 # --- the shared affine probe ------------------------------------------------
 
 
+def point_probe(fn, n):
+    """(A, b) of fn read point by point, one call a point: b = fn(0), A e_k = fn(e_k) - b."""
+    b = np.asarray(fn(np.zeros(n)), dtype=float)
+    A = np.empty((n, n))
+    for k in range(n):
+        A[:, k] = np.asarray(fn(np.eye(n)[k]), dtype=float) - b
+    return A, b
+
+
+def point_defect(fn, A, b):
+    """The residual at fn's first probe lam e_k off a -> A a + b, point by point; None when all hold."""
+    for k in range(A.shape[0]):
+        for lam in (-1.0, 2.0):
+            want = lam * A[:, k] + b
+            gap = float(np.abs(np.asarray(fn(lam * np.eye(A.shape[0])[k]), dtype=float) - want).max())
+            if gap > 1e-9 * (1.0 + float(np.abs(want).max())):
+                return gap
+    return None
+
+
 def test_probe_affine_reads_matrix_and_offset():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([0.5, -0.5])
-    got_A, got_b = probe_affine(lambda x: A @ x + b, 2)
-    assert np.array_equal(got_A, A) and np.array_equal(got_b, b)
-    assert affine_defect(lambda x: A @ x + b, got_A, got_b) is None
+
+    def batch(tau, sigma, x):
+        return x @ A.T + b, np.ones(len(x), dtype=bool)
+
+    got_A, got_b = probe_affine(batch, np.zeros(1), np.zeros(1), 2)
+    assert np.array_equal(got_A[0], A) and np.array_equal(got_b[0], b)
+    assert np.isnan(affine_defect(batch, np.zeros(1), np.zeros(1), got_A, got_b)).all()
+
+
+# seven lanes make 21 basis probes, more than the numeric lane driver hands to its scalar tail
+PROBE_TAU = np.array([-1.0, 0.0, 0.3, 2.5, -0.0, 1.2, 0.7])
+PROBE_SIGMA = np.array([0.0, 0.0, -0.7, 1.0, 0.0, 0.4, 0.7])
 
 
 @pytest.mark.parametrize("fam", [rotation_family(), to_group(rotation_family()).family,
-                                 OneParamGroup(2, lambda alpha, a: a + alpha).family],
-                         ids=["closed_form", "group_backed", "no_lane_form"])
-def test_probe_affine_lanes_is_probe_affine_at_every_lane(fam):
-    tau, sigma = np.array([-1.0, 0.0, 0.3, 2.5, -0.0]), np.array([0.0, 0.0, -0.7, 1.0, 0.0])
-    A, b = probe_affine_lanes(fam, tau, sigma)
-    for i in range(len(tau)):
-        want_A, want_b = probe_affine(partial(fam.evaluate, tau[i], sigma[i]), 2)
+                                 OneParamGroup(2, lambda alpha, a: a + alpha).family,
+                                 numeric_family(VectorField.from_strings(["-x2", "x1"], DomainSpec(2)))],
+                         ids=["closed_form", "group_backed", "no_lane_form", "numeric"])
+def test_probe_affine_is_the_point_probe_at_every_lane(fam):
+    A, b = probe_affine(fam.evaluate_batch, PROBE_TAU, PROBE_SIGMA, 2)
+    for i in range(len(PROBE_TAU)):
+        want_A, want_b = point_probe(partial(fam.evaluate, PROBE_TAU[i], PROBE_SIGMA[i]), 2)
         assert A[i].tobytes() == want_A.tobytes() and b[i].tobytes() == want_b.tobytes()
 
 
-def test_probe_affine_lanes_names_the_lane_that_leaves_the_domain():
+def test_probe_affine_of_a_field_is_the_point_probe_at_every_time():
+    fld = VectorField.from_strings(["-x2*t + sin(t)", "x1*cos(t) + 0.3*x2 - t^2"], DomainSpec(2))
+    A, c = probe_affine(lambda t, _, x: fld.lanes(t, x), PROBE_TAU, PROBE_SIGMA, 2)
+    for i, t in enumerate(PROBE_TAU):
+        want_A, want_c = point_probe(partial(fld, t), 2)
+        assert A[i].tobytes() == want_A.tobytes() and c[i].tobytes() == want_c.tobytes()
+
+
+def test_affine_defect_is_the_point_defect_at_every_lane():
+    # riccati leaves its affine reading at some lanes and not on the diagonal
+    fam = riccati_family()
+    tau, sigma = np.array([0.0, 0.2, -0.3, 0.1]), np.array([0.0, 0.1, 0.0, -0.1])
+    A, b = probe_affine(fam.evaluate_batch, tau, sigma, 1)
+    gap = affine_defect(fam.evaluate_batch, tau, sigma, A, b)
+    want = [point_defect(partial(fam.evaluate, tau[i], sigma[i]), A[i], b[i]) for i in range(len(tau))]
+    assert [None if math.isnan(g) else g.hex() for g in gap] == [w and w.hex() for w in want]
+    assert want[0] is None and None not in want[1:]
+
+
+def test_probe_affine_names_the_lane_that_leaves_the_domain():
     fam = closed_form_family(1, ["a1 + tau - sigma"], predicate="1.2 - tau")
     with pytest.raises(DomainViolation, match="tau=1.5, sigma=0.5"):
-        probe_affine_lanes(fam, np.array([0.0, 1.5, 2.0]), np.array([0.0, 0.5, 0.0]))
+        probe_affine(fam.evaluate_batch, np.array([0.0, 1.5, 2.0]), np.array([0.0, 0.5, 0.0]), 1)
 
 
 def test_affine_defect_reports_first_failing_probe():
-    fn = lambda x: x + 0.1 * x**2  # noqa: E731
-    A, b = probe_affine(fn, 1)  # A = 1.1, b = 0
-    # lam = -1: fn(-1) = -0.9 against want -1.1
-    assert affine_defect(fn, A, b) == pytest.approx(0.2)
+    def batch(tau, sigma, x):  # x + tau x^2: affine at tau = 0 only
+        return x + tau[:, None] * x**2, np.ones(len(x), dtype=bool)
+
+    tau, sigma = np.array([0.1, 0.0]), np.zeros(2)
+    A, b = probe_affine(batch, tau, sigma, 1)  # A = 1.1 and 1, b = 0
+    # lam = -1 at tau = 0.1: -0.9 against want -1.1
+    gap = affine_defect(batch, tau, sigma, A, b)
+    assert gap[0] == pytest.approx(0.2) and math.isnan(gap[1])
 
 
 def test_mollify_probes_each_node_once():
@@ -460,5 +526,8 @@ def test_mollify_probes_each_node_once():
 
     group = OneParamGroup(n=1, g=g)
     mollify(group, 0.25, panels=16)
-    # three affinity checks of (n + 1) + 2n evaluations, then n + 1 per node
+    # the ends and centre: one probe batch of n + 1 lanes each and one defect batch of 2n
+    # lanes each, then n + 1 lanes per node; this group has no lane form, so a lane is a call
+    ends = [-0.25, -0.25, 0.0, 0.0, 0.25, 0.25]
+    assert calls[:12] == ends + ends
     assert len(calls) == 3 * 4 + 17 * 2
