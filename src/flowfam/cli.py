@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -464,6 +465,7 @@ _COMMANDS = {
 _CSV_COMMANDS = {"reconstruct", "decompose"}
 
 
+@functools.cache  # built once: a parser built on every call grew resident memory with each call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowfam",

@@ -94,8 +94,9 @@ class DomainSpec:
 
     Membership = t inside the open time_box AND space_predicate > 0 (when a
     predicate is present).  Strict inequalities keep the set open by
-    construction.  The predicate is compiled once, here; its lane form,
-    behind contains_lanes, on the first call.
+    construction.  The predicate is validated here and compiled on the
+    first call of contains; its lane form on the first call of
+    contains_lanes.
     """
 
     n: int
@@ -111,7 +112,8 @@ class DomainSpec:
         object.__setattr__(self, "time_box", (lo, hi))
         pred = _as_expression(self.space_predicate)
         object.__setattr__(self, "space_predicate", pred)
-        object.__setattr__(self, "_predicate", None if pred is None else ex.compile_field(pred, self.n))
+        if pred is not None:
+            ex.validate_field(pred, self.n)
 
     def contains(self, t: float, x) -> bool:
         """Total membership test; evaluation failures count as outside."""
@@ -124,6 +126,10 @@ class DomainSpec:
             return self._predicate(t, x) > 0.0
         except ex.EvalError:
             return False
+
+    @functools.cached_property
+    def _predicate(self):
+        return None if self.space_predicate is None else ex.compile_field(self.space_predicate, self.n)
 
     @functools.cached_property
     def _predicate_lanes(self):
@@ -144,9 +150,11 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Right-hand side f(t, x) of an n-dimensional first-order ODE; compiled once, here.
+    """Right-hand side f(t, x) of an n-dimensional first-order ODE.
 
-    lanes is its lane form, which numeric families batch their steps through.
+    Its components are validated here and compiled, into one function, on
+    the first call.  lanes is its lane form, which numeric families batch
+    their steps through.
     """
 
     n: int
@@ -158,7 +166,7 @@ class VectorField:
             raise ValueError(f"need {self.n} rhs components, got {len(self.rhs)}")
         if self.domain.n != self.n:
             raise ValueError("domain dimension does not match field dimension")
-        object.__setattr__(self, "_rhs", tuple(ex.compile_field(c, self.n) for c in self.rhs))
+        ex.validate_field(tuple(self.rhs), self.n)
 
     @classmethod
     def from_strings(cls, components: Sequence[str], domain: DomainSpec) -> "VectorField":
@@ -166,7 +174,11 @@ class VectorField:
 
     def __call__(self, t: float, x) -> tuple:
         """The slope at (t, x) as a tuple of n floats; x is any sequence of n floats."""
-        return tuple([f(t, x) for f in self._rhs])
+        return self._slope(t, x)
+
+    @functools.cached_property
+    def _slope(self):
+        return ex.compile_field(tuple(self.rhs), self.n)
 
     @functools.cached_property
     def _rhs_lanes(self):
@@ -308,15 +320,22 @@ def closed_form_family(
     predicate > 0 (when given), and every component to evaluate to a finite
     value (FlowFamily's rule, which an overflowing literal such as 1e400
     breaks); evaluation and membership therefore agree by construction.  The
-    lane kernels behind evaluate_batch are compiled on its first call, so
-    families that are never batched do not pay for them.
+    expressions are validated here.  The components, as one function, and
+    the predicate are compiled on the first evaluation, and the lane kernels
+    behind evaluate_batch on its first call, so a family pays only for the
+    forms it uses.
     """
     comps = tuple(_as_expression(c) for c in components)
     if len(comps) != n:
         raise ValueError(f"need {n} components, got {len(comps)}")
-    fns = tuple(ex.compile_family(c, n) for c in comps)
+    ex.validate_family(comps, n)
     pred_expr = _as_expression(predicate)
-    pred = ex.compile_family(pred_expr, n) if pred_expr is not None else None
+    if pred_expr is not None:
+        ex.validate_family(pred_expr, n)
+
+    @functools.cache
+    def scalar_kernels():
+        return ex.compile_family(comps, n), None if pred_expr is None else ex.compile_family(pred_expr, n)
 
     @functools.cache
     def lane_kernels():
@@ -328,12 +347,13 @@ def closed_form_family(
             lo, hi = time_box
             if not (lo < tau < hi and lo < sigma < hi):
                 raise DomainViolation("out_of_domain", "parameter outside the family time box")
+        values, pred = scalar_kernels()
         try:
             if pred is not None and not pred(tau, sigma, a) > 0.0:
                 raise DomainViolation(
                     "out_of_domain", f"domain predicate not positive at ({tau}, {sigma}, {a})"
                 )
-            return [f(tau, sigma, a) for f in fns]
+            return values(tau, sigma, a)
         except ex.EvalError as err:
             raise DomainViolation("out_of_domain", f"evaluation failed: {err}") from None
 

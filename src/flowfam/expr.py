@@ -20,6 +20,15 @@ are written over ``t, x1..xn``; flow maps are written over
 ``compile_field`` / ``compile_family`` enforce the convention for a given
 context and dimension as they compile.  Any other identifier is rejected at parse time.
 
+``compile_field`` and ``compile_family`` generate one straight-line
+function per expression or tuple of expressions: one statement per node in
+post-order, each with its check (the zero test of ``/``, the rules of ``^``,
+``log`` and ``sqrt``, the finite check after ``+ - * / ^`` and the other
+functions), so errors come in the tree's order.  The source is built from fixed
+templates, slot indices and generated names only; constants and helpers
+are bound in the function's namespace, so no text of an expression is
+compiled.
+
 ``compile_field_lanes`` and ``compile_family_lanes`` compile an expression
 a second way, over lane arrays: lane i of its values equals
 ``compile_field``'s or ``compile_family``'s result at lane i's point bit for
@@ -57,6 +66,8 @@ __all__ = [
     "ValidationError",
     "FUNCTIONS",
     "parse",
+    "validate_field",
+    "validate_family",
     "compile_field",
     "compile_family",
     "compile_field_lanes",
@@ -300,13 +311,7 @@ def parse(source: str) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: the tree is walked once, into nested closures
-
-def _div(a: float, b: float) -> float:
-    if b == 0.0:
-        raise EvalError("division_by_zero", "division by zero")
-    return a / b
-
+# Compilation: the trees are generated once into one straight-line function
 
 def _pow(a: float, b: float) -> float:
     if a == 0.0 and b < 0.0:
@@ -346,8 +351,35 @@ def _finite_call(name: str, fn):
     return call
 
 
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
 _CALLS = {**{name: _finite_call(name, fn) for name, fn in FUNCTIONS.items()}, "log": _log, "sqrt": _sqrt}
+
+
+def _failure(kind: str, message: str):
+    """What a generated check calls when it fails: raise EvalError(kind, message)."""
+    def fail():
+        raise EvalError(kind, message)
+
+    return fail
+
+
+# The names every generated function sees; constants and the _CALLS helpers
+# of one expression join them as k0, k1, ...
+_HELPERS = {
+    "isfinite": math.isfinite,
+    "power": _pow,
+    "division_by_zero": _failure("division_by_zero", "division by zero"),
+    **{f"nonfinite_{name}": _failure("nonfinite", f"non-finite result from '{op}'")
+       for op, name in zip("+-*/^", ("add", "sub", "mul", "div", "pow"))},
+}
+
+# One template per operator: the operation, its check, then the finite check.
+_BINARY = {
+    "+": ("if not isfinite({v} := {l} + {r}): nonfinite_add()",),
+    "-": ("if not isfinite({v} := {l} - {r}): nonfinite_sub()",),
+    "*": ("if not isfinite({v} := {l} * {r}): nonfinite_mul()",),
+    "/": ("if {r} == 0.0: division_by_zero()", "if not isfinite({v} := {l} / {r}): nonfinite_div()"),
+    "^": ("if not isfinite({v} := power({l}, {r})): nonfinite_pow()",),
+}
 
 
 def _slot(e: Var, scalars: tuple, prefix: str, n: int) -> tuple[bool, int]:
@@ -359,53 +391,96 @@ def _slot(e: Var, scalars: tuple, prefix: str, n: int) -> tuple[bool, int]:
     raise ValidationError(e.name, f"variable '{e.name}' not allowed (dimension {n})")
 
 
-def _build(e: Expression, scalars: tuple, prefix: str, n: int):
-    """Closure computing ``e`` from ``env = (*scalar values, state)``; the leftmost
-    variable outside ``scalars`` and ``prefix1..prefixn`` raises ValidationError."""
-    if isinstance(e, Bin):
-        left, right = _build(e.left, scalars, prefix, n), _build(e.right, scalars, prefix, n)
-        op, message = _OPERATORS[e.op], f"non-finite result from '{e.op}'"
+def _source(e, scalars: tuple, prefix: str, n: int) -> tuple[str, dict]:
+    """Source of ``generated(s0, .., state)`` computing ``e``, and the values it binds as k0, k1, ...
 
-        def binary(env):
-            v = op(left(env), right(env))
-            if not math.isfinite(v):
-                raise EvalError("nonfinite", message)
+    ``e`` is an expression or a tuple of them, whose values come back as a
+    tuple.  A variable is read, as a float, where it is first used: scalar
+    i is the argument ``s<i>``, state component k is ``state[k]``.  The
+    leftmost variable outside ``scalars`` and ``prefix1..prefixn`` raises
+    ValidationError.
+    """
+    lines, bound, read = [], {}, set()
+
+    def emit(e) -> str:
+        if isinstance(e, Bin):
+            left, right = emit(e.left), emit(e.right)
+            v = f"v{len(lines)}"
+            lines.extend(template.format(v=v, l=left, r=right) for template in _BINARY[e.op])
             return v
+        if isinstance(e, Var):
+            scalar, i = _slot(e, scalars, prefix, n)
+            name = f"s{i}" if scalar else f"x{i}"
+            if name not in read:
+                read.add(name)
+                lines.append(f"{name} = float({name if scalar else f'state[{i}]'})")
+            return name
+        if isinstance(e, Num):
+            k = f"k{len(bound)}"
+            bound[k] = e.value
+            return k
+        if isinstance(e, Call):
+            arg, k, v = emit(e.arg), f"k{len(bound)}", f"v{len(lines)}"
+            bound[k] = _CALLS[e.fn]
+            lines.append(f"{v} = {k}({arg})")
+            return v
+        if isinstance(e, Neg):
+            operand, v = emit(e.operand), f"v{len(lines)}"
+            lines.append(f"{v} = -{operand}")
+            return v
+        raise TypeError(f"not an expression node: {e!r}")
 
-        return binary
-    if isinstance(e, Var):
-        scalar, i = _slot(e, scalars, prefix, n)
-        if scalar:
-            return operator.itemgetter(i)
-        return lambda env: float(env[-1][i])  # the state, read when the closure runs
-    if isinstance(e, Num):
-        value = e.value
-        return lambda env: value
-    if isinstance(e, Call):
-        fn, arg = _CALLS[e.fn], _build(e.arg, scalars, prefix, n)
-        return lambda env: fn(arg(env))
-    if isinstance(e, Neg):
-        operand = _build(e.operand, scalars, prefix, n)
-        return lambda env: -operand(env)
-    raise TypeError(f"not an expression node: {e!r}")
+    value = f"({', '.join(map(emit, e))},)" if isinstance(e, tuple) else emit(e)
+    params = ", ".join([f"s{i}" for i in range(len(scalars))] + ["state"])
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def generated({params}):\n{body}    return {value}\n", bound
 
 
-def compile_field(e: Expression, n: int) -> Callable[[float, Any], float]:
-    """f(t, x) computing ``e`` over t and x1..xn, or ValidationError; f raises EvalError."""
-    f = _build(e, ("t",), "x", n)
-    return lambda t, x: f((float(t), x))
+def _generate(e, scalars: tuple, prefix: str, n: int):
+    """The function of _source(e, ...), compiled: it takes the scalars, then the state."""
+    source, bound = _source(e, scalars, prefix, n)
+    namespace = {**_HELPERS, **bound}
+    exec(compile(source, "<flowfam expression>", "exec"), namespace)
+    return namespace["generated"]
 
 
-def compile_family(e: Expression, n: int) -> Callable[[float, float, Any], float]:
-    """f(tau, sigma, a) computing ``e`` over tau, sigma and a1..an, or ValidationError."""
-    f = _build(e, ("tau", "sigma"), "a", n)
-    return lambda tau, sigma, a: f((float(tau), float(sigma), a))
+_FIELD = (("t",), "x")  # (scalars, state prefix) of each convention
+_FAMILY = (("tau", "sigma"), "a")
+
+
+def validate_field(e, n: int) -> None:
+    """The ValidationError compile_field(e, n) raises, if any, without compiling."""
+    _source(e, *_FIELD, n)
+
+
+def validate_family(e, n: int) -> None:
+    """The ValidationError compile_family(e, n) raises, if any, without compiling."""
+    _source(e, *_FAMILY, n)
+
+
+def compile_field(e, n: int) -> Callable[[float, Any], Any]:
+    """f(t, x) computing ``e`` over t and x1..xn, or ValidationError; f raises EvalError.
+
+    ``e`` may be a tuple of expressions: f then returns the tuple of their
+    values, computed in order.
+    """
+    return _generate(e, *_FIELD, n)
+
+
+def compile_family(e, n: int) -> Callable[[float, float, Any], Any]:
+    """f(tau, sigma, a) computing ``e`` over tau, sigma and a1..an, or ValidationError.
+
+    ``e`` may be a tuple of expressions: f then returns the tuple of their
+    values, computed in order.
+    """
+    return _generate(e, *_FAMILY, n)
 
 
 # ---------------------------------------------------------------------------
 # Lane compilation: the same tree over arrays of points, with an ok mask
 
 _ELEMENTWISE = {"sin": np.sin, "cos": np.cos, "abs": np.abs}  # then the finite check
+_LANE_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _per_lane(fn, ok: np.ndarray, *args: np.ndarray):
@@ -456,8 +531,8 @@ def _build_lanes(e: Expression, scalars: tuple, prefix: str, n: int):
         left, right = _build_lanes(e.left, scalars, prefix, n), _build_lanes(e.right, scalars, prefix, n)
         if e.op == "^":
             return _power_lanes(left, right)
-        # x / 0 is inf or nan here, so the finite check drops the lanes _div rejects
-        op = operator.truediv if e.op == "/" else _OPERATORS[e.op]
+        # x / 0 is inf or nan here, so the finite check drops the lanes the zero test rejects
+        op = _LANE_OPERATORS[e.op]
 
         def binary(env):
             (x, x_ok), (y, y_ok) = left(env), right(env)
@@ -523,7 +598,7 @@ def compile_field_lanes(e: Expression, n: int):
     bit; ok[i] is False exactly where that call raises EvalError.  Raises
     ValidationError as compile_field does.
     """
-    return _quiet(_build_lanes(e, ("t",), "x", n))
+    return _quiet(_build_lanes(e, *_FIELD, n))
 
 
 def compile_family_lanes(e: Expression, n: int):
@@ -533,7 +608,7 @@ def compile_family_lanes(e: Expression, n: int):
     a[i]) bit for bit; ok[i] is False exactly where that call raises
     EvalError.  Raises ValidationError as compile_family does.
     """
-    return _quiet(_build_lanes(e, ("tau", "sigma"), "a", n))
+    return _quiet(_build_lanes(e, *_FAMILY, n))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ costs six fresh rhs evaluations.
 The step loop runs on tuples of floats (field(t, x) returns one): every sum
 is plain IEEE double arithmetic, left to right in the tableau's order, with
 no BLAS and no fused multiply-add, so its results are the same on every
-IEEE-double machine.  The same loop also runs over numpy lanes, for every
+IEEE-double machine.  The step itself is a straight-line function generated
+once per dimension, unrolled over the components, with the same sums in the
+same order.  The same loop also runs over numpy lanes, for every
 batch of a numeric family: each stage sum is a chain of elementwise ufuncs in
 the tableau's order, each rounding once, the field is evaluated by its lane
 form (field.lanes and field.domain.contains_lanes), and the step factor takes
@@ -39,6 +41,7 @@ flowfam evaluates concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from array import array
@@ -152,31 +155,57 @@ class StepBudgetExceeded(RuntimeError):
     """The integrator took max_steps steps without reaching the target time."""
 
 
+# The generated step's sums for component {i}, in the tableau's order: the
+# stage points of k2..k6, the 5th-order solution, then the error estimate.
+# y_{i} is y's component i and p<s>_{i} the slope k<s>'s.
+_STAGE_POINTS = (
+    "y_{i} + h * (_A21 * p1_{i})",
+    "y_{i} + h * (_A31 * p1_{i} + _A32 * p2_{i})",
+    "y_{i} + h * (_A41 * p1_{i} + _A42 * p2_{i} + _A43 * p3_{i})",
+    "y_{i} + h * (_A51 * p1_{i} + _A52 * p2_{i} + _A53 * p3_{i} + _A54 * p4_{i})",
+    "y_{i} + h * (_A61 * p1_{i} + _A62 * p2_{i} + _A63 * p3_{i} + _A64 * p4_{i} + _A65 * p5_{i})",
+)
+_SOLUTION = "y_{i} + h * (_A71 * p1_{i} + _A73 * p3_{i} + _A74 * p4_{i} + _A75 * p5_{i} + _A76 * p6_{i})"
+_ERROR = "h * (_E1 * p1_{i} + _E3 * p3_{i} + _E4 * p4_{i} + _E5 * p5_{i} + _E6 * p6_{i} + _E7 * p7_{i})"
+_STAGE_TIMES = ("t + _C2 * h", "t + _C3 * h", "t + _C4 * h", "t + _C5 * h", "t + h")
+
+
+def _step_source(n: int) -> str:
+    """Source of ``step(f, t, y, h, k1)``: dopri5_step's body unrolled over n components."""
+    def row(template: str) -> str:
+        return "(" + "".join(template.format(i=i) + ", " for i in range(n)) + ")"
+
+    def names(stage: int) -> str:
+        return "[" + ", ".join(f"p{stage}_{i}" for i in range(n)) + "]"
+
+    lines = ["[" + ", ".join(f"y_{i}" for i in range(n)) + "] = y", f"{names(1)} = k1"]
+    for stage, (time, point) in enumerate(zip(_STAGE_TIMES, _STAGE_POINTS), start=2):
+        lines.append(f"{names(stage)} = f({time}, {row(point)})")
+    lines += [f"y5 = {row(_SOLUTION)}", "k7 = f(t + h, y5)", f"{names(7)} = k7", f"return y5, {row(_ERROR)}, k7"]
+    return "def step(f, t, y, h, k1):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+@functools.cache
+def _step(n: int):
+    """The compiled step of _step_source(n); it reads the tableau from this module."""
+    namespace = {}
+    exec(compile(_step_source(n), "<flowfam dopri5 step>", "exec"), globals(), namespace)
+    return namespace["step"]
+
+
 def dopri5_step(f, t: float, y: tuple, h: float, k1: tuple | None = None):
     """One Dormand-Prince step of size h from (t, y).
 
     Returns (y5, err, k_last): the 5th-order solution, the embedded error
     estimate (difference of the 5th- and 4th-order solutions, an O(h^5)
-    quantity), and the slope at (t+h, y5) for reuse as the next k1.  Every
+    quantity), and the slope at (t+h, y5) for reuse as the next k1.  The
+    step is a straight-line function generated once per dimension: every
     component is summed left to right in the tableau's order, in plain
     float arithmetic.
     """
     if k1 is None:
         k1 = f(t, y)
-    k2 = f(t + _C2 * h, tuple([y0 + h * (_A21 * a) for y0, a in zip(y, k1)]))
-    k3 = f(t + _C3 * h, tuple([y0 + h * (_A31 * a + _A32 * b) for y0, a, b in zip(y, k1, k2)]))
-    k4 = f(t + _C4 * h, tuple([y0 + h * (_A41 * a + _A42 * b + _A43 * c)
-                               for y0, a, b, c in zip(y, k1, k2, k3)]))
-    k5 = f(t + _C5 * h, tuple([y0 + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                               for y0, a, b, c, d in zip(y, k1, k2, k3, k4)]))
-    k6 = f(t + h, tuple([y0 + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                         for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
-    y5 = tuple([y0 + h * (_A71 * a + _A73 * c + _A74 * d + _A75 * e + _A76 * g)
-                for y0, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
-    k7 = f(t + h, y5)
-    err = tuple([h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q)
-                 for a, c, d, e, g, q in zip(k1, k3, k4, k5, k6, k7)])
-    return y5, err, k7
+    return _step(len(y))(f, t, y, h, k1)
 
 
 def _error_norm(err: tuple, y0: tuple, y1: tuple, cfg: IntegratorConfig) -> float:

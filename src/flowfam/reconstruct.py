@@ -100,6 +100,19 @@ class BoxDomain:
         return inside & ((np.array(self.state_lo) <= x) & (x <= np.array(self.state_hi))).all(axis=1)
 
 
+def _check_knots(times: np.ndarray, axes: list[np.ndarray]) -> None:
+    """ValueError unless the times and every state axis are strictly increasing, two knots or more each."""
+    if times.ndim != 1 or len(times) < 2:
+        raise ValueError("need at least two time knots")
+    for ax in axes:
+        if ax.ndim != 1 or len(ax) < 2:
+            raise ValueError("need at least two knots per state axis")
+        if np.any(np.diff(ax) <= 0):
+            raise ValueError("state knots must be strictly increasing")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("time knots must be strictly increasing")
+
+
 class TabulatedVectorField:
     """Multilinear interpolation over a rectangular (time x state) table.
 
@@ -118,15 +131,7 @@ class TabulatedVectorField:
         self.table = np.ascontiguousarray(table, dtype=float)
         self.n = len(self.axes)
         self.skipped_sites = int(skipped_sites)
-        if self.times.ndim != 1 or len(self.times) < 2:
-            raise ValueError("need at least two time knots")
-        for ax in self.axes:
-            if ax.ndim != 1 or len(ax) < 2:
-                raise ValueError("need at least two knots per state axis")
-            if np.any(np.diff(ax) <= 0):
-                raise ValueError("state knots must be strictly increasing")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("time knots must be strictly increasing")
+        _check_knots(self.times, self.axes)
         expected = (len(self.times), *[len(ax) for ax in self.axes], self.n)
         if self.table.shape != expected:
             raise ValueError(f"table shape {self.table.shape} != {expected}")
@@ -244,7 +249,9 @@ def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig) -> TabulatedVe
     The family must act as the identity on the diagonal at the sample sites
     (families that fail the identity condition produce garbage rates).
     Sites where the stencil cannot stay in-domain become holes; more than
-    50% holes aborts with ReconstructionFailed.
+    50% holes aborts with ReconstructionFailed.  Knots that cannot make a
+    table (fewer than two on an axis, or not strictly increasing) raise
+    TabulatedVectorField's ValueError before the family is evaluated.
     """
     plan = cfg.grid
     if plan.n != fam.n:
@@ -252,6 +259,7 @@ def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig) -> TabulatedVe
     times = np.asarray(plan.time_grid, dtype=float)
     points = np.asarray(plan.state_grid, dtype=float)
     axes = [np.unique(points[:, k]) for k in range(fam.n)]
+    _check_knots(times, axes)  # before the stencil runs: a table these knots cannot hold needs none of it
     # one lane per state site, in the table's (time-major, C) order
     states = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, fam.n)
     table = np.empty((len(times), *[len(ax) for ax in axes], fam.n))

@@ -1,4 +1,9 @@
-"""The sampled checks one sample at a time: the reference the lane-batched checks must equal.
+"""Scalar references: the one-step DOPRI5 body and the sampled checks, one sample at a time.
+
+``dopri5_step`` is the step as it was written before flowfam generated it
+per dimension: a ``zip`` over the components for every stage, summed left
+to right in the tableau's order.  The generated step must equal it bit for
+bit.
 
 Each check here draws its samples from ``samples`` (the grid product, then
 numpy.random's draws on the plan seed), evaluates every leg with scalar
@@ -18,6 +23,36 @@ from flowfam.core import DomainViolation, inf_norm, scaled_tol
 from flowfam.integrate import IntegratorConfig, numeric_family
 from flowfam.reconstruct import ReconstructionFailed, field_from_family
 from flowfam.verify import Accumulator, ConditionReport, default_plan
+
+# Dormand-Prince 5(4) tableau; zero entries (a_72, e_2) are left out of the sums
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+
+
+def dopri5_step(f, t, y, h, k1=None):
+    """One Dormand-Prince step of size h from (t, y): (y5, err, k_last), generic over n."""
+    if k1 is None:
+        k1 = f(t, y)
+    k2 = f(t + _C2 * h, tuple([y0 + h * (_A21 * a) for y0, a in zip(y, k1)]))
+    k3 = f(t + _C3 * h, tuple([y0 + h * (_A31 * a + _A32 * b) for y0, a, b in zip(y, k1, k2)]))
+    k4 = f(t + _C4 * h, tuple([y0 + h * (_A41 * a + _A42 * b + _A43 * c)
+                               for y0, a, b, c in zip(y, k1, k2, k3)]))
+    k5 = f(t + _C5 * h, tuple([y0 + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                               for y0, a, b, c, d in zip(y, k1, k2, k3, k4)]))
+    k6 = f(t + h, tuple([y0 + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                         for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
+    y5 = tuple([y0 + h * (_A71 * a + _A73 * c + _A74 * d + _A75 * e + _A76 * g)
+                for y0, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
+    k7 = f(t + h, y5)
+    err = tuple([h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q)
+                 for a, c, d, e, g, q in zip(k1, k3, k4, k5, k6, k7)])
+    return y5, err, k7
 
 
 def samples(plan, k, m=1):

@@ -16,6 +16,11 @@ some arguments differently, so no module references them.
 
 The integrator's scalar step loop makes no numpy call: it runs on tuples of
 floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
+The step it generates per dimension names no numpy either.
+
+Source text is compiled in two places only: ``expr._generate`` (one
+straight-line function per expression tuple) and ``integrate._step`` (one
+DOPRI5 step per dimension).
 
 A numeric family has one batch path: the integrator tests no field's type
 or attributes, and only ``_drive_lanes`` reads ``_TAIL_LANES``, the lane
@@ -31,6 +36,7 @@ import importlib
 from pathlib import Path
 
 import flowfam
+from flowfam import integrate
 
 PACKAGE = Path(flowfam.__file__).parent
 
@@ -101,8 +107,8 @@ def _lane_unsafe_numpy(path: Path) -> list[str]:
 # the scalar step loop runs on tuples of floats: numpy there brings back
 # per-call dispatch on tiny arrays, and BLAS products whose fused
 # multiply-adds make results depend on the machine
-_STEP_LOOP = {"dopri5_step", "_drive", "_error_norm", "_classify", "_first_try", "_integrate", "_bisect_escape",
-              "_Trajectory"}
+_STEP_LOOP = {"dopri5_step", "_step", "_step_source", "_drive", "_error_norm", "_classify", "_first_try",
+              "_integrate", "_bisect_escape", "_Trajectory"}
 
 
 def _numpy_in_step_loop(path: Path) -> list[str]:
@@ -113,6 +119,20 @@ def _numpy_in_step_loop(path: Path) -> list[str]:
         for node in ast.walk(top):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
                 found.append(f"{path.name}:{node.lineno} {top.name} uses {ast.unparse(node)}")
+    return found
+
+
+def _numpy_in_source(source: str) -> list[str]:
+    names = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)]
+    return [f"line {line} names {name}" for line, name in sorted((n.lineno, n.id) for n in names if n.id in ("np", "numpy"))]
+
+
+def _code_compilers(path: Path) -> list[str]:
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval", "compile"):
+                found.append(f"{path.name}:{getattr(top, 'name', node.lineno)} calls {node.func.id}")
     return found
 
 
@@ -270,6 +290,36 @@ def test_detector_sees_numpy_in_the_step_loop(tmp_path):
         "probe.py:2 _drive uses np.isfinite",
         "probe.py:5 _Trajectory uses numpy.array",
     ]
+
+
+def test_generated_step_uses_no_numpy():
+    for n in (1, 2, 3, 4):
+        assert _numpy_in_source(integrate._step_source(n)) == []
+
+
+def test_detector_sees_numpy_in_generated_source():
+    source = "def step(f, y):\n    return np.add(y, 1)\n\n\nz = numpy\n"
+    assert _numpy_in_source(source) == ["line 2 names np", "line 5 names numpy"]
+
+
+def test_only_the_two_generators_compile_source():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _code_compilers(path)]
+    assert found == [
+        "expr.py:_generate calls exec",
+        "expr.py:_generate calls compile",
+        "integrate.py:_step calls exec",
+        "integrate.py:_step calls compile",
+    ]
+
+
+def test_detector_sees_compiled_source(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def run(text):\n"
+        "    return eval(text) + builtins.exec(text) + re.compile(text)\n"
+        "exec(code)\n"
+    )
+    assert _code_compilers(probe) == ["probe.py:run calls eval", "probe.py:3 calls exec"]
 
 
 def test_one_batch_path_in_the_integrator():

@@ -557,6 +557,25 @@ def test_reconstruct_a_plan_too_small_to_tabulate_is_a_config_error(tmp_path, ca
     assert records[1]["message"] == f"{cfg}: plan: {message}"
 
 
+def test_reconstruct_checks_the_knots_before_it_tabulates(tmp_path, capsys, monkeypatch):
+    from flowfam.core import FlowFamily
+
+    lanes, batch = [], FlowFamily.evaluate_batch
+
+    def counted(self, tau, *args):
+        lanes.append(len(tau))
+        return batch(self, tau, *args)
+
+    monkeypatch.setattr(FlowFamily, "evaluate_batch", counted)
+    plan = {"time_grid": [-0.5, 0.0, 0.5], "state_grid": [[0.5]], "random_count": 0}
+    cfg = write_config(tmp_path, {"system": {"field": {"n": 1, "rhs": ["x1^2"]}}, "plan": plan})
+    code = main(["reconstruct", "--config", cfg, "--no-timestamp"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 2
+    assert records[1] == {"kind": "error", "message": f"{cfg}: plan: need at least two knots per state axis"}
+    assert sum(lanes) == 0
+
+
 # --- autonomous --------------------------------------------------------------
 
 

@@ -1,7 +1,10 @@
 """Expression language: parser, printer, evaluator, validation."""
 
+import io
 import json
 import math
+import re
+import tokenize
 from functools import partial
 from pathlib import Path
 
@@ -26,6 +29,8 @@ from flowfam.expr import (
     compile_field_lanes,
     parse,
     pretty_print,
+    validate_family,
+    validate_field,
 )
 
 # Golden corpus: (source, canonical fully-parenthesized form).  Every entry
@@ -192,6 +197,90 @@ def test_eval_error_kinds(source, x, kind):
     assert exc.value.kind == kind
 
 
+@pytest.mark.parametrize(
+    "source,x,kind,message",
+    [
+        ("1/x1", [0.0], "division_by_zero", "division by zero"),
+        ("x1^-1", [0.0], "division_by_zero", "zero base with negative exponent"),
+        ("x1 + 1e308", [1e308], "nonfinite", "non-finite result from '+'"),
+        ("-1e308 - x1", [1e308], "nonfinite", "non-finite result from '-'"),
+        ("x1*x1", [1e200], "nonfinite", "non-finite result from '*'"),
+        ("x1/1e-300", [1e100], "nonfinite", "non-finite result from '/'"),
+        ("1e400^2", [0.0], "nonfinite", "non-finite result from '^'"),
+        ("log(x1)", [-1.0], "domain", "log of non-positive value"),
+        ("sqrt(x1)", [-4.0], "domain", "sqrt of negative value"),
+        ("x1^0.5", [-2.0], "domain", "fractional power of negative base"),
+        ("x1^400", [10.0], "nonfinite", "overflow in power"),
+        ("exp(x1)", [1000.0], "nonfinite", "overflow in exp"),
+        ("abs(1e400)", [0.0], "nonfinite", "non-finite result from abs"),
+        ("sin(1e400)", [0.0], "nonfinite", "non-finite argument to sin"),
+        # the checks run in the tree's order, left operand first
+        ("1/x1 + log(x2)", [0.0, -1.0], "division_by_zero", "division by zero"),
+        ("log(x2) + 1/x1", [0.0, -1.0], "domain", "log of non-positive value"),
+        ("(x1 - x1)^-1 * 1e400", [2.0, 0.0], "division_by_zero", "zero base with negative exponent"),
+    ],
+)
+def test_eval_error_kinds_and_messages(source, x, kind, message):
+    f = compile_field(parse(source), len(x))
+    with pytest.raises(EvalError) as exc:
+        f(0.0, x)
+    assert (exc.value.kind, str(exc.value)) == (kind, message)
+
+
+# Every token the generator may write: its templates' words and operators,
+# generated names (scalar arguments s<i>, state components x<i>, node values
+# v<i>, bound constants and helpers k<i>), slot indices and the zero test.
+_GENERATED_WORDS = {
+    "def", "generated", "state", "return", "if", "not", "float", "isfinite", "power", "division_by_zero",
+    "nonfinite_add", "nonfinite_sub", "nonfinite_mul", "nonfinite_div", "nonfinite_pow",
+}
+_GENERATED_OPS = {"(", ")", "[", "]", ",", ":", "=", ":=", "==", "+", "-", "*", "/"}
+_LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def _foreign_tokens(source):
+    found = []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in _LAYOUT:
+            continue
+        if tok.type == tokenize.NAME and (tok.string in _GENERATED_WORDS or re.fullmatch(r"[svxk][0-9]+", tok.string)):
+            continue
+        if tok.type == tokenize.OP and tok.string in _GENERATED_OPS:
+            continue
+        if tok.type == tokenize.NUMBER and re.fullmatch(r"[0-9]+|0\.0", tok.string):
+            continue
+        found.append(tok.string)
+    return found
+
+
+def _generated_source(tree, n):
+    try:
+        return fx._source(tree, ("t",), "x", n)[0]
+    except ValidationError:
+        return fx._source(tree, ("tau", "sigma"), "a", n)[0]
+
+
+@pytest.mark.parametrize("source", [src for src, _ in CORPUS])
+def test_generated_source_uses_only_the_generators_tokens(source):
+    assert _foreign_tokens(_generated_source(parse(source), 12)) == []
+
+
+def test_generated_source_takes_no_text_from_the_expression():
+    text = _generated_source(parse("exp(x12*123.25e1) / sqrt(t + 0.1) - x3^-2.5"), 12)
+    assert _foreign_tokens(text) == []
+    for spelling in ("x12", "123.25", "1232.5", "0.1", "2.5", "exp", "sqrt", "t +"):
+        assert spelling not in text
+    assert _foreign_tokens(text + "    os.system\n") == ["os", ".", "system"]
+
+
+def test_a_tuple_compiles_to_the_tuple_of_its_values():
+    trees = tuple(parse(s) for s in ("x1^2", "sin(t)*x2", "1/x1", "log(x2)"))
+    f = compile_field(trees, 2)
+    assert f(0.5, [2.0, 3.0]) == tuple(compile_field(tree, 2)(0.5, [2.0, 3.0]) for tree in trees)
+    with pytest.raises(EvalError, match="^division by zero$"):  # the first failing component's error
+        f(0.5, [0.0, -3.0])
+
+
 def test_validate():
     compile_field(parse("x1"), 1)
     compile_field(parse("t"), 3)
@@ -221,6 +310,22 @@ def test_validation_names_the_leftmost_bad_variable():
     with pytest.raises(ValidationError, match=r"^variable 'x3' not allowed \(dimension 2\)$") as exc:
         compile_field(parse("sin(x3) + tau*x5"), 2)
     assert exc.value.variable == "x3"
+
+
+@pytest.mark.parametrize(
+    "validate, compile_, bad, good",
+    [
+        (validate_field, compile_field, "sin(x3) + tau*x5", ("x2 + t", "x1")),
+        (validate_family, compile_family, "a1 + x1*a4", ("a2 + tau", "sigma*a1")),
+    ],
+)
+def test_validate_raises_what_compile_raises(validate, compile_, bad, good):
+    with pytest.raises(ValidationError) as want:
+        compile_(parse(bad), 2)
+    with pytest.raises(ValidationError) as got:
+        validate(parse(bad), 2)
+    assert (got.value.variable, str(got.value)) == (want.value.variable, str(want.value))
+    validate(tuple(map(parse, good)), 2)
 
 
 # --- property tests -------------------------------------------------------

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_checks as scalar
 from flowfam import catalog, integrate
 from flowfam.autonomous import check_group_law, group_from_family
 from flowfam.core import DomainSpec, DomainViolation, VectorField
+from flowfam.expr import EvalError
 from flowfam.integrate import (
     EscapeEvent,
     IntegratorConfig,
@@ -137,6 +139,42 @@ def test_step_pinned_bit_for_bit(rhs, t, y, h, pinned):
     assert [[v.hex() for v in part] for part in parts] == pinned
     # the FSAL slope given back as k1 takes the same step
     assert dopri5_step(field, t, y, h, field(t, y)) == parts
+
+
+def _hex(parts):
+    return [[v.hex() for v in part] for part in parts]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generated_step_is_the_reference_step_bit_for_bit(n):
+    # every component couples to the next one, through the generated rhs
+    rhs = [f"sin(t*x{i % n + 1}) - x{i + 1}^2/3 + {i}*x{(i + 1) % n + 1}" for i in range(n)]
+    field = VectorField.from_strings(rhs, DomainSpec(n))
+    rng = random.Random(n)
+    for draw in range(200):
+        t, h = rng.uniform(-2.0, 2.0), rng.uniform(-0.4, 0.4)
+        y = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
+        k1 = None if draw % 2 else tuple(rng.uniform(-3.0, 3.0) for _ in range(n))
+        assert _hex(dopri5_step(field, t, y, h, k1)) == _hex(scalar.dopri5_step(field, t, y, h, k1))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("stage", range(1, 8))
+def test_an_eval_error_in_any_stage_propagates_unchanged(n, stage):
+    failure = EvalError("domain", "sqrt of negative value")
+    calls = []
+
+    def field(t, x):
+        calls.append(t)
+        if len(calls) == stage:
+            raise failure
+        return tuple(v * v for v in x)
+
+    for step in (dopri5_step, scalar.dopri5_step):
+        calls.clear()
+        with pytest.raises(EvalError) as exc:
+            step(field, 0.5, (0.25,) * n, 0.1)
+        assert exc.value is failure and len(calls) == stage
 
 
 # --- advance ------------------------------------------------------------------
