@@ -16,7 +16,6 @@ from .autonomous import (
     to_group,
 )
 from .core import (
-    CompleteSolution,
     DomainSpec,
     DomainViolation,
     EscapeInterval,
@@ -27,7 +26,6 @@ from .core import (
 from .integrate import (
     IntegratorConfig,
     advance,
-    complete_solution,
     escape_interval,
     numeric_family,
 )
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap",
-    "CompleteSolution",
     "ConditionReport",
     "DomainSpec",
     "DomainViolation",
@@ -94,7 +91,6 @@ __all__ = [
     "check_group_law",
     "check_time_shift",
     "closed_form_family",
-    "complete_solution",
     "default_plan",
     "diagonal_rate",
     "escape_interval",

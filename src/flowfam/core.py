@@ -34,13 +34,10 @@ __all__ = [
     "FlowFamily",
     "closed_form_family",
     "EscapeInterval",
-    "CompleteSolution",
-    "solution_value",
-    "ESCAPE_KINDS",
 ]
 
 # endpoint classifications for escape intervals
-ESCAPE_KINDS = ("blow_up", "left_domain", "window_limit", "unbounded", "step_underflow")
+_ESCAPE_KINDS = ("blow_up", "left_domain", "window_limit", "unbounded", "step_underflow")
 
 
 class DomainViolation(Exception):
@@ -182,20 +179,16 @@ class VectorField:
 
     @functools.cached_property
     def _rhs_lanes(self):
-        return tuple(ex.compile_field_lanes(c, self.n) for c in self.rhs)
+        return ex.compile_field_lanes(tuple(self.rhs), self.n)
 
     def lanes(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The slopes at lanes (t[m], x[m, n]): (values[m, n], ok[m]).
 
         Where ok[i], values[i] equals self(t[i], x[i]) bit for bit; ok[i] is
-        False exactly where that call raises EvalError.  The lane kernels
-        are compiled on the first call.
+        False exactly where that call raises EvalError.  The components'
+        lane form is compiled, as one function, on the first call.
         """
-        values, ok = np.empty(x.shape), np.ones(len(t), dtype=bool)
-        for k, f in enumerate(self._rhs_lanes):
-            values[:, k], k_ok = f(t, x)
-            ok &= k_ok
-        return values, ok
+        return self._rhs_lanes(t, x)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +314,7 @@ def closed_form_family(
     value (FlowFamily's rule, which an overflowing literal such as 1e400
     breaks); evaluation and membership therefore agree by construction.  The
     expressions are validated here.  The components, as one function, and
-    the predicate are compiled on the first evaluation, and the lane kernels
+    the predicate are compiled on the first evaluation, and their lane forms
     behind evaluate_batch on its first call, so a family pays only for the
     forms it uses.
     """
@@ -339,8 +332,8 @@ def closed_form_family(
 
     @functools.cache
     def lane_kernels():
-        kernels = tuple(ex.compile_family_lanes(c, n) for c in comps)
-        return kernels, None if pred_expr is None else ex.compile_family_lanes(pred_expr, n)
+        values = ex.compile_family_lanes(comps, n)
+        return values, None if pred_expr is None else ex.compile_family_lanes(pred_expr, n)
 
     def evaluator(tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
         if time_box is not None:
@@ -358,25 +351,21 @@ def closed_form_family(
             raise DomainViolation("out_of_domain", f"evaluation failed: {err}") from None
 
     def batch_evaluator(tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):
-        kernels, pred_kernel = lane_kernels()
-        ok = np.ones(len(tau), dtype=bool)
+        values_kernel, pred_kernel = lane_kernels()
+        values, ok = values_kernel(tau, sigma, a)
         if time_box is not None:
             lo, hi = time_box
             ok &= (lo < tau) & (tau < hi) & (lo < sigma) & (sigma < hi)
         if pred_kernel is not None:
             p, p_ok = pred_kernel(tau, sigma, a)
             ok &= p_ok & (p > 0.0)
-        values = np.empty(a.shape)
-        for k, f in enumerate(kernels):
-            values[:, k], k_ok = f(tau, sigma, a)
-            ok &= k_ok
         return values, ok
 
     return FlowFamily(n=n, kind="closed_form", evaluator=evaluator, batch_evaluator=batch_evaluator)
 
 
 # ---------------------------------------------------------------------------
-# Complete solutions and their escape intervals
+# Escape intervals
 
 @dataclass(frozen=True)
 class EscapeInterval:
@@ -398,7 +387,7 @@ class EscapeInterval:
         if not self.lower < self.upper:
             raise ValueError("escape interval must satisfy lower < upper")
         for k in (self.lower_kind, self.upper_kind):
-            if k not in ESCAPE_KINDS:
+            if k not in _ESCAPE_KINDS:
                 raise ValueError(f"unknown escape kind '{k}'")
         if math.isinf(self.lower) and self.lower_kind != "unbounded":
             raise ValueError("infinite lower endpoint must have kind 'unbounded'")
@@ -407,27 +396,3 @@ class EscapeInterval:
 
     def contains(self, tau: float) -> bool:
         return self.lower < tau < self.upper
-
-
-@dataclass(frozen=True)
-class CompleteSolution:
-    """Solution through state ``a`` at time ``rho``, maximal on ``interval``."""
-
-    rho: float
-    a: np.ndarray
-    interval: EscapeInterval
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_state(self.a))
-        if not self.interval.contains(self.rho):
-            raise ValueError("initial time must lie inside the escape interval")
-
-
-def solution_value(sol: CompleteSolution, fam: FlowFamily, tau: float) -> np.ndarray:
-    """Value of the solution at time tau, via the family map out of (rho, a)."""
-    if not sol.interval.contains(tau):
-        raise DomainViolation(
-            "out_of_domain",
-            f"time {tau} outside the solution interval ({sol.interval.lower}, {sol.interval.upper})",
-        )
-    return fam.evaluate(tau, sol.rho, sol.a)

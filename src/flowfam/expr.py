@@ -20,25 +20,23 @@ are written over ``t, x1..xn``; flow maps are written over
 ``compile_field`` / ``compile_family`` enforce the convention for a given
 context and dimension as they compile.  Any other identifier is rejected at parse time.
 
-``compile_field`` and ``compile_family`` generate one straight-line
-function per expression or tuple of expressions: one statement per node in
-post-order, each with its check (the zero test of ``/``, the rules of ``^``,
-``log`` and ``sqrt``, the finite check after ``+ - * / ^`` and the other
-functions), so errors come in the tree's order.  The source is built from fixed
-templates, slot indices and generated names only; constants and helpers
-are bound in the function's namespace, so no text of an expression is
-compiled.
-
-``compile_field_lanes`` and ``compile_family_lanes`` compile an expression
-a second way, over lane arrays: lane i of its values equals
-``compile_field``'s or ``compile_family``'s result at lane i's point bit for
-bit, and its ok mask is False exactly where that call raises EvalError.
-``+ - * /``, negation, ``sin``, ``cos``, ``sqrt`` and ``abs`` run
-elementwise in numpy, which rounds them as ``math`` and Python floats do;
-``exp``, ``tanh``, ``log`` and ``^`` call the ``math`` functions lane by
-lane, since numpy's versions differ from ``math`` in the last bit for some
-arguments.  ``^`` checks its domain rules as masks first, so ``math.pow``
-runs only on the lanes it accepts.
+One generator compiles every form.  ``compile_field`` and
+``compile_family`` generate one straight-line function per expression or
+tuple of expressions: one statement per node in post-order, each with its
+check (the zero test of ``/``, the rules of ``^``, ``log`` and ``sqrt``, the
+finite check after ``+ - * / ^`` and the other functions), so errors come in
+the tree's order.  ``compile_field_lanes`` and ``compile_family_lanes``
+write the same statements from a second template set, over lane arrays:
+each check clears the lanes it fails from one ok mask, so lane i of the
+values equals the scalar form's result at lane i's point bit for bit where
+ok[i], and ok[i] is False exactly where the scalar form raises EvalError.
+There ``+ - * /``, negation, ``sin``, ``cos``, ``sqrt`` and ``abs`` run in
+numpy, which rounds them as ``math`` and Python floats do, while ``exp``,
+``tanh``, ``log`` and ``^`` call the scalar helpers lane by lane, since
+numpy's versions differ from ``math`` in the last bit for some arguments.
+Both sources are built from fixed templates, slot indices and generated
+names only; constants and helpers are bound in the function's namespace,
+so no text of an expression is compiled.
 
 Everything here is immutable and pure, so expressions can be shared freely
 across threads.
@@ -47,10 +45,9 @@ across threads.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Union
+from typing import Any, Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -311,7 +308,8 @@ def parse(source: str) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: the trees are generated once into one straight-line function
+# Compilation: the trees are generated once into one straight-line function,
+# over floats or over lanes
 
 def _pow(a: float, b: float) -> float:
     if a == 0.0 and b < 0.0:
@@ -362,24 +360,102 @@ def _failure(kind: str, message: str):
     return fail
 
 
-# The names every generated function sees; constants and the _CALLS helpers
-# of one expression join them as k0, k1, ...
-_HELPERS = {
-    "isfinite": math.isfinite,
-    "power": _pow,
-    "division_by_zero": _failure("division_by_zero", "division by zero"),
-    **{f"nonfinite_{name}": _failure("nonfinite", f"non-finite result from '{op}'")
-       for op, name in zip("+-*/^", ("add", "sub", "mul", "div", "pow"))},
-}
+def _per_lane(fn, ok: np.ndarray, *args: np.ndarray):
+    """fn applied lane by lane where ok; a lane whose call raises EvalError drops out of ok."""
+    values, ok = np.full(ok.shape, math.nan), ok.copy()
+    columns = [a.tolist() for a in args]
+    for i in np.flatnonzero(ok).tolist():
+        try:
+            values[i] = fn(*[c[i] for c in columns])
+        except EvalError:
+            ok[i] = False
+    return values, ok
 
-# One template per operator: the operation, its check, then the finite check.
-_BINARY = {
-    "+": ("if not isfinite({v} := {l} + {r}): nonfinite_add()",),
-    "-": ("if not isfinite({v} := {l} - {r}): nonfinite_sub()",),
-    "*": ("if not isfinite({v} := {l} * {r}): nonfinite_mul()",),
-    "/": ("if {r} == 0.0: division_by_zero()", "if not isfinite({v} := {l} / {r}): nonfinite_div()"),
-    "^": ("if not isfinite({v} := power({l}, {r})): nonfinite_pow()",),
-}
+
+def _power_lanes(x: np.ndarray, y: np.ndarray, ok: np.ndarray):
+    """The lane form of _pow: its domain rules as masks, then math.pow lane by lane where ok.
+
+    A zero base with a negative exponent and a negative base with an
+    exponent that is not an integer drop out first, so math.pow sees only
+    lanes it accepts; on an overflow the lanes go through _pow one by one
+    instead.
+    """
+    fractional = ~np.isfinite(y) | (np.floor(y) != y)  # float.is_integer's False
+    accepted = ok & ~((x == 0.0) & (y < 0.0)) & ~((x < 0.0) & fractional)
+    try:
+        if accepted.all():
+            v = np.array(list(map(math.pow, x.tolist(), y.tolist())))
+        else:
+            v = np.full(ok.shape, math.nan)
+            v[accepted] = list(map(math.pow, x[accepted].tolist(), y[accepted].tolist()))
+    except OverflowError:
+        v, accepted = _per_lane(_pow, ok, x, y)
+    return v, accepted & np.isfinite(v)
+
+
+class _Templates(NamedTuple):
+    """How the generator writes each kind of node, and the names its statements call."""
+
+    helpers: dict
+    binary: dict  # operator -> statements over the node's value v and its operands l, r
+    calls: dict  # function -> (what k is bound to, statements over v, k and the argument a)
+    read: tuple  # first read of scalar argument s<i> and of state component x<i>, slot i; "" reads none
+    literal: str  # statement giving literal k the value v; "" uses k itself
+    start: tuple  # first statements of the body
+    returns: tuple  # the return of one value and of a tuple of them, over their names vs
+
+
+# Over floats: each check raises EvalError as it fails, so errors come in the tree's order.
+_SCALAR = _Templates(
+    helpers={
+        "isfinite": math.isfinite,
+        "power": _pow,
+        "division_by_zero": _failure("division_by_zero", "division by zero"),
+        **{f"nonfinite_{name}": _failure("nonfinite", f"non-finite result from '{op}'")
+           for op, name in zip("+-*/^", ("add", "sub", "mul", "div", "pow"))},
+    },
+    binary={
+        "+": ("if not isfinite({v} := {l} + {r}): nonfinite_add()",),
+        "-": ("if not isfinite({v} := {l} - {r}): nonfinite_sub()",),
+        "*": ("if not isfinite({v} := {l} * {r}): nonfinite_mul()",),
+        "/": ("if {r} == 0.0: division_by_zero()", "if not isfinite({v} := {l} / {r}): nonfinite_div()"),
+        "^": ("if not isfinite({v} := power({l}, {r})): nonfinite_pow()",),
+    },
+    calls={fn: (_CALLS[fn], ("{v} = {k}({a})",)) for fn in FUNCTIONS},
+    read=("{name} = float({name})", "{name} = float(state[{i}])"),
+    literal="",
+    start=(),
+    returns=("return {vs}", "return ({vs},)"),
+)
+
+# Over lane arrays: each check clears the lanes it fails from one ok mask
+# instead, and lanes outside ok hold arbitrary values.  NaN propagation would
+# not do, since (1/0)^0 is 1 in IEEE arithmetic.  x / 0 is inf or nan, so the
+# finite check drops the lanes the scalar zero test rejects.  numpy's sin, cos,
+# sqrt and abs round as math does; exp, log and tanh run the scalar helper lane
+# by lane, since numpy's versions differ from math's in the last bit.
+_LANES = _Templates(
+    helpers={"isfinite": np.isfinite, "full": np.full, "column_stack": np.column_stack,
+             "power": _power_lanes, "per_lane": _per_lane},
+    binary={
+        "+": ("ok &= isfinite({v} := {l} + {r})",),
+        "-": ("ok &= isfinite({v} := {l} - {r})",),
+        "*": ("ok &= isfinite({v} := {l} * {r})",),
+        "/": ("ok &= isfinite({v} := {l} / {r})",),
+        "^": ("{v}, ok = power({l}, {r}, ok)",),
+    },
+    calls={
+        "sin": (np.sin, ("ok &= isfinite({v} := {k}({a}))",)),
+        "cos": (np.cos, ("ok &= isfinite({v} := {k}({a}))",)),
+        "abs": (np.abs, ("ok &= isfinite({v} := {k}({a}))",)),
+        "sqrt": (np.sqrt, ("ok &= ~({a} < 0.0)", "{v} = {k}({a})")),
+        **{fn: (_CALLS[fn], ("{v}, ok = per_lane({k}, ok, {a})",)) for fn in ("exp", "log", "tanh")},
+    },
+    read=("", "{name} = state[:, {i}]"),
+    literal="{v} = full(m, {k})",
+    start=("m = len(state)", "ok = full(m, True)"),
+    returns=("return {vs}, ok", "return column_stack([{vs}]), ok"),
+)
 
 
 def _slot(e: Var, scalars: tuple, prefix: str, n: int) -> tuple[bool, int]:
@@ -391,57 +467,70 @@ def _slot(e: Var, scalars: tuple, prefix: str, n: int) -> tuple[bool, int]:
     raise ValidationError(e.name, f"variable '{e.name}' not allowed (dimension {n})")
 
 
-def _source(e, scalars: tuple, prefix: str, n: int) -> tuple[str, dict]:
+def _source(e, scalars: tuple, prefix: str, n: int, lanes: bool = False) -> tuple[str, dict]:
     """Source of ``generated(s0, .., state)`` computing ``e``, and the values it binds as k0, k1, ...
 
     ``e`` is an expression or a tuple of them, whose values come back as a
-    tuple.  A variable is read, as a float, where it is first used: scalar
-    i is the argument ``s<i>``, state component k is ``state[k]``.  The
+    tuple, or in lane form as the columns of one array.  A variable is read
+    where it is first used: scalar i is the argument ``s<i>``, state
+    component k is ``state[k]``, or column k of ``state`` in lane form.  The
     leftmost variable outside ``scalars`` and ``prefix1..prefixn`` raises
     ValidationError.
     """
-    lines, bound, read = [], {}, set()
+    templates = _LANES if lanes else _SCALAR
+    lines, bound, read = list(templates.start), {}, set()
+
+    def bind(value) -> str:
+        k = f"k{len(bound)}"
+        bound[k] = value
+        return k
+
+    def node(statements, **slots) -> str:
+        v = f"v{len(lines)}"
+        lines.extend(statement.format(v=v, **slots) for statement in statements)
+        return v
 
     def emit(e) -> str:
         if isinstance(e, Bin):
             left, right = emit(e.left), emit(e.right)
-            v = f"v{len(lines)}"
-            lines.extend(template.format(v=v, l=left, r=right) for template in _BINARY[e.op])
-            return v
+            return node(templates.binary[e.op], l=left, r=right)
         if isinstance(e, Var):
             scalar, i = _slot(e, scalars, prefix, n)
             name = f"s{i}" if scalar else f"x{i}"
-            if name not in read:
+            first_read = templates.read[not scalar]
+            if first_read and name not in read:
                 read.add(name)
-                lines.append(f"{name} = float({name if scalar else f'state[{i}]'})")
+                lines.append(first_read.format(name=name, i=i))
             return name
         if isinstance(e, Num):
-            k = f"k{len(bound)}"
-            bound[k] = e.value
-            return k
+            k = bind(e.value)
+            return node((templates.literal,), k=k) if templates.literal else k
         if isinstance(e, Call):
-            arg, k, v = emit(e.arg), f"k{len(bound)}", f"v{len(lines)}"
-            bound[k] = _CALLS[e.fn]
-            lines.append(f"{v} = {k}({arg})")
-            return v
+            arg = emit(e.arg)
+            fn, statements = templates.calls[e.fn]
+            return node(statements, k=bind(fn), a=arg)
         if isinstance(e, Neg):
-            operand, v = emit(e.operand), f"v{len(lines)}"
-            lines.append(f"{v} = -{operand}")
-            return v
+            return node(("{v} = -{a}",), a=emit(e.operand))
         raise TypeError(f"not an expression node: {e!r}")
 
-    value = f"({', '.join(map(emit, e))},)" if isinstance(e, tuple) else emit(e)
+    values = ", ".join(map(emit, e if isinstance(e, tuple) else (e,)))
+    returns = templates.returns[isinstance(e, tuple)].format(vs=values)
     params = ", ".join([f"s{i}" for i in range(len(scalars))] + ["state"])
     body = "".join(f"    {line}\n" for line in lines)
-    return f"def generated({params}):\n{body}    return {value}\n", bound
+    return f"def generated({params}):\n{body}    {returns}\n", bound
 
 
-def _generate(e, scalars: tuple, prefix: str, n: int):
-    """The function of _source(e, ...), compiled: it takes the scalars, then the state."""
-    source, bound = _source(e, scalars, prefix, n)
-    namespace = {**_HELPERS, **bound}
+def _generate(e, scalars: tuple, prefix: str, n: int, lanes: bool = False):
+    """The function of _source(e, ...), compiled: it takes the scalars, then the state.
+
+    The lane form runs with numpy's floating-point warnings off, since
+    lanes that fail may overflow or divide by zero on their way.
+    """
+    source, bound = _source(e, scalars, prefix, n, lanes)
+    namespace = {**(_LANES if lanes else _SCALAR).helpers, **bound}
     exec(compile(source, "<flowfam expression>", "exec"), namespace)
-    return namespace["generated"]
+    generated = namespace["generated"]
+    return np.errstate(all="ignore")(generated) if lanes else generated
 
 
 _FIELD = (("t",), "x")  # (scalars, state prefix) of each convention
@@ -476,139 +565,28 @@ def compile_family(e, n: int) -> Callable[[float, float, Any], Any]:
     return _generate(e, *_FAMILY, n)
 
 
-# ---------------------------------------------------------------------------
-# Lane compilation: the same tree over arrays of points, with an ok mask
+def compile_field_lanes(e, n: int):
+    """f(t[m], x[m, n]) -> (values, ok[m]), the lane form of compile_field.
 
-_ELEMENTWISE = {"sin": np.sin, "cos": np.cos, "abs": np.abs}  # then the finite check
-_LANE_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
-def _per_lane(fn, ok: np.ndarray, *args: np.ndarray):
-    """fn applied lane by lane where ok; a lane whose call raises EvalError drops out of ok."""
-    values, ok = np.full(ok.shape, math.nan), ok.copy()
-    columns = [a.tolist() for a in args]
-    for i in np.flatnonzero(ok).tolist():
-        try:
-            values[i] = fn(*[c[i] for c in columns])
-        except EvalError:
-            ok[i] = False
-    return values, ok
-
-
-def _power_lanes(left, right):
-    """Lane closure of ``left ^ right``: _pow's domain rules as masks, then math.pow lane by lane.
-
-    A zero base with a negative exponent and a negative base with an
-    exponent that is not an integer drop out first, so math.pow sees only
-    lanes it accepts; on an overflow the lanes go through _pow one by one
-    instead.
+    values is values[m] for one expression, and values[m, j] for a tuple of
+    them, column j holding expression j.  Where ok[i], lane i of values is
+    compile_field's result at (t[i], x[i]) bit for bit; ok[i] is False
+    exactly where that call raises EvalError.  Raises ValidationError as
+    compile_field does.
     """
-    def power(env):
-        (x, x_ok), (y, y_ok) = left(env), right(env)
-        fractional = ~np.isfinite(y) | (np.floor(y) != y)  # float.is_integer's False
-        ok = x_ok & y_ok & ~((x == 0.0) & (y < 0.0)) & ~((x < 0.0) & fractional)
-        try:
-            if ok.all():
-                v = np.array(list(map(math.pow, x.tolist(), y.tolist())))
-            else:
-                v = np.full(ok.shape, math.nan)
-                v[ok] = list(map(math.pow, x[ok].tolist(), y[ok].tolist()))
-        except OverflowError:
-            v, ok = _per_lane(_pow, x_ok & y_ok, x, y)
-        return v, ok & np.isfinite(v)
-
-    return power
+    return _generate(e, *_FIELD, n, lanes=True)
 
 
-def _build_lanes(e: Expression, scalars: tuple, prefix: str, n: int):
-    """Lane closure: ``env = (*scalar arrays, states[m, n])`` to (values[m], ok[m]).
+def compile_family_lanes(e, n: int):
+    """f(tau[m], sigma[m], a[m, n]) -> (values, ok[m]), the lane form of compile_family.
 
-    ok tracks each check of the scalar closure explicitly; NaN propagation
-    would not do, since ``(1/0)^0`` is 1 in IEEE arithmetic.  Lanes outside
-    ok hold arbitrary values.
+    values is values[m] for one expression, and values[m, j] for a tuple of
+    them, column j holding expression j.  Where ok[i], lane i of values is
+    compile_family's result at (tau[i], sigma[i], a[i]) bit for bit; ok[i]
+    is False exactly where that call raises EvalError.  Raises
+    ValidationError as compile_family does.
     """
-    if isinstance(e, Bin):
-        left, right = _build_lanes(e.left, scalars, prefix, n), _build_lanes(e.right, scalars, prefix, n)
-        if e.op == "^":
-            return _power_lanes(left, right)
-        # x / 0 is inf or nan here, so the finite check drops the lanes the zero test rejects
-        op = _LANE_OPERATORS[e.op]
-
-        def binary(env):
-            (x, x_ok), (y, y_ok) = left(env), right(env)
-            v = op(x, y)
-            return v, x_ok & y_ok & np.isfinite(v)
-
-        return binary
-    if isinstance(e, Var):
-        scalar, i = _slot(e, scalars, prefix, n)
-        if scalar:
-            return lambda env: (env[i], np.ones(env[i].shape, dtype=bool))
-        return lambda env: (env[-1][:, i], np.ones(env[-1].shape[0], dtype=bool))
-    if isinstance(e, Num):
-        value = e.value
-        return lambda env: (np.full(env[-1].shape[0], value), np.ones(env[-1].shape[0], dtype=bool))
-    if isinstance(e, Call):
-        arg = _build_lanes(e.arg, scalars, prefix, n)
-        if e.fn == "sqrt":
-            def root(env):
-                x, ok = arg(env)
-                return np.sqrt(x), ok & ~(x < 0.0)
-
-            return root
-        if e.fn in _ELEMENTWISE:
-            fn = _ELEMENTWISE[e.fn]
-
-            def elementwise(env):
-                x, ok = arg(env)
-                v = fn(x)
-                return v, ok & np.isfinite(v)
-
-            return elementwise
-        fn = _CALLS[e.fn]
-
-        def scalar_call(env):
-            x, ok = arg(env)
-            return _per_lane(fn, ok, x)
-
-        return scalar_call
-    if isinstance(e, Neg):
-        operand = _build_lanes(e.operand, scalars, prefix, n)
-
-        def negate(env):
-            x, ok = operand(env)
-            return -x, ok
-
-        return negate
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _quiet(f):
-    def lanes(*env):
-        with np.errstate(all="ignore"):  # failed lanes may overflow or divide by zero
-            return f(env)
-
-    return lanes
-
-
-def compile_field_lanes(e: Expression, n: int):
-    """f(t[m], x[m, n]) -> (values[m], ok[m]), the lane form of compile_field.
-
-    Where ok[i], values[i] is compile_field's result at (t[i], x[i]) bit for
-    bit; ok[i] is False exactly where that call raises EvalError.  Raises
-    ValidationError as compile_field does.
-    """
-    return _quiet(_build_lanes(e, *_FIELD, n))
-
-
-def compile_family_lanes(e: Expression, n: int):
-    """f(tau[m], sigma[m], a[m, n]) -> (values[m], ok[m]), the lane form of compile_family.
-
-    Where ok[i], values[i] is compile_family's result at (tau[i], sigma[i],
-    a[i]) bit for bit; ok[i] is False exactly where that call raises
-    EvalError.  Raises ValidationError as compile_family does.
-    """
-    return _quiet(_build_lanes(e, *_FAMILY, n))
+    return _generate(e, *_FAMILY, n, lanes=True)
 
 
 # ---------------------------------------------------------------------------

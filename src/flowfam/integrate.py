@@ -53,7 +53,6 @@ import numpy as np
 
 from . import expr as ex
 from .core import (
-    CompleteSolution,
     DomainViolation,
     EscapeInterval,
     FlowFamily,
@@ -70,7 +69,6 @@ __all__ = [
     "advance",
     "numeric_family",
     "escape_interval",
-    "complete_solution",
 ]
 
 # Dormand-Prince 5(4) tableau, unrolled into dopri5_step: stage i is taken at
@@ -775,10 +773,3 @@ def escape_interval(
     lower, lower_kind = one_side(lo)
     upper, upper_kind = one_side(hi)
     return EscapeInterval(lower, upper, lower_kind, upper_kind)
-
-
-def complete_solution(
-    field: VectorField, rho: float, a, cfg: IntegratorConfig | None = None
-) -> CompleteSolution:
-    """Bundle (rho, a) with its escape interval."""
-    return CompleteSolution(rho, as_state(a, field.n), escape_interval(field, rho, a, cfg))

@@ -10,17 +10,18 @@ a lane whose legs do not all exist is a skip, and a lane whose legs exist
 while its direct map does not scores an infinite residual, so no
 ``except DomainViolation`` handler skips or records by hand.
 
-Lane kernels equal the scalar closures bit for bit only while they leave
+Lane kernels equal the scalar forms bit for bit only while they leave
 ``exp``, ``tanh``, ``log`` and powers to ``math``: numpy's versions round
-some arguments differently, so no module references them.
+some arguments differently, so no module references them, and no generated
+lane function names numpy or binds them.
 
 The integrator's scalar step loop makes no numpy call: it runs on tuples of
 floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
 The step it generates per dimension names no numpy either.
 
 Source text is compiled in two places only: ``expr._generate`` (one
-straight-line function per expression tuple) and ``integrate._step`` (one
-DOPRI5 step per dimension).
+straight-line function per expression tuple, over floats or over lanes) and
+``integrate._step`` (one DOPRI5 step per dimension).
 
 A numeric family has one batch path: the integrator tests no field's type
 or attributes, and only ``_drive_lanes`` reads ``_TAIL_LANES``, the lane
@@ -33,10 +34,13 @@ resident.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
+import numpy as np
+
 import flowfam
-from flowfam import integrate
+from flowfam import catalog, expr, integrate
 
 PACKAGE = Path(flowfam.__file__).parent
 
@@ -125,6 +129,36 @@ def _numpy_in_step_loop(path: Path) -> list[str]:
 def _numpy_in_source(source: str) -> list[str]:
     names = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)]
     return [f"line {line} names {name}" for line, name in sorted((n.lineno, n.id) for n in names if n.id in ("np", "numpy"))]
+
+
+def _lane_unsafe_bindings(f) -> list[str]:
+    """The names in a generated function's namespace bound to one of numpy's _LANE_UNSAFE functions."""
+    unsafe = {id(getattr(np, name)): name for name in _LANE_UNSAFE}
+    namespace = inspect.unwrap(f).__globals__
+    return sorted(f"{name} is numpy.{unsafe[id(v)]}" for name, v in namespace.items() if id(v) in unsafe)
+
+
+# every node kind and every function, over both conventions' variables
+_EVERY_NODE = {
+    "field": "sin(x1) + cos(t)*exp(x2)/log(x1) - sqrt(abs(x2))^tanh(-t) + 2^x1",
+    "family": "sin(a1) + cos(tau)*exp(a2)/log(a1) - sqrt(abs(a2))^tanh(-sigma) + 2^a1",
+}
+
+
+def _lane_kernels():
+    """(lane form, its source) of _EVERY_NODE and of every catalog field and family, as tuples."""
+    conventions = {"field": (expr.compile_field_lanes, expr._FIELD),
+                   "family": (expr.compile_family_lanes, expr._FAMILY)}
+    found = [(convention, expr.parse(source), 2) for convention, source in _EVERY_NODE.items()]
+    for name in catalog.names():
+        entry = catalog.get(name)
+        found.append(("field", tuple(map(expr.parse, entry.rhs)), entry.n))
+        found.append(("family", tuple(map(expr.parse, entry.family_components)), entry.n))
+    kernels = []
+    for convention, tree, n in found:
+        compile_lanes, (scalars, prefix) = conventions[convention]
+        kernels.append((compile_lanes(tree, n), expr._source(tree, scalars, prefix, n, lanes=True)[0]))
+    return kernels
 
 
 def _code_compilers(path: Path) -> list[str]:
@@ -300,6 +334,27 @@ def test_generated_step_uses_no_numpy():
 def test_detector_sees_numpy_in_generated_source():
     source = "def step(f, y):\n    return np.add(y, 1)\n\n\nz = numpy\n"
     assert _numpy_in_source(source) == ["line 2 names np", "line 5 names numpy"]
+
+
+def test_generated_lane_source_uses_no_numpy():
+    for _, source in _lane_kernels():
+        assert _numpy_in_source(source) == [], source
+
+
+def test_generated_lane_functions_bind_no_numpy_that_differs_from_math():
+    kernels = _lane_kernels()
+    assert len(kernels) == 14
+    for lanes, source in kernels:
+        assert _lane_unsafe_bindings(lanes) == [], source
+
+
+def test_detector_sees_lane_unsafe_numpy_in_a_namespace():
+    namespace = {"k0": np.exp, "k1": np.sin, "power": np.power, "log": np.log1p}
+    exec("def generated(s0, state):\n    return k0(s0)\n", namespace)
+    assert _lane_unsafe_bindings(np.errstate(all="ignore")(namespace["generated"])) == [
+        "k0 is numpy.exp",
+        "power is numpy.power",
+    ]
 
 
 def test_only_the_two_generators_compile_source():

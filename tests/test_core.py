@@ -1,4 +1,4 @@
-"""Core types: states, domains, flow families, escape intervals, solutions."""
+"""Core types: states, domains, flow families, escape intervals."""
 
 import math
 import warnings
@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from flowfam import catalog
 from flowfam import expr as ex
 from flowfam.core import (
-    CompleteSolution,
     DomainSpec,
     DomainViolation,
     EscapeInterval,
@@ -20,7 +19,6 @@ from flowfam.core import (
     closed_form_family,
     inf_norm,
     scaled_tol,
-    solution_value,
 )
 from flowfam.autonomous import OneParamGroup
 from flowfam.integrate import IntegratorConfig, numeric_family
@@ -192,7 +190,7 @@ def test_nonfinite_parameters_rejected(riccati):
         riccati.evaluate(0.0, 0.0, [math.nan])
 
 
-# --- EscapeInterval / CompleteSolution --------------------------------------
+# --- EscapeInterval ----------------------------------------------------------
 
 def test_escape_interval_contains():
     j = EscapeInterval(-math.inf, 2.0, "unbounded", "blow_up")
@@ -211,22 +209,6 @@ def test_escape_interval_validation():
         EscapeInterval(-math.inf, 1.0, "blow_up", "blow_up")  # must be 'unbounded'
     with pytest.raises(ValueError):
         EscapeInterval(0.0, math.inf, "window_limit", "blow_up")
-
-
-def test_complete_solution_requires_rho_inside():
-    j = EscapeInterval(-1.0, 2.0, "window_limit", "blow_up")
-    CompleteSolution(0.0, [0.5], j)
-    with pytest.raises(ValueError):
-        CompleteSolution(3.0, [0.5], j)
-
-
-def test_solution_value(riccati):
-    sol = CompleteSolution(0.0, [0.5], EscapeInterval(-math.inf, 2.0, "unbounded", "blow_up"))
-    assert np.allclose(solution_value(sol, riccati, 1.0), [1.0])
-    assert np.allclose(solution_value(sol, riccati, 0.0), [0.5])
-    with pytest.raises(DomainViolation) as exc:
-        solution_value(sol, riccati, 2.5)
-    assert exc.value.kind == "out_of_domain"
 
 
 def test_scaled_tol_rule():
@@ -383,11 +365,17 @@ def test_non_finite_batch_lane_is_out_of_domain():
     assert not fam.in_domain(0.0, 0.0, [1.0])
 
 
+def _printed(e):
+    """pretty_print of an expression, or the tuple of them for a tuple."""
+    return tuple(map(ex.pretty_print, e)) if isinstance(e, tuple) else ex.pretty_print(e)
+
+
 def test_lane_kernels_compiled_on_the_first_batch(monkeypatch):
+    # one lane form for the components as a tuple, one for the predicate
     compiled = []
 
     def counting(e, n):
-        compiled.append(ex.pretty_print(e))
+        compiled.append(_printed(e))
         return original(e, n)
 
     original = ex.compile_family_lanes
@@ -397,15 +385,16 @@ def test_lane_kernels_compiled_on_the_first_batch(monkeypatch):
     assert compiled == []
     fam.evaluate_batch([1.0], [0.0], [[0.5]])
     fam.evaluate_batch([1.0], [0.0], [[0.5]])
-    assert compiled == ["(a1 / (1 + ((sigma - tau) * a1)))", "(1 - ((tau - sigma) * a1))"]
+    assert compiled == [("(a1 / (1 + ((sigma - tau) * a1)))",), "(1 - ((tau - sigma) * a1))"]
 
 
 def test_field_lane_kernels_compiled_on_the_first_batch(monkeypatch):
-    # building a field or a numeric family, and scalar queries, compile no lane kernel
+    # building a field or a numeric family, and scalar queries, compile no lane kernel;
+    # the first batch compiles one for the components as a tuple and one for the predicate
     compiled = []
 
     def counting(e, n):
-        compiled.append(ex.pretty_print(e))
+        compiled.append(_printed(e))
         return original(e, n)
 
     original = ex.compile_field_lanes
@@ -417,7 +406,7 @@ def test_field_lane_kernels_compiled_on_the_first_batch(monkeypatch):
     fam.evaluate_batch(np.full(16, 0.5), np.zeros(16), np.full((16, 2), 0.5))  # small: compiles as a large one
     for _ in range(2):
         fam.evaluate_batch(np.linspace(-0.5, 0.5, 40), np.zeros(40), np.full((40, 2), 0.5))
-    assert sorted(compiled) == ["(-x2)", "(4 - (x1 ^ 2))", "(x1 ^ 2)"]
+    assert sorted(compiled, key=str) == [("(x1 ^ 2)", "(-x2)"), "(4 - (x1 ^ 2))"]
 
 
 _NUMERIC = {name: numeric_family(catalog.get(name).field(), IntegratorConfig()) for name in ("riccati", "rotation")}

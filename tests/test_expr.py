@@ -227,14 +227,15 @@ def test_eval_error_kinds_and_messages(source, x, kind, message):
     assert (exc.value.kind, str(exc.value)) == (kind, message)
 
 
-# Every token the generator may write: its templates' words and operators,
+# Every token the generator may write: both template sets' words and operators,
 # generated names (scalar arguments s<i>, state components x<i>, node values
 # v<i>, bound constants and helpers k<i>), slot indices and the zero test.
 _GENERATED_WORDS = {
     "def", "generated", "state", "return", "if", "not", "float", "isfinite", "power", "division_by_zero",
     "nonfinite_add", "nonfinite_sub", "nonfinite_mul", "nonfinite_div", "nonfinite_pow",
+    "m", "len", "ok", "full", "True", "per_lane", "column_stack",
 }
-_GENERATED_OPS = {"(", ")", "[", "]", ",", ":", "=", ":=", "==", "+", "-", "*", "/"}
+_GENERATED_OPS = {"(", ")", "[", "]", ",", ":", "=", ":=", "==", "+", "-", "*", "/", "&=", "~", "<"}
 _LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
@@ -253,24 +254,27 @@ def _foreign_tokens(source):
     return found
 
 
-def _generated_source(tree, n):
+def _generated_source(tree, n, lanes=False):
     try:
-        return fx._source(tree, ("t",), "x", n)[0]
+        return fx._source(tree, ("t",), "x", n, lanes)[0]
     except ValidationError:
-        return fx._source(tree, ("tau", "sigma"), "a", n)[0]
+        return fx._source(tree, ("tau", "sigma"), "a", n, lanes)[0]
 
 
 @pytest.mark.parametrize("source", [src for src, _ in CORPUS])
 def test_generated_source_uses_only_the_generators_tokens(source):
-    assert _foreign_tokens(_generated_source(parse(source), 12)) == []
+    for lanes in (False, True):
+        assert _foreign_tokens(_generated_source(parse(source), 12, lanes)) == [], lanes
 
 
 def test_generated_source_takes_no_text_from_the_expression():
-    text = _generated_source(parse("exp(x12*123.25e1) / sqrt(t + 0.1) - x3^-2.5"), 12)
-    assert _foreign_tokens(text) == []
-    for spelling in ("x12", "123.25", "1232.5", "0.1", "2.5", "exp", "sqrt", "t +"):
-        assert spelling not in text
-    assert _foreign_tokens(text + "    os.system\n") == ["os", ".", "system"]
+    tree = parse("exp(x12*123.25e1) / sqrt(t + 0.1) - x3^-2.5 + abs(sin(x1))")
+    for lanes in (False, True):
+        text = _generated_source(tree, 12, lanes)
+        assert _foreign_tokens(text) == []
+        for spelling in ("x12", "123.25", "1232.5", "0.1", "2.5", "exp", "sqrt", "abs", "sin", "t +"):
+            assert spelling not in text
+        assert _foreign_tokens(text + "    os.system\n") == ["os", ".", "system"]
 
 
 def test_a_tuple_compiles_to_the_tuple_of_its_values():
@@ -279,6 +283,16 @@ def test_a_tuple_compiles_to_the_tuple_of_its_values():
     assert f(0.5, [2.0, 3.0]) == tuple(compile_field(tree, 2)(0.5, [2.0, 3.0]) for tree in trees)
     with pytest.raises(EvalError, match="^division by zero$"):  # the first failing component's error
         f(0.5, [0.0, -3.0])
+    # the lane form: the columns of the single expressions' lane forms, ok where all of theirs
+    # are; lanes outside ok hold arbitrary values, so only the lanes inside are compared
+    t, _, x = lane_points(2, 2000, seed=5)
+    values, ok = compile_field_lanes(trees, 2)(t, x)
+    singles = [compile_field_lanes(tree, 2)(t, x) for tree in trees]
+    assert values.shape == (2000, 4)
+    assert ok.tolist() == np.logical_and.reduce([k_ok for _, k_ok in singles]).tolist()
+    assert 0 < ok.sum() < 2000
+    want = np.column_stack([k_values for k_values, _ in singles])
+    assert list(map(float.hex, values[ok].ravel().tolist())) == list(map(float.hex, want[ok].ravel().tolist()))
 
 
 def test_validate():
@@ -391,14 +405,26 @@ def lane_points(n, m, seed=0):
     return column(), column(), np.stack([column() for _ in range(n)], axis=1)
 
 
-def assert_lanes_match(tree, n, tau, sigma, a):
-    """Lane i of the kernel equals the scalar closure bit for bit, or both fail."""
-    scalar = compile_family(tree, n)
-    values, ok = compile_family_lanes(tree, n)(tau, sigma, a)
+# convention: (scalar compiler, lane compiler, how many of tau and sigma its lanes take)
+_CONVENTIONS = {
+    "family": (compile_family, compile_family_lanes, 2),
+    "field": (compile_field, compile_field_lanes, 1),
+}
+
+
+def assert_lanes_match(tree, n, tau, sigma, a, convention="family"):
+    """Lane i of the kernel equals the scalar form bit for bit, or both fail.
+
+    A field expression reads tau as its t, and no sigma.
+    """
+    compile_, compile_lanes, scalars = _CONVENTIONS[convention]
+    params = (tau, sigma)[:scalars]
+    scalar = compile_(tree, n)
+    values, ok = compile_lanes(tree, n)(*params, a)
     failed = 0
     for i in range(len(tau)):
         try:
-            want = scalar(tau[i], sigma[i], a[i])
+            want = scalar(*[p[i] for p in params], a[i])
         except EvalError:
             assert not ok[i], (pretty_print(tree), tau[i], sigma[i], a[i])
             failed += 1
@@ -408,11 +434,12 @@ def assert_lanes_match(tree, n, tau, sigma, a):
     return failed
 
 
-def _family_corpus():
+def _corpus(convention):
+    """The CORPUS entries written in the convention."""
     entries = []
     for source, _ in CORPUS:
         try:
-            compile_family(parse(source), 12)
+            _CONVENTIONS[convention][0](parse(source), 12)
         except ValidationError:
             continue
         entries.append(source)
@@ -420,12 +447,22 @@ def _family_corpus():
 
 
 def test_family_corpus_is_not_empty():
-    assert {"a1/(1 + (sigma - tau)*a1)", "42", "exp(tau)*a1 - exp(sigma)*a2"} <= set(_family_corpus())
+    assert {"a1/(1 + (sigma - tau)*a1)", "42", "exp(tau)*a1 - exp(sigma)*a2"} <= set(_corpus("family"))
 
 
-@pytest.mark.parametrize("source", _family_corpus())
+def test_the_two_conventions_cover_the_corpus():
+    assert {"t*x1 + sin(t)", "sqrt(abs(x2))", "x12 + x3", "42"} <= set(_corpus("field"))
+    assert set(_corpus("family")) | set(_corpus("field")) == {source for source, _ in CORPUS}
+
+
+@pytest.mark.parametrize("source", _corpus("family"))
 def test_lane_kernel_matches_scalar_on_corpus(source):
     assert_lanes_match(parse(source), 12, *lane_points(12, 3000))
+
+
+@pytest.mark.parametrize("source", _corpus("field"))
+def test_field_lane_kernel_matches_scalar_on_corpus(source):
+    assert_lanes_match(parse(source), 12, *lane_points(12, 3000), convention="field")
 
 
 def _catalog_expressions():

@@ -20,7 +20,6 @@ from flowfam.integrate import (
     IntegratorConfig,
     StepBudgetExceeded,
     advance,
-    complete_solution,
     dopri5_step,
     escape_interval,
     numeric_family,
@@ -384,13 +383,6 @@ def test_unevaluable_start_is_out_of_domain_on_the_diagonal_too():
     assert exc.value.kind == "out_of_domain"
     assert "sqrt of negative value" in str(exc.value)
     assert fam.evaluate(1.0, 1.0, [0.25]).tolist() == [0.25]  # an evaluable start is still exact
-
-
-def test_complete_solution_bundle(riccati_field):
-    sol = complete_solution(riccati_field, 0.0, [0.5], CFG)
-    assert sol.rho == 0.0
-    assert sol.interval.contains(1.9)
-    assert not sol.interval.contains(2.1)
 
 
 # --- trajectory cache ------------------------------------------------------------
