@@ -353,7 +353,7 @@ def _cmd_verify(args, spec: RunSpec, out) -> int:
 
 def _cmd_reconstruct(args, spec: RunSpec, out) -> int:
     family = _resolve_family(spec)
-    # tabulation needs strictly increasing knots; configs may list times in any order
+    # tabulation needs strictly increasing knots; a plan's times are sorted but may repeat
     grid = dataclasses.replace(
         spec.plan, time_grid=tuple(sorted(set(map(float, spec.plan.time_grid))))
     )

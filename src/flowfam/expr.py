@@ -156,6 +156,7 @@ class ValidationError(ValueError):
 # Tokenizer
 
 _OPS = set("+-*/^()")
+_DIGITS = "0123456789"  # numbers take ASCII digits only; str.isdigit also holds for "²" and "٣"
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,12 @@ def _tokenize(source: str) -> list[_Token]:
             i += 1
             continue
         start = i
-        if c.isdigit():
-            while i < n and source[i].isdigit():
+        if c in _DIGITS:
+            while i < n and source[i] in _DIGITS:
                 i += 1
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
+            if i < n and source[i] == "." and i + 1 < n and source[i + 1] in _DIGITS:
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i] in _DIGITS:
                     i += 1
             # exponent part only when it is actually followed by digits,
             # so "2e" lexes as number then identifier
@@ -193,9 +194,9 @@ def _tokenize(source: str) -> list[_Token]:
                 j = i + 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j < n and source[j].isdigit():
+                if j < n and source[j] in _DIGITS:
                     i = j
-                    while i < n and source[i].isdigit():
+                    while i < n and source[i] in _DIGITS:
                         i += 1
             tokens.append(_Token("num", source[start:i], _byte_offset(source, start)))
             continue

@@ -310,15 +310,10 @@ def _bisect_escape(field: VectorField, t_good: float, y_good: tuple, t_bad: floa
     while abs(t_bad - t_good) > _BRACKET_WIDTH:
         mid = 0.5 * (t_good + t_bad)
         try:
-            y_mid = _integrate(field, t_good, y_good, mid, cfg, refine=False)
+            y_good = _integrate(field, t_good, y_good, mid, cfg, refine=False)
+            t_good = mid  # the step loop has classified the point it landed on
         except EscapeEvent as ev:
             t_bad, kind = ev.time, ev.kind
-            continue
-        bad_kind = _classify(mid, y_mid, field, cfg)
-        if bad_kind is None:
-            t_good, y_good = mid, y_mid
-        else:
-            t_bad, kind = mid, bad_kind
     return 0.5 * (t_good + t_bad), kind
 
 
@@ -483,12 +478,6 @@ class _Trajectory:
     def record(self, t: float, h: float, y: tuple, k1: tuple) -> None:
         self.rows.extend((t, h, *y, *k1))
 
-    def first_reaching(self, tau: float) -> int | None:
-        """Index of the first row whose step reaches tau (the loop's clipping test)."""
-        width = 2 + 2 * self.n
-        tries = enumerate(zip(self.rows[::width], self.rows[1::width]))
-        return next((j for j, (t, h) in tries if abs(h) >= abs(tau - t)), None)
-
 
 class _TrajectoryCache:
     """LRU map (sigma, direction, a) -> _Trajectory for one numeric family.
@@ -533,9 +522,7 @@ class _TrajectoryCache:
         """
         values, ok = np.full(a.shape, math.nan), np.zeros(len(tau), dtype=bool)
         lanes, rows = self._starts(tau, sigma, a, inside, values, ok)
-        n = self.field.n
-        state = (rows[:, 0], rows[:, 1], rows[:, -1], rows[:, 2:2 + n], rows[:, 2 + n:-1])
-        landed, reached, _, tail = _drive_lanes(self.field, self.cfg, tau[lanes], state)
+        landed, reached, _, tail = _drive_lanes(self.field, self.cfg, tau[lanes], _columns(rows, self.field.n))
         values[lanes[landed]], ok[lanes[landed]] = reached[landed], True
         for q, loop_state in tail:
             try:
@@ -551,10 +538,9 @@ class _TrajectoryCache:
         Diagonal lanes get their values and ok here.  The data are looked up
         and entered in the cache in order of first appearance, so the cache
         ends in the state a loop of one-lane batches over the lanes grouped
-        by datum leaves, and the step loop makes the same tries.  A query
-        starts from the first recorded try that reaches its tau; phase 1
-        runs the other data on, one lane per datum, until their farthest
-        query is reached.
+        by datum leaves, and the step loop makes the same tries.  _capture
+        gives queries their starts from the recorded tries; phase 1 runs the
+        data with queries still waiting on, one lane per datum.
         """
         groups, inside_l, taus = {}, inside.tolist(), tau.tolist()
         for i, key in enumerate(map(bytes, np.column_stack([sigma, np.where(tau > sigma, 1.0, -1.0), a]))):
@@ -565,52 +551,53 @@ class _TrajectoryCache:
         fresh = {lanes[0]: j for j, lanes in enumerate(v for k, v in groups.items() if v and k not in self.entries)}
         if fresh:
             slopes, evaluable = self.field.lanes(sigma[list(fresh)], a[list(fresh)])
-        data = []  # (key, head, lanes off the diagonal) of each datum that meets the cache, in order
+        data = []  # (key, head, its lanes off the diagonal, farthest tau first) of each datum that meets the cache
         for key, lanes in groups.items():
             if not lanes or lanes[0] in fresh and not evaluable[fresh[lanes[0]]]:
                 continue  # no lane, or the field cannot be evaluated at the start
-            sigma_i, off = float(sigma[lanes[0]]), []
+            sigma_i, queue = float(sigma[lanes[0]]), []
             for i in lanes:
                 if taus[i] == sigma_i:
                     values[i], ok[i] = a[i], True
                 else:
-                    off.append(i)
-            if off:
-                data.append((key, lanes[0], off))
+                    queue.append(i)
+            if queue:
+                queue.sort(key=lambda i: abs(taus[i] - sigma_i), reverse=True)
+                data.append((key, lanes[0], queue))
         lo, hi = self.cfg.window
-        width, jobs = 2 + 2 * self.field.n, _Jobs()
+        width, jobs = 2 + 2 * self.field.n, []
         starts = np.full((len(tau), width + 1), math.nan)  # NaN until the lane has a start
-        for q, (key, head, lanes) in enumerate(data):
+        for q, (key, head, queue) in enumerate(data):
             sigma_i = float(sigma[head])
             slope = tuple(slopes[fresh[head]].tolist()) if head in fresh else None
             # no slope for a datum that had an entry; if this batch pushed it out, _entry evaluates one again
-            entry = self._entry(key, sigma_i, tuple(a[head].tolist()), hi if taus[lanes[0]] > sigma_i else lo, slope)
-            waiting = []
-            for i in lanes:
-                j = entry.first_reaching(taus[i])
-                if j is not None:
-                    starts[i, :width], starts[i, width] = entry.rows[j * width:(j + 1) * width], j
-                elif entry.end is None:
-                    waiting.append(i)
-            if waiting:
-                waiting.sort(key=lambda i: abs(taus[i] - sigma_i), reverse=True)
+            entry = self._entry(key, sigma_i, tuple(a[head].tolist()), hi if taus[queue[0]] > sigma_i else lo, slope)
+            for j in range(len(entry)):
+                row = entry.rows[j * width:(j + 1) * width]
+                if not _capture(queue, taus, row, j, starts):
+                    break
+            if queue and entry.end is None:  # then row is the pending try
                 # the cache keeps the data it meets last, and only they record their tries
-                jobs.add(entry if len(data) - q <= _TRAJECTORY_CACHE_SIZE else None, entry, waiting)
+                jobs.append((entry if len(data) - q <= _TRAJECTORY_CACHE_SIZE else None, (*row, j), queue))
         self._run_on_lanes(jobs, taus, starts)
         lanes = np.arange(len(tau))[np.isfinite(starts[:, 0])]
         return lanes, starts[lanes]
 
-    def _run_on_lanes(self, jobs: "_Jobs", taus: list, starts: np.ndarray) -> None:
+    def _run_on_lanes(self, jobs: list, taus: list, starts: np.ndarray) -> None:
         """Phase 1: each job's datum runs on from its pending try until its farthest query is reached.
 
-        The entries of kept jobs record the tries and how the loop ends.
-        Before each try, every query whose tau the try's step reaches takes
-        the loop state as its starts row.  A query the loop never reaches,
-        since it escapes or runs out of steps first, keeps its NaN row.
+        A job is (kept entry or None, pending try as a starts row, queue); no
+        job holds an entry the batch pushes out of the cache, so it is freed
+        when it leaves.  Kept entries record the tries and how the loop ends.
+        A query the loop never reaches, since it escapes or runs out of
+        steps first, keeps its NaN row.
         """
-        n, queues, state = self.field.n, jobs.queues, jobs.state(self.field.n)
+        if not jobs:
+            return
+        entries, rows, queues = zip(*jobs)
+        n, state = self.field.n, _columns(np.array(rows), self.field.n)
         pending = state[2]
-        kept = np.array([entry is not None for entry in jobs.kept], dtype=bool)
+        kept = np.array([entry is not None for entry in entries], dtype=bool)
         nearest = np.array([taus[queue[-1]] for queue in queues])
         row_bytes = 8 * (2 + 2 * n)
 
@@ -619,68 +606,56 @@ class _TrajectoryCache:
             if new:
                 rows = np.column_stack([t, h, y, k1]).tobytes()
                 for k in new:
-                    jobs.kept[int(lanes[k])].rows.frombytes(rows[k * row_bytes:(k + 1) * row_bytes])
+                    entries[int(lanes[k])].rows.frombytes(rows[k * row_bytes:(k + 1) * row_bytes])
             for k in _where(np.abs(h) >= np.abs(nearest[lanes] - t)):
                 i = int(lanes[k])
-                if _capture(queues[i], taus, _state(t, h, steps, y, k1, k), starts):
+                if _capture(queues[i], taus, (t[k], h[k], *y[k], *k1[k]), steps[k], starts):
                     nearest[i] = taus[queues[i][-1]]
 
         target = np.array([taus[queue[0]] for queue in queues])
         _, _, ends, tail = _drive_lanes(self.field, self.cfg, target, state, record)
+        ends.update((i, self._run_on(entries[i], queues[i], taus, loop_state, starts)) for i, loop_state in tail)
         for i, end in ends.items():
-            if jobs.kept[i] is not None:
-                jobs.kept[i].end = end
-        for i, loop_state in tail:
-            self._run_on(jobs.kept[i], queues[i], taus, loop_state, starts)
+            if entries[i] is not None:
+                entries[i].end = end
 
-    def _run_on(self, entry: _Trajectory | None, queue: list, taus: list, state, starts: np.ndarray) -> None:
-        """_run_on_lanes for one job, in the scalar loop from state."""
+    def _run_on(self, entry: _Trajectory | None, queue: list, taus: list, state, starts: np.ndarray):
+        """_run_on_lanes for one job, in the scalar loop from state; returns the end it meets, or None."""
         pending = state[2]
 
         def record(t, h, steps, y, k1):
             if entry is not None and steps > pending:  # the pending try has its row already
                 entry.record(t, h, y, k1)
-            return not _capture(queue, taus, (t, h, steps, y, k1), starts)
+            return not _capture(queue, taus, (t, h, *y, *k1), steps, starts)
 
         try:
-            _drive(self.field, taus[queue[0]], self.cfg, False, state, record)
+            return _drive(self.field, taus[queue[0]], self.cfg, False, state, record)  # None: all queries reached
         except EscapeEvent as ev:
-            if entry is not None:
-                entry.end = (ev.kind, ev.time)
+            return ev.kind, ev.time
         except StepBudgetExceeded as err:
-            if entry is not None:
-                entry.end = str(err)
+            return str(err)
 
 
-class _Jobs:
-    """Phase 1's data: the pending try of each as one flat row, its kept entry or None, its queue.
+def _columns(rows: np.ndarray, n: int) -> tuple:
+    """Starts rows (t, h, y, k1, steps) as the lane columns (t, h, steps, y, k1) of the loop state."""
+    return rows[:, 0], rows[:, 1], rows[:, -1], rows[:, 2:2 + n], rows[:, 2 + n:-1]
 
-    A queue lists the lanes of the datum's queries, farthest tau first.  An
-    entry the batch pushes out of the cache is not held here, so it is freed
-    when it leaves the cache, as in the scalar loop.
+
+def _capture(queue: list, taus: list, row, steps: int, starts: np.ndarray) -> bool:
+    """Hand the loop state before a try to each query at queue's end whose tau the try's step reaches.
+
+    row is the state's (t, h, y, k1) and steps the tries before it; a
+    query's starts row is (t, h, y, k1, steps).  queue lists a datum's
+    queries farthest tau first, and the tries come in the loop's order,
+    recorded or new.  t only moves toward the window edge and a step that
+    crosses a tau reaches it, so no try reaches a nearer tau first after
+    one that reaches a farther tau: each query takes the first try that
+    reaches its tau, the one a direct integration clips there.  Returns
+    True while queries wait.
     """
-
-    def __init__(self):
-        self.rows, self.steps, self.kept, self.queues = array("d"), array("d"), [], []
-
-    def add(self, kept: _Trajectory | None, entry: _Trajectory, queue: list) -> None:
-        width = 2 + 2 * entry.n
-        self.rows.extend(entry.rows[-width:])
-        self.steps.append(len(entry) - 1)
-        self.kept.append(kept)
-        self.queues.append(queue)
-
-    def state(self, n: int) -> tuple:
-        """The pending tries as lane columns (t, h, steps, y, k1)."""
-        rows = np.frombuffer(self.rows).reshape(len(self.queues), 2 + 2 * n)
-        return rows[:, 0], rows[:, 1], np.frombuffer(self.steps), rows[:, 2:2 + n], rows[:, 2 + n:]
-
-
-def _capture(queue: list, taus: list, state, starts: np.ndarray) -> bool:
-    """Give state to every query at the end of queue whose tau its step reaches; True while queries wait."""
-    t, h, steps, y, k1 = state
+    t, h = row[0], row[1]
     while queue and abs(h) >= abs(taus[queue[-1]] - t):
-        starts[queue.pop()] = (t, h, *y, *k1, steps)
+        starts[queue.pop()] = (*row, steps)
     return bool(queue)
 
 

@@ -290,8 +290,6 @@ def sincov_decompose(
 
 
 def _interp_stack(grid: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
-    if len(grid) == 1:
-        return stack[0]
     i = int(np.searchsorted(grid, t)) - 1
     i = min(max(i, 0), len(grid) - 2)
     lo, hi = grid[i], grid[i + 1]

@@ -3,6 +3,7 @@ shapes, exit codes, CSV artifacts, and byte-level reproducibility."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -110,6 +111,13 @@ def test_parse_error_carries_offset(tmp_path):
     path = write_config(tmp_path, {"system": {"field": {"n": 1, "rhs": ["x1 +"]}}})
     with pytest.raises(ConfigError, match="offset 4"):
         load_config(path)
+
+
+def test_non_ascii_digit_is_a_parse_error_with_its_offset(tmp_path, capsys):
+    path = write_config(tmp_path, {"system": {"field": {"n": 1, "rhs": ["x1 + ²"]}}})
+    code, recs = run_cli(["flow", "--config", path, "--tau", "0", "--sigma", "0", "--a", "1"], capsys)
+    assert code == 2
+    assert recs[0]["message"].endswith("expression error at offset 5: unexpected character '²'")
 
 
 def test_invalid_json_reports_offset(tmp_path):
@@ -729,6 +737,14 @@ def test_mollify_rotation(tmp_path, capsys):
     assert smoothing["max_residual"] <= 1e-8
 
 
+def test_mollify_without_alpha_ends_after_the_summary(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"system": {"catalog": "rotation"}, "plan": ROTATION_PLAN})
+    code, recs = run_cli(["mollify", "--config", cfg, "--eps", "0.25", "--no-timestamp"], capsys)
+    assert code == 0
+    assert [r["kind"] for r in recs] == ["meta", "summary"]
+    assert recs[1]["H_A"][0][0] == pytest.approx(math.sin(0.25) / 0.25, abs=1e-10)
+
+
 def test_mollify_full_turn_average_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"system": {"catalog": "rotation"}, "plan": ROTATION_PLAN})
     code, recs = run_cli(
@@ -831,16 +847,18 @@ def test_module_entry_point(tmp_path):
 
 def test_closed_stdout_exits_quietly(tmp_path):
     cfg = write_config(tmp_path, RICCATI)
-    # -u writes each record when it is emitted, so the condition records
-    # meet a pipe whose reader left after the meta record
+    # the pipe's reader is gone before the child starts, so however fast the
+    # child runs, its first record (-u writes each one when it is emitted)
+    # meets a closed pipe
+    reader, writer = os.pipe()
+    os.close(reader)
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "flowfam", "verify", "--config", cfg, "--no-timestamp"],
-        stdout=subprocess.PIPE,
+        stdout=writer,
         stderr=subprocess.PIPE,
         text=True,
     )
-    assert json.loads(proc.stdout.readline())["kind"] == "meta"
-    proc.stdout.close()
+    os.close(writer)
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == 1

@@ -142,6 +142,25 @@ def test_error_offsets(source, offset):
     assert exc.value.offset == offset
 
 
+# str.isdigit holds for superscripts and other scripts' digits; a number takes
+# ASCII digits only, so these are stray characters at their byte offsets.
+@pytest.mark.parametrize(
+    "source,offset,char",
+    [
+        ("²", 0, "²"),
+        ("1+²", 2, "²"),
+        ("x1 + ²", 5, "²"),
+        ("٣*x1", 0, "٣"),
+        ("1.²", 1, "."),     # no ASCII digit after the point: the point is stray
+        ("é+²", 3, "²"),     # é takes two bytes
+    ],
+)
+def test_non_ascii_digits_are_unexpected_characters(source, offset, char):
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert (exc.value.offset, exc.value.message) == (offset, f"unexpected character '{char}'")
+
+
 # float.hex of each CORPUS entry's value, or its EvalError kind, at the two
 # points of the table, under the convention the entry validates against.
 CORPUS_EVAL = Path(__file__).parent / "golden" / "expr_corpus_eval.json"

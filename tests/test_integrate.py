@@ -600,12 +600,21 @@ def bench_plan_steps(monkeypatch, name):
 
 def test_default_plan_shape_step_count(monkeypatch):
     # rotation: 18,305 steps when every query integrates from scratch; a lane step counts once per lane
-    assert bench_plan_steps(monkeypatch, "rotation") <= 10_278
+    assert bench_plan_steps(monkeypatch, "rotation") == 8_034
 
 
 def test_default_plan_shape_step_count_riccati(monkeypatch):
     # the count of a loop of evaluate over lanes grouped by datum, which the lane driver repeats
-    assert bench_plan_steps(monkeypatch, "riccati") <= 2_860
+    assert bench_plan_steps(monkeypatch, "riccati") == 2_860
+
+
+@pytest.mark.parametrize("name, tries", [("rotation", 128_302), ("riccati", 71_389)])
+def test_cli_default_plan_step_count(monkeypatch, name, tries):
+    # the suite flowfam verify runs on a catalog field with no plan in its config
+    field = catalog.get(name).field()
+    steps = count_steps(monkeypatch)
+    assert run_suite(numeric_family(field), default_plan(field.n)).passed
+    assert steps() == tries
 
 
 @pytest.mark.parametrize("name, tries", [("riccati", 6_180), ("rotation", 7_759)])
@@ -756,6 +765,19 @@ def test_consecutive_batches_share_trajectories_like_the_grouped_loop(monkeypatc
     assert cold_ok.tolist() == ok.tolist() and cold_values[ok].tobytes() == values[ok].tobytes()
 
 
+def test_a_recorded_first_try_starts_the_queries_its_step_reaches():
+    # the first batch records each datum's tries out to sigma + 1.5; in the second, queries within
+    # h_init (1e-3) of sigma start from the recorded first try, and the others from later ones
+    rng = random.Random(9)
+    data = [(rng.uniform(-1.0, 0.5), [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)]) for _ in range(20)]
+    fam = numeric_family(ROTATION, CFG)
+    for offsets in ((1.5,), (4e-4, 1e-3, 0.7, 1.5)):
+        lanes = [(sigma + d, sigma, a) for sigma, a in data for d in offsets]
+        values, ok = fam.evaluate_batch(*(np.array(col, dtype=float) for col in zip(*lanes)))
+        assert ok.all()
+        assert [v.tobytes() for v in values] == [outcome(fam, *lane) for lane in lanes]
+
+
 @pytest.mark.parametrize("count", [1, 16])
 def test_small_batches_never_step_in_lanes(monkeypatch, count):
     def refuse(*args):
@@ -786,6 +808,51 @@ def test_batches_of_more_data_than_the_cache_holds_match_the_grouped_loop(monkey
         assert_batch_is(want, *lanes.evaluate_batch(tau, sigma, a))
         assert steps() - before - loop_steps == loop_steps
     assert loop_steps < 2 * 18 * 3  # the third batch replayed recorded tries
+
+
+def test_lanes_and_their_scalar_tail_crawl_at_h_min_and_underflow_as_the_scalar_loop_does(monkeypatch):
+    # x' = x^2 with h_min = 2e-3 on riccati-wall's data: short of blow-up an accepted try's next step
+    # falls below h_min and crawls at it, and a rejected one there is a step underflow (no stage fails)
+    field = VectorField.from_strings(["x1^2"], DomainSpec(1))
+    cfg = IntegratorConfig(window=(-3.0, 3.0), h_init=1e-2, h_min=2e-3, blowup_radius=1e3)
+    _, _, (tau, sigma, a) = lane_family("riccati-wall")
+    step, lanes = integrate.dopri5_step, integrate.dopri5_lanes
+    drive, drive_lanes = integrate._drive, integrate._drive_lanes
+    seen = set()
+
+    def crawling_step(f, t, y, h, k1=None):
+        if abs(h) == cfg.h_min:
+            seen.add("scalar crawl")
+        return step(f, t, y, h, k1)
+
+    def crawling_lanes(f, t, y, h, k1):
+        if (np.abs(h) == cfg.h_min).any():
+            seen.add("lane crawl")
+        return lanes(f, t, y, h, k1)
+
+    def escaping(*args):
+        try:
+            return drive(*args)
+        except EscapeEvent as ev:
+            seen.add(f"scalar {ev.kind}")
+            raise
+
+    def escaping_lanes(*args):
+        landed, values, ends, tail = drive_lanes(*args)
+        seen.update(f"lane {end[0]}" for end in ends.values())
+        return landed, values, ends, tail
+
+    for name, spy in [("dopri5_step", crawling_step), ("dopri5_lanes", crawling_lanes),
+                      ("_drive", escaping), ("_drive_lanes", escaping_lanes)]:
+        monkeypatch.setattr(integrate, name, spy)
+    steps = count_steps(monkeypatch)
+    want = grouped_loop(numeric_family(field, cfg), tau, sigma, a)
+    loop_steps, loop_seen = steps(), set(seen)
+    seen.clear()
+    assert_batch_is(want, *numeric_family(field, cfg).evaluate_batch(tau, sigma, a))
+    assert steps() - loop_steps == loop_steps
+    assert loop_seen == {"scalar crawl", "scalar step_underflow"}
+    assert {"lane crawl", "lane step_underflow", "scalar crawl", "scalar step_underflow"} <= seen
 
 
 def test_batch_lanes_whose_start_the_field_cannot_evaluate():
