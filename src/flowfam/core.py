@@ -150,8 +150,9 @@ class VectorField:
     """Right-hand side f(t, x) of an n-dimensional first-order ODE.
 
     Its components are validated here and compiled, into one function, on
-    the first call.  lanes is its lane form, which numeric families batch
-    their steps through.
+    the first call.  slope is that function, which the step loop calls
+    directly, and lanes its lane form, which numeric families batch their
+    steps through.
     """
 
     n: int
@@ -171,10 +172,11 @@ class VectorField:
 
     def __call__(self, t: float, x) -> tuple:
         """The slope at (t, x) as a tuple of n floats; x is any sequence of n floats."""
-        return self._slope(t, x)
+        return self.slope(t, x)
 
     @functools.cached_property
-    def _slope(self):
+    def slope(self):
+        """The compiled components, slope(t, x) -> tuple of n floats: what self(t, x) calls, one frame fewer."""
         return ex.compile_field(tuple(self.rhs), self.n)
 
     @functools.cached_property

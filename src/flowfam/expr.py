@@ -24,8 +24,9 @@ One generator compiles every form.  ``compile_field`` and
 ``compile_family`` generate one straight-line function per expression or
 tuple of expressions: one statement per node in post-order, each with its
 check (the zero test of ``/``, the rules of ``^``, ``log`` and ``sqrt``, the
-finite check after ``+ - * / ^`` and the other functions), so errors come in
-the tree's order.  ``compile_field_lanes`` and ``compile_family_lanes``
+finite check after ``+ - * / ^`` and every function, and after an
+expression's value when it is a literal), so errors come in the tree's
+order.  ``compile_field_lanes`` and ``compile_family_lanes``
 write the same statements from a second template set, over lane arrays:
 each check clears the lanes it fails from one ok mask, so lane i of the
 values equals the scalar form's result at lane i's point bit for bit where
@@ -350,7 +351,7 @@ def _finite_call(name: str, fn):
     return call
 
 
-_CALLS = {**{name: _finite_call(name, fn) for name, fn in FUNCTIONS.items()}, "log": _log, "sqrt": _sqrt}
+_CALLS = {name: _finite_call(name, fn) for name, fn in {**FUNCTIONS, "log": _log, "sqrt": _sqrt}.items()}
 
 
 def _failure(kind: str, message: str):
@@ -402,6 +403,7 @@ class _Templates(NamedTuple):
     calls: dict  # function -> (what k is bound to, statements over v, k and the argument a)
     read: tuple  # first read of scalar argument s<i> and of state component x<i>, slot i; "" reads none
     literal: str  # statement giving literal k the value v; "" uses k itself
+    literal_value: str  # the finite check of an expression's value v that is a literal or a negated one
     start: tuple  # first statements of the body
     returns: tuple  # the return of one value and of a tuple of them, over their names vs
 
@@ -412,6 +414,7 @@ _SCALAR = _Templates(
         "isfinite": math.isfinite,
         "power": _pow,
         "division_by_zero": _failure("division_by_zero", "division by zero"),
+        "nonfinite_literal": _failure("nonfinite", "non-finite literal"),
         **{f"nonfinite_{name}": _failure("nonfinite", f"non-finite result from '{op}'")
            for op, name in zip("+-*/^", ("add", "sub", "mul", "div", "pow"))},
     },
@@ -425,6 +428,7 @@ _SCALAR = _Templates(
     calls={fn: (_CALLS[fn], ("{v} = {k}({a})",)) for fn in FUNCTIONS},
     read=("{name} = float({name})", "{name} = float(state[{i}])"),
     literal="",
+    literal_value="if not isfinite({v}): nonfinite_literal()",
     start=(),
     returns=("return {vs}", "return ({vs},)"),
 )
@@ -449,11 +453,12 @@ _LANES = _Templates(
         "sin": (np.sin, ("ok &= isfinite({v} := {k}({a}))",)),
         "cos": (np.cos, ("ok &= isfinite({v} := {k}({a}))",)),
         "abs": (np.abs, ("ok &= isfinite({v} := {k}({a}))",)),
-        "sqrt": (np.sqrt, ("ok &= ~({a} < 0.0)", "{v} = {k}({a})")),
+        "sqrt": (np.sqrt, ("ok &= ~({a} < 0.0)", "ok &= isfinite({v} := {k}({a}))")),
         **{fn: (_CALLS[fn], ("{v}, ok = per_lane({k}, ok, {a})",)) for fn in ("exp", "log", "tanh")},
     },
     read=("", "{name} = state[:, {i}]"),
     literal="{v} = full(m, {k})",
+    literal_value="ok &= isfinite({v})",
     start=("m = len(state)", "ok = full(m, True)"),
     returns=("return {vs}, ok", "return column_stack([{vs}]), ok"),
 )
@@ -514,7 +519,15 @@ def _source(e, scalars: tuple, prefix: str, n: int, lanes: bool = False) -> tupl
             return node(("{v} = -{a}",), a=emit(e.operand))
         raise TypeError(f"not an expression node: {e!r}")
 
-    values = ", ".join(map(emit, e if isinstance(e, tuple) else (e,)))
+    def value(e) -> str:
+        v, bare = emit(e), e
+        while isinstance(bare, Neg):
+            bare = bare.operand
+        if isinstance(bare, Num):  # no node has checked it: 1e400 is infinite
+            lines.append(templates.literal_value.format(v=v))
+        return v
+
+    values = ", ".join(map(value, e if isinstance(e, tuple) else (e,)))
     returns = templates.returns[isinstance(e, tuple)].format(vs=values)
     params = ", ".join([f"s{i}" for i in range(len(scalars))] + ["state"])
     body = "".join(f"    {line}\n" for line in lines)

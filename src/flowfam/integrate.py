@@ -7,17 +7,22 @@ most 1, and the next step is h * clip(0.9 * err^(-1/5), 0.2, 5).  The last
 stage is the slope at the accepted point (FSAL), so each accepted step
 costs six fresh rhs evaluations.
 
-The step loop runs on tuples of floats (field(t, x) returns one): every sum
-is plain IEEE double arithmetic, left to right in the tableau's order, with
-no BLAS and no fused multiply-add, so its results are the same on every
-IEEE-double machine.  The step itself is a straight-line function generated
-once per dimension, unrolled over the components, with the same sums in the
-same order.  The same loop also runs over numpy lanes, for every
-batch of a numeric family: each stage sum is a chain of elementwise ufuncs in
-the tableau's order, each rounding once, the field is evaluated by its lane
-form (field.lanes and field.domain.contains_lanes), and the step factor takes
-Python's float ** lane by lane, since numpy's power rounds differently.  So a
-lane makes the tries of the scalar loop bit for bit.
+The step loop runs on tuples of floats (field.slope(t, x) returns one, and
+the loop calls it with no wrapper in between): every sum is plain IEEE
+double arithmetic, left to right in the tableau's order, with no BLAS and
+no fused multiply-add, so its results are the same on every IEEE-double
+machine.  The step itself is a straight-line function generated once per
+dimension, unrolled over the components, with the same sums in the same
+order.  Each try of the loop is one call of a second function generated
+beside it from the same templates, which fuses the step with the finite
+checks on its solution and error estimate, the scaled error norm, and the
+norm the blow-up test compares.  The same loop also runs over numpy lanes,
+for every batch of a numeric family: each stage sum is a chain of
+elementwise ufuncs in the tableau's order, each rounding once, the field is
+evaluated by its lane form (field.lanes and field.domain.contains_lanes),
+and the step factor takes Python's float ** lane by lane, since numpy's
+power rounds differently.  So a lane makes the tries of the scalar loop bit
+for bit.
 
 Integration stops early when the trajectory escapes: norm past the blow-up
 radius, domain predicate failing, or the step size collapsing below h_min.
@@ -48,6 +53,7 @@ from array import array
 from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass
+from math import isfinite  # read by the generated try
 
 import numpy as np
 
@@ -166,29 +172,56 @@ _STAGE_POINTS = (
 _SOLUTION = "y_{i} + h * (_A71 * p1_{i} + _A73 * p3_{i} + _A74 * p4_{i} + _A75 * p5_{i} + _A76 * p6_{i})"
 _ERROR = "h * (_E1 * p1_{i} + _E3 * p3_{i} + _E4 * p4_{i} + _E5 * p5_{i} + _E6 * p6_{i} + _E7 * p7_{i})"
 _STAGE_TIMES = ("t + _C2 * h", "t + _C3 * h", "t + _C4 * h", "t + _C5 * h", "t + h")
+# The try's scaled error of component {i}: s_{i} is y5's component, e_{i} the
+# error estimate's, and max(|y_{i}|, |s_{i}|) is written out as max would take it.
+_RATIO = "abs(e_{i}) / (abs_tol + rel_tol * (s_abs_{i} if s_abs_{i} > y_abs_{i} else y_abs_{i}))"
 
 
 def _step_source(n: int) -> str:
-    """Source of ``step(f, t, y, h, k1)``: dopri5_step's body unrolled over n components."""
+    """Source of dopri5_step's body and of the step loop's try, both unrolled over n components.
+
+    ``step(f, t, y, h, k1)`` returns (y5, err, k7).  ``attempt(f, t, y, h,
+    k1, abs_tol, rel_tol)`` makes the same sums, then returns None where a
+    component of y5 or of the error estimate is not finite, and otherwise
+    (y5, k7, err, y5_norm): err is the scaled error norm max_i |e_i| /
+    (abs_tol + rel_tol * max(|y_i|, |y5_i|)) and y5_norm is max_i |y5_i|,
+    both maxed in component order as max does.
+    """
     def row(template: str) -> str:
         return "(" + "".join(template.format(i=i) + ", " for i in range(n)) + ")"
 
     def names(stage: int) -> str:
         return "[" + ", ".join(f"p{stage}_{i}" for i in range(n)) + "]"
 
-    lines = ["[" + ", ".join(f"y_{i}" for i in range(n)) + "] = y", f"{names(1)} = k1"]
+    def each(template: str) -> list[str]:
+        return [template.format(i=i) for i in range(n)]
+
+    def largest(name: str, template: str) -> list[str]:
+        first, *rest = each(template)
+        return [f"{name} = {first}"] + [f"if {v} > {name}: {name} = {v}" for v in rest]
+
+    stages = ["[" + ", ".join(f"y_{i}" for i in range(n)) + "] = y", f"{names(1)} = k1"]
     for stage, (time, point) in enumerate(zip(_STAGE_TIMES, _STAGE_POINTS), start=2):
-        lines.append(f"{names(stage)} = f({time}, {row(point)})")
-    lines += [f"y5 = {row(_SOLUTION)}", "k7 = f(t + h, y5)", f"{names(7)} = k7", f"return y5, {row(_ERROR)}, k7"]
-    return "def step(f, t, y, h, k1):\n" + "".join(f"    {line}\n" for line in lines)
+        stages.append(f"{names(stage)} = f({time}, {row(point)})")
+    step = stages + [f"y5 = {row(_SOLUTION)}", "k7 = f(t + h, y5)", f"{names(7)} = k7",
+                     f"return y5, {row(_ERROR)}, k7"]
+    finite = " and ".join(each("isfinite(s_{i})") + each("isfinite(e_{i})"))
+    attempt = stages + [
+        *each("s_{i} = " + _SOLUTION), f"y5 = {row('s_{i}')}", "k7 = f(t + h, y5)", f"{names(7)} = k7",
+        *each("e_{i} = " + _ERROR), f"if not ({finite}): return None",
+        *each("y_abs_{i} = abs(y_{i})"), *each("s_abs_{i} = abs(s_{i})"), *each("r_{i} = " + _RATIO),
+        *largest("err", "r_{i}"), *largest("y5_norm", "s_abs_{i}"), "return y5, k7, err, y5_norm",
+    ]
+    return "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body) for head, body in [
+        ("step(f, t, y, h, k1)", step), ("attempt(f, t, y, h, k1, abs_tol, rel_tol)", attempt)])
 
 
 @functools.cache
 def _step(n: int):
-    """The compiled step of _step_source(n); it reads the tableau from this module."""
+    """(step, attempt): the compiled functions of _step_source(n); they read the tableau from this module."""
     namespace = {}
     exec(compile(_step_source(n), "<flowfam dopri5 step>", "exec"), globals(), namespace)
-    return namespace["step"]
+    return namespace["step"], namespace["attempt"]
 
 
 def dopri5_step(f, t: float, y: tuple, h: float, k1: tuple | None = None):
@@ -203,33 +236,18 @@ def dopri5_step(f, t: float, y: tuple, h: float, k1: tuple | None = None):
     """
     if k1 is None:
         k1 = f(t, y)
-    return _step(len(y))(f, t, y, h, k1)
-
-
-def _error_norm(err: tuple, y0: tuple, y1: tuple, cfg: IntegratorConfig) -> float:
-    """max_i |e_i| / (abs_tol + rel_tol * max(|y0_i|, |y1_i|))."""
-    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    return max([abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b))) for e, a, b in zip(err, y0, y1)])
-
-
-def _classify(t: float, y: tuple, field: VectorField, cfg: IntegratorConfig) -> str | None:
-    """Escape kind at an accepted point, or None when the point is fine."""
-    if max(map(abs, y)) > cfg.blowup_radius:
-        return "blow_up"
-    if not field.domain.contains(t, y):
-        return "left_domain"
-    return None
+    return _step(len(y))[0](f, t, y, h, k1)
 
 
 def _first_try(field: VectorField, rho: float, a: tuple, target: float, cfg: IntegratorConfig, k1=None):
     """Loop state (t, h, steps, y, k1) before the first try from (rho, a) toward target.
 
-    k1, when given, is the slope field(rho, a) already at hand.  Raises
+    k1, when given, is the slope field.slope(rho, a) already at hand.  Raises
     EvalError when the field cannot be evaluated at (rho, a), which its
     domain may contain all the same.
     """
     direction = 1.0 if target > rho else -1.0
-    return rho, direction * min(cfg.h_init, abs(target - rho)), 0, a, field(rho, a) if k1 is None else k1
+    return rho, direction * min(cfg.h_init, abs(target - rho)), 0, a, field.slope(rho, a) if k1 is None else k1
 
 
 def _integrate(field: VectorField, rho: float, a: tuple, tau: float, cfg: IntegratorConfig, refine: bool) -> tuple:
@@ -249,39 +267,42 @@ def _integrate(field: VectorField, rho: float, a: tuple, tau: float, cfg: Integr
 def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, state, record=None):
     """The step loop: make tries from state (t, h, steps, y, k1) until one lands on tau.
 
-    A try's step is clipped at tau when |h| >= |tau - t|.  record, when given,
-    sees the state before each try; returning True ends the loop, which then
-    returns None.
+    A try's step is clipped at tau when |h| >= |tau - t|.  Each try is one
+    call of the generated attempt over field.slope.  record, when given,
+    sees the state before each try; returning True ends the loop, which
+    then returns None.
     """
     t, h, steps, y, k1 = state
+    attempt, slope, contains = _step(len(y))[1], field.slope, field.domain.contains
+    abs_tol, rel_tol, h_min, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.max_steps
+    blowup_radius = cfg.blowup_radius
     while True:
         if record is not None and record(t, h, steps, y, k1):
             return None
         steps += 1
-        if steps > cfg.max_steps:
-            raise StepBudgetExceeded(f"integration exceeded {cfg.max_steps} steps at t={t}")
+        if steps > max_steps:
+            raise StepBudgetExceeded(f"integration exceeded {max_steps} steps at t={t}")
         last = abs(h) >= abs(tau - t)
         if last:
             h = tau - t
         try:
-            y_new, err_vec, k_last = dopri5_step(field, t, y, h, k1)
-            stage_ok = all(map(math.isfinite, y_new)) and all(map(math.isfinite, err_vec))
+            tried = attempt(slope, t, y, h, k1, abs_tol, rel_tol)
         except ex.EvalError:
-            stage_ok = False
-        if not stage_ok:
+            tried = None
+        if tried is None:
             # rhs not evaluable (or overflowed) somewhere inside the step;
             # shrink and retry until the step cannot shrink further
             h *= 0.5
-            if abs(h) < cfg.h_min:
+            if abs(h) < h_min:
                 raise EscapeEvent("step_underflow", t)
             continue
-        err = _error_norm(err_vec, y, y_new, cfg)
+        y_new, k_last, err, y_norm = tried
         factor = _FACTOR_MAX if err == 0.0 else min(
             _FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2)
         )
         if err <= 1.0:
             t_new = tau if last else t + h
-            kind = _classify(t_new, y_new, field, cfg)
+            kind = "blow_up" if y_norm > blowup_radius else (None if contains(t_new, y_new) else "left_domain")
             if kind is not None:
                 if refine:
                     t_star, kind = _bisect_escape(field, t, y, t_new, cfg, kind)
@@ -291,11 +312,11 @@ def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, 
                 return y_new
             t, y, k1 = t_new, y_new, k_last
             h *= factor
-            if abs(h) < cfg.h_min:  # keep crawling; only a failed step underflows
-                h = math.copysign(cfg.h_min, h)
+            if abs(h) < h_min:  # keep crawling; only a failed step underflows
+                h = math.copysign(h_min, h)
         else:
             h *= factor
-            if abs(h) < cfg.h_min:
+            if abs(h) < h_min:
                 raise EscapeEvent("step_underflow", t)
 
 

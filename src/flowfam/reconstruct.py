@@ -117,11 +117,12 @@ class TabulatedVectorField:
     """Multilinear interpolation over a rectangular (time x state) table.
 
     Duck-compatible with VectorField for the integrator: exposes n, domain,
-    __call__(t, x) and its lane form lanes(t, x), and the domain answers
-    contains and contains_lanes.  Values one cell beyond an edge are linearly
-    continued from the edge cell so Runge-Kutta stage points may overshoot
-    slightly; anything farther out, or touching a skipped-site hole, raises
-    an evaluation error.
+    __call__(t, x), the same function as slope(t, x), and its lane form
+    lanes(t, x), and the domain answers contains and contains_lanes.
+    Values one cell beyond an edge are linearly continued from the edge
+    cell so Runge-Kutta stage points may overshoot slightly; anything
+    farther out, or touching a skipped-site hole, raises an evaluation
+    error.
     """
 
     def __init__(self, times: np.ndarray, axes: list[np.ndarray], table: np.ndarray,
@@ -191,6 +192,11 @@ class TabulatedVectorField:
         if not all(map(math.isfinite, out)):
             raise ex.EvalError("domain", "query touches a skipped tabulation site")
         return tuple(out)
+
+    @property
+    def slope(self):
+        """The integrator's rhs, slope(t, x) -> tuple of n floats: this field's interpolating __call__."""
+        return self.__call__
 
     def lanes(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The slopes at lanes (t[m], x[m, n]): (values[m, n], ok[m]), one __call__ per lane.

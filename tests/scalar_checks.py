@@ -3,7 +3,9 @@
 ``dopri5_step`` is the step as it was written before flowfam generated it
 per dimension: a ``zip`` over the components for every stage, summed left
 to right in the tableau's order.  The generated step must equal it bit for
-bit.
+bit.  ``attempt`` is the step loop's try as the loop wrote it before the
+try was generated: that step, its finite checks, ``error_norm`` and the
+blow-up test's norm.  The generated try must equal it bit for bit.
 
 Each check here draws its samples from ``samples`` (the grid product, then
 numpy.random's draws on the plan seed), evaluates every leg with scalar
@@ -53,6 +55,23 @@ def dopri5_step(f, t, y, h, k1=None):
     err = tuple([h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q)
                  for a, c, d, e, g, q in zip(k1, k3, k4, k5, k6, k7)])
     return y5, err, k7
+
+
+def error_norm(err, y0, y1, abs_tol, rel_tol):
+    """max_i |e_i| / (abs_tol + rel_tol * max(|y0_i|, |y1_i|)): the scaled error the step loop accepts at 1."""
+    return max([abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b))) for e, a, b in zip(err, y0, y1)])
+
+
+def attempt(f, t, y, h, k1, abs_tol, rel_tol):
+    """One try of the step loop: None where y5 or the error estimate is not finite, else (y5, k7, err, y5_norm).
+
+    An EvalError from f propagates.  y5_norm is the norm the blow-up test
+    compares with the blow-up radius.
+    """
+    y5, err, k7 = dopri5_step(f, t, y, h, k1)
+    if not (all(map(math.isfinite, y5)) and all(map(math.isfinite, err))):
+        return None
+    return y5, k7, error_norm(err, y, y5, abs_tol, rel_tol), max(map(abs, y5))
 
 
 def samples(plan, k, m=1):

@@ -80,6 +80,14 @@ def test_domain_spec_predicate():
     assert not spec2.contains(0.0, [-1.0])
 
 
+@pytest.mark.parametrize("predicate", ["1e400", "-1e400", "sqrt(1e400)", "log(1e400) + x1"])
+def test_domain_spec_predicate_that_overflows_holds_nowhere(predicate):
+    # an infinite literal is not a positive value: the predicate raises nonfinite, as it does on each lane
+    spec = DomainSpec(1, space_predicate=predicate)
+    assert not spec.contains(0.0, [0.5])
+    assert spec.contains_lanes(np.array([0.0, 0.5]), np.array([[0.5], [-1.0]])).tolist() == [False, False]
+
+
 def test_domain_spec_validation():
     with pytest.raises(ValueError):
         DomainSpec(0)

@@ -237,6 +237,11 @@ def test_eval_error_kinds(source, x, kind):
         ("1/x1 + log(x2)", [0.0, -1.0], "division_by_zero", "division by zero"),
         ("log(x2) + 1/x1", [0.0, -1.0], "domain", "log of non-positive value"),
         ("(x1 - x1)^-1 * 1e400", [2.0, 0.0], "division_by_zero", "zero base with negative exponent"),
+        # an infinite literal raises where a function takes it or where it is the whole value
+        ("log(1e400)", [0.0], "nonfinite", "non-finite result from log"),
+        ("sqrt(1e400)", [0.0], "nonfinite", "non-finite result from sqrt"),
+        ("1e400", [0.0], "nonfinite", "non-finite literal"),
+        ("-1e400", [0.0], "nonfinite", "non-finite literal"),
     ],
 )
 def test_eval_error_kinds_and_messages(source, x, kind, message):
@@ -251,7 +256,7 @@ def test_eval_error_kinds_and_messages(source, x, kind, message):
 # v<i>, bound constants and helpers k<i>), slot indices and the zero test.
 _GENERATED_WORDS = {
     "def", "generated", "state", "return", "if", "not", "float", "isfinite", "power", "division_by_zero",
-    "nonfinite_add", "nonfinite_sub", "nonfinite_mul", "nonfinite_div", "nonfinite_pow",
+    "nonfinite_add", "nonfinite_sub", "nonfinite_mul", "nonfinite_div", "nonfinite_pow", "nonfinite_literal",
     "m", "len", "ok", "full", "True", "per_lane", "column_stack",
 }
 _GENERATED_OPS = {"(", ")", "[", "]", ",", ":", "=", ":=", "==", "+", "-", "*", "/", "&=", "~", "<"}
@@ -501,7 +506,8 @@ def test_lane_kernel_matches_scalar_on_catalog(n, source):
 
 
 # (source, whether some lanes of lane_points fail): the second column keeps
-# each error path exercised; infinite literals are ok values until checked
+# each error path exercised; an infinite literal fails where the node that
+# uses it overflows, or where it is the whole value
 @pytest.mark.parametrize(
     "source,fails",
     [
@@ -510,7 +516,7 @@ def test_lane_kernel_matches_scalar_on_catalog(n, source):
         ("exp(a1)*a2", True), ("tanh(a1*1e300)", True), ("abs(a1)/a2", True),
         ("1/(a1*a2)", True), ("a1*1e300*a2", True), ("sin(1e400)", True),
         ("sin(a1) + cos(a2)", False), ("-(a1 - a2)", False), ("tanh(a1)", False),
-        ("sqrt(1e400)", False), ("log(1e400)", False), ("1/1e400 + a1", False), ("-1e400", False),
+        ("sqrt(1e400)", True), ("log(1e400)", True), ("1/1e400 + a1", False), ("-1e400", True), ("1e400", True),
         ("1e400^0", False),  # pow(inf, 0) is 1: a finite check on the operands would fail it
     ],
 )

@@ -157,6 +157,58 @@ def test_generated_step_is_the_reference_step_bit_for_bit(n):
         assert _hex(dopri5_step(field, t, y, h, k1)) == _hex(scalar.dopri5_step(field, t, y, h, k1))
 
 
+def _tried(attempt, f, t, y, h, k1, abs_tol, rel_tol):
+    """float.hex of a try's (y5, k7, err, y5_norm), None, or the EvalError it raised."""
+    try:
+        got = attempt(f, t, y, h, k1, abs_tol, rel_tol)
+    except EvalError as err:
+        return err
+    return None if got is None else [[v.hex() for v in part] for part in got[:2]] + [v.hex() for v in got[2:]]
+
+
+def _wild_slope(n, rng):
+    """A slope function that raises EvalError past a wall, returns inf past an edge, and may
+    be scaled so far that the stage sums overflow."""
+    wall, edge, scale = rng.uniform(-0.5, 2.0), rng.uniform(-1.0, 3.0), rng.choice([1.0, 1.0, 1e308])
+
+    def f(t, x):
+        if x[0] > wall:
+            raise EvalError("domain", "past the wall")
+        if t > edge:
+            return (math.inf,) * n
+        return tuple(scale * math.tanh(t * v + i) for i, v in enumerate(x))
+
+    return f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generated_try_is_the_reference_try_bit_for_bit(n):
+    # the try is the step, its finite checks, the scaled error norm and the blow-up norm,
+    # each as the reference writes it; it is None exactly where a stage is not finite
+    rhs = [f"sin(t*x{i % n + 1}) - x{i + 1}^2/3 + {i}*x{(i + 1) % n + 1} + sqrt(x{i + 1} + 1.4)" for i in range(n)]
+    field = VectorField.from_strings(rhs, DomainSpec(n))
+    attempt = integrate._step(n)[1]
+    rng = random.Random(100 + n)
+    seen = set()
+    for draw in range(400):
+        f = field.slope if draw % 2 else _wild_slope(n, rng)
+        t, h = rng.uniform(-2.0, 2.0), rng.uniform(-0.4, 0.4) * 10.0 ** -rng.randrange(4)
+        y = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
+        abs_tol, rel_tol = 10.0 ** -rng.uniform(6, 14), 10.0 ** -rng.uniform(6, 12)
+        try:
+            k1 = f(t, y)
+        except EvalError:
+            continue
+        got = _tried(attempt, f, t, y, h, k1, abs_tol, rel_tol)
+        want = _tried(scalar.attempt, f, t, y, h, k1, abs_tol, rel_tol)
+        if isinstance(want, EvalError):
+            assert isinstance(got, EvalError) and (got.kind, str(got)) == (want.kind, str(want))
+        else:
+            assert got == want
+        seen.add("raises" if isinstance(want, EvalError) else "not finite" if want is None else "tried")
+    assert seen == {"raises", "not finite", "tried"}
+
+
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("stage", range(1, 8))
 def test_an_eval_error_in_any_stage_propagates_unchanged(n, stage):
@@ -387,35 +439,54 @@ def test_unevaluable_start_is_out_of_domain_on_the_diagonal_too():
 
 # --- trajectory cache ------------------------------------------------------------
 
-DOPRI5_STEP, DOPRI5_LANES = integrate.dopri5_step, integrate.dopri5_lanes
+STEP, DOPRI5_LANES = integrate._step, integrate.dopri5_lanes
 
 
 @contextlib.contextmanager
 def uncounted():
     """Tries made inside are not counted by count_steps."""
-    counted = integrate.dopri5_step, integrate.dopri5_lanes
-    integrate.dopri5_step, integrate.dopri5_lanes = DOPRI5_STEP, DOPRI5_LANES
+    counted = integrate._step, integrate.dopri5_lanes
+    integrate._step, integrate.dopri5_lanes = STEP, DOPRI5_LANES
     try:
         yield
     finally:
-        integrate.dopri5_step, integrate.dopri5_lanes = counted
+        integrate._step, integrate.dopri5_lanes = counted
+
+
+def spy_on_tries(monkeypatch, spy):
+    """Call spy(f, t, y, h) before every try of the scalar loop from here on.
+
+    The loop takes its try from the factory integrate._step once per call,
+    so the spy wraps each try the factory hands out.
+    """
+    factory = integrate._step
+
+    def spied_factory(n):
+        step, attempt = factory(n)
+
+        def spied(f, t, y, h, *rest):
+            spy(f, t, y, h)
+            return attempt(f, t, y, h, *rest)
+
+        return step, spied
+
+    monkeypatch.setattr(integrate, "_step", spied_factory)
 
 
 def count_steps(monkeypatch):
-    """Count DP5 tries from here on, one per dopri5_step call and one per lane of a
+    """Count DP5 tries from here on, one per try of the scalar loop and one per lane of a
     dopri5_lanes call; returns the reader."""
     calls = [0]
-    step, lanes = integrate.dopri5_step, integrate.dopri5_lanes
+    lanes = integrate.dopri5_lanes
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls[0] += 1
-        return step(*args, **kwargs)
 
     def counted_lanes(f, t, *args):
         calls[0] += len(t)
         return lanes(f, t, *args)
 
-    monkeypatch.setattr(integrate, "dopri5_step", counted)
+    spy_on_tries(monkeypatch, counted)
     monkeypatch.setattr(integrate, "dopri5_lanes", counted_lanes)
     return lambda: calls[0]
 
@@ -816,14 +887,13 @@ def test_lanes_and_their_scalar_tail_crawl_at_h_min_and_underflow_as_the_scalar_
     field = VectorField.from_strings(["x1^2"], DomainSpec(1))
     cfg = IntegratorConfig(window=(-3.0, 3.0), h_init=1e-2, h_min=2e-3, blowup_radius=1e3)
     _, _, (tau, sigma, a) = lane_family("riccati-wall")
-    step, lanes = integrate.dopri5_step, integrate.dopri5_lanes
+    lanes = integrate.dopri5_lanes
     drive, drive_lanes = integrate._drive, integrate._drive_lanes
     seen = set()
 
-    def crawling_step(f, t, y, h, k1=None):
+    def crawling_step(f, t, y, h):
         if abs(h) == cfg.h_min:
             seen.add("scalar crawl")
-        return step(f, t, y, h, k1)
 
     def crawling_lanes(f, t, y, h, k1):
         if (np.abs(h) == cfg.h_min).any():
@@ -842,8 +912,8 @@ def test_lanes_and_their_scalar_tail_crawl_at_h_min_and_underflow_as_the_scalar_
         seen.update(f"lane {end[0]}" for end in ends.values())
         return landed, values, ends, tail
 
-    for name, spy in [("dopri5_step", crawling_step), ("dopri5_lanes", crawling_lanes),
-                      ("_drive", escaping), ("_drive_lanes", escaping_lanes)]:
+    spy_on_tries(monkeypatch, crawling_step)
+    for name, spy in [("dopri5_lanes", crawling_lanes), ("_drive", escaping), ("_drive_lanes", escaping_lanes)]:
         monkeypatch.setattr(integrate, name, spy)
     steps = count_steps(monkeypatch)
     want = grouped_loop(numeric_family(field, cfg), tau, sigma, a)
