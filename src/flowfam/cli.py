@@ -423,6 +423,9 @@ def _cmd_mollify(args, spec: RunSpec, out) -> int:
     except (NotAutonomous, NotAffine, NotInvertible, DomainViolation) as err:  # a probe may leave the domain
         _emit(out, {"kind": "error", "message": str(err)})
         return 1
+    except ValueError as err:  # an averaging window with no usable width
+        _emit(out, {"kind": "error", "message": str(err)})
+        return 2
     _emit(
         out,
         {

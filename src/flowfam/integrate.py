@@ -11,18 +11,17 @@ The step loop runs on tuples of floats (field.slope(t, x) returns one, and
 the loop calls it with no wrapper in between): every sum is plain IEEE
 double arithmetic, left to right in the tableau's order, with no BLAS and
 no fused multiply-add, so its results are the same on every IEEE-double
-machine.  The step itself is a straight-line function generated once per
-dimension, unrolled over the components, with the same sums in the same
-order.  Each try of the loop is one call of a second function generated
-beside it from the same templates, which fuses the step with the finite
-checks on its solution and error estimate, the scaled error norm, and the
-norm the blow-up test compares.  The same loop also runs over numpy lanes,
-for every batch of a numeric family: each stage sum is a chain of
-elementwise ufuncs in the tableau's order, each rounding once, the field is
-evaluated by its lane form (field.lanes and field.domain.contains_lanes),
-and the step factor takes Python's float ** lane by lane, since numpy's
-power rounds differently.  So a lane makes the tries of the scalar loop bit
-for bit.
+machine.  Each try of the loop is one call of a straight-line function
+generated once per dimension, unrolled over the components, which fuses
+the step with the finite checks on its solution and error estimate, the
+scaled error norm, and the norm the blow-up test compares.  The same loop
+also runs over numpy lanes, for every batch of a numeric family.  Its try
+is generated beside the scalar one from the same templates, with each
+stage sum a chain of elementwise ufuncs in the same order, each rounding
+once; the field is evaluated by its lane form (field.lanes and
+field.domain.contains_lanes), and the step factor takes Python's float **
+lane by lane, since numpy's power rounds differently.  So a lane makes the
+tries of the scalar loop bit for bit.
 
 Integration stops early when the trajectory escapes: norm past the blow-up
 radius, domain predicate failing, or the step size collapsing below h_min.
@@ -70,14 +69,12 @@ __all__ = [
     "IntegratorConfig",
     "EscapeEvent",
     "StepBudgetExceeded",
-    "dopri5_step",
-    "dopri5_lanes",
     "advance",
     "numeric_family",
     "escape_interval",
 ]
 
-# Dormand-Prince 5(4) tableau, unrolled into dopri5_step: stage i is taken at
+# Dormand-Prince 5(4) tableau, read by the generated tries: stage i is taken at
 # t + c_i h and y + h (a_i1 k1 + a_i2 k2 + ...), the seventh stage point is
 # the 5th-order solution (FSAL), and e = b5 - b4 weighs the error estimate.
 # Zero entries (a_72, e_2) are left out of the sums.
@@ -159,84 +156,94 @@ class StepBudgetExceeded(RuntimeError):
     """The integrator took max_steps steps without reaching the target time."""
 
 
-# The generated step's sums for component {i}, in the tableau's order: the
-# stage points of k2..k6, the 5th-order solution, then the error estimate.
-# y_{i} is y's component i and p<s>_{i} the slope k<s>'s.
+# The step's sums in the tableau's order: the stage points of k2..k6, the
+# 5th-order solution, then the error estimate.  _step_source renders each
+# twice.  In the scalar try {i} is component i's suffix _i, so y{i} is y's
+# component i and p<s>{i} the slope k<s>'s, and {h} is the step h.  In the
+# lane try {i} is empty, so each name holds all lanes' components as an
+# (m, n) array, and {h} is the column hc = h[:, None]: each sum is then a
+# chain of elementwise ufuncs in the same order, each rounding once.
 _STAGE_POINTS = (
-    "y_{i} + h * (_A21 * p1_{i})",
-    "y_{i} + h * (_A31 * p1_{i} + _A32 * p2_{i})",
-    "y_{i} + h * (_A41 * p1_{i} + _A42 * p2_{i} + _A43 * p3_{i})",
-    "y_{i} + h * (_A51 * p1_{i} + _A52 * p2_{i} + _A53 * p3_{i} + _A54 * p4_{i})",
-    "y_{i} + h * (_A61 * p1_{i} + _A62 * p2_{i} + _A63 * p3_{i} + _A64 * p4_{i} + _A65 * p5_{i})",
+    "y{i} + {h} * (_A21 * p1{i})",
+    "y{i} + {h} * (_A31 * p1{i} + _A32 * p2{i})",
+    "y{i} + {h} * (_A41 * p1{i} + _A42 * p2{i} + _A43 * p3{i})",
+    "y{i} + {h} * (_A51 * p1{i} + _A52 * p2{i} + _A53 * p3{i} + _A54 * p4{i})",
+    "y{i} + {h} * (_A61 * p1{i} + _A62 * p2{i} + _A63 * p3{i} + _A64 * p4{i} + _A65 * p5{i})",
 )
-_SOLUTION = "y_{i} + h * (_A71 * p1_{i} + _A73 * p3_{i} + _A74 * p4_{i} + _A75 * p5_{i} + _A76 * p6_{i})"
-_ERROR = "h * (_E1 * p1_{i} + _E3 * p3_{i} + _E4 * p4_{i} + _E5 * p5_{i} + _E6 * p6_{i} + _E7 * p7_{i})"
-_STAGE_TIMES = ("t + _C2 * h", "t + _C3 * h", "t + _C4 * h", "t + _C5 * h", "t + h")
-# The try's scaled error of component {i}: s_{i} is y5's component, e_{i} the
-# error estimate's, and max(|y_{i}|, |s_{i}|) is written out as max would take it.
-_RATIO = "abs(e_{i}) / (abs_tol + rel_tol * (s_abs_{i} if s_abs_{i} > y_abs_{i} else y_abs_{i}))"
+_SOLUTION = "y{i} + {h} * (_A71 * p1{i} + _A73 * p3{i} + _A74 * p4{i} + _A75 * p5{i} + _A76 * p6{i})"
+_ERROR = "{h} * (_E1 * p1{i} + _E3 * p3{i} + _E4 * p4{i} + _E5 * p5{i} + _E6 * p6{i} + _E7 * p7{i})"
+_STAGE_TIMES = ("t + _C2 * h", "t + _C3 * h", "t + _C4 * h", "t + _C5 * h", "t + h")  # t and h: floats or (m,) lanes
+# The scalar try's scaled error of component {i}: s{i} is y5's component, e{i}
+# the error estimate's, and max(|y{i}|, |s{i}|) is written out as max would take it.
+_RATIO = "abs(e{i}) / (abs_tol + rel_tol * (s_abs{i} if s_abs{i} > y_abs{i} else y_abs{i}))"
 
 
 def _step_source(n: int) -> str:
-    """Source of dopri5_step's body and of the step loop's try, both unrolled over n components.
+    """Source of the step loop's try over n components and over lanes, both from the templates above.
 
-    ``step(f, t, y, h, k1)`` returns (y5, err, k7).  ``attempt(f, t, y, h,
-    k1, abs_tol, rel_tol)`` makes the same sums, then returns None where a
-    component of y5 or of the error estimate is not finite, and otherwise
-    (y5, k7, err, y5_norm): err is the scaled error norm max_i |e_i| /
-    (abs_tol + rel_tol * max(|y_i|, |y5_i|)) and y5_norm is max_i |y5_i|,
-    both maxed in component order as max does.
+    ``attempt(f, t, y, h, k1, abs_tol, rel_tol)`` is unrolled over the
+    components.  It returns None where a component of y5 or of the error
+    estimate is not finite, and otherwise (y5, k7, err, y5_norm): err is the
+    scaled error norm max_i |e_i| / (abs_tol + rel_tol * max(|y_i|, |y5_i|))
+    and y5_norm is max_i |y5_i|, both maxed in component order as max does.
+
+    ``attempt_lanes(f, t, y, h, k1, abs_tol, rel_tol)`` makes the same try
+    over lanes t[m], y[m, n], h[m] and k1[m, n], with f(t[m], x[m, n]) a lane
+    form of the field returning (slopes[m, n], ok[m]).  It returns (y5, k7,
+    err, y5_norm, ok): ok[i] is False exactly where attempt on lane i raises
+    EvalError or returns None, and elsewhere lane i of the others is
+    attempt's result bit for bit.
     """
+    def each(template: str) -> list[str]:
+        return [template.format(i=f"_{i}", h="h") for i in range(n)]
+
     def row(template: str) -> str:
-        return "(" + "".join(template.format(i=i) + ", " for i in range(n)) + ")"
+        return "(" + "".join(v + ", " for v in each(template)) + ")"
 
     def names(stage: int) -> str:
-        return "[" + ", ".join(f"p{stage}_{i}" for i in range(n)) + "]"
-
-    def each(template: str) -> list[str]:
-        return [template.format(i=i) for i in range(n)]
+        return "[" + ", ".join(each(f"p{stage}{{i}}")) + "]"
 
     def largest(name: str, template: str) -> list[str]:
         first, *rest = each(template)
         return [f"{name} = {first}"] + [f"if {v} > {name}: {name} = {v}" for v in rest]
 
-    stages = ["[" + ", ".join(f"y_{i}" for i in range(n)) + "] = y", f"{names(1)} = k1"]
+    def lanes(template: str) -> str:
+        return template.format(i="", h="hc")
+
+    attempt = ["[" + ", ".join(each("y{i}")) + "] = y", f"{names(1)} = k1"]
+    attempt_lanes = ["hc = h[:, None]", "p1 = k1"]
     for stage, (time, point) in enumerate(zip(_STAGE_TIMES, _STAGE_POINTS), start=2):
-        stages.append(f"{names(stage)} = f({time}, {row(point)})")
-    step = stages + [f"y5 = {row(_SOLUTION)}", "k7 = f(t + h, y5)", f"{names(7)} = k7",
-                     f"return y5, {row(_ERROR)}, k7"]
-    finite = " and ".join(each("isfinite(s_{i})") + each("isfinite(e_{i})"))
-    attempt = stages + [
-        *each("s_{i} = " + _SOLUTION), f"y5 = {row('s_{i}')}", "k7 = f(t + h, y5)", f"{names(7)} = k7",
-        *each("e_{i} = " + _ERROR), f"if not ({finite}): return None",
-        *each("y_abs_{i} = abs(y_{i})"), *each("s_abs_{i} = abs(s_{i})"), *each("r_{i} = " + _RATIO),
-        *largest("err", "r_{i}"), *largest("y5_norm", "s_abs_{i}"), "return y5, k7, err, y5_norm",
+        attempt.append(f"{names(stage)} = f({time}, {row(point)})")
+        attempt_lanes.append(f"p{stage}, ok{stage} = f({time}, {lanes(point)})")
+    finite = " and ".join(each("isfinite(s{i})") + each("isfinite(e{i})"))
+    attempt += [
+        *each("s{i} = " + _SOLUTION), f"y5 = {row('s{i}')}", "k7 = f(t + h, y5)", f"{names(7)} = k7",
+        *each("e{i} = " + _ERROR), f"if not ({finite}): return None",
+        *each("y_abs{i} = abs(y{i})"), *each("s_abs{i} = abs(s{i})"), *each("r{i} = " + _RATIO),
+        *largest("err", "r{i}"), *largest("y5_norm", "s_abs{i}"), "return y5, k7, err, y5_norm",
     ]
-    return "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body) for head, body in [
-        ("step(f, t, y, h, k1)", step), ("attempt(f, t, y, h, k1, abs_tol, rel_tol)", attempt)])
+    attempt_lanes += [
+        f"s = {lanes(_SOLUTION)}", "p7, ok7 = f(t + h, s)", f"e = {lanes(_ERROR)}",
+        "ok = ok2 & ok3 & ok4 & ok5 & ok6 & ok7 & np.isfinite(s).all(axis=1) & np.isfinite(e).all(axis=1)",
+        "s_abs = np.abs(s)",
+        "err = (np.abs(e) / (abs_tol + rel_tol * np.maximum(np.abs(y), s_abs))).max(axis=1)",
+        "return s, p7, err, s_abs.max(axis=1), ok",
+    ]
+    head = "(f, t, y, h, k1, abs_tol, rel_tol)"
+    return "".join(f"def {name}{head}:\n" + "".join(f"    {line}\n" for line in body) for name, body in [
+        ("attempt", attempt), ("attempt_lanes", attempt_lanes)])
 
 
 @functools.cache
 def _step(n: int):
-    """(step, attempt): the compiled functions of _step_source(n); they read the tableau from this module."""
+    """(attempt, attempt_lanes): the compiled tries of _step_source(n); they read the tableau from this module.
+
+    This is the one place the step loops take their tries from: _drive binds
+    attempt and _drive_lanes attempt_lanes, once per call.
+    """
     namespace = {}
     exec(compile(_step_source(n), "<flowfam dopri5 step>", "exec"), globals(), namespace)
-    return namespace["step"], namespace["attempt"]
-
-
-def dopri5_step(f, t: float, y: tuple, h: float, k1: tuple | None = None):
-    """One Dormand-Prince step of size h from (t, y).
-
-    Returns (y5, err, k_last): the 5th-order solution, the embedded error
-    estimate (difference of the 5th- and 4th-order solutions, an O(h^5)
-    quantity), and the slope at (t+h, y5) for reuse as the next k1.  The
-    step is a straight-line function generated once per dimension: every
-    component is summed left to right in the tableau's order, in plain
-    float arithmetic.
-    """
-    if k1 is None:
-        k1 = f(t, y)
-    return _step(len(y))[0](f, t, y, h, k1)
+    return namespace["attempt"], namespace["attempt_lanes"]
 
 
 def _first_try(field: VectorField, rho: float, a: tuple, target: float, cfg: IntegratorConfig, k1=None):
@@ -253,15 +260,14 @@ def _first_try(field: VectorField, rho: float, a: tuple, target: float, cfg: Int
 def _integrate(field: VectorField, rho: float, a: tuple, tau: float, cfg: IntegratorConfig, refine: bool) -> tuple:
     """Drive (rho, a) to time tau; raises EscapeEvent when the solution quits first.
 
-    A start where the field cannot be evaluated raises ValueError.
+    A start where the field cannot be evaluated raises ValueError, caused by
+    the EvalError, on the diagonal too.
     """
-    if tau == rho:
-        return a
     try:
         state = _first_try(field, rho, a, tau, cfg)
     except ex.EvalError as err:
-        raise ValueError(f"field cannot be evaluated at the initial condition ({rho}, {list(a)}): {err}") from None
-    return _drive(field, tau, cfg, refine, state)
+        raise ValueError(f"field cannot be evaluated at the initial condition ({rho}, {list(a)}): {err}") from err
+    return a if tau == rho else _drive(field, tau, cfg, refine, state)
 
 
 def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, state, record=None):
@@ -273,7 +279,7 @@ def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, 
     then returns None.
     """
     t, h, steps, y, k1 = state
-    attempt, slope, contains = _step(len(y))[1], field.slope, field.domain.contains
+    attempt, slope, contains = _step(len(y))[0], field.slope, field.domain.contains
     abs_tol, rel_tol, h_min, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.max_steps
     blowup_radius = cfg.blowup_radius
     while True:
@@ -338,41 +344,20 @@ def _bisect_escape(field: VectorField, t_good: float, y_good: tuple, t_bad: floa
     return 0.5 * (t_good + t_bad), kind
 
 
-def dopri5_lanes(f, t: np.ndarray, y: np.ndarray, h: np.ndarray, k1: np.ndarray):
-    """dopri5_step over lanes t[m], y[m, n], h[m] and k1[m, n]: (y5, err, k_last, ok).
-
-    f(t[m], x[m, n]) returns (slopes[m, n], ok[m]), a lane form of the
-    field.  Each stage sum is a chain of elementwise ufuncs in dopri5_step's
-    order, each rounding once, so lane i equals dopri5_step on lane i bit
-    for bit wherever ok[i]; ok[i] is False exactly where that call raises
-    EvalError or returns a y5 or err that is not finite.
-    """
-    hc = h[:, None]
-    k2, ok2 = f(t + _C2 * h, y + hc * (_A21 * k1))
-    k3, ok3 = f(t + _C3 * h, y + hc * (_A31 * k1 + _A32 * k2))
-    k4, ok4 = f(t + _C4 * h, y + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5, ok5 = f(t + _C5 * h, y + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6, ok6 = f(t + h, y + hc * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-    y5 = y + hc * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
-    k7, ok7 = f(t + h, y5)
-    err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-    ok = ok2 & ok3 & ok4 & ok5 & ok6 & ok7 & np.isfinite(y5).all(axis=1) & np.isfinite(err).all(axis=1)
-    return y5, err, k7, ok
-
-
 def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, state, record=None):
     """_drive over lanes: lane i runs the step loop from state i toward target[i], all lanes in step.
 
     state is (t[m], h[m], steps[m], y[m, n], k1[m, n]).  Each try is one
-    dopri5_lanes call over the running lanes, then _drive's step control in
-    elementwise form; the step factor takes Python's float ** lane by lane,
-    since numpy's power rounds differently.  So every lane makes the tries
-    _drive makes and ends as it does.  record, when given, sees (lanes, t,
-    h, steps, y, k1) before each try, and a lane then ends before the first
-    try whose step reaches its target, as _drive does with a record hook
-    that returns True there.  Once at most _TAIL_LANES lanes run, numpy's
-    per-call cost outweighs the work and they stop in place; this is the
-    one place that chooses between numpy and the scalar loop.
+    call of the lane try from _step over the running lanes and field.lanes,
+    rendered from the templates of _drive's try, then _drive's step control
+    in elementwise form; the step factor takes Python's float ** lane by
+    lane, since numpy's power rounds differently.  So every lane makes the
+    tries _drive makes and ends as it does.  record, when given, sees
+    (lanes, t, h, steps, y, k1) before each try, and a lane then ends before
+    the first try whose step reaches its target, as _drive does with a
+    record hook that returns True there.  Once at most _TAIL_LANES lanes
+    run, numpy's per-call cost outweighs the work and they stop in place;
+    this is the one place that chooses between numpy and the scalar loop.
 
     Returns (landed, values, ends, tail): landed[i] where lane i landed on
     its target, values[i] its state there; ends maps a lane that escaped to
@@ -381,7 +366,7 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
     _drive resumes them from.
     """
     t, h, steps, y, k1 = state
-    lanes = np.arange(len(t))
+    attempt_lanes, lanes = _step(field.n)[1], np.arange(len(t))
     landed, values, ends = np.zeros(len(t), dtype=bool), np.full(y.shape, math.nan), {}
     with np.errstate(all="ignore"):  # a failed lane carries inf or nan through its stages
         while True:
@@ -401,16 +386,14 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
                 lanes, t, h, steps, y, k1, target, last = _keep(~over, lanes, t, h, steps, y, k1, target, last)
             if record is None:
                 h = np.where(last, target - t, h)
-            y_new, err_vec, k_last, ok = dopri5_lanes(field.lanes, t, y, h, k1)
-            err = (np.abs(err_vec) / (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))).max(axis=1)
-            err = np.where(ok, err, 1.0)
+            y_new, k_last, err, y_norm, ok = attempt_lanes(field.lanes, t, y, h, k1, cfg.abs_tol, cfg.rel_tol)
             accepted = ok & (err <= 1.0)
             t_new = np.where(last, target, t + h)
             # a failed stage halves h; otherwise h takes _drive's factor, in Python floats lane by lane
             h = h * np.array([0.5 if not k else _FACTOR_MAX if e == 0.0 else
                               min(_FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * e ** -0.2))
                               for k, e in zip(ok.tolist(), err.tolist())])
-            blow_up = np.abs(y_new).max(axis=1) > cfg.blowup_radius
+            blow_up = y_norm > cfg.blowup_radius
             escaped = accepted & (blow_up | ~field.domain.contains_lanes(t_new, y_new))
             underflow = ~accepted & (np.abs(h) < cfg.h_min)
             for k in _where(escaped):
@@ -715,17 +698,16 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
         if not field.domain.contains(sigma, y):
             raise DomainViolation("out_of_domain", f"({sigma}, {a}) outside the field domain")
         try:
-            state = _first_try(field, sigma, y, tau, cfg)  # the field must evaluate at the start, on the diagonal too
-            return y if tau == sigma else _drive(field, tau, cfg, False, state)
+            return _integrate(field, sigma, y, tau, cfg, refine=False)
         except EscapeEvent as ev:
             raise DomainViolation(
                 "out_of_domain", f"trajectory escapes at t={ev.time} ({ev.kind})"
             ) from None
         except StepBudgetExceeded as err:
             raise DomainViolation("out_of_domain", str(err)) from None
-        except ex.EvalError as err:  # the slope at the start; the step loop handles its own
+        except ValueError as err:  # the slope at the start; the step loop handles its own
             raise DomainViolation(
-                "out_of_domain", f"field cannot be evaluated at ({sigma}, {a}): {err}"
+                "out_of_domain", f"field cannot be evaluated at ({sigma}, {a}): {err.__cause__}"
             ) from None
 
     def batch_evaluator(tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):

@@ -391,9 +391,13 @@ def _window_average(group, center: float, eps: float, panels: int) -> AffineMap:
 
     The group must be affine at the window's ends and center, which are
     probed in one batch; the nodes are probed in another, and their A and b
-    are averaged side by side.
+    are averaged side by side.  A window whose width hi - lo is not a
+    positive finite float, since it overflows or rounds away next to
+    center, raises ValueError before any probe.
     """
     lo, hi = center - eps, center + eps
+    if not 0.0 < hi - lo < math.inf:
+        raise ValueError(f"averaging window [{lo!r}, {hi!r}] has no positive finite width")
     batch, ends = group.family.evaluate_batch, np.array([lo, center, hi])
     gaps = affine_defect(batch, ends, np.zeros(3), *probe_affine(batch, ends, np.zeros(3), group.n))
     for beta, gap in zip(ends, gaps):

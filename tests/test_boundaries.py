@@ -17,11 +17,15 @@ lane function names numpy or binds them.
 
 The integrator's scalar step loop makes no numpy call: it runs on tuples of
 floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
-The step and the try it generates per dimension name no numpy either.
+The scalar try it generates per dimension names no numpy either.  The
+DOPRI5 tableau is read only by the generated tries: no function of
+``integrate`` names a coefficient, so the sums are written once, in the
+templates both tries are rendered from.
 
 Source text is compiled in two places only: ``expr._generate`` (one
 straight-line function per expression tuple, over floats or over lanes) and
-``integrate._step`` (one DOPRI5 step and the step loop's try per dimension).
+``integrate._step`` (the step loop's try per dimension, over floats and
+over lanes).
 
 A numeric family has one batch path: the integrator tests no field's type
 or attributes, and only ``_drive_lanes`` reads ``_TAIL_LANES``, the lane
@@ -35,6 +39,7 @@ resident.
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -111,10 +116,12 @@ def _lane_unsafe_numpy(path: Path) -> list[str]:
 # the scalar step loop runs on tuples of floats: numpy there brings back
 # per-call dispatch on tiny arrays, and BLAS products whose fused
 # multiply-adds make results depend on the machine
-_STEP_LOOP = {"dopri5_step", "_step", "_step_source", "_drive", "_first_try", "_integrate", "_bisect_escape",
+_STEP_LOOP = {"_step", "_step_source", "_drive", "_first_try", "_integrate", "_bisect_escape",
               "_Trajectory"}
-# the functions _step_source generates: dopri5_step's body and the step loop's try
-_GENERATED_STEP = {"step", "attempt"}
+# the functions _step_source generates over floats: the step loop's try; its lane try is attempt_lanes
+_GENERATED_STEP = {"attempt"}
+# the names of the DOPRI5 tableau's coefficients: _A21.._A76, _E1.._E7, _C2.._C5
+_TABLEAU = re.compile(r"_(A\d\d|E\d|C\d)")
 
 
 def _numpy_in_step_loop(path: Path) -> list[str]:
@@ -330,9 +337,44 @@ def test_detector_sees_numpy_in_the_step_loop(tmp_path):
 
 def test_generated_step_uses_no_numpy():
     for n in (1, 2, 3, 4):
-        source = integrate._step_source(n)
-        assert {node.name for node in ast.parse(source).body} == _GENERATED_STEP  # a rename must not empty the check
-        assert _numpy_in_source(source) == []
+        defined = {node.name: node for node in ast.parse(integrate._step_source(n)).body}
+        assert set(defined) == _GENERATED_STEP | {"attempt_lanes"}  # a rename must not empty the check
+        for name in _GENERATED_STEP:
+            assert _numpy_in_source(ast.unparse(defined[name])) == []
+
+
+def _tableau_readers(path: Path) -> list[str]:
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and _TABLEAU.fullmatch(node.id):
+                found.append(f"{path.name}:{node.lineno} {top.name} names {node.id}")
+    return found
+
+
+def test_only_the_generated_tries_read_the_tableau():
+    path = PACKAGE / "integrate.py"
+    assert {"_A21", "_E7", "_C5"} <= set(vars(integrate))  # a rename must not empty the check
+    assert _tableau_readers(path) == []
+
+
+def test_detector_sees_a_tableau_coefficient_in_a_function(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "_A21, _E1, _C2 = 1 / 5, 71 / 57600, 1 / 5\n"
+        "_SUM = 'y{i} + {h} * (_A21 * p1{i})'\n"
+        "def lanes(f, t, y, h, k1):\n"
+        "    return f(t + _C2 * h, y + h * (_A21 * k1)), _A210, _E\n"
+        "class Step:\n"
+        "    error = _E1\n"
+    )
+    assert _tableau_readers(probe) == [
+        "probe.py:4 lanes names _C2",
+        "probe.py:4 lanes names _A21",
+        "probe.py:6 Step names _E1",
+    ]
 
 
 def test_detector_sees_numpy_in_generated_source():

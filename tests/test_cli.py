@@ -763,6 +763,24 @@ def test_mollify_rejects_nonautonomous(tmp_path, capsys):
     assert recs[1]["kind"] == "error"
 
 
+@pytest.mark.parametrize(
+    "argv,window",
+    [
+        (["--eps", "1e308"], "[-1e+308, 1e+308]"),  # hi - lo overflows
+        (["--eps", "0.25", "--alpha=1e16"], "[1e+16, 1e+16]"),  # alpha +- eps rounds to alpha
+    ],
+    ids=["width-overflows", "width-rounds-to-zero"],
+)
+def test_mollify_window_without_usable_width_is_an_error_record(tmp_path, capsys, argv, window):
+    cfg = write_config(tmp_path, {"system": {"catalog": "rotation"}})
+    code = main(["mollify", "--config", cfg, *argv, "--no-timestamp"])
+    out, err = capsys.readouterr()
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert code == 2 and err == ""
+    assert [r["kind"] for r in recs] == ["meta", "error"]
+    assert recs[1]["message"] == f"averaging window {window} has no positive finite width"
+
+
 def test_mollify_smoothing_check_makes_no_scalar_query(tmp_path, capsys, monkeypatch):
     from flowfam.core import FlowFamily
 

@@ -20,7 +20,6 @@ from flowfam.integrate import (
     IntegratorConfig,
     StepBudgetExceeded,
     advance,
-    dopri5_step,
     escape_interval,
     numeric_family,
 )
@@ -102,22 +101,24 @@ def test_config_window_may_be_any_pair_of_finite_numbers():
 def test_embedded_error_is_order_five(riccati_field, t, a, h):
     # the embedded estimate scales like h^5, so halving h divides it by ~32
     y = np.array([a])
-    _, e_full, _ = dopri5_step(riccati_field, t, y, h)
-    _, e_half, _ = dopri5_step(riccati_field, t, y, h / 2)
+    _, e_full, _ = scalar.dopri5_step(riccati_field, t, y, h)
+    _, e_half, _ = scalar.dopri5_step(riccati_field, t, y, h / 2)
     ratio = abs(e_full[0]) / abs(e_half[0])
     assert 24.0 <= ratio <= 40.0
 
 
 def test_fsal_slope_reusable(riccati_field):
-    y = np.array([0.5])
-    y1, _, k_last = dopri5_step(riccati_field, 0.0, y, 0.1)
-    assert np.allclose(k_last, riccati_field(0.1, y1))
+    y = (0.5,)
+    y1, k_last, _, _ = integrate._step(1)[0](riccati_field.slope, 0.0, y, 0.1, riccati_field.slope(0.0, y),
+                                             CFG.abs_tol, CFG.rel_tol)
+    assert k_last == riccati_field.slope(0.1, y1)
 
 
-# float.hex of (y5, err, k_last) for one step from fixed inputs.  The step sums
-# each stage left to right in plain float arithmetic, so these are the same on
-# every IEEE-double machine; a BLAS product that fuses multiply-adds moves the
-# error estimate's last bits.
+# float.hex of (y5, err, k_last) for one step from fixed inputs, taken by the
+# reference step; the generated try's y5 and k_last are the same.  The step
+# sums each stage left to right in plain float arithmetic, so these are the
+# same on every IEEE-double machine; a BLAS product that fuses multiply-adds
+# moves the error estimate's last bits.
 STEP_PINS = [
     (["x1^2"], 0.0, (0.5,), 0.1, [
         ["0x1.0d79435e4cf5bp-1"], ["-0x1.c0e0688accccdp-30"], ["0x1.1ba81104ee9b9p-2"],
@@ -133,28 +134,19 @@ STEP_PINS = [
 @pytest.mark.parametrize("rhs,t,y,h,pinned", STEP_PINS, ids=["riccati", "rotation"])
 def test_step_pinned_bit_for_bit(rhs, t, y, h, pinned):
     field = VectorField.from_strings(rhs, DomainSpec(len(rhs)))
-    parts = dopri5_step(field, t, y, h)
+    parts = scalar.dopri5_step(field, t, y, h)
     assert all(type(part) is tuple and all(type(v) is float for v in part) for part in parts)
     assert [[v.hex() for v in part] for part in parts] == pinned
     # the FSAL slope given back as k1 takes the same step
-    assert dopri5_step(field, t, y, h, field(t, y)) == parts
+    assert scalar.dopri5_step(field, t, y, h, field(t, y)) == parts
+    y5, k7, _, _ = integrate._step(len(rhs))[0](field.slope, t, y, h, field.slope(t, y), CFG.abs_tol, CFG.rel_tol)
+    assert all(type(v) is float for v in y5 + k7)
+    assert [[v.hex() for v in part] for part in (y5, k7)] == [pinned[0], pinned[2]]
 
 
-def _hex(parts):
-    return [[v.hex() for v in part] for part in parts]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_generated_step_is_the_reference_step_bit_for_bit(n):
-    # every component couples to the next one, through the generated rhs
-    rhs = [f"sin(t*x{i % n + 1}) - x{i + 1}^2/3 + {i}*x{(i + 1) % n + 1}" for i in range(n)]
-    field = VectorField.from_strings(rhs, DomainSpec(n))
-    rng = random.Random(n)
-    for draw in range(200):
-        t, h = rng.uniform(-2.0, 2.0), rng.uniform(-0.4, 0.4)
-        y = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
-        k1 = None if draw % 2 else tuple(rng.uniform(-3.0, 3.0) for _ in range(n))
-        assert _hex(dopri5_step(field, t, y, h, k1)) == _hex(scalar.dopri5_step(field, t, y, h, k1))
+def _hexed(tried):
+    """float.hex of a try's (y5, k7, err, y5_norm)."""
+    return [[v.hex() for v in part] for part in tried[:2]] + [v.hex() for v in tried[2:]]
 
 
 def _tried(attempt, f, t, y, h, k1, abs_tol, rel_tol):
@@ -163,7 +155,7 @@ def _tried(attempt, f, t, y, h, k1, abs_tol, rel_tol):
         got = attempt(f, t, y, h, k1, abs_tol, rel_tol)
     except EvalError as err:
         return err
-    return None if got is None else [[v.hex() for v in part] for part in got[:2]] + [v.hex() for v in got[2:]]
+    return None if got is None else _hexed(got)
 
 
 def _wild_slope(n, rng):
@@ -181,13 +173,18 @@ def _wild_slope(n, rng):
     return f
 
 
+def _coupled_field(n):
+    """A field whose every component couples to the next one, with sqrt walls the stages may cross."""
+    rhs = [f"sin(t*x{i % n + 1}) - x{i + 1}^2/3 + {i}*x{(i + 1) % n + 1} + sqrt(x{i + 1} + 1.4)" for i in range(n)]
+    return VectorField.from_strings(rhs, DomainSpec(n))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_generated_try_is_the_reference_try_bit_for_bit(n):
     # the try is the step, its finite checks, the scaled error norm and the blow-up norm,
     # each as the reference writes it; it is None exactly where a stage is not finite
-    rhs = [f"sin(t*x{i % n + 1}) - x{i + 1}^2/3 + {i}*x{(i + 1) % n + 1} + sqrt(x{i + 1} + 1.4)" for i in range(n)]
-    field = VectorField.from_strings(rhs, DomainSpec(n))
-    attempt = integrate._step(n)[1]
+    field = _coupled_field(n)
+    attempt = integrate._step(n)[0]
     rng = random.Random(100 + n)
     seen = set()
     for draw in range(400):
@@ -209,6 +206,102 @@ def test_generated_try_is_the_reference_try_bit_for_bit(n):
     assert seen == {"raises", "not finite", "tried"}
 
 
+def _lane_form(slopes):
+    """The lane form of one scalar slope function per lane: (slopes[m, n], ok[m]), ok False where one raises.
+
+    A failed lane's slopes are 0.0: a lane form promises nothing there, so only ok may mark the lane.
+    """
+    def lanes(t, x):
+        values, ok = np.zeros(x.shape), np.ones(len(t), dtype=bool)
+        for i, (f, t_i, x_i) in enumerate(zip(slopes, t.tolist(), x.tolist())):
+            try:
+                values[i] = f(t_i, tuple(x_i))
+            except EvalError:
+                ok[i] = False
+        return values, ok
+
+    return lanes
+
+
+def _lane(tried, i):
+    """Lane i of a lane try's (y5, k7, err, y5_norm) as the scalar try returns them."""
+    y5, k7, err, y5_norm = tried
+    return tuple(y5[i].tolist()), tuple(k7[i].tolist()), float(err[i]), float(y5_norm[i])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generated_lane_try_is_the_reference_try_lane_by_lane(n):
+    # ok is False exactly where the reference try raises or returns None; every other lane
+    # gives the reference's (y5, k7, err, y5_norm) bit for bit.  Lanes of a batch share the
+    # tolerances, and each has its own slope function, raising, infinite or overflowing.
+    field = _coupled_field(n)
+    attempt_lanes = integrate._step(n)[1]
+    rng = random.Random(200 + n)
+    seen = set()
+    for _ in range(10):
+        abs_tol, rel_tol = 10.0 ** -rng.uniform(6, 14), 10.0 ** -rng.uniform(6, 12)
+        slopes, rows = [], []
+        for draw in range(40):
+            f = field.slope if draw % 2 else _wild_slope(n, rng)
+            t, h = rng.uniform(-2.0, 2.0), rng.uniform(-0.4, 0.4) * 10.0 ** -rng.randrange(4)
+            y = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
+            try:
+                rows.append((t, y, h, f(t, y)))
+                slopes.append(f)
+            except EvalError:
+                continue
+        t, y, h, k1 = (np.array(col, dtype=float) for col in zip(*rows))
+        with np.errstate(all="ignore"):
+            *got, ok = attempt_lanes(_lane_form(slopes), t, y, h, k1, abs_tol, rel_tol)
+        m = len(rows)
+        assert [part.shape for part in (*got, ok)] == [(m, n), (m, n), (m,), (m,), (m,)] and ok.dtype == bool
+        for i, (f, row) in enumerate(zip(slopes, rows)):
+            want = _tried(scalar.attempt, f, *row, abs_tol, rel_tol)
+            assert bool(ok[i]) == isinstance(want, list)
+            if ok[i]:
+                assert _hexed(_lane(got, i)) == want
+            seen.add("raises" if isinstance(want, EvalError) else "not finite" if want is None else "tried")
+    assert seen == {"raises", "not finite", "tried"}
+
+
+def _failing_at(stage, failure):
+    """x -> x*x, except that the stage-th call (k1's is the first) raises EvalError or returns inf."""
+    calls = []
+
+    def f(t, x):
+        calls.append(t)
+        if len(calls) != stage:
+            return tuple(v * v for v in x)
+        if failure == "raises":
+            raise EvalError("domain", "sqrt of negative value")
+        return (math.inf,) * len(x)
+
+    return f
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_generated_lane_try_marks_a_lane_that_fails_at_one_stage_only(n):
+    # each lane but the last fails at one stage alone, by an EvalError or an infinite slope, or its
+    # y5 alone overflows (a constant slope keeps the error estimate finite); its other slopes are
+    # finite, so only that stage's ok flag or finite check can mark it, as the reference try fails
+    makers = [(lambda stage=stage, failure=failure: _failing_at(stage, failure), (0.25,) * n)
+              for stage in range(2, 8) for failure in ("raises", "inf")]
+    makers.append((lambda: lambda t, x: (1e300,) * n, (1.7976931348623157e308,) * n))
+    makers.append((lambda: _failing_at(0, ""), (0.25,) * n))
+    slopes = [make() for make, _ in makers]
+    rows = [(0.5, y, 0.1, f(0.5, y)) for f, (_, y) in zip(slopes, makers)]  # k1 is each slope's first call
+    t, y, h, k1 = (np.array(col, dtype=float) for col in zip(*rows))
+    with np.errstate(all="ignore"):
+        *got, ok = integrate._step(n)[1](_lane_form(slopes), t, y, h, k1, CFG.abs_tol, CFG.rel_tol)
+    assert ok.tolist() == [False] * (len(makers) - 1) + [True]
+    wants = []
+    for make, y0 in makers:
+        f = make()
+        wants.append(_tried(scalar.attempt, f, 0.5, y0, 0.1, f(0.5, y0), CFG.abs_tol, CFG.rel_tol))
+    assert [isinstance(want, list) for want in wants] == ok.tolist()
+    assert _hexed(_lane(got, -1)) == wants[-1]
+
+
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("stage", range(1, 8))
 def test_an_eval_error_in_any_stage_propagates_unchanged(n, stage):
@@ -221,7 +314,10 @@ def test_an_eval_error_in_any_stage_propagates_unchanged(n, stage):
             raise failure
         return tuple(v * v for v in x)
 
-    for step in (dopri5_step, scalar.dopri5_step):
+    def generated(f, t, y, h):  # the try takes k1, the first of the step's seven slopes
+        return integrate._step(n)[0](f, t, y, h, f(t, y), CFG.abs_tol, CFG.rel_tol)
+
+    for step in (generated, scalar.dopri5_step):
         calls.clear()
         with pytest.raises(EvalError) as exc:
             step(field, 0.5, (0.25,) * n, 0.1)
@@ -238,6 +334,16 @@ def test_advance_riccati_oracle(riccati_field):
 def test_advance_zero_length_exact(riccati_field):
     got = advance(riccati_field, 0.0, [0.5], 0.0, CFG)
     assert got[0] == 0.5
+
+
+def test_advance_on_the_diagonal_needs_an_evaluable_start():
+    # sqrt(2 - t) has no value at t = 3: a zero-length request from there fails as a longer one does
+    field = VectorField.from_strings(["sqrt(2 - t)"], DomainSpec(1))
+    for tau in (3.0, 3.5):
+        with pytest.raises(ValueError, match=r"^field cannot be evaluated at the initial condition \(3.0, \[1.0\]\)"):
+            advance(field, 3.0, [1.0], tau, CFG)
+    assert not numeric_family(field, CFG).in_domain(3.0, 3.0, [1.0])
+    assert advance(field, 1.0, [1.0], 1.0, CFG).tolist() == [1.0]
 
 
 def test_advance_backward(riccati_field):
@@ -439,55 +545,61 @@ def test_unevaluable_start_is_out_of_domain_on_the_diagonal_too():
 
 # --- trajectory cache ------------------------------------------------------------
 
-STEP, DOPRI5_LANES = integrate._step, integrate.dopri5_lanes
+STEP = integrate._step
 
 
 @contextlib.contextmanager
 def uncounted():
     """Tries made inside are not counted by count_steps."""
-    counted = integrate._step, integrate.dopri5_lanes
-    integrate._step, integrate.dopri5_lanes = STEP, DOPRI5_LANES
+    counted = integrate._step
+    integrate._step = STEP
     try:
         yield
     finally:
-        integrate._step, integrate.dopri5_lanes = counted
+        integrate._step = counted
 
 
-def spy_on_tries(monkeypatch, spy):
-    """Call spy(f, t, y, h) before every try of the scalar loop from here on.
+def _nothing(*args):
+    pass
 
-    The loop takes its try from the factory integrate._step once per call,
-    so the spy wraps each try the factory hands out.
+
+def spy_on_tries(monkeypatch, spy=_nothing, spy_lanes=_nothing):
+    """Call spy(f, t, y, h) before every try of the scalar loop from here on, and
+    spy_lanes(f, t, y, h) before every try over lanes.
+
+    Both loops take their tries from the factory integrate._step once per
+    call, so the spies wrap the pair of tries the factory hands out.
     """
     factory = integrate._step
 
     def spied_factory(n):
-        step, attempt = factory(n)
+        attempt, attempt_lanes = factory(n)
 
         def spied(f, t, y, h, *rest):
             spy(f, t, y, h)
             return attempt(f, t, y, h, *rest)
 
-        return step, spied
+        def spied_lanes(f, t, y, h, *rest):
+            spy_lanes(f, t, y, h)
+            return attempt_lanes(f, t, y, h, *rest)
+
+        return spied, spied_lanes
 
     monkeypatch.setattr(integrate, "_step", spied_factory)
 
 
 def count_steps(monkeypatch):
     """Count DP5 tries from here on, one per try of the scalar loop and one per lane of a
-    dopri5_lanes call; returns the reader."""
+    try over lanes; returns the reader."""
     calls = [0]
-    lanes = integrate.dopri5_lanes
 
-    def counted(*args):
+    def counted(f, t, y, h):
         calls[0] += 1
 
-    def counted_lanes(f, t, *args):
+    def counted_lanes(f, t, y, h):
         calls[0] += len(t)
-        return lanes(f, t, *args)
 
-    spy_on_tries(monkeypatch, counted)
-    monkeypatch.setattr(integrate, "dopri5_lanes", counted_lanes)
+    spy_on_tries(monkeypatch, counted, counted_lanes)
     return lambda: calls[0]
 
 
@@ -857,7 +969,7 @@ def test_small_batches_never_step_in_lanes(monkeypatch, count):
     field, cfg, data = lane_family("riccati-wall")
     tau, sigma, a = (col[:count] for col in data)
     want = grouped_loop(numeric_family(field, cfg), tau, sigma, a)
-    monkeypatch.setattr(integrate, "dopri5_lanes", refuse)
+    spy_on_tries(monkeypatch, spy_lanes=refuse)
     assert_batch_is(want, *numeric_family(field, cfg).evaluate_batch(tau, sigma, a))
 
 
@@ -887,7 +999,6 @@ def test_lanes_and_their_scalar_tail_crawl_at_h_min_and_underflow_as_the_scalar_
     field = VectorField.from_strings(["x1^2"], DomainSpec(1))
     cfg = IntegratorConfig(window=(-3.0, 3.0), h_init=1e-2, h_min=2e-3, blowup_radius=1e3)
     _, _, (tau, sigma, a) = lane_family("riccati-wall")
-    lanes = integrate.dopri5_lanes
     drive, drive_lanes = integrate._drive, integrate._drive_lanes
     seen = set()
 
@@ -895,10 +1006,9 @@ def test_lanes_and_their_scalar_tail_crawl_at_h_min_and_underflow_as_the_scalar_
         if abs(h) == cfg.h_min:
             seen.add("scalar crawl")
 
-    def crawling_lanes(f, t, y, h, k1):
+    def crawling_lanes(f, t, y, h):
         if (np.abs(h) == cfg.h_min).any():
             seen.add("lane crawl")
-        return lanes(f, t, y, h, k1)
 
     def escaping(*args):
         try:
@@ -912,8 +1022,8 @@ def test_lanes_and_their_scalar_tail_crawl_at_h_min_and_underflow_as_the_scalar_
         seen.update(f"lane {end[0]}" for end in ends.values())
         return landed, values, ends, tail
 
-    spy_on_tries(monkeypatch, crawling_step)
-    for name, spy in [("dopri5_lanes", crawling_lanes), ("_drive", escaping), ("_drive_lanes", escaping_lanes)]:
+    spy_on_tries(monkeypatch, crawling_step, crawling_lanes)
+    for name, spy in [("_drive", escaping), ("_drive_lanes", escaping_lanes)]:
         monkeypatch.setattr(integrate, name, spy)
     steps = count_steps(monkeypatch)
     want = grouped_loop(numeric_family(field, cfg), tau, sigma, a)
