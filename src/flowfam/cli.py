@@ -30,7 +30,7 @@ from .autonomous import NotAutonomous, check_group_law, check_time_shift, group_
 from .core import DomainSpec, DomainViolation, FlowFamily, VectorField
 from .core import closed_form_family, scaled_tol
 from .integrate import IntegratorConfig, StepBudgetExceeded, escape_interval, numeric_family
-from .linear import NotAffine, NotInvertible, SingularWronskian, mollify, sincov_decompose, smooth_apply
+from .linear import MAX_PANELS, NotAffine, NotInvertible, SingularWronskian, mollify, sincov_decompose, smooth_apply
 from .reconstruct import ReconstructionConfig, ReconstructionFailed, field_from_family, field_gap
 from .verify import Accumulator, ConditionReport, SamplePlan, SuiteTolerances, default_plan, run_suite
 
@@ -265,7 +265,7 @@ def _number(cast, expected: str, ok=math.isfinite):
 _real = _number(float, "a finite real")
 _positive = _number(float, "a positive finite real", lambda v: 0 < v < math.inf)
 _seed = _number(int, "an integer in [0, 2^64)", lambda v: 0 <= v < 2**64)
-_panels = _number(int, "an even integer >= 2", lambda v: v >= 2 and v % 2 == 0)
+_panels = _number(int, "an even integer in [2, 2^16]", lambda v: 2 <= v <= MAX_PANELS and v % 2 == 0)
 
 
 def _parse_state(text: str) -> list:
@@ -512,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mollify", help="window-average an affine group")
     common(p)
     p.add_argument("--eps", type=_positive, required=True, help="window half-width")
-    p.add_argument("--panels", type=_panels, default=256, help="Simpson panel count (even)")
+    p.add_argument("--panels", type=_panels, default=256, help="Simpson panel count (even, at most 2^16)")
     p.add_argument("--alpha", type=_parse_state, default=[], help="parameters for the smoothing check")
 
     return parser

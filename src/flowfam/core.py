@@ -395,6 +395,3 @@ class EscapeInterval:
             raise ValueError("infinite lower endpoint must have kind 'unbounded'")
         if math.isinf(self.upper) and self.upper_kind != "unbounded":
             raise ValueError("infinite upper endpoint must have kind 'unbounded'")
-
-    def contains(self, tau: float) -> bool:
-        return self.lower < tau < self.upper

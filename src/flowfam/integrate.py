@@ -35,9 +35,11 @@ A numeric family keeps a bounded cache of the step loop's tries per Cauchy
 datum (sigma, a) and direction, which serves its batches only: a batch
 replays only the tries from the first one that reaches each tau, in two
 phases.  One lane per datum runs the tries that no record reaches far
-enough yet, then one lane per query runs from its reaching try to tau.
-Once 16 or fewer lanes of either phase run, they finish in the scalar loop,
-so a small batch makes all its tries there.  Point queries, advance and
+enough yet, its record hook (record(i, row, steps) -> stop, row the list
+[t, h, *y, *k1] before a try) keeping them, then one lane per query runs
+from its reaching try to tau.  Once 16 or fewer lanes of either phase run,
+the lane loop finishes each in the scalar loop with the same hook, so a
+small batch makes all its tries there.  Point queries, advance and
 escape_interval integrate directly and never touch the cache.  That cache
 is mutable state: a numeric family is not thread-safe, and nothing in
 flowfam evaluates concurrently.
@@ -274,16 +276,17 @@ def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, 
     """The step loop: make tries from state (t, h, steps, y, k1) until one lands on tau.
 
     A try's step is clipped at tau when |h| >= |tau - t|.  Each try is one
-    call of the generated attempt over field.slope.  record, when given,
-    sees the state before each try; returning True ends the loop, which
-    then returns None.
+    call of the generated attempt over field.slope.  record, when given, is
+    called as record(row, steps) before each try, with row the list of
+    floats [t, h, *y, *k1] and steps the tries made; returning True ends
+    the loop, which then returns None.
     """
     t, h, steps, y, k1 = state
     attempt, slope, contains = _step(len(y))[0], field.slope, field.domain.contains
     abs_tol, rel_tol, h_min, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.max_steps
     blowup_radius = cfg.blowup_radius
     while True:
-        if record is not None and record(t, h, steps, y, k1):
+        if record is not None and record([t, h, *y, *k1], steps):
             return None
         steps += 1
         if steps > max_steps:
@@ -352,40 +355,38 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
     rendered from the templates of _drive's try, then _drive's step control
     in elementwise form; the step factor takes Python's float ** lane by
     lane, since numpy's power rounds differently.  So every lane makes the
-    tries _drive makes and ends as it does.  record, when given, sees
-    (lanes, t, h, steps, y, k1) before each try, and a lane then ends before
-    the first try whose step reaches its target, as _drive does with a
-    record hook that returns True there.  Once at most _TAIL_LANES lanes
-    run, numpy's per-call cost outweighs the work and they stop in place;
-    this is the one place that chooses between numpy and the scalar loop.
+    tries _drive makes and ends as it does.  record, when given, is _drive's
+    hook for lane i as record(i, row, steps), called once per running lane
+    per try; a lane whose hook returns True ends there.  Once at most
+    _TAIL_LANES lanes run, numpy's per-call cost outweighs the work, and
+    each runs on in _drive with its hook to its end: this is the one place
+    that chooses between numpy and the scalar loop.
 
-    Returns (landed, values, ends, tail): landed[i] where lane i landed on
-    its target, values[i] its state there; ends maps a lane that escaped to
-    (kind, time) and one that ran out of steps to the budget message; tail
-    lists (lane, state) for the lanes stopped in place, as the loop state
-    _drive resumes them from.
+    Returns (landed, values, ends) for every lane: landed[i] where lane i
+    landed on its target, values[i] its state there; ends maps a lane that
+    escaped to (kind, time) and one that ran out of steps to the budget
+    message.  A lane its hook ended is in neither.
     """
     t, h, steps, y, k1 = state
     attempt_lanes, lanes = _step(field.n)[1], np.arange(len(t))
     landed, values, ends = np.zeros(len(t), dtype=bool), np.full(y.shape, math.nan), {}
     with np.errstate(all="ignore"):  # a failed lane carries inf or nan through its stages
-        while True:
-            last = np.abs(h) >= np.abs(target - t)
+        while len(lanes) > _TAIL_LANES:
             if record is not None:
-                record(lanes, t, h, steps, y, k1)
-                if last.any():
-                    lanes, t, h, steps, y, k1, target = _keep(~last, lanes, t, h, steps, y, k1, target)
-                    last = last[~last]
-            if len(lanes) <= _TAIL_LANES:
-                return landed, values, ends, [(i, _state(t, h, steps, y, k1, k)) for k, i in enumerate(lanes.tolist())]
+                rows = np.column_stack([t, h, y, k1]).tolist()
+                going = np.array([not record(i, row, s) for i, row, s in zip(lanes.tolist(), rows, steps.tolist())])
+                if not going.all():
+                    lanes, t, h, steps, y, k1, target = _keep(going, lanes, t, h, steps, y, k1, target)
+                    if not going.any():
+                        break
             steps = steps + 1.0
             over = steps > cfg.max_steps
             if over.any():
                 for k in _where(over):
                     ends[int(lanes[k])] = f"integration exceeded {cfg.max_steps} steps at t={float(t[k])}"
-                lanes, t, h, steps, y, k1, target, last = _keep(~over, lanes, t, h, steps, y, k1, target, last)
-            if record is None:
-                h = np.where(last, target - t, h)
+                lanes, t, h, steps, y, k1, target = _keep(~over, lanes, t, h, steps, y, k1, target)
+            last = np.abs(h) >= np.abs(target - t)
+            h = np.where(last, target - t, h)
             y_new, k_last, err, y_norm, ok = attempt_lanes(field.lanes, t, y, h, k1, cfg.abs_tol, cfg.rel_tol)
             accepted = ok & (err <= 1.0)
             t_new = np.where(last, target, t + h)
@@ -412,6 +413,19 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
             running = ~(escaped | underflow | done)
             if not running.all():
                 lanes, t, h, steps, y, k1, target = _keep(running, lanes, t, h, steps, y, k1, target)
+    for k, i in enumerate(lanes.tolist()):
+        loop_state = float(t[k]), float(h[k]), int(steps[k]), tuple(y[k].tolist()), tuple(k1[k].tolist())
+        hook = None if record is None else functools.partial(record, i)
+        try:
+            reached = _drive(field, float(target[k]), cfg, False, loop_state, hook)
+        except EscapeEvent as ev:
+            ends[i] = ev.kind, ev.time
+        except StepBudgetExceeded as err:
+            ends[i] = str(err)
+        else:
+            if reached is not None:
+                landed[i], values[i] = True, reached
+    return landed, values, ends
 
 
 def _keep(mask: np.ndarray, *columns: np.ndarray) -> list:
@@ -425,11 +439,6 @@ def _where(mask: np.ndarray) -> list:
     so an index array for every count met would stay resident.
     """
     return [k for k, b in enumerate(mask.tolist()) if b] if mask.any() else []
-
-
-def _state(t: np.ndarray, h: np.ndarray, steps: np.ndarray, y: np.ndarray, k1: np.ndarray, k: int):
-    """Lane k of the columns as the scalar loop state (t, h, steps, y, k1) that _drive takes."""
-    return float(t[k]), float(h[k]), int(steps[k]), tuple(y[k].tolist()), tuple(k1[k].tolist())
 
 
 def advance(
@@ -479,9 +488,6 @@ class _Trajectory:
     def __len__(self) -> int:
         return len(self.rows) // (2 + 2 * self.n)
 
-    def record(self, t: float, h: float, y: tuple, k1: tuple) -> None:
-        self.rows.extend((t, h, *y, *k1))
-
 
 class _TrajectoryCache:
     """LRU map (sigma, direction, a) -> _Trajectory for one numeric family.
@@ -510,7 +516,7 @@ class _TrajectoryCache:
             return entry
         t, h, _, y, k1 = _first_try(self.field, sigma, a, edge, self.cfg, k1)
         entry = self.entries[key] = _Trajectory(self.field.n)
-        entry.record(t, h, y, k1)
+        entry.rows.extend((t, h, *y, *k1))
         if len(self.entries) > _TRAJECTORY_CACHE_SIZE:
             self.entries.popitem(last=False)
         return entry
@@ -526,14 +532,8 @@ class _TrajectoryCache:
         """
         values, ok = np.full(a.shape, math.nan), np.zeros(len(tau), dtype=bool)
         lanes, rows = self._starts(tau, sigma, a, inside, values, ok)
-        landed, reached, _, tail = _drive_lanes(self.field, self.cfg, tau[lanes], _columns(rows, self.field.n))
+        landed, reached, _ = _drive_lanes(self.field, self.cfg, tau[lanes], _columns(rows, self.field.n))
         values[lanes[landed]], ok[lanes[landed]] = reached[landed], True
-        for q, loop_state in tail:
-            try:
-                values[lanes[q]] = _drive(self.field, float(tau[lanes[q]]), self.cfg, False, loop_state)
-                ok[lanes[q]] = True
-            except (EscapeEvent, StepBudgetExceeded):
-                pass
         return values, ok
 
     def _starts(self, tau, sigma, a, inside, values, ok) -> tuple[np.ndarray, np.ndarray]:
@@ -592,52 +592,27 @@ class _TrajectoryCache:
 
         A job is (kept entry or None, pending try as a starts row, queue); no
         job holds an entry the batch pushes out of the cache, so it is freed
-        when it leaves.  Kept entries record the tries and how the loop ends.
-        A query the loop never reaches, since it escapes or runs out of
-        steps first, keeps its NaN row.
+        when it leaves.  Kept entries record each try, through the record
+        hook that hands it to the queries it reaches and ends a job once none
+        wait, and how the loop ends.  A query the loop never reaches, since
+        it escapes or runs out of steps first, keeps its NaN row.
         """
         if not jobs:
             return
         entries, rows, queues = zip(*jobs)
-        n, state = self.field.n, _columns(np.array(rows), self.field.n)
-        pending = state[2]
-        kept = np.array([entry is not None for entry in entries], dtype=bool)
-        nearest = np.array([taus[queue[-1]] for queue in queues])
-        row_bytes = 8 * (2 + 2 * n)
+        pending = [row[-1] for row in rows]  # the tries before each job's pending try, whose row is in already
 
-        def record(lanes, t, h, steps, y, k1):
-            new = _where(kept[lanes] & (steps > pending[lanes]))  # a pending try has its row already
-            if new:
-                rows = np.column_stack([t, h, y, k1]).tobytes()
-                for k in new:
-                    entries[int(lanes[k])].rows.frombytes(rows[k * row_bytes:(k + 1) * row_bytes])
-            for k in _where(np.abs(h) >= np.abs(nearest[lanes] - t)):
-                i = int(lanes[k])
-                if _capture(queues[i], taus, (t[k], h[k], *y[k], *k1[k]), steps[k], starts):
-                    nearest[i] = taus[queues[i][-1]]
+        def record(i: int, row: list, steps) -> bool:
+            entry = entries[i]
+            if entry is not None and steps > pending[i]:
+                entry.rows.fromlist(row)
+            return not _capture(queues[i], taus, row, steps, starts)
 
         target = np.array([taus[queue[0]] for queue in queues])
-        _, _, ends, tail = _drive_lanes(self.field, self.cfg, target, state, record)
-        ends.update((i, self._run_on(entries[i], queues[i], taus, loop_state, starts)) for i, loop_state in tail)
+        _, _, ends = _drive_lanes(self.field, self.cfg, target, _columns(np.array(rows), self.field.n), record)
         for i, end in ends.items():
             if entries[i] is not None:
                 entries[i].end = end
-
-    def _run_on(self, entry: _Trajectory | None, queue: list, taus: list, state, starts: np.ndarray):
-        """_run_on_lanes for one job, in the scalar loop from state; returns the end it meets, or None."""
-        pending = state[2]
-
-        def record(t, h, steps, y, k1):
-            if entry is not None and steps > pending:  # the pending try has its row already
-                entry.record(t, h, y, k1)
-            return not _capture(queue, taus, (t, h, *y, *k1), steps, starts)
-
-        try:
-            return _drive(self.field, taus[queue[0]], self.cfg, False, state, record)  # None: all queries reached
-        except EscapeEvent as ev:
-            return ev.kind, ev.time
-        except StepBudgetExceeded as err:
-            return str(err)
 
 
 def _columns(rows: np.ndarray, n: int) -> tuple:
@@ -683,9 +658,9 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     runs in two phases over the field's lane form: phase 1 runs each datum
     whose recorded tries do not reach its farthest tau on from its pending
     try, one lane per datum, and phase 2 runs each query, one lane each,
-    from the first try that reaches its tau.  Lanes still running once 16
-    or fewer are left finish in the scalar loop.  The cache makes the
-    family mutable: it is not thread-safe.
+    from the first try that reaches its tau.  The lane driver finishes the
+    lanes still running once 16 or fewer are left in the scalar loop.  The
+    cache makes the family mutable: it is not thread-safe.
     """
     cfg = cfg or IntegratorConfig()
     lo, hi = cfg.window

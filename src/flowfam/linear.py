@@ -39,6 +39,7 @@ __all__ = [
     "wronski_consistency",
     "mollify",
     "smooth_apply",
+    "MAX_PANELS",
 ]
 
 # scale-invariant rank threshold: smallest singular value must clear this
@@ -46,6 +47,11 @@ __all__ = [
 _SV_RATIO = 1e-12
 
 _MIX_WEIGHTS = (-1.0, 0.5, 2.0)
+
+# the most Simpson panels a window average takes: there the bound
+# (2 eps)^5 / (180 panels^4) is below 1e-19 for eps <= pi/2, under rounding
+# for unit-scale entries, so more panels would only cost memory
+MAX_PANELS = 2**16
 
 
 class NotAffine(Exception):
@@ -99,20 +105,12 @@ class AffineMap:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
-    @classmethod
-    def identity(cls, n: int) -> "AffineMap":
-        return cls(np.eye(n), np.zeros(n))
-
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
     def __call__(self, a) -> np.ndarray:
         return self.A @ as_state(a, self.n) + self.b
-
-    @property
-    def is_invertible(self) -> bool:
-        return _rank_test(self.A)[1]
 
     def inverse(self) -> "AffineMap":
         sv, full_rank = _rank_test(self.A)
@@ -377,7 +375,9 @@ class Mollifier:
 
     error_bound is the composite-Simpson constant (2 eps)^5 / (180 panels^4)
     at unit derivative scale; multiply by the fourth-derivative scale of the
-    group's entries for an absolute bound.
+    group's entries for an absolute bound.  panels is even, at least 2 and
+    at most MAX_PANELS (2^16), where that bound is below rounding for
+    eps <= pi/2.
     """
 
     eps: float
@@ -403,8 +403,8 @@ def _window_average(group, center: float, eps: float, panels: int) -> AffineMap:
     for beta, gap in zip(ends, gaps):
         if not math.isnan(gap):
             raise NotAffine(f"group is not affine at parameter {beta} (residual {gap:.3g})")
-    if panels < 2 or panels % 2 != 0:
-        raise ValueError("panel count must be even and at least 2")
+    if not (2 <= panels <= MAX_PANELS and panels % 2 == 0):
+        raise ValueError(f"panel count must be even, at least 2 and at most {MAX_PANELS}")
     weights = np.ones(panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

@@ -28,8 +28,9 @@ straight-line function per expression tuple, over floats or over lanes) and
 over lanes).
 
 A numeric family has one batch path: the integrator tests no field's type
-or attributes, and only ``_drive_lanes`` reads ``_TAIL_LANES``, the lane
-count at which the scalar loop takes over.
+or attributes, only ``_drive_lanes`` reads ``_TAIL_LANES``, the lane count
+at which the scalar loop takes over, and no ``_TrajectoryCache`` method
+calls ``_drive``: the lane driver finishes its scalar tail itself.
 
 No module uses numpy.random: a plan's draws come from ``flowfam.pcg``, and
 importing numpy.random loads secrets, hashlib and libcrypto, about 6 MB
@@ -197,6 +198,13 @@ def _batch_forks(path: Path) -> list[str]:
                 and getattr(top, "name", None) != "_drive_lanes"
             ):
                 found.append((node.lineno, "reads _TAIL_LANES"))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_drive"
+                and getattr(top, "name", None) == "_TrajectoryCache"
+            ):
+                found.append((node.lineno, "calls _drive"))
     return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
 
 
@@ -426,7 +434,7 @@ def test_detector_sees_compiled_source(tmp_path):
 def test_one_batch_path_in_the_integrator():
     path = PACKAGE / "integrate.py"
     names = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body if hasattr(node, "name")}
-    assert "_drive_lanes" in names  # a rename must not exempt every reader
+    assert {"_drive_lanes", "_TrajectoryCache"} <= names  # a rename must not exempt every reader or caller
     assert _batch_forks(path) == []
 
 
@@ -443,6 +451,11 @@ def test_detector_sees_a_batch_fork(tmp_path):
         "class Cache:\n"
         "    def solve(self, t):\n"
         "        return isinstance(t, TabulatedVectorField) or t > _TAIL_LANES\n"
+        "class _TrajectoryCache:\n"
+        "    def solve(self, state):\n"
+        "        return _drive(self.field, state) or self._drive(state)\n"
+        "def _integrate(state):\n"
+        "    return _drive(state)\n"
     )
     assert _batch_forks(probe) == [
         "probe.py:5 reads _TAIL_LANES",
@@ -450,6 +463,7 @@ def test_detector_sees_a_batch_fork(tmp_path):
         "probe.py:6 tests hasattr(self.field, 'lanes')",
         "probe.py:10 reads _TAIL_LANES",
         "probe.py:10 tests isinstance(t, TabulatedVectorField)",
+        "probe.py:13 calls _drive",
     ]
 
 

@@ -220,6 +220,7 @@ def test_malformed_value_is_config_error(tmp_path, capsys, payload, field):
         ["mollify", "--eps", "nan"],
         ["mollify", "--eps", "-1"],
         ["mollify", "--eps", "0.25", "--panels", "3"],
+        ["mollify", "--panels", "1000000000000"],
         ["reconstruct", "--h", "nan"],
         ["reconstruct", "--h", "0"],
         ["decompose", "--tau0", "nan"],
@@ -233,6 +234,7 @@ def test_malformed_value_is_config_error(tmp_path, capsys, payload, field):
         "mollify-eps-nan",
         "mollify-eps-negative",
         "mollify-panels-odd",
+        "mollify-panels-huge",
         "reconstruct-h-nan",
         "reconstruct-h-zero",
         "decompose-tau0-nan",

@@ -200,14 +200,6 @@ def test_nonfinite_parameters_rejected(riccati):
 
 # --- EscapeInterval ----------------------------------------------------------
 
-def test_escape_interval_contains():
-    j = EscapeInterval(-math.inf, 2.0, "unbounded", "blow_up")
-    assert j.contains(0.0)
-    assert j.contains(-1e9)
-    assert not j.contains(2.0)
-    assert not j.contains(2.5)
-
-
 def test_escape_interval_validation():
     with pytest.raises(ValueError):
         EscapeInterval(2.0, 1.0, "unbounded", "blow_up")

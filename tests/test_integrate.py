@@ -5,6 +5,7 @@ import gc
 import math
 import random
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -914,13 +915,19 @@ def test_lane_driver_equals_the_grouped_loop_with_its_step_count(monkeypatch, na
 
 
 def test_lane_driver_runs_both_phases_and_hands_its_tail_to_the_scalar_loop(monkeypatch):
-    lanes, calls = integrate._drive_lanes, set()
+    drive, drive_lanes, handed, calls = integrate._drive, integrate._drive_lanes, [], set()
+
+    def counted(*args):
+        handed.append(args)
+        return drive(*args)
 
     def spied(field, cfg, target, state, record=None):
-        landed, values, ends, tail = lanes(field, cfg, target, state, record)
-        calls.add((1 if record else 2, len(target) > 16, bool(tail)))
-        return landed, values, ends, tail
+        before = len(handed)
+        result = drive_lanes(field, cfg, target, state, record)
+        calls.add((1 if record else 2, len(target) > 16, len(handed) > before))
+        return result
 
+    monkeypatch.setattr(integrate, "_drive", counted)
     monkeypatch.setattr(integrate, "_drive_lanes", spied)
     for name in LANE_FIELDS:
         field, cfg, (tau, sigma, a) = lane_family(name)
@@ -1000,7 +1007,7 @@ def test_lanes_and_their_scalar_tail_crawl_at_h_min_and_underflow_as_the_scalar_
     cfg = IntegratorConfig(window=(-3.0, 3.0), h_init=1e-2, h_min=2e-3, blowup_radius=1e3)
     _, _, (tau, sigma, a) = lane_family("riccati-wall")
     drive, drive_lanes = integrate._drive, integrate._drive_lanes
-    seen = set()
+    seen, raised = set(), []
 
     def crawling_step(f, t, y, h):
         if abs(h) == cfg.h_min:
@@ -1015,12 +1022,16 @@ def test_lanes_and_their_scalar_tail_crawl_at_h_min_and_underflow_as_the_scalar_
             return drive(*args)
         except EscapeEvent as ev:
             seen.add(f"scalar {ev.kind}")
+            raised.append((ev.kind, ev.time))
             raise
 
     def escaping_lanes(*args):
-        landed, values, ends, tail = drive_lanes(*args)
-        seen.update(f"lane {end[0]}" for end in ends.values())
-        return landed, values, ends, tail
+        before = len(raised)
+        landed, values, ends = drive_lanes(*args)
+        # the lane driver's ends include its scalar tail's, which the _drive spy saw raised
+        in_lanes = Counter(end for end in ends.values() if isinstance(end, tuple)) - Counter(raised[before:])
+        seen.update(f"lane {kind}" for kind, _ in in_lanes)
+        return landed, values, ends
 
     spy_on_tries(monkeypatch, crawling_step, crawling_lanes)
     for name, spy in [("_drive", escaping), ("_drive_lanes", escaping_lanes)]:
