@@ -7,7 +7,10 @@ mollify (window average + smoothing check).  Reports are one JSON object
 per line with sorted keys; given the same config and seed, and
 --no-timestamp, output is byte-identical across runs.  Exit codes: 0 on
 success/pass, 1 when a verification fails or a point query leaves the
-domain, 2 on usage or config errors.
+domain, 2 on usage or config errors.  Commands raise; ``_run`` alone turns
+what a command, its config or its report file raises into one error record
+and an exit code, by the table ``_FAILURES``.  flow answers a point outside
+the domain itself, with the violation's kind and detail.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .autonomous import NotAutonomous, check_group_law, check_time_shift, group_
 from .core import DomainSpec, DomainViolation, FlowFamily, VectorField
 from .core import closed_form_family, scaled_tol
 from .integrate import IntegratorConfig, StepBudgetExceeded, escape_interval, numeric_family
-from .linear import MAX_PANELS, NotAffine, NotInvertible, SingularWronskian, mollify, sincov_decompose, smooth_apply
+from .linear import MAX_PANELS, NotAffine, NotInvertible, SingularWronskian, UnusableWindow
+from .linear import mollify, sincov_decompose, smooth_apply
 from .reconstruct import ReconstructionConfig, ReconstructionFailed, field_from_family, field_gap
 from .verify import Accumulator, ConditionReport, SamplePlan, SuiteTolerances, default_plan, run_suite
 
@@ -278,31 +282,12 @@ def _resolve_family(spec: RunSpec) -> FlowFamily:
     return numeric_family(spec.field, spec.integrator)
 
 
-# --- CSV artifacts -----------------------------------------------------------
-
-
-def _write_field_csv(field, path: str):
-    n = field.n
-    header = ["t"] + [f"x{k + 1}" for k in range(n)] + [f"f{k + 1}" for k in range(n)]
+def _write_csv(path: str, header: list, rows):
+    """A CSV artifact: the header, then each row's numbers as repr of their floats."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for t, x, f in field.sites():
-            row = [t, *map(float, x), *map(float, f)]
-            fh.write(",".join(repr(v) for v in row) + "\n")
-
-
-def _write_decomposition_csv(dec, path: str):
-    n = dec.n
-    header = (
-        ["tau"]
-        + [f"w{r + 1}{c + 1}" for r in range(n) for c in range(n)]
-        + [f"h{k + 1}" for k in range(n)]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, tau in enumerate(dec.grid):
-            row = [float(tau), *map(float, dec.W[i].reshape(-1)), *map(float, dec.h[i])]
-            fh.write(",".join(repr(v) for v in row) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 # --- commands ----------------------------------------------------------------
@@ -321,17 +306,12 @@ def _cmd_flow(args, spec: RunSpec, out) -> int:
 
 def _cmd_interval(args, spec: RunSpec, out) -> int:
     if spec.field is None:
-        _emit(out, {"kind": "error", "message": "interval requires a vector field (catalog or field config)"})
-        return 2
+        raise ConfigError(args.config, "system", "interval requires a vector field (catalog or field config)")
     if len(args.a) != spec.field.n:  # a usage error, as flow reports it
         detail = f"state has length {len(args.a)}, field dimension is {spec.field.n}"
         _emit(out, {"kind": "error", "message": "dimension_mismatch", "detail": detail})
         return 2
-    try:
-        interval = escape_interval(spec.field, args.rho, args.a, spec.integrator)
-    except (ValueError, DomainViolation, StepBudgetExceeded) as err:
-        _emit(out, {"kind": "error", "message": str(err)})
-        return 1
+    interval = escape_interval(spec.field, args.rho, args.a, spec.integrator)
     _emit(
         out,
         {
@@ -358,14 +338,8 @@ def _cmd_reconstruct(args, spec: RunSpec, out) -> int:
         spec.plan, time_grid=tuple(sorted(set(map(float, spec.plan.time_grid))))
     )
     cfg = ReconstructionConfig(h=args.h, richardson=not args.no_richardson, grid=grid)
-    try:
+    with _config_errors(args.config, "plan"):  # fewer than two distinct knots on an axis cannot be tabulated
         field = field_from_family(family, cfg)
-    except ReconstructionFailed as err:
-        _emit(out, {"kind": "error", "message": str(err)})
-        return 1
-    except ValueError as err:  # fewer than two distinct knots on an axis: the plan cannot be tabulated
-        _emit(out, {"kind": "error", "message": str(ConfigError(args.config, "plan", str(err)))})
-        return 2
     knots = list(field.table.shape[:-1])
     summary = {
         "kind": "summary",
@@ -379,7 +353,9 @@ def _cmd_reconstruct(args, spec: RunSpec, out) -> int:
         summary["max_field_gap"], summary["compared_sites"] = field_gap(field, spec.field)
     _emit(out, summary)
     if args.out:
-        _write_field_csv(field, args.out)
+        n = field.n
+        header = ["t", *(f"x{k + 1}" for k in range(n)), *(f"f{k + 1}" for k in range(n))]
+        _write_csv(args.out, header, ([t, *x, *f] for t, x, f in field.sites()))
     return 0
 
 
@@ -394,11 +370,7 @@ def _cmd_autonomous(args, spec: RunSpec, out) -> int:
 
 def _cmd_decompose(args, spec: RunSpec, out) -> int:
     family = _resolve_family(spec)
-    try:
-        dec = sincov_decompose(family, args.tau0, spec.plan.time_grid)
-    except (NotAffine, SingularWronskian, DomainViolation) as err:  # a probe may leave the domain
-        _emit(out, {"kind": "error", "message": str(err)})
-        return 1
+    dec = sincov_decompose(family, args.tau0, spec.plan.time_grid)
     _emit(
         out,
         {
@@ -410,22 +382,17 @@ def _cmd_decompose(args, spec: RunSpec, out) -> int:
         },
     )
     if args.out:
-        _write_decomposition_csv(dec, args.out)
+        n = dec.n
+        header = ["tau", *(f"w{r + 1}{c + 1}" for r in range(n) for c in range(n)), *(f"h{k + 1}" for k in range(n))]
+        _write_csv(args.out, header, ([tau, *W.reshape(-1), *h] for tau, W, h in zip(dec.grid, dec.W, dec.h)))
     return 0
 
 
 def _cmd_mollify(args, spec: RunSpec, out) -> int:
     family = _resolve_family(spec)
-    try:
-        group = to_group(family, spec.plan)
-        average = mollify(group, args.eps, args.panels)
-        smoothed = [(alpha, smooth_apply(group, average, alpha)) for alpha in args.alpha]
-    except (NotAutonomous, NotAffine, NotInvertible, DomainViolation) as err:  # a probe may leave the domain
-        _emit(out, {"kind": "error", "message": str(err)})
-        return 1
-    except ValueError as err:  # an averaging window with no usable width
-        _emit(out, {"kind": "error", "message": str(err)})
-        return 2
+    group = to_group(family, spec.plan)
+    average = mollify(group, args.eps, args.panels)
+    smoothed = [(alpha, smooth_apply(group, average, alpha)) for alpha in args.alpha]
     _emit(
         out,
         {
@@ -466,6 +433,23 @@ _COMMANDS = {
 
 # commands whose --out is a CSV artifact; their report always goes to stdout
 _CSV_COMMANDS = {"reconstruct", "decompose"}
+
+# what a command, its config or its --out may raise, and its exit code: 2 for
+# a usage or config error, 1 for a failed check or a refused query.  The first
+# match wins; each becomes the one record {"kind": "error", "message": str(err)}.
+_FAILURES = (
+    (ConfigError, 2),
+    (UnusableWindow, 2),  # a mollify window whose width overflows or rounds to zero
+    (OSError, 2),  # an --out path that cannot be written
+    (ValueError, 1),  # interval's start outside the window or domain, or not evaluable
+    (StepBudgetExceeded, 1),
+    (DomainViolation, 1),  # an affine probe of decompose or mollify outside the domain
+    (ReconstructionFailed, 1),
+    (NotAffine, 1),
+    (SingularWronskian, 1),
+    (NotAutonomous, 1),
+    (NotInvertible, 1),
+)
 
 
 @functools.cache  # built once: a parser built on every call grew resident memory with each call
@@ -532,21 +516,26 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    try:
-        spec = load_config(args.config)
-    except ConfigError as err:
-        _emit(sys.stdout, {"kind": "error", "message": str(err)})
-        return 2
-    if args.seed is not None:
-        spec.plan = dataclasses.replace(spec.plan, seed=args.seed)
+    """Run one command; what it raises becomes an error record and exit code by _FAILURES.
 
-    report_path = args.out if args.out and args.command not in _CSV_COMMANDS else None
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            _emit(fh, _meta_record(args, spec))
-            return _COMMANDS[args.command](args, spec, fh)
-    _emit(sys.stdout, _meta_record(args, spec))
-    return _COMMANDS[args.command](args, spec, sys.stdout)
+    The record goes where the report goes: to stdout until the report file is
+    open, then to the file, which stays open until the record is written.
+    """
+    with contextlib.ExitStack() as report:
+        out = sys.stdout
+        try:
+            spec = load_config(args.config)
+            if args.seed is not None:
+                spec.plan = dataclasses.replace(spec.plan, seed=args.seed)
+            if args.out and args.command not in _CSV_COMMANDS:
+                out = report.enter_context(open(args.out, "w", encoding="utf-8"))
+            _emit(out, _meta_record(args, spec))
+            return _COMMANDS[args.command](args, spec, out)
+        except BrokenPipeError:  # an OSError, but a closed stdout is main's to answer
+            raise
+        except tuple(kind for kind, _ in _FAILURES) as err:
+            _emit(out, {"kind": "error", "message": str(err)})
+            return next(code for kind, code in _FAILURES if isinstance(err, kind))
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ __all__ = [
     "NotAffineField",
     "SingularWronskian",
     "NotInvertible",
+    "UnusableWindow",
     "probe_affine",
     "affine_defect",
     "check_affine",
@@ -68,6 +69,10 @@ class SingularWronskian(Exception):
 
 class NotInvertible(Exception):
     """The mollifier average is singular; try a smaller window."""
+
+
+class UnusableWindow(ValueError):
+    """An averaging window whose width overflows or rounds away next to its center."""
 
 
 def _rank_test(M: np.ndarray, floor: float = 0.0) -> tuple[np.ndarray, bool]:
@@ -393,11 +398,11 @@ def _window_average(group, center: float, eps: float, panels: int) -> AffineMap:
     probed in one batch; the nodes are probed in another, and their A and b
     are averaged side by side.  A window whose width hi - lo is not a
     positive finite float, since it overflows or rounds away next to
-    center, raises ValueError before any probe.
+    center, raises UnusableWindow (a ValueError) before any probe.
     """
     lo, hi = center - eps, center + eps
     if not 0.0 < hi - lo < math.inf:
-        raise ValueError(f"averaging window [{lo!r}, {hi!r}] has no positive finite width")
+        raise UnusableWindow(f"averaging window [{lo!r}, {hi!r}] has no positive finite width")
     batch, ends = group.family.evaluate_batch, np.array([lo, center, hi])
     gaps = affine_defect(batch, ends, np.zeros(3), *probe_affine(batch, ends, np.zeros(3), group.n))
     for beta, gap in zip(ends, gaps):

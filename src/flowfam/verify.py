@@ -96,6 +96,8 @@ class SamplePlan:
         widths = {len(s) for s in states}
         if len(widths) != 1:
             raise ValueError("state_grid entries must share one dimension")
+        if not all(math.isfinite(c) for s in states for c in s):
+            raise ValueError("state_grid entries must be finite")
         object.__setattr__(self, "state_grid", states)
         for name in ("random_count", "seed"):
             value = getattr(self, name)

@@ -32,6 +32,12 @@ or attributes, only ``_drive_lanes`` reads ``_TAIL_LANES``, the lane count
 at which the scalar loop takes over, and no ``_TrajectoryCache`` method
 calls ``_drive``: the lane driver finishes its scalar tail itself.
 
+The CLI answers a failure in one place: ``cli._run`` turns what a command
+raises into an error record and exit code by the table ``cli._FAILURES``.
+No other function of ``cli`` catches a type the table names and answers it
+with a record or a return; one that converts it and raises again feeds the
+table.  flow's own answer to a point outside the domain is the one exemption.
+
 No module uses numpy.random: a plan's draws come from ``flowfam.pcg``, and
 importing numpy.random loads secrets, hashlib and libcrypto, about 6 MB
 resident.
@@ -46,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 import flowfam
-from flowfam import catalog, expr, integrate
+from flowfam import catalog, cli, expr, integrate
 
 PACKAGE = Path(flowfam.__file__).parent
 
@@ -226,6 +232,31 @@ def _numpy_random(path: Path) -> list[str]:
         ):
             found.append((node.lineno, f"uses {ast.unparse(node)}"))
     return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
+
+
+# flow answers a point outside the domain with the violation's kind and detail
+_FLOW_ANSWER = ("_cmd_flow", "DomainViolation")
+
+
+def _failure_answers(path: Path, failures) -> list[str]:
+    """Handlers outside _run that catch a type named in failures and answer it: by a record or a return."""
+    listed = {kind.__name__ for kind, _ in failures}
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(top, ast.FunctionDef) or top.name == "_run":
+            continue
+        for handler in ast.walk(top):
+            if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+                continue
+            caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            names = sorted({c.id if isinstance(c, ast.Name) else getattr(c, "attr", None) for c in caught} & listed)
+            if not names or (top.name, *names) == _FLOW_ANSWER:
+                continue
+            body = [node for stmt in handler.body for node in ast.walk(stmt)]
+            emits = any(isinstance(n, ast.Call) and ast.unparse(n.func) == "_emit" for n in body)
+            if emits or any(isinstance(n, ast.Return) for n in body):
+                found.append(f"{path.name}:{handler.lineno} {top.name} answers {', '.join(names)}")
+    return found
 
 
 def test_package_modules_found():
@@ -464,6 +495,52 @@ def test_detector_sees_a_batch_fork(tmp_path):
         "probe.py:10 reads _TAIL_LANES",
         "probe.py:10 tests isinstance(t, TabulatedVectorField)",
         "probe.py:13 calls _drive",
+    ]
+
+
+def test_only_run_answers_a_failure_in_the_cli():
+    path = PACKAGE / "cli.py"
+    names = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body if hasattr(node, "name")}
+    assert {"_run", _FLOW_ANSWER[0]} <= names  # a rename must not exempt a handler
+    assert _failure_answers(path, cli._FAILURES) == []
+
+
+def test_detector_sees_a_failure_answered_outside_run(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _cmd_decompose(args, spec, out):\n"
+        "    try:\n"
+        "        dec = sincov_decompose(family)\n"
+        "    except (NotAffine, core.DomainViolation) as err:\n"
+        "        _emit(out, {'kind': 'error', 'message': str(err)})\n"
+        "    except ValueError:\n"
+        "        return 2\n"
+        "    except KeyError:\n"
+        "        return 2\n"
+        "def _cmd_flow(args, spec, out):\n"
+        "    try:\n"
+        "        value = family.evaluate(args.tau, args.sigma, args.a)\n"
+        "    except DomainViolation as err:\n"
+        "        return 1\n"
+        "    except (DomainViolation, ValueError):\n"
+        "        return 1\n"
+        "def load(path):\n"
+        "    try:\n"
+        "        return open(path).read()\n"
+        "    except OSError as err:\n"
+        "        raise ConfigError(path, '<file>', str(err)) from None\n"
+        "def _run(args):\n"
+        "    try:\n"
+        "        return command(args)\n"
+        "    except ValueError as err:\n"
+        "        return 1\n"
+    )
+    failures = ((OSError, 2), (ValueError, 1), (type("NotAffine", (Exception,), {}), 1),
+                (type("DomainViolation", (Exception,), {}), 1))
+    assert _failure_answers(probe, failures) == [
+        "probe.py:4 _cmd_decompose answers DomainViolation, NotAffine",
+        "probe.py:6 _cmd_decompose answers ValueError",
+        "probe.py:15 _cmd_flow answers DomainViolation, ValueError",
     ]
 
 

@@ -431,6 +431,14 @@ def test_interval_requires_field(tmp_path, capsys):
     assert recs[1]["kind"] == "error"
 
 
+def test_interval_without_a_field_names_the_system_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"system": {"family": {"n": 1, "components": ["a1"]}}})
+    code, recs = run_cli(["interval", "--config", cfg, "--rho", "0", "--a", "1", "--no-timestamp"], capsys)
+    assert code == 2
+    assert recs[1] == {"kind": "error",
+                       "message": f"{cfg}: system: interval requires a vector field (catalog or field config)"}
+
+
 # --- verify ------------------------------------------------------------------
 
 
@@ -783,6 +791,18 @@ def test_mollify_window_without_usable_width_is_an_error_record(tmp_path, capsys
     assert recs[1]["message"] == f"averaging window {window} has no positive finite width"
 
 
+def test_a_failing_command_writes_its_error_record_to_the_report(tmp_path, capsys):
+    # the report file stays open until the error record is in it
+    cfg = write_config(tmp_path, RICCATI)
+    report = tmp_path / "o.ndjson"
+    code = main(["mollify", "--config", cfg, "--eps", "0.25", "--no-timestamp", "--out", str(report)])
+    out, err = capsys.readouterr()
+    recs = [json.loads(line) for line in report.read_text().splitlines()]
+    assert code == 1 and out == "" and err == ""
+    assert [r["kind"] for r in recs] == ["meta", "error"]
+    assert recs[1]["message"].startswith("group is not affine at parameter -0.25")
+
+
 def test_mollify_smoothing_check_makes_no_scalar_query(tmp_path, capsys, monkeypatch):
     from flowfam.core import FlowFamily
 
@@ -826,6 +846,47 @@ def test_out_redirects_report(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert json.loads(lines[0])["kind"] == "meta"
     assert json.loads(lines[-1])["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, before",
+    [(["verify"], []), (["reconstruct"], ["meta", "summary"])],
+    ids=["ndjson", "csv"],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, before):
+    cfg = write_config(tmp_path, {**RICCATI, "plan": SMALL_PLAN})
+    target = tmp_path / "missing" / "x.out"
+    code = main([*argv, "--config", cfg, "--no-timestamp", "--out", str(target)])
+    out, err = capsys.readouterr()
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert code == 2 and err == "" and not target.exists()
+    assert [r["kind"] for r in recs] == [*before, "error"]
+    assert recs[-1] == {"kind": "error", "message": f"[Errno 2] No such file or directory: '{target}'"}
+
+
+COMMANDS = [
+    ["flow", "--tau", "0", "--sigma", "0", "--a", "0.5"],
+    ["interval", "--rho", "0", "--a", "0.5"],
+    ["verify"],
+    ["reconstruct"],
+    ["autonomous"],
+    ["decompose"],
+    ["mollify", "--eps", "0.25"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+def test_a_state_grid_that_is_not_finite_is_a_config_error(tmp_path, capsys, argv):
+    # JSON 1e400 reads as infinity
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"system": {"catalog": "riccati"}, '
+                   '"plan": {"time_grid": [0, 1], "state_grid": [[0.5], [1e400]], "random_count": 0}}')
+    code = main([*argv, "--config", str(cfg), "--no-timestamp"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"kind": "error", "message": f"{cfg}: plan: state_grid entries must be finite"}
+    ]
 
 
 def test_same_seed_is_byte_identical(tmp_path):
@@ -883,6 +944,19 @@ def test_closed_stdout_exits_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait() == 1
     assert stderr == ""
+
+
+def test_a_closed_stdout_passes_on_to_main(tmp_path, capsys, monkeypatch):
+    # BrokenPipeError is an OSError, which the failure table answers as an unwritable --out
+    from flowfam import cli
+
+    def closed(args, spec, out):
+        raise BrokenPipeError
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", closed)
+    args = cli._build_parser().parse_args(["verify", "--config", write_config(tmp_path, RICCATI)])
+    with pytest.raises(BrokenPipeError):
+        cli._run(args)
 
 
 def test_every_line_is_json_even_with_nonfinite(tmp_path, capsys):

@@ -17,6 +17,7 @@ from flowfam.linear import (
     NotInvertible,
     SincovDecomposition,
     SingularWronskian,
+    UnusableWindow,
     affine_defect,
     check_affine,
     family_from_decomposition,
@@ -360,6 +361,13 @@ def test_mollify_parameter_validation():
         mollify(group, 0.25, panels=3)
     with pytest.raises(ValueError, match="at most 65536"):
         mollify(group, 0.25, panels=2**16 + 2)
+
+
+def test_a_window_without_usable_width_is_a_value_error():
+    group = OneParamGroup(n=1, g=lambda alpha, a: a.copy())
+    with pytest.raises(UnusableWindow, match=r"averaging window \[-1e\+308, 1e\+308\]") as caught:
+        mollify(group, 1e308)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_mollifier_limit_monotone():

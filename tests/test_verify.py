@@ -334,6 +334,12 @@ def test_plan_validation():
         SamplePlan((0.0, math.inf), ((0.0,),))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_plan_rejects_a_state_that_is_not_finite(value):
+    with pytest.raises(ValueError, match="state_grid entries must be finite"):
+        SamplePlan((0.0, 1.0), ((0.5, 0.0), (0.5, value)))
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("random_count", 2.5), ("random_count", True), ("random_count", "3"), ("seed", 3.9), ("seed", -0.5),
