@@ -338,7 +338,7 @@ def _cmd_reconstruct(args, spec: RunSpec, out) -> int:
         spec.plan, time_grid=tuple(sorted(set(map(float, spec.plan.time_grid))))
     )
     cfg = ReconstructionConfig(h=args.h, richardson=not args.no_richardson, grid=grid)
-    with _config_errors(args.config, "plan"):  # fewer than two distinct knots on an axis cannot be tabulated
+    with _config_errors(args.config, "plan"):  # under two distinct knots on an axis, or an --h too small to move a knot
         field = field_from_family(family, cfg)
     knots = list(field.table.shape[:-1])
     summary = {

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 # endpoint classifications for escape intervals
-_ESCAPE_KINDS = ("blow_up", "left_domain", "window_limit", "unbounded", "step_underflow")
+_ESCAPE_KINDS = ("blow_up", "left_domain", "window_limit", "step_underflow")
 
 
 class DomainViolation(Exception):
@@ -371,13 +371,13 @@ def closed_form_family(
 
 @dataclass(frozen=True)
 class EscapeInterval:
-    """Open interval of times on which a complete solution lives.
+    """Open interval of times on which a complete solution lives, as far as the window shows.
 
-    Endpoint kinds say why the solution stops there: blow_up (norm ran past
-    the radius), left_domain (crossed the boundary of the field's domain),
-    window_limit (hit the edge of the configured integration window),
-    unbounded (endpoint at infinity), step_underflow (step control collapsed
-    before classifying the obstruction).
+    Both ends are finite.  Endpoint kinds say why the solution stops there:
+    blow_up (norm ran past the radius), left_domain (crossed the boundary of
+    the field's domain), window_limit (hit the edge of the configured
+    integration window, where the solution may live on), step_underflow
+    (step control collapsed before classifying the obstruction).
     """
 
     lower: float
@@ -386,12 +386,8 @@ class EscapeInterval:
     upper_kind: str
 
     def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError("escape interval must satisfy lower < upper")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper) and self.lower < self.upper):
+            raise ValueError("escape interval needs finite ends with lower < upper")
         for k in (self.lower_kind, self.upper_kind):
             if k not in _ESCAPE_KINDS:
                 raise ValueError(f"unknown escape kind '{k}'")
-        if math.isinf(self.lower) and self.lower_kind != "unbounded":
-            raise ValueError("infinite lower endpoint must have kind 'unbounded'")
-        if math.isinf(self.upper) and self.upper_kind != "unbounded":
-            raise ValueError("infinite upper endpoint must have kind 'unbounded'")

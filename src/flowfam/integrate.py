@@ -31,6 +31,11 @@ reported as the bracket midpoint (bracket width 5e-7, comfortably inside
 the 1e-6 contract).  Escapes surface as EscapeEvent exceptions; a numeric
 FlowFamily translates them into domain membership.
 
+_integrate holds the one rule for a start (rho, a), with its ValueError:
+advance is _integrate with escape refinement, escape_interval is advance
+toward each window edge, a numeric family's point query is _integrate
+without refinement, and its batches keep the rule in lane form.
+
 A numeric family keeps a bounded cache of the step loop's tries per Cauchy
 datum (sigma, a) and direction, which serves its batches only: a batch
 replays only the tries from the first one that reaches each tau, in two
@@ -262,9 +267,16 @@ def _first_try(field: VectorField, rho: float, a: tuple, target: float, cfg: Int
 def _integrate(field: VectorField, rho: float, a: tuple, tau: float, cfg: IntegratorConfig, refine: bool) -> tuple:
     """Drive (rho, a) to time tau; raises EscapeEvent when the solution quits first.
 
-    A start where the field cannot be evaluated raises ValueError, caused by
-    the EvalError, on the diagonal too.
+    The one rule for a start, which every scalar entry point goes through:
+    it raises ValueError when rho or tau lies outside the window, (rho, a)
+    outside the field's domain, or the field cannot be evaluated at (rho,
+    a), on the diagonal too, and only then runs the step loop.
     """
+    lo, hi = cfg.window
+    if not (lo <= rho <= hi and lo <= tau <= hi):
+        raise ValueError(f"start time {rho} and target time {tau} must lie in the integration window [{lo}, {hi}]")
+    if not field.domain.contains(rho, a):
+        raise ValueError(f"initial condition ({rho}, {list(a)}) outside the field domain")
     try:
         state = _first_try(field, rho, a, tau, cfg)
     except ex.EvalError as err:
@@ -453,19 +465,12 @@ def advance(
     Raises EscapeEvent when the solution quits before reaching tau, with the
     escape time bracketed to width <= 1e-6 (bisection over the last accepted
     step), and StepBudgetExceeded (a RuntimeError) when max_steps run out
-    first.  Zero-length requests return a unchanged.  A start outside the
-    window or the field's domain, or where the field cannot be evaluated,
-    raises ValueError.
+    first.  Zero-length requests return a unchanged.  A start that breaks
+    _integrate's rule (rho or tau outside the window, (rho, a) outside the
+    field's domain, or not evaluable there) raises its ValueError.
     """
-    cfg = cfg or IntegratorConfig()
-    arr = as_state(a, field.n)
-    y = tuple(arr.tolist())
-    lo, hi = cfg.window
-    if not (lo <= rho <= hi and lo <= tau <= hi):
-        raise ValueError(f"times must lie in the window [{lo}, {hi}]")
-    if not field.domain.contains(rho, y):
-        raise ValueError(f"initial condition ({rho}, {arr}) outside the field domain")
-    return as_state(_integrate(field, rho, y, tau, cfg, refine=True), field.n)
+    y = tuple(as_state(a, field.n).tolist())
+    return as_state(_integrate(field, rho, y, tau, cfg or IntegratorConfig(), refine=True), field.n)
 
 
 class _Trajectory:
@@ -521,35 +526,41 @@ class _TrajectoryCache:
             self.entries.popitem(last=False)
         return entry
 
-    def solve_lanes(self, tau: np.ndarray, sigma: np.ndarray, a: np.ndarray, inside: np.ndarray):
-        """(values, ok) for lanes (tau, sigma, a), where inside says the start is in the window and domain.
+    def solve_lanes(self, tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):
+        """(values, ok) for lanes (tau, sigma, a): a numeric family's batch evaluator.
 
-        Each lane is answered as the scalar evaluator answers it once those
-        checks pass: a diagonal lane returns its start where the field can
-        be evaluated there, and any other lane takes the value of a direct
-        integration from its start to its tau.  Phase 2 runs every query,
-        one lane each, from its start (see _starts) to its tau.
+        Each lane is answered as _integrate answers it, with ok False where
+        it raises: _starts keeps _integrate's rule for a start in lane form,
+        a diagonal lane returns its start where the rule holds, and any
+        other lane takes the value of a direct integration from its start
+        to its tau.  Phase 2 runs every query, one lane each, from its start
+        (see _starts) to its tau.
         """
         values, ok = np.full(a.shape, math.nan), np.zeros(len(tau), dtype=bool)
-        lanes, rows = self._starts(tau, sigma, a, inside, values, ok)
+        lanes, rows = self._starts(tau, sigma, a, values, ok)
         landed, reached, _ = _drive_lanes(self.field, self.cfg, tau[lanes], _columns(rows, self.field.n))
         values[lanes[landed]], ok[lanes[landed]] = reached[landed], True
         return values, ok
 
-    def _starts(self, tau, sigma, a, inside, values, ok) -> tuple[np.ndarray, np.ndarray]:
+    def _starts(self, tau, sigma, a, values, ok) -> tuple[np.ndarray, np.ndarray]:
         """The lanes that phase 2 runs and their starts, as rows (t, h, y, k1, steps).
 
-        Diagonal lanes get their values and ok here.  The data are looked up
-        and entered in the cache in order of first appearance, so the cache
-        ends in the state a loop of one-lane batches over the lanes grouped
-        by datum leaves, and the step loop makes the same tries.  _capture
-        gives queries their starts from the recorded tries; phase 1 runs the
-        data with queries still waiting on, one lane per datum.
+        A lane whose start breaks _integrate's rule gets none: its window and
+        domain checks run here over all lanes, and the field is evaluated at
+        each new datum's start below.  Diagonal lanes get their values and
+        ok here.  The data are looked up and entered in the cache in order
+        of first appearance, so the cache ends in the state a loop of
+        one-lane batches over the lanes grouped by datum leaves, and the
+        step loop makes the same tries.  _capture gives queries their starts
+        from the recorded tries; phase 1 runs the data with queries still
+        waiting on, one lane per datum.
         """
-        groups, inside_l, taus = {}, inside.tolist(), tau.tolist()
+        lo, hi = self.cfg.window
+        inside = (lo <= tau) & (tau <= hi) & (lo <= sigma) & (sigma <= hi) & self.field.domain.contains_lanes(sigma, a)
+        groups, inside, taus = {}, inside.tolist(), tau.tolist()
         for i, key in enumerate(map(bytes, np.column_stack([sigma, np.where(tau > sigma, 1.0, -1.0), a]))):
             lanes = groups.setdefault(key, [])
-            if inside_l[i]:
+            if inside[i]:
                 lanes.append(i)
         # a datum with an entry was evaluable at its start; the others get their slopes here
         fresh = {lanes[0]: j for j, lanes in enumerate(v for k, v in groups.items() if v and k not in self.entries)}
@@ -568,7 +579,6 @@ class _TrajectoryCache:
             if queue:
                 queue.sort(key=lambda i: abs(taus[i] - sigma_i), reverse=True)
                 data.append((key, lanes[0], queue))
-        lo, hi = self.cfg.window
         width, jobs = 2 + 2 * self.field.n, []
         starts = np.full((len(tau), width + 1), math.nan)  # NaN until the lane has a start
         for q, (key, head, queue) in enumerate(data):
@@ -641,15 +651,15 @@ def _capture(queue: list, taus: list, row, steps: int, starts: np.ndarray) -> bo
 def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> FlowFamily:
     """Flow family realized by integrating the field on demand.
 
-    Membership of (tau, sigma, a) holds when both parameters sit in the
-    window, (sigma, a) is in the field's domain and the field evaluates
-    there (on the diagonal too), and integration from sigma to tau
-    completes within max_steps without escaping.  Escape refinement
-    is skipped here since only the yes/no answer matters, which keeps
-    repeated evaluation near the boundary cheap.  tol_hint advertises
-    rel_tol so downstream checks can widen comparisons accordingly.
+    Membership of (tau, sigma, a) holds when (sigma, a) and tau pass
+    _integrate's rule for a start and integration from sigma to tau
+    completes within max_steps without escaping.  A point query is one
+    _integrate call without escape refinement, since only the yes/no answer
+    matters: a refused start or an overrun is a DomainViolation with the
+    exception's text, and an escape one naming its time and kind.  tol_hint
+    advertises rel_tol so downstream checks can widen comparisons accordingly.
 
-    evaluate integrates each point query directly.  evaluate_batch records
+    The batch evaluator is the cache's solve_lanes.  evaluate_batch records
     the step loop's tries from each Cauchy datum (sigma, a) in each
     direction, for the 128 data its batches used last, and answers a lane
     by replaying only the tries from the first one that reaches its tau.
@@ -663,34 +673,20 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     cache makes the family mutable: it is not thread-safe.
     """
     cfg = cfg or IntegratorConfig()
-    lo, hi = cfg.window
-    trajectories = _TrajectoryCache(field, cfg)
 
     def evaluator(tau: float, sigma: float, a: np.ndarray) -> tuple:
-        if not (lo <= tau <= hi and lo <= sigma <= hi):
-            raise DomainViolation("out_of_domain", "parameter outside the integration window")
-        y = tuple(a.tolist())
-        if not field.domain.contains(sigma, y):
-            raise DomainViolation("out_of_domain", f"({sigma}, {a}) outside the field domain")
         try:
-            return _integrate(field, sigma, y, tau, cfg, refine=False)
+            return _integrate(field, sigma, tuple(a.tolist()), tau, cfg, refine=False)
         except EscapeEvent as ev:
             raise DomainViolation(
                 "out_of_domain", f"trajectory escapes at t={ev.time} ({ev.kind})"
             ) from None
-        except StepBudgetExceeded as err:
+        except (ValueError, StepBudgetExceeded) as err:  # a refused start, or the step budget
             raise DomainViolation("out_of_domain", str(err)) from None
-        except ValueError as err:  # the slope at the start; the step loop handles its own
-            raise DomainViolation(
-                "out_of_domain", f"field cannot be evaluated at ({sigma}, {a}): {err.__cause__}"
-            ) from None
-
-    def batch_evaluator(tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):
-        inside = (lo <= tau) & (tau <= hi) & (lo <= sigma) & (sigma <= hi)
-        return trajectories.solve_lanes(tau, sigma, a, inside & field.domain.contains_lanes(sigma, a))
 
     return FlowFamily(
-        n=field.n, kind="numeric", evaluator=evaluator, tol_hint=cfg.rel_tol, batch_evaluator=batch_evaluator
+        n=field.n, kind="numeric", evaluator=evaluator, tol_hint=cfg.rel_tol,
+        batch_evaluator=_TrajectoryCache(field, cfg).solve_lanes,
     )
 
 
@@ -699,30 +695,19 @@ def escape_interval(
 ) -> EscapeInterval:
     """Maximal open interval around rho on which the solution through (rho, a) lives.
 
-    Integrates toward each window edge; reaching the edge is reported as
-    window_limit (possibly-unbounded directions are never claimed finite),
-    anything else carries the refined escape time and its kind.  A start
-    outside the window or the field's domain, or where the field cannot be
-    evaluated, raises ValueError.
+    Each end is advance toward that edge of the window: an edge reached is
+    window_limit, which claims no end of the solution itself, and an escape
+    gives its refined time and kind, so both ends are finite.  A start at
+    an edge is that side's diagonal.  A start advance refuses raises its
+    ValueError.
     """
     cfg = cfg or IntegratorConfig()
-    arr = as_state(a, field.n)
-    y = tuple(arr.tolist())
-    lo, hi = cfg.window
-    if not lo <= rho <= hi:
-        raise ValueError(f"rho must lie in the window [{lo}, {hi}]")
-    if not field.domain.contains(rho, y):
-        raise ValueError(f"initial condition ({rho}, {arr}) outside the field domain")
-
-    def one_side(edge: float) -> tuple[float, str]:
-        if edge == rho:
-            return edge, "window_limit"
+    ends = []
+    for edge in cfg.window:
         try:
-            _integrate(field, rho, y, edge, cfg, refine=True)
-            return edge, "window_limit"
+            advance(field, rho, a, edge, cfg)
+            ends.append((edge, "window_limit"))
         except EscapeEvent as ev:
-            return ev.time, ev.kind
-
-    lower, lower_kind = one_side(lo)
-    upper, upper_kind = one_side(hi)
+            ends.append((ev.time, ev.kind))
+    (lower, lower_kind), (upper, upper_kind) = ends
     return EscapeInterval(lower, upper, lower_kind, upper_kind)

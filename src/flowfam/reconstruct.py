@@ -100,6 +100,19 @@ class BoxDomain:
         return inside & ((np.array(self.state_lo) <= x) & (x <= np.array(self.state_hi))).all(axis=1)
 
 
+def _site_states(axes: list[np.ndarray]) -> np.ndarray:
+    """The product of the state axes as one row per site, in the table's C order (the last axis fastest)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _check_step(times: np.ndarray, h: float, richardson: bool) -> None:
+    """ValueError unless each stencil step, h and with Richardson h/2 too, moves every time knot both ways."""
+    for step in (h, h / 2.0) if richardson else (h,):
+        stuck = times[(times + step == times) | (times - step == times)]
+        if len(stuck):
+            raise ValueError(f"finite-difference step h={h} leaves the time knot t={float(stuck[0])} unmoved")
+
+
 def _check_knots(times: np.ndarray, axes: list[np.ndarray]) -> None:
     """ValueError unless the times and every state axis are strictly increasing, two knots or more each."""
     if times.ndim != 1 or len(times) < 2:
@@ -157,12 +170,15 @@ class TabulatedVectorField:
             for c in range(1 << dims)
         ]
 
+    def site_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every site as lanes (t[m], x[m, n], tabulated values[m, n]), in sites' order; holes are NaN."""
+        states = _site_states(self.axes)
+        return np.repeat(self.times, len(states)), np.tile(states, (len(self.times), 1)), self.table.reshape(-1, self.n)
+
     def sites(self):
         """(t, x, tabulated value) for every site, time-major; holes are NaN."""
-        for it, t in enumerate(self.times):
-            for idx in np.ndindex(*[len(ax) for ax in self.axes]):
-                x = np.array([ax[i] for ax, i in zip(self.axes, idx)])
-                yield float(t), x, self.table[(it, *idx)]
+        for t, x, value in zip(*self.site_columns()):
+            yield float(t), x, value
 
     def __call__(self, t: float, x) -> tuple:
         """The interpolated slope at (t, x) as a tuple of n floats; x is any sequence of n floats."""
@@ -224,9 +240,10 @@ def diagonal_rate(
 
     [F_{tau+h,tau}(a) - F_{tau-h,tau}(a)] / 2h, optionally sharpened by one
     Richardson step.  Raises DomainViolation when the stencil leaves the
-    family's domain.
+    family's domain, and ValueError first when a step leaves tau unmoved.
     """
     arr = as_state(a, fam.n)
+    _check_step(np.array([float(tau)]), h, richardson)
     rates, ok = _stencil(fam, float(tau), arr[None, :], h, richardson)
     if not ok[0]:
         raise DomainViolation("out_of_domain", f"the stencil at ({tau}, {arr}) leaves the family's domain")
@@ -257,7 +274,8 @@ def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig) -> TabulatedVe
     Sites where the stencil cannot stay in-domain become holes; more than
     50% holes aborts with ReconstructionFailed.  Knots that cannot make a
     table (fewer than two on an axis, or not strictly increasing) raise
-    TabulatedVectorField's ValueError before the family is evaluated.
+    TabulatedVectorField's ValueError before the family is evaluated, as
+    does a step h (or h/2 with Richardson) that leaves a time knot unmoved.
     """
     plan = cfg.grid
     if plan.n != fam.n:
@@ -266,8 +284,8 @@ def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig) -> TabulatedVe
     points = np.asarray(plan.state_grid, dtype=float)
     axes = [np.unique(points[:, k]) for k in range(fam.n)]
     _check_knots(times, axes)  # before the stencil runs: a table these knots cannot hold needs none of it
-    # one lane per state site, in the table's (time-major, C) order
-    states = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, fam.n)
+    _check_step(times, cfg.h, cfg.richardson)
+    states = _site_states(axes)  # one lane per state site, in the table's order
     table = np.empty((len(times), *[len(ax) for ax in axes], fam.n))
     skipped = 0
     total = len(times) * len(states)
@@ -287,19 +305,14 @@ def field_gap(tab: TabulatedVectorField, fld) -> tuple[float | None, int]:
 
     A site counts when its tabulated value is finite, it lies in fld's
     domain and fld evaluates there; the worst gap is None when none does.
+    The sites are one batch: fld.domain.contains_lanes runs on every site
+    and fld.lanes on the finite ones inside the domain.
     """
-    worst = -math.inf
-    compared = 0
-    for t, x, value in tab.sites():
-        if not np.all(np.isfinite(value)) or not fld.domain.contains(t, x):
-            continue
-        try:
-            ref = fld(t, x)
-        except ex.EvalError:
-            continue
-        compared += 1
-        worst = max(worst, float(np.max(np.abs(value - ref))))
-    return (worst if compared else None), compared
+    t, x, values = tab.site_columns()
+    inside = np.isfinite(values).all(axis=1) & fld.domain.contains_lanes(t, x)
+    ref, ok = fld.lanes(t[inside], x[inside])
+    compared = int(np.count_nonzero(ok))
+    return (float(np.abs(values[inside][ok] - ref[ok]).max()) if compared else None), compared
 
 
 def roundtrip_error(

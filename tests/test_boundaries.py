@@ -27,6 +27,12 @@ straight-line function per expression tuple, over floats or over lanes) and
 ``integrate._step`` (the step loop's try per dimension, over floats and
 over lanes).
 
+A Cauchy datum has one rule in the integrator: ``_integrate`` refuses a
+start outside the window or the field's domain, or where the field cannot
+be evaluated, and every scalar entry point goes through it, so no other
+function of ``integrate`` raises ``ValueError`` (``IntegratorConfig``
+validates its knots).
+
 A numeric family has one batch path: the integrator tests no field's type
 or attributes, only ``_drive_lanes`` reads ``_TAIL_LANES``, the lane count
 at which the scalar loop takes over, and no ``_TrajectoryCache`` method
@@ -212,6 +218,24 @@ def _batch_forks(path: Path) -> list[str]:
             ):
                 found.append((node.lineno, "calls _drive"))
     return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
+
+
+# the one start rule, and the config's own validation
+_START_RULE = ("_integrate", "IntegratorConfig")
+
+
+def _start_checks(path: Path) -> list[str]:
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        if getattr(top, "name", None) in _START_RULE:
+            continue
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Raise) and node.exc is not None):
+                continue
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(raised, ast.Name) and raised.id == "ValueError":
+                found.append(f"{path.name}:{node.lineno} {getattr(top, 'name', 'module')} raises ValueError")
+    return found
 
 
 def _numpy_random(path: Path) -> list[str]:
@@ -495,6 +519,37 @@ def test_detector_sees_a_batch_fork(tmp_path):
         "probe.py:10 reads _TAIL_LANES",
         "probe.py:10 tests isinstance(t, TabulatedVectorField)",
         "probe.py:13 calls _drive",
+    ]
+
+
+def test_only_integrate_refuses_a_start():
+    path = PACKAGE / "integrate.py"
+    names = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body if hasattr(node, "name")}
+    assert set(_START_RULE) <= names  # a rename must not exempt a function
+    assert _start_checks(path) == []
+
+
+def test_detector_sees_a_start_check_outside_the_rule(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class IntegratorConfig:\n"
+        "    def __post_init__(self):\n"
+        "        raise ValueError('window must be a nonempty interval')\n"
+        "def _integrate(field, rho, a, tau):\n"
+        "    raise ValueError('outside the integration window')\n"
+        "def advance(field, rho, a, tau):\n"
+        "    if not field.domain.contains(rho, a):\n"
+        "        raise ValueError('outside the field domain')\n"
+        "    raise KeyError(rho)\n"
+        "class _Cache:\n"
+        "    def solve(self, tau):\n"
+        "        raise ValueError\n"
+        "def evaluator(tau):\n"
+        "    raise DomainViolation('out_of_domain', 'outside the integration window')\n"
+    )
+    assert _start_checks(probe) == [
+        "probe.py:8 advance raises ValueError",
+        "probe.py:12 _Cache raises ValueError",
     ]
 
 

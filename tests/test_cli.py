@@ -575,6 +575,20 @@ def test_reconstruct_a_plan_too_small_to_tabulate_is_a_config_error(tmp_path, ca
     assert records[1]["message"] == f"{cfg}: plan: {message}"
 
 
+@pytest.mark.parametrize("h", ["1e-20", "1e-17"])
+def test_reconstruct_an_h_that_leaves_a_time_knot_unmoved_is_a_config_error(tmp_path, capsys, h):
+    # rotation's default plan starts at t = -1.0, where -1.0 + 1e-17 rounds to -1.0: every rate there would read 0
+    cfg = write_config(tmp_path, {"system": {"catalog": "rotation"}})
+    out = tmp_path / "field.csv"
+    code = main(["reconstruct", "--config", cfg, "--no-timestamp", "--h", h, "--out", str(out)])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 2 and not out.exists()
+    assert records[1] == {
+        "kind": "error",
+        "message": f"{cfg}: plan: finite-difference step h={h} leaves the time knot t=-1.0 unmoved",
+    }
+
+
 def test_reconstruct_checks_the_knots_before_it_tabulates(tmp_path, capsys, monkeypatch):
     from flowfam.core import FlowFamily
 

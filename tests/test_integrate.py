@@ -544,6 +544,65 @@ def test_unevaluable_start_is_out_of_domain_on_the_diagonal_too():
     assert fam.evaluate(1.0, 1.0, [0.25]).tolist() == [0.25]  # an evaluable start is still exact
 
 
+@pytest.mark.parametrize(
+    "domain, window, reason",
+    [
+        (DomainSpec(1), (-2.0, 2.0), "integration window"),
+        (DomainSpec(1, time_box=(-5.0, 2.5)), (-50.0, 50.0), "initial condition (3.0, [1.0]) outside the field domain"),
+        (DomainSpec(1), (-50.0, 50.0), "field cannot be evaluated at the initial condition (3.0, [1.0])"),
+    ],
+    ids=["outside-window", "outside-domain", "unevaluable"],
+)
+def test_one_rule_refuses_a_start_in_one_text(domain, window, reason):
+    # sqrt(2 - t) started at (3.0, [1.0]): advance toward the lower edge, escape_interval (which
+    # goes there first) and a point query there refuse it with the same words
+    field, cfg = VectorField.from_strings(["sqrt(2 - t)"], domain), IntegratorConfig(window=window)
+    fam, edge = numeric_family(field, cfg), window[0]
+    with pytest.raises(ValueError) as by_advance:
+        advance(field, 3.0, [1.0], edge, cfg)
+    with pytest.raises(ValueError) as by_interval:
+        escape_interval(field, 3.0, [1.0], cfg)
+    with pytest.raises(DomainViolation) as by_query:
+        fam.evaluate(edge, 3.0, [1.0])
+    assert reason in str(by_advance.value)
+    assert str(by_advance.value) == str(by_interval.value) == str(by_query.value)
+    assert by_query.value.kind == "out_of_domain"
+    assert fam.evaluate_batch([edge, 3.0], [3.0, 3.0], [[1.0], [1.0]])[1].tolist() == [False, False]
+
+
+def advance_to(field, rho, a, edge, cfg):
+    """(time, kind) of advance from (rho, a) toward edge: the edge and window_limit, or the escape."""
+    try:
+        advance(field, rho, a, edge, cfg)
+        return edge, "window_limit"
+    except EscapeEvent as ev:
+        return ev.time, ev.kind
+
+
+@pytest.mark.parametrize(
+    "rhs, domain, rho, a, kinds",
+    [
+        ("x1^2", DomainSpec(1), 0.0, 0.5, ("window_limit", "blow_up")),
+        ("x1^2", DomainSpec(1, space_predicate="4 - x1^2"), 0.0, 0.5, ("window_limit", "left_domain")),
+        ("sqrt(1 - t)", DomainSpec(1), 0.0, 0.5, ("window_limit", "step_underflow")),
+        ("x1^2", DomainSpec(1), -5.0, 0.5, ("window_limit", "blow_up")),
+        ("x1^2", DomainSpec(1), 5.0, -0.5, ("blow_up", "window_limit")),
+    ],
+    ids=["blow-up", "left-domain", "step-underflow", "at-lower-edge", "at-upper-edge"],
+)
+def test_escape_interval_is_advance_toward_each_edge(monkeypatch, rhs, domain, rho, a, kinds):
+    field, cfg = VectorField.from_strings([rhs], domain), IntegratorConfig(window=(-5.0, 5.0))
+    steps = count_steps(monkeypatch)
+    want = [advance_to(field, rho, [a], edge, cfg) for edge in cfg.window]
+    tries = steps()
+    j = escape_interval(field, rho, [a], cfg)
+    assert [(j.lower, j.lower_kind), (j.upper, j.upper_kind)] == want
+    assert (j.lower_kind, j.upper_kind) == kinds
+    assert steps() == 2 * tries  # the same tries, one integration toward each edge and its bisection
+    if rho in cfg.window:
+        assert want[cfg.window.index(rho)] == (rho, "window_limit")  # a start at an edge is that side's diagonal
+
+
 # --- trajectory cache ------------------------------------------------------------
 
 STEP = integrate._step

@@ -1,6 +1,7 @@
 """Vector-field recovery: finite-difference rates, tabulation, roundtrips."""
 
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from flowfam import catalog
 from flowfam import expr as ex
-from flowfam.core import DomainViolation, closed_form_family
+from flowfam.core import DomainSpec, DomainViolation, VectorField, closed_form_family
 from flowfam.integrate import IntegratorConfig, numeric_family
 from flowfam.reconstruct import (
     BoxDomain,
@@ -338,6 +339,70 @@ def test_field_gap_skips_holes_and_counts_compared():
     assert worst == pytest.approx(0.25)
     empty = TabulatedVectorField(times, [knots], np.full((2, 3, 1), np.nan))
     assert field_gap(empty, fld) == (None, 0)
+
+
+def field_gap_by_site(tab, fld):
+    """field_gap as a loop over the sites, one scalar query each: the reference the batch must equal."""
+    worst, compared = -math.inf, 0
+    for t, x, value in tab.sites():
+        if not np.all(np.isfinite(value)) or not fld.domain.contains(t, x):
+            continue
+        try:
+            ref = fld(t, x)
+        except ex.EvalError:
+            continue
+        compared += 1
+        worst = max(worst, float(np.max(np.abs(value - ref))))
+    return (worst if compared else None), compared
+
+
+def holed_table(times, axes):
+    grid = np.meshgrid(times, *axes, indexing="ij")
+    table = np.stack([np.sin(3.0 * grid[0] + grid[1]) * grid[2], np.cos(grid[1] * grid[2]) - grid[0]], axis=-1)
+    table[::3, 2, -2, 0] = np.nan
+    table[1, -2, :, 1] = np.nan
+    return table
+
+
+@pytest.mark.parametrize("reference", ["vector-field", "tabulated"])
+def test_field_gap_equals_the_site_loop_on_a_predicate_and_holes(reference):
+    # a table with holes against a field on the unit disc and a time box, where sqrt(x1) and
+    # log(x1 + x2) fail on parts of it, or against a smaller tabulated field with holes of its own
+    times, axes = np.linspace(-1.0, 2.0, 7), [np.linspace(-1.2, 1.2, 9), np.linspace(-1.0, 1.0, 11)]
+    tab = TabulatedVectorField(times, axes, holed_table(times, axes))
+    if reference == "vector-field":
+        domain = DomainSpec(2, time_box=(-1.0, 1.5), space_predicate="1 - x1^2 - x2^2")
+        fld = VectorField.from_strings(["sqrt(x1) * x2 - t", "log(x1 + x2) + t"], domain)
+    else:
+        knots = [np.linspace(-0.9, 0.9, 5), np.linspace(-0.7, 1.1, 4)]
+        fld = TabulatedVectorField(np.linspace(-0.5, 2.5, 4), knots, holed_table(np.linspace(-0.5, 2.5, 4), knots))
+    t, x, values = tab.site_columns()
+    inside = int(np.count_nonzero(np.isfinite(values).all(axis=1) & fld.domain.contains_lanes(t, x)))
+    worst, compared = field_gap(tab, fld)
+    assert 0 < compared < inside < len(t)  # the predicate, the holes and fld's failures each drop sites
+    assert (worst, compared) == field_gap_by_site(tab, fld)
+
+
+@pytest.mark.parametrize(
+    "h, richardson, knot",
+    [(1e-20, True, 0.5), (1e-17, False, -1.0), (2e-16, True, -1.0)],
+    ids=["tiny", "tiny-no-richardson", "half-step-only"],
+)
+def test_a_step_that_leaves_a_time_knot_unmoved_is_refused(monkeypatch, h, richardson, knot):
+    # t + h or t - h rounding to t makes a rate of zero; at t = -1.0, 2e-16 moves the knot but its half does not
+    from flowfam.core import FlowFamily
+
+    batches, batch = [], FlowFamily.evaluate_batch
+    monkeypatch.setattr(FlowFamily, "evaluate_batch", lambda self, *args: batches.append(1) or batch(self, *args))
+    plan = SamplePlan(tuple(sorted((knot, 0.0))), ((-0.3,), (0.3,)), random_count=0)
+    message = f"finite-difference step h={h} leaves the time knot t={knot} unmoved"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        field_from_family(riccati_family(), ReconstructionConfig(grid=plan, h=h, richardson=richardson))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        diagonal_rate(riccati_family(), knot, [0.5], h=h, richardson=richardson)
+    assert batches == []
+    if h == 2e-16:  # without Richardson the step itself moves every knot
+        field_from_family(riccati_family(), ReconstructionConfig(grid=plan, h=h, richardson=False))
 
 
 def test_both_fields_return_a_tuple_of_floats():
