@@ -35,7 +35,7 @@ from .core import closed_form_family, scaled_tol
 from .integrate import IntegratorConfig, StepBudgetExceeded, escape_interval, numeric_family
 from .linear import MAX_PANELS, NotAffine, NotInvertible, SingularWronskian, UnusableWindow
 from .linear import mollify, sincov_decompose, smooth_apply
-from .reconstruct import ReconstructionConfig, ReconstructionFailed, field_from_family, field_gap
+from .reconstruct import ReconstructionConfig, ReconstructionFailed, StepTooSmall, field_from_family, field_gap
 from .verify import Accumulator, ConditionReport, SamplePlan, SuiteTolerances, default_plan, run_suite
 
 __all__ = ["ConfigError", "RunSpec", "load_config", "main"]
@@ -338,8 +338,11 @@ def _cmd_reconstruct(args, spec: RunSpec, out) -> int:
         spec.plan, time_grid=tuple(sorted(set(map(float, spec.plan.time_grid))))
     )
     cfg = ReconstructionConfig(h=args.h, richardson=not args.no_richardson, grid=grid)
-    with _config_errors(args.config, "plan"):  # under two distinct knots on an axis, or an --h too small to move a knot
-        field = field_from_family(family, cfg)
+    with _config_errors(args.config, "plan"):  # under two distinct knots on an axis, checked first
+        try:
+            field = field_from_family(family, cfg)
+        except StepTooSmall as err:  # the flag chose the step, not the config
+            raise ConfigError(args.config, "--h", str(err)) from None
     knots = list(field.table.shape[:-1])
     summary = {
         "kind": "summary",

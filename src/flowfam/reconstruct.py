@@ -9,7 +9,7 @@ optionally sharpened by one Richardson step (4 D_{h/2} - D_h) / 3, and
 tabulated over a rectangular grid (the per-axis unique values of the plan's
 state points crossed with its time grid).  The result behaves like a
 VectorField: it has a dimension, a domain (the closed tabulated box), and
-is callable at (t, x) via multilinear interpolation, one call per lane
+is callable at (t, x) via multilinear interpolation, with a numpy lane form
 for a batch of points, so it can be handed straight back to the integrator
 to close the loop family -> field -> family.
 
@@ -23,17 +23,22 @@ Tabulation evaluates the stencil one time knot at a time, every state site
 of the knot in one ``FlowFamily.evaluate_batch`` call per stencil point (four
 with Richardson, two without); ``diagonal_rate`` is the same stencil over a
 batch of one, so a table entry and a direct rate agree bit for bit.
-Interpolation reads the field's own contiguous arrays through memoryviews:
-it locates each coordinate's cell with ``bisect_left``, then sums the
-2^(n+1) cell corners in a fixed order (corner c takes the upper knot on
-axis d when bit d of c is set; its weight is 1.0 times the per-axis
+The interpolant is generated per dimension from fixed templates, compiled
+once per n on the first field of that dimension, and bound to each field's
+own knots and table without copies.  Its scalar form reads them through
+memoryviews: it locates each coordinate's cell with ``bisect_left``, then
+sums the 2^(n+1) cell corners in a fixed order (corner c takes the upper
+knot on axis d when bit d of c is set; its weight is 1.0 times the per-axis
 factors in axis order, time first; the sum starts at 0.0 and skips zero
 weights), so a query's value is fixed bit for bit by the table, and a hole
-under a zero weight is never read.
+under a zero weight is never read.  Its lane form makes the same sum over
+numpy columns, locating cells with ``searchsorted`` and adding 0.0 for a
+zero weight, so each lane is the scalar form's value bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -48,6 +53,7 @@ from .verify import Accumulator, SamplePlan, default_plan, evaluate_where, lane_
 __all__ = [
     "ReconstructionConfig",
     "ReconstructionFailed",
+    "StepTooSmall",
     "BoxDomain",
     "TabulatedVectorField",
     "diagonal_rate",
@@ -59,6 +65,10 @@ __all__ = [
 
 class ReconstructionFailed(Exception):
     """Too few usable sites to tabulate a field."""
+
+
+class StepTooSmall(ValueError):
+    """A finite-difference step that leaves a time knot unmoved: t + h or t - h rounds to t."""
 
 
 @dataclass(frozen=True)
@@ -89,10 +99,17 @@ class BoxDomain:
     state_lo: tuple[float, ...]
     state_hi: tuple[float, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_bounds", tuple(zip(self.state_lo, self.state_hi)))
+
     def contains(self, t: float, x) -> bool:
+        """Whether t and each x_k lie in their closed ranges: NaN lies outside; a wrong-length x raises ValueError."""
         if not (self.time_lo <= t <= self.time_hi):
             return False
-        return all(lo <= v <= hi for lo, v, hi in zip(self.state_lo, x, self.state_hi, strict=True))
+        for (lo, hi), v in zip(self._bounds, x, strict=True):
+            if not lo <= v <= hi:
+                return False
+        return True
 
     def contains_lanes(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         """contains over lanes (t[m], x[m, n]): a bool mask, lane i equal to contains(t[i], x[i])."""
@@ -106,11 +123,11 @@ def _site_states(axes: list[np.ndarray]) -> np.ndarray:
 
 
 def _check_step(times: np.ndarray, h: float, richardson: bool) -> None:
-    """ValueError unless each stencil step, h and with Richardson h/2 too, moves every time knot both ways."""
+    """StepTooSmall unless each stencil step, h and with Richardson h/2 too, moves every time knot both ways."""
     for step in (h, h / 2.0) if richardson else (h,):
         stuck = times[(times + step == times) | (times - step == times)]
         if len(stuck):
-            raise ValueError(f"finite-difference step h={h} leaves the time knot t={float(stuck[0])} unmoved")
+            raise StepTooSmall(f"finite-difference step h={h} leaves the time knot t={float(stuck[0])} unmoved")
 
 
 def _check_knots(times: np.ndarray, axes: list[np.ndarray]) -> None:
@@ -126,12 +143,98 @@ def _check_knots(times: np.ndarray, axes: list[np.ndarray]) -> None:
         raise ValueError("time knots must be strictly increasing")
 
 
+# The interpolant, rendered per dimension by _interpolant_source in two forms:
+# the scalar slope over floats, and the lane form over numpy columns (m, 1),
+# which makes the same roundings as elementwise ufuncs in the same order.  A
+# template is rendered per axis {d} (time is axis 0) on the knots {k}{d}:
+# memoryviews k{d} in the slope, arrays a{d} in the lane form.  c{d}'s cell is
+# [knot i{d}, knot i{d} + 1], the first or last cell when c{d} lies beyond the
+# box; w{d} weighs its upper knot and u{d} its lower one.
+_WEIGHTS = ("lo{d} = {k}{d}[i{d}]", "w{d} = (c{d} - lo{d}) / ({k}{d}[i{d} + 1] - lo{d})", "u{d} = 1.0 - w{d}")
+_OUTSIDE = "(w{d} < -1.0) {op} (w{d} > 2.0)"  # more than one cell beyond the box
+_BEYOND = "raise EvalError('domain', f'query {{c{d}}} outside the tabulated box')"
+_SKIPPED = "raise EvalError('domain', 'query touches a skipped tabulation site')"
+
+
+def _interpolant_source(n: int) -> str:
+    """Source of bind(knots, strides, flat) -> (slope, lanes), the interpolant over n state axes.
+
+    knots are the knot arrays, time first, and flat the table's values in C
+    order, a step of one knot along axis d moving strides[d] doubles in it;
+    both forms read them without copies.  slope(t, x) is the module
+    docstring's sum unrolled: one bisect_left, clamp and weight per axis,
+    then the 2^(n+1) corners in order, zero weights skipped.  It returns a
+    tuple of n floats, and raises EvalError where a coordinate lies more than
+    one cell beyond the box or the sum is not finite.  lanes(t[m], x[m, n])
+    returns (values[m, n], ok[m]): ok[i] is False exactly where slope(t[i],
+    x[i]) raises, values[i] is NaN there and slope's result bit for bit
+    elsewhere.  A zero weight's corner adds +0.0 there, which changes no sum:
+    starting at +0.0, a sum of doubles is never -0.0.
+    """
+    axes = range(n + 1)
+    wrong = f"raise ValueError('state has wrong dimension for this field ({n})')"
+
+    def weight(c: int) -> str:  # corner c takes the upper knot on axis d when bit d of c is set
+        return "1.0" + "".join(f" * {'w' if c >> d & 1 else 'u'}{d}" for d in axes)
+
+    def corner(c: int) -> str:  # corner c's index in flat, b being its cell's lower corner
+        upper = [f"s{d}" for d in axes if c >> d & 1]
+        return "b" + ("" if not upper else f" + {upper[0]}" if len(upper) == 1 else f" + ({' + '.join(upper)})")
+
+    slope = [f"if len(x) != {n}: {wrong}", "c0 = float(t)", *[f"c{d} = float(x[{d - 1}])" for d in axes[1:]]]
+    lanes = [f"if x.shape[1] != {n}: {wrong}", "c0 = t[:, None]", *[f"c{d} = x[:, {d - 1}, None]" for d in axes[1:]],
+             "out = False"]
+    for d in axes:
+        slope += [f"i{d} = bisect_left(k{d}, c{d}) - 1", f"i{d} = 0 if i{d} < 0 else top{d} if i{d} > top{d} else i{d}",
+                  *[w.format(d=d, k="k") for w in _WEIGHTS],
+                  f"if {_OUTSIDE.format(d=d, op='or')}: {_BEYOND.format(d=d)}"]
+        lanes += [f"i{d} = minimum(maximum(searchsorted(a{d}, c{d}, side='left') - 1, 0), top{d})",
+                  *[w.format(d=d, k="a") for w in _WEIGHTS], f"out = out | {_OUTSIDE.format(d=d, op='|')}"]
+    cell = "b = " + " + ".join(f"i{d} * s{d}" for d in axes)
+    slope += [cell, *[f"v{k} = 0.0" for k in range(n)]]
+    lanes += [cell + " + components", "v = 0.0"]
+    for c in range(1 << len(axes)):
+        slope += [f"q = {weight(c)}", "if q != 0.0:", f"    j = {corner(c)}",
+                  *[f"    v{k} += q * flat[j{f' + {k}' if k else ''}]" for k in range(n)]]
+        lanes += [f"q = {weight(c)}", f"v = v + where(q != 0.0, q * flat_a[{corner(c)}], 0.0)"]
+    finite = " and ".join(f"isfinite(v{k})" for k in range(n))
+    slope += [f"if not ({finite}): {_SKIPPED}", "return (" + "".join(f"v{k}, " for k in range(n)) + ")"]
+    lanes += ["ok = ~out[:, 0] & isfinite_lanes(v).all(axis=1)", "v[~ok] = nan", "return v, ok"]
+
+    def each(template: str) -> str:
+        return ", ".join(template.format(d=d) for d in axes)
+
+    def block(indent: str, lines: list[str]) -> str:
+        return "".join(f"{indent}{line}\n" for line in lines)
+
+    bind = [f"[{each('a{d}')}] = knots", f"[{each('k{d}')}] = map(memoryview, knots)", f"[{each('s{d}')}] = strides",
+            f"{each('top{d}')} = {each('len(a{d}) - 2')}", "flat_a, flat = flat, memoryview(flat)",
+            f"components = arange({n})"]
+    return ("def bind(knots, strides, flat):\n" + block("    ", bind)
+            + "    def slope(t, x):\n" + block("        ", slope) + "    def lanes(t, x):\n" + block("        ", lanes)
+            + "    return slope, errstate(all='ignore')(lanes)\n")
+
+
+@functools.cache
+def _interpolant(n: int):
+    """bind(knots, strides, flat) -> (slope, lanes): _interpolant_source(n), compiled once per dimension."""
+    namespace = {  # the names the source calls: the slope's, then the lane form's
+        "bisect_left": bisect_left, "isfinite": math.isfinite, "EvalError": ex.EvalError,
+        "searchsorted": np.searchsorted, "minimum": np.minimum, "maximum": np.maximum, "where": np.where,
+        "isfinite_lanes": np.isfinite, "nan": math.nan, "arange": np.arange, "errstate": np.errstate,
+    }
+    exec(compile(_interpolant_source(n), "<flowfam interpolant>", "exec"), namespace)
+    return namespace["bind"]
+
+
 class TabulatedVectorField:
     """Multilinear interpolation over a rectangular (time x state) table.
 
     Duck-compatible with VectorField for the integrator: exposes n, domain,
-    __call__(t, x), the same function as slope(t, x), and its lane form
-    lanes(t, x), and the domain answers contains and contains_lanes.
+    __call__(t, x), slope(t, x), which __call__ calls, and its lane form
+    lanes(t, x), and the domain answers contains and contains_lanes.  slope
+    and the lane form are generated per dimension (_interpolant) and bound
+    to this field's knots and table, so a later write into table shows.
     Values one cell beyond an edge are linearly continued from the edge
     cell so Runge-Kutta stage points may overshoot slightly; anything
     farther out, or touching a skipped-site hole, raises an evaluation
@@ -156,19 +259,8 @@ class TabulatedVectorField:
             state_lo=tuple(float(ax[0]) for ax in self.axes),
             state_hi=tuple(float(ax[-1]) for ax in self.axes),
         )
-        # knots per axis (time first) and the flat table, read without copies;
-        # a step of one knot along axis d moves strides[d] doubles in the table
-        self._knots = [memoryview(ax) for ax in (self.times, *self.axes)]
-        self._flat = memoryview(self.table.reshape(-1))
-        self._strides = [stride // self.table.itemsize for stride in self.table.strides[:-1]]
-        # corner c: its offset from the cell's lower corner, and per axis d the
-        # position of its factor in (1 - w_0, w_0, 1 - w_1, w_1, ...)
-        dims = len(self._strides)
-        self._corners = [
-            (sum(s for d, s in enumerate(self._strides) if c >> d & 1),
-             tuple(2 * d + (c >> d & 1) for d in range(dims)))
-            for c in range(1 << dims)
-        ]
+        strides = [stride // self.table.itemsize for stride in self.table.strides[:-1]]
+        self.slope, self._lanes = _interpolant(self.n)((self.times, *self.axes), strides, self.table.reshape(-1))
 
     def site_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every site as lanes (t[m], x[m, n], tabulated values[m, n]), in sites' order; holes are NaN."""
@@ -182,51 +274,15 @@ class TabulatedVectorField:
 
     def __call__(self, t: float, x) -> tuple:
         """The interpolated slope at (t, x) as a tuple of n floats; x is any sequence of n floats."""
-        coords = [float(t), *map(float, x)]
-        if len(coords) != len(self._knots):
-            raise ValueError(f"state has wrong dimension for this field ({self.n})")
-        base = 0
-        factors = []
-        for knots, stride, c in zip(self._knots, self._strides, coords):
-            i = min(max(bisect_left(knots, c) - 1, 0), len(knots) - 2)
-            lo = knots[i]
-            w = (c - lo) / (knots[i + 1] - lo)
-            if w < -1.0 or w > 2.0:  # more than one cell beyond the box
-                raise ex.EvalError("domain", f"query {c} outside the tabulated box")
-            base += i * stride
-            factors += (1.0 - w, w)
-        n, flat = self.n, self._flat
-        out = [0.0] * n
-        for offset, picks in self._corners:
-            weight = 1.0
-            for j in picks:
-                weight *= factors[j]
-            if weight != 0.0:
-                start = base + offset
-                for k in range(n):
-                    out[k] += weight * flat[start + k]
-        if not all(map(math.isfinite, out)):
-            raise ex.EvalError("domain", "query touches a skipped tabulation site")
-        return tuple(out)
-
-    @property
-    def slope(self):
-        """The integrator's rhs, slope(t, x) -> tuple of n floats: this field's interpolating __call__."""
-        return self.__call__
+        return self.slope(t, x)
 
     def lanes(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The slopes at lanes (t[m], x[m, n]): (values[m, n], ok[m]), one __call__ per lane.
+        """The slopes at lanes (t[m], x[m, n]): (values[m, n], ok[m]).
 
-        values[i] is self(t[i], x[i]) where ok[i], and NaN where that call
-        raises EvalError, which is exactly where ok[i] is False.
+        values[i] is self(t[i], x[i]) bit for bit where ok[i], and NaN where
+        that call raises EvalError, which is exactly where ok[i] is False.
         """
-        values, ok = np.full(x.shape, math.nan), np.ones(len(t), dtype=bool)
-        for i, (t_i, x_i) in enumerate(zip(t.tolist(), x.tolist())):
-            try:
-                values[i] = self(t_i, x_i)
-            except ex.EvalError:
-                ok[i] = False
-        return values, ok
+        return self._lanes(t, x)
 
 
 def diagonal_rate(
@@ -240,7 +296,8 @@ def diagonal_rate(
 
     [F_{tau+h,tau}(a) - F_{tau-h,tau}(a)] / 2h, optionally sharpened by one
     Richardson step.  Raises DomainViolation when the stencil leaves the
-    family's domain, and ValueError first when a step leaves tau unmoved.
+    family's domain, and StepTooSmall (a ValueError) first when a step
+    leaves tau unmoved.
     """
     arr = as_state(a, fam.n)
     _check_step(np.array([float(tau)]), h, richardson)
@@ -274,8 +331,9 @@ def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig) -> TabulatedVe
     Sites where the stencil cannot stay in-domain become holes; more than
     50% holes aborts with ReconstructionFailed.  Knots that cannot make a
     table (fewer than two on an axis, or not strictly increasing) raise
-    TabulatedVectorField's ValueError before the family is evaluated, as
-    does a step h (or h/2 with Richardson) that leaves a time knot unmoved.
+    TabulatedVectorField's ValueError before the family is evaluated, and
+    then a step h (or h/2 with Richardson) that leaves a time knot unmoved
+    raises StepTooSmall, a ValueError.
     """
     plan = cfg.grid
     if plan.n != fam.n:

@@ -22,10 +22,13 @@ DOPRI5 tableau is read only by the generated tries: no function of
 ``integrate`` names a coefficient, so the sums are written once, in the
 templates both tries are rendered from.
 
-Source text is compiled in two places only: ``expr._generate`` (one
-straight-line function per expression tuple, over floats or over lanes) and
+Source text is compiled in three places only: ``expr._generate`` (one
+straight-line function per expression tuple, over floats or over lanes),
 ``integrate._step`` (the step loop's try per dimension, over floats and
-over lanes).
+over lanes) and ``reconstruct._interpolant`` (a tabulated field's
+interpolant per dimension, over floats and over lanes).  The interpolant's
+scalar slope names no numpy, and its lane form binds none of numpy's
+functions that differ from ``math``.
 
 A Cauchy datum has one rule in the integrator: ``_integrate`` refuses a
 start outside the window or the field's domain, or where the field cannot
@@ -58,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 import flowfam
-from flowfam import catalog, cli, expr, integrate
+from flowfam import catalog, cli, expr, integrate, reconstruct
 
 PACKAGE = Path(flowfam.__file__).parent
 
@@ -406,6 +409,21 @@ def test_generated_step_uses_no_numpy():
             assert _numpy_in_source(ast.unparse(defined[name])) == []
 
 
+def test_generated_interpolant_slope_uses_no_numpy():
+    for n in (1, 2, 3):
+        (bind,) = ast.parse(reconstruct._interpolant_source(n)).body  # bind defines slope and lanes
+        defined = {node.name: node for node in bind.body if isinstance(node, ast.FunctionDef)}
+        assert set(defined) == {"slope", "lanes"}  # a rename must not empty the check
+        assert _numpy_in_source(ast.unparse(defined["slope"])) == []
+
+
+def test_generated_interpolant_lanes_bind_no_numpy_that_differs_from_math():
+    field = reconstruct.TabulatedVectorField(np.array([0.0, 1.0]), [np.array([0.0, 1.0])], np.zeros((2, 2, 1)))
+    lanes = vars(field)["_lanes"]  # the generated function the lanes method calls
+    assert "searchsorted" in inspect.unwrap(lanes).__globals__  # the check reads the lane form's own names
+    assert _lane_unsafe_bindings(lanes) == []
+
+
 def _tableau_readers(path: Path) -> list[str]:
     found = []
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -466,13 +484,15 @@ def test_detector_sees_lane_unsafe_numpy_in_a_namespace():
     ]
 
 
-def test_only_the_two_generators_compile_source():
+def test_only_the_three_generators_compile_source():
     found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _code_compilers(path)]
     assert found == [
         "expr.py:_generate calls exec",
         "expr.py:_generate calls compile",
         "integrate.py:_step calls exec",
         "integrate.py:_step calls compile",
+        "reconstruct.py:_interpolant calls exec",
+        "reconstruct.py:_interpolant calls compile",
     ]
 
 

@@ -585,7 +585,7 @@ def test_reconstruct_an_h_that_leaves_a_time_knot_unmoved_is_a_config_error(tmp_
     assert code == 2 and not out.exists()
     assert records[1] == {
         "kind": "error",
-        "message": f"{cfg}: plan: finite-difference step h={h} leaves the time knot t=-1.0 unmoved",
+        "message": f"{cfg}: --h: finite-difference step h={h} leaves the time knot t=-1.0 unmoved",
     }
 
 

@@ -17,6 +17,7 @@ from flowfam.reconstruct import (
     BoxDomain,
     ReconstructionConfig,
     ReconstructionFailed,
+    StepTooSmall,
     TabulatedVectorField,
     diagonal_rate,
     field_from_family,
@@ -396,9 +397,9 @@ def test_a_step_that_leaves_a_time_knot_unmoved_is_refused(monkeypatch, h, richa
     monkeypatch.setattr(FlowFamily, "evaluate_batch", lambda self, *args: batches.append(1) or batch(self, *args))
     plan = SamplePlan(tuple(sorted((knot, 0.0))), ((-0.3,), (0.3,)), random_count=0)
     message = f"finite-difference step h={h} leaves the time knot t={knot} unmoved"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(StepTooSmall, match=re.escape(message)):
         field_from_family(riccati_family(), ReconstructionConfig(grid=plan, h=h, richardson=richardson))
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(StepTooSmall, match=re.escape(message)):
         diagonal_rate(riccati_family(), knot, [0.5], h=h, richardson=richardson)
     assert batches == []
     if h == 2e-16:  # without Richardson the step itself moves every knot
@@ -550,7 +551,7 @@ def _queries(rng, knots, count):
 
 
 @pytest.mark.parametrize("holes", [0, 5], ids=["full", "holes"])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_interpolation_matches_the_corner_loop(n, holes):
     rng = np.random.default_rng(7 + n + holes)
     times = np.cumsum(rng.uniform(0.2, 1.0, 6)) - 2.0
@@ -584,10 +585,12 @@ def test_interpolation_matches_the_corner_loop_on_edge_cases():
     assert outcome(field, 1.0, [0.0]) == outcome(reference_interp, field, 1.0, [0.0]) == b"\0" * 8
 
 
-# a 2-D table with two holes; coordinates on and between the knots, at the box's edges,
-# up to and past one cell beyond them, and not finite
+# tables with holes, in 2-D (two holes), 1-D and 3-D; coordinates on and between the knots,
+# at the box's edges, up to and past one cell beyond them, and not finite
 _LANE_TIMES, _LANE_AXES = np.array([0.0, 1.0, 2.5]), [np.array([-1.0, 0.0, 2.0]), np.array([-0.5, 0.5])]
 _LANE_FIELD = _holey_field(np.random.default_rng(11), _LANE_TIMES, _LANE_AXES, 2)
+_LANE_FIELD_1D = _holey_field(np.random.default_rng(12), _LANE_TIMES, _LANE_AXES[:1], 1)
+_LANE_FIELD_3D = _holey_field(np.random.default_rng(13), _LANE_TIMES, [*_LANE_AXES, np.array([0.0, 0.25, 1.0])], 3)
 
 
 def _lane_coordinate(knots):
@@ -597,17 +600,96 @@ def _lane_coordinate(knots):
     return st.one_of(st.sampled_from(edges), st.floats(lo - 3.0 * cell, hi + 3.0 * cell))
 
 
+def _lane_points(field):
+    return st.lists(st.tuples(*map(_lane_coordinate, [field.times, *field.axes])), min_size=1, max_size=12)
+
+
+def assert_lanes_are_scalar_calls(field, points):
+    t, x = np.array([p[0] for p in points]), np.array([p[1:] for p in points])
+    values, ok = field.lanes(t, x)
+    inside = field.domain.contains_lanes(t, x)
+    assert values.shape == x.shape and ok.dtype == inside.dtype == bool
+    for i, (t_i, *x_i) in enumerate(points):
+        want = outcome(field, t_i, x_i)
+        assert ok[i] == isinstance(want, bytes)
+        assert values[i].tobytes() == want if ok[i] else np.isnan(values[i]).all()
+        assert inside[i] == field.domain.contains(t_i, x_i)
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(*map(_lane_coordinate, [_LANE_TIMES, *_LANE_AXES])), min_size=1, max_size=12))
+@given(_lane_points(_LANE_FIELD))
 @example([(0.0, -1.0, -0.5), (2.5, 2.0, 0.5), (2.5, -1.0, 0.5), (0.0, 2.0, -0.5),  # the box's corners
           (math.nextafter(2.5, 3.0), 2.0, 0.5), (0.0, -1.0, math.nextafter(-0.5, -1.0))])
 def test_tabulated_lanes_are_its_scalar_calls(points):
-    t, x = np.array([p[0] for p in points]), np.array([p[1:] for p in points])
-    values, ok = _LANE_FIELD.lanes(t, x)
-    inside = _LANE_FIELD.domain.contains_lanes(t, x)
-    assert values.shape == x.shape and ok.dtype == inside.dtype == bool
-    for i, (t_i, *x_i) in enumerate(points):
-        want = outcome(_LANE_FIELD, t_i, x_i)
-        assert ok[i] == isinstance(want, bytes)
-        assert values[i].tobytes() == want if ok[i] else np.isnan(values[i]).all()
-        assert inside[i] == _LANE_FIELD.domain.contains(t_i, x_i)
+    assert_lanes_are_scalar_calls(_LANE_FIELD, points)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lane_points(_LANE_FIELD_1D))
+@example([(math.nan, 0.0), (0.5, math.nan), (math.inf, 0.0), (0.5, -math.inf), (-1.0, 4.0), (3.5, -3.0)])
+def test_tabulated_lanes_are_its_scalar_calls_in_one_dimension(points):
+    # NaN: bisect_left puts it before every knot and searchsorted after, and both lanes fail as the sum's hole
+    assert_lanes_are_scalar_calls(_LANE_FIELD_1D, points)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lane_points(_LANE_FIELD_3D))
+@example([(1.0, 0.0, 0.5, 0.25), (2.5, 2.0, 0.5, 1.0), (0.0, -1.0, -0.5, math.nan), (0.5, 0.5, 0.0, 1.76)])
+def test_tabulated_lanes_are_its_scalar_calls_in_three_dimensions(points):
+    assert_lanes_are_scalar_calls(_LANE_FIELD_3D, points)
+
+
+def test_tabulated_lanes_read_the_table_as_it_is_now():
+    field = _holey_field(np.random.default_rng(4), _LANE_TIMES, _LANE_AXES[:1], 0)
+    field.table[1, 1, 0] = -0.0  # written after construction: both forms read the table in place
+    t, x = np.array([1.0, 1.0, 0.5]), np.array([[0.0], [-0.0], [0.0]])
+    values, ok = field.lanes(t, x)
+    assert ok.all() and values[:2].tobytes() == b"\0" * 16 == np.array([field(1.0, [0.0])]).tobytes() * 2
+    field.table[1, 1, 0] = math.nan
+    assert field.lanes(t, x)[1].tolist() == [False, False, False]
+    assert outcome(field, 1.0, [0.0]) == ("domain", "query touches a skipped tabulation site")
+    with pytest.raises(ValueError, match=re.escape("state has wrong dimension for this field (1)")):
+        field.lanes(t, np.zeros((3, 2)))
+
+
+def test_box_domain_contains_keeps_its_edges_and_its_answers():
+    box = BoxDomain(n=2, time_lo=0.0, time_hi=1.0, state_lo=(-1.0, 0.0), state_hi=(1.0, 2.0))
+    assert box.contains(0.0, (-1.0, 2.0)) and box.contains(1.0, [1.0, 0.0]) and box.contains(0.5, np.zeros(2))
+    assert not box.contains(0.5, (math.nan, 1.0)) and not box.contains(math.nan, (0.0, 1.0))
+    assert not box.contains(0.5, (0.0, math.nextafter(2.0, 3.0)))
+    assert not box.contains(0.5, (5.0,))  # outside before the state runs short, as all() over zip stopped
+    for x, message in [((0.0,), "zip() argument 2 is shorter than argument 1"),
+                       ((0.0, 1.0, 2.0), "zip() argument 2 is longer than argument 1")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            box.contains(0.5, x)
+
+
+def test_rebuilt_family_batch_is_its_point_evaluations(monkeypatch):
+    # more than 16 lanes run in the lane driver, whose tries evaluate the field's lanes; holes
+    # in the table end some lanes at their start or in a step that cannot shrink past them,
+    # and the box the trajectories leave ends others
+    widest, lanes = [], TabulatedVectorField.lanes
+    monkeypatch.setattr(TabulatedVectorField, "lanes", lambda self, t, x: widest.append(len(t)) or lanes(self, t, x))
+    rng = np.random.default_rng(9)
+    times, axes = np.linspace(-1.0, 1.0, 9), [np.linspace(-1.0, 1.0, 11)]
+    table = np.sin(3.0 * times[:, None] + 2.0 * axes[0][None, :])[..., None] + 0.2 * rng.uniform(-1.0, 1.0, (9, 11, 1))
+    table[6, 2, 0] = table[2, 8, 0] = math.nan
+    field = TabulatedVectorField(times, axes, table)
+    count = 96
+    sigma, a = rng.uniform(-0.9, 0.9, count), rng.uniform(-0.9, 0.9, (count, 1))
+    tau = np.where(np.arange(count) % 8 == 0, sigma, rng.uniform(-1.0, 1.0, count))
+    values, ok = numeric_family(field, IntegratorConfig()).evaluate_batch(tau, sigma, a)
+    scalar = numeric_family(field, IntegratorConfig())
+    seen = set()
+    for i in range(count):
+        try:
+            want = [v.hex() for v in scalar.evaluate(tau[i], sigma[i], a[i]).tolist()]
+        except DomainViolation as err:
+            assert not ok[i], (i, str(err))
+            escape = re.search(r"\((\w+)\)$", str(err))
+            seen.add(escape[1] if escape else "hole" if "skipped tabulation site" in str(err) else str(err))
+        else:
+            assert ok[i] and [v.hex() for v in values[i].tolist()] == want, i
+            seen.add("value")
+    assert seen == {"value", "hole", "step_underflow", "left_domain"}
+    assert max(widest) > 16
