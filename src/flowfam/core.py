@@ -240,11 +240,17 @@ class FlowFamily:
         return arr
 
     def _value(self, tau: float, sigma: float, arr: np.ndarray) -> np.ndarray:
-        """The evaluator's state at (tau, sigma, arr); a non-finite one is out of the domain."""
+        """The evaluator's state at (tau, sigma, arr), as as_state builds it; a non-finite one is out of the domain.
+
+        A state of the wrong length raises as_state's ValueError first.
+        """
         value = np.array(self.evaluator(tau, sigma, arr), dtype=float).reshape(-1)
-        if value.shape == (self.n,) and not all(map(math.isfinite, value.tolist())):
+        if value.shape != (self.n,):
+            raise ValueError(f"state has length {value.shape[0]}, expected {self.n}")
+        if not all(map(math.isfinite, value.tolist())):
             raise DomainViolation("out_of_domain", f"the state at ({tau}, {sigma}, {arr}) is not finite")
-        return as_state(value, self.n)
+        value.flags.writeable = False
+        return value
 
     def evaluate(self, tau: float, sigma: float, a) -> np.ndarray:
         """F_{tau sigma}(a); raises DomainViolation outside the domain set."""

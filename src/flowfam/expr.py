@@ -26,15 +26,18 @@ tuple of expressions: one statement per node in post-order, each with its
 check (the zero test of ``/``, the rules of ``^``, ``log`` and ``sqrt``, the
 finite check after ``+ - * / ^`` and every function, and after an
 expression's value when it is a literal), so errors come in the tree's
-order.  ``compile_field_lanes`` and ``compile_family_lanes``
+order.  ``x^k`` for a literal integer k, |k| <= 16, is a chain of products
+(_power_chain) with ``pow``'s checks, not a ``pow`` call, so its bits do
+not depend on the platform's libm.  ``compile_field_lanes`` and ``compile_family_lanes``
 write the same statements from a second template set, over lane arrays:
 each check clears the lanes it fails from one ok mask, so lane i of the
 values equals the scalar form's result at lane i's point bit for bit where
 ok[i], and ok[i] is False exactly where the scalar form raises EvalError.
-There ``+ - * /``, negation, ``sin``, ``cos``, ``sqrt`` and ``abs`` run in
-numpy, which rounds them as ``math`` and Python floats do, while ``exp``,
-``tanh``, ``log`` and ``^`` call the scalar helpers lane by lane, since
-numpy's versions differ from ``math`` in the last bit for some arguments.
+There ``+ - * /``, negation, ``sin``, ``cos``, ``sqrt``, ``abs`` and the
+product chains run in numpy, which rounds them as ``math`` and Python
+floats do, while ``exp``, ``tanh``, ``log`` and any other ``^`` call the
+scalar helpers lane by lane, since numpy's versions differ from ``math``
+in the last bit for some arguments.
 Both sources are built from fixed templates, slot indices and generated
 names only; constants and helpers are bound in the function's namespace,
 so no text of an expression is compiled.
@@ -362,6 +365,56 @@ def _failure(kind: str, message: str):
     return fail
 
 
+def _nonfinite_power(base: float):
+    """What the product rule of ``^`` calls when x^k is not finite: _pow's error at that base.
+
+    math.pow raises OverflowError only at a finite base; at an infinite or
+    NaN base its value fails the finite check after it instead.
+    """
+    if math.isfinite(base):
+        raise EvalError("nonfinite", "overflow in power")
+    raise EvalError("nonfinite", "non-finite result from '^'")
+
+
+_MAX_PRODUCT_EXPONENT = 16
+
+
+def _integer_exponent(e) -> int | None:
+    """k when ``e`` is a literal, or a once negated one, whose value is an integer k with |k| <= 16.
+
+    Such an exponent takes the product rule of ``^`` (see _power_chain);
+    every other one calls the power helper.
+    """
+    negated = isinstance(e, Neg)
+    literal = e.operand if negated else e
+    if not (isinstance(literal, Num) and float(literal.value).is_integer()):
+        return None
+    k = -int(literal.value) if negated else int(literal.value)
+    return k if abs(k) <= _MAX_PRODUCT_EXPONENT else None
+
+
+def _power_chain(k: int) -> list[tuple[int, int]]:
+    """The products that make x^k for k >= 1, in order, as exponent pairs (i, j): x^(i+j) = x^i * x^j.
+
+    Binary powering from the low bit: the squares x^2, x^4, x^8, ... are
+    made as the bits of k need them, each from the one before, and the
+    result is the lowest set bit's square, times each higher set bit's
+    square in turn, the result so far on the left.  So x^2 is x * x, x^3 is
+    x * (x * x) and x^6 is (x*x) * ((x*x) * (x*x)); x^1 takes no product.
+    """
+    products, square, result = [], 1, 0
+    while True:
+        if k & 1:
+            if result:
+                products.append((result, square))
+            result += square
+        k >>= 1
+        if not k:
+            return products
+        products.append((square, square))
+        square *= 2
+
+
 def _per_lane(fn, ok: np.ndarray, *args: np.ndarray):
     """fn applied lane by lane where ok; a lane whose call raises EvalError drops out of ok."""
     values, ok = np.full(ok.shape, math.nan), ok.copy()
@@ -400,6 +453,9 @@ class _Templates(NamedTuple):
 
     helpers: dict
     binary: dict  # operator -> statements over the node's value v and its operands l, r
+    # x^k for an exponent _integer_exponent takes, k != 0: the statements after the product
+    # chain that makes x^|k|, over the base x and the chain's value p, for k > 0 and for k < 0
+    powers: tuple
     calls: dict  # function -> (what k is bound to, statements over v, k and the argument a)
     read: tuple  # first read of scalar argument s<i> and of state component x<i>, slot i; "" reads none
     literal: str  # statement giving literal k the value v; "" uses k itself
@@ -415,6 +471,8 @@ _SCALAR = _Templates(
         "power": _pow,
         "division_by_zero": _failure("division_by_zero", "division by zero"),
         "nonfinite_literal": _failure("nonfinite", "non-finite literal"),
+        "zero_base": _failure("division_by_zero", "zero base with negative exponent"),
+        "nonfinite_power": _nonfinite_power,
         **{f"nonfinite_{name}": _failure("nonfinite", f"non-finite result from '{op}'")
            for op, name in zip("+-*/^", ("add", "sub", "mul", "div", "pow"))},
     },
@@ -425,6 +483,12 @@ _SCALAR = _Templates(
         "/": ("if {r} == 0.0: division_by_zero()", "if not isfinite({v} := {l} / {r}): nonfinite_div()"),
         "^": ("if not isfinite({v} := power({l}, {r})): nonfinite_pow()",),
     },
+    # a product of floats never raises, so the zero test after the chain is still the first
+    # check, and p == 0.0 after it is a nonzero base whose power underflowed
+    powers=(
+        ("if not isfinite({v} := {p}): nonfinite_power({x})",),
+        ("if {x} == 0.0: zero_base()", "if {p} == 0.0 or not isfinite({v} := 1.0 / {p}): nonfinite_power({x})"),
+    ),
     calls={fn: (_CALLS[fn], ("{v} = {k}({a})",)) for fn in FUNCTIONS},
     read=("{name} = float({name})", "{name} = float(state[{i}])"),
     literal="",
@@ -449,6 +513,8 @@ _LANES = _Templates(
         "/": ("ok &= isfinite({v} := {l} / {r})",),
         "^": ("{v}, ok = power({l}, {r}, ok)",),
     },
+    # a zero base makes 1.0 / 0.0, which the finite check clears
+    powers=(("ok &= isfinite({v} := {p})",), ("ok &= isfinite({v} := 1.0 / {p})",)),
     calls={
         "sin": (np.sin, ("ok &= isfinite({v} := {k}({a}))",)),
         "cos": (np.cos, ("ok &= isfinite({v} := {k}({a}))",)),
@@ -496,7 +562,24 @@ def _source(e, scalars: tuple, prefix: str, n: int, lanes: bool = False) -> tupl
         lines.extend(statement.format(v=v, **slots) for statement in statements)
         return v
 
+    def power(x: str, k: int) -> str:
+        """x^k for an exponent _integer_exponent takes: _power_chain's products, then the checks."""
+        if k == 0:
+            return emit(Num(1.0))
+        positive, negative = templates.powers
+        made, products = {1: x}, _power_chain(abs(k))
+        for i, j in products[:-1]:
+            made[i + j] = node(("{v} = {l} * {r}",), l=made[i], r=made[j])
+        p = "{} * {}".format(*(made[i] for i in products[-1])) if products else x
+        if k > 0:
+            return node(positive, p=p, x=x)
+        if products:  # the reciprocal's check reads the chain's value twice
+            p = node(("{v} = {p}",), p=p)
+        return node(negative, p=p, x=x)
+
     def emit(e) -> str:
+        if isinstance(e, Bin) and e.op == "^" and (k := _integer_exponent(e.right)) is not None:
+            return power(emit(e.left), k)
         if isinstance(e, Bin):
             left, right = emit(e.left), emit(e.right)
             return node(templates.binary[e.op], l=left, r=right)
@@ -607,6 +690,8 @@ def compile_family_lanes(e, n: int):
 # Printing
 
 def format_number(v: float) -> str:
+    if math.isinf(v):  # a literal too large for a double, which parses back to inf
+        return "1e400" if v > 0.0 else "-1e400"
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)

@@ -13,7 +13,9 @@ while its direct map does not scores an infinite residual, so no
 Lane kernels equal the scalar forms bit for bit only while they leave
 ``exp``, ``tanh``, ``log`` and powers to ``math``: numpy's versions round
 some arguments differently, so no module references them, and no generated
-lane function names numpy or binds them.
+lane function names numpy or binds them.  A power whose exponent is a
+literal integer, |k| <= 16, is a chain of products instead, in both forms,
+so its source names no ``power`` helper.
 
 The integrator's scalar step loop makes no numpy call: it runs on tuples of
 floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
@@ -466,6 +468,24 @@ def test_detector_sees_numpy_in_generated_source():
 def test_generated_lane_source_uses_no_numpy():
     for _, source in _lane_kernels():
         assert _numpy_in_source(source) == [], source
+
+
+def _source_names(source: str) -> set[str]:
+    return {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+
+
+def test_integer_powers_call_no_power_helper():
+    # a literal integer exponent, |k| <= 16, once negated or not, is a chain of products in both
+    # forms; any other exponent still calls the power helper, _pow or its lane form
+    integer = [f"{k}" for k in range(17)] + [f"-{k}" for k in range(17)]
+    for (scalars, prefix), base, other in ((expr._FIELD, "x1", "x2"), (expr._FAMILY, "a1", "a2")):
+        for lanes in (False, True):
+            for exponent in integer:
+                source = expr._source(expr.parse(f"{base}^{exponent}"), scalars, prefix, 2, lanes)[0]
+                assert "power" not in _source_names(source), source
+            for exponent in ("17", "-17", "0.5", "--2", other):
+                source = expr._source(expr.parse(f"{base}^{exponent}"), scalars, prefix, 2, lanes)[0]
+                assert "power" in _source_names(source), source
 
 
 def test_generated_lane_functions_bind_no_numpy_that_differs_from_math():

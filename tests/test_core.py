@@ -355,6 +355,26 @@ def test_non_finite_state_is_out_of_domain(kind):
     assert np.isnan(values[0]).all() and values[1].tolist() == good[2]
 
 
+def test_evaluate_builds_the_state_as_as_state_does():
+    # a read-only copy of what the evaluator returns; a wrong length is the evaluator's bug
+    # and raises before the finite check, a non-finite state of the right length is outside
+    returned = np.array([1.0, 2.0])
+    fam = FlowFamily(2, "closed_form", lambda tau, sigma, a: returned)
+    value = fam.evaluate(0.0, 0.0, [0.0, 0.0])
+    assert value.tolist() == [1.0, 2.0] and value.dtype == float and not value.flags.writeable
+    returned[0] = 5.0
+    assert value.tolist() == [1.0, 2.0]
+    for wrong in ([1.0], [math.inf, 1.0, 2.0], []):
+        fam = FlowFamily(2, "closed_form", lambda tau, sigma, a, wrong=wrong: wrong)
+        with pytest.raises(ValueError, match=rf"^state has length {len(wrong)}, expected 2$"):
+            fam.evaluate(0.0, 0.0, [0.0, 0.0])
+        with pytest.raises(ValueError, match=rf"^state has length {len(wrong)}, expected 2$"):
+            as_state(wrong, 2)
+    fam = FlowFamily(2, "closed_form", lambda tau, sigma, a: (1, math.nan))
+    with pytest.raises(DomainViolation, match=r"^the state at \(0.5, 0.0, \[0. 0.\]\) is not finite$"):
+        fam.evaluate(0.5, 0.0, [0.0, 0.0])
+
+
 def test_non_finite_batch_lane_is_out_of_domain():
     # a batch evaluator's non-finite lane is dropped like evaluate's, not raised
     fam = FlowFamily(1, "closed_form", lambda tau, sigma, a: [math.inf],

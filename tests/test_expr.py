@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 import tokenize
 from functools import partial
 from pathlib import Path
@@ -187,6 +188,9 @@ def test_corpus_evaluation_pinned():
 def test_evaluate_basics():
     assert compile_field(parse("x1^2"), 1)(0.0, [0.5]) == 0.25
     assert compile_field(parse("x1^3"), 1)(0.0, [-2.0]) == -8.0
+    # under a negative exponent an overflowing product is no error: 1/inf is 0, as pow(1e200, -2) is
+    for source, x, want in (("x1^-2", 1e200, 0.0), ("x1^-3", -1e200, -0.0), ("1e400^-1", 0.0, 0.0)):
+        assert compile_field(parse(source), 1)(0.0, [x]).hex() == want.hex()
     got = compile_field(parse("exp(t)*(x1+1)-1"), 1)(math.log(2.0), [0.0])
     assert abs(got - 1.0) <= 1e-12
     assert compile_family(parse("a1/(1 + (sigma - tau)*a1)"), 1)(1.0, 0.0, [0.5]) == 1.0
@@ -242,6 +246,12 @@ def test_eval_error_kinds(source, x, kind):
         ("sqrt(1e400)", [0.0], "nonfinite", "non-finite result from sqrt"),
         ("1e400", [0.0], "nonfinite", "non-finite literal"),
         ("-1e400", [0.0], "nonfinite", "non-finite literal"),
+        # a literal integer exponent is a chain of products that raises as pow does
+        ("x1^-2", [1e-200], "nonfinite", "overflow in power"),  # x*x underflows to 0, and 1/0 overflows
+        ("x1^3", [-1e103], "nonfinite", "overflow in power"),
+        ("x1^2", [math.nan], "nonfinite", "non-finite result from '^'"),
+        ("x1^1", [math.inf], "nonfinite", "non-finite result from '^'"),
+        ("(-1e400)^3", [0.0], "nonfinite", "non-finite result from '^'"),
     ],
 )
 def test_eval_error_kinds_and_messages(source, x, kind, message):
@@ -253,10 +263,12 @@ def test_eval_error_kinds_and_messages(source, x, kind, message):
 
 # Every token the generator may write: both template sets' words and operators,
 # generated names (scalar arguments s<i>, state components x<i>, node values
-# v<i>, bound constants and helpers k<i>), slot indices and the zero test.
+# v<i>, bound constants and helpers k<i>), slot indices, the zero test and the
+# 1.0 of a negative integer power's reciprocal.
 _GENERATED_WORDS = {
     "def", "generated", "state", "return", "if", "not", "float", "isfinite", "power", "division_by_zero",
     "nonfinite_add", "nonfinite_sub", "nonfinite_mul", "nonfinite_div", "nonfinite_pow", "nonfinite_literal",
+    "zero_base", "nonfinite_power", "or",
     "m", "len", "ok", "full", "True", "per_lane", "column_stack",
 }
 _GENERATED_OPS = {"(", ")", "[", "]", ",", ":", "=", ":=", "==", "+", "-", "*", "/", "&=", "~", "<"}
@@ -272,7 +284,7 @@ def _foreign_tokens(source):
             continue
         if tok.type == tokenize.OP and tok.string in _GENERATED_OPS:
             continue
-        if tok.type == tokenize.NUMBER and re.fullmatch(r"[0-9]+|0\.0", tok.string):
+        if tok.type == tokenize.NUMBER and re.fullmatch(r"[0-9]+|[01]\.0", tok.string):
             continue
         found.append(tok.string)
     return found
@@ -370,7 +382,7 @@ def test_validate_raises_what_compile_raises(validate, compile_, bad, good):
 
 _names = st.sampled_from(["t", "tau", "sigma", "x1", "x2", "x17", "a1", "a3"])
 _leaf = st.one_of(
-    st.builds(Num, st.floats(min_value=0.0, max_value=1e12, allow_nan=False)),
+    st.builds(Num, st.floats(min_value=0.0, max_value=1e12, allow_nan=False) | st.just(math.inf)),
     st.builds(Var, _names),
 )
 _tree = st.recursive(
@@ -387,6 +399,17 @@ _tree = st.recursive(
 @given(_tree)
 def test_round_trip_property(tree):
     assert parse(pretty_print(tree)) == tree
+
+
+@pytest.mark.parametrize(
+    "source,canonical",
+    [("1e400", "1e400"), ("2^-1e400", "(2 ^ (-1e400))"), ("1e400^0 + 1e999*x1", "((1e400 ^ 0) + (1e400 * x1))")],
+)
+def test_infinite_literals_round_trip(source, canonical):
+    # a literal too large for a double is infinite; it prints as one that parses back to inf
+    tree = parse(source)
+    assert pretty_print(tree) == canonical
+    assert parse(canonical) == tree
 
 
 @given(
@@ -543,6 +566,98 @@ def test_power_lanes_mix_every_rule_of_the_scalar_power():
     for a in (np.array(lanes), np.array(lanes[:-1])):  # with the overflow and without it
         zeros = np.zeros(len(a))
         assert assert_lanes_match(tree, 2, zeros, zeros, a) == 3 + (len(a) == len(lanes))
+
+
+# --- integer powers -------------------------------------------------------
+
+_MAX = sys.float_info.max
+_TINY = math.ulp(0.0)  # the least subnormal
+
+
+def documented_power(x, k):
+    """x^k by docs/expressions.md's product rule, written out on its own, or the EvalError it raises.
+
+    Binary powering from the low bit: the squares x, x^2, x^4, ... in turn,
+    the result so far times each square whose bit of |k| is set, the result
+    on the left.  x^0 is 1.0 and x^-k is 1.0 / x^k.
+    """
+    if k == 0:
+        return 1.0
+    if k < 0 and x == 0.0:
+        raise EvalError("division_by_zero", "zero base with negative exponent")
+    result, square, bits = None, x, abs(k)
+    while True:
+        if bits & 1:
+            result = square if result is None else result * square
+        bits >>= 1
+        if not bits:
+            break
+        square = square * square
+    value = result if k > 0 else (1.0 / result if result != 0.0 else math.inf)
+    if not math.isfinite(value):
+        raise EvalError("nonfinite", "overflow in power" if math.isfinite(x) else "non-finite result from '^'")
+    return value
+
+
+def _outcome(f, *args):
+    """float.hex of f(*args), or the (kind, message) of the EvalError it raises."""
+    try:
+        return float(f(*args)).hex()
+    except EvalError as err:
+        return (err.kind, str(err))
+
+
+def integer_power_bases(k, m, seed):
+    """m seeded bases for x^k: both signs over every binary exponent, the lane form's special values,
+    +-0, the infinities, NaN, and the bases just either side of the edges where x^k or its
+    reciprocal overflows."""
+    rng = np.random.default_rng(seed)
+    bases = np.exp2(rng.uniform(-1074.0, 1024.0, m)) * rng.choice([-1.0, 1.0], m)
+    bases[: m // 4] = rng.uniform(-3.0, 3.0, m // 4)
+    edges = [_MAX ** (1 / abs(k)), (1 / _MAX) ** (1 / abs(k)), _TINY ** (1 / abs(k))] if k else []
+    near = [e * (1.0 + d) for e in edges for d in (-4e-16, -2e-16, 0.0, 2e-16, 4e-16, 1e-9, -1e-9)]
+    special = _SPECIAL + [-0.0, math.inf, -math.inf, math.nan] + near + [-b for b in near]
+    return np.concatenate([bases, np.array(special)])
+
+
+@pytest.mark.parametrize("k", range(-16, 17))
+def test_integer_powers_are_the_documented_chain(k):
+    # x^-k is spelled with a negated literal; 1e400 is an infinite literal base
+    tree = parse(f"x1^{k}")
+    x = integer_power_bases(k, 600, seed=900 + k)
+    scalar = compile_field(tree, 1)
+    values, ok = compile_field_lanes(tree, 1)(np.zeros(len(x)), x.reshape(-1, 1))
+    outcomes = set()
+    for i, base in enumerate(x.tolist()):
+        want = _outcome(documented_power, base, k)
+        outcomes.add(want if isinstance(want, tuple) else "finite")
+        assert _outcome(scalar, 0.0, [base]) == want, (k, base)
+        assert ok[i] == isinstance(want, str), (k, base)
+        if ok[i]:
+            assert float(values[i]).hex() == want, (k, base)
+    assert "finite" in outcomes
+    if k < 0:
+        assert {("division_by_zero", "zero base with negative exponent"), ("nonfinite", "overflow in power"),
+                ("nonfinite", "non-finite result from '^'")} <= outcomes  # the zero base, 1e-200 and NaN
+    elif k > 1:  # x^1 overflows at no finite base
+        assert {("nonfinite", "overflow in power"), ("nonfinite", "non-finite result from '^'")} <= outcomes
+    assert _outcome(compile_field(parse(f"1e400^{k}"), 1), 0.0, [0.0]) == _outcome(documented_power, math.inf, k)
+
+
+@pytest.mark.parametrize("k", range(-16, 17))
+def test_integer_powers_raise_where_pow_raises(k):
+    # math.pow rounds x^k once and the chain up to |k| times, so the values agree to a few
+    # ulps, and the errors agree everywhere but a band about 1e-15 wide at each edge
+    tree = parse(f"x1^{k}")
+    scalar = compile_field(tree, 1)
+    for base in integer_power_bases(k, 600, seed=950 + k)[:600].tolist():
+        got, want = _outcome(scalar, 0.0, [base]), _outcome(fx._pow, base, float(k))
+        if isinstance(want, str) and isinstance(got, str):
+            assert math.isclose(float.fromhex(got), float.fromhex(want), rel_tol=abs(k) * 2.0**-52,
+                                abs_tol=2.0**-1022), (k, base)
+        else:
+            assert got == want, (k, base)
+
 
 
 def test_field_lanes_match_compile_field():

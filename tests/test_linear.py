@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowfam.autonomous import OneParamGroup, to_group
 from flowfam.core import DomainSpec, DomainViolation, VectorField, closed_form_family
@@ -255,6 +256,40 @@ def test_interpolated_wronskian_can_degenerate():
     with pytest.raises(DomainViolation):
         rebuilt.evaluate(0.0, 0.5, [1.0, 0.0])
     assert not rebuilt.in_domain(0.0, 0.5, [1.0, 0.0])
+
+
+# decompositions whose rebuilt family mixes every outcome: times outside the grid
+# span, an interpolated Wronski matrix that is singular halfway between I and -I,
+# and states large enough that the rebuilt value overflows
+DECOMPOSITIONS = {
+    "affine_scalar": lambda: sincov_decompose(affine_family(), 0.0, (0.0, 0.25, 0.5, 1.0)),
+    "rotation": lambda: sincov_decompose(rotation_family(), 0.0, (0.0, 0.5, 1.0)),
+    "degenerate": lambda: SincovDecomposition(
+        0.0, (0.0, 1.0), np.stack([np.eye(2), -np.eye(2)]), np.zeros((2, 2))
+    ),
+}
+SPAN_TIMES = st.sampled_from([-0.25, -0.0, 0.0, 0.5, 1.0, 1.25]) | st.floats(-0.5, 1.5)
+COMPONENTS = st.sampled_from([0.0, -1.0, 1.0, 1e308, -1e308]) | st.floats(-2.0, 2.0)
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_affine_family_lanes_equal_evaluate(name, data):
+    fam = family_from_decomposition(DECOMPOSITIONS[name]())
+    lane = st.tuples(SPAN_TIMES, SPAN_TIMES, st.lists(COMPONENTS, min_size=fam.n, max_size=fam.n))
+    lanes = data.draw(st.lists(lane, max_size=30))
+    tau, sigma = (np.array([lane[k] for lane in lanes], dtype=float) for k in range(2))
+    a = np.array([lane[2] for lane in lanes], dtype=float).reshape(-1, fam.n)
+    values, ok = fam.evaluate_batch(tau, sigma, a)
+    for i, (t, s, x) in enumerate(lanes):
+        assert fam.in_domain(t, s, x) == ok[i]
+        try:
+            want = fam.evaluate(t, s, x).tobytes()
+        except DomainViolation:
+            assert not ok[i] and np.isnan(values[i]).all()
+        else:
+            assert ok[i] and values[i].tobytes() == want
 
 
 # --- Wronski consistency ----------------------------------------------------
