@@ -64,15 +64,22 @@ class RunSpec:
     tolerances: SuiteTolerances
 
 
-def _section(path: str, data: dict, key: str, cls) -> dict:
-    """The config object under key; its keys must be fields of the dataclass cls."""
-    cfg = data.get(key, {})
-    if not isinstance(cfg, dict):
+def _object(path: str, key: str, value, names) -> dict:
+    """value, the config object under key, whose keys must all be in names.
+
+    A misspelled key would silently leave its default in force.
+    """
+    if not isinstance(value, dict):
         raise ConfigError(path, key, "must be an object")
-    unknown = set(cfg) - {f.name for f in dataclasses.fields(cls)}
+    unknown = set(value) - set(names)
     if unknown:
         raise ConfigError(path, key, f"unknown keys: {sorted(unknown)}")
-    return cfg
+    return value
+
+
+def _section(path: str, data: dict, key: str, cls) -> dict:
+    """The config object under key; its keys must be fields of the dataclass cls."""
+    return _object(path, key, data.get(key, {}), [f.name for f in dataclasses.fields(cls)])
 
 
 def _reject_booleans(path: str, key: str, value) -> None:
@@ -115,12 +122,13 @@ def load_config(path: str) -> RunSpec:
         raise ConfigError(path, "<json>", f"invalid JSON at offset {err.pos}: {err.msg}") from None
     if not isinstance(data, dict):
         raise ConfigError(path, "<json>", "top level must be an object")
+    _object(path, "<json>", data, ("system", "integrator", "plan", "tolerances"))
     _reject_booleans(path, "", data)
 
     system = data.get("system")
     if not isinstance(system, dict):
         raise ConfigError(path, "system", "missing or not an object")
-    sources = [k for k in ("catalog", "field", "family") if k in system]
+    sources = list(_object(path, "system", system, ("catalog", "field", "family")))
     if len(sources) != 1:
         raise ConfigError(path, "system", "exactly one system source (catalog, field, or family)")
 
@@ -134,12 +142,8 @@ def load_config(path: str) -> RunSpec:
         field_obj = entry.field()
         family_obj = entry.family()
     elif sources[0] == "field":
-        fdef = system["field"]
-        if not isinstance(fdef, dict):
-            raise ConfigError(path, "system.field", "must be an object")
-        dom = fdef.get("domain", {})
-        if not isinstance(dom, dict):
-            raise ConfigError(path, "system.field", "domain must be an object")
+        fdef = _object(path, "system.field", system["field"], ("n", "rhs", "domain"))
+        dom = _object(path, "system.field.domain", fdef.get("domain", {}), ("time", "predicate"))
         with _config_errors(path, "system.field"):
             n = _integer(path, "system.field.n", fdef["n"])
             time_box = dom.get("time", (-math.inf, math.inf))
@@ -149,9 +153,7 @@ def load_config(path: str) -> RunSpec:
             field_obj = VectorField.from_strings(fdef["rhs"], spec)
         system_name = "field"
     else:
-        fdef = system["family"]
-        if not isinstance(fdef, dict):
-            raise ConfigError(path, "system.family", "must be an object")
+        fdef = _object(path, "system.family", system["family"], ("n", "components", "domain_predicate"))
         with _config_errors(path, "system.family"):
             n = _integer(path, "system.family.n", fdef["n"])
             components = fdef["components"]
@@ -419,7 +421,7 @@ def _cmd_mollify(args, spec: RunSpec, out) -> int:
         if a_ok:  # states outside are not counted as skips
             acc.record(float(np.max(np.abs(mapped(a) - value))), None)
     tol = max(1e-8, scaled_tol(group.tol_hint))
-    smoothing = acc.report("smoothing", tol, force_fail=not acc.checked)
+    smoothing = acc.report("smoothing", tol, empty_residual=math.inf)
     _emit(out, _condition_record(smoothing))
     return 0 if smoothing.passed else 1
 

@@ -35,9 +35,9 @@ values equals the scalar form's result at lane i's point bit for bit where
 ok[i], and ok[i] is False exactly where the scalar form raises EvalError.
 There ``+ - * /``, negation, ``sin``, ``cos``, ``sqrt``, ``abs`` and the
 product chains run in numpy, which rounds them as ``math`` and Python
-floats do, while ``exp``, ``tanh``, ``log`` and any other ``^`` call the
-scalar helpers lane by lane, since numpy's versions differ from ``math``
-in the last bit for some arguments.
+floats do, while ``exp``, ``tanh``, ``log`` and any other ``^`` map their
+scalar helper over the lanes (_per_lane), since numpy's versions differ
+from ``math`` in the last bit for some arguments.
 Both sources are built from fixed templates, slot indices and generated
 names only; constants and helpers are bound in the function's namespace,
 so no text of an expression is compiled.
@@ -416,36 +416,22 @@ def _power_chain(k: int) -> list[tuple[int, int]]:
 
 
 def _per_lane(fn, ok: np.ndarray, *args: np.ndarray):
-    """fn applied lane by lane where ok; a lane whose call raises EvalError drops out of ok."""
-    values, ok = np.full(ok.shape, math.nan), ok.copy()
-    columns = [a.tolist() for a in args]
-    for i in np.flatnonzero(ok).tolist():
-        try:
-            values[i] = fn(*[c[i] for c in columns])
-        except EvalError:
-            ok[i] = False
-    return values, ok
+    """fn applied lane by lane where ok; a lane whose call raises EvalError drops out of ok.
 
-
-def _power_lanes(x: np.ndarray, y: np.ndarray, ok: np.ndarray):
-    """The lane form of _pow: its domain rules as masks, then math.pow lane by lane where ok.
-
-    A zero base with a negative exponent and a negative base with an
-    exponent that is not an integer drop out first, so math.pow sees only
-    lanes it accepts; on an overflow the lanes go through _pow one by one
-    instead.
+    One map runs fn over every lane in ok; only when a call raises are
+    those lanes run again one by one, to find the ones that raise.
     """
-    fractional = ~np.isfinite(y) | (np.floor(y) != y)  # float.is_integer's False
-    accepted = ok & ~((x == 0.0) & (y < 0.0)) & ~((x < 0.0) & fractional)
+    values, ok = np.full(ok.shape, math.nan), ok.copy()
+    columns = [a[ok].tolist() for a in args]
     try:
-        if accepted.all():
-            v = np.array(list(map(math.pow, x.tolist(), y.tolist())))
-        else:
-            v = np.full(ok.shape, math.nan)
-            v[accepted] = list(map(math.pow, x[accepted].tolist(), y[accepted].tolist()))
-    except OverflowError:
-        v, accepted = _per_lane(_pow, ok, x, y)
-    return v, accepted & np.isfinite(v)
+        values[ok] = list(map(fn, *columns))
+    except EvalError:
+        for i, point in zip(np.flatnonzero(ok).tolist(), zip(*columns)):
+            try:
+                values[i] = fn(*point)
+            except EvalError:
+                ok[i] = False
+    return values, ok
 
 
 class _Templates(NamedTuple):
@@ -501,17 +487,17 @@ _SCALAR = _Templates(
 # instead, and lanes outside ok hold arbitrary values.  NaN propagation would
 # not do, since (1/0)^0 is 1 in IEEE arithmetic.  x / 0 is inf or nan, so the
 # finite check drops the lanes the scalar zero test rejects.  numpy's sin, cos,
-# sqrt and abs round as math does; exp, log and tanh run the scalar helper lane
-# by lane, since numpy's versions differ from math's in the last bit.
+# sqrt and abs round as math does; exp, log, tanh and ^ run the scalar helper
+# lane by lane, since numpy's versions differ from math's in the last bit.
 _LANES = _Templates(
     helpers={"isfinite": np.isfinite, "full": np.full, "column_stack": np.column_stack,
-             "power": _power_lanes, "per_lane": _per_lane},
+             "power": _pow, "per_lane": _per_lane},
     binary={
         "+": ("ok &= isfinite({v} := {l} + {r})",),
         "-": ("ok &= isfinite({v} := {l} - {r})",),
         "*": ("ok &= isfinite({v} := {l} * {r})",),
         "/": ("ok &= isfinite({v} := {l} / {r})",),
-        "^": ("{v}, ok = power({l}, {r}, ok)",),
+        "^": ("{v}, ok = per_lane(power, ok, {l}, {r})", "ok &= isfinite({v})"),
     },
     # a zero base makes 1.0 / 0.0, which the finite check clears
     powers=(("ok &= isfinite({v} := {p})",), ("ok &= isfinite({v} := 1.0 / {p})",)),

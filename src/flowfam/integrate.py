@@ -55,6 +55,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from array import array
 from collections import OrderedDict
 from collections.abc import Iterable
@@ -110,9 +111,10 @@ def _is_number(value) -> bool:
 class IntegratorConfig:
     """Step-control and escape-detection knobs for the adaptive integrator.
 
-    Each knob must be a number, and the window two finite numbers: an
-    infinite edge would leave the step loop with no end but max_steps.  A
-    bool is refused for each, though Python counts it as an int.
+    Each knob must be a finite number, and the window two finite numbers:
+    an infinite edge would leave the step loop with no end but max_steps,
+    and an infinite tolerance or radius would accept any step.  A bool is
+    refused for each, though Python counts it as an int.
     """
 
     rel_tol: float = 1e-10
@@ -125,8 +127,11 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "h_init", "h_min", "blowup_radius"):
-            if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # inf, nan, or an integer past every double
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if not 0 < self.h_min < self.h_init:

@@ -256,34 +256,28 @@ class SincovDecomposition:
         return self.W[i] @ self.h[i]
 
 
-def sincov_decompose(
-    fam: FlowFamily,
-    tau0: float,
-    grid,
-    check: bool = True,
-) -> SincovDecomposition:
+def sincov_decompose(fam: FlowFamily, tau0: float, grid) -> SincovDecomposition:
     """Probe an affine family into Wronski matrices plus offsets.
 
     W_tau's columns are F_{tau,tau0}(e_k) - F_{tau,tau0}(0) and the
     particular value p(tau) = F_{tau,tau0}(0) gives h_tau = W_tau^{-1}
-    p(tau) at each distinct grid time.  check=True first samples the
-    affinity condition on the grid and refuses non-affine families.
+    p(tau) at each distinct grid time.  It first samples the affinity
+    condition on the grid and refuses non-affine families.
     """
     grid = tuple(sorted({float(t) for t in grid}))
     n = fam.n
-    if check:
-        basis = [np.zeros(n)] + [e for e in np.eye(n)] + [-e for e in np.eye(n)]
-        plan = SamplePlan(
-            tuple(sorted(set(grid) | {float(tau0)})),
-            tuple(tuple(map(float, s)) for s in basis),
-            random_count=0,
+    basis = [np.zeros(n)] + [e for e in np.eye(n)] + [-e for e in np.eye(n)]
+    plan = SamplePlan(
+        tuple(sorted(set(grid) | {float(tau0)})),
+        tuple(tuple(map(float, s)) for s in basis),
+        random_count=0,
+    )
+    rep = check_affine(fam, plan)
+    if not rep.passed:
+        raise NotAffine(
+            f"affinity residual {rep.max_residual:.3g} exceeds {rep.tolerance:.3g} "
+            f"at {rep.worst_case}"
         )
-        rep = check_affine(fam, plan)
-        if not rep.passed:
-            raise NotAffine(
-                f"affinity residual {rep.max_residual:.3g} exceeds {rep.tolerance:.3g} "
-                f"at {rep.worst_case}"
-            )
     W, origin = probe_affine(fam.evaluate_batch, np.array(grid), np.full(len(grid), float(tau0)), n)
     h = np.empty((len(grid), n))
     for i, tau in enumerate(grid):

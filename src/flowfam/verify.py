@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -158,10 +159,13 @@ class SuiteTolerances:
     openness_delta: float = 1e-4
 
     def __post_init__(self):
-        residual = (self.identity, self.inverse, self.cocycle)
-        if not all(isinstance(v, numbers.Real) and v >= 0 for v in residual):
+        for name in ("identity", "inverse", "cocycle", "openness_delta"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not min(self.identity, self.inverse, self.cocycle) >= 0:
             raise ValueError("identity, inverse and cocycle tolerances must be non-negative numbers")
-        if not (isinstance(self.openness_delta, numbers.Real) and self.openness_delta > 0):
+        if not self.openness_delta > 0:
             raise ValueError("openness_delta must be a positive number")
 
 
@@ -256,12 +260,11 @@ class Accumulator:
         name: str,
         tol: float,
         note: str | None = None,
-        force_fail: bool = False,
         empty_residual: float = 0.0,
     ) -> ConditionReport:
         """The report; empty_residual stands in for the residual when nothing was checked."""
         max_res = self.max_residual if self.checked else empty_residual
-        passed = (not force_fail) and max_res <= tol
+        passed = max_res <= tol
         return ConditionReport(
             condition_name=name,
             samples_checked=self.checked,

@@ -201,9 +201,8 @@ def test_criterion_5_sincov_decomposition(gate):
                 gauge_gap = max(gauge_gap, abs(float(lhs[0] - rhs[0])))
     ok &= gauge_gap <= 1e-10
 
-    # affinity already certified above; the fine grid only feeds the
-    # finite-difference consistency check
-    fine = sincov_decompose(fam, 0.0, tuple(np.linspace(0.0, 1.0, 101)), check=False)
+    # the fine grid feeds the finite-difference consistency check
+    fine = sincov_decompose(fam, 0.0, tuple(np.linspace(0.0, 1.0, 101)))
     consistency = wronski_consistency(fine, catalog.get("affine_scalar").field(), tol=1e-3)
     ok &= consistency.passed
     gate(

@@ -13,9 +13,10 @@ while its direct map does not scores an infinite residual, so no
 Lane kernels equal the scalar forms bit for bit only while they leave
 ``exp``, ``tanh``, ``log`` and powers to ``math``: numpy's versions round
 some arguments differently, so no module references them, and no generated
-lane function names numpy or binds them.  A power whose exponent is a
-literal integer, |k| <= 16, is a chain of products instead, in both forms,
-so its source names no ``power`` helper.
+lane function names numpy or binds them.  A lane form runs those scalar
+helpers only through ``per_lane``, which maps one over the lanes.  A power
+whose exponent is a literal integer, |k| <= 16, is a chain of products
+instead, in both forms, so its source names no ``power`` helper.
 
 The integrator's scalar step loop makes no numpy call: it runs on tuples of
 floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
@@ -64,6 +65,7 @@ import numpy as np
 
 import flowfam
 from flowfam import catalog, cli, expr, integrate, reconstruct
+from test_expr import CORPUS
 
 PACKAGE = Path(flowfam.__file__).parent
 
@@ -476,7 +478,7 @@ def _source_names(source: str) -> set[str]:
 
 def test_integer_powers_call_no_power_helper():
     # a literal integer exponent, |k| <= 16, once negated or not, is a chain of products in both
-    # forms; any other exponent still calls the power helper, _pow or its lane form
+    # forms; any other exponent still names the power helper, _pow, which the lane form maps
     integer = [f"{k}" for k in range(17)] + [f"-{k}" for k in range(17)]
     for (scalars, prefix), base, other in ((expr._FIELD, "x1", "x2"), (expr._FAMILY, "a1", "a2")):
         for lanes in (False, True):
@@ -486,6 +488,50 @@ def test_integer_powers_call_no_power_helper():
             for exponent in ("17", "-17", "0.5", "--2", other):
                 source = expr._source(expr.parse(f"{base}^{exponent}"), scalars, prefix, 2, lanes)[0]
                 assert "power" in _source_names(source), source
+
+
+def _scalar_helpers_outside_per_lane(source: str, helpers: set) -> list[str]:
+    """Where generated source names one of helpers other than as the first argument of per_lane."""
+    tree = ast.parse(source)
+    mapped = {
+        id(node.args[0]) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "per_lane" and node.args
+    }
+    names = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in helpers and id(n) not in mapped]
+    return [f"line {line} names {name}" for line, name in sorted((n.lineno, n.id) for n in names)]
+
+
+def test_lane_forms_run_scalar_helpers_only_through_per_lane():
+    scalar = [expr._pow, *expr._CALLS.values()]
+    seen = set()
+    for source in [s for s, _ in CORPUS] + ["a1^a2", "a1^0.5", "exp(a1)", "log(a1)", "tanh(a1)"]:
+        tree = expr.parse(source)
+        try:
+            text, bound = expr._source(tree, *expr._FIELD, 12, lanes=True)
+        except expr.ValidationError:
+            text, bound = expr._source(tree, *expr._FAMILY, 12, lanes=True)
+        namespace = {**expr._LANES.helpers, **bound}
+        helpers = {name for name, v in namespace.items() if any(v is f for f in scalar)}
+        seen |= {namespace[name] for name in helpers & _source_names(text)}
+        assert _scalar_helpers_outside_per_lane(text, helpers) == [], text
+    # a rename must not empty the check: pow and each helper the lane form maps are seen
+    assert seen == {expr._pow, *(expr._CALLS[fn] for fn in ("exp", "log", "tanh"))}
+
+
+def test_detector_sees_a_scalar_helper_outside_per_lane():
+    source = (
+        "def generated(s0, s1, state):\n"
+        "    v1, ok = per_lane(power, ok, s0, s1)\n"
+        "    v2 = k0(s0)\n"
+        "    v3, ok = per_lane(k1, ok, power(s0, s1))\n"
+        "    v4, ok = per_lane(k1, ok, k0)\n"
+        "    return v1, ok\n"
+    )
+    assert _scalar_helpers_outside_per_lane(source, {"power", "k0", "k1"}) == [
+        "line 3 names k0",
+        "line 4 names power",
+        "line 5 names k0",
+    ]
 
 
 def test_generated_lane_functions_bind_no_numpy_that_differs_from_math():

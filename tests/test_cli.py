@@ -177,6 +177,19 @@ def test_unknown_integrator_key(tmp_path):
         ({"system": {"family": {"n": 1.0, "components": ["a1"]}}}, "system.family.n"),
         ({**RICCATI, "plan": {**SMALL_PLAN, "seed": 3.9}}, "plan.seed"),
         ({**RICCATI, "plan": {**SMALL_PLAN, "random_count": 2.5}}, "plan.random_count"),
+        # a misspelled key would leave its default in force, so every config object refuses one
+        ({**RICCATI, "plna": {"seed": 3}}, r"<json>: unknown keys: \['plna'\]"),
+        ({"system": {"catalog": "riccati", "famliy": {}}}, r"system: unknown keys: \['famliy'\]"),
+        ({"system": {"field": {"n": 1, "rhs": ["x1"], "rhs2": []}}}, r"system.field: unknown keys: \['rhs2'\]"),
+        ({"system": {"field": {"n": 1, "rhs": ["x1"], "domain": {"predicte": "x1"}}}},
+         r"system.field.domain: unknown keys: \['predicte'\]"),
+        ({"system": {"family": {"n": 1, "components": ["a1"], "predicate": "a1"}}},
+         r"system.family: unknown keys: \['predicate'\]"),
+        # JSON 1e400 reads as infinity, which no knob or tolerance takes
+        ({**RICCATI, "integrator": {"abs_tol": 1e400}}, "integrator: abs_tol must be finite, got inf"),
+        ({**RICCATI, "integrator": {"rel_tol": 1e400}}, "integrator: rel_tol must be finite, got inf"),
+        ({**RICCATI, "tolerances": {"openness_delta": 1e400}},
+         "tolerances: openness_delta must be a finite number, got inf"),
     ],
     ids=[
         "domain-list",
@@ -198,6 +211,14 @@ def test_unknown_integrator_key(tmp_path):
         "family-n-float",
         "seed-fraction",
         "random-count-fraction",
+        "unknown-top-level-key",
+        "unknown-system-key",
+        "unknown-field-key",
+        "unknown-domain-key",
+        "unknown-family-key",
+        "abs-tol-infinite",
+        "rel-tol-infinite",
+        "openness-delta-infinite",
     ],
 )
 def test_malformed_value_is_config_error(tmp_path, capsys, payload, field):
@@ -803,6 +824,18 @@ def test_mollify_window_without_usable_width_is_an_error_record(tmp_path, capsys
     assert code == 2 and err == ""
     assert [r["kind"] for r in recs] == ["meta", "error"]
     assert recs[1]["message"] == f"averaging window {window} has no positive finite width"
+
+
+def test_mollify_smoothing_check_with_no_sample_scores_an_infinite_residual(tmp_path, capsys):
+    # every plan state lies outside the domain, so the check evaluates nothing and fails
+    family = {"n": 1, "components": ["exp(tau - sigma)*a1"], "domain_predicate": "3 - a1"}
+    plan = {"time_grid": [0.0], "state_grid": [[5], [6]]}
+    cfg = write_config(tmp_path, {"system": {"family": family}, "plan": plan})
+    code, recs = run_cli(["mollify", "--config", cfg, "--eps", "0.25", "--alpha", "0.3", "--no-timestamp"], capsys)
+    assert code == 1
+    assert recs[2] == {"kind": "condition", "name": "smoothing", "max_residual": "inf", "pass": False,
+                       "samples_checked": 0, "samples_skipped": 0, "tolerance": 1e-08, "worst_case": None,
+                       "note": None}
 
 
 def test_a_failing_command_writes_its_error_record_to_the_report(tmp_path, capsys):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flowfam import catalog
 from flowfam import expr as fx
@@ -380,20 +380,24 @@ def test_validate_raises_what_compile_raises(validate, compile_, bad, good):
 
 # --- property tests -------------------------------------------------------
 
-_names = st.sampled_from(["t", "tau", "sigma", "x1", "x2", "x17", "a1", "a3"])
-_leaf = st.one_of(
-    st.builds(Num, st.floats(min_value=0.0, max_value=1e12, allow_nan=False) | st.just(math.inf)),
-    st.builds(Var, _names),
-)
-_tree = st.recursive(
-    _leaf,
-    lambda ch: st.one_of(
-        st.builds(Neg, ch),
-        st.builds(Call, st.sampled_from(sorted(fx.FUNCTIONS)), ch),
-        st.builds(Bin, st.sampled_from(list("+-*/^")), ch, ch),
-    ),
-    max_leaves=25,
-)
+def _trees(names):
+    """Expression trees over the variables names: every node kind, every function and operator."""
+    leaf = st.one_of(
+        st.builds(Num, st.floats(min_value=0.0, max_value=1e12, allow_nan=False) | st.just(math.inf)),
+        st.builds(Var, names),
+    )
+    return st.recursive(
+        leaf,
+        lambda ch: st.one_of(
+            st.builds(Neg, ch),
+            st.builds(Call, st.sampled_from(sorted(fx.FUNCTIONS)), ch),
+            st.builds(Bin, st.sampled_from(list("+-*/^")), ch, ch),
+        ),
+        max_leaves=25,
+    )
+
+
+_tree = _trees(st.sampled_from(["t", "tau", "sigma", "x1", "x2", "x17", "a1", "a3"]))
 
 
 @given(_tree)
@@ -555,6 +559,14 @@ def test_lane_kernel_tracks_failures_that_nan_forgets():
     values, ok = compile_family_lanes(tree, 1)(tau, sigma, a)
     assert not ok.any()
     assert assert_lanes_match(tree, 1, tau, sigma, a) == 50
+
+
+# Random mixes of exp, log, tanh and ^ with lanes that fail run the lane form's one map over
+# the lanes, and its redo one by one when a lane raises, inside nested expressions.
+@settings(deadline=None, max_examples=60)
+@given(_trees(st.sampled_from(["tau", "sigma", "a1", "a2"])))
+def test_lane_kernel_matches_scalar_on_random_trees(tree):
+    assert_lanes_match(tree, 2, *lane_points(2, 200, seed=3))
 
 
 def test_power_lanes_mix_every_rule_of_the_scalar_power():

@@ -75,6 +75,13 @@ def test_config_defaults():
         {"max_steps": True},        # a bool is an int to Python, and ran as a budget of one step
         {"window": (True, 5.0)},
         {"window": (-1.0, False)},
+        # an infinite tolerance, step or radius was accepted and ran
+        {"rel_tol": math.inf},
+        {"abs_tol": 1e400},
+        {"h_init": math.inf},
+        {"h_min": math.nan},
+        {"blowup_radius": math.inf},
+        {"rel_tol": 10**400},       # an integer past every double, which math.isfinite cannot take
     ],
 )
 def test_config_validation(kwargs):
@@ -89,6 +96,8 @@ def test_config_names_a_knob_that_is_not_a_number(key):
         IntegratorConfig(**{key: "abc"})
     with pytest.raises(ValueError, match=f"^{key} must be a number, got True$"):
         IntegratorConfig(**{key: True})
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got inf$"):
+        IntegratorConfig(**{key: math.inf})
 
 
 def test_config_window_may_be_any_pair_of_finite_numbers():

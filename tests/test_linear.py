@@ -298,7 +298,7 @@ def test_affine_family_lanes_equal_evaluate(name, data):
 def test_wronski_consistency_scalar_affine():
     fld = VectorField.from_strings(["x1 + 1"], DomainSpec(1))
     grid = tuple(np.arange(0.0, 1.0 + 1e-12, 1e-2))
-    dec = sincov_decompose(affine_family(), 0.0, grid, check=False)
+    dec = sincov_decompose(affine_family(), 0.0, grid)
     rep = wronski_consistency(dec, fld, tol=1e-3)
     assert rep.passed
     assert rep.condition_name == "wronski_consistency"
@@ -307,13 +307,13 @@ def test_wronski_consistency_scalar_affine():
 def test_wronski_consistency_rotation():
     fld = VectorField.from_strings(["-x2", "x1"], DomainSpec(2))
     grid = tuple(np.arange(0.0, 1.0 + 1e-12, 1e-2))
-    dec = sincov_decompose(rotation_family(), 0.0, grid, check=False)
+    dec = sincov_decompose(rotation_family(), 0.0, grid)
     assert wronski_consistency(dec, fld, tol=1e-3).passed
 
 
 def test_wronski_consistency_zero_field_exact():
     fld = VectorField.from_strings(["0"], DomainSpec(1))
-    dec = sincov_decompose(closed_form_family(1, ["a1"]), 0.0, (0.0, 0.5, 1.0), check=False)
+    dec = sincov_decompose(closed_form_family(1, ["a1"]), 0.0, (0.0, 0.5, 1.0))
     rep = wronski_consistency(dec, fld, tol=1e-12)
     assert rep.passed
     assert rep.max_residual == 0.0
@@ -321,27 +321,27 @@ def test_wronski_consistency_zero_field_exact():
 
 def test_wronski_consistency_rejects_nonaffine_field():
     fld = VectorField.from_strings(["x1^2"], DomainSpec(1))
-    dec = sincov_decompose(affine_family(), 0.0, (0.0, 0.5, 1.0), check=False)
+    dec = sincov_decompose(affine_family(), 0.0, (0.0, 0.5, 1.0))
     with pytest.raises(NotAffineField):
         wronski_consistency(dec, fld, tol=1e-3)
 
 
 def test_wronski_consistency_names_the_first_time_the_field_is_not_affine_at():
     fld = VectorField.from_strings(["x1 + (t - 0.25)*x1^2"], DomainSpec(1))
-    dec = sincov_decompose(affine_family(), 0.0, (0.0, 0.25, 0.5, 0.75, 1.0), check=False)
+    dec = sincov_decompose(affine_family(), 0.0, (0.0, 0.25, 0.5, 0.75, 1.0))
     with pytest.raises(NotAffineField, match=r"at time 0\.5 \(residual 0\.5\)"):
         wronski_consistency(dec, fld, tol=1e-3)
 
 
 def test_wronski_consistency_reports_a_field_it_cannot_probe():
     fld = VectorField.from_strings(["sqrt(x1 + t - 0.4)"], DomainSpec(1))
-    dec = sincov_decompose(affine_family(), 0.0, (0.0, 0.25, 0.5, 1.0), check=False)
+    dec = sincov_decompose(affine_family(), 0.0, (0.0, 0.25, 0.5, 1.0))
     with pytest.raises(NotAffineField, match="could not probe the field: affine probe at tau=0.25"):
         wronski_consistency(dec, fld, tol=1e-3)
 
 
 def test_wronski_consistency_needs_interior_points():
-    dec = sincov_decompose(affine_family(), 0.0, (0.0, 1.0), check=False)
+    dec = sincov_decompose(affine_family(), 0.0, (0.0, 1.0))
     fld = VectorField.from_strings(["x1 + 1"], DomainSpec(1))
     with pytest.raises(ValueError):
         wronski_consistency(dec, fld, tol=1e-3)
@@ -350,7 +350,7 @@ def test_wronski_consistency_needs_interior_points():
 def test_wronski_consistency_catches_wrong_field():
     fld = VectorField.from_strings(["2*x1 + 1"], DomainSpec(1))
     grid = tuple(np.arange(0.0, 1.0 + 1e-12, 1e-2))
-    dec = sincov_decompose(affine_family(), 0.0, grid, check=False)
+    dec = sincov_decompose(affine_family(), 0.0, grid)
     assert not wronski_consistency(dec, fld, tol=1e-3).passed
 
 
