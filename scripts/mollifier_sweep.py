@@ -38,7 +38,7 @@ def main():
         for alpha in (-0.5, 0.0, 0.7):
             mapped = smooth_apply(group, m, alpha)
             for a in states:
-                resid = max(resid, float(np.max(np.abs(mapped(a) - group.evaluate(alpha, a)))))
+                resid = max(resid, float(np.max(np.abs(mapped(a) - group.evaluate(alpha, 0.0, a)))))
         print(f"{eps:>8.3f} {dev:>12.3e} {sinc_gap:>12.3e} {quad:>12.3e} "
               f"{m.error_bound:>12.3e} {resid:>13.3e}")
 

@@ -61,8 +61,8 @@ def main():
     group = to_group(closed)
     law = check_group_law(group, default_plan(1))
     print(f"\nautonomous reduction: group-law residual {law.max_residual:.2e}")
-    g = group.evaluate(0.5, (0.5,))
-    print(f"G_0.5(0.5) = {g[0]:.6f}, G_0.5 again = {group.evaluate(0.5, g)[0]:.6f}")
+    g = group.evaluate(0.5, 0.0, (0.5,))
+    print(f"G_0.5(0.5) = {g[0]:.6f}, G_0.5 again = {group.evaluate(0.5, 0.0, g)[0]:.6f}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ affine special cases to their small normal forms.
 
 from .autonomous import (
     NotAutonomous,
-    OneParamGroup,
     check_group_law,
     check_time_shift,
     to_group,
@@ -76,7 +75,6 @@ __all__ = [
     "NotAffineField",
     "NotAutonomous",
     "NotInvertible",
-    "OneParamGroup",
     "ReconstructionConfig",
     "ReconstructionFailed",
     "SamplePlan",

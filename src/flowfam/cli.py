@@ -29,7 +29,7 @@ import numpy as np
 
 from . import catalog as _catalog
 from . import expr as ex
-from .autonomous import NotAutonomous, check_group_law, check_time_shift, group_from_family, to_group
+from .autonomous import NotAutonomous, check_group_law, check_time_shift, to_group
 from .core import DomainSpec, DomainViolation, FlowFamily, VectorField
 from .core import closed_form_family, scaled_tol
 from .integrate import IntegratorConfig, StepBudgetExceeded, escape_interval, numeric_family
@@ -101,12 +101,13 @@ def _integer(path: str, key: str, value) -> int:
 @contextlib.contextmanager
 def _config_errors(path: str, key: str):
     """Report what building the config object under key raises as a ConfigError:
-    ParseError with its offset, or a KeyError, TypeError or ValueError (ValidationError too)."""
+    ParseError with its offset, or a KeyError, TypeError, ValueError (ValidationError too) or
+    OverflowError, which float() raises on a JSON integer past every double."""
     try:
         yield
     except ex.ParseError as err:
         raise ConfigError(path, key, f"expression error at offset {err.offset}: {err.message}") from None
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(path, key, str(err)) from None
 
 
@@ -360,7 +361,7 @@ def _cmd_reconstruct(args, spec: RunSpec, out) -> int:
     if args.out:
         n = field.n
         header = ["t", *(f"x{k + 1}" for k in range(n)), *(f"f{k + 1}" for k in range(n))]
-        _write_csv(args.out, header, ([t, *x, *f] for t, x, f in field.sites()))
+        _write_csv(args.out, header, ([t, *x, *f] for t, x, f in zip(*field.site_columns())))
     return 0
 
 
@@ -369,7 +370,7 @@ def _cmd_autonomous(args, spec: RunSpec, out) -> int:
     shift = check_time_shift(family, spec.plan, args.tol)
     if not shift.passed:
         return _emit_conditions(out, [shift])
-    law = check_group_law(group_from_family(family), spec.plan, tol=scaled_tol(family.tol_hint))
+    law = check_group_law(family, spec.plan, tol=scaled_tol(family.tol_hint))
     return _emit_conditions(out, [shift, law])
 
 
@@ -414,7 +415,7 @@ def _cmd_mollify(args, spec: RunSpec, out) -> int:
         return 0
     states = np.array(spec.plan.state_grid, dtype=float)
     lanes = [(mapped, a) for _, mapped in smoothed for a in states]  # alpha-major, as np.repeat
-    values, ok = group.family.evaluate_batch(
+    values, ok = group.evaluate_batch(
         np.repeat(args.alpha, len(states)), np.zeros(len(lanes)), np.array([a for _, a in lanes]))
     acc = Accumulator()
     for (mapped, a), value, a_ok in zip(lanes, values, ok):

@@ -313,18 +313,16 @@ def closed_form_family(
     n: int,
     components: Sequence,
     predicate=None,
-    time_box: tuple[float, float] | None = None,
 ) -> FlowFamily:
     """Build a family from explicit component expressions over (tau, sigma, a).
 
-    Membership requires tau and sigma inside the open time_box (when given),
-    predicate > 0 (when given), and every component to evaluate to a finite
-    value (FlowFamily's rule, which an overflowing literal such as 1e400
-    breaks); evaluation and membership therefore agree by construction.  The
-    expressions are validated here.  The components, as one function, and
-    the predicate are compiled on the first evaluation, and their lane forms
-    behind evaluate_batch on its first call, so a family pays only for the
-    forms it uses.
+    Membership requires predicate > 0 (when given) and every component to
+    evaluate to a finite value (FlowFamily's rule, which an overflowing
+    literal such as 1e400 breaks); evaluation and membership therefore agree
+    by construction.  The expressions are validated here.  The components,
+    as one function, and the predicate are compiled on the first evaluation,
+    and their lane forms behind evaluate_batch on its first call, so a family
+    pays only for the forms it uses.
     """
     comps = tuple(_as_expression(c) for c in components)
     if len(comps) != n:
@@ -344,10 +342,6 @@ def closed_form_family(
         return values, None if pred_expr is None else ex.compile_family_lanes(pred_expr, n)
 
     def evaluator(tau: float, sigma: float, a: np.ndarray) -> np.ndarray:
-        if time_box is not None:
-            lo, hi = time_box
-            if not (lo < tau < hi and lo < sigma < hi):
-                raise DomainViolation("out_of_domain", "parameter outside the family time box")
         values, pred = scalar_kernels()
         try:
             if pred is not None and not pred(tau, sigma, a) > 0.0:
@@ -361,9 +355,6 @@ def closed_form_family(
     def batch_evaluator(tau: np.ndarray, sigma: np.ndarray, a: np.ndarray):
         values_kernel, pred_kernel = lane_kernels()
         values, ok = values_kernel(tau, sigma, a)
-        if time_box is not None:
-            lo, hi = time_box
-            ok &= (lo < tau) & (tau < hi) & (lo < sigma) & (sigma < hi)
         if pred_kernel is not None:
             p, p_ok = pred_kernel(tau, sigma, a)
             ok &= p_ok & (p > 0.0)

@@ -385,8 +385,8 @@ class Mollifier:
     error_bound: float = 0.0
 
 
-def _window_average(group, center: float, eps: float, panels: int) -> AffineMap:
-    """Composite-Simpson average of G_beta over [center - eps, center + eps].
+def _window_average(group: FlowFamily, center: float, eps: float, panels: int) -> AffineMap:
+    """Composite-Simpson average of G_beta = F_{beta, 0} over [center - eps, center + eps].
 
     The group must be affine at the window's ends and center, which are
     probed in one batch; the nodes are probed in another, and their A and b
@@ -397,7 +397,7 @@ def _window_average(group, center: float, eps: float, panels: int) -> AffineMap:
     lo, hi = center - eps, center + eps
     if not 0.0 < hi - lo < math.inf:
         raise UnusableWindow(f"averaging window [{lo!r}, {hi!r}] has no positive finite width")
-    batch, ends = group.family.evaluate_batch, np.array([lo, center, hi])
+    batch, ends = group.evaluate_batch, np.array([lo, center, hi])
     gaps = affine_defect(batch, ends, np.zeros(3), *probe_affine(batch, ends, np.zeros(3), group.n))
     for beta, gap in zip(ends, gaps):
         if not math.isnan(gap):
@@ -416,8 +416,8 @@ def _window_average(group, center: float, eps: float, panels: int) -> AffineMap:
     return AffineMap(*(t * (step / 3.0) / (hi - lo) for t in (total_A, total_b)))
 
 
-def mollify(group, eps: float, panels: int = 256) -> Mollifier:
-    """Average an affine group over [-eps, eps] into an invertible map."""
+def mollify(group: FlowFamily, eps: float, panels: int = 256) -> Mollifier:
+    """Average an affine group G_beta = F_{beta, 0} over [-eps, eps] into an invertible map."""
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("window half-width must be positive and finite")
     H = _window_average(group, 0.0, eps, panels)
@@ -434,7 +434,7 @@ def mollify(group, eps: float, panels: int = 256) -> Mollifier:
     return Mollifier(eps=float(eps), H=H, panels=int(panels), error_bound=float(bound))
 
 
-def smooth_apply(group, m: Mollifier, alpha: float) -> AffineMap:
+def smooth_apply(group: FlowFamily, m: Mollifier, alpha: float) -> AffineMap:
     """Window average around alpha composed with H_eps^{-1}.
 
     For a continuous affine group this reproduces G_alpha up to quadrature

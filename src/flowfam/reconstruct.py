@@ -263,14 +263,9 @@ class TabulatedVectorField:
         self.slope, self._lanes = _interpolant(self.n)((self.times, *self.axes), strides, self.table.reshape(-1))
 
     def site_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every site as lanes (t[m], x[m, n], tabulated values[m, n]), in sites' order; holes are NaN."""
+        """Every site as lanes (t[m], x[m, n], tabulated values[m, n]), time-major; holes are NaN."""
         states = _site_states(self.axes)
         return np.repeat(self.times, len(states)), np.tile(states, (len(self.times), 1)), self.table.reshape(-1, self.n)
-
-    def sites(self):
-        """(t, x, tabulated value) for every site, time-major; holes are NaN."""
-        for t, x, value in zip(*self.site_columns()):
-            yield float(t), x, value
 
     def __call__(self, t: float, x) -> tuple:
         """The interpolated slope at (t, x) as a tuple of n floats; x is any sequence of n floats."""

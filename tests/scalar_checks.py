@@ -211,12 +211,13 @@ def check_time_shift(fam, plan, tol=None) -> ConditionReport:
 
 
 def check_group_law(group, plan, tol=1e-9) -> ConditionReport:
+    """G_alpha = F_{alpha, 0}, one point query per leg."""
     acc = ScalarAccumulator()
     for alpha, beta, a in samples(plan, 2):
         with acc:
-            outer = group.evaluate(alpha, group.evaluate(beta, a))
+            outer = group.evaluate(alpha, 0.0, group.evaluate(beta, 0.0, a))
             witness = {"alpha": alpha, "beta": beta, "a": list(map(float, a))}
-            acc.compare(outer, lambda: group.evaluate(alpha + beta, a), witness,
+            acc.compare(outer, lambda: group.evaluate(alpha + beta, 0.0, a), witness,
                         "legs of the composition exist but the direct map is undefined")
     return acc.report("group_law", tol)
 

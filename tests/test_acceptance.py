@@ -231,7 +231,7 @@ def test_criterion_6_mollifier(gate):
         for s in states:
             a = np.array(s)
             smooth_gap = max(
-                smooth_gap, float(np.max(np.abs(mapped(a) - group.evaluate(alpha, a))))
+                smooth_gap, float(np.max(np.abs(mapped(a) - group.evaluate(alpha, 0.0, a))))
             )
     ok &= smooth_gap <= 1e-8
 
@@ -267,9 +267,9 @@ def test_criterion_7_autonomy(gate):
     law = check_group_law(group, plan, tol=1e-7)
     ok &= law.passed
 
-    mid = group.evaluate(0.5, (0.5,))
-    composed = group.evaluate(0.5, mid)
-    direct = group.evaluate(1.0, (0.5,))
+    mid = group.evaluate(0.5, 0.0, (0.5,))
+    composed = group.evaluate(0.5, 0.0, mid)
+    direct = group.evaluate(1.0, 0.0, (0.5,))
     worked = abs(composed[0] - 1.0) <= 1e-12 and abs(direct[0] - 1.0) <= 1e-12
     ok &= worked
     gate(

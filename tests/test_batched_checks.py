@@ -14,9 +14,8 @@ import pytest
 import scalar_checks as scalar
 
 from flowfam import autonomous, linear, reconstruct, verify
-from flowfam.autonomous import OneParamGroup, group_from_family
 from flowfam.catalog import get, names
-from flowfam.core import DomainViolation, closed_form_family
+from flowfam.core import DomainViolation, FlowFamily, closed_form_family
 from flowfam.integrate import IntegratorConfig, numeric_family
 from flowfam.linear import family_from_decomposition, sincov_decompose
 from flowfam.reconstruct import ReconstructionConfig
@@ -40,16 +39,15 @@ BATCHED = {name: getattr(verify, name) for name in SUITE} | {
 REFERENCE = {name: getattr(scalar, name) for name in BATCHED}
 
 
-def _reports(checks, fam, plan, group=None):
-    """Each check's report on fam; the group law runs on group, or G_alpha = F_{alpha, 0}."""
-    group = group or group_from_family(fam)
-    return {name: check(group if name == "check_group_law" else fam, plan) for name, check in checks.items()}
+def _reports(checks, fam, plan):
+    """Each check's report on fam; the group law reads G_alpha = F_{alpha, 0}."""
+    return {name: check(fam, plan) for name, check in checks.items()}
 
 
-def _assert_same(fam, plan, group=None, reference_fam=None):
+def _assert_same(fam, plan, reference_fam=None):
     """Batched reports on fam equal the reference's on reference_fam (by default fam itself)."""
-    got = _reports(BATCHED, fam, plan, group)
-    want = _reports(REFERENCE, reference_fam or fam, plan, group)
+    got = _reports(BATCHED, fam, plan)
+    want = _reports(REFERENCE, reference_fam or fam, plan)
     for name in BATCHED:
         assert got[name] == want[name], name
 
@@ -66,7 +64,7 @@ def _bounded_group():
             raise DomainViolation("out_of_domain", "outside the group's parameter window")
         return a * math.exp(alpha)
 
-    return OneParamGroup(1, g)
+    return FlowFamily(1, "group_backed", lambda tau, sigma, a: g(tau - sigma, a))
 
 
 def _affine_backed():
@@ -100,8 +98,7 @@ def test_families_that_break_the_set_based_checks(predicate):
 
 
 def test_group_backed_family():
-    group = _bounded_group()
-    _assert_same(group.family, default_plan(1), group)
+    _assert_same(_bounded_group(), default_plan(1))
 
 
 def test_affine_backed_family():
@@ -135,5 +132,5 @@ def test_plan_of_the_wrong_dimension_raises_on_both(name):
     fam = get("riccati").family()
     for checks in (BATCHED, REFERENCE):
         with pytest.raises(DomainViolation) as exc:
-            checks[name](group_from_family(fam) if name == "check_group_law" else fam, default_plan(2))
+            checks[name](fam, default_plan(2))
         assert exc.value.kind == "dimension_mismatch"

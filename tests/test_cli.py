@@ -190,6 +190,12 @@ def test_unknown_integrator_key(tmp_path):
         ({**RICCATI, "integrator": {"rel_tol": 1e400}}, "integrator: rel_tol must be finite, got inf"),
         ({**RICCATI, "tolerances": {"openness_delta": 1e400}},
          "tolerances: openness_delta must be a finite number, got inf"),
+        # a JSON integer past every double makes float() raise OverflowError
+        ({**RICCATI, "plan": {**SMALL_PLAN, "time_grid": [0, 10**400]}}, "plan: int too large to convert to float"),
+        ({**RICCATI, "plan": {**SMALL_PLAN, "state_grid": [[10**400]]}}, "plan: int too large to convert to float"),
+        ({"system": {"field": {"n": 1, "rhs": ["x1"], "domain": {"time": [0, 10**400]}}}},
+         "system.field: int too large to convert to float"),
+        ({**RICCATI, "integrator": {"window": [0, 10**400]}}, "integrator: int too large to convert to float"),
     ],
     ids=[
         "domain-list",
@@ -219,6 +225,10 @@ def test_unknown_integrator_key(tmp_path):
         "abs-tol-infinite",
         "rel-tol-infinite",
         "openness-delta-infinite",
+        "time-grid-huge-integer",
+        "state-grid-huge-integer",
+        "domain-time-huge-integer",
+        "window-huge-integer",
     ],
 )
 def test_malformed_value_is_config_error(tmp_path, capsys, payload, field):

@@ -20,7 +20,6 @@ from flowfam.core import (
     inf_norm,
     scaled_tol,
 )
-from flowfam.autonomous import OneParamGroup
 from flowfam.integrate import IntegratorConfig, numeric_family
 from flowfam.linear import SincovDecomposition, family_from_decomposition
 
@@ -166,18 +165,15 @@ def test_evaluate_agrees_with_membership(tau, sigma, a):
     assert member == succeeded
 
 
-def test_family_time_box():
-    fam = closed_form_family(1, ["a1"], time_box=(-1.0, 1.0))
-    assert fam.in_domain(0.0, 0.5, [1.0])
-    assert not fam.in_domain(1.5, 0.0, [1.0])
-    assert not fam.in_domain(0.0, -1.0, [1.0])  # open at the edge
-    with pytest.raises(DomainViolation):
-        fam.evaluate(2.0, 0.0, [1.0])
-
-
 def test_family_kind_checked():
     with pytest.raises(ValueError, match="kind"):
         FlowFamily(1, "mystery", lambda t, s, a: a)
+
+
+def test_family_dimension_checked():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="dimension"):
+            FlowFamily(n, "group_backed", lambda t, s, a: a)
 
 
 @pytest.mark.parametrize(
@@ -276,7 +272,10 @@ BATCH_FAMILIES = {
     "gap": lambda: closed_form_family(1, ["exp(tau - sigma)*a1"], predicate="(tau - 0.5)^2 - 0.01"),
     "pinhole": lambda: closed_form_family(1, ["exp(tau - sigma)*a1"], predicate="(sigma - 0.00005)^2"),
     "empty": lambda: closed_form_family(1, ["exp(tau - sigma)*a1"], predicate="-1"),
-    "time-box": lambda: closed_form_family(2, ["a1*tau", "log(a2)"], time_box=(-1.0, 1.5)),
+    # tau and sigma inside (-1, 1.5): the smaller of 1.25^2 - (tau - 0.25)^2 and its sigma twin is positive
+    "time-box": lambda: closed_form_family(
+        2, ["a1*tau", "log(a2)"],
+        predicate="1.5625 - (tau - 0.25)^2 + 1.5625 - (sigma - 0.25)^2 - abs((tau - 0.25)^2 - (sigma - 0.25)^2)"),
     "hand-written": _hand_written_gap,
 }
 
@@ -334,7 +333,11 @@ NON_FINITE = {
         (1.0, 0.0, [1e300]),
         (0.5, 0.5, [1e300]),
     ),
-    "group_backed": (OneParamGroup(1, _overflowing).family, (0.5, 0.0, [1.0]), (-0.5, 0.0, [1.0])),
+    "group_backed": (
+        FlowFamily(1, "group_backed", lambda tau, sigma, a: _overflowing(tau - sigma, a)),
+        (0.5, 0.0, [1.0]),
+        (-0.5, 0.0, [1.0]),
+    ),
 }
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_checks as scalar
 from flowfam import catalog, integrate
-from flowfam.autonomous import check_group_law, group_from_family
+from flowfam.autonomous import check_group_law
 from flowfam.core import DomainSpec, DomainViolation, VectorField
 from flowfam.expr import EvalError
 from flowfam.integrate import (
@@ -875,14 +875,14 @@ def test_numeric_group_law_step_count(monkeypatch, name, tries):
     # 19,067 tries on riccati and 29,378 on rotation
     field = catalog.get(name).field()
     steps = count_steps(monkeypatch)
-    assert check_group_law(group_from_family(numeric_family(field)), default_plan(field.n)).passed
+    assert check_group_law(numeric_family(field), default_plan(field.n)).passed
     assert steps() == tries
 
 
 def test_numeric_mollifier_step_count(monkeypatch):
     # each window's ends and centre are one probe batch and one defect batch, and its Simpson
     # nodes one more; probe by probe they make 14,286 tries, and a scalar check at the ends 2,053
-    group = group_from_family(numeric_family(ROTATION))
+    group = numeric_family(ROTATION)
     steps = count_steps(monkeypatch)
     smooth_apply(group, mollify(group, 0.25), 0.3)
     assert steps() == 1_786

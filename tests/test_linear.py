@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowfam.autonomous import OneParamGroup, to_group
-from flowfam.core import DomainSpec, DomainViolation, VectorField, closed_form_family
+from flowfam.autonomous import to_group
+from flowfam.core import DomainSpec, DomainViolation, FlowFamily, VectorField, closed_form_family
 from flowfam.integrate import numeric_family
 from flowfam.linear import (
     AffineMap,
@@ -50,6 +50,19 @@ def rotation_family():
             "cos(tau - sigma)*a1 - sin(tau - sigma)*a2",
             "sin(tau - sigma)*a1 + cos(tau - sigma)*a2",
         ],
+    )
+
+
+def _group(n, g):
+    """The family F_{tau, sigma} = G_{tau - sigma} of a hand-written group g(alpha, a), with no lane form."""
+    return FlowFamily(n, "group_backed", lambda tau, sigma, a: g(tau - sigma, a))
+
+
+def _spread_with_lanes(fam):
+    """F_{tau, sigma} = fam's F_{tau - sigma, 0}, with fam's lane form at tau - sigma subtracted lane by lane."""
+    return FlowFamily(
+        fam.n, "group_backed", lambda tau, sigma, a: fam.evaluator(tau - sigma, 0.0, a), fam.tol_hint,
+        lambda tau, sigma, a: fam.batch_evaluator(tau - sigma, np.zeros(len(tau)), a),
     )
 
 
@@ -166,7 +179,10 @@ def test_decompose_refuses_nonaffine():
 
 def test_decompose_flags_singular_wronskian():
     # affine, but the linear part collapses at tau = 1
-    degenerate = closed_form_family(1, ["(1 - tau)/(1 - sigma)*a1"], time_box=(-2.0, 1.5))
+    # tau and sigma inside (-2, 1.5): the smaller of 1.75^2 - (tau + 0.25)^2 and its sigma twin is positive
+    degenerate = closed_form_family(
+        1, ["(1 - tau)/(1 - sigma)*a1"],
+        predicate="3.0625 - (tau + 0.25)^2 + 3.0625 - (sigma + 0.25)^2 - abs((tau + 0.25)^2 - (sigma + 0.25)^2)")
     with pytest.raises(SingularWronskian):
         sincov_decompose(degenerate, 0.0, (0.0, 0.5, 1.0))
 
@@ -364,7 +380,7 @@ def test_mollify_rotation_half_pi():
 
 
 def test_mollify_identity_group_is_identity():
-    group = OneParamGroup(n=1, g=lambda alpha, a: a.copy())
+    group = _group(1, lambda alpha, a: a.copy())
     m = mollify(group, 0.3)
     assert np.allclose(m.H.A, np.eye(1), atol=1e-15)
     assert np.allclose(m.H.b, 0.0, atol=1e-15)
@@ -372,7 +388,7 @@ def test_mollify_identity_group_is_identity():
 
 def test_mollify_translation_group_cancels():
     v = np.array([1.0, -2.0])
-    group = OneParamGroup(n=2, g=lambda alpha, a: a + alpha * v)
+    group = _group(2, lambda alpha, a: a + alpha * v)
     m = mollify(group, 0.5)
     assert np.allclose(m.H.A, np.eye(2), atol=1e-15)
     assert np.max(np.abs(m.H.b)) <= 1e-15  # odd integrand cancels node by node
@@ -389,7 +405,7 @@ def test_mollify_rejects_nonaffine_group():
 
 
 def test_mollify_parameter_validation():
-    group = OneParamGroup(n=1, g=lambda alpha, a: a.copy())
+    group = _group(1, lambda alpha, a: a.copy())
     with pytest.raises(ValueError):
         mollify(group, 0.0)
     with pytest.raises(ValueError):
@@ -399,7 +415,7 @@ def test_mollify_parameter_validation():
 
 
 def test_a_window_without_usable_width_is_a_value_error():
-    group = OneParamGroup(n=1, g=lambda alpha, a: a.copy())
+    group = _group(1, lambda alpha, a: a.copy())
     with pytest.raises(UnusableWindow, match=r"averaging window \[-1e\+308, 1e\+308\]") as caught:
         mollify(group, 1e308)
     assert isinstance(caught.value, ValueError)
@@ -416,7 +432,7 @@ def test_mollifier_limit_monotone():
 
 
 def test_mollifier_error_bound_scales():
-    group = OneParamGroup(n=1, g=lambda alpha, a: a.copy())
+    group = _group(1, lambda alpha, a: a.copy())
     wide = mollify(group, 0.4, panels=64)
     narrow = mollify(group, 0.2, panels=64)
     fine = mollify(group, 0.4, panels=128)
@@ -516,8 +532,8 @@ PROBE_TAU = np.array([-1.0, 0.0, 0.3, 2.5, -0.0, 1.2, 0.7])
 PROBE_SIGMA = np.array([0.0, 0.0, -0.7, 1.0, 0.0, 0.4, 0.7])
 
 
-@pytest.mark.parametrize("fam", [rotation_family(), to_group(rotation_family()).family,
-                                 OneParamGroup(2, lambda alpha, a: a + alpha).family,
+@pytest.mark.parametrize("fam", [rotation_family(), _spread_with_lanes(rotation_family()),
+                                 _group(2, lambda alpha, a: a + alpha),
                                  numeric_family(VectorField.from_strings(["-x2", "x1"], DomainSpec(2)))],
                          ids=["closed_form", "group_backed", "no_lane_form", "numeric"])
 def test_probe_affine_is_the_point_probe_at_every_lane(fam):
@@ -570,8 +586,7 @@ def test_mollify_probes_each_node_once():
         calls.append(alpha)
         return a.copy()
 
-    group = OneParamGroup(n=1, g=g)
-    mollify(group, 0.25, panels=16)
+    mollify(_group(1, g), 0.25, panels=16)
     # the ends and centre: one probe batch of n + 1 lanes each and one defect batch of 2n
     # lanes each, then n + 1 lanes per node; this group has no lane form, so a lane is a call
     ends = [-0.25, -0.25, 0.0, 0.0, 0.25, 0.25]

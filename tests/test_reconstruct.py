@@ -35,6 +35,14 @@ def riccati_family():
     )
 
 
+# tau and sigma inside (-1, 1): 2 - 2 max(tau^2, sigma^2) is positive
+UNIT_TIME_BOX = "1 - tau^2 + 1 - sigma^2 - abs(tau^2 - sigma^2)"
+
+
+def boxed_exp_family():
+    return closed_form_family(1, ["exp(tau - sigma)*a1"], predicate=UNIT_TIME_BOX)
+
+
 def exp_family():
     return closed_form_family(1, ["exp(tau - sigma)*a1"])
 
@@ -101,7 +109,7 @@ def test_rate_richardson_improves_tenfold():
 
 
 def test_rate_skips_when_stencil_leaves_domain():
-    fam = closed_form_family(1, ["exp(tau - sigma)*a1"], time_box=(-1.0, 1.0))
+    fam = boxed_exp_family()
     with pytest.raises(DomainViolation):
         diagonal_rate(fam, 1.0 - 1e-5, [0.5], h=1e-4)
 
@@ -164,7 +172,7 @@ def test_field_from_family_checks_plan_dimension():
 
 
 def test_holes_are_skipped_not_extrapolated():
-    fam = closed_form_family(1, ["exp(tau - sigma)*a1"], time_box=(-1.0, 1.0))
+    fam = boxed_exp_family()
     plan = SamplePlan(
         (-0.99995, -0.5, 0.0, 0.5, 0.99995),
         tuple((s,) for s in np.linspace(-1.0, 1.0, 5)),
@@ -178,7 +186,7 @@ def test_holes_are_skipped_not_extrapolated():
 
 
 def test_start_touching_a_hole_leaves_the_rebuilt_domain():
-    fam = closed_form_family(1, ["exp(tau - sigma)*a1"], time_box=(-1.0, 1.0))
+    fam = boxed_exp_family()
     plan = SamplePlan(
         (-0.99995, -0.5, 0.0, 0.5, 0.99995),
         tuple((s,) for s in np.linspace(-1.0, 1.0, 5)),
@@ -196,7 +204,7 @@ def test_start_touching_a_hole_leaves_the_rebuilt_domain():
 
 
 def test_reconstruction_fails_when_mostly_holes():
-    fam = closed_form_family(1, ["exp(tau - sigma)*a1"], time_box=(-1.0, 1.0))
+    fam = boxed_exp_family()
     plan = SamplePlan(
         (-0.99995, 0.0, 0.99995),
         tuple((s,) for s in np.linspace(-1.0, 1.0, 5)),
@@ -318,7 +326,7 @@ def test_interpolation_exact_on_affine_data():
 def test_sites_are_time_major():
     table = np.arange(2 * 3 * 1, dtype=float).reshape(2, 3, 1)
     tab = TabulatedVectorField(np.array([0.0, 1.0]), [np.array([-1.0, 0.0, 1.0])], table)
-    sites = [(t, float(x[0]), float(v[0])) for t, x, v in tab.sites()]
+    sites = [(float(t), float(x[0]), float(v[0])) for t, x, v in zip(*tab.site_columns())]
     expected = [
         (t, x, float(3 * i + j))
         for i, t in enumerate((0.0, 1.0))
@@ -345,7 +353,8 @@ def test_field_gap_skips_holes_and_counts_compared():
 def field_gap_by_site(tab, fld):
     """field_gap as a loop over the sites, one scalar query each: the reference the batch must equal."""
     worst, compared = -math.inf, 0
-    for t, x, value in tab.sites():
+    for t, x, value in zip(*tab.site_columns()):
+        t = float(t)
         if not np.all(np.isfinite(value)) or not fld.domain.contains(t, x):
             continue
         try:
@@ -513,7 +522,7 @@ def test_table_matches_the_scalar_stencil(name, richardson):
 @pytest.mark.parametrize("richardson", [True, False], ids=["richardson", "plain"])
 def test_table_with_holes_matches_the_scalar_stencil(richardson):
     fam = closed_form_family(2, ["exp(tau - sigma)*a1", "a2 + (tau - sigma)*sqrt(a1 + 0.6)"],
-                             time_box=(-1.0, 1.0))
+                             predicate=UNIT_TIME_BOX)
     plan = SamplePlan((-0.99995, -0.5, 0.3, 0.6),
                       tuple(product(np.linspace(-1.0, 1.0, 5), repeat=2)), random_count=0)
     cfg = ReconstructionConfig(grid=plan, richardson=richardson)

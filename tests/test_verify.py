@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import flowfam
-from flowfam.autonomous import OneParamGroup, check_group_law, check_time_shift, to_group
+from flowfam.autonomous import check_group_law, check_time_shift, to_group
 from flowfam.core import DomainSpec, DomainViolation, FlowFamily, VectorField, closed_form_family
 from flowfam.integrate import IntegratorConfig, numeric_family
 from flowfam.linear import check_affine
@@ -486,10 +486,10 @@ def test_guard_lets_dimension_mismatch_through():
     def g(alpha, a):
         raise DomainViolation("dimension_mismatch", "state of the wrong length")
 
-    group = OneParamGroup(1, g)
+    group = FlowFamily(1, "group_backed", lambda tau, sigma, a: g(tau - sigma, a))
     for batch in ([0.0], [0.0], [[1.0]]), ([0.0], [0.0], [[1.0, 2.0]]):
         with pytest.raises(DomainViolation) as exc:
-            group.family.evaluate_batch(*batch)
+            group.evaluate_batch(*batch)
         assert exc.value.kind == "dimension_mismatch"
     with pytest.raises(DomainViolation) as exc:
         check_group_law(group, default_plan(1))
@@ -503,7 +503,7 @@ WRONG_DIMENSION = {
     "check_cocycle": check_cocycle,
     "check_time_shift": check_time_shift,
     "to_group": to_group,
-    "check_group_law": lambda fam, plan: check_group_law(to_group(fam), plan),
+    "check_group_law": check_group_law,
     "check_affine": check_affine,
     "roundtrip_error": lambda fam, plan: roundtrip_error(
         fam,
