@@ -24,12 +24,14 @@ __all__ = ["CatalogEntry", "CATALOG", "names", "get"]
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    n: int
     rhs: tuple[str, ...]
     family_components: tuple[str, ...]
     field_predicate: str | None = None
     family_predicate: str | None = None
-    description: str = ""
+
+    @property
+    def n(self) -> int:
+        return len(self.rhs)
 
     def field(self) -> VectorField:
         spec = DomainSpec(self.n, space_predicate=self.field_predicate)
@@ -46,49 +48,37 @@ CATALOG: dict[str, CatalogEntry] = {
     for entry in (
         CatalogEntry(
             name="riccati",
-            n=1,
             rhs=("x1^2",),
             family_components=("a1/(1 + (sigma - tau)*a1)",),
             family_predicate="1 - (tau - sigma)*a1",
-            description="quadratic growth with finite escape time",
         ),
         CatalogEntry(
             name="zero",
-            n=1,
             rhs=("0",),
             family_components=("a1",),
-            description="frozen dynamics; the family is identically the identity",
         ),
         CatalogEntry(
             name="exp_scalar",
-            n=1,
             rhs=("x1",),
             family_components=("exp(tau - sigma)*a1",),
-            description="exponential growth; the canonical one-parameter group",
         ),
         CatalogEntry(
             name="affine_scalar",
-            n=1,
             rhs=("x1 + 1",),
             family_components=("exp(tau - sigma)*(a1 + 1) - 1",),
-            description="affine scalar flow with particular solution e^t - 1",
         ),
         CatalogEntry(
             name="rotation",
-            n=2,
             rhs=("-x2", "x1"),
             family_components=(
                 "cos(tau - sigma)*a1 - sin(tau - sigma)*a2",
                 "sin(tau - sigma)*a1 + cos(tau - sigma)*a2",
             ),
-            description="planar rotation; bounded orbits, exact group law",
         ),
         CatalogEntry(
             name="shear",
-            n=1,
             rhs=("t*x1",),
             family_components=("exp((tau^2 - sigma^2)/2)*a1",),
-            description="time-dependent linear flow; depends on tau + sigma too",
         ),
     )
 }

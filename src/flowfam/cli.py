@@ -55,7 +55,6 @@ class ConfigError(Exception):
 class RunSpec:
     """Everything a command needs: the system plus shared knobs."""
 
-    n: int
     system_name: str
     field: VectorField | None
     family: FlowFamily | None
@@ -184,7 +183,6 @@ def load_config(path: str) -> RunSpec:
         tolerances = SuiteTolerances(**_section(path, data, "tolerances", SuiteTolerances))
 
     return RunSpec(
-        n=n,
         system_name=system_name,
         field=field_obj,
         family=family_obj,

@@ -147,50 +147,39 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Right-hand side f(t, x) of an n-dimensional first-order ODE.
+    """Right-hand side f(t, x) of an n-dimensional first-order ODE, n being its domain's.
 
-    Its components are validated here and compiled, into one function, on
-    the first call.  slope is that function, which the step loop calls
-    directly, and lanes its lane form, which numeric families batch their
-    steps through.
+    The components are validated here and compiled on first use into two
+    functions: slope(t, x), the tuple of n floats the step loop calls, and
+    its lane form lanes(t[m], x[m, n]) -> (values[m, n], ok[m]), which
+    numeric families batch their steps through: values[i] equals slope(t[i],
+    x[i]) bit for bit where ok[i], and ok[i] is False exactly where that
+    call raises EvalError.
     """
 
-    n: int
     domain: DomainSpec
     rhs: tuple[ex.Expression, ...]
 
     def __post_init__(self):
         if len(self.rhs) != self.n:
             raise ValueError(f"need {self.n} rhs components, got {len(self.rhs)}")
-        if self.domain.n != self.n:
-            raise ValueError("domain dimension does not match field dimension")
         ex.validate_field(tuple(self.rhs), self.n)
 
     @classmethod
     def from_strings(cls, components: Sequence[str], domain: DomainSpec) -> "VectorField":
-        return cls(domain.n, domain, tuple(ex.parse(c) for c in components))
+        return cls(domain, tuple(ex.parse(c) for c in components))
 
-    def __call__(self, t: float, x) -> tuple:
-        """The slope at (t, x) as a tuple of n floats; x is any sequence of n floats."""
-        return self.slope(t, x)
+    @property
+    def n(self) -> int:
+        return self.domain.n
 
     @functools.cached_property
     def slope(self):
-        """The compiled components, slope(t, x) -> tuple of n floats: what self(t, x) calls, one frame fewer."""
         return ex.compile_field(tuple(self.rhs), self.n)
 
     @functools.cached_property
-    def _rhs_lanes(self):
+    def lanes(self):
         return ex.compile_field_lanes(tuple(self.rhs), self.n)
-
-    def lanes(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The slopes at lanes (t[m], x[m, n]): (values[m, n], ok[m]).
-
-        Where ok[i], values[i] equals self(t[i], x[i]) bit for bit; ok[i] is
-        False exactly where that call raises EvalError.  The components'
-        lane form is compiled, as one function, on the first call.
-        """
-        return self._rhs_lanes(t, x)
 
 
 # ---------------------------------------------------------------------------

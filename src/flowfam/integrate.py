@@ -158,8 +158,8 @@ class EscapeEvent(Exception):
     where it happened (bracket midpoint when refinement ran).
     """
 
-    def __init__(self, kind: str, time: float, message: str = ""):
-        super().__init__(message or f"{kind} at t={time}")
+    def __init__(self, kind: str, time: float):
+        super().__init__(f"{kind} at t={time}")
         self.kind = kind
         self.time = time
 

@@ -382,7 +382,10 @@ class Mollifier:
     eps: float
     H: AffineMap
     panels: int
-    error_bound: float = 0.0
+
+    @property
+    def error_bound(self) -> float:
+        return (2.0 * self.eps) ** 5 / (180.0 * self.panels**4)
 
 
 def _window_average(group: FlowFamily, center: float, eps: float, panels: int) -> AffineMap:
@@ -430,8 +433,7 @@ def mollify(group: FlowFamily, eps: float, panels: int = 256) -> Mollifier:
             f"window average is singular (smallest singular value {sv[-1]:.3g}); "
             "shrink the window"
         )
-    bound = (2.0 * eps) ** 5 / (180.0 * panels**4)
-    return Mollifier(eps=float(eps), H=H, panels=int(panels), error_bound=float(bound))
+    return Mollifier(eps=float(eps), H=H, panels=int(panels))
 
 
 def smooth_apply(group: FlowFamily, m: Mollifier, alpha: float) -> AffineMap:

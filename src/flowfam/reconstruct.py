@@ -9,9 +9,9 @@ optionally sharpened by one Richardson step (4 D_{h/2} - D_h) / 3, and
 tabulated over a rectangular grid (the per-axis unique values of the plan's
 state points crossed with its time grid).  The result behaves like a
 VectorField: it has a dimension, a domain (the closed tabulated box), and
-is callable at (t, x) via multilinear interpolation, with a numpy lane form
-for a batch of points, so it can be handed straight back to the integrator
-to close the loop family -> field -> family.
+its multilinear interpolant slope(t, x), with a numpy lane form lanes for
+a batch of points, so it can be handed straight back to the integrator to
+close the loop family -> field -> family.
 
 Sites whose two-sided stencil leaves the family's domain are skipped and
 left as holes (never extrapolated); a reconstruction with more than half
@@ -93,7 +93,6 @@ class ReconstructionConfig:
 class BoxDomain:
     """Closed axis-aligned box in (t, x) space; the home of a tabulated field."""
 
-    n: int
     time_lo: float
     time_hi: float
     state_lo: tuple[float, ...]
@@ -131,16 +130,16 @@ def _check_step(times: np.ndarray, h: float, richardson: bool) -> None:
 
 
 def _check_knots(times: np.ndarray, axes: list[np.ndarray]) -> None:
-    """ValueError unless the times and every state axis are strictly increasing, two knots or more each."""
+    """ValueError unless the times and every state axis are finite and strictly increasing, two knots or more each."""
     if times.ndim != 1 or len(times) < 2:
         raise ValueError("need at least two time knots")
     for ax in axes:
         if ax.ndim != 1 or len(ax) < 2:
             raise ValueError("need at least two knots per state axis")
-        if np.any(np.diff(ax) <= 0):
-            raise ValueError("state knots must be strictly increasing")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("time knots must be strictly increasing")
+        if not (np.isfinite(ax).all() and (np.diff(ax) > 0).all()):
+            raise ValueError("state knots must be finite and strictly increasing")
+    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise ValueError("time knots must be finite and strictly increasing")
 
 
 # The interpolant, rendered per dimension by _interpolant_source in two forms:
@@ -231,10 +230,10 @@ class TabulatedVectorField:
     """Multilinear interpolation over a rectangular (time x state) table.
 
     Duck-compatible with VectorField for the integrator: exposes n, domain,
-    __call__(t, x), slope(t, x), which __call__ calls, and its lane form
-    lanes(t, x), and the domain answers contains and contains_lanes.  slope
-    and the lane form are generated per dimension (_interpolant) and bound
-    to this field's knots and table, so a later write into table shows.
+    slope(t, x) and its lane form lanes(t[m], x[m, n]) -> (values[m, n],
+    ok[m]), and the domain answers contains and contains_lanes.  slope and
+    lanes are generated per dimension (_interpolant) and bound to this
+    field's knots and table, so a later write into table shows.
     Values one cell beyond an edge are linearly continued from the edge
     cell so Runge-Kutta stage points may overshoot slightly; anything
     farther out, or touching a skipped-site hole, raises an evaluation
@@ -253,31 +252,18 @@ class TabulatedVectorField:
         if self.table.shape != expected:
             raise ValueError(f"table shape {self.table.shape} != {expected}")
         self.domain = BoxDomain(
-            n=self.n,
             time_lo=float(self.times[0]),
             time_hi=float(self.times[-1]),
             state_lo=tuple(float(ax[0]) for ax in self.axes),
             state_hi=tuple(float(ax[-1]) for ax in self.axes),
         )
         strides = [stride // self.table.itemsize for stride in self.table.strides[:-1]]
-        self.slope, self._lanes = _interpolant(self.n)((self.times, *self.axes), strides, self.table.reshape(-1))
+        self.slope, self.lanes = _interpolant(self.n)((self.times, *self.axes), strides, self.table.reshape(-1))
 
     def site_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every site as lanes (t[m], x[m, n], tabulated values[m, n]), time-major; holes are NaN."""
         states = _site_states(self.axes)
         return np.repeat(self.times, len(states)), np.tile(states, (len(self.times), 1)), self.table.reshape(-1, self.n)
-
-    def __call__(self, t: float, x) -> tuple:
-        """The interpolated slope at (t, x) as a tuple of n floats; x is any sequence of n floats."""
-        return self.slope(t, x)
-
-    def lanes(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The slopes at lanes (t[m], x[m, n]): (values[m, n], ok[m]).
-
-        values[i] is self(t[i], x[i]) bit for bit where ok[i], and NaN where
-        that call raises EvalError, which is exactly where ok[i] is False.
-        """
-        return self._lanes(t, x)
 
 
 def diagonal_rate(

@@ -75,8 +75,10 @@ class SamplePlan:
     """Deterministic grids plus a seeded budget of random samples.
 
     random_count and seed are integers (a bool is not one); the draws are
-    those numpy.random.default_rng(seed) would give.  A check takes the
-    samples as lanes (``columns``), and the skip rule applies per lane.
+    those numpy.random.default_rng(seed) would give, so when there are any,
+    the time grid and each state axis must have a finite max - min, as
+    numpy's uniform requires of its bounds.  A check takes the samples as
+    lanes (``columns``), and the skip rule applies per lane.
     """
 
     time_grid: tuple[float, ...]
@@ -107,6 +109,8 @@ class SamplePlan:
             object.__setattr__(self, name, int(value))
         if self.random_count < 0:
             raise ValueError("random_count must be non-negative")
+        if self.random_count and not all(math.isfinite(max(axis) - min(axis)) for axis in (times, *zip(*states))):
+            raise ValueError("random draws need a time grid and state axes whose max - min is finite")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -177,14 +181,20 @@ class ConditionReport:
     max_residual: float
     worst_case: dict | None
     tolerance: float
-    passed: bool
     note: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tolerance
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     conditions: tuple[ConditionReport, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(rep.passed for rep in self.conditions)
 
     def by_name(self, name: str) -> ConditionReport:
         for rep in self.conditions:
@@ -263,16 +273,13 @@ class Accumulator:
         empty_residual: float = 0.0,
     ) -> ConditionReport:
         """The report; empty_residual stands in for the residual when nothing was checked."""
-        max_res = self.max_residual if self.checked else empty_residual
-        passed = max_res <= tol
         return ConditionReport(
             condition_name=name,
             samples_checked=self.checked,
             samples_skipped=self.skipped,
-            max_residual=max_res,
+            max_residual=self.max_residual if self.checked else empty_residual,
             worst_case=self.worst,
             tolerance=tol,
-            passed=passed,
             note=self.note if note is None else note,
         )
 
@@ -455,4 +462,4 @@ def run_suite(
         check_interval(fam, plan),
         check_openness(fam, plan, tols.openness_delta),
     )
-    return VerificationReport(conditions=reports, passed=all(r.passed for r in reports))
+    return VerificationReport(conditions=reports)

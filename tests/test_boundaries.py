@@ -44,6 +44,11 @@ or attributes, only ``_drive_lanes`` reads ``_TAIL_LANES``, the lane count
 at which the scalar loop takes over, and no ``_TrajectoryCache`` method
 calls ``_drive``: the lane driver finishes its scalar tail itself.
 
+A field has one protocol: the integrator reads a field only through
+``n``, ``domain``, ``slope`` and ``lanes``, and its domain only through
+``contains`` and ``contains_lanes``.  Neither field type is callable, and
+``lanes``, like ``slope``, is the compiled function itself.
+
 The CLI answers a failure in one place: ``cli._run`` turns what a command
 raises into an error record and exit code by the table ``cli._FAILURES``.
 No other function of ``cli`` catches a type the table names and answers it
@@ -225,6 +230,31 @@ def _batch_forks(path: Path) -> list[str]:
             ):
                 found.append((node.lineno, "calls _drive"))
     return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
+
+
+# what the integrator reads of a field (``field`` or ``self.field``), and of the field's domain
+_FIELD_READS = {"n", "domain", "slope", "lanes"}
+_DOMAIN_READS = {"contains", "contains_lanes"}
+
+
+def _field_reads(path: Path) -> tuple[set, list[str]]:
+    """(the protocol attributes read, where a field or its domain is read past the protocol or called)."""
+    fields = ("field", "self.field")
+    seen, found = set(), []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func, first = ast.unparse(node.func), ast.unparse(node.args[0]) if node.args else None
+            if func in fields or (func in ("getattr", "vars") and first in fields):
+                found.append((node.lineno, f"calls {ast.unparse(node)}"))
+        elif isinstance(node, ast.Attribute):
+            base = ast.unparse(node.value)
+            domains = [f"{f}.domain" for f in fields]
+            allowed = _FIELD_READS if base in fields else _DOMAIN_READS if base in domains else set()
+            if node.attr in allowed:
+                seen.add(node.attr)
+            elif allowed:
+                found.append((node.lineno, f"reads {ast.unparse(node)}"))
+    return seen, [f"{path.name}:{line} {what}" for line, what in sorted(found)]
 
 
 # the one start rule, and the config's own validation
@@ -423,7 +453,7 @@ def test_generated_interpolant_slope_uses_no_numpy():
 
 def test_generated_interpolant_lanes_bind_no_numpy_that_differs_from_math():
     field = reconstruct.TabulatedVectorField(np.array([0.0, 1.0]), [np.array([0.0, 1.0])], np.zeros((2, 2, 1)))
-    lanes = vars(field)["_lanes"]  # the generated function the lanes method calls
+    lanes = vars(field)["lanes"]  # the generated function, bound on the instance
     assert "searchsorted" in inspect.unwrap(lanes).__globals__  # the check reads the lane form's own names
     assert _lane_unsafe_bindings(lanes) == []
 
@@ -606,6 +636,52 @@ def test_detector_sees_a_batch_fork(tmp_path):
         "probe.py:10 tests isinstance(t, TabulatedVectorField)",
         "probe.py:13 calls _drive",
     ]
+
+
+def test_the_integrator_reads_a_field_only_through_its_protocol():
+    seen, found = _field_reads(PACKAGE / "integrate.py")
+    assert seen == _FIELD_READS | _DOMAIN_READS  # a rename must not empty the check
+    assert found == []
+
+
+def test_detector_sees_a_field_read_past_its_protocol(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def drive(field, t, y):\n"
+        "    k1 = field.slope(t, y) if field.n else field(t, y)\n"
+        "    box = field.domain.time_box if field.domain.contains(t, y) else field.times\n"
+        "    return getattr(field, 'table'), vars(self.field), self.field.rhs, getattr(box, 'lo')\n"
+        "class Cache:\n"
+        "    def solve(self, t, x):\n"
+        "        return self.field.lanes(t, x), self.field.domain.contains_lanes(t, x), self.field.domain.n\n"
+    )
+    seen, found = _field_reads(probe)
+    assert seen == _FIELD_READS | _DOMAIN_READS
+    assert found == [
+        "probe.py:2 calls field(t, y)",
+        "probe.py:3 reads field.domain.time_box",
+        "probe.py:3 reads field.times",
+        "probe.py:4 calls getattr(field, 'table')",
+        "probe.py:4 calls vars(self.field)",
+        "probe.py:4 reads self.field.rhs",
+        "probe.py:7 reads self.field.domain.n",
+    ]
+
+
+def _both_field_types():
+    return [catalog.get("rotation").field(),
+            reconstruct.TabulatedVectorField(np.array([0.0, 1.0]), [np.array([0.0, 1.0])], np.zeros((2, 2, 1)))]
+
+
+def test_neither_field_type_is_callable():
+    for field in _both_field_types():
+        assert not callable(field)  # its slope is field.slope, and nothing else
+
+
+def test_a_fields_lanes_is_its_compiled_function():
+    for field in _both_field_types():
+        assert field.lanes is field.lanes and field.slope is field.slope  # not a method bound anew per read
+        assert {"slope", "lanes"} <= set(vars(field))
 
 
 def test_only_integrate_refuses_a_start():

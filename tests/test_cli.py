@@ -38,7 +38,6 @@ SMALL_PLAN = {
 
 def test_load_catalog_config(tmp_path):
     spec = load_config(write_config(tmp_path, RICCATI))
-    assert spec.n == 1
     assert spec.system_name == "catalog:riccati"
     assert spec.field is not None and spec.family is not None
 
@@ -196,6 +195,13 @@ def test_unknown_integrator_key(tmp_path):
         ({"system": {"field": {"n": 1, "rhs": ["x1"], "domain": {"time": [0, 10**400]}}}},
          "system.field: int too large to convert to float"),
         ({**RICCATI, "integrator": {"window": [0, 10**400]}}, "integrator: int too large to convert to float"),
+        # random draws over a span whose max - min overflows would be infinite
+        ({**RICCATI, "plan": {"time_grid": [-1e308, 1e308], "state_grid": [[0.5]], "random_count": 1}},
+         "plan: random draws need"),
+        ({**RICCATI, "plan": {"time_grid": [0.0], "state_grid": [[-1e308], [1e308]], "random_count": 1}},
+         "plan: random draws need"),
+        ({"plan": SMALL_PLAN}, "system: missing or not an object"),
+        ({"system": ["riccati"]}, "system: missing or not an object"),
     ],
     ids=[
         "domain-list",
@@ -229,6 +235,10 @@ def test_unknown_integrator_key(tmp_path):
         "state-grid-huge-integer",
         "domain-time-huge-integer",
         "window-huge-integer",
+        "time-span-overflows",
+        "state-span-overflows",
+        "system-missing",
+        "system-list",
     ],
 )
 def test_malformed_value_is_config_error(tmp_path, capsys, payload, field):

@@ -96,8 +96,21 @@ def test_domain_spec_validation():
 
 def test_vector_field_call():
     field = VectorField.from_strings(["x2", "-x1"], DomainSpec(2))
-    out = field(0.0, [1.0, 2.0])
+    out = field.slope(0.0, [1.0, 2.0])
     assert np.allclose(out, [2.0, -1.0])
+
+
+def test_component_count_must_be_the_dimension():
+    with pytest.raises(ValueError, match="need 2 rhs components, got 1"):
+        VectorField.from_strings(["x1"], DomainSpec(2))
+    with pytest.raises(ValueError, match="need 2 components, got 3"):
+        closed_form_family(2, ["a1", "a2", "a1"])
+
+
+def test_vector_field_reads_its_dimension_from_its_domain():
+    field = VectorField(DomainSpec(2), (ex.parse("-x2"), ex.parse("x1")))
+    assert field.n == field.domain.n == 2
+    assert field.slope(0.0, (1.0, 0.5)) == (-0.5, 1.0)
 
 
 def test_vector_field_validation():

@@ -187,6 +187,25 @@ def test_decompose_flags_singular_wronskian():
         sincov_decompose(degenerate, 0.0, (0.0, 0.5, 1.0))
 
 
+@pytest.mark.parametrize(
+    "tau0, grid, h, message",
+    [(math.nan, (0.0,), [[0.0]], "times must be finite"),
+     (0.0, (0.0, math.inf), [[0.0], [0.0]], "times must be finite"),
+     (0.0, (0.0,), [[0.0, 0.0]], r"h must be \(len\(grid\), n\)"),
+     (0.0, (0.0,), [[math.nan]], "decomposition entries must be finite")],
+    ids=["tau0-nan", "grid-inf", "h-shape", "h-nan"],
+)
+def test_decomposition_refuses_each_malformed_field(tau0, grid, h, message):
+    with pytest.raises(ValueError, match=message):
+        SincovDecomposition(tau0, grid, np.repeat(np.eye(1)[None], len(grid), axis=0), np.array(h))
+
+
+def test_mollifier_derives_its_error_bound():
+    H = AffineMap(np.eye(1), np.zeros(1))
+    assert Mollifier(0.25, H, 8).error_bound == (2.0 * 0.25) ** 5 / (180.0 * 8**4)
+    assert Mollifier(0.25, H, 16).error_bound == Mollifier(0.25, H, 8).error_bound / 16
+
+
 def test_decomposition_validates_fields():
     eye = np.eye(1)[None, :, :]
     with pytest.raises(ValueError):
@@ -547,7 +566,7 @@ def test_probe_affine_of_a_field_is_the_point_probe_at_every_time():
     fld = VectorField.from_strings(["-x2*t + sin(t)", "x1*cos(t) + 0.3*x2 - t^2"], DomainSpec(2))
     A, c = probe_affine(lambda t, _, x: fld.lanes(t, x), PROBE_TAU, PROBE_SIGMA, 2)
     for i, t in enumerate(PROBE_TAU):
-        want_A, want_c = point_probe(partial(fld, t), 2)
+        want_A, want_c = point_probe(partial(fld.slope, t), 2)
         assert A[i].tobytes() == want_A.tobytes() and c[i].tobytes() == want_c.tobytes()
 
 

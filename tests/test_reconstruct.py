@@ -129,7 +129,7 @@ def test_tabulated_recovers_square_law(riccati_field):
     worst = 0.0
     for t in (-1.1, -0.3, 0.6, 1.6):
         for a in np.linspace(-2.4, 2.4, 9):
-            worst = max(worst, abs(riccati_field(t, [a])[0] - a * a))
+            worst = max(worst, abs(riccati_field.slope(t, [a])[0] - a * a))
     assert worst <= 1e-6
 
 
@@ -144,14 +144,14 @@ def test_tabulated_exposes_box_domain(riccati_field):
 
 def test_tabulated_extrapolates_one_cell_only(riccati_field):
     dx = 4.8 / 4000
-    riccati_field(0.0, [2.4 + 0.5 * dx])  # one overshot stage point is fine
+    riccati_field.slope(0.0, [2.4 + 0.5 * dx])  # one overshot stage point is fine
     with pytest.raises(ex.EvalError):
-        riccati_field(0.0, [2.4 + 3.0 * dx])
+        riccati_field.slope(0.0, [2.4 + 3.0 * dx])
 
 
 def test_tabulated_rejects_wrong_dimension(riccati_field):
     with pytest.raises(ValueError):
-        riccati_field(0.0, [0.1, 0.2])
+        riccati_field.slope(0.0, [0.1, 0.2])
 
 
 def test_tabulated_validates_shape():
@@ -163,6 +163,19 @@ def test_tabulated_validates_shape():
         TabulatedVectorField(np.array([0.0]), axes, np.zeros((1, 2, 1)))
     with pytest.raises(ValueError):
         TabulatedVectorField(np.array([1.0, 0.0]), axes, np.zeros((2, 2, 1)))
+
+
+@pytest.mark.parametrize(
+    "times, axis",
+    [([0.0, math.nan, 1.0], [0.0, 1.0]), ([0.0, 0.5, math.inf], [0.0, 1.0]), ([-math.inf, 0.0], [0.0, 1.0]),
+     ([0.0, 1.0], [0.0, math.nan]), ([0.0, 1.0], [-1.0, math.inf])],
+    ids=["time-nan", "time-inf", "time-minus-inf", "state-nan", "state-inf"],
+)
+def test_tabulated_refuses_knots_that_are_not_finite(times, axis):
+    # no comparison with NaN holds, so a NaN knot passes a test for a non-positive step
+    table = np.zeros((len(times), len(axis), 1))
+    with pytest.raises(ValueError, match="knots must be finite and strictly increasing"):
+        TabulatedVectorField(np.array(times), [np.array(axis)], table)
 
 
 def test_field_from_family_checks_plan_dimension():
@@ -180,9 +193,9 @@ def test_holes_are_skipped_not_extrapolated():
     )
     field = field_from_family(fam, ReconstructionConfig(grid=plan))
     assert field.skipped_sites == 10  # both edge rows sit too close to the window
-    assert np.allclose(field(0.0, [0.5]), [0.5], atol=1e-9)
+    assert np.allclose(field.slope(0.0, [0.5]), [0.5], atol=1e-9)
     with pytest.raises(ex.EvalError):
-        field(-0.9999, [0.5])  # interpolation would touch a hole
+        field.slope(-0.9999, [0.5])  # interpolation would touch a hole
 
 
 def test_start_touching_a_hole_leaves_the_rebuilt_domain():
@@ -282,7 +295,7 @@ def test_reconstructed_field_matches_family_slope(riccati_field):
                     lhs = (fam.evaluate(tau + d, rho, a) - fam.evaluate(tau - d, rho, a)) / (2 * d)
                 except DomainViolation:
                     continue
-                rhs = riccati_field(tau, mid)
+                rhs = riccati_field.slope(tau, mid)
                 worst = max(worst, abs(lhs[0] - rhs[0]))
     assert worst <= 1e-4
 
@@ -305,7 +318,7 @@ def test_interpolation_reproduces_knot_values(data):
     field = TabulatedVectorField(times, axes, table)
     for i, t in enumerate(times):
         for j, x in enumerate(axes[0]):
-            assert field(t, [x])[0] == table[i, j, 0]
+            assert field.slope(t, [x])[0] == table[i, j, 0]
 
 
 def test_interpolation_exact_on_affine_data():
@@ -318,7 +331,7 @@ def test_interpolation_exact_on_affine_data():
             for k, x2 in enumerate(axes[1]):
                 table[i, j, k] = (3 * t - x1 + 2 * x2 + 1, t + x1)
     field = TabulatedVectorField(times, axes, table)
-    got = field(0.7, [0.3, 1.9])
+    got = field.slope(0.7, [0.3, 1.9])
     want = np.array([3 * 0.7 - 0.3 + 2 * 1.9 + 1, 0.7 + 0.3])
     assert np.allclose(got, want, atol=1e-12)
 
@@ -358,7 +371,7 @@ def field_gap_by_site(tab, fld):
         if not np.all(np.isfinite(value)) or not fld.domain.contains(t, x):
             continue
         try:
-            ref = fld(t, x)
+            ref = fld.slope(t, x)
         except ex.EvalError:
             continue
         compared += 1
@@ -423,9 +436,9 @@ def test_both_fields_return_a_tuple_of_floats():
     tabulated = TabulatedVectorField(times, axes, table)
     for fld in (rotation, tabulated):
         for x in ((0.5, 1.5), [0.5, 1.5], np.array([0.5, 1.5])):
-            got = fld(0.25, x)
+            got = fld.slope(0.25, x)
             assert type(got) is tuple and len(got) == 2 and all(type(v) is float for v in got)
-            assert got == fld(0.25, (0.5, 1.5))
+            assert got == fld.slope(0.25, (0.5, 1.5))
 
 
 # --- bit-for-bit references ----------------------------------------------
@@ -459,7 +472,7 @@ def reference_table(fam, cfg):
 
 
 def reference_interp(field, t, x):
-    """The per-corner interpolation loop, as TabulatedVectorField.__call__ once ran it."""
+    """The per-corner interpolation loop, as the tabulated field's slope once ran it."""
     coords = [float(t), *[float(c) for c in np.asarray(x, dtype=float)]]
     all_axes = [field.times, *field.axes]
     if len(coords) != len(all_axes):
@@ -571,10 +584,10 @@ def test_interpolation_matches_the_corner_loop(n, holes):
     seen = set()
     for q in range(count):
         t, x = coords[0][q], [c[q] for c in coords[1:]]
-        got = outcome(field, t, x)
+        got = outcome(field.slope, t, x)
         assert got == outcome(reference_interp, field, t, x), (t, x)
         if q % 5 == 0:  # a state given as a list, not an array
-            assert outcome(field, t, np.array(x).tolist()) == got
+            assert outcome(field.slope, t, np.array(x).tolist()) == got
         seen.add("value" if isinstance(got, bytes) else "hole" if "skipped" in got[1] else "box")
     # values and queries beyond the box came up, and holes did whenever the table has them
     assert seen == ({"value", "box", "hole"} if holes else {"value", "box"})
@@ -586,12 +599,12 @@ def test_interpolation_matches_the_corner_loop_on_edge_cases():
     for t, x in [(0.0, [-1.0]), (2.5, [2.0]), (-0.0, [-0.0]), (1.0, [math.nan]),
                  (math.nan, [0.0]), (math.inf, [0.0]), (0.5, [-math.inf]), (-1.0, [4.0]),
                  (-1.0000001, [0.0]), (5.0, [0.0]), (3.5, [4.0 + 1e-12])]:
-        assert outcome(field, t, x) == outcome(reference_interp, field, t, x), (t, x)
+        assert outcome(field.slope, t, x) == outcome(reference_interp, field, t, x), (t, x)
     with pytest.raises(ValueError):
-        field(0.0, [0.1, 0.2])
+        field.slope(0.0, [0.1, 0.2])
     # the sum starts at +0.0, so a knot holding -0.0 interpolates to +0.0
     field.table[1, 1, 0] = -0.0
-    assert outcome(field, 1.0, [0.0]) == outcome(reference_interp, field, 1.0, [0.0]) == b"\0" * 8
+    assert outcome(field.slope, 1.0, [0.0]) == outcome(reference_interp, field, 1.0, [0.0]) == b"\0" * 8
 
 
 # tables with holes, in 2-D (two holes), 1-D and 3-D; coordinates on and between the knots,
@@ -619,7 +632,7 @@ def assert_lanes_are_scalar_calls(field, points):
     inside = field.domain.contains_lanes(t, x)
     assert values.shape == x.shape and ok.dtype == inside.dtype == bool
     for i, (t_i, *x_i) in enumerate(points):
-        want = outcome(field, t_i, x_i)
+        want = outcome(field.slope, t_i, x_i)
         assert ok[i] == isinstance(want, bytes)
         assert values[i].tobytes() == want if ok[i] else np.isnan(values[i]).all()
         assert inside[i] == field.domain.contains(t_i, x_i)
@@ -653,16 +666,16 @@ def test_tabulated_lanes_read_the_table_as_it_is_now():
     field.table[1, 1, 0] = -0.0  # written after construction: both forms read the table in place
     t, x = np.array([1.0, 1.0, 0.5]), np.array([[0.0], [-0.0], [0.0]])
     values, ok = field.lanes(t, x)
-    assert ok.all() and values[:2].tobytes() == b"\0" * 16 == np.array([field(1.0, [0.0])]).tobytes() * 2
+    assert ok.all() and values[:2].tobytes() == b"\0" * 16 == np.array([field.slope(1.0, [0.0])]).tobytes() * 2
     field.table[1, 1, 0] = math.nan
     assert field.lanes(t, x)[1].tolist() == [False, False, False]
-    assert outcome(field, 1.0, [0.0]) == ("domain", "query touches a skipped tabulation site")
+    assert outcome(field.slope, 1.0, [0.0]) == ("domain", "query touches a skipped tabulation site")
     with pytest.raises(ValueError, match=re.escape("state has wrong dimension for this field (1)")):
         field.lanes(t, np.zeros((3, 2)))
 
 
 def test_box_domain_contains_keeps_its_edges_and_its_answers():
-    box = BoxDomain(n=2, time_lo=0.0, time_hi=1.0, state_lo=(-1.0, 0.0), state_hi=(1.0, 2.0))
+    box = BoxDomain(time_lo=0.0, time_hi=1.0, state_lo=(-1.0, 0.0), state_hi=(1.0, 2.0))
     assert box.contains(0.0, (-1.0, 2.0)) and box.contains(1.0, [1.0, 0.0]) and box.contains(0.5, np.zeros(2))
     assert not box.contains(0.5, (math.nan, 1.0)) and not box.contains(math.nan, (0.0, 1.0))
     assert not box.contains(0.5, (0.0, math.nextafter(2.0, 3.0)))
@@ -677,13 +690,13 @@ def test_rebuilt_family_batch_is_its_point_evaluations(monkeypatch):
     # more than 16 lanes run in the lane driver, whose tries evaluate the field's lanes; holes
     # in the table end some lanes at their start or in a step that cannot shrink past them,
     # and the box the trajectories leave ends others
-    widest, lanes = [], TabulatedVectorField.lanes
-    monkeypatch.setattr(TabulatedVectorField, "lanes", lambda self, t, x: widest.append(len(t)) or lanes(self, t, x))
     rng = np.random.default_rng(9)
     times, axes = np.linspace(-1.0, 1.0, 9), [np.linspace(-1.0, 1.0, 11)]
     table = np.sin(3.0 * times[:, None] + 2.0 * axes[0][None, :])[..., None] + 0.2 * rng.uniform(-1.0, 1.0, (9, 11, 1))
     table[6, 2, 0] = table[2, 8, 0] = math.nan
     field = TabulatedVectorField(times, axes, table)
+    widest, lanes = [], field.lanes
+    monkeypatch.setattr(field, "lanes", lambda t, x: widest.append(len(t)) or lanes(t, x))
     count = 96
     sigma, a = rng.uniform(-0.9, 0.9, count), rng.uniform(-0.9, 0.9, (count, 1))
     tau = np.where(np.arange(count) % 8 == 0, sigma, rng.uniform(-1.0, 1.0, count))

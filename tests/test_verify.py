@@ -18,8 +18,10 @@ from flowfam.reconstruct import ReconstructionConfig, roundtrip_error
 from flowfam.verify import (
     CONDITION_NAMES,
     Accumulator,
+    ConditionReport,
     SamplePlan,
     SuiteTolerances,
+    VerificationReport,
     check_cocycle,
     check_domain_inclusion,
     check_identity,
@@ -343,11 +345,25 @@ def test_plan_rejects_a_state_that_is_not_finite(value):
 @pytest.mark.parametrize(
     "field, value",
     [("random_count", 2.5), ("random_count", True), ("random_count", "3"), ("seed", 3.9), ("seed", -0.5),
-     ("seed", True), ("seed", False), ("seed", None)],
+     ("seed", True), ("seed", False), ("seed", None), ("seed", 2**64), ("seed", -1)],
 )
 def test_plan_rejects_a_count_or_seed_that_is_not_an_integer(field, value):
     with pytest.raises(ValueError, match=field):
         SamplePlan((0.0, 1.0), ((0.0,),), **{field: value})
+
+
+@pytest.mark.parametrize(
+    "times, states",
+    [((-1e308, 1e308), ((0.5,),)), ((0.0, 1.0), ((-1e308, 0.0), (1e308, 1.0)))],
+    ids=["time-grid", "state-axis"],
+)
+def test_plan_refuses_draws_over_a_span_that_overflows(times, states):
+    # max - min is inf, so draws would be infinite (numpy's uniform raises OverflowError there)
+    with pytest.raises(ValueError, match="max - min is finite"):
+        SamplePlan(times, states, random_count=1)
+    plan = SamplePlan(times, states, random_count=0)  # no draws, so nothing spans the width
+    (t,), (a,) = plan.columns(1)
+    assert np.isfinite(t).all() and np.isfinite(a).all() and len(t) == len(times) * len(states)
 
 
 def test_plan_takes_any_integral_count_and_seed():
@@ -440,6 +456,29 @@ def test_accumulator_counts_keep_first_witness():
 def test_tolerances_refuse_a_value_that_is_not_finite(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value}$"):
         SuiteTolerances(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [("identity", -1e-9, "tolerances must be non-negative"), ("inverse", -1.0, "tolerances must be non-negative"),
+     ("cocycle", -1e-300, "tolerances must be non-negative"), ("openness_delta", 0.0, "must be a positive number"),
+     ("openness_delta", -1e-4, "must be a positive number")],
+)
+def test_tolerances_refuse_a_negative_tolerance_or_delta(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        SuiteTolerances(**{name: value})
+
+
+def test_reports_derive_their_verdicts():
+    def condition(name, residual):
+        return ConditionReport(name, 1, 0, residual, None, 1e-9)
+
+    assert condition("identity", 1e-9).passed and not condition("inverse", 2e-9).passed
+    assert VerificationReport((condition("identity", 0.0), condition("cocycle", 1e-10))).passed
+    report = VerificationReport((condition("identity", 0.0), condition("cocycle", math.inf)))
+    assert not report.passed and report.by_name("cocycle").max_residual == math.inf
+    with pytest.raises(KeyError, match="openness"):
+        report.by_name("openness")
 
 
 def test_accumulator_empty_report():
