@@ -150,11 +150,11 @@ class VectorField:
     """Right-hand side f(t, x) of an n-dimensional first-order ODE, n being its domain's.
 
     The components are validated here and compiled on first use into two
-    functions: slope(t, x), the tuple of n floats the step loop calls, and
-    its lane form lanes(t[m], x[m, n]) -> (values[m, n], ok[m]), which
-    numeric families batch their steps through: values[i] equals slope(t[i],
-    x[i]) bit for bit where ok[i], and ok[i] is False exactly where that
-    call raises EvalError.
+    functions: slope(t, x), the tuple of n floats, whose statements the step
+    loop splices in, and its lane form lanes(t[m], x[m, n]) -> (values[m,
+    n], ok[m]), which numeric families batch their steps through: values[i]
+    equals slope(t[i], x[i]) bit for bit where ok[i], and ok[i] is False
+    exactly where that call raises EvalError.
     """
 
     domain: DomainSpec

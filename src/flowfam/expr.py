@@ -40,16 +40,19 @@ scalar helper over the lanes (_per_lane), since numpy's versions differ
 from ``math`` in the last bit for some arguments.
 Both sources are built from fixed templates, slot indices and generated
 names only; constants and helpers are bound in the function's namespace,
-so no text of an expression is compiled.
+so no text of an expression is compiled.  ``statements`` gives a scalar
+form's body, for code that splices it in rather than calling the form.
 
-Everything here is immutable and pure, so expressions can be shared freely
-across threads.
+Expressions are immutable and compiled functions pure, so both can be
+shared freely across threads; ``statements`` reads a weak map that only
+the compilers write.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Union
 
@@ -73,6 +76,7 @@ __all__ = [
     "compile_family",
     "compile_field_lanes",
     "compile_family_lanes",
+    "statements",
     "pretty_print",
     "format_number",
 ]
@@ -525,18 +529,19 @@ def _slot(e: Var, scalars: tuple, prefix: str, n: int) -> tuple[bool, int]:
     raise ValidationError(e.name, f"variable '{e.name}' not allowed (dimension {n})")
 
 
-def _source(e, scalars: tuple, prefix: str, n: int, lanes: bool = False) -> tuple[str, dict]:
-    """Source of ``generated(s0, .., state)`` computing ``e``, and the values it binds as k0, k1, ...
+def _source(e, scalars: tuple, prefix: str, n: int, lanes: bool = False) -> tuple[str, dict, tuple]:
+    """Source of ``generated(s0, .., state)`` computing ``e``, the values it binds as k0, k1, ..., and its body.
 
     ``e`` is an expression or a tuple of them, whose values come back as a
     tuple, or in lane form as the columns of one array.  A variable is read
     where it is first used: scalar i is the argument ``s<i>``, state
     component k is ``state[k]``, or column k of ``state`` in lane form.  The
     leftmost variable outside ``scalars`` and ``prefix1..prefixn`` raises
-    ValidationError.
+    ValidationError.  The body is (reads, lines, values) as statements()
+    gives them.
     """
     templates = _LANES if lanes else _SCALAR
-    lines, bound, read = list(templates.start), {}, set()
+    lines, bound, reads = list(templates.start), {}, {}
 
     def bind(value) -> str:
         k = f"k{len(bound)}"
@@ -573,9 +578,9 @@ def _source(e, scalars: tuple, prefix: str, n: int, lanes: bool = False) -> tupl
             scalar, i = _slot(e, scalars, prefix, n)
             name = f"s{i}" if scalar else f"x{i}"
             first_read = templates.read[not scalar]
-            if first_read and name not in read:
-                read.add(name)
-                lines.append(first_read.format(name=name, i=i))
+            if first_read and name not in reads:
+                reads[name] = first_read.format(name=name, i=i)
+                lines.append(reads[name])
             return name
         if isinstance(e, Num):
             k = bind(e.value)
@@ -596,24 +601,49 @@ def _source(e, scalars: tuple, prefix: str, n: int, lanes: bool = False) -> tupl
             lines.append(templates.literal_value.format(v=v))
         return v
 
-    values = ", ".join(map(value, e if isinstance(e, tuple) else (e,)))
-    returns = templates.returns[isinstance(e, tuple)].format(vs=values)
+    values = list(map(value, e if isinstance(e, tuple) else (e,)))
+    returns = templates.returns[isinstance(e, tuple)].format(vs=", ".join(values))
     params = ", ".join([f"s{i}" for i in range(len(scalars))] + ["state"])
-    body = "".join(f"    {line}\n" for line in lines)
-    return f"def generated({params}):\n{body}    {returns}\n", bound
+    text = "".join(f"    {line}\n" for line in lines)
+    body = tuple(reads), tuple(line for line in lines if line not in reads.values()), tuple(values)
+    return f"def generated({params}):\n{text}    {returns}\n", bound, body
+
+
+_STATEMENTS = weakref.WeakKeyDictionary()  # each scalar function _generate made -> what statements() gives
+
+
+def statements(f) -> tuple | None:
+    """(reads, lines, values, bound) of f when compile_field or compile_family generated it, else None.
+
+    The body of f, to splice into other generated code: reads names each
+    variable it reads, in order of first use, s<i> for scalar i and x<k>
+    for state component k; lines are its other statements, values the
+    names of its results, and bound the (name, value) pairs of every other
+    name the lines read.  The lines compute f's values, or raise its
+    EvalError, once each name in reads holds its float.
+    """
+    try:
+        return _STATEMENTS.get(f)
+    except TypeError:  # f cannot be weakly referenced, so _generate did not make it
+        return None
 
 
 def _generate(e, scalars: tuple, prefix: str, n: int, lanes: bool = False):
     """The function of _source(e, ...), compiled: it takes the scalars, then the state.
 
     The lane form runs with numpy's floating-point warnings off, since
-    lanes that fail may overflow or divide by zero on their way.
+    lanes that fail may overflow or divide by zero on their way.  The
+    scalar form's body is kept for statements().
     """
-    source, bound = _source(e, scalars, prefix, n, lanes)
+    source, bound, body = _source(e, scalars, prefix, n, lanes)
     namespace = {**(_LANES if lanes else _SCALAR).helpers, **bound}
     exec(compile(source, "<flowfam expression>", "exec"), namespace)
-    generated = namespace["generated"]
-    return np.errstate(all="ignore")(generated) if lanes else generated
+    generated = namespace.pop("generated")  # not in its own globals, so reference counting alone frees it
+    if lanes:
+        return np.errstate(all="ignore")(generated)
+    names = set(re.findall(r"\w+", " ".join(body[1])))
+    _STATEMENTS[generated] = (*body, tuple((k, v) for k, v in namespace.items() if k in names))
+    return generated
 
 
 _FIELD = (("t",), "x")  # (scalars, state prefix) of each convention

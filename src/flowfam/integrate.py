@@ -7,21 +7,23 @@ most 1, and the next step is h * clip(0.9 * err^(-1/5), 0.2, 5).  The last
 stage is the slope at the accepted point (FSAL), so each accepted step
 costs six fresh rhs evaluations.
 
-The step loop runs on tuples of floats (field.slope(t, x) returns one, and
-the loop calls it with no wrapper in between): every sum is plain IEEE
-double arithmetic, left to right in the tableau's order, with no BLAS and
-no fused multiply-add, so its results are the same on every IEEE-double
-machine.  Each try of the loop is one call of a straight-line function
-generated once per dimension, unrolled over the components, which fuses
-the step with the finite checks on its solution and error estimate, the
-scaled error norm, and the norm the blow-up test compares.  The same loop
-also runs over numpy lanes, for every batch of a numeric family.  Its try
-is generated beside the scalar one from the same templates, with each
-stage sum a chain of elementwise ufuncs in the same order, each rounding
-once; the field is evaluated by its lane form (field.lanes and
+The step loop runs on floats: every sum is plain IEEE double arithmetic,
+left to right in the tableau's order, with no BLAS and no fused
+multiply-add, so its results are the same on every IEEE-double machine.
+One driver, generated per dimension and rhs (_step), holds the loop
+unrolled over the components, the step with its finite checks, the scaled
+error norm and the blow-up norm.  An expression field's rhs statements
+(expr.statements) are spliced in at each of a try's six stages; any other
+slope, such as a tabulated field's interpolant, is called there as
+field.slope(t, x).  Drivers are built at a field's first scalar try and
+kept, a bounded number, by what they are rendered from, so a fresh field
+with a known rhs reuses one.  The loop also runs over numpy lanes, for
+every batch of a numeric family, with its try generated from the same
+templates: each stage sum is a chain of elementwise ufuncs in the same
+order, the field is evaluated by its lane form (field.lanes and
 field.domain.contains_lanes), and the step factor takes Python's float **
 lane by lane, since numpy's power rounds differently.  So a lane makes the
-tries of the scalar loop bit for bit.
+scalar loop's tries bit for bit.
 
 Integration stops early when the trajectory escapes: norm past the blow-up
 radius, domain predicate failing, or the step size collapsing below h_min.
@@ -53,8 +55,10 @@ flowfam evaluates concurrently.
 from __future__ import annotations
 
 import functools
+import keyword
 import math
 import numbers
+import re
 import sys
 from array import array
 from collections import OrderedDict
@@ -100,6 +104,7 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 _BRACKET_WIDTH = 5e-7  # escape-time bracket, half the 1e-6 contract
 _TRAJECTORY_CACHE_SIZE = 128  # trajectories per numeric family, bounded for peak memory
+_DRIVERS = 64  # compiled step loops kept, one per dimension and rhs
 _TAIL_LANES = 16  # at or below this many lanes the scalar loop is cheaper than numpy's per-call cost
 
 
@@ -170,7 +175,7 @@ class StepBudgetExceeded(RuntimeError):
 
 # The step's sums in the tableau's order: the stage points of k2..k6, the
 # 5th-order solution, then the error estimate.  _step_source renders each
-# twice.  In the scalar try {i} is component i's suffix _i, so y{i} is y's
+# twice.  In the scalar loop {i} is component i's suffix _i, so y{i} is y's
 # component i and p<s>{i} the slope k<s>'s, and {h} is the step h.  In the
 # lane try {i} is empty, so each name holds all lanes' components as an
 # (m, n) array, and {h} is the column hc = h[:, None]: each sum is then a
@@ -185,55 +190,111 @@ _STAGE_POINTS = (
 _SOLUTION = "y{i} + {h} * (_A71 * p1{i} + _A73 * p3{i} + _A74 * p4{i} + _A75 * p5{i} + _A76 * p6{i})"
 _ERROR = "{h} * (_E1 * p1{i} + _E3 * p3{i} + _E4 * p4{i} + _E5 * p5{i} + _E6 * p6{i} + _E7 * p7{i})"
 _STAGE_TIMES = ("t + _C2 * h", "t + _C3 * h", "t + _C4 * h", "t + _C5 * h", "t + h")  # t and h: floats or (m,) lanes
-# The scalar try's scaled error of component {i}: s{i} is y5's component, e{i}
+# The scalar loop's scaled error of component {i}: s{i} is y5's component, e{i}
 # the error estimate's, and max(|y{i}|, |s{i}|) is written out as max would take it.
 _RATIO = "abs(e{i}) / (abs_tol + rel_tol * (s_abs{i} if s_abs{i} > y_abs{i} else y_abs{i}))"
+# The scalar step loop: {y}, {p1}, {s} and {p7} list the components of y, k1, y5
+# and k7, and {stages}, {errors} and {norms} are the try's statements, indented.
+_DRIVE = """\
+def drive(field, tau, cfg, refine, state, record=None):
+    t, h, steps, [{y}], [{p1}] = state
+    {bind}
+    abs_tol, rel_tol, h_min, max_steps, radius = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.max_steps, cfg.blowup_radius
+    while True:
+        if record is not None and record([t, h, {y}, {p1}], steps):
+            return None
+        steps += 1
+        if steps > max_steps:
+            raise StepBudgetExceeded(f"integration exceeded {{max_steps}} steps at t={{t}}")
+        last = abs(h) >= abs(tau - t)
+        if last:
+            h = tau - t
+        try:
+{stages}
+        except ex.EvalError:
+            ok = False
+        else:
+{errors}
+        if ok:
+{norms}
+            factor = _FACTOR_MAX if err == 0.0 else min(_FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2))
+        else:  # no rhs value (or an overflow) inside the step: halve it, as a rejected try rescales it
+            err, factor = 2.0, 0.5
+        if err <= 1.0:
+            t_new, y5 = tau if last else t + h, ({s},)
+            kind = "blow_up" if y5_norm > radius else (None if contains(t_new, y5) else "left_domain")
+            if kind is not None:
+                if refine:
+                    t_star, kind = _bisect_escape(field, t, ({y},), t_new, cfg, kind)
+                    raise EscapeEvent(kind, t_star)
+                raise EscapeEvent(kind, t_new)
+            if last:
+                return y5
+            t, {y}, {p1} = t_new, {s}, {p7}
+            h *= factor
+            if abs(h) < h_min:  # keep crawling; only a failed step underflows
+                h = math.copysign(h_min, h)
+        else:
+            h *= factor
+            if abs(h) < h_min:
+                raise EscapeEvent("step_underflow", t)
+"""
 
 
-def _step_source(n: int) -> str:
-    """Source of the step loop's try over n components and over lanes, both from the templates above.
+def _renamed(text: str) -> str:
+    """text with f_ before every name but Python's keywords: spliced statements renamed apart from the loop's."""
+    return re.sub(r"\b[A-Za-z_]\w*", lambda m: m[0] if keyword.iskeyword(m[0]) else "f_" + m[0], text)
 
-    ``attempt(f, t, y, h, k1, abs_tol, rel_tol)`` is unrolled over the
-    components.  It returns None where a component of y5 or of the error
-    estimate is not finite, and otherwise (y5, k7, err, y5_norm): err is the
-    scaled error norm max_i |e_i| / (abs_tol + rel_tol * max(|y_i|, |y5_i|))
-    and y5_norm is max_i |y5_i|, both maxed in component order as max does.
 
-    ``attempt_lanes(f, t, y, h, k1, abs_tol, rel_tol)`` makes the same try
-    over lanes t[m], y[m, n], h[m] and k1[m, n], with f(t[m], x[m, n]) a lane
+def _step_source(n: int, rhs: tuple | None = None) -> tuple[str, str]:
+    """Sources of the step loop over n components and of its try over lanes, both from the templates above.
+
+    ``drive`` is _drive's loop, unrolled over the components.  A try fails
+    where the field has no value at a stage (EvalError) or y5 or the error
+    estimate is not finite.  Its error norm max_i |e_i| / (abs_tol + rel_tol
+    * max(|y_i|, |y5_i|)) and blow-up norm max_i |y5_i| are maxed in
+    component order as max does.  With rhs None a stage calls field.slope;
+    otherwise the statements of rhs (see _rhs), renamed apart, run there,
+    their reads bound to the stage's time and point, inside one ``try``.
+
+    ``attempt_lanes(f, t, y, h, k1, abs_tol, rel_tol)`` makes the try over
+    lanes t[m], y[m, n], h[m] and k1[m, n], with f(t[m], x[m, n]) a lane
     form of the field returning (slopes[m, n], ok[m]).  It returns (y5, k7,
-    err, y5_norm, ok): ok[i] is False exactly where attempt on lane i raises
-    EvalError or returns None, and elsewhere lane i of the others is
-    attempt's result bit for bit.
+    err, y5_norm, ok): ok[i] is False exactly where lane i's try fails in
+    drive, and elsewhere lane i of the others is that try's bit for bit.
     """
     def each(template: str) -> list[str]:
         return [template.format(i=f"_{i}", h="h") for i in range(n)]
 
-    def row(template: str) -> str:
-        return "(" + "".join(v + ", " for v in each(template)) + ")"
+    def lanes(template: str) -> str:
+        return template.format(i="", h="hc")
 
-    def names(stage: int) -> str:
-        return "[" + ", ".join(each(f"p{stage}{{i}}")) + "]"
+    def stage(s: int, time: str, point: str) -> list[str]:
+        slopes = each(f"p{s}{{i}}")
+        if rhs is None:
+            return [f"[{', '.join(slopes)}] = slope({time}, ({''.join(v + ', ' for v in each(point))}))"]
+        reads, lines, values, _ = rhs
+        at = {"s0": time, **{f"x{k}": v for k, v in enumerate(each(point))}}
+        return ([f"{_renamed(r)} = {at[r]}" for r in reads] + list(map(_renamed, lines))
+                + [f"{p} = {_renamed(v)}" for p, v in zip(slopes, values)])
 
     def largest(name: str, template: str) -> list[str]:
         first, *rest = each(template)
         return [f"{name} = {first}"] + [f"if {v} > {name}: {name} = {v}" for v in rest]
 
-    def lanes(template: str) -> str:
-        return template.format(i="", h="hc")
+    def block(lines: list[str], depth: int) -> str:
+        return "\n".join(" " * depth + line for line in lines)
 
-    attempt = ["[" + ", ".join(each("y{i}")) + "] = y", f"{names(1)} = k1"]
+    stages = [line for s, t, p in zip(range(2, 7), _STAGE_TIMES, _STAGE_POINTS) for line in stage(s, t, p)]
+    stages += each("s{i} = " + _SOLUTION) + stage(7, "t + h", "s{i}")
+    errors = [*each("e{i} = " + _ERROR), "ok = " + " and ".join(each("isfinite(s{i})") + each("isfinite(e{i})"))]
+    norms = [*each("y_abs{i} = abs(y{i})"), *each("s_abs{i} = abs(s{i})"), *each("r{i} = " + _RATIO),
+             *largest("err", "r{i}"), *largest("y5_norm", "s_abs{i}")]
+    bind = "contains, slope = field.domain.contains, field.slope" if rhs is None else "contains = field.domain.contains"
+    drive = _DRIVE.format(bind=bind, stages=block(stages, 12), errors=block(errors, 12), norms=block(norms, 12),
+                          **{name: ", ".join(each(name + "{i}")) for name in ("y", "p1", "s", "p7")})
     attempt_lanes = ["hc = h[:, None]", "p1 = k1"]
-    for stage, (time, point) in enumerate(zip(_STAGE_TIMES, _STAGE_POINTS), start=2):
-        attempt.append(f"{names(stage)} = f({time}, {row(point)})")
-        attempt_lanes.append(f"p{stage}, ok{stage} = f({time}, {lanes(point)})")
-    finite = " and ".join(each("isfinite(s{i})") + each("isfinite(e{i})"))
-    attempt += [
-        *each("s{i} = " + _SOLUTION), f"y5 = {row('s{i}')}", "k7 = f(t + h, y5)", f"{names(7)} = k7",
-        *each("e{i} = " + _ERROR), f"if not ({finite}): return None",
-        *each("y_abs{i} = abs(y{i})"), *each("s_abs{i} = abs(s{i})"), *each("r{i} = " + _RATIO),
-        *largest("err", "r{i}"), *largest("y5_norm", "s_abs{i}"), "return y5, k7, err, y5_norm",
-    ]
+    attempt_lanes += [f"p{s}, ok{s} = f({t}, {lanes(p)})" for s, t, p in zip(range(2, 7), _STAGE_TIMES, _STAGE_POINTS)]
     attempt_lanes += [
         f"s = {lanes(_SOLUTION)}", "p7, ok7 = f(t + h, s)", f"e = {lanes(_ERROR)}",
         "ok = ok2 & ok3 & ok4 & ok5 & ok6 & ok7 & np.isfinite(s).all(axis=1) & np.isfinite(e).all(axis=1)",
@@ -241,21 +302,31 @@ def _step_source(n: int) -> str:
         "err = (np.abs(e) / (abs_tol + rel_tol * np.maximum(np.abs(y), s_abs))).max(axis=1)",
         "return s, p7, err, s_abs.max(axis=1), ok",
     ]
-    head = "(f, t, y, h, k1, abs_tol, rel_tol)"
-    return "".join(f"def {name}{head}:\n" + "".join(f"    {line}\n" for line in body) for name, body in [
-        ("attempt", attempt), ("attempt_lanes", attempt_lanes)])
+    return drive, "def attempt_lanes(f, t, y, h, k1, abs_tol, rel_tol):\n" + block(attempt_lanes, 4) + "\n"
 
 
-@functools.cache
-def _step(n: int):
-    """(attempt, attempt_lanes): the compiled tries of _step_source(n); they read the tableau from this module.
+@functools.lru_cache(maxsize=_DRIVERS)
+def _step(n: int, rhs: tuple | None = None):
+    """(drive, attempt_lanes) of _step_source(n, rhs), compiled beside this module's names and rhs's bound values.
 
-    This is the one place the step loops take their tries from: _drive binds
-    attempt and _drive_lanes attempt_lanes, once per call.
+    The one place the step loops take what they run from: _drive its driver
+    per call, _drive_lanes its lane try.  Keyed by what the source is
+    rendered from, so fields with one rhs share a driver; no key holds a field.
     """
-    namespace = {}
-    exec(compile(_step_source(n), "<flowfam dopri5 step>", "exec"), globals(), namespace)
-    return namespace["attempt"], namespace["attempt_lanes"]
+    bound = {} if rhs is None else {_renamed(k): float.fromhex(v) if isinstance(v, str) else v for k, v in rhs[3]}
+    namespace = {**globals(), **bound}
+    for source in _step_source(n, rhs):  # one at a time, which keeps the compiler's peak memory lower
+        exec(compile(source, "<flowfam dopri5 step>", "exec"), namespace)
+    return namespace["drive"], namespace["attempt_lanes"]
+
+
+def _rhs(slope):
+    """_step's splice of slope: expr.statements(slope), each bound float as its bits (0.0 is not -0.0), or None."""
+    found = ex.statements(slope)
+    if found is None:
+        return None
+    reads, lines, values, bound = found
+    return reads, lines, values, tuple([(k, v.hex() if type(v) is float else v) for k, v in bound])
 
 
 def _first_try(field: VectorField, rho: float, a: tuple, target: float, cfg: IntegratorConfig, k1=None):
@@ -292,58 +363,13 @@ def _integrate(field: VectorField, rho: float, a: tuple, tau: float, cfg: Integr
 def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, state, record=None):
     """The step loop: make tries from state (t, h, steps, y, k1) until one lands on tau.
 
-    A try's step is clipped at tau when |h| >= |tau - t|.  Each try is one
-    call of the generated attempt over field.slope.  record, when given, is
-    called as record(row, steps) before each try, with row the list of
-    floats [t, h, *y, *k1] and steps the tries made; returning True ends
-    the loop, which then returns None.
+    A try's step is clipped at tau when |h| >= |tau - t|.  record, when
+    given, is called as record(row, steps) before each try, with row the
+    list of floats [t, h, *y, *k1] and steps the tries made; returning True
+    ends the loop, which then returns None.  The loop is the driver _step
+    generates for the field's dimension and slope (_DRIVE), looked up here.
     """
-    t, h, steps, y, k1 = state
-    attempt, slope, contains = _step(len(y))[0], field.slope, field.domain.contains
-    abs_tol, rel_tol, h_min, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.max_steps
-    blowup_radius = cfg.blowup_radius
-    while True:
-        if record is not None and record([t, h, *y, *k1], steps):
-            return None
-        steps += 1
-        if steps > max_steps:
-            raise StepBudgetExceeded(f"integration exceeded {max_steps} steps at t={t}")
-        last = abs(h) >= abs(tau - t)
-        if last:
-            h = tau - t
-        try:
-            tried = attempt(slope, t, y, h, k1, abs_tol, rel_tol)
-        except ex.EvalError:
-            tried = None
-        if tried is None:
-            # rhs not evaluable (or overflowed) somewhere inside the step;
-            # shrink and retry until the step cannot shrink further
-            h *= 0.5
-            if abs(h) < h_min:
-                raise EscapeEvent("step_underflow", t)
-            continue
-        y_new, k_last, err, y_norm = tried
-        factor = _FACTOR_MAX if err == 0.0 else min(
-            _FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2)
-        )
-        if err <= 1.0:
-            t_new = tau if last else t + h
-            kind = "blow_up" if y_norm > blowup_radius else (None if contains(t_new, y_new) else "left_domain")
-            if kind is not None:
-                if refine:
-                    t_star, kind = _bisect_escape(field, t, y, t_new, cfg, kind)
-                    raise EscapeEvent(kind, t_star)
-                raise EscapeEvent(kind, t_new)
-            if last:
-                return y_new
-            t, y, k1 = t_new, y_new, k_last
-            h *= factor
-            if abs(h) < h_min:  # keep crawling; only a failed step underflows
-                h = math.copysign(h_min, h)
-        else:
-            h *= factor
-            if abs(h) < h_min:
-                raise EscapeEvent("step_underflow", t)
+    return _step(field.n, _rhs(field.slope))[0](field, tau, cfg, refine, state, record)
 
 
 def _bisect_escape(field: VectorField, t_good: float, y_good: tuple, t_bad: float, cfg: IntegratorConfig,
@@ -369,7 +395,7 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
 
     state is (t[m], h[m], steps[m], y[m, n], k1[m, n]).  Each try is one
     call of the lane try from _step over the running lanes and field.lanes,
-    rendered from the templates of _drive's try, then _drive's step control
+    rendered from the templates of _drive's loop, then its step control
     in elementwise form; the step factor takes Python's float ** lane by
     lane, since numpy's power rounds differently.  So every lane makes the
     tries _drive makes and ends as it does.  record, when given, is _drive's
@@ -385,7 +411,7 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
     message.  A lane its hook ended is in neither.
     """
     t, h, steps, y, k1 = state
-    attempt_lanes, lanes = _step(field.n)[1], np.arange(len(t))
+    attempt_lanes, lanes = _step(field.n, _rhs(field.slope))[1], np.arange(len(t))  # its driver's lane try
     landed, values, ends = np.zeros(len(t), dtype=bool), np.full(y.shape, math.nan), {}
     with np.errstate(all="ignore"):  # a failed lane carries inf or nan through its stages
         while len(lanes) > _TAIL_LANES:

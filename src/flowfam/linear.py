@@ -376,16 +376,28 @@ class Mollifier:
     at unit derivative scale; multiply by the fourth-derivative scale of the
     group's entries for an absolute bound.  panels is even, at least 2 and
     at most MAX_PANELS (2^16), where that bound is below rounding for
-    eps <= pi/2.
+    eps <= pi/2, and eps is positive and finite: other values raise
+    mollify's ValueError.
     """
 
     eps: float
     H: AffineMap
     panels: int
 
+    def __post_init__(self):
+        _check_window(self.eps, self.panels)
+
     @property
     def error_bound(self) -> float:
         return (2.0 * self.eps) ** 5 / (180.0 * self.panels**4)
+
+
+def _check_window(eps: float, panels: int | None = None) -> None:
+    """mollify's rules, each broken one a ValueError: eps positive and finite, panels even in [2, MAX_PANELS]."""
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("window half-width must be positive and finite")
+    if panels is not None and not (2 <= panels <= MAX_PANELS and panels % 2 == 0):
+        raise ValueError(f"panel count must be even, at least 2 and at most {MAX_PANELS}")
 
 
 def _window_average(group: FlowFamily, center: float, eps: float, panels: int) -> AffineMap:
@@ -405,8 +417,7 @@ def _window_average(group: FlowFamily, center: float, eps: float, panels: int) -
     for beta, gap in zip(ends, gaps):
         if not math.isnan(gap):
             raise NotAffine(f"group is not affine at parameter {beta} (residual {gap:.3g})")
-    if not (2 <= panels <= MAX_PANELS and panels % 2 == 0):
-        raise ValueError(f"panel count must be even, at least 2 and at most {MAX_PANELS}")
+    _check_window(eps, panels)
     weights = np.ones(panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
@@ -421,8 +432,7 @@ def _window_average(group: FlowFamily, center: float, eps: float, panels: int) -
 
 def mollify(group: FlowFamily, eps: float, panels: int = 256) -> Mollifier:
     """Average an affine group G_beta = F_{beta, 0} over [-eps, eps] into an invertible map."""
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError("window half-width must be positive and finite")
+    _check_window(eps)
     H = _window_average(group, 0.0, eps, panels)
     # the average of maps that include the identity lives at unit scale, so
     # anchor the rank floor there: a uniformly tiny H (e.g. a full-turn

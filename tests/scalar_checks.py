@@ -1,11 +1,14 @@
-"""Scalar references: the one-step DOPRI5 body and the sampled checks, one sample at a time.
+"""Scalar references: the one-step DOPRI5 body, the step loop and the sampled checks, one sample at a time.
 
 ``dopri5_step`` is the step as it was written before flowfam generated it
 per dimension: a ``zip`` over the components for every stage, summed left
 to right in the tableau's order.  The generated step must equal it bit for
 bit.  ``attempt`` is the step loop's try as the loop wrote it before the
 try was generated: that step, its finite checks, ``error_norm`` and the
-blow-up test's norm.  The generated try must equal it bit for bit.
+blow-up test's norm.  ``drive`` is the step loop as flowfam wrote it by
+hand around ``attempt``, with its escape refinement (``bisect_escape``,
+over ``integrate_to``, this loop's ``_integrate``).  The driver flowfam
+generates per field must equal it bit for bit, hooked or not.
 
 Each check here draws its samples from ``samples`` (the grid product, then
 numpy.random's draws on the plan seed), evaluates every leg with scalar
@@ -22,7 +25,8 @@ from itertools import product
 import numpy as np
 
 from flowfam.core import DomainViolation, inf_norm, scaled_tol
-from flowfam.integrate import IntegratorConfig, numeric_family
+from flowfam.expr import EvalError
+from flowfam.integrate import EscapeEvent, IntegratorConfig, StepBudgetExceeded, numeric_family
 from flowfam.reconstruct import ReconstructionFailed, field_from_family
 from flowfam.verify import Accumulator, ConditionReport, default_plan
 
@@ -72,6 +76,93 @@ def attempt(f, t, y, h, k1, abs_tol, rel_tol):
     if not (all(map(math.isfinite, y5)) and all(map(math.isfinite, err))):
         return None
     return y5, k7, error_norm(err, y, y5, abs_tol, rel_tol), max(map(abs, y5))
+
+
+_SAFETY, _FACTOR_MIN, _FACTOR_MAX = 0.9, 0.2, 5.0
+
+
+def drive(field, tau, cfg, refine, state, record=None):
+    """The step loop: make tries from state (t, h, steps, y, k1) until one lands on tau.
+
+    A try's step is clipped at tau when |h| >= |tau - t|.  Each try is one
+    call of attempt over field.slope.  record, when given, is called as
+    record(row, steps) before each try, with row the list of floats [t, h,
+    *y, *k1] and steps the tries made; returning True ends the loop, which
+    then returns None.
+    """
+    t, h, steps, y, k1 = state
+    slope, contains = field.slope, field.domain.contains
+    abs_tol, rel_tol, h_min, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.max_steps
+    blowup_radius = cfg.blowup_radius
+    while True:
+        if record is not None and record([t, h, *y, *k1], steps):
+            return None
+        steps += 1
+        if steps > max_steps:
+            raise StepBudgetExceeded(f"integration exceeded {max_steps} steps at t={t}")
+        last = abs(h) >= abs(tau - t)
+        if last:
+            h = tau - t
+        try:
+            tried = attempt(slope, t, y, h, k1, abs_tol, rel_tol)
+        except EvalError:
+            tried = None
+        if tried is None:
+            # rhs not evaluable (or overflowed) somewhere inside the step;
+            # shrink and retry until the step cannot shrink further
+            h *= 0.5
+            if abs(h) < h_min:
+                raise EscapeEvent("step_underflow", t)
+            continue
+        y_new, k_last, err, y_norm = tried
+        factor = _FACTOR_MAX if err == 0.0 else min(
+            _FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2)
+        )
+        if err <= 1.0:
+            t_new = tau if last else t + h
+            kind = "blow_up" if y_norm > blowup_radius else (None if contains(t_new, y_new) else "left_domain")
+            if kind is not None:
+                if refine:
+                    t_star, kind = bisect_escape(field, t, y, t_new, cfg, kind)
+                    raise EscapeEvent(kind, t_star)
+                raise EscapeEvent(kind, t_new)
+            if last:
+                return y_new
+            t, y, k1 = t_new, y_new, k_last
+            h *= factor
+            if abs(h) < h_min:  # keep crawling; only a failed step underflows
+                h = math.copysign(h_min, h)
+        else:
+            h *= factor
+            if abs(h) < h_min:
+                raise EscapeEvent("step_underflow", t)
+
+
+def integrate_to(field, rho, a, tau, cfg, refine):
+    """drive from (rho, a) to tau, with the start rule of flowfam's _integrate."""
+    lo, hi = cfg.window
+    if not (lo <= rho <= hi and lo <= tau <= hi):
+        raise ValueError(f"start time {rho} and target time {tau} must lie in the integration window [{lo}, {hi}]")
+    if not field.domain.contains(rho, a):
+        raise ValueError(f"initial condition ({rho}, {list(a)}) outside the field domain")
+    try:
+        k1 = field.slope(rho, a)
+    except EvalError as err:
+        raise ValueError(f"field cannot be evaluated at the initial condition ({rho}, {list(a)}): {err}") from err
+    h = (1.0 if tau > rho else -1.0) * min(cfg.h_init, abs(tau - rho))
+    return a if tau == rho else drive(field, tau, cfg, refine, (rho, h, 0, a, k1))
+
+
+def bisect_escape(field, t_good, y_good, t_bad, cfg, kind):
+    """Bisect the last accepted step down to a 5e-7 bracket around the escape, re-integrating from the good end."""
+    while abs(t_bad - t_good) > 5e-7:
+        mid = 0.5 * (t_good + t_bad)
+        try:
+            y_good = integrate_to(field, t_good, y_good, mid, cfg, refine=False)
+            t_good = mid  # the step loop has classified the point it landed on
+        except EscapeEvent as ev:
+            t_bad, kind = ev.time, ev.kind
+    return 0.5 * (t_good + t_bad), kind
 
 
 def samples(plan, k, m=1):

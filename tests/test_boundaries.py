@@ -20,15 +20,17 @@ instead, in both forms, so its source names no ``power`` helper.
 
 The integrator's scalar step loop makes no numpy call: it runs on tuples of
 floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
-The scalar try it generates per dimension names no numpy either.  The
-DOPRI5 tableau is read only by the generated tries: no function of
-``integrate`` names a coefficient, so the sums are written once, in the
-templates both tries are rendered from.
+The driver it generates per dimension and rhs names no numpy either, and
+an expression field's driver calls no ``slope`` in its loop: the rhs is
+spliced in at every stage.  The DOPRI5 tableau is read only by the
+generated code: no function of ``integrate`` names a coefficient, so the
+sums are written once, in the templates the driver and the lane try are
+rendered from.
 
 Source text is compiled in three places only: ``expr._generate`` (one
 straight-line function per expression tuple, over floats or over lanes),
-``integrate._step`` (the step loop's try per dimension, over floats and
-over lanes) and ``reconstruct._interpolant`` (a tabulated field's
+``integrate._step`` (the step loop per dimension and rhs, over floats, and
+its try over lanes) and ``reconstruct._interpolant`` (a tabulated field's
 interpolant per dimension, over floats and over lanes).  The interpolant's
 scalar slope names no numpy, and its lane form binds none of numpy's
 functions that differ from ``math``.
@@ -143,8 +145,8 @@ def _lane_unsafe_numpy(path: Path) -> list[str]:
 # multiply-adds make results depend on the machine
 _STEP_LOOP = {"_step", "_step_source", "_drive", "_first_try", "_integrate", "_bisect_escape",
               "_Trajectory"}
-# the functions _step_source generates over floats: the step loop's try; its lane try is attempt_lanes
-_GENERATED_STEP = {"attempt"}
+# the functions _step_source generates over floats: the step loop; its lane try is attempt_lanes
+_GENERATED_STEP = {"drive"}
 # the names of the DOPRI5 tableau's coefficients: _A21.._A76, _E1.._E7, _C2.._C5
 _TABLEAU = re.compile(r"_(A\d\d|E\d|C\d)")
 
@@ -435,12 +437,36 @@ def test_detector_sees_numpy_in_the_step_loop(tmp_path):
     ]
 
 
-def test_generated_step_uses_no_numpy():
+def _step_sources():
+    """(field, _step_source of its driver) of every catalog field, whose rhs is spliced, and of tabulated fields."""
+    fields = [catalog.get(name).field() for name in catalog.names()]
+    knots = np.array([0.0, 1.0])
     for n in (1, 2, 3, 4):
-        defined = {node.name: node for node in ast.parse(integrate._step_source(n)).body}
+        fields.append(reconstruct.TabulatedVectorField(knots, [knots] * n, np.zeros((2,) * (n + 1) + (n,))))
+    return [(field, "".join(integrate._step_source(field.n, integrate._rhs(field.slope)))) for field in fields]
+
+
+def test_generated_step_uses_no_numpy():
+    for _, source in _step_sources():
+        defined = {node.name: node for node in ast.parse(source).body}
         assert set(defined) == _GENERATED_STEP | {"attempt_lanes"}  # a rename must not empty the check
         for name in _GENERATED_STEP:
             assert _numpy_in_source(ast.unparse(defined[name])) == []
+
+
+def _slope_calls_in_loop(source: str) -> list[str]:
+    """Where the generated driver's loop calls slope, or reads a field's slope."""
+    (drive,) = [node for node in ast.parse(source).body if node.name == "drive"]
+    (loop,) = [node for node in drive.body if isinstance(node, ast.While)]
+    found = [node for node in ast.walk(loop) if isinstance(node, ast.Name) and node.id == "slope"
+             or isinstance(node, ast.Attribute) and node.attr == "slope"]
+    return [f"line {node.lineno} {ast.unparse(node)}" for node in found]
+
+
+def test_an_expression_fields_driver_calls_no_slope_in_its_loop():
+    for field, source in _step_sources():
+        spliced = isinstance(field, flowfam.VectorField)
+        assert bool(_slope_calls_in_loop(source)) is not spliced, source  # a tabulated slope is still called
 
 
 def test_generated_interpolant_slope_uses_no_numpy():
@@ -537,9 +563,9 @@ def test_lane_forms_run_scalar_helpers_only_through_per_lane():
     for source in [s for s, _ in CORPUS] + ["a1^a2", "a1^0.5", "exp(a1)", "log(a1)", "tanh(a1)"]:
         tree = expr.parse(source)
         try:
-            text, bound = expr._source(tree, *expr._FIELD, 12, lanes=True)
+            text, bound, _ = expr._source(tree, *expr._FIELD, 12, lanes=True)
         except expr.ValidationError:
-            text, bound = expr._source(tree, *expr._FAMILY, 12, lanes=True)
+            text, bound, _ = expr._source(tree, *expr._FAMILY, 12, lanes=True)
         namespace = {**expr._LANES.helpers, **bound}
         helpers = {name for name, v in namespace.items() if any(v is f for f in scalar)}
         seen |= {namespace[name] for name in helpers & _source_names(text)}

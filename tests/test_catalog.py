@@ -4,8 +4,10 @@ field has to reproduce the family."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowfam import catalog
+from flowfam.core import inf_norm, scaled_tol
 from flowfam.integrate import IntegratorConfig, numeric_family
 from flowfam.verify import default_plan, run_suite
 
@@ -56,6 +58,30 @@ def test_field_integrates_to_family(name):
         want = closed.evaluate(tau, sigma, a)
         got = numeric.evaluate(tau, sigma, a)
         assert np.max(np.abs(got - want)) <= 1e-8, (name, tau, sigma, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(EXPECTED_NAMES)),
+    tau=st.floats(-2.0, 2.0),
+    sigma=st.floats(-2.0, 2.0),
+    state=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+)
+def test_numeric_route_agrees_with_the_closed_form(name, tau, sigma, state):
+    # every rhs shape the integrator splices: the literal 0, the bare x1, t*x1, x1 + 1, x1^2 and a
+    # pair.  Membership agrees everywhere but within 1e-6 of riccati's escape at sigma + 1/a, since
+    # the numeric route stops at the blow-up radius 1e6, 1e-6 before it.  Values agree at scaled_tol,
+    # relative to their size; on riccati only where 1 - (tau - sigma) a >= 0.1, as dF/da grows as
+    # its inverse square toward the escape and amplifies the integrator's error with it
+    entry = catalog.get(name)
+    closed, numeric, a = entry.family(), numeric_family(entry.field()), list(state[:entry.n])
+    inside = closed.in_domain(tau, sigma, a)
+    if name != "riccati" or a[0] == 0.0 or abs(tau - (sigma + 1.0 / a[0])) > 1e-6:
+        assert numeric.in_domain(tau, sigma, a) == inside
+    if not inside or name == "riccati" and 1.0 - (tau - sigma) * a[0] < 0.1:
+        return
+    want = closed.evaluate(tau, sigma, a)
+    assert inf_norm(numeric.evaluate(tau, sigma, a) - want) <= scaled_tol(numeric.tol_hint) * max(1.0, inf_norm(want))
 
 
 def test_riccati_worked_value():

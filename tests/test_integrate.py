@@ -6,6 +6,7 @@ import math
 import random
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import scalar_checks as scalar
 from flowfam import catalog, integrate
 from flowfam.autonomous import check_group_law
 from flowfam.core import DomainSpec, DomainViolation, VectorField
-from flowfam.expr import EvalError
+from flowfam.expr import Bin, EvalError, Num, Var
 from flowfam.integrate import (
     EscapeEvent,
     IntegratorConfig,
@@ -25,7 +26,7 @@ from flowfam.integrate import (
     numeric_family,
 )
 from flowfam.linear import mollify, smooth_apply
-from flowfam.reconstruct import TabulatedVectorField
+from flowfam.reconstruct import ReconstructionConfig, TabulatedVectorField, field_from_family
 from flowfam.verify import SamplePlan, default_plan, run_suite
 
 CFG = IntegratorConfig()
@@ -117,11 +118,38 @@ def test_embedded_error_is_order_five(riccati_field, t, a, h):
     assert 24.0 <= ratio <= 40.0
 
 
+def loop_outcome(drive, field, tau, cfg, refine, state, hooked=True, stop=None):
+    """What a step loop makes of state: the float.hex of the rows its hook saw, with their step counts,
+    and of the value it returns, or its escape's (kind, time), or its budget message.  The hook ends
+    the loop once stop tries are made; without a hook rows is empty."""
+    rows = []
+
+    def record(row, steps):
+        rows.append([float(v).hex() for v in row] + [steps])
+        return steps == stop
+
+    try:
+        got = drive(field, tau, cfg, refine, state, record if hooked else None)
+        end = None if got is None else [v.hex() for v in got]
+    except EscapeEvent as ev:
+        end = (ev.kind, ev.time.hex())
+    except StepBudgetExceeded as err:
+        end = str(err)
+    return rows, end
+
+
+def after_one_try(field, t, y, h, cfg=CFG):
+    """The generated driver's row [t, h, *y, *k1] after one try of step h from (t, y), not clipped at tau."""
+    rows = []
+    integrate._drive(field, t + math.copysign(10.0, h), cfg, False, (t, h, 0, y, field.slope(t, y)),
+                     lambda row, steps: rows.append(row) or steps == 1)
+    return rows[-1]
+
+
 def test_fsal_slope_reusable(riccati_field):
-    y = (0.5,)
-    y1, k_last, _, _ = integrate._step(1)[0](riccati_field.slope, 0.0, y, 0.1, riccati_field.slope(0.0, y),
-                                             CFG.abs_tol, CFG.rel_tol)
-    assert k_last == riccati_field.slope(0.1, y1)
+    # loose tolerances accept the try: its point and last slope become the next try's y and k1
+    t, h, *y1_k = after_one_try(riccati_field, 0.0, (0.5,), 0.1, IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3))
+    assert t == 0.1 and tuple(y1_k[1:]) == riccati_field.slope(0.1, tuple(y1_k[:1]))
 
 
 # float.hex of (y5, err, k_last) for one step from fixed inputs, taken by the
@@ -149,7 +177,9 @@ def test_step_pinned_bit_for_bit(rhs, t, y, h, pinned):
     assert [[v.hex() for v in part] for part in parts] == pinned
     # the FSAL slope given back as k1 takes the same step
     assert scalar.dopri5_step(field.slope, t, y, h, field.slope(t, y)) == parts
-    y5, k7, _, _ = integrate._step(len(rhs))[0](field.slope, t, y, h, field.slope(t, y), CFG.abs_tol, CFG.rel_tol)
+    # the driver, with the rhs spliced in, accepts the try at loose tolerances: y5 and k7 are the next y and k1
+    row = after_one_try(field, t, y, h, IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3))
+    y5, k7 = row[2:2 + len(rhs)], row[2 + len(rhs):]
     assert all(type(v) is float for v in y5 + k7)
     assert [[v.hex() for v in part] for part in (y5, k7)] == [pinned[0], pinned[2]]
 
@@ -191,27 +221,27 @@ def _coupled_field(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_generated_try_is_the_reference_try_bit_for_bit(n):
-    # the try is the step, its finite checks, the scaled error norm and the blow-up norm,
-    # each as the reference writes it; it is None exactly where a stage is not finite
+    # one try from random states, of the field spliced in or of a slope called at each stage that
+    # raises, turns infinite or overflows: the row after it (the try's point and slope, or the same
+    # point with the step halved or rescaled) and any escape are the reference loop's bit for bit.
+    # The reference try raises, is not finite or is made, each somewhere.
     field = _coupled_field(n)
-    attempt = integrate._step(n)[0]
     rng = random.Random(100 + n)
     seen = set()
     for draw in range(400):
         f = field.slope if draw % 2 else _wild_slope(n, rng)
         t, h = rng.uniform(-2.0, 2.0), rng.uniform(-0.4, 0.4) * 10.0 ** -rng.randrange(4)
         y = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
-        abs_tol, rel_tol = 10.0 ** -rng.uniform(6, 14), 10.0 ** -rng.uniform(6, 12)
+        cfg = IntegratorConfig(abs_tol=10.0 ** -rng.uniform(6, 14), rel_tol=10.0 ** -rng.uniform(6, 12))
         try:
             k1 = f(t, y)
         except EvalError:
             continue
-        got = _tried(attempt, f, t, y, h, k1, abs_tol, rel_tol)
-        want = _tried(scalar.attempt, f, t, y, h, k1, abs_tol, rel_tol)
-        if isinstance(want, EvalError):
-            assert isinstance(got, EvalError) and (got.kind, str(got)) == (want.kind, str(want))
-        else:
-            assert got == want
+        subject = field if draw % 2 else SimpleNamespace(n=n, slope=f, domain=DomainSpec(n))
+        state, tau = (t, h, 0, y, k1), t + math.copysign(10.0, h)
+        got = loop_outcome(integrate._drive, subject, tau, cfg, False, state, stop=1)
+        assert got == loop_outcome(scalar.drive, subject, tau, cfg, False, state, stop=1)
+        want = _tried(scalar.attempt, f, t, y, h, k1, cfg.abs_tol, cfg.rel_tol)
         seen.add("raises" if isinstance(want, EvalError) else "not finite" if want is None else "tried")
     assert seen == {"raises", "not finite", "tried"}
 
@@ -315,23 +345,89 @@ def test_generated_lane_try_marks_a_lane_that_fails_at_one_stage_only(n):
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("stage", range(1, 8))
 def test_an_eval_error_in_any_stage_propagates_unchanged(n, stage):
+    # the reference step lets the error out unchanged; in the driver it reaches the try's one
+    # handler from the stage that raised, with no later stage evaluated (k1, the first of the
+    # step's seven slopes, is the state's), and the try fails there: the step halves, as the
+    # reference loop halves it
     failure = EvalError("domain", "sqrt of negative value")
     calls = []
 
-    def field(t, x):
+    def slope(t, x):
         calls.append(t)
         if len(calls) == stage:
             raise failure
         return tuple(v * v for v in x)
 
-    def generated(f, t, y, h):  # the try takes k1, the first of the step's seven slopes
-        return integrate._step(n)[0](f, t, y, h, f(t, y), CFG.abs_tol, CFG.rel_tol)
-
-    for step in (generated, scalar.dopri5_step):
+    with pytest.raises(EvalError) as exc:
+        scalar.dopri5_step(slope, 0.5, (0.25,) * n, 0.1)
+    assert exc.value is failure and len(calls) == stage
+    if stage == 1:
+        return
+    field, outcomes = SimpleNamespace(n=n, slope=slope, domain=DomainSpec(n)), []
+    for drive in (integrate._drive, scalar.drive):
         calls.clear()
-        with pytest.raises(EvalError) as exc:
-            step(field, 0.5, (0.25,) * n, 0.1)
-        assert exc.value is failure and len(calls) == stage
+        state = (0.5, 0.1, 0, (0.25,) * n, slope(0.5, (0.25,) * n))  # k1 is the first call
+        outcomes.append(loop_outcome(drive, field, 1.5, CFG, False, state, stop=1))
+        assert len(calls) == stage
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][-1][:2] == [0.5.hex(), 0.05.hex()]  # the same point, with the step halved
+
+
+def _tabulated_with_a_hole():
+    """x' = 0.5 x - 0.3 t tabulated on [-1, 2] x [-2, 2], with a hole at (0.5, 1.0)."""
+    times, knots = np.linspace(-1.0, 2.0, 13), np.linspace(-2.0, 2.0, 17)
+    table = (0.5 * knots[None, :] - 0.3 * times[:, None])[..., None]
+    table[6, 12, 0] = np.nan
+    return TabulatedVectorField(times, [knots], table)
+
+
+def _field(rhs, predicate=None):
+    return lambda: VectorField.from_strings(rhs, DomainSpec(len(rhs), space_predicate=predicate))
+
+
+# (field, config, ranges of the starts' times and states) on which the generated driver must be the reference loop:
+# every catalog field, a domain predicate, rhs that raise partway through a step, each way the loop
+# ends, and a tabulated field, whose slope the driver calls
+REFERENCE_CASES = {
+    **{name: (catalog.get(name).field, CFG, (-1.0, 1.0), (-1.0, 1.0)) for name in catalog.names()},
+    "predicate": (_field(["x1^2"], "4 - x1^2"), CFG, (-1.0, 1.0), (-1.5, 1.5)),
+    "sqrt-wall": (_field(["sqrt(1 - t) + x1"]), CFG, (-1.0, 0.9), (-1.0, 1.0)),
+    "log": (_field(["log(x1)"]), CFG, (-1.0, 1.0), (-1.0, 1.0)),
+    "budget": (_field(["x1^2"]), IntegratorConfig(max_steps=40), (-1.0, 1.0), (-1.0, 1.0)),
+    # short of a blow-up backward an accepted try's next step falls below h_min: the loop crawls at -h_min
+    "crawl": (_field(["x1^2"]), IntegratorConfig(h_init=1e-2, h_min=2e-3, blowup_radius=1e3), (0.0, 1.0), (-2.5, -1.0)),
+    "tabulated-hole": (_tabulated_with_a_hole, IntegratorConfig(window=(-3.0, 3.0)), (0.0, 0.25), (0.8, 1.1)),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_generated_driver_is_the_reference_loop(name):
+    # seeded starts toward seeded taus, some with escape refinement and some ended by their hook: the
+    # hooked driver sees the reference's rows and ends as it ends, value for value by float.hex, or by
+    # (escape kind, time), or by the budget message, and the hook-free driver ends the same way
+    make, cfg, times, states = REFERENCE_CASES[name]
+    field, rng, ends = make(), random.Random(name), Counter()
+    for draw in range(24):
+        rho, tau = rng.uniform(*times), rng.uniform(-3.0, 3.0)
+        a = tuple(rng.uniform(*states) for _ in range(field.n))
+        try:
+            state = integrate._first_try(field, rho, a, tau, cfg)
+        except EvalError:
+            continue
+        refine, stop = draw % 2 == 0, 5 if draw % 5 == 4 else None
+        want = loop_outcome(scalar.drive, field, tau, cfg, refine, state, stop=stop)
+        assert loop_outcome(integrate._drive, field, tau, cfg, refine, state, stop=stop) == want
+        if stop is None:
+            for drive in (integrate._drive, scalar.drive):
+                assert loop_outcome(drive, field, tau, cfg, refine, state, hooked=False) == ([], want[1])
+        end = want[1]
+        ends["landed" if isinstance(end, list) else "stopped" if end is None else "budget" if isinstance(end, str)
+             else end[0]] += 1
+        ends["crawled"] += any(abs(float.fromhex(row[1])) == cfg.h_min for row in want[0])
+    assert ends["stopped"] and ends["landed"]
+    kinds = {"riccati": "blow_up", "predicate": "left_domain", "sqrt-wall": "step_underflow", "log": "step_underflow",
+             "budget": "budget", "crawl": "crawled", "tabulated-hole": "step_underflow"}
+    assert name not in kinds or ends[kinds[name]], ends
 
 
 # --- advance ------------------------------------------------------------------
@@ -633,20 +729,28 @@ def _nothing(*args):
 
 
 def spy_on_tries(monkeypatch, spy=_nothing, spy_lanes=_nothing):
-    """Call spy(f, t, y, h) before every try of the scalar loop from here on, and
-    spy_lanes(f, t, y, h) before every try over lanes.
+    """Call spy(t, h) before every try of the scalar loop from here on, with h before its clip at
+    tau, and spy_lanes(f, t, y, h) before every try over lanes.
 
-    Both loops take their tries from the factory integrate._step once per
-    call, so the spies wrap the pair of tries the factory hands out.
+    Both loops take what they run from the factory integrate._step once per call, so the spies
+    wrap the driver and the lane try it hands out.  The driver's tries are seen through its record
+    hook, which runs before each try, and once more, with no try after it, when the step budget
+    ends the loop; a hook of the caller's that ends the loop ends it before a try, too.
     """
     factory = integrate._step
 
-    def spied_factory(n):
-        attempt, attempt_lanes = factory(n)
+    def spied_factory(n, rhs=None):
+        drive, attempt_lanes = factory(n, rhs)
 
-        def spied(f, t, y, h, *rest):
-            spy(f, t, y, h)
-            return attempt(f, t, y, h, *rest)
+        def spied(field, tau, cfg, refine, state, record=None):
+            def hook(row, steps):
+                if record is not None and record(row, steps):
+                    return True
+                if steps < cfg.max_steps:
+                    spy(row[0], row[1])
+                return False
+
+            return drive(field, tau, cfg, refine, state, hook)
 
         def spied_lanes(f, t, y, h, *rest):
             spy_lanes(f, t, y, h)
@@ -662,7 +766,7 @@ def count_steps(monkeypatch):
     try over lanes; returns the reader."""
     calls = [0]
 
-    def counted(f, t, y, h):
+    def counted(t, h):
         calls[0] += 1
 
     def counted_lanes(f, t, y, h):
@@ -821,9 +925,10 @@ def test_point_queries_leave_the_cache_untouched(rhs, points):
 
 def test_dropped_family_frees_its_field():
     # reference counting alone must free it: an escape or budget message kept
-    # as an exception would hold its traceback's frames, and the field, in a cycle
+    # as an exception would hold its traceback's frames, and the field, in a cycle.
+    # Its compiled slope goes with it, and with the slope its entry in expr's statements
     field = VectorField.from_strings(["x1^2"], DomainSpec(1))
-    ref = weakref.ref(field)
+    ref, slope = weakref.ref(field), weakref.ref(field.slope)
     gc.disable()
     try:
         # riccati from (0, 0.5) blows up near t = 2 (an escape), or runs out
@@ -836,9 +941,56 @@ def test_dropped_family_frees_its_field():
             assert not fam.in_domain(3.0, 0.0, [0.5])
             del fam
         del field
-        assert ref() is None
+        assert ref() is None and slope() is None
     finally:
         gc.enable()
+
+
+def test_dropped_tabulated_family_frees_its_field_and_table():
+    # the driver of a tabulated field, whose slope it calls, is cached by the field's dimension
+    # alone, so nothing the cache keeps holds the field, its slope or its table
+    fam = catalog.get("riccati").family()
+    plan = SamplePlan(tuple(np.linspace(-0.5, 0.5, 6)), tuple((v,) for v in np.linspace(-0.5, 0.5, 6)), random_count=0)
+    field = field_from_family(fam, ReconstructionConfig(grid=plan))
+    refs = [weakref.ref(field), weakref.ref(field.table)]
+    gc.disable()
+    try:
+        rebuilt = numeric_family(field, IntegratorConfig(window=(-0.5, 0.5)))
+        assert rebuilt.in_domain(0.4, 0.0, [0.2]) and not rebuilt.in_domain(0.4, 0.0, [0.6])
+        values, ok = rebuilt.evaluate_batch([0.4, -0.3, 0.4] * 7, [0.0, 0.1, 0.2] * 7, [[0.2], [-0.1], [0.6]] * 7)
+        assert ok.tolist() == [True, True, False] * 7
+        del rebuilt, field, values
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def _counted_builds(monkeypatch):
+    """The number of step loops _step compiles from here on; returns the reader."""
+    source, built = integrate._step_source, []
+    monkeypatch.setattr(integrate, "_step_source", lambda *args: built.append(args) or source(*args))
+    return lambda: len(built)
+
+
+def test_fields_with_one_rhs_share_one_driver_built_at_their_first_try(monkeypatch):
+    # an rhs no other test uses, so the driver cache cannot hold it yet
+    rhs = ["x1^3 - 0.7134597*t"]
+    builds = _counted_builds(monkeypatch)
+    first, second = (numeric_family(VectorField.from_strings(rhs, DomainSpec(1))) for _ in range(2))
+    assert first.evaluate(0.0, 0.0, [0.3]).tolist() == [0.3] and builds() == 0  # no try yet
+    got = first.evaluate(0.5, 0.0, [0.3])
+    assert builds() == 1
+    assert second.evaluate(0.5, 0.0, [0.3]).tobytes() == got.tobytes() and builds() == 1
+
+
+def test_a_bound_literal_keys_the_driver_by_its_bits():
+    # x1 + 0.0 and x1 + (-0.0) differ at x1 = -0.0, though 0.0 == -0.0: each field takes its own driver
+    fields = [VectorField(DomainSpec(1), (Bin("+", Var("x1"), Num(zero)),)) for zero in (0.0, -0.0)]
+    drivers = [integrate._step(1, integrate._rhs(field.slope))[0] for field in fields]
+    assert drivers[0] is not drivers[1]
+    assert [field.slope(0.0, (-0.0,))[0].hex() for field in fields] == ["0x0.0p+0", "-0x0.0p+0"]
+    same = VectorField.from_strings(["x1 + 0"], DomainSpec(1))
+    assert drivers[0] is integrate._step(1, integrate._rhs(same.slope))[0]
 
 
 def bench_plan_steps(monkeypatch, name):
@@ -1077,7 +1229,7 @@ def test_lanes_and_their_scalar_tail_crawl_at_h_min_and_underflow_as_the_scalar_
     drive, drive_lanes = integrate._drive, integrate._drive_lanes
     seen, raised = set(), []
 
-    def crawling_step(f, t, y, h):
+    def crawling_step(t, h):
         if abs(h) == cfg.h_min:
             seen.add("scalar crawl")
 

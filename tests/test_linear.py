@@ -206,6 +206,21 @@ def test_mollifier_derives_its_error_bound():
     assert Mollifier(0.25, H, 16).error_bound == Mollifier(0.25, H, 8).error_bound / 16
 
 
+@pytest.mark.parametrize(
+    "eps, panels, message",
+    [(0.25, 0, "panel count"), (0.25, 3, "panel count"), (0.25, 2**16 + 2, "at most 65536"),
+     (-1.0, 3, "half-width"), (0.0, 8, "half-width"), (math.inf, 8, "half-width"), (math.nan, 8, "half-width")],
+)
+def test_mollifier_refuses_what_mollify_refuses(eps, panels, message):
+    # Mollifier(0.25, H, 0) raised ZeroDivisionError from error_bound, and Mollifier(-1.0, H, 3) read -0.0022
+    group, H = _group(1, lambda alpha, a: a.copy()), AffineMap(np.eye(1), np.zeros(1))
+    with pytest.raises(ValueError, match=message) as direct:
+        Mollifier(eps, H, panels)
+    with pytest.raises(ValueError) as by_mollify:
+        mollify(group, eps, panels=panels)
+    assert str(direct.value) == str(by_mollify.value)
+
+
 def test_decomposition_validates_fields():
     eye = np.eye(1)[None, :, :]
     with pytest.raises(ValueError):
