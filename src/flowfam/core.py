@@ -145,6 +145,11 @@ class DomainSpec:
         return inside
 
 
+def time_box(domain) -> tuple[float, float] | None:
+    """(lo, hi) of a DomainSpec with no predicate, whose contains(t, x) is lo < t < hi for every float t; else None."""
+    return domain.time_box if type(domain) is DomainSpec and domain.space_predicate is None else None
+
+
 @dataclass(frozen=True)
 class VectorField:
     """Right-hand side f(t, x) of an n-dimensional first-order ODE, n being its domain's.

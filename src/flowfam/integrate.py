@@ -13,11 +13,13 @@ multiply-add, so its results are the same on every IEEE-double machine.
 One driver, generated per dimension and rhs (_step), holds the loop
 unrolled over the components, the step with its finite checks, the scaled
 error norm and the blow-up norm.  An expression field's rhs statements
-(expr.statements) are spliced in at each of a try's six stages; any other
-slope, such as a tabulated field's interpolant, is called there as
-field.slope(t, x).  Drivers are built at a field's first scalar try and
-kept, a bounded number, by what they are rendered from, so a fresh field
-with a known rhs reuses one.  The loop also runs over numpy lanes, for
+(expr.statements) are spliced in at each of a try's six stages; a
+tabulated field's interpolant (reconstruct.splice) is a local function of
+the driver, over knot lists and the table in place, and its box is tested
+inline, as is a domain's open time box; other slopes and domains are
+called.  Drivers are built at a field's first try and kept, a bounded
+number, by what they are rendered from, so fields share them, and by
+slope while it lives.  The loop also runs over numpy lanes, for
 every batch of a numeric family, with its try generated from the same
 templates: each stage sum is a chain of elementwise ufuncs in the same
 order, the field is evaluated by its lane form (field.lanes and
@@ -54,12 +56,15 @@ flowfam evaluates concurrently.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import keyword
 import math
 import numbers
-import re
 import sys
+import tokenize
+import weakref
 from array import array
 from collections import OrderedDict
 from collections.abc import Iterable
@@ -75,6 +80,7 @@ from .core import (
     FlowFamily,
     VectorField,
     as_state,
+    time_box,
 )
 
 __all__ = [
@@ -104,7 +110,7 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 _BRACKET_WIDTH = 5e-7  # escape-time bracket, half the 1e-6 contract
 _TRAJECTORY_CACHE_SIZE = 128  # trajectories per numeric family, bounded for peak memory
-_DRIVERS = 64  # compiled step loops kept, one per dimension and rhs
+_DRIVERS = 64  # compiled step loops kept, one per dimension and rhs or interpolant
 _TAIL_LANES = 16  # at or below this many lanes the scalar loop is cheaper than numpy's per-call cost
 
 
@@ -196,9 +202,9 @@ _RATIO = "abs(e{i}) / (abs_tol + rel_tol * (s_abs{i} if s_abs{i} > y_abs{i} else
 # The scalar step loop: {y}, {p1}, {s} and {p7} list the components of y, k1, y5
 # and k7, and {stages}, {errors} and {norms} are the try's statements, indented.
 _DRIVE = """\
-def drive(field, tau, cfg, refine, state, record=None):
+def drive(field, tau, cfg, refine, state, record=None, values=()):
     t, h, steps, [{y}], [{p1}] = state
-    {bind}
+{bind}
     abs_tol, rel_tol, h_min, max_steps, radius = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.max_steps, cfg.blowup_radius
     while True:
         if record is not None and record([t, h, {y}, {p1}], steps):
@@ -222,7 +228,7 @@ def drive(field, tau, cfg, refine, state, record=None):
             err, factor = 2.0, 0.5
         if err <= 1.0:
             t_new, y5 = tau if last else t + h, ({s},)
-            kind = "blow_up" if y5_norm > radius else (None if contains(t_new, y5) else "left_domain")
+            kind = "blow_up" if y5_norm > radius else (None if {inside} else "left_domain")
             if kind is not None:
                 if refine:
                     t_star, kind = _bisect_escape(field, t, ({y},), t_new, cfg, kind)
@@ -242,20 +248,26 @@ def drive(field, tau, cfg, refine, state, record=None):
 
 
 def _renamed(text: str) -> str:
-    """text with f_ before every name but Python's keywords: spliced statements renamed apart from the loop's."""
-    return re.sub(r"\b[A-Za-z_]\w*", lambda m: m[0] if keyword.iskeyword(m[0]) else "f_" + m[0], text)
+    """The line text with f_ before each name token but keywords: spliced statements renamed apart from the loop's."""
+    # a string keeps its text; before Python 3.12 an f-string is one token, so no spliced name is read in one
+    at = [col for kind, name, (_, col), _, _ in tokenize.generate_tokens(io.StringIO(text).readline)
+          if kind == tokenize.NAME and not keyword.iskeyword(name)]
+    return "".join(text[i:j] + "f_" for i, j in zip([0, *at], at)) + text[at[-1] if at else 0:]
 
 
-def _step_source(n: int, rhs: tuple | None = None) -> tuple[str, str]:
+def _step_source(n: int, rhs: tuple | None = None, table: tuple | None = None, open_box: bool = False):
     """Sources of the step loop over n components and of its try over lanes, both from the templates above.
 
     ``drive`` is _drive's loop, unrolled over the components.  A try fails
     where the field has no value at a stage (EvalError) or y5 or the error
     estimate is not finite.  Its error norm max_i |e_i| / (abs_tol + rel_tol
     * max(|y_i|, |y5_i|)) and blow-up norm max_i |y5_i| are maxed in
-    component order as max does.  With rhs None a stage calls field.slope;
-    otherwise the statements of rhs (see _rhs), renamed apart, run there,
-    their reads bound to the stage's time and point, inside one ``try``.
+    component order as max does.  Inside one ``try``, a stage runs rhs's
+    statements (_rhs), or calls ``interpolate``, the driver's function of
+    the table's statements (reconstruct.splice) over the values it binds at
+    its start, or else field.slope; spliced names are renamed apart.  An
+    accepted point is tested by the table's box, with open_box by lo < t <
+    hi over values (lo, hi), or else by field.domain.contains.
 
     ``attempt_lanes(f, t, y, h, k1, abs_tol, rel_tol)`` makes the try over
     lanes t[m], y[m, n], h[m] and k1[m, n], with f(t[m], x[m, n]) a lane
@@ -271,6 +283,8 @@ def _step_source(n: int, rhs: tuple | None = None) -> tuple[str, str]:
 
     def stage(s: int, time: str, point: str) -> list[str]:
         slopes = each(f"p{s}{{i}}")
+        if table is not None:
+            return [f"[{', '.join(slopes)}] = interpolate({', '.join([time, *each(point)])})"]
         if rhs is None:
             return [f"[{', '.join(slopes)}] = slope({time}, ({''.join(v + ', ' for v in each(point))}))"]
         reads, lines, values, _ = rhs
@@ -290,8 +304,18 @@ def _step_source(n: int, rhs: tuple | None = None) -> tuple[str, str]:
     errors = [*each("e{i} = " + _ERROR), "ok = " + " and ".join(each("isfinite(s{i})") + each("isfinite(e{i})"))]
     norms = [*each("y_abs{i} = abs(y{i})"), *each("s_abs{i} = abs(s{i})"), *each("r{i} = " + _RATIO),
              *largest("err", "r{i}"), *largest("y5_norm", "s_abs{i}")]
-    bind = "contains, slope = field.domain.contains, field.slope" if rhs is None else "contains = field.domain.contains"
-    drive = _DRIVE.format(bind=bind, stages=block(stages, 12), errors=block(errors, 12), norms=block(norms, 12),
+    bind, inside = ["contains = field.domain.contains"], "contains(t_new, y5)"
+    if table is not None:
+        reads, names, lines, box, _ = table
+        bind = [f"[{_renamed(', '.join(names))}] = values", f"def interpolate({_renamed(', '.join(reads))}):",
+                *["    " + _renamed(line) for line in lines]]
+        inside = _renamed(box).format("t_new", *each("s{i}"))
+    elif open_box:
+        bind, inside = ["time_lo, time_hi = values"], "time_lo < t_new < time_hi"
+    if rhs is None and table is None:
+        bind.append("slope = field.slope")
+    drive = _DRIVE.format(bind=block(bind, 4), inside=inside, stages=block(stages, 12), errors=block(errors, 12),
+                          norms=block(norms, 12),
                           **{name: ", ".join(each(name + "{i}")) for name in ("y", "p1", "s", "p7")})
     attempt_lanes = ["hc = h[:, None]", "p1 = k1"]
     attempt_lanes += [f"p{s}, ok{s} = f({t}, {lanes(p)})" for s, t, p in zip(range(2, 7), _STAGE_TIMES, _STAGE_POINTS)]
@@ -306,16 +330,16 @@ def _step_source(n: int, rhs: tuple | None = None) -> tuple[str, str]:
 
 
 @functools.lru_cache(maxsize=_DRIVERS)
-def _step(n: int, rhs: tuple | None = None):
-    """(drive, attempt_lanes) of _step_source(n, rhs), compiled beside this module's names and rhs's bound values.
+def _step(n: int, rhs: tuple | None = None, table: tuple | None = None, open_box: bool = False):
+    """(drive, attempt_lanes) of _step_source, compiled beside this module's names and the splice's bound values.
 
-    The one place the step loops take what they run from: _drive its driver
-    per call, _drive_lanes its lane try.  Keyed by what the source is
-    rendered from, so fields with one rhs share a driver; no key holds a field.
+    The one place the step loops take what they run from, through _driver.
+    Keyed by what the source is rendered from, so fields with one rhs, or
+    tabulated ones of one n, share a driver; no key holds a field or table.
     """
-    bound = {} if rhs is None else {_renamed(k): float.fromhex(v) if isinstance(v, str) else v for k, v in rhs[3]}
-    namespace = {**globals(), **bound}
-    for source in _step_source(n, rhs):  # one at a time, which keeps the compiler's peak memory lower
+    bound = (rhs or table or [()])[-1]  # either splice's last item
+    namespace = {**globals(), **{_renamed(k): float.fromhex(v) if isinstance(v, str) else v for k, v in bound}}
+    for source in _step_source(n, rhs, table, open_box):  # one at a time, which keeps the compiler's peak memory lower
         exec(compile(source, "<flowfam dopri5 step>", "exec"), namespace)
     return namespace["drive"], namespace["attempt_lanes"]
 
@@ -367,9 +391,35 @@ def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, 
     given, is called as record(row, steps) before each try, with row the
     list of floats [t, h, *y, *k1] and steps the tries made; returning True
     ends the loop, which then returns None.  The loop is the driver _step
-    generates for the field's dimension and slope (_DRIVE), looked up here.
+    generates for the field (_DRIVE), looked up by _driver.
     """
-    return _step(field.n, _rhs(field.slope))[0](field, tau, cfg, refine, state, record)
+    _, drive, _, values = _driver(field)
+    return drive(field, tau, cfg, refine, state, record, values)
+
+
+_DRIVEN = weakref.WeakKeyDictionary()  # each slope a step loop met -> what _driver gives
+
+
+def _driver(field: VectorField) -> tuple:
+    """(domain, drive, attempt_lanes, values) of field's driver, kept per slope while it lives, for its domain.
+
+    _step is keyed by a tabulated slope's interpolant (reconstruct.splice),
+    else by the slope's rhs statements (_rhs) and whether the domain is an
+    open time box (time_box); values are what drive binds at its start.
+    """
+    slope, domain = field.slope, field.domain
+    try:
+        found = _DRIVEN.get(slope)
+    except TypeError:  # slope cannot be weakly referenced: nothing keeps its driver
+        found = None
+    if found is None or found[0] is not domain:
+        from .reconstruct import splice  # reconstruct imports this module
+        table, box = splice(slope), time_box(domain)
+        key, values = ((None, table[0], False), table[1]) if table else ((_rhs(slope), None, box is not None), box or ())
+        found = (domain, *_step(field.n, *key), values)
+        with contextlib.suppress(TypeError):
+            _DRIVEN[slope] = found
+    return found
 
 
 def _bisect_escape(field: VectorField, t_good: float, y_good: tuple, t_bad: float, cfg: IntegratorConfig,
@@ -411,7 +461,7 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
     message.  A lane its hook ended is in neither.
     """
     t, h, steps, y, k1 = state
-    attempt_lanes, lanes = _step(field.n, _rhs(field.slope))[1], np.arange(len(t))  # its driver's lane try
+    attempt_lanes, lanes = _driver(field)[2], np.arange(len(t))  # its driver's lane try
     landed, values, ends = np.zeros(len(t), dtype=bool), np.full(y.shape, math.nan), {}
     with np.errstate(all="ignore"):  # a failed lane carries inf or nan through its stages
         while len(lanes) > _TAIL_LANES:

@@ -25,8 +25,9 @@ with Richardson, two without); ``diagonal_rate`` is the same stencil over a
 batch of one, so a table entry and a direct rate agree bit for bit.
 The interpolant is generated per dimension from fixed templates, compiled
 once per n on the first field of that dimension, and bound to each field's
-own knots and table without copies.  Its scalar form reads them through
-memoryviews: it locates each coordinate's cell with ``bisect_left``, then
+own knots and table.  Its scalar body, which slope and the step loop's
+driver both run, reads the knots as lists and the table in place through a
+memoryview: it locates each coordinate's cell with ``bisect_left``, then
 sums the 2^(n+1) cell corners in a fixed order (corner c takes the upper
 knot on axis d when bit d of c is set; its weight is 1.0 times the per-axis
 factors in axis order, time first; the sum starts at 0.0 and skips zero
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -143,32 +145,40 @@ def _check_knots(times: np.ndarray, axes: list[np.ndarray]) -> None:
 
 
 # The interpolant, rendered per dimension by _interpolant_source in two forms:
-# the scalar slope over floats, and the lane form over numpy columns (m, 1),
+# the scalar body over floats, and the lane form over numpy columns (m, 1),
 # which makes the same roundings as elementwise ufuncs in the same order.  A
 # template is rendered per axis {d} (time is axis 0) on the knots {k}{d}:
-# memoryviews k{d} in the slope, arrays a{d} in the lane form.  c{d}'s cell is
+# lists k{d} in the scalar body, arrays a{d} in the lane form.  c{d}'s cell is
 # [knot i{d}, knot i{d} + 1], the first or last cell when c{d} lies beyond the
-# box; w{d} weighs its upper knot and u{d} its lower one.
+# box; w{d} weighs its upper knot and u{d} its lower one.  No f-string: the
+# step loop renames the scalar body's name tokens.
 _WEIGHTS = ("lo{d} = {k}{d}[i{d}]", "w{d} = (c{d} - lo{d}) / ({k}{d}[i{d} + 1] - lo{d})", "u{d} = 1.0 - w{d}")
 _OUTSIDE = "(w{d} < -1.0) {op} (w{d} > 2.0)"  # more than one cell beyond the box
-_BEYOND = "raise EvalError('domain', f'query {{c{d}}} outside the tabulated box')"
+_BEYOND = "raise EvalError('domain', 'query %s outside the tabulated box' % c{d})"
 _SKIPPED = "raise EvalError('domain', 'query touches a skipped tabulation site')"
+_BOX = "k{d}[0] <= {{{d}}} <= k{d}[-1]"  # BoxDomain's closed range on axis d, a format slot for the coordinate
+_SCALAR_NAMES = {"bisect_left": bisect_left, "isfinite": math.isfinite, "EvalError": ex.EvalError}  # the body's calls
 
 
-def _interpolant_source(n: int) -> str:
-    """Source of bind(knots, strides, flat) -> (slope, lanes), the interpolant over n state axes.
+def _interpolant_source(n: int) -> tuple[str, tuple]:
+    """(source, statements) of bind(knots, strides, flat) -> (slope, lanes, values), the interpolant over n state axes.
 
     knots are the knot arrays, time first, and flat the table's values in C
     order, a step of one knot along axis d moving strides[d] doubles in it;
-    both forms read them without copies.  slope(t, x) is the module
-    docstring's sum unrolled: one bisect_left, clamp and weight per axis,
-    then the 2^(n+1) corners in order, zero weights skipped.  It returns a
-    tuple of n floats, and raises EvalError where a coordinate lies more than
-    one cell beyond the box or the sum is not finite.  lanes(t[m], x[m, n])
-    returns (values[m, n], ok[m]): ok[i] is False exactly where slope(t[i],
-    x[i]) raises, values[i] is NaN there and slope's result bit for bit
-    elsewhere.  A zero weight's corner adds +0.0 there, which changes no sum:
-    starting at +0.0, a sum of doubles is never -0.0.
+    both forms read flat in place.  The scalar body is the module
+    docstring's sum unrolled over c0 (time) .. cn: one bisect_left on the
+    knots as lists, clamp and weight per axis, then the 2^(n+1) corners in
+    order, zero weights skipped.  It returns a tuple of n floats, and raises
+    EvalError where a coordinate lies more than one cell beyond the box or
+    the sum is not finite.  slope(t, x) runs it on float(t) and float(x[k]).
+    lanes(t[m], x[m, n]) returns (values[m, n], ok[m]): ok[i] is False
+    exactly where slope(t[i], x[i]) raises, values[i] is NaN there and
+    slope's result bit for bit elsewhere.  A zero weight's corner adds +0.0
+    there, which changes no sum: starting at +0.0, a sum of doubles is never
+    -0.0.  The step loop's driver runs the same body over bind's values:
+    statements are (reads, names, lines, box, bound), lines the body over
+    reads (c0 .. cn) that also reads names, bound to the values, and bound's
+    pairs, and box BoxDomain's test over format slots {0} .. {n}.
     """
     axes = range(n + 1)
     wrong = f"raise ValueError('state has wrong dimension for this field ({n})')"
@@ -180,50 +190,66 @@ def _interpolant_source(n: int) -> str:
         upper = [f"s{d}" for d in axes if c >> d & 1]
         return "b" + ("" if not upper else f" + {upper[0]}" if len(upper) == 1 else f" + ({' + '.join(upper)})")
 
-    slope = [f"if len(x) != {n}: {wrong}", "c0 = float(t)", *[f"c{d} = float(x[{d - 1}])" for d in axes[1:]]]
+    body = []
     lanes = [f"if x.shape[1] != {n}: {wrong}", "c0 = t[:, None]", *[f"c{d} = x[:, {d - 1}, None]" for d in axes[1:]],
              "out = False"]
     for d in axes:
-        slope += [f"i{d} = bisect_left(k{d}, c{d}) - 1", f"i{d} = 0 if i{d} < 0 else top{d} if i{d} > top{d} else i{d}",
-                  *[w.format(d=d, k="k") for w in _WEIGHTS],
-                  f"if {_OUTSIDE.format(d=d, op='or')}: {_BEYOND.format(d=d)}"]
+        body += [f"i{d} = bisect_left(k{d}, c{d}) - 1", f"i{d} = 0 if i{d} < 0 else top{d} if i{d} > top{d} else i{d}",
+                 *[w.format(d=d, k="k") for w in _WEIGHTS],
+                 f"if {_OUTSIDE.format(d=d, op='or')}: {_BEYOND.format(d=d)}"]
         lanes += [f"i{d} = minimum(maximum(searchsorted(a{d}, c{d}, side='left') - 1, 0), top{d})",
                   *[w.format(d=d, k="a") for w in _WEIGHTS], f"out = out | {_OUTSIDE.format(d=d, op='|')}"]
     cell = "b = " + " + ".join(f"i{d} * s{d}" for d in axes)
-    slope += [cell, *[f"v{k} = 0.0" for k in range(n)]]
+    body += [cell, *[f"v{k} = 0.0" for k in range(n)]]
     lanes += [cell + " + components", "v = 0.0"]
     for c in range(1 << len(axes)):
-        slope += [f"q = {weight(c)}", "if q != 0.0:", f"    j = {corner(c)}",
-                  *[f"    v{k} += q * flat[j{f' + {k}' if k else ''}]" for k in range(n)]]
+        body += [f"q = {weight(c)}", "if q != 0.0:", f"    j = {corner(c)}",
+                 *[f"    v{k} += q * flat[j{f' + {k}' if k else ''}]" for k in range(n)]]
         lanes += [f"q = {weight(c)}", f"v = v + where(q != 0.0, q * flat_a[{corner(c)}], 0.0)"]
     finite = " and ".join(f"isfinite(v{k})" for k in range(n))
-    slope += [f"if not ({finite}): {_SKIPPED}", "return (" + "".join(f"v{k}, " for k in range(n)) + ")"]
+    body += [f"if not ({finite}): {_SKIPPED}", "return (" + "".join(f"v{k}, " for k in range(n)) + ")"]
     lanes += ["ok = ~out[:, 0] & isfinite_lanes(v).all(axis=1)", "v[~ok] = nan", "return v, ok"]
 
-    def each(template: str) -> str:
-        return ", ".join(template.format(d=d) for d in axes)
+    def each(template: str, over=axes) -> str:
+        return ", ".join(template.format(d=d) for d in over)
 
     def block(indent: str, lines: list[str]) -> str:
         return "".join(f"{indent}{line}\n" for line in lines)
 
-    bind = [f"[{each('a{d}')}] = knots", f"[{each('k{d}')}] = map(memoryview, knots)", f"[{each('s{d}')}] = strides",
+    slope = [f"if len(x) != {n}: {wrong}", f"{each('c{d}')} = float(t), {each('float(x[{d}])', range(n))}", *body]
+    names = [f"{kind}{d}" for kind in ("k", "s", "top") for d in axes] + ["flat"]  # what the driver binds
+    bind = [f"[{each('a{d}')}] = knots", f"[{each('k{d}')}] = [a.tolist() for a in knots]", f"[{each('s{d}')}] = strides",
             f"{each('top{d}')} = {each('len(a{d}) - 2')}", "flat_a, flat = flat, memoryview(flat)",
             f"components = arange({n})"]
-    return ("def bind(knots, strides, flat):\n" + block("    ", bind)
-            + "    def slope(t, x):\n" + block("        ", slope) + "    def lanes(t, x):\n" + block("        ", lanes)
-            + "    return slope, errstate(all='ignore')(lanes)\n")
+    source = ("def bind(knots, strides, flat):\n" + block("    ", bind)
+              + "    def slope(t, x):\n" + block("        ", slope) + "    def lanes(t, x):\n" + block("        ", lanes)
+              + f"    return slope, errstate(all='ignore')(lanes), ({', '.join(names)},)\n")
+    box = " and ".join(_BOX.format(d=d) for d in axes)
+    return source, (tuple(f"c{d}" for d in axes), tuple(names), tuple(body), box, tuple(_SCALAR_NAMES.items()))
 
 
 @functools.cache
 def _interpolant(n: int):
-    """bind(knots, strides, flat) -> (slope, lanes): _interpolant_source(n), compiled once per dimension."""
+    """(bind, statements) of _interpolant_source(n), bind compiled once per dimension."""
     namespace = {  # the names the source calls: the slope's, then the lane form's
-        "bisect_left": bisect_left, "isfinite": math.isfinite, "EvalError": ex.EvalError,
-        "searchsorted": np.searchsorted, "minimum": np.minimum, "maximum": np.maximum, "where": np.where,
+        **_SCALAR_NAMES, "searchsorted": np.searchsorted, "minimum": np.minimum, "maximum": np.maximum, "where": np.where,
         "isfinite_lanes": np.isfinite, "nan": math.nan, "arange": np.arange, "errstate": np.errstate,
     }
-    exec(compile(_interpolant_source(n), "<flowfam interpolant>", "exec"), namespace)
-    return namespace["bind"]
+    source, statements = _interpolant_source(n)
+    exec(compile(source, "<flowfam interpolant>", "exec"), namespace)
+    return namespace["bind"], statements
+
+
+_SPLICES = weakref.WeakKeyDictionary()  # each tabulated field's slope -> what splice() gives
+
+
+def splice(slope) -> tuple | None:
+    """(statements, values) of a tabulated field's slope, else None: _interpolant_source's statements for its
+    dimension, and its knot lists, strides, tops and table (a memoryview) for the step loop to splice in."""
+    try:
+        return _SPLICES.get(slope)
+    except TypeError:  # slope cannot be weakly referenced, so no field bound it
+        return None
 
 
 class TabulatedVectorField:
@@ -233,7 +259,9 @@ class TabulatedVectorField:
     slope(t, x) and its lane form lanes(t[m], x[m, n]) -> (values[m, n],
     ok[m]), and the domain answers contains and contains_lanes.  slope and
     lanes are generated per dimension (_interpolant) and bound to this
-    field's knots and table, so a later write into table shows.
+    field's knots and table, as is the step loop's driver (splice).  times
+    and axes are read-only copies, since the scalar body reads lists taken
+    here; table is read in place, so a later write into it shows.
     Values one cell beyond an edge are linearly continued from the edge
     cell so Runge-Kutta stage points may overshoot slightly; anything
     farther out, or touching a skipped-site hole, raises an evaluation
@@ -242,8 +270,9 @@ class TabulatedVectorField:
 
     def __init__(self, times: np.ndarray, axes: list[np.ndarray], table: np.ndarray,
                  skipped_sites: int = 0):
-        self.times = np.ascontiguousarray(times, dtype=float)
-        self.axes = [np.ascontiguousarray(ax, dtype=float) for ax in axes]
+        self.times, *self.axes = [np.array(knots, dtype=float) for knots in (times, *axes)]  # copies, frozen below
+        for knots in (self.times, *self.axes):
+            knots.flags.writeable = False  # the interpolant reads lists of them, taken once
         self.table = np.ascontiguousarray(table, dtype=float)
         self.n = len(self.axes)
         self.skipped_sites = int(skipped_sites)
@@ -258,7 +287,9 @@ class TabulatedVectorField:
             state_hi=tuple(float(ax[-1]) for ax in self.axes),
         )
         strides = [stride // self.table.itemsize for stride in self.table.strides[:-1]]
-        self.slope, self.lanes = _interpolant(self.n)((self.times, *self.axes), strides, self.table.reshape(-1))
+        bind, statements = _interpolant(self.n)
+        self.slope, self.lanes, values = bind((self.times, *self.axes), strides, self.table.reshape(-1))
+        _SPLICES[self.slope] = statements, values
 
     def site_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every site as lanes (t[m], x[m, n], tabulated values[m, n]), time-major; holes are NaN."""

@@ -21,8 +21,9 @@ instead, in both forms, so its source names no ``power`` helper.
 The integrator's scalar step loop makes no numpy call: it runs on tuples of
 floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
 The driver it generates per dimension and rhs names no numpy either, and
-an expression field's driver calls no ``slope`` in its loop: the rhs is
-spliced in at every stage.  The DOPRI5 tableau is read only by the
+no catalog or tabulated field's driver calls ``slope`` or ``contains`` in
+its loop: the rhs, or the interpolant, and the domain's box test run in
+the driver itself.  The DOPRI5 tableau is read only by the
 generated code: no function of ``integrate`` names a coefficient, so the
 sums are written once, in the templates the driver and the lane try are
 rendered from.
@@ -443,7 +444,14 @@ def _step_sources():
     knots = np.array([0.0, 1.0])
     for n in (1, 2, 3, 4):
         fields.append(reconstruct.TabulatedVectorField(knots, [knots] * n, np.zeros((2,) * (n + 1) + (n,))))
-    return [(field, "".join(integrate._step_source(field.n, integrate._rhs(field.slope)))) for field in fields]
+    step, keys = integrate._step, []
+    integrate._step = lambda *key: keys.append(key) or step(*key)  # what each fresh field's driver is rendered from
+    try:
+        for field in fields:
+            integrate._driver(field)
+    finally:
+        integrate._step = step
+    return [(field, "".join(integrate._step_source(*key))) for field, key in zip(fields, keys, strict=True)]
 
 
 def test_generated_step_uses_no_numpy():
@@ -454,24 +462,25 @@ def test_generated_step_uses_no_numpy():
             assert _numpy_in_source(ast.unparse(defined[name])) == []
 
 
-def _slope_calls_in_loop(source: str) -> list[str]:
-    """Where the generated driver's loop calls slope, or reads a field's slope."""
+def _field_calls_in_loop(source: str) -> list[str]:
+    """Where the generated driver's loop calls slope or contains, or reads a field's slope or a domain's contains."""
     (drive,) = [node for node in ast.parse(source).body if node.name == "drive"]
     (loop,) = [node for node in drive.body if isinstance(node, ast.While)]
-    found = [node for node in ast.walk(loop) if isinstance(node, ast.Name) and node.id == "slope"
-             or isinstance(node, ast.Attribute) and node.attr == "slope"]
+    found = [node for node in ast.walk(loop) if isinstance(node, ast.Name) and node.id in ("slope", "contains")
+             or isinstance(node, ast.Attribute) and node.attr in ("slope", "contains")]
     return [f"line {node.lineno} {ast.unparse(node)}" for node in found]
 
 
-def test_an_expression_fields_driver_calls_no_slope_in_its_loop():
+def test_no_drivers_loop_calls_slope_or_contains():
+    # a field whose slope is not generated, on a domain that is not a box, is called in the loop
+    assert len(_field_calls_in_loop(integrate._step_source(1)[0])) == 7
     for field, source in _step_sources():
-        spliced = isinstance(field, flowfam.VectorField)
-        assert bool(_slope_calls_in_loop(source)) is not spliced, source  # a tabulated slope is still called
+        assert _field_calls_in_loop(source) == [], source
 
 
 def test_generated_interpolant_slope_uses_no_numpy():
     for n in (1, 2, 3):
-        (bind,) = ast.parse(reconstruct._interpolant_source(n)).body  # bind defines slope and lanes
+        (bind,) = ast.parse(reconstruct._interpolant_source(n)[0]).body  # bind defines slope and lanes
         defined = {node.name: node for node in bind.body if isinstance(node, ast.FunctionDef)}
         assert set(defined) == {"slope", "lanes"}  # a rename must not empty the check
         assert _numpy_in_source(ast.unparse(defined["slope"])) == []

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_checks as scalar
-from flowfam import catalog, integrate
+from flowfam import catalog, integrate, reconstruct
 from flowfam.autonomous import check_group_law
 from flowfam.core import DomainSpec, DomainViolation, VectorField
 from flowfam.expr import Bin, EvalError, Num, Var
@@ -381,13 +382,26 @@ def _tabulated_with_a_hole():
     return TabulatedVectorField(times, [knots], table)
 
 
+def _tabulated(n, holes):
+    """x_k' = 0.6 x_(k+1) - 0.3 t + 0.1 k, indices mod n, tabulated on [-1, 2] x [-2, 2]^n in cells of
+    0.25 by 0.5, with holes seeded sites NaN."""
+    times, knots = np.linspace(-1.0, 2.0, 13), np.linspace(-2.0, 2.0, 9)
+    grid = np.meshgrid(times, *[knots] * n, indexing="ij")
+    table = np.stack([0.6 * grid[1 + (k + 1) % n] - 0.3 * grid[0] + 0.1 * k for k in range(n)], axis=-1)
+    rng = np.random.default_rng(n)
+    for _ in range(holes):
+        table[tuple(rng.integers(0, size) for size in table.shape[:-1])] = np.nan
+    return lambda: TabulatedVectorField(times, [knots] * n, table)
+
+
 def _field(rhs, predicate=None):
     return lambda: VectorField.from_strings(rhs, DomainSpec(len(rhs), space_predicate=predicate))
 
 
 # (field, config, ranges of the starts' times and states) on which the generated driver must be the reference loop:
 # every catalog field, a domain predicate, rhs that raise partway through a step, each way the loop
-# ends, and a tabulated field, whose slope the driver calls
+# ends, and tabulated fields, whose interpolant and box test the driver runs itself
+TABULATED = IntegratorConfig(window=(-3.0, 3.0), h_init=0.5)
 REFERENCE_CASES = {
     **{name: (catalog.get(name).field, CFG, (-1.0, 1.0), (-1.0, 1.0)) for name in catalog.names()},
     "predicate": (_field(["x1^2"], "4 - x1^2"), CFG, (-1.0, 1.0), (-1.5, 1.5)),
@@ -397,7 +411,24 @@ REFERENCE_CASES = {
     # short of a blow-up backward an accepted try's next step falls below h_min: the loop crawls at -h_min
     "crawl": (_field(["x1^2"]), IntegratorConfig(h_init=1e-2, h_min=2e-3, blowup_radius=1e3), (0.0, 1.0), (-2.5, -1.0)),
     "tabulated-hole": (_tabulated_with_a_hole, IntegratorConfig(window=(-3.0, 3.0)), (0.0, 0.25), (0.8, 1.1)),
+    # a trajectory leaves the box at its edge, or its first steps grow past the cell beyond it
+    # (rejected), or it runs into a hole (step underflow)
+    **{f"tabulated-{n}": (_tabulated(n, holes), TABULATED, (-1.0, 2.0), (-1.9, 1.9))
+       for n, holes in [(1, 3), (2, 24), (3, 80)]},
+    "tabulated-budget": (_tabulated(2, 0), IntegratorConfig(window=(-3.0, 3.0), max_steps=12), (-1.0, 2.0), (-1.9, 1.9)),
 }
+
+
+def _heard(field, ends):
+    """field as the reference loop sees it: each EvalError of its slope is counted in ends, by cause."""
+    def slope(t, x):
+        try:
+            return field.slope(t, x)
+        except EvalError as err:
+            ends["beyond" if "outside the tabulated box" in str(err) else "hole" if "skipped" in str(err) else "eval"] += 1
+            raise
+
+    return SimpleNamespace(n=field.n, domain=field.domain, slope=slope)
 
 
 @pytest.mark.parametrize("name", REFERENCE_CASES)
@@ -407,27 +438,37 @@ def test_generated_driver_is_the_reference_loop(name):
     # (escape kind, time), or by the budget message, and the hook-free driver ends the same way
     make, cfg, times, states = REFERENCE_CASES[name]
     field, rng, ends = make(), random.Random(name), Counter()
+    reference = _heard(field, ends)
     for draw in range(24):
         rho, tau = rng.uniform(*times), rng.uniform(-3.0, 3.0)
         a = tuple(rng.uniform(*states) for _ in range(field.n))
+        edge = isinstance(field, TabulatedVectorField) and draw % 3 == 0
+        if edge:  # toward the time box's edge, which the closed box holds
+            tau = field.domain.time_hi if tau > rho else field.domain.time_lo
         try:
             state = integrate._first_try(field, rho, a, tau, cfg)
         except EvalError:
             continue
         refine, stop = draw % 2 == 0, 5 if draw % 5 == 4 else None
-        want = loop_outcome(scalar.drive, field, tau, cfg, refine, state, stop=stop)
+        want = loop_outcome(scalar.drive, reference, tau, cfg, refine, state, stop=stop)
         assert loop_outcome(integrate._drive, field, tau, cfg, refine, state, stop=stop) == want
         if stop is None:
-            for drive in (integrate._drive, scalar.drive):
-                assert loop_outcome(drive, field, tau, cfg, refine, state, hooked=False) == ([], want[1])
+            assert loop_outcome(scalar.drive, reference, tau, cfg, refine, state, hooked=False) == ([], want[1])
+            assert loop_outcome(integrate._drive, field, tau, cfg, refine, state, hooked=False) == ([], want[1])
         end = want[1]
-        ends["landed" if isinstance(end, list) else "stopped" if end is None else "budget" if isinstance(end, str)
-             else end[0]] += 1
+        kind = ("landed" if isinstance(end, list) else "stopped" if end is None else "budget" if isinstance(end, str)
+                else end[0])
+        ends[kind] += 1
+        ends[kind, refine] += 1
+        ends["edge"] += edge and kind == "landed"
         ends["crawled"] += any(abs(float.fromhex(row[1])) == cfg.h_min for row in want[0])
     assert ends["stopped"] and ends["landed"]
-    kinds = {"riccati": "blow_up", "predicate": "left_domain", "sqrt-wall": "step_underflow", "log": "step_underflow",
-             "budget": "budget", "crawl": "crawled", "tabulated-hole": "step_underflow"}
-    assert name not in kinds or ends[kinds[name]], ends
+    kinds = {"riccati": ["blow_up"], "predicate": ["left_domain"], "sqrt-wall": ["step_underflow"],
+             "log": ["step_underflow"], "budget": ["budget"], "crawl": ["crawled"], "tabulated-hole": ["step_underflow"],
+             "tabulated-budget": ["budget"],
+             **{f"tabulated-{n}": [("left_domain", True), ("left_domain", False), "beyond", "hole", "step_underflow",
+                                   "edge"] for n in (1, 2, 3)}}
+    assert all(ends[kind] for kind in kinds.get(name, [])), ends
 
 
 # --- advance ------------------------------------------------------------------
@@ -710,18 +751,18 @@ def test_escape_interval_is_advance_toward_each_edge(monkeypatch, rhs, domain, r
 
 # --- trajectory cache ------------------------------------------------------------
 
-STEP = integrate._step
+DRIVER = integrate._driver
 
 
 @contextlib.contextmanager
 def uncounted():
     """Tries made inside are not counted by count_steps."""
-    counted = integrate._step
-    integrate._step = STEP
+    counted = integrate._driver
+    integrate._driver = DRIVER
     try:
         yield
     finally:
-        integrate._step = counted
+        integrate._driver = counted
 
 
 def _nothing(*args):
@@ -732,17 +773,17 @@ def spy_on_tries(monkeypatch, spy=_nothing, spy_lanes=_nothing):
     """Call spy(t, h) before every try of the scalar loop from here on, with h before its clip at
     tau, and spy_lanes(f, t, y, h) before every try over lanes.
 
-    Both loops take what they run from the factory integrate._step once per call, so the spies
-    wrap the driver and the lane try it hands out.  The driver's tries are seen through its record
+    Both loops take what they run from integrate._driver once per call, so the spies wrap the
+    driver and the lane try it hands out.  The driver's tries are seen through its record
     hook, which runs before each try, and once more, with no try after it, when the step budget
     ends the loop; a hook of the caller's that ends the loop ends it before a try, too.
     """
-    factory = integrate._step
+    lookup = integrate._driver
 
-    def spied_factory(n, rhs=None):
-        drive, attempt_lanes = factory(n, rhs)
+    def spied_driver(field):
+        domain, drive, attempt_lanes, values = lookup(field)
 
-        def spied(field, tau, cfg, refine, state, record=None):
+        def spied(field, tau, cfg, refine, state, record=None, values=()):
             def hook(row, steps):
                 if record is not None and record(row, steps):
                     return True
@@ -750,15 +791,15 @@ def spy_on_tries(monkeypatch, spy=_nothing, spy_lanes=_nothing):
                     spy(row[0], row[1])
                 return False
 
-            return drive(field, tau, cfg, refine, state, hook)
+            return drive(field, tau, cfg, refine, state, hook, values)
 
         def spied_lanes(f, t, y, h, *rest):
             spy_lanes(f, t, y, h)
             return attempt_lanes(f, t, y, h, *rest)
 
-        return spied, spied_lanes
+        return domain, spied, spied_lanes, values
 
-    monkeypatch.setattr(integrate, "_step", spied_factory)
+    monkeypatch.setattr(integrate, "_driver", spied_driver)
 
 
 def count_steps(monkeypatch):
@@ -991,6 +1032,30 @@ def test_a_bound_literal_keys_the_driver_by_its_bits():
     assert [field.slope(0.0, (-0.0,))[0].hex() for field in fields] == ["0x0.0p+0", "-0x0.0p+0"]
     same = VectorField.from_strings(["x1 + 0"], DomainSpec(1))
     assert drivers[0] is integrate._step(1, integrate._rhs(same.slope))[0]
+
+
+def test_renaming_leaves_string_literals_alone():
+    line = "raise EvalError('domain', 'query %s outside the tabulated box' % c0)"
+    assert integrate._renamed(line) == "raise f_EvalError('domain', 'query %s outside the tabulated box' % f_c0)"
+    # an f-string keeps its text; its fields' names are separate tokens from Python 3.12 on, renamed there only
+    got = integrate._renamed("""v = f'query {c0} outside' + "x y" if not ok else 'domain'""")
+    assert got.startswith("f_v = f'query {") and got.endswith("""} outside' + "x y" if not f_ok else 'domain'""")
+
+
+def test_a_tabulated_driver_compiles_within_twice_the_peak_of_riccatis():
+    # the interpolant is one local function of the driver: a copy at each of the six stages
+    # read 3.5 times riccati's compile peak
+    def peak(n, *key):
+        tracemalloc.start()
+        try:
+            integrate._step.__wrapped__(n, *key)  # rendered and compiled afresh, past the cache
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    knots, riccati = np.array([0.0, 1.0]), catalog.get("riccati").field()
+    table = reconstruct.splice(TabulatedVectorField(knots, [knots], np.zeros((2, 2, 1))).slope)[0]
+    assert peak(1, None, table, False) <= 2 * peak(1, integrate._rhs(riccati.slope), None, True)
 
 
 def bench_plan_steps(monkeypatch, name):

@@ -663,15 +663,32 @@ def test_tabulated_lanes_are_its_scalar_calls_in_three_dimensions(points):
 
 def test_tabulated_lanes_read_the_table_as_it_is_now():
     field = _holey_field(np.random.default_rng(4), _LANE_TIMES, _LANE_AXES[:1], 0)
-    field.table[1, 1, 0] = -0.0  # written after construction: both forms read the table in place
+    cfg, point = IntegratorConfig(window=(0.0, 2.5)), (0.9, 0.4, [0.2])
+    fam = numeric_family(field, cfg)
+    first = fam.evaluate(*point)  # the driver has run once before the writes below
+    field.table[1, 1, 0] = -0.0  # written after construction: both forms and the driver read the table in place
     t, x = np.array([1.0, 1.0, 0.5]), np.array([[0.0], [-0.0], [0.0]])
     values, ok = field.lanes(t, x)
     assert ok.all() and values[:2].tobytes() == b"\0" * 16 == np.array([field.slope(1.0, [0.0])]).tobytes() * 2
+    copied = numeric_family(TabulatedVectorField(field.times, field.axes, field.table.copy()), cfg)
+    assert fam.evaluate(*point).tobytes() == copied.evaluate(*point).tobytes() != first.tobytes()
     field.table[1, 1, 0] = math.nan
     assert field.lanes(t, x)[1].tolist() == [False, False, False]
     assert outcome(field.slope, 1.0, [0.0]) == ("domain", "query touches a skipped tabulation site")
+    assert not fam.in_domain(*point)
     with pytest.raises(ValueError, match=re.escape("state has wrong dimension for this field (1)")):
         field.lanes(t, np.zeros((3, 2)))
+
+
+def test_knots_are_frozen_copies():
+    times, knots = np.array([0.0, 1.0, 2.0]), np.array([-1.0, 1.0])
+    field = TabulatedVectorField(times, [knots], np.zeros((3, 2, 1)))
+    for frozen in (field.times, field.axes[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[0] = -5.0
+    times[0], knots[0] = -5.0, -3.0  # the caller's arrays stay writeable, and the field's knots do not follow them
+    assert field.times[0] == 0.0 and field.axes[0][0] == -1.0 and field.domain.time_lo == 0.0
+    assert field.slope(0.0, [-1.0]) == (0.0,)
 
 
 def test_box_domain_contains_keeps_its_edges_and_its_answers():
