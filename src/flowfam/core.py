@@ -129,6 +129,15 @@ class DomainSpec:
         return None if self.space_predicate is None else ex.compile_field(self.space_predicate, self.n)
 
     @functools.cached_property
+    def membership(self) -> ex.Splice:
+        """contains as a splice record: lo < s0 < hi, and the predicate's value > 0.0 after its lines, which
+        raise the predicate's EvalError (outside, as in contains) and never give NaN."""
+        p = ex.Splice((), (), (), (), False, ()) if self.space_predicate is None else ex.splice(self._predicate)
+        test = " and ".join(["lo < s0 < hi", *[f"{v} > 0.0" for v in p.results]])
+        return ex.Splice(("s0", *[r for r in p.reads if r != "s0"]), ("lo", "hi", *p.names),
+                         (*p.lines, f"inside = {test}"), ("inside",), False, (*self.time_box, *p.bound))
+
+    @functools.cached_property
     def _predicate_lanes(self):
         return None if self.space_predicate is None else ex.compile_field_lanes(self.space_predicate, self.n)
 
@@ -143,11 +152,6 @@ class DomainSpec:
             p, ok = self._predicate_lanes(t, x)
             inside &= ok & (p > 0.0)
         return inside
-
-
-def time_box(domain) -> tuple[float, float] | None:
-    """(lo, hi) of a DomainSpec with no predicate, whose contains(t, x) is lo < t < hi for every float t; else None."""
-    return domain.time_box if type(domain) is DomainSpec and domain.space_predicate is None else None
 
 
 @dataclass(frozen=True)

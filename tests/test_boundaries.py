@@ -20,21 +20,22 @@ instead, in both forms, so its source names no ``power`` helper.
 
 The integrator's scalar step loop makes no numpy call: it runs on tuples of
 floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
-The driver it generates per dimension and rhs names no numpy either, and
-no catalog or tabulated field's driver calls ``slope`` or ``contains`` in
-its loop: the rhs, or the interpolant, and the domain's box test run in
-the driver itself.  The DOPRI5 tableau is read only by the
-generated code: no function of ``integrate`` names a coefficient, so the
-sums are written once, in the templates the driver and the lane try are
-rendered from.
+The driver it generates per field names no numpy either, and no driver's
+loop calls ``slope`` or ``contains`` for a catalog field, a tabulated one
+or one on a predicate: the rhs or the interpolant, and the time box, box or
+predicate, run in the driver itself, spliced from their records.  The
+DOPRI5 tableau is read only by the generated code: no function of
+``integrate`` names a coefficient, so the sums are written once, in the
+templates the driver and the lane try are rendered from.
 
-Source text is compiled in three places only: ``expr._generate`` (one
-straight-line function per expression tuple, over floats or over lanes),
-``integrate._step`` (the step loop per dimension and rhs, over floats, and
-its try over lanes) and ``reconstruct._interpolant`` (a tabulated field's
-interpolant per dimension, over floats and over lanes).  The interpolant's
-scalar slope names no numpy, and its lane form binds none of numpy's
-functions that differ from ``math``.
+Source text is compiled in one place only, ``expr.build``, for every
+generator: expression kernels over floats or over lanes, a tabulated
+field's interpolant in both forms, the step loop per field and its try
+over lanes.  It keeps code objects in one bounded cache, and splice records
+live in one weak map, so ``src/`` holds one ``weakref.WeakKeyDictionary``
+and caches no generator with ``functools.cache`` or ``lru_cache``.  The
+interpolant's scalar slope names no numpy, and its lane form binds none of
+numpy's functions that differ from ``math``.
 
 A Cauchy datum has one rule in the integrator: ``_integrate`` refuses a
 start outside the window or the field's domain, or where the field cannot
@@ -73,6 +74,7 @@ import numpy as np
 
 import flowfam
 from flowfam import catalog, cli, expr, integrate, reconstruct
+from flowfam.core import DomainSpec, VectorField
 from test_expr import CORPUS
 
 PACKAGE = Path(flowfam.__file__).parent
@@ -144,9 +146,9 @@ def _lane_unsafe_numpy(path: Path) -> list[str]:
 # the scalar step loop runs on tuples of floats: numpy there brings back
 # per-call dispatch on tiny arrays, and BLAS products whose fused
 # multiply-adds make results depend on the machine
-_STEP_LOOP = {"_step", "_step_source", "_drive", "_first_try", "_integrate", "_bisect_escape",
+_STEP_LOOP = {"_driver", "_drive_source", "_drive", "_first_try", "_integrate", "_bisect_escape",
               "_Trajectory"}
-# the functions _step_source generates over floats: the step loop; its lane try is attempt_lanes
+# the functions _drive_source generates over floats: the step loop
 _GENERATED_STEP = {"drive"}
 # the names of the DOPRI5 tableau's coefficients: _A21.._A76, _E1.._E7, _C2.._C5
 _TABLEAU = re.compile(r"_(A\d\d|E\d|C\d)")
@@ -439,25 +441,22 @@ def test_detector_sees_numpy_in_the_step_loop(tmp_path):
 
 
 def _step_sources():
-    """(field, _step_source of its driver) of every catalog field, whose rhs is spliced, and of tabulated fields."""
+    """(field, _drive_source of its driver) of every catalog field, whose rhs is spliced, of tabulated fields
+    and of fields on a predicate."""
     fields = [catalog.get(name).field() for name in catalog.names()]
     knots = np.array([0.0, 1.0])
     for n in (1, 2, 3, 4):
         fields.append(reconstruct.TabulatedVectorField(knots, [knots] * n, np.zeros((2,) * (n + 1) + (n,))))
-    step, keys = integrate._step, []
-    integrate._step = lambda *key: keys.append(key) or step(*key)  # what each fresh field's driver is rendered from
-    try:
-        for field in fields:
-            integrate._driver(field)
-    finally:
-        integrate._step = step
-    return [(field, "".join(integrate._step_source(*key))) for field, key in zip(fields, keys, strict=True)]
+    for rhs, predicate in ((["x1^2"], "4 - x1^2"), (["x1/t"], "t")):
+        fields.append(VectorField.from_strings(rhs, DomainSpec(1, space_predicate=predicate)))
+    return [(field, integrate._drive_source(field.n, expr.splice(field.slope), expr.splice(field.domain)))
+            for field in fields]
 
 
 def test_generated_step_uses_no_numpy():
     for _, source in _step_sources():
         defined = {node.name: node for node in ast.parse(source).body}
-        assert set(defined) == _GENERATED_STEP | {"attempt_lanes"}  # a rename must not empty the check
+        assert set(defined) == _GENERATED_STEP  # a rename must not empty the check
         for name in _GENERATED_STEP:
             assert _numpy_in_source(ast.unparse(defined[name])) == []
 
@@ -472,18 +471,19 @@ def _field_calls_in_loop(source: str) -> list[str]:
 
 
 def test_no_drivers_loop_calls_slope_or_contains():
-    # a field whose slope is not generated, on a domain that is not a box, is called in the loop
-    assert len(_field_calls_in_loop(integrate._step_source(1)[0])) == 7
+    # a field whose slope is not generated, on a domain that gives no record, is called in the loop
+    assert len(_field_calls_in_loop(integrate._drive_source(1))) == 7
     for field, source in _step_sources():
         assert _field_calls_in_loop(source) == [], source
 
 
 def test_generated_interpolant_slope_uses_no_numpy():
     for n in (1, 2, 3):
-        (bind,) = ast.parse(reconstruct._interpolant_source(n)[0]).body  # bind defines slope and lanes
-        defined = {node.name: node for node in bind.body if isinstance(node, ast.FunctionDef)}
-        assert set(defined) == {"slope", "lanes"}  # a rename must not empty the check
-        assert _numpy_in_source(ast.unparse(defined["slope"])) == []
+        slope, lanes, _ = reconstruct._interpolant_source(n)
+        assert [node.name for node in ast.parse(lanes).body] == ["lanes"]
+        (defined,) = ast.parse(slope).body
+        assert defined.name == "slope"  # a rename must not empty the check
+        assert _numpy_in_source(ast.unparse(defined)) == []
 
 
 def test_generated_interpolant_lanes_bind_no_numpy_that_differs_from_math():
@@ -615,15 +615,64 @@ def test_detector_sees_lane_unsafe_numpy_in_a_namespace():
     ]
 
 
-def test_only_the_three_generators_compile_source():
+def test_only_build_compiles_source():
     found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _code_compilers(path)]
+    assert found == ["expr.py:build calls exec", "expr.py:build calls compile"]
+
+
+def _caches(path: Path) -> list[str]:
+    """Where a module makes a weak map, or a function is cached by functools.cache or lru_cache."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        where = getattr(top, "name", None) or ast.unparse(getattr(top, "targets", [top])[0])
+        decorators = {id(d) for node in ast.walk(top) for d in getattr(node, "decorator_list", ())}
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("WeakKeyDictionary"):
+                found.append(f"{path.name}:{where} makes a weak map")
+            elif (isinstance(node, ast.Call) and id(node) not in decorators
+                  and ast.unparse(node.func).split(".")[-1] in ("cache", "lru_cache")):
+                found.append(f"{path.name}:{where} calls {ast.unparse(node.func)}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    name = ast.unparse(decorator.func if isinstance(decorator, ast.Call) else decorator)
+                    if name.split(".")[-1] in ("cache", "lru_cache"):
+                        found.append(f"{path.name}:{node.name} is cached by {name}")
+    return found
+
+
+def test_one_weak_map_and_no_cached_generator():
+    # the CLI's parser, a closed-form family's kernels and a numeric family's driver are cached; no generator is
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _caches(path)]
     assert found == [
-        "expr.py:_generate calls exec",
-        "expr.py:_generate calls compile",
-        "integrate.py:_step calls exec",
-        "integrate.py:_step calls compile",
-        "reconstruct.py:_interpolant calls exec",
-        "reconstruct.py:_interpolant calls compile",
+        "cli.py:_build_parser is cached by functools.cache",
+        "core.py:scalar_kernels is cached by functools.cache",
+        "core.py:lane_kernels is cached by functools.cache",
+        "expr.py:_SPLICES makes a weak map",
+        "integrate.py:numeric_family calls functools.cache",
+    ]
+
+
+def test_detector_sees_a_cache(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import functools, weakref\n"
+        "_MAP = weakref.WeakKeyDictionary()\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def _step(n):\n"
+        "    @cache\n"
+        "    def inner():\n"
+        "        return WeakKeyDictionary()\n"
+        "    return inner\n"
+        "@functools.cached_property\n"
+        "def slope(self):\n"
+        "    return functools.cache(lambda: None)\n"
+    )
+    assert _caches(probe) == [
+        "probe.py:_MAP makes a weak map",
+        "probe.py:_step is cached by functools.lru_cache",
+        "probe.py:inner is cached by cache",
+        "probe.py:_step makes a weak map",
+        "probe.py:slope calls functools.cache",
     ]
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import json
 import math
 import random
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_checks as scalar
-from flowfam import catalog, integrate, reconstruct
+from flowfam import catalog, cli, expr, integrate
 from flowfam.autonomous import check_group_law
 from flowfam.core import DomainSpec, DomainViolation, VectorField
 from flowfam.expr import Bin, EvalError, Num, Var
@@ -276,7 +277,7 @@ def test_generated_lane_try_is_the_reference_try_lane_by_lane(n):
     # gives the reference's (y5, k7, err, y5_norm) bit for bit.  Lanes of a batch share the
     # tolerances, and each has its own slope function, raising, infinite or overflowing.
     field = _coupled_field(n)
-    attempt_lanes = integrate._step(n)[1]
+    attempt_lanes = integrate._lane_try()
     rng = random.Random(200 + n)
     seen = set()
     for _ in range(10):
@@ -333,7 +334,7 @@ def test_generated_lane_try_marks_a_lane_that_fails_at_one_stage_only(n):
     rows = [(0.5, y, 0.1, f(0.5, y)) for f, (_, y) in zip(slopes, makers)]  # k1 is each slope's first call
     t, y, h, k1 = (np.array(col, dtype=float) for col in zip(*rows))
     with np.errstate(all="ignore"):
-        *got, ok = integrate._step(n)[1](_lane_form(slopes), t, y, h, k1, CFG.abs_tol, CFG.rel_tol)
+        *got, ok = integrate._lane_try()(_lane_form(slopes), t, y, h, k1, CFG.abs_tol, CFG.rel_tol)
     assert ok.tolist() == [False] * (len(makers) - 1) + [True]
     wants = []
     for make, y0 in makers:
@@ -399,12 +400,19 @@ def _field(rhs, predicate=None):
 
 
 # (field, config, ranges of the starts' times and states) on which the generated driver must be the reference loop:
-# every catalog field, a domain predicate, rhs that raise partway through a step, each way the loop
-# ends, and tabulated fields, whose interpolant and box test the driver runs itself
+# every catalog field, domain predicates, rhs that raise partway through a step, each way the loop
+# ends, and tabulated fields; the driver runs each rhs or interpolant and each box or predicate itself.
+# A compiled predicate raises where it has no finite value, so no predicate is NaN at an accepted point.
 TABULATED = IntegratorConfig(window=(-3.0, 3.0), h_init=0.5)
 REFERENCE_CASES = {
     **{name: (catalog.get(name).field, CFG, (-1.0, 1.0), (-1.0, 1.0)) for name in catalog.names()},
     "predicate": (_field(["x1^2"], "4 - x1^2"), CFG, (-1.0, 1.0), (-1.5, 1.5)),
+    # steps that grow five-fold jump from log(x1) > 0 past x1 = 0, where the predicate raises
+    "predicate-raises": (_field(["-1"], "log(x1)"), CFG, (-1.0, 1.0), (1.2, 3.0)),
+    # a try that lands on tau = 1 exactly finds the predicate 0.0 there, which is outside
+    "predicate-zero": (_field(["x1"], "1 - t"), CFG, (-1.0, 0.9), (-1.0, 1.0)),
+    # the solutions x1 = c t leave t > 0 at t = 0 with a finite state
+    "predicate-time": (_field(["x1/t"], "t"), CFG, (0.2, 2.0), (-1.0, 1.0)),
     "sqrt-wall": (_field(["sqrt(1 - t) + x1"]), CFG, (-1.0, 0.9), (-1.0, 1.0)),
     "log": (_field(["log(x1)"]), CFG, (-1.0, 1.0), (-1.0, 1.0)),
     "budget": (_field(["x1^2"]), IntegratorConfig(max_steps=40), (-1.0, 1.0), (-1.0, 1.0)),
@@ -419,8 +427,14 @@ REFERENCE_CASES = {
 }
 
 
+# the target of a third of the draws: a tabulated field's time box edge, which the closed box holds, or
+# the time at which a predicate is 0.0
+EDGES = {"predicate-zero": lambda field, rho: 1.0}
+
+
 def _heard(field, ends):
-    """field as the reference loop sees it: each EvalError of its slope is counted in ends, by cause."""
+    """field as the reference loop sees it: each EvalError of its slope is counted in ends, by cause, and
+    each membership test where its domain's predicate raises or is 0.0."""
     def slope(t, x):
         try:
             return field.slope(t, x)
@@ -428,7 +442,17 @@ def _heard(field, ends):
             ends["beyond" if "outside the tabulated box" in str(err) else "hole" if "skipped" in str(err) else "eval"] += 1
             raise
 
-    return SimpleNamespace(n=field.n, domain=field.domain, slope=slope)
+    predicate = getattr(field.domain, "space_predicate", None)
+    predicate = predicate and expr.compile_field(predicate, field.n)
+
+    def contains(t, x):
+        try:
+            ends["zero"] += predicate is not None and predicate(t, x) == 0.0
+        except EvalError:
+            ends["raises"] += 1
+        return field.domain.contains(t, x)
+
+    return SimpleNamespace(n=field.n, domain=SimpleNamespace(contains=contains), slope=slope)
 
 
 @pytest.mark.parametrize("name", REFERENCE_CASES)
@@ -442,9 +466,9 @@ def test_generated_driver_is_the_reference_loop(name):
     for draw in range(24):
         rho, tau = rng.uniform(*times), rng.uniform(-3.0, 3.0)
         a = tuple(rng.uniform(*states) for _ in range(field.n))
-        edge = isinstance(field, TabulatedVectorField) and draw % 3 == 0
-        if edge:  # toward the time box's edge, which the closed box holds
-            tau = field.domain.time_hi if tau > rho else field.domain.time_lo
+        edge = (isinstance(field, TabulatedVectorField) or name in EDGES) and draw % 3 == 0
+        if edge:
+            tau = EDGES[name](field, rho) if name in EDGES else field.domain.time_hi if tau > rho else field.domain.time_lo
         try:
             state = integrate._first_try(field, rho, a, tau, cfg)
         except EvalError:
@@ -465,7 +489,9 @@ def test_generated_driver_is_the_reference_loop(name):
     assert ends["stopped"] and ends["landed"]
     kinds = {"riccati": ["blow_up"], "predicate": ["left_domain"], "sqrt-wall": ["step_underflow"],
              "log": ["step_underflow"], "budget": ["budget"], "crawl": ["crawled"], "tabulated-hole": ["step_underflow"],
-             "tabulated-budget": ["budget"],
+             "tabulated-budget": ["budget"], "predicate-raises": ["raises", "left_domain"],
+             "predicate-zero": ["zero", ("left_domain", True), ("left_domain", False)],
+             "predicate-time": [("left_domain", True), ("left_domain", False)],
              **{f"tabulated-{n}": [("left_domain", True), ("left_domain", False), "beyond", "hole", "step_underflow",
                                    "edge"] for n in (1, 2, 3)}}
     assert all(ends[kind] for kind in kinds.get(name, [])), ends
@@ -751,18 +777,18 @@ def test_escape_interval_is_advance_toward_each_edge(monkeypatch, rhs, domain, r
 
 # --- trajectory cache ------------------------------------------------------------
 
-DRIVER = integrate._driver
+SEAMS = {"_driver": integrate._driver, "_lane_try": integrate._lane_try}
 
 
 @contextlib.contextmanager
 def uncounted():
     """Tries made inside are not counted by count_steps."""
-    counted = integrate._driver
-    integrate._driver = DRIVER
+    counted = {name: getattr(integrate, name) for name in SEAMS}
+    vars(integrate).update(SEAMS)
     try:
         yield
     finally:
-        integrate._driver = counted
+        vars(integrate).update(counted)
 
 
 def _nothing(*args):
@@ -773,15 +799,15 @@ def spy_on_tries(monkeypatch, spy=_nothing, spy_lanes=_nothing):
     """Call spy(t, h) before every try of the scalar loop from here on, with h before its clip at
     tau, and spy_lanes(f, t, y, h) before every try over lanes.
 
-    Both loops take what they run from integrate._driver once per call, so the spies wrap the
-    driver and the lane try it hands out.  The driver's tries are seen through its record
-    hook, which runs before each try, and once more, with no try after it, when the step budget
-    ends the loop; a hook of the caller's that ends the loop ends it before a try, too.
+    Both loops take what they run from integrate._driver and integrate._lane_try once per call, so
+    the spies wrap the driver and the lane try they make.  The driver's tries are seen through its
+    record hook, which runs before each try, and once more, with no try after it, when the step
+    budget ends the loop; a hook of the caller's that ends the loop ends it before a try, too.
     """
-    lookup = integrate._driver
+    driver, lane_try = integrate._driver, integrate._lane_try
 
     def spied_driver(field):
-        domain, drive, attempt_lanes, values = lookup(field)
+        drive, values = driver(field)
 
         def spied(field, tau, cfg, refine, state, record=None, values=()):
             def hook(row, steps):
@@ -793,13 +819,19 @@ def spy_on_tries(monkeypatch, spy=_nothing, spy_lanes=_nothing):
 
             return drive(field, tau, cfg, refine, state, hook, values)
 
+        return spied, values
+
+    def spied_lane_try():
+        attempt_lanes = lane_try()
+
         def spied_lanes(f, t, y, h, *rest):
             spy_lanes(f, t, y, h)
             return attempt_lanes(f, t, y, h, *rest)
 
-        return domain, spied, spied_lanes, values
+        return spied_lanes
 
     monkeypatch.setattr(integrate, "_driver", spied_driver)
+    monkeypatch.setattr(integrate, "_lane_try", spied_lane_try)
 
 
 def count_steps(monkeypatch):
@@ -988,8 +1020,9 @@ def test_dropped_family_frees_its_field():
 
 
 def test_dropped_tabulated_family_frees_its_field_and_table():
-    # the driver of a tabulated field, whose slope it calls, is cached by the field's dimension
-    # alone, so nothing the cache keeps holds the field, its slope or its table
+    # the knot lists and table (a memoryview) that the driver splices in are held by the slope's
+    # splice record, which expr's weak map keeps only while the slope lives, and by each driver
+    # made for a call, which the call drops; the code cache keeps no bound value
     fam = catalog.get("riccati").family()
     plan = SamplePlan(tuple(np.linspace(-0.5, 0.5, 6)), tuple((v,) for v in np.linspace(-0.5, 0.5, 6)), random_count=0)
     field = field_from_family(fam, ReconstructionConfig(grid=plan))
@@ -1006,32 +1039,79 @@ def test_dropped_tabulated_family_frees_its_field_and_table():
         gc.enable()
 
 
-def _counted_builds(monkeypatch):
-    """The number of step loops _step compiles from here on; returns the reader."""
-    source, built = integrate._step_source, []
-    monkeypatch.setattr(integrate, "_step_source", lambda *args: built.append(args) or source(*args))
-    return lambda: len(built)
+def _compiled(monkeypatch):
+    """The names of what the one compile site, expr.build, compiles from here on, into an empty code
+    cache; returns the reader."""
+    names = []
+
+    def counting(source, filename, mode):
+        names.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(expr, "compile", counting, raising=False)  # read before the builtin
+    monkeypatch.setattr(expr, "_CODE", {})
+    return lambda: list(names)
 
 
 def test_fields_with_one_rhs_share_one_driver_built_at_their_first_try(monkeypatch):
-    # an rhs no other test uses, so the driver cache cannot hold it yet
     rhs = ["x1^3 - 0.7134597*t"]
-    builds = _counted_builds(monkeypatch)
+    compiled = _compiled(monkeypatch)
     first, second = (numeric_family(VectorField.from_strings(rhs, DomainSpec(1))) for _ in range(2))
-    assert first.evaluate(0.0, 0.0, [0.3]).tolist() == [0.3] and builds() == 0  # no try yet
+    assert first.evaluate(0.0, 0.0, [0.3]).tolist() == [0.3] and "<flowfam drive>" not in compiled()  # no try yet
     got = first.evaluate(0.5, 0.0, [0.3])
-    assert builds() == 1
-    assert second.evaluate(0.5, 0.0, [0.3]).tobytes() == got.tobytes() and builds() == 1
+    assert compiled().count("<flowfam drive>") == 1
+    before = compiled()
+    assert second.evaluate(0.5, 0.0, [0.3]).tobytes() == got.tobytes() and compiled() == before
 
 
-def test_a_bound_literal_keys_the_driver_by_its_bits():
-    # x1 + 0.0 and x1 + (-0.0) differ at x1 = -0.0, though 0.0 == -0.0: each field takes its own driver
-    fields = [VectorField(DomainSpec(1), (Bin("+", Var("x1"), Num(zero)),)) for zero in (0.0, -0.0)]
-    drivers = [integrate._step(1, integrate._rhs(field.slope))[0] for field in fields]
-    assert drivers[0] is not drivers[1]
-    assert [field.slope(0.0, (-0.0,))[0].hex() for field in fields] == ["0x0.0p+0", "-0x0.0p+0"]
-    same = VectorField.from_strings(["x1 + 0"], DomainSpec(1))
-    assert drivers[0] is integrate._step(1, integrate._rhs(same.slope))[0]
+def test_a_bound_literal_reaches_the_driver_by_its_bits():
+    # x1 * 0.0 and x1 * (-0.0) differ in sign, though 0.0 == -0.0: the fields share the driver's code,
+    # and each driver binds its own literal, so k7, the next try's k1, keeps the sign
+    fields = [VectorField(DomainSpec(1), (Bin("*", Var("x1"), Num(zero)),)) for zero in (0.0, -0.0)]
+    assert integrate._driver(fields[0])[0].__code__ is integrate._driver(fields[1])[0].__code__
+    assert [after_one_try(field, 0.0, (1.0,), 0.1)[3].hex() for field in fields] == ["0x0.0p+0", "-0x0.0p+0"]
+
+
+def test_a_second_verify_compiles_nothing(monkeypatch, tmp_path, capsys):
+    # expression kernels, drivers, the lane try and a predicate's splice all come from the code cache
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "system": {"field": {"n": 1, "rhs": ["x1^2"], "domain": {"time": [-3, 3], "predicate": "4 - x1^2"}}},
+        "plan": {"time_grid": [-0.5, 0.0, 0.5], "state_grid": [[-0.3], [0.0], [0.3]], "random_count": 3, "seed": 42},
+    }))
+    compiled = _compiled(monkeypatch)
+    argv = ["verify", "--config", str(config), "--no-timestamp"]
+    assert cli.main(argv) == 0
+    first, report = compiled(), capsys.readouterr().out
+    assert {"<flowfam drive>", "<flowfam attempt_lanes>", "<flowfam generated>"} <= set(first)
+    assert cli.main(argv) == 0
+    assert compiled() == first and capsys.readouterr().out == report
+
+
+def test_one_dimensional_fields_share_one_lane_try(monkeypatch):
+    fields = [catalog.get(name).field() for name in ("riccati", "exp_scalar", "affine_scalar", "zero")]
+    knots = np.linspace(-1.0, 1.0, 5)
+    fields.append(TabulatedVectorField(knots, [knots], np.zeros((5, 5, 1))))
+    lane_try, codes = integrate._lane_try, set()
+
+    def spied():
+        attempt_lanes = lane_try()
+        codes.add(attempt_lanes.__code__)
+        return attempt_lanes
+
+    monkeypatch.setattr(integrate, "_lane_try", spied)
+    for field in fields:
+        sigma = np.linspace(-0.5, 0.5, 40)
+        _, ok = numeric_family(field).evaluate_batch(sigma + 0.3, sigma, np.full((40, 1), 0.2))
+        assert ok.all()
+    assert len(codes) == 1
+
+
+def test_the_code_cache_keeps_its_bound(monkeypatch):
+    compiled = _compiled(monkeypatch)
+    for k in range(expr._CODE_SIZE + 10):
+        expr.compile_field(expr.parse("x1" + " + x1" * k), 1)
+    assert len(compiled()) == expr._CODE_SIZE + 10 and len(expr._CODE) == expr._CODE_SIZE
 
 
 def test_renaming_leaves_string_literals_alone():
@@ -1045,17 +1125,17 @@ def test_renaming_leaves_string_literals_alone():
 def test_a_tabulated_driver_compiles_within_twice_the_peak_of_riccatis():
     # the interpolant is one local function of the driver: a copy at each of the six stages
     # read 3.5 times riccati's compile peak
-    def peak(n, *key):
+    def peak(field):
+        source = integrate._drive_source(field.n, expr.splice(field.slope), expr.splice(field.domain))
         tracemalloc.start()
         try:
-            integrate._step.__wrapped__(n, *key)  # rendered and compiled afresh, past the cache
+            compile(source, "<peak>", "exec")  # afresh, past the code cache
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    knots, riccati = np.array([0.0, 1.0]), catalog.get("riccati").field()
-    table = reconstruct.splice(TabulatedVectorField(knots, [knots], np.zeros((2, 2, 1))).slope)[0]
-    assert peak(1, None, table, False) <= 2 * peak(1, integrate._rhs(riccati.slope), None, True)
+    knots = np.array([0.0, 1.0])
+    assert peak(TabulatedVectorField(knots, [knots], np.zeros((2, 2, 1)))) <= 2 * peak(catalog.get("riccati").field())
 
 
 def bench_plan_steps(monkeypatch, name):
