@@ -13,13 +13,16 @@ multiply-add, so its results are the same on every IEEE-double machine.
 Each run of the loop is a driver made for its field (_driver): the loop
 unrolled over the components, with the splice records of the field's
 slope and domain (expr.splice) run where it would call slope or contains;
-expr.build keeps its code, so fields share it.  The loop also runs over
-numpy lanes, for every batch of a numeric family, with one try generated
-from the same templates: each stage sum is a chain of elementwise ufuncs
-in the same order, the field is evaluated by its lane form (field.lanes
-and field.domain.contains_lanes), and the step factor takes Python's
-float ** lane by lane, since numpy's power rounds differently.  So a lane
-makes the scalar loop's tries bit for bit.
+expr.build keeps its code, so fields share it.  The tableau and the step
+control are literals there, the repr of each value, which round-trips a
+double, and abs, the finite test (x - x == 0.0) and the step factor's clip
+are comparisons, so a try makes no builtin call and loads no global.  The
+loop also runs over numpy lanes, for every batch of a numeric family, with
+one try generated from the same templates: each stage sum is a chain of
+elementwise ufuncs in the same order, the field is evaluated by its lane
+form (field.lanes and field.domain.contains_lanes), and the step factor
+takes Python's float ** lane by lane, since numpy's power rounds
+differently.  So a lane makes the scalar loop's tries bit for bit.
 
 Integration stops early when the trajectory escapes: norm past the blow-up
 radius, domain predicate failing, or the step size collapsing below h_min.
@@ -55,13 +58,13 @@ import io
 import keyword
 import math
 import numbers
+import re
 import sys
 import tokenize
 from array import array
 from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass
-from math import isfinite  # read by the generated try
 
 import numpy as np
 
@@ -83,7 +86,7 @@ __all__ = [
     "escape_interval",
 ]
 
-# Dormand-Prince 5(4) tableau, read by the generated tries: stage i is taken at
+# Dormand-Prince 5(4) tableau, literals in the generated tries: stage i is taken at
 # t + c_i h and y + h (a_i1 k1 + a_i2 k2 + ...), the seventh stage point is
 # the 5th-order solution (FSAL), and e = b5 - b4 weighs the error estimate.
 # Zero entries (a_72, e_2) are left out of the sums.
@@ -99,6 +102,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 3392
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
+_CONSTANTS = r"\b_(?:A\d\d|E\d|C\d|SAFETY|FACTOR_MIN|FACTOR_MAX)\b"  # the names _literal renders, compiled there
 _BRACKET_WIDTH = 5e-7  # escape-time bracket, half the 1e-6 contract
 _TRAJECTORY_CACHE_SIZE = 128  # trajectories per numeric family, bounded for peak memory
 _TAIL_LANES = 16  # at or below this many lanes the scalar loop is cheaper than numpy's per-call cost
@@ -187,8 +191,8 @@ _SOLUTION = "y{i} + {h} * (_A71 * p1{i} + _A73 * p3{i} + _A74 * p4{i} + _A75 * p
 _ERROR = "{h} * (_E1 * p1{i} + _E3 * p3{i} + _E4 * p4{i} + _E5 * p5{i} + _E6 * p6{i} + _E7 * p7{i})"
 _STAGE_TIMES = ("t + _C2 * h", "t + _C3 * h", "t + _C4 * h", "t + _C5 * h", "t + h")  # t and h: floats or (m,) lanes
 # The scalar loop's scaled error of component {i}: s{i} is y5's component, e{i}
-# the error estimate's, and max(|y{i}|, |s{i}|) is written out as max would take it.
-_RATIO = "abs(e{i}) / (abs_tol + rel_tol * (s_abs{i} if s_abs{i} > y_abs{i} else y_abs{i}))"
+# the error estimate's, and |e{i}| and max(|y{i}|, |s{i}|) are written out as abs and max would take them.
+_RATIO = "(e{i} if e{i} >= 0.0 else -e{i}) / (abs_tol + rel_tol * (s_abs{i} if s_abs{i} > y_abs{i} else y_abs{i}))"
 # The try over lanes, attempt_lanes(f, t[m], y[m, n], h[m], k1[m, n], abs_tol, rel_tol), the same for every n:
 # f(t[m], x[m, n]) is a lane form of the field, returning (slopes[m, n], ok[m]).  It returns (y5, k7, err,
 # y5_norm, ok): ok[i] is False exactly where lane i's try fails in drive, and lane i of the others is its bits.
@@ -214,9 +218,10 @@ def drive(field, tau, cfg, refine, state, record=None, values=()):
         steps += 1
         if steps > max_steps:
             raise StepBudgetExceeded(f"integration exceeded {{max_steps}} steps at t={{t}}")
-        last = abs(h) >= abs(tau - t)
+        gap = tau - t
+        last = (h if h >= 0.0 else -h) >= (gap if gap >= 0.0 else -gap)
         if last:
-            h = tau - t
+            h = gap
         try:
 {stages}
         except ex.EvalError:
@@ -225,7 +230,8 @@ def drive(field, tau, cfg, refine, state, record=None, values=()):
 {errors}
         if ok:
 {norms}
-            factor = _FACTOR_MAX if err == 0.0 else min(_FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2))
+            factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** -0.2
+            factor = _FACTOR_MIN if factor < _FACTOR_MIN else _FACTOR_MAX if factor > _FACTOR_MAX else factor
         else:  # no rhs value (or an overflow) inside the step: halve it, as a rejected try rescales it
             err, factor = 2.0, 0.5
         if err <= 1.0:
@@ -243,11 +249,11 @@ def drive(field, tau, cfg, refine, state, record=None, values=()):
                 return y5
             t, {y}, {p1} = t_new, {s}, {p7}
             h *= factor
-            if abs(h) < h_min:  # keep crawling; only a failed step underflows
+            if (h if h >= 0.0 else -h) < h_min:  # keep crawling; only a failed step underflows
                 h = math.copysign(h_min, h)
         else:
             h *= factor
-            if abs(h) < h_min:
+            if (h if h >= 0.0 else -h) < h_min:
                 raise EscapeEvent("step_underflow", t)
 """
 
@@ -298,9 +304,10 @@ def _drive_source(n: int, rhs: ex.Splice | None = None, inside: ex.Splice | None
 
     stages = [line for s, t, p in zip(range(2, 7), _STAGE_TIMES, _STAGE_POINTS) for line in stage(s, t, p)]
     stages += each("s{i} = " + _SOLUTION) + stage(7, "t + h", "s{i}")
-    errors = [*each("e{i} = " + _ERROR), "ok = " + " and ".join(each("isfinite(s{i})") + each("isfinite(e{i})"))]
-    norms = [*each("y_abs{i} = abs(y{i})"), *each("s_abs{i} = abs(s{i})"), *each("r{i} = " + _RATIO),
-             *largest("err", "r{i}"), *largest("y5_norm", "s_abs{i}")]
+    finite = " and ".join(each("s{i} - s{i} == 0.0") + each("e{i} - e{i} == 0.0"))  # x - x is 0.0 for finite x only
+    errors = [*each("e{i} = " + _ERROR), "ok = " + finite]
+    norms = [*each("y_abs{i} = y{i} if y{i} >= 0.0 else -y{i}"), *each("s_abs{i} = s{i} if s{i} >= 0.0 else -s{i}"),
+             *each("r{i} = " + _RATIO), *largest("err", "r{i}"), *largest("y5_norm", "s_abs{i}")]
     bound = [prefix + name for prefix, found in (("f_", rhs), ("m_", inside)) if found for name in found.names]
     bind, accept = [f"[{', '.join(bound)}] = values"] if bound else [], ["inside = contains(t_new, y5)"]
     if rhs is None:
@@ -314,9 +321,14 @@ def _drive_source(n: int, rhs: ex.Splice | None = None, inside: ex.Splice | None
     else:
         accept = ["try:", *["    " + line for line in spliced(inside, "m_", at("t_new", "s{i}"))],
                   f"    inside = m_{inside.results[0]}", "except ex.EvalError:", "    inside = False"]
-    return _DRIVE.format(bind=_block(bind, 4), stages=_block(stages, 12), errors=_block(errors, 12),
-                         norms=_block(norms, 12), accept=_block(accept, 16),
-                         **{name: ", ".join(each(name + "{i}")) for name in ("y", "p1", "s", "p7")})
+    return _literal(_DRIVE.format(bind=_block(bind, 4), stages=_block(stages, 12), errors=_block(errors, 12),
+                                  norms=_block(norms, 12), accept=_block(accept, 16),
+                                  **{name: ", ".join(each(name + "{i}")) for name in ("y", "p1", "s", "p7")}))
+
+
+def _literal(source: str) -> str:
+    """source with each tableau and step-control name as repr of its value: a constant, which repr round-trips."""
+    return re.sub(_CONSTANTS, lambda name: repr(globals()[name.group()]), source)
 
 
 def _first_try(field: VectorField, rho: float, a: tuple, target: float, cfg: IntegratorConfig, k1=None):
@@ -379,7 +391,7 @@ def _driver(field: VectorField) -> tuple:
 
 def _lane_try():
     """attempt_lanes, built from _ATTEMPT_LANES: one code for every field."""
-    return ex.build("attempt_lanes", lambda: _ATTEMPT_LANES, globals(), "attempt_lanes")
+    return ex.build("attempt_lanes", lambda: _literal(_ATTEMPT_LANES), globals(), "attempt_lanes")
 
 
 def _bisect_escape(field: VectorField, t_good: float, y_good: tuple, t_bad: float, cfg: IntegratorConfig,
@@ -388,12 +400,13 @@ def _bisect_escape(field: VectorField, t_good: float, y_good: tuple, t_bad: floa
 
     Candidate midpoints are reached by re-integrating from the good end, so
     each probe is as accurate as a normal advance; a probe that escapes on
-    the way tightens the bad end instead.
+    the way tightens the bad end instead.  All probes share one driver.
     """
+    driver = _driver(field)
     while abs(t_bad - t_good) > _BRACKET_WIDTH:
         mid = 0.5 * (t_good + t_bad)
         try:
-            y_good = _integrate(field, t_good, y_good, mid, cfg, refine=False)
+            y_good = _integrate(field, t_good, y_good, mid, cfg, False, lambda: driver)
             t_good = mid  # the step loop has classified the point it landed on
         except EscapeEvent as ev:
             t_bad, kind = ev.time, ev.kind
@@ -466,11 +479,12 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
             running = ~(escaped | underflow | done)
             if not running.all():
                 lanes, t, h, steps, y, k1, target = _keep(running, lanes, t, h, steps, y, k1, target)
+    driver = _driver(field) if len(lanes) else None  # one for every lane of the scalar tail
     for k, i in enumerate(lanes.tolist()):
         loop_state = float(t[k]), float(h[k]), int(steps[k]), tuple(y[k].tolist()), tuple(k1[k].tolist())
         hook = None if record is None else functools.partial(record, i)
         try:
-            reached = _drive(field, float(target[k]), cfg, False, loop_state, hook)
+            reached = _drive(field, float(target[k]), cfg, False, loop_state, hook, lambda: driver)
         except EscapeEvent as ev:
             ends[i] = ev.kind, ev.time
         except StepBudgetExceeded as err:

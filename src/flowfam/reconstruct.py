@@ -23,7 +23,7 @@ Tabulation evaluates the stencil one time knot at a time, every state site
 of the knot in one ``FlowFamily.evaluate_batch`` call per stencil point (four
 with Richardson, two without); ``diagonal_rate`` is the same stencil over a
 batch of one, so a table entry and a direct rate agree bit for bit.
-The interpolant is generated per dimension from fixed templates
+The interpolant is rendered once per dimension from fixed templates
 (expr.build keeps its code) and bound to each field's own knots and table.
 Its scalar body, which slope and the step loop's driver both run, reads
 the knots as lists and the table in place through a memoryview: it
@@ -169,6 +169,7 @@ _SKIPPED = "raise EvalError('domain', 'query touches a skipped tabulation site')
 _SCALAR_NAMES = {"bisect_left": bisect_left, "isfinite": math.isfinite, "EvalError": ex.EvalError}  # the body's calls
 
 
+@functools.cache  # a pure function of n: every field of n axes renders the same text, and binds its own values
 def _interpolant_source(n: int) -> tuple[str, str, tuple]:
     """Sources of slope(t, x) and lanes(t[m], x[m, n]), the interpolant over n state axes, and slope's body.
 

@@ -26,16 +26,19 @@ or one on a predicate: the rhs or the interpolant, and the time box, box or
 predicate, run in the driver itself, spliced from their records.  The
 DOPRI5 tableau is read only by the generated code: no function of
 ``integrate`` names a coefficient, so the sums are written once, in the
-templates the driver and the lane try are rendered from.
+templates the driver and the lane try are rendered from.  The driver's loop
+reads no tableau or step-control name and calls no ``abs``, ``min``,
+``max`` or ``isfinite``: the constants are literals, the rest comparisons.
 
 Source text is compiled in one place only, ``expr.build``, for every
 generator: expression kernels over floats or over lanes, a tabulated
 field's interpolant in both forms, the step loop per field and its try
 over lanes.  It keeps code objects in one bounded cache, and splice records
 live in one weak map, so ``src/`` holds one ``weakref.WeakKeyDictionary``
-and caches no generator with ``functools.cache`` or ``lru_cache``.  The
-interpolant's scalar slope names no numpy, and its lane form binds none of
-numpy's functions that differ from ``math``.
+and caches no generator with ``functools.cache`` or ``lru_cache`` but the
+interpolant's sources, a pure function of the dimension that holds no
+field's bound values.  The interpolant's scalar slope names no numpy, and
+its lane form binds none of numpy's functions that differ from ``math``.
 
 A Cauchy datum has one rule in the integrator: ``_integrate`` refuses a
 start outside the window or the field's domain, or where the field cannot
@@ -477,6 +480,56 @@ def test_no_drivers_loop_calls_slope_or_contains():
         assert _field_calls_in_loop(source) == [], source
 
 
+# builtins the driver's loop writes out as comparisons, and the constants it reads as literals
+_WRITTEN_OUT = {"abs", "min", "max", "isfinite"}
+_STEP_CONSTANTS = re.compile(r"_(A\d\d|E\d|C\d|SAFETY|FACTOR_MIN|FACTOR_MAX)")
+
+
+def _calls_and_constants_in_loop(source: str) -> list[str]:
+    """Where the generated driver's loop calls abs, min, max or isfinite, or reads a tableau or step-control name."""
+    (drive,) = [node for node in ast.parse(source).body if node.name == "drive"]
+    (loop,) = [node for node in drive.body if isinstance(node, ast.While)]
+    found = []
+    for node in ast.walk(loop):
+        func = node.func if isinstance(node, ast.Call) else None
+        if getattr(func, "id", None) in _WRITTEN_OUT or getattr(func, "attr", None) in _WRITTEN_OUT:
+            found.append((node.lineno, f"calls {ast.unparse(func)}"))
+        elif isinstance(node, ast.Name) and _STEP_CONSTANTS.fullmatch(node.id):
+            found.append((node.lineno, f"reads {node.id}"))
+    return [f"line {line} {what}" for line, what in sorted(found)]
+
+
+def test_no_drivers_loop_calls_a_builtin_or_reads_a_constant():
+    # math.copysign, on the crawl at h_min, is the loop's one call of its own
+    for _, source in [(None, integrate._drive_source(1)), *_step_sources()]:
+        assert _calls_and_constants_in_loop(source) == [], source
+        assert "math.copysign" in source
+
+
+def test_detector_sees_a_builtin_or_a_constant_in_the_loop():
+    source = (
+        "def drive(h, e, s):\n"
+        "    step = abs(h) * _SAFETY\n"
+        "    while True:\n"
+        "        ok = math.isfinite(s) and isfinite(e) and f_isfinite(s)\n"
+        "        factor = min(_FACTOR_MAX, max(0.2, e ** -0.2))\n"
+        "        s = s + h * (_A21 * e + 0.075 * s) + _E7 + _C2 + _A210\n"
+        "        h = math.copysign(h, s) if abs(h) < _FACTOR_MIN else h\n"
+    )
+    assert _calls_and_constants_in_loop(source) == [
+        "line 4 calls isfinite",
+        "line 4 calls math.isfinite",
+        "line 5 calls max",
+        "line 5 calls min",
+        "line 5 reads _FACTOR_MAX",
+        "line 6 reads _A21",
+        "line 6 reads _C2",
+        "line 6 reads _E7",
+        "line 7 calls abs",
+        "line 7 reads _FACTOR_MIN",
+    ]
+
+
 def test_generated_interpolant_slope_uses_no_numpy():
     for n in (1, 2, 3):
         slope, lanes, _ = reconstruct._interpolant_source(n)
@@ -641,7 +694,8 @@ def _caches(path: Path) -> list[str]:
 
 
 def test_one_weak_map_and_no_cached_generator():
-    # the CLI's parser, a closed-form family's kernels and a numeric family's driver are cached; no generator is
+    # the CLI's parser, a closed-form family's kernels and a numeric family's driver are cached; no generator is,
+    # but the interpolant's sources per dimension, which hold no bound value
     found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _caches(path)]
     assert found == [
         "cli.py:_build_parser is cached by functools.cache",
@@ -649,6 +703,7 @@ def test_one_weak_map_and_no_cached_generator():
         "core.py:lane_kernels is cached by functools.cache",
         "expr.py:_SPLICES makes a weak map",
         "integrate.py:numeric_family calls functools.cache",
+        "reconstruct.py:_interpolant_source is cached by functools.cache",
     ]
 
 

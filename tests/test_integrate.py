@@ -497,6 +497,40 @@ def test_generated_driver_is_the_reference_loop(name):
     assert all(ends[kind] for kind in kinds.get(name, [])), ends
 
 
+# (catalog field, config, rho, a, tau, refine): the driver writes abs, the finite test and the clip of
+# the step factor as comparisons, which differ from the builtins at -0.0 and NaN only
+EDGE_CASES = [
+    ("zero", CFG, 0.0, (-0.0,), 2.0, False),  # err is 0.0, so the factor is 5
+    ("zero", CFG, 0.0, (-0.0,), -2.0, False),  # backward the error estimate, y and y5 are -0.0
+    ("rotation", CFG, 0.0, (-0.0, 0.5), -1.0, True),  # tiny first errors clip the factor at 5
+    # near its escape at t = 1 a large step's error clips the factor at 0.2
+    ("riccati", IntegratorConfig(h_init=0.5), 0.9, (10.0,), 0.99, False),
+    ("riccati", IntegratorConfig(h_init=0.5), 0.0, (1.0,), 3.0, True),
+]
+
+
+def test_generated_driver_is_the_reference_loop_at_the_inline_forms_edges(monkeypatch):
+    # the reference takes abs, isfinite, min and max; its error norms show which branches the cases meet
+    met, norm = Counter(), scalar.error_norm
+
+    def heard(err, y0, y1, abs_tol, rel_tol):
+        value = norm(err, y0, y1, abs_tol, rel_tol)
+        met["-0.0"] += any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in (*err, *y0, *y1))
+        met["err 0"] += value == 0.0
+        met["clip at 0.2"] += value > 0.0 and scalar._SAFETY * value ** -0.2 < scalar._FACTOR_MIN
+        met["clip at 5"] += value > 0.0 and scalar._SAFETY * value ** -0.2 > scalar._FACTOR_MAX
+        return value
+
+    monkeypatch.setattr(scalar, "error_norm", heard)
+    for name, cfg, rho, a, tau, refine in EDGE_CASES:
+        field = catalog.get(name).field()
+        state = integrate._first_try(field, rho, a, tau, cfg)
+        for hooked in (True, False):
+            want = loop_outcome(scalar.drive, field, tau, cfg, refine, state, hooked)
+            assert loop_outcome(integrate._drive, field, tau, cfg, refine, state, hooked) == want, name
+    assert met.keys() == {"-0.0", "err 0", "clip at 0.2", "clip at 5"} and all(met.values()), met
+
+
 # --- advance ------------------------------------------------------------------
 
 def test_advance_riccati_oracle(riccati_field):
