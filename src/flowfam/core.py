@@ -115,7 +115,7 @@ class DomainSpec:
     def contains(self, t: float, x) -> bool:
         """Total membership test; evaluation failures count as outside."""
         lo, hi = self.time_box
-        if not (lo < t < hi) or not math.isfinite(t):
+        if not lo < t < hi:  # also False for a NaN or infinite t, whatever the box
             return False
         if self._predicate is None:
             return True
@@ -147,7 +147,7 @@ class DomainSpec:
         The predicate's lane kernel is compiled on the first call.
         """
         lo, hi = self.time_box
-        inside = (lo < t) & (t < hi) & np.isfinite(t)
+        inside = (lo < t) & (t < hi)
         if self._predicate_lanes is not None:
             p, ok = self._predicate_lanes(t, x)
             inside &= ok & (p > 0.0)

@@ -32,10 +32,11 @@ reported as the bracket midpoint (bracket width 5e-7, comfortably inside
 the 1e-6 contract).  Escapes surface as EscapeEvent exceptions; a numeric
 FlowFamily translates them into domain membership.
 
-_integrate holds the one rule for a start (rho, a), with its ValueError:
+_start holds the one rule for a start (rho, a), with its ValueError, and
+builds the first loop state; _integrate is _start, then the step loop.
 advance is _integrate with escape refinement, escape_interval is advance
 toward each window edge, a numeric family's point query is _integrate
-without refinement, and its batches keep the rule in lane form.
+without refinement, and its batches ask _start once per new Cauchy datum.
 
 A numeric family keeps a bounded cache of the step loop's tries per Cauchy
 datum (sigma, a) and direction, which serves its batches only: a batch
@@ -45,10 +46,10 @@ enough yet, its record hook (record(i, row, steps) -> stop, row the list
 [t, h, *y, *k1] before a try) keeping them, then one lane per query runs
 from its reaching try to tau.  Once 16 or fewer lanes of either phase run,
 the lane loop finishes each in the scalar loop with the same hook, so a
-small batch makes all its tries there.  Point queries, advance and
-escape_interval integrate directly and never touch the cache.  That cache
-is mutable state: a numeric family is not thread-safe, and nothing in
-flowfam evaluates concurrently.
+small batch makes all its tries there and builds no lane form.  Point
+queries, advance and escape_interval integrate directly and never touch
+the cache.  That cache is mutable state: a numeric family is not
+thread-safe, and nothing in flowfam evaluates concurrently.
 """
 
 from __future__ import annotations
@@ -331,37 +332,35 @@ def _literal(source: str) -> str:
     return re.sub(_CONSTANTS, lambda name: repr(globals()[name.group()]), source)
 
 
-def _first_try(field: VectorField, rho: float, a: tuple, target: float, cfg: IntegratorConfig, k1=None):
-    """Loop state (t, h, steps, y, k1) before the first try from (rho, a) toward target.
+def _start(field: VectorField, rho: float, a: tuple, tau: float, cfg: IntegratorConfig) -> tuple:
+    """Loop state (t, h, 0, y, k1) before the first try from (rho, a) toward tau: the one rule for a start.
 
-    k1, when given, is the slope field.slope(rho, a) already at hand.  Raises
-    EvalError when the field cannot be evaluated at (rho, a), which its
-    domain may contain all the same.
-    """
-    direction = 1.0 if target > rho else -1.0
-    return rho, direction * min(cfg.h_init, abs(target - rho)), 0, a, field.slope(rho, a) if k1 is None else k1
-
-
-def _integrate(field: VectorField, rho: float, a: tuple, tau: float, cfg: IntegratorConfig, refine: bool,
-               driver=None) -> tuple:
-    """Drive (rho, a) to time tau; raises EscapeEvent when the solution quits first.
-
-    The one rule for a start, which every scalar entry point goes through:
-    it raises ValueError when rho or tau lies outside the window, (rho, a)
+    Raises ValueError when rho or tau lies outside the window, (rho, a)
     outside the field's domain, or the field cannot be evaluated at (rho,
-    a), on the diagonal too, and only then runs the step loop, whose
-    driver() (drive, values), when given, stands in for _driver(field).
+    a), which its domain may contain all the same.  Past the window test
+    rho and tau are Python floats, so the rule and the loop run on floats.
     """
     lo, hi = cfg.window
     if not (lo <= rho <= hi and lo <= tau <= hi):
         raise ValueError(f"start time {rho} and target time {tau} must lie in the integration window [{lo}, {hi}]")
+    rho, tau = float(rho), float(tau)
     if not field.domain.contains(rho, a):
         raise ValueError(f"initial condition ({rho}, {list(a)}) outside the field domain")
     try:
-        state = _first_try(field, rho, a, tau, cfg)
+        k1 = field.slope(rho, a)
     except ex.EvalError as err:
         raise ValueError(f"field cannot be evaluated at the initial condition ({rho}, {list(a)}): {err}") from err
-    return a if tau == rho else _drive(field, tau, cfg, refine, state, None, driver)
+    return rho, (1.0 if tau > rho else -1.0) * min(cfg.h_init, abs(tau - rho)), 0, a, k1
+
+
+def _integrate(field: VectorField, rho: float, a: tuple, tau: float, cfg: IntegratorConfig, refine: bool,
+               driver=None) -> tuple:
+    """Drive _start's state to tau, or return a where tau == rho; raises EscapeEvent when the solution quits first.
+
+    driver() (drive, values), when given, stands in for _driver(field).
+    """
+    state = _start(field, rho, a, tau, cfg)
+    return a if tau == rho else _drive(field, float(tau), cfg, refine, state, None, driver)
 
 
 def _drive(field: VectorField, tau: float, cfg: IntegratorConfig, refine: bool, state, record=None, driver=None):
@@ -521,7 +520,7 @@ def advance(
     escape time bracketed to width <= 1e-6 (bisection over the last accepted
     step), and StepBudgetExceeded (a RuntimeError) when max_steps run out
     first.  Zero-length requests return a unchanged.  A start that breaks
-    _integrate's rule (rho or tau outside the window, (rho, a) outside the
+    _start's rule (rho or tau outside the window, (rho, a) outside the
     field's domain, or not evaluable there) raises its ValueError.
     """
     y = tuple(as_state(a, field.n).tolist())
@@ -564,17 +563,13 @@ class _TrajectoryCache:
         self.cfg = cfg
         self.entries: OrderedDict[bytes, _Trajectory] = OrderedDict()
 
-    def _entry(self, key: bytes, sigma: float, a: tuple, edge: float, k1=None) -> _Trajectory:
-        """The entry for key, now used last; a new one holds the first try from (sigma, a) toward edge.
-
-        k1, when given, is the slope at (sigma, a).  Raises EvalError, and
-        enters nothing, where the field cannot be evaluated at a new start.
-        """
+    def _entry(self, key: bytes, state) -> _Trajectory:
+        """The entry for key, now used last; where there is none, a new one holding state, _start's loop state."""
         entry = self.entries.get(key)
         if entry is not None:
             self.entries.move_to_end(key)
             return entry
-        t, h, _, y, k1 = _first_try(self.field, sigma, a, edge, self.cfg, k1)
+        t, h, _, y, k1 = state
         entry = self.entries[key] = _Trajectory(self.field.n)
         entry.rows.extend((t, h, *y, *k1))
         if len(self.entries) > _TRAJECTORY_CACHE_SIZE:
@@ -585,11 +580,11 @@ class _TrajectoryCache:
         """(values, ok) for lanes (tau, sigma, a): a numeric family's batch evaluator.
 
         Each lane is answered as _integrate answers it, with ok False where
-        it raises: _starts keeps _integrate's rule for a start in lane form,
-        a diagonal lane returns its start where the rule holds, and any
-        other lane takes the value of a direct integration from its start
-        to its tau.  Phase 2 runs every query, one lane each, from its start
-        (see _starts) to its tau.
+        it raises: _starts asks _start once per new datum, a diagonal lane
+        returns its start where the rule holds, and any other lane takes the
+        value of a direct integration from its start to its tau.  Phase 2
+        runs every query, one lane each, from its start (see _starts) to its
+        tau.
         """
         values, ok = np.full(a.shape, math.nan), np.zeros(len(tau), dtype=bool)
         lanes, rows = self._starts(tau, sigma, a, values, ok)
@@ -600,54 +595,45 @@ class _TrajectoryCache:
     def _starts(self, tau, sigma, a, values, ok) -> tuple[np.ndarray, np.ndarray]:
         """The lanes that phase 2 runs and their starts, as rows (t, h, y, k1, steps).
 
-        A lane whose start breaks _integrate's rule gets none: its window and
-        domain checks run here over all lanes, and the field is evaluated at
-        each new datum's start below.  Diagonal lanes get their values and
-        ok here.  The data are looked up and entered in the cache in order
-        of first appearance, so the cache ends in the state a loop of
-        one-lane batches over the lanes grouped by datum leaves, and the
-        step loop makes the same tries.  _capture gives queries their starts
-        from the recorded tries; phase 1 runs the data with queries still
-        waiting on, one lane per datum.
+        The data are walked once, in order of first appearance, so the cache
+        ends in the state a loop of one-lane batches over the lanes grouped
+        by datum leaves, and the step loop makes the same tries.  Lanes with
+        tau in the window are kept; a new datum with one asks _start once,
+        toward its window edge, and a refused start drops its lanes.
+        Diagonal lanes get their values and ok here.  _capture gives queries
+        their starts from the recorded tries; phase 1 runs the data with
+        queries still waiting on, one lane per datum.
         """
         lo, hi = self.cfg.window
-        inside = (lo <= tau) & (tau <= hi) & (lo <= sigma) & (sigma <= hi) & self.field.domain.contains_lanes(sigma, a)
-        groups, inside, taus = {}, inside.tolist(), tau.tolist()
+        groups, inside, taus = {}, ((lo <= tau) & (tau <= hi)).tolist(), tau.tolist()
         for i, key in enumerate(map(bytes, np.column_stack([sigma, np.where(tau > sigma, 1.0, -1.0), a]))):
             lanes = groups.setdefault(key, [])
             if inside[i]:
                 lanes.append(i)
-        # a datum with an entry was evaluable at its start; the others get their slopes here
-        fresh = {lanes[0]: j for j, lanes in enumerate(v for k, v in groups.items() if v and k not in self.entries)}
-        if fresh:
-            slopes, evaluable = self.field.lanes(sigma[list(fresh)], a[list(fresh)])
-        data = []  # (key, head, its lanes off the diagonal, farthest tau first) of each datum that meets the cache
+        width, jobs = 2 + 2 * self.field.n, []
+        starts = np.full((len(tau), width + 1), math.nan)  # NaN until the lane has a start
         for key, lanes in groups.items():
-            if not lanes or lanes[0] in fresh and not evaluable[fresh[lanes[0]]]:
-                continue  # no lane, or the field cannot be evaluated at the start
-            sigma_i, queue = float(sigma[lanes[0]]), []
+            if not lanes:
+                continue
+            sigma_i, a_i = float(sigma[lanes[0]]), tuple(a[lanes[0]].tolist())
+            edge = hi if taus[lanes[0]] > sigma_i else lo
+            try:  # a datum the cache holds passed the rule when it entered
+                state = None if key in self.entries else _start(self.field, sigma_i, a_i, edge, self.cfg)
+            except ValueError:
+                continue  # the rule refuses the start, so no lane of the datum is in the domain
             for i in lanes:
                 if taus[i] == sigma_i:
                     values[i], ok[i] = a[i], True
-                else:
-                    queue.append(i)
-            if queue:
-                queue.sort(key=lambda i: abs(taus[i] - sigma_i), reverse=True)
-                data.append((key, lanes[0], queue))
-        width, jobs = 2 + 2 * self.field.n, []
-        starts = np.full((len(tau), width + 1), math.nan)  # NaN until the lane has a start
-        for q, (key, head, queue) in enumerate(data):
-            sigma_i = float(sigma[head])
-            slope = tuple(slopes[fresh[head]].tolist()) if head in fresh else None
-            # no slope for a datum that had an entry; if this batch pushed it out, _entry evaluates one again
-            entry = self._entry(key, sigma_i, tuple(a[head].tolist()), hi if taus[queue[0]] > sigma_i else lo, slope)
+            queue = sorted((i for i in lanes if taus[i] != sigma_i), key=lambda i: abs(taus[i] - sigma_i), reverse=True)
+            if not queue:
+                continue
+            entry = self._entry(key, state)
             for j in range(len(entry)):
                 row = entry.rows[j * width:(j + 1) * width]
                 if not _capture(queue, taus, row, j, starts):
                     break
             if queue and entry.end is None:  # then row is the pending try
-                # the cache keeps the data it meets last, and only they record their tries
-                jobs.append((entry if len(data) - q <= _TRAJECTORY_CACHE_SIZE else None, (*row, j), queue))
+                jobs.append((key, (*row, j), queue))
         self._run_on_lanes(jobs, taus, starts)
         lanes = np.arange(len(tau))[np.isfinite(starts[:, 0])]
         return lanes, starts[lanes]
@@ -655,16 +641,18 @@ class _TrajectoryCache:
     def _run_on_lanes(self, jobs: list, taus: list, starts: np.ndarray) -> None:
         """Phase 1: each job's datum runs on from its pending try until its farthest query is reached.
 
-        A job is (kept entry or None, pending try as a starts row, queue); no
-        job holds an entry the batch pushes out of the cache, so it is freed
-        when it leaves.  Kept entries record each try, through the record
-        hook that hands it to the queries it reaches and ends a job once none
+        A job is (key, pending try as a starts row, queue).  Its tries are
+        recorded only in the entry the cache still holds for key now, which
+        is so for the data the batch met last; an entry the batch pushed out
+        is freed.  Kept entries record each try, through the record hook
+        that hands it to the queries it reaches and ends a job once none
         wait, and how the loop ends.  A query the loop never reaches, since
         it escapes or runs out of steps first, keeps its NaN row.
         """
         if not jobs:
             return
-        entries, rows, queues = zip(*jobs)
+        keys, rows, queues = zip(*jobs)
+        entries = [self.entries.get(key) for key in keys]
         pending = [row[-1] for row in rows]  # the tries before each job's pending try, whose row is in already
 
         def record(i: int, row: list, steps) -> bool:
@@ -707,7 +695,7 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     """Flow family realized by integrating the field on demand.
 
     Membership of (tau, sigma, a) holds when (sigma, a) and tau pass
-    _integrate's rule for a start and integration from sigma to tau
+    _start's rule for a start and integration from sigma to tau
     completes within max_steps without escaping.  A point query is one
     _integrate call, by the driver the family makes at its first try,
     without escape refinement, since only the yes/no answer matters: a
@@ -720,13 +708,15 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     direction, for the 128 data its batches used last, and answers a lane
     by replaying only the tries from the first one that reaches its tau.
     Both give the bits of a direct integration, whatever was asked before.
-    A batch meets the data of its lanes in order of first appearance, and
-    runs in two phases over the field's lane form: phase 1 runs each datum
-    whose recorded tries do not reach its farthest tau on from its pending
-    try, one lane per datum, and phase 2 runs each query, one lane each,
-    from the first try that reaches its tau.  The lane driver finishes the
-    lanes still running once 16 or fewer are left in the scalar loop.  The
-    cache makes the family mutable: it is not thread-safe.
+    A batch meets the data of its lanes in order of first appearance, asks
+    _start once for each datum the cache does not hold, and runs in two
+    phases over the field's lane form: phase 1 runs each datum whose
+    recorded tries do not reach its farthest tau on from its pending try,
+    one lane per datum, and phase 2 runs each query, one lane each, from
+    the first try that reaches its tau.  The lane driver finishes the lanes
+    still running once 16 or fewer are left in the scalar loop, so a batch
+    that small never builds the lane form.  The cache makes the family
+    mutable: it is not thread-safe.
     """
     cfg = cfg or IntegratorConfig()
     driver = functools.cache(lambda: _driver(field))  # made at the first point query that tries a step

@@ -7,8 +7,10 @@ bit.  ``attempt`` is the step loop's try as the loop wrote it before the
 try was generated: that step, its finite checks, ``error_norm`` and the
 blow-up test's norm.  ``drive`` is the step loop as flowfam wrote it by
 hand around ``attempt``, with its escape refinement (``bisect_escape``,
-over ``integrate_to``, this loop's ``_integrate``).  The driver flowfam
-generates per field must equal it bit for bit, hooked or not.
+over ``integrate_to``, this loop's ``_integrate``).  ``first_try`` is the
+loop state before the first try, with no start rule, for tests that start
+the loop where flowfam's ``_start`` would refuse.  The driver flowfam
+generates per field must equal ``drive`` bit for bit, hooked or not.
 
 Each check here draws its samples from ``samples`` (the grid product, then
 numpy.random's draws on the plan seed), evaluates every leg with scalar
@@ -146,11 +148,18 @@ def integrate_to(field, rho, a, tau, cfg, refine):
     if not field.domain.contains(rho, a):
         raise ValueError(f"initial condition ({rho}, {list(a)}) outside the field domain")
     try:
-        k1 = field.slope(rho, a)
+        state = first_try(field, rho, a, tau, cfg)
     except EvalError as err:
         raise ValueError(f"field cannot be evaluated at the initial condition ({rho}, {list(a)}): {err}") from err
-    h = (1.0 if tau > rho else -1.0) * min(cfg.h_init, abs(tau - rho))
-    return a if tau == rho else drive(field, tau, cfg, refine, (rho, h, 0, a, k1))
+    return a if tau == rho else drive(field, tau, cfg, refine, state)
+
+
+def first_try(field, rho, a, tau, cfg):
+    """Loop state (t, h, steps, y, k1) before the first try from (rho, a) toward tau, with no start rule.
+
+    An EvalError from field.slope at (rho, a) propagates.
+    """
+    return rho, (1.0 if tau > rho else -1.0) * min(cfg.h_init, abs(tau - rho)), 0, a, field.slope(rho, a)
 
 
 def bisect_escape(field, t_good, y_good, t_bad, cfg, kind):

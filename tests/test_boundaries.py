@@ -40,16 +40,18 @@ interpolant's sources, a pure function of the dimension that holds no
 field's bound values.  The interpolant's scalar slope names no numpy, and
 its lane form binds none of numpy's functions that differ from ``math``.
 
-A Cauchy datum has one rule in the integrator: ``_integrate`` refuses a
-start outside the window or the field's domain, or where the field cannot
-be evaluated, and every scalar entry point goes through it, so no other
-function of ``integrate`` raises ``ValueError`` (``IntegratorConfig``
-validates its knots).
+A Cauchy datum has one rule in the integrator: ``_start`` refuses a start
+outside the window or the field's domain, or where the field cannot be
+evaluated, and every entry point goes through it, a batch once per new
+datum, so no other function of ``integrate`` raises ``ValueError``
+(``IntegratorConfig`` validates its knots).
 
 A numeric family has one batch path: the integrator tests no field's type
 or attributes, only ``_drive_lanes`` reads ``_TAIL_LANES``, the lane count
 at which the scalar loop takes over, and no ``_TrajectoryCache`` method
-calls ``_drive``: the lane driver finishes its scalar tail itself.
+calls ``_drive``: the lane driver finishes its scalar tail itself.  Only
+``_drive_lanes`` reads the lane forms ``lanes`` and ``contains_lanes``, so
+a batch that never steps in numpy builds neither.
 
 A field has one protocol: the integrator reads a field only through
 ``n``, ``domain``, ``slope`` and ``lanes``, and its domain only through
@@ -149,8 +151,7 @@ def _lane_unsafe_numpy(path: Path) -> list[str]:
 # the scalar step loop runs on tuples of floats: numpy there brings back
 # per-call dispatch on tiny arrays, and BLAS products whose fused
 # multiply-adds make results depend on the machine
-_STEP_LOOP = {"_driver", "_drive_source", "_drive", "_first_try", "_integrate", "_bisect_escape",
-              "_Trajectory"}
+_STEP_LOOP = {"_driver", "_drive_source", "_drive", "_start", "_integrate", "_bisect_escape", "_Trajectory"}
 # the functions _drive_source generates over floats: the step loop
 _GENERATED_STEP = {"drive"}
 # the names of the DOPRI5 tableau's coefficients: _A21.._A76, _E1.._E7, _C2.._C5
@@ -240,6 +241,21 @@ def _batch_forks(path: Path) -> list[str]:
     return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
 
 
+# the lane forms of a field and of its domain, which only the lane driver reads
+_LANE_FORMS = {"lanes", "contains_lanes"}
+
+
+def _lane_form_readers(path: Path) -> list[str]:
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        if getattr(top, "name", None) == "_drive_lanes":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in _LANE_FORMS:
+                found.append(f"{path.name}:{node.lineno} {getattr(top, 'name', 'module')} reads {ast.unparse(node)}")
+    return found
+
+
 # what the integrator reads of a field (``field`` or ``self.field``), and of the field's domain
 _FIELD_READS = {"n", "domain", "slope", "lanes"}
 _DOMAIN_READS = {"contains", "contains_lanes"}
@@ -266,7 +282,7 @@ def _field_reads(path: Path) -> tuple[set, list[str]]:
 
 
 # the one start rule, and the config's own validation
-_START_RULE = ("_integrate", "IntegratorConfig")
+_START_RULE = ("_start", "IntegratorConfig")
 
 
 def _start_checks(path: Path) -> list[str]:
@@ -777,6 +793,33 @@ def test_detector_sees_a_batch_fork(tmp_path):
     ]
 
 
+def test_only_the_lane_driver_reads_the_lane_forms():
+    path = PACKAGE / "integrate.py"
+    names = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body if hasattr(node, "name")}
+    assert "_drive_lanes" in names  # the one exempt name is a function of the module
+    assert _lane_form_readers(path) == []
+
+
+def test_detector_sees_a_lane_form_read_outside_the_lane_driver(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _drive_lanes(field, t, y):\n"
+        "    return field.lanes(t, y), field.domain.contains_lanes(t, y)\n"
+        "class _TrajectoryCache:\n"
+        "    def _starts(self, sigma, a):\n"
+        "        lanes = self.field.lanes\n"
+        "        return lanes(sigma, a), self.field.domain.contains_lanes(sigma, a)\n"
+        "def _start(field, rho, a):\n"
+        "    return field.slope(rho, a), field.domain.contains(rho, a)\n"
+        "form = field.lanes\n"
+    )
+    assert _lane_form_readers(probe) == [
+        "probe.py:5 _TrajectoryCache reads self.field.lanes",
+        "probe.py:6 _TrajectoryCache reads self.field.domain.contains_lanes",
+        "probe.py:9 module reads field.lanes",
+    ]
+
+
 def test_the_integrator_reads_a_field_only_through_its_protocol():
     seen, found = _field_reads(PACKAGE / "integrate.py")
     assert seen == _FIELD_READS | _DOMAIN_READS  # a rename must not empty the check
@@ -836,7 +879,7 @@ def test_detector_sees_a_start_check_outside_the_rule(tmp_path):
         "class IntegratorConfig:\n"
         "    def __post_init__(self):\n"
         "        raise ValueError('window must be a nonempty interval')\n"
-        "def _integrate(field, rho, a, tau):\n"
+        "def _start(field, rho, a, tau):\n"
         "    raise ValueError('outside the integration window')\n"
         "def advance(field, rho, a, tau):\n"
         "    if not field.domain.contains(rho, a):\n"

@@ -66,6 +66,18 @@ def test_domain_spec_membership():
     assert not spec.contains(2.0, [5.0])
 
 
+@pytest.mark.parametrize("box", [(-1.0, 1.0), (-math.inf, math.inf), (-math.inf, 1.0), (-1.0, math.inf)])
+@pytest.mark.parametrize("predicate", [None, "2 - x1^2"])
+def test_domain_spec_holds_no_nan_or_infinite_time(box, predicate):
+    # lo < t < hi is False for NaN and for either infinity, whatever the box: no finite test is needed
+    spec = DomainSpec(1, time_box=box, space_predicate=predicate)
+    times = [math.nan, math.inf, -math.inf, 0.0]
+    assert [spec.contains(t, [0.5]) for t in times] == [False, False, False, True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spec.contains_lanes(np.array(times), np.full((4, 1), 0.5)).tolist() == [False, False, False, True]
+
+
 def test_domain_spec_predicate():
     from flowfam.expr import parse
 

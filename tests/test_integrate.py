@@ -6,6 +6,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 import weakref
 from collections import Counter
 from types import SimpleNamespace
@@ -470,7 +471,7 @@ def test_generated_driver_is_the_reference_loop(name):
         if edge:
             tau = EDGES[name](field, rho) if name in EDGES else field.domain.time_hi if tau > rho else field.domain.time_lo
         try:
-            state = integrate._first_try(field, rho, a, tau, cfg)
+            state = scalar.first_try(field, rho, a, tau, cfg)
         except EvalError:
             continue
         refine, stop = draw % 2 == 0, 5 if draw % 5 == 4 else None
@@ -524,7 +525,7 @@ def test_generated_driver_is_the_reference_loop_at_the_inline_forms_edges(monkey
     monkeypatch.setattr(scalar, "error_norm", heard)
     for name, cfg, rho, a, tau, refine in EDGE_CASES:
         field = catalog.get(name).field()
-        state = integrate._first_try(field, rho, a, tau, cfg)
+        state = scalar.first_try(field, rho, a, tau, cfg)
         for hooked in (True, False):
             want = loop_outcome(scalar.drive, field, tau, cfg, refine, state, hooked)
             assert loop_outcome(integrate._drive, field, tau, cfg, refine, state, hooked) == want, name
@@ -809,6 +810,22 @@ def test_escape_interval_is_advance_toward_each_edge(monkeypatch, rhs, domain, r
         assert want[cfg.window.index(rho)] == (rho, "window_limit")  # a start at an edge is that side's diagonal
 
 
+def test_numpy_times_run_the_loop_on_python_floats():
+    # a numpy float64 time would make the driver's sums numpy scalar arithmetic, whose overflow
+    # warns: under warnings as errors the try from 1e308 must still end as the escape it is
+    field, cfg = VectorField.from_strings(["1e308"], DomainSpec(1)), IntegratorConfig(h_init=1.0, blowup_radius=1e300)
+    ends = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho, tau in [(0.0, 0.99), (0.0, np.float64(0.99)), (np.float64(0.0), np.float64(0.99))]:
+            with pytest.raises(EscapeEvent) as exc:
+                advance(field, rho, [1e308], tau, cfg)
+            ends.append((exc.value.kind, exc.value.time, type(exc.value.time)))
+        intervals = [escape_interval(field, rho, [1e308], cfg) for rho in (0.0, np.float64(0.0))]
+    assert ends == [ends[0]] * 3 and ends[0][0] == "blow_up" and ends[0][2] is float
+    assert intervals[0] == intervals[1] and intervals[0].upper_kind == "blow_up"
+
+
 # --- trajectory cache ------------------------------------------------------------
 
 SEAMS = {"_driver": integrate._driver, "_lane_try": integrate._lane_try}
@@ -1003,6 +1020,47 @@ def test_cache_keeps_the_128_data_used_last(monkeypatch):
     for _ in range(128):
         cost(next(others))
     assert cost([1.0, 0.0]) == cold  # 128 newer data pushed it out
+
+
+def test_a_small_batch_builds_no_lane_form():
+    # 16 lanes run in the scalar loop, phase 1 and phase 2 alike, so the batch never asks the
+    # field or its domain for a lane form; it answers as the point queries do
+    field, rng, lanes = catalog.get("rotation").field(), random.Random(13), []
+    for _ in range(4):
+        sigma, a = rng.uniform(-1.0, 1.0), [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)]
+        lanes += [(tau, sigma, a) for tau in (sigma, sigma + rng.uniform(0.1, 2.0), sigma - 0.5, 60.0)]
+    values, ok = numeric_family(field, CFG).evaluate_batch(*(np.array(col, dtype=float) for col in zip(*lanes)))
+    assert "lanes" not in vars(field) and "_predicate_lanes" not in vars(field.domain)
+    want = [outcome(numeric_family(field, CFG), *lane) for lane in lanes]
+    assert_batch_is(want, values, ok)
+    assert ok.sum() == 12
+
+
+def test_each_new_datum_asks_the_start_rule_once(monkeypatch):
+    # each datum meets the batch in both directions, so as two cached data; the second batch's
+    # 260 new ones push the first batch's 10 out of the cache before it meets them again, so
+    # they take the rule again, once each; the third batch finds all 10 cached
+    field, rng = VectorField.from_strings(["0.3*x1 + t"], DomainSpec(1)), random.Random(21)
+    old = [(rng.uniform(-1.0, 0.5), rng.uniform(-1.0, 1.0)) for _ in range(5)]
+    new = [(rng.uniform(-1.0, 0.5), rng.uniform(-1.0, 1.0)) for _ in range(130)]
+    fam, asked, start = numeric_family(field, CFG), [], integrate._start
+
+    def counted(*args):
+        asked.append(args[1:3])
+        return start(*args)
+
+    def batch(data):
+        lanes = [(sigma + d, sigma, [a]) for sigma, a in data for d in (0.4, 1.3, 0.0, -0.2)]
+        del asked[:]
+        values, ok = fam.evaluate_batch(*(np.array(col, dtype=float) for col in zip(*lanes)))
+        return lanes, values, ok, list(asked)
+
+    monkeypatch.setattr(integrate, "_start", counted)
+    assert batch(old)[3] == [(sigma, (a,)) for sigma, a in old for _ in range(2)]
+    lanes, values, ok, again = batch(new + old)
+    assert again == [(sigma, (a,)) for sigma, a in new + old for _ in range(2)]
+    assert_batch_is([outcome(numeric_family(field, CFG), *lane) for lane in lanes], values, ok)
+    assert batch(old)[3] == []
 
 
 @settings(max_examples=15, deadline=None)
