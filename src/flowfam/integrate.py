@@ -42,14 +42,14 @@ A numeric family keeps a bounded cache of the step loop's tries per Cauchy
 datum (sigma, a) and direction, which serves its batches only: a batch
 replays only the tries from the first one that reaches each tau, in two
 phases.  One lane per datum runs the tries that no record reaches far
-enough yet, its record hook (record(i, row, steps) -> stop, row the list
-[t, h, *y, *k1] before a try) keeping them, then one lane per query runs
-from its reaching try to tau.  Once 16 or fewer lanes of either phase run,
-the lane loop finishes each in the scalar loop with the same hook, so a
-small batch makes all its tries there and builds no lane form.  Point
-queries, advance and escape_interval integrate directly and never touch
-the cache.  That cache is mutable state: a numeric family is not
-thread-safe, and nothing in flowfam evaluates concurrently.
+enough yet, its record hook, called once per try over the lanes, keeping
+them, then one lane per query runs from its reaching try to tau.  Once 64
+(_TAIL_LANES) or fewer lanes of either phase run, the lane loop finishes
+each in the scalar loop, whose hook views one lane, so a small batch makes
+all its tries there and builds no lane form.  Point queries, advance and
+escape_interval integrate directly and never touch the cache.  That cache
+is mutable state: a numeric family is not thread-safe, and nothing in
+flowfam evaluates concurrently.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ _FACTOR_MAX = 5.0
 _CONSTANTS = r"\b_(?:A\d\d|E\d|C\d|SAFETY|FACTOR_MIN|FACTOR_MAX)\b"  # the names _literal renders, compiled there
 _BRACKET_WIDTH = 5e-7  # escape-time bracket, half the 1e-6 contract
 _TRAJECTORY_CACHE_SIZE = 128  # trajectories per numeric family, bounded for peak memory
-_TAIL_LANES = 16  # at or below this many lanes the scalar loop is cheaper than numpy's per-call cost
+_TAIL_LANES = 64  # at or below, scalar tries beat numpy's cost per try: measured against 16-128 and scalar only
 
 
 def _is_number(value) -> bool:
@@ -420,12 +420,12 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
     rendered from the templates of _drive's loop, then its step control
     in elementwise form; the step factor takes Python's float ** lane by
     lane, since numpy's power rounds differently.  So every lane makes the
-    tries _drive makes and ends as it does.  record, when given, is _drive's
-    hook for lane i as record(i, row, steps), called once per running lane
-    per try; a lane whose hook returns True ends there.  Once at most
-    _TAIL_LANES lanes run, numpy's per-call cost outweighs the work, and
-    each runs on in _drive with its hook to its end: this is the one place
-    that chooses between numpy and the scalar loop.
+    tries _drive makes and ends as it does.  record, when given, is called
+    once per try as record(lanes, t, h, y, k1, steps) -> stop[m] over the
+    running lanes; a lane where stop holds ends there.  Once at most
+    _TAIL_LANES lanes run, numpy's cost per try outweighs the work, and each
+    runs on in _drive to its end with record.one(i), _drive's hook for lane
+    i: this is the one place that chooses between numpy and the scalar loop.
 
     Returns (landed, values, ends) for every lane: landed[i] where lane i
     landed on its target, values[i] its state there; ends maps a lane that
@@ -438,11 +438,10 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
     with np.errstate(all="ignore"):  # a failed lane carries inf or nan through its stages
         while len(lanes) > _TAIL_LANES:
             if record is not None:
-                rows = np.column_stack([t, h, y, k1]).tolist()
-                going = np.array([not record(i, row, s) for i, row, s in zip(lanes.tolist(), rows, steps.tolist())])
-                if not going.all():
-                    lanes, t, h, steps, y, k1, target = _keep(going, lanes, t, h, steps, y, k1, target)
-                    if not going.any():
+                stop = record(lanes, t, h, y, k1, steps)
+                if stop.any():
+                    lanes, t, h, steps, y, k1, target = _keep(~stop, lanes, t, h, steps, y, k1, target)
+                    if not len(lanes):
                         break
             steps = steps + 1.0
             over = steps > cfg.max_steps
@@ -481,9 +480,8 @@ def _drive_lanes(field: VectorField, cfg: IntegratorConfig, target: np.ndarray, 
     driver = _driver(field) if len(lanes) else None  # one for every lane of the scalar tail
     for k, i in enumerate(lanes.tolist()):
         loop_state = float(t[k]), float(h[k]), int(steps[k]), tuple(y[k].tolist()), tuple(k1[k].tolist())
-        hook = None if record is None else functools.partial(record, i)
         try:
-            reached = _drive(field, float(target[k]), cfg, False, loop_state, hook, lambda: driver)
+            reached = _drive(field, float(target[k]), cfg, False, loop_state, record and record.one(i), lambda: driver)
         except EscapeEvent as ev:
             ends[i] = ev.kind, ev.time
         except StepBudgetExceeded as err:
@@ -601,16 +599,17 @@ class _TrajectoryCache:
         tau in the window are kept; a new datum with one asks _start once,
         toward its window edge, and a refused start drops its lanes.
         Diagonal lanes get their values and ok here.  _capture gives queries
-        their starts from the recorded tries; phase 1 runs the data with
-        queries still waiting on, one lane per datum.
+        their starts from the recorded tries; phase 1 (_Phase1) runs the data
+        with queries still waiting on, and a query it never reaches keeps its NaN row.
         """
         lo, hi = self.cfg.window
         groups, inside, taus = {}, ((lo <= tau) & (tau <= hi)).tolist(), tau.tolist()
-        for i, key in enumerate(map(bytes, np.column_stack([sigma, np.where(tau > sigma, 1.0, -1.0), a]))):
+        keys = np.column_stack([sigma, np.where(tau > sigma, 1.0, -1.0), a])  # each row's bytes, by a void view
+        for i, key in enumerate(keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel().tolist()):
             lanes = groups.setdefault(key, [])
             if inside[i]:
                 lanes.append(i)
-        width, jobs = 2 + 2 * self.field.n, []
+        width, jobs, rows = 2 + 2 * self.field.n, {}, array("d")  # jobs: key -> queue, pending starts rows in rows
         starts = np.full((len(tau), width + 1), math.nan)  # NaN until the lane has a start
         for key, lanes in groups.items():
             if not lanes:
@@ -628,44 +627,71 @@ class _TrajectoryCache:
             if not queue:
                 continue
             entry = self._entry(key, state)
-            for j in range(len(entry)):
-                row = entry.rows[j * width:(j + 1) * width]
-                if not _capture(queue, taus, row, j, starts):
+            for j in range(len(entry)):  # _capture's first test inline, since most rows reach no tau
+                if abs(entry.rows[j * width + 1]) >= abs(taus[queue[-1]] - entry.rows[j * width]) and not _capture(
+                        queue, taus, entry.rows[j * width:(j + 1) * width], j, starts):
                     break
-            if queue and entry.end is None:  # then row is the pending try
-                jobs.append((key, (*row, j), queue))
-        self._run_on_lanes(jobs, taus, starts)
+            if queue and entry.end is None:  # then the last row is the pending try, j tries in
+                jobs[key] = queue
+                rows.extend((*entry.rows[-width:], j))
+        if jobs:  # phase 1
+            pending, queues = np.array(rows).reshape(len(jobs), width + 1), list(jobs.values())
+            phase = _Phase1([self.entries.get(key) for key in jobs], queues, pending[:, -1], rows, taus, starts)
+            target = np.array([taus[queue[0]] for queue in queues])
+            phase.end(_drive_lanes(self.field, self.cfg, target, _columns(pending, self.field.n), phase)[2])
         lanes = np.arange(len(tau))[np.isfinite(starts[:, 0])]
         return lanes, starts[lanes]
 
-    def _run_on_lanes(self, jobs: list, taus: list, starts: np.ndarray) -> None:
-        """Phase 1: each job's datum runs on from its pending try until its farthest query is reached.
 
-        A job is (key, pending try as a starts row, queue).  Its tries are
-        recorded only in the entry the cache still holds for key now, which
-        is so for the data the batch met last; an entry the batch pushed out
-        is freed.  Kept entries record each try, through the record hook
-        that hands it to the queries it reaches and ends a job once none
-        wait, and how the loop ends.  A query the loop never reaches, since
-        it escapes or runs out of steps first, keeps its NaN row.
-        """
-        if not jobs:
-            return
-        keys, rows, queues = zip(*jobs)
-        entries = [self.entries.get(key) for key in keys]
-        pending = [row[-1] for row in rows]  # the tries before each job's pending try, whose row is in already
+class _Phase1:
+    """Phase 1's record hook, in columns, with the scalar loop's hook a one-lane view of the same state.
 
-        def record(i: int, row: list, steps) -> bool:
-            entry = entries[i]
-            if entry is not None and steps > pending[i]:
-                entry.rows.fromlist(row)
-            return not _capture(queues[i], taus, row, steps, starts)
+    Job i has a queue, its queries farthest tau first, a pending try as a
+    starts row in the batch's flat buffer rows, and entries[i], the entry the
+    cache still holds for it as phase 1 starts, or None.  Kept jobs' new tries
+    follow in rows, their jobs in owners, until end splits them among the entries.
+    """
 
-        target = np.array([taus[queue[0]] for queue in queues])
-        _, _, ends = _drive_lanes(self.field, self.cfg, target, _columns(np.array(rows), self.field.n), record)
+    def __init__(self, entries: list, queues: list, tried: np.ndarray, rows: array, taus: list, starts: np.ndarray):
+        self.entries, self.queues, self.taus, self.starts, self.rows = entries, queues, taus, starts, rows
+        self.pending, self.width, self.owners, self.lane = len(rows), len(rows) // len(queues) - 1, array("q"), 0
+        self.after = np.where([e is None for e in entries], math.inf, tried)  # a kept job records past its pending try
+        self.near = np.array([taus[queue[-1]] for queue in queues])  # the nearest tau each job waits on
+
+    def __call__(self, lanes: np.ndarray, t, h, y, k1, steps: np.ndarray) -> np.ndarray:
+        """record(lanes, t, h, y, k1, steps) -> stop[m], before a try over lanes: True where a job ends."""
+        rows, new = np.column_stack([t, h, y, k1]), steps > self.after[lanes]
+        if new.any():
+            self.rows.frombytes(memoryview(rows if new.all() else rows[new]).cast("B"))
+            self.owners.extend(lanes[new].tolist())
+        stop = np.abs(h) >= np.abs(self.near[lanes] - t)
+        for k in _where(stop):  # Python meets only the lanes whose step reaches a waiting tau
+            queue = self.queues[lanes[k]]
+            if _capture(queue, self.taus, rows[k].tolist(), steps[k], self.starts):
+                self.near[lanes[k]] = self.taus[queue[-1]]
+            stop[k] = not queue
+        return stop
+
+    def one(self, lane: int):  # the scalar loop's hook record(row, steps) -> stop for lane
+        self.lane = lane
+        return self._tried
+
+    def _tried(self, row: list, steps: int) -> bool:
+        if steps > self.after[self.lane]:
+            self.rows.fromlist(row)
+            self.owners.append(self.lane)
+        return not _capture(self.queues[self.lane], self.taus, row, steps, self.starts)  # near serves numpy only
+
+    def end(self, ends: dict) -> None:
+        """Hand each kept entry its new rows, a lane's numpy tries before its scalar tail's, and its loop's end."""
+        rows, size, at = memoryview(self.rows).cast("B")[8 * self.pending:], 8 * self.width, {}
+        for k, i in enumerate(self.owners):  # grouped in Python: a numpy sort maps about 0.6 MB more of its code
+            at.setdefault(i, []).append(k)
+        for i, ks in at.items():  # each entry grows once
+            self.entries[i].rows.frombytes(b"".join([rows[k * size:(k + 1) * size] for k in ks]))
         for i, end in ends.items():
-            if entries[i] is not None:
-                entries[i].end = end
+            if self.entries[i] is not None:
+                self.entries[i].end = end
 
 
 def _columns(rows: np.ndarray, n: int) -> tuple:
@@ -683,7 +709,8 @@ def _capture(queue: list, taus: list, row, steps: int, starts: np.ndarray) -> bo
     crosses a tau reaches it, so no try reaches a nearer tau first after
     one that reaches a farther tau: each query takes the first try that
     reaches its tau, the one a direct integration clips there.  Returns
-    True while queries wait.
+    True while queries wait.  Phase 1 keeps the order: a lane's numpy tries
+    come before its scalar tail's.
     """
     t, h = row[0], row[1]
     while queue and abs(h) >= abs(taus[queue[-1]] - t):
@@ -714,9 +741,9 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     recorded tries do not reach its farthest tau on from its pending try,
     one lane per datum, and phase 2 runs each query, one lane each, from
     the first try that reaches its tau.  The lane driver finishes the lanes
-    still running once 16 or fewer are left in the scalar loop, so a batch
-    that small never builds the lane form.  The cache makes the family
-    mutable: it is not thread-safe.
+    still running once 64 (_TAIL_LANES) or fewer are left in the scalar
+    loop, so a batch that small never builds the lane form.  The cache
+    makes the family mutable: it is not thread-safe.
     """
     cfg = cfg or IntegratorConfig()
     driver = functools.cache(lambda: _driver(field))  # made at the first point query that tries a step

@@ -11,6 +11,9 @@ over ``integrate_to``, this loop's ``_integrate``).  ``first_try`` is the
 loop state before the first try, with no start rule, for tests that start
 the loop where flowfam's ``_start`` would refuse.  The driver flowfam
 generates per field must equal ``drive`` bit for bit, hooked or not.
+``PerLaneRecord`` is phase 1's record hook of the trajectory cache, one
+Python call per lane per try; flowfam's columnar hook must hand every
+query the same starts row and every kept entry the same rows and end.
 
 Each check here draws its samples from ``samples`` (the grid product, then
 numpy.random's draws on the plan seed), evaluates every leg with scalar
@@ -21,6 +24,7 @@ verbatim in their arithmetic, so a batched report must equal this one in
 every field: counts, residual, worst case, note and verdict.
 """
 
+import functools
 import math
 from itertools import product
 
@@ -172,6 +176,44 @@ def bisect_escape(field, t_good, y_good, t_bad, cfg, kind):
         except EscapeEvent as ev:
             t_bad, kind = ev.time, ev.kind
     return 0.5 * (t_good + t_bad), kind
+
+
+class PerLaneRecord:
+    """Phase 1's record hook as flowfam wrote it per lane: one Python call per running lane per try.
+
+    It takes the arguments of flowfam's ``integrate._Phase1`` and keeps its
+    protocol, so a test can put it in that class's place: called over lanes
+    as ``record(lanes, t, h, y, k1, steps) -> stop[m]``, it turns each
+    lane's columns into the row ``[t, h, *y, *k1]`` and calls ``lane`` for
+    it, and ``one(i)`` is ``lane`` bound to lane i.  ``lane`` appends a kept
+    entry's new row to the entry at once and hands the row to every query
+    at the queue's end whose tau the try's step reaches; ``end`` only sets
+    each kept entry's end.
+    """
+
+    def __init__(self, entries, queues, tried, rows, taus, starts):
+        self.entries, self.queues, self.tried, self.taus, self.starts = entries, queues, tried, taus, starts
+
+    def lane(self, i, row, steps):
+        entry = self.entries[i]
+        if entry is not None and steps > self.tried[i]:
+            entry.rows.fromlist(row)
+        queue, t, h = self.queues[i], row[0], row[1]
+        while queue and abs(h) >= abs(self.taus[queue[-1]] - t):
+            self.starts[queue.pop()] = (*row, steps)
+        return not queue
+
+    def __call__(self, lanes, t, h, y, k1, steps):
+        rows = np.column_stack([t, h, y, k1]).tolist()
+        return np.array([self.lane(i, row, s) for i, row, s in zip(lanes.tolist(), rows, steps.tolist())], dtype=bool)
+
+    def one(self, i):
+        return functools.partial(self.lane, i)
+
+    def end(self, ends):
+        for i, end in ends.items():
+            if self.entries[i] is not None:
+                self.entries[i].end = end
 
 
 def samples(plan, k, m=1):

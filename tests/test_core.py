@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowfam import catalog
+from flowfam import catalog, integrate
 from flowfam import expr as ex
 from flowfam.core import (
     DomainSpec,
@@ -451,9 +451,11 @@ def test_field_lane_kernels_compiled_on_the_first_batch(monkeypatch):
     fam = numeric_family(field, IntegratorConfig())
     fam.evaluate(0.5, 0.0, [0.5, 0.5])
     assert compiled == []
-    fam.evaluate_batch(np.full(16, 0.5), np.zeros(16), np.full((16, 2), 0.5))  # small: compiles as a large one
+    small, large = integrate._TAIL_LANES, integrate._TAIL_LANES + 24  # at and past the lane/scalar split
+    fam.evaluate_batch(np.full(small, 0.5), np.zeros(small), np.full((small, 2), 0.5))  # small: compiles nothing
+    assert compiled == []
     for _ in range(2):
-        fam.evaluate_batch(np.linspace(-0.5, 0.5, 40), np.zeros(40), np.full((40, 2), 0.5))
+        fam.evaluate_batch(np.linspace(-0.5, 0.5, large), np.zeros(large), np.full((large, 2), 0.5))
     assert sorted(compiled, key=str) == [("(x1 ^ 2)", "(-x2)"), "(4 - (x1 ^ 2))"]
 
 

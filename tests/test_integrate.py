@@ -1023,17 +1023,17 @@ def test_cache_keeps_the_128_data_used_last(monkeypatch):
 
 
 def test_a_small_batch_builds_no_lane_form():
-    # 16 lanes run in the scalar loop, phase 1 and phase 2 alike, so the batch never asks the
-    # field or its domain for a lane form; it answers as the point queries do
+    # as many lanes as the lane/scalar split run in the scalar loop, phase 1 and phase 2 alike, so
+    # the batch never asks the field or its domain for a lane form; it answers as the point queries do
     field, rng, lanes = catalog.get("rotation").field(), random.Random(13), []
-    for _ in range(4):
+    for _ in range(integrate._TAIL_LANES // 4):
         sigma, a = rng.uniform(-1.0, 1.0), [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)]
         lanes += [(tau, sigma, a) for tau in (sigma, sigma + rng.uniform(0.1, 2.0), sigma - 0.5, 60.0)]
     values, ok = numeric_family(field, CFG).evaluate_batch(*(np.array(col, dtype=float) for col in zip(*lanes)))
     assert "lanes" not in vars(field) and "_predicate_lanes" not in vars(field.domain)
     want = [outcome(numeric_family(field, CFG), *lane) for lane in lanes]
     assert_batch_is(want, values, ok)
-    assert ok.sum() == 12
+    assert len(lanes) == integrate._TAIL_LANES and ok.sum() == 3 * len(lanes) // 4
 
 
 def test_each_new_datum_asks_the_start_rule_once(monkeypatch):
@@ -1340,14 +1340,14 @@ LANE_FIELDS = {
 }
 
 
-def lane_family(name, seed=3):
-    """The field, its config, and 30 data (sigma, a) each queried at six taus, one of them
-    sigma itself and one outside the window: 180 shuffled lanes (tau, sigma, a)."""
+def lane_family(name, seed=3, count=30):
+    """The field, its config, and count data (sigma, a) each queried at six taus, one of them
+    sigma itself and one outside the window: 6 * count shuffled lanes (tau, sigma, a)."""
     rhs, predicate, max_steps, spread = LANE_FIELDS[name]
     field = VectorField.from_strings(rhs, DomainSpec(len(rhs), space_predicate=predicate))
     rng = random.Random(seed)
     lanes = []
-    for _ in range(30):
+    for _ in range(count):
         sigma, a = rng.uniform(-1.0, 0.5), [rng.uniform(-spread, spread) for _ in rhs]
         taus = [sigma, *(rng.uniform(-2.8, 2.8) for _ in range(4)), rng.choice([-3.5, 3.5])]
         lanes += [(tau, sigma, a) for tau in taus]
@@ -1381,13 +1381,13 @@ def test_lane_driver_runs_both_phases_and_hands_its_tail_to_the_scalar_loop(monk
     def spied(field, cfg, target, state, record=None):
         before = len(handed)
         result = drive_lanes(field, cfg, target, state, record)
-        calls.add((1 if record else 2, len(target) > 16, len(handed) > before))
+        calls.add((1 if record else 2, len(target) > integrate._TAIL_LANES, len(handed) > before))
         return result
 
     monkeypatch.setattr(integrate, "_drive", counted)
     monkeypatch.setattr(integrate, "_drive_lanes", spied)
     for name in LANE_FIELDS:
-        field, cfg, (tau, sigma, a) = lane_family(name)
+        field, cfg, (tau, sigma, a) = lane_family(name, count=integrate._TAIL_LANES + 14)
         assert_batch_is(grouped_loop(numeric_family(field, cfg), tau, sigma, a),
                         *numeric_family(field, cfg).evaluate_batch(tau, sigma, a))
     assert {(1, True, True), (2, True, True)} <= calls
@@ -1425,10 +1425,34 @@ def test_a_recorded_first_try_starts_the_queries_its_step_reaches():
         assert [v.tobytes() for v in values] == [outcome(fam, *lane) for lane in lanes]
 
 
-@pytest.mark.parametrize("count", [1, 16])
+def test_a_step_that_reaches_tau_exactly_hands_out_its_row(monkeypatch):
+    # from sigma = 0.0 the first try's step, h_init = 1e-3, reaches tau = 1e-3 exactly, |h| == |tau - t|,
+    # and the second one reaches t1 + h1: the loop's clip test |h| >= |tau - t| takes both, so each
+    # query starts from that try (in both directions), in phase 1 over numpy lanes (new data, one lane
+    # per datum and direction) and in the replay of the recorded tries (the same data, all still cached)
+    data = [[1.0 + k / 100, 0.0] for k in range((integrate._TAIL_LANES + 16) // 2)]
+    assert integrate._TAIL_LANES < 2 * len(data) <= integrate._TRAJECTORY_CACHE_SIZE
+    probe = numeric_family(ROTATION, CFG)
+    probe.evaluate_batch(np.full(1, 1.5), np.zeros(1), np.array(data[:1]))
+    t1, h1 = next(iter(probe.batch_evaluator.__self__.entries.values())).rows[6:8]  # row 1; a row is 6 doubles
+    assert (t1 + h1) - t1 == h1 and t1 == h1 / 5.0 == 1e-3  # rotation's first step takes the factor 5
+    fam, seen = numeric_family(ROTATION, CFG), []
+    cache = fam.batch_evaluator.__self__
+    starts = cache._starts
+    monkeypatch.setattr(cache, "_starts", lambda *args: seen.append(starts(*args)) or seen[-1])
+    exact = {1e-3: 0, -1e-3: 0, t1 + h1: 1, -(t1 + h1): 1}  # tau -> the try whose step reaches it
+    for taus in ([*exact, 1.5, -1.5], list(exact)):
+        lanes = [(tau, 0.0, a) for a in data for tau in taus]
+        values, ok = fam.evaluate_batch(*(np.array(col, dtype=float) for col in zip(*lanes)))
+        assert ok.all() and [v.tobytes() for v in values] == [outcome(fam, *lane) for lane in lanes]
+        got = {(lanes[i][0], row[-1]) for i, row in zip(*(c.tolist() for c in seen[-1])) if lanes[i][0] in exact}
+        assert got == set(exact.items())
+
+
+@pytest.mark.parametrize("count", [1, integrate._TAIL_LANES])
 def test_small_batches_never_step_in_lanes(monkeypatch, count):
     def refuse(*args):
-        raise AssertionError("a batch of at most 16 lanes stepped in numpy")
+        raise AssertionError(f"a batch of at most {integrate._TAIL_LANES} lanes stepped in numpy")
 
     field, cfg, data = lane_family("riccati-wall")
     tau, sigma, a = (col[:count] for col in data)
@@ -1457,12 +1481,64 @@ def test_batches_of_more_data_than_the_cache_holds_match_the_grouped_loop(monkey
     assert loop_steps < 2 * 18 * 3  # the third batch replayed recorded tries
 
 
+def _recorded(monkeypatch, fam, batches, phase):
+    """Run the batches through fam with phase 1's hook built by phase: after each, its lanes' starts rows
+    by float.hex, and each cache entry's key, rows and end, in the cache's order."""
+    cache, seen, out = fam.batch_evaluator.__self__, [], []
+    starts = cache._starts
+
+    def spied(*args):
+        lanes, rows = starts(*args)
+        seen.append((lanes.tolist(), [[v.hex() for v in row] for row in rows.tolist()]))
+        return lanes, rows
+
+    monkeypatch.setattr(cache, "_starts", spied)
+    monkeypatch.setattr(integrate, "_Phase1", phase)
+    for batch in batches:
+        values, ok = fam.evaluate_batch(*batch)
+        entries = [(key, entry.rows.tobytes(), entry.end) for key, entry in cache.entries.items()]
+        out.append((seen[-1], entries, values.tobytes(), ok.tolist()))
+    return out
+
+
+@pytest.mark.parametrize("name", LANE_FIELDS)
+def test_the_columnar_hook_records_what_the_per_lane_hook_records(monkeypatch, name):
+    # shuffled batches of more data than the lane/scalar split: riccati-wall's blow-ups and step
+    # underflows, spiral's 60-step budget; the second batch meets half the first's lanes again
+    # beside 140 new data, which push entries out of the cache before phase 1 starts
+    field, cfg, first = lane_family(name, seed=7, count=integrate._TAIL_LANES + 24)
+    second = [np.concatenate([x[:len(x) // 2], y]) for x, y in zip(first, lane_family(name, seed=8, count=140)[2])]
+    phases = []
+
+    class Seen(integrate._Phase1):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.used = set()
+            phases.append(self)
+
+        def __call__(self, *columns):
+            self.used.add("lanes")
+            return super().__call__(*columns)
+
+        def one(self, lane):
+            self.used.add("tail")
+            return super().one(lane)
+
+    want = _recorded(monkeypatch, numeric_family(field, cfg), [first, second], scalar.PerLaneRecord)
+    assert _recorded(monkeypatch, numeric_family(field, cfg), [first, second], Seen) == want
+    # a phase crosses into the scalar tail; spiral's phases all end in numpy, on its budget
+    assert name == "spiral" or any(phase.used == {"lanes", "tail"} for phase in phases)
+    ends = " ".join(str(end) for _, entries, _, _ in want for _, _, end in entries)
+    for kind in {"riccati-wall": ["blow_up", "step_underflow"], "spiral": ["exceeded 60 steps"]}.get(name, []):
+        assert kind in ends
+
+
 def test_lanes_and_their_scalar_tail_crawl_at_h_min_and_underflow_as_the_scalar_loop_does(monkeypatch):
     # x' = x^2 with h_min = 2e-3 on riccati-wall's data: short of blow-up an accepted try's next step
     # falls below h_min and crawls at it, and a rejected one there is a step underflow (no stage fails)
     field = VectorField.from_strings(["x1^2"], DomainSpec(1))
     cfg = IntegratorConfig(window=(-3.0, 3.0), h_init=1e-2, h_min=2e-3, blowup_radius=1e3)
-    _, _, (tau, sigma, a) = lane_family("riccati-wall")
+    _, _, (tau, sigma, a) = lane_family("riccati-wall", count=integrate._TAIL_LANES + 14)
     drive, drive_lanes = integrate._drive, integrate._drive_lanes
     seen, raised = set(), []
 
@@ -1564,7 +1640,7 @@ def test_a_tabulated_field_batch_steps_in_lanes(monkeypatch):
     table[6, 12, 0] = np.nan
     field, cfg = TabulatedVectorField(times, [knots], table), IntegratorConfig(window=(-3.0, 3.0))
     rng, lanes = random.Random(4), []
-    for _ in range(24):
+    for _ in range(integrate._TAIL_LANES + 8):
         sigma, a = rng.uniform(-0.8, 1.5), [rng.uniform(-2.4, 2.4)]
         taus = (sigma, rng.uniform(-2.5, 2.5), rng.uniform(-0.9, 1.9), rng.choice([-3.5, 3.5]))
         lanes += [(tau, sigma, a) for tau in taus]
@@ -1579,6 +1655,6 @@ def test_a_tabulated_field_batch_steps_in_lanes(monkeypatch):
     monkeypatch.setattr(integrate, "_drive_lanes", spied)
     tau, sigma, a = (np.array(col, dtype=float) for col in zip(*lanes))
     want = assert_batch_matches_the_grouped_loop(monkeypatch, field, cfg, tau, sigma, a)
-    assert phase_2[-1] > 16 and any(isinstance(w, bytes) for w in want)  # the batch's, after the loop's one-lane ones
+    assert phase_2[-1] > integrate._TAIL_LANES and any(isinstance(w, bytes) for w in want)  # the batch's, after the loop's one-lane ones
     for reason in ("field domain", "(left_domain)", "(step_underflow)", "integration window"):
         assert reason in reasons(want)

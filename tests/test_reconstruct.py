@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowfam import catalog
+from flowfam import catalog, integrate
 from flowfam import expr as ex
 from flowfam.core import DomainSpec, DomainViolation, VectorField, closed_form_family
 from flowfam.integrate import IntegratorConfig, numeric_family
@@ -704,7 +704,7 @@ def test_box_domain_contains_keeps_its_edges_and_its_answers():
 
 
 def test_rebuilt_family_batch_is_its_point_evaluations(monkeypatch):
-    # more than 16 lanes run in the lane driver, whose tries evaluate the field's lanes; holes
+    # more lanes than the lane/scalar split run in the lane driver, whose tries evaluate the field's lanes; holes
     # in the table end some lanes at their start or in a step that cannot shrink past them,
     # and the box the trajectories leave ends others
     rng = np.random.default_rng(9)
@@ -714,7 +714,7 @@ def test_rebuilt_family_batch_is_its_point_evaluations(monkeypatch):
     field = TabulatedVectorField(times, axes, table)
     widest, lanes = [], field.lanes
     monkeypatch.setattr(field, "lanes", lambda t, x: widest.append(len(t)) or lanes(t, x))
-    count = 96
+    count = integrate._TAIL_LANES + 80
     sigma, a = rng.uniform(-0.9, 0.9, count), rng.uniform(-0.9, 0.9, (count, 1))
     tau = np.where(np.arange(count) % 8 == 0, sigma, rng.uniform(-1.0, 1.0, count))
     values, ok = numeric_family(field, IntegratorConfig()).evaluate_batch(tau, sigma, a)
@@ -731,4 +731,4 @@ def test_rebuilt_family_batch_is_its_point_evaluations(monkeypatch):
             assert ok[i] and [v.hex() for v in values[i].tolist()] == want, i
             seen.add("value")
     assert seen == {"value", "hole", "step_underflow", "left_domain"}
-    assert max(widest) > 16
+    assert max(widest) > integrate._TAIL_LANES
