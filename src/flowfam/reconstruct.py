@@ -27,15 +27,19 @@ The interpolant is rendered once per dimension from fixed templates
 (expr.build keeps its code) and bound to each field's own knots and table.
 Its scalar body, which slope and the step loop's driver both run, reads
 the knots as lists and the table in place through a memoryview: it
-locates each coordinate's cell with ``bisect_left``, then sums the 2^(n+1)
-cell corners in a fixed order (corner c takes the upper knot on axis d
-when bit d of c is set; its weight is 1.0 times the per-axis factors in
-axis order, time first; the sum starts at 0.0 and skips zero weights), so
-a query's value is fixed bit for bit by the table, and a hole under a zero
-weight is never read.  Its lane form makes the same sum over numpy
-columns, locating cells with ``searchsorted`` and adding 0.0 for a zero
-weight, which changes no sum (one that starts at +0.0 is never -0.0), so
-each lane is the scalar form's value bit for bit.
+locates each coordinate's cell, first trying the cell it found on that
+axis last time (the field's list ``cell``) and else with ``bisect_left``,
+then sums the 2^(n+1) cell corners in a fixed order (corner c takes the
+upper knot on axis d when bit d of c is set; its weight is the product of
+the per-axis factors in axis order, time first; the sum starts at 0.0 and
+skips zero weights), so a query's value is fixed bit for bit by the
+table, and a hole under a zero weight is never read.  A coordinate above
+the tried cell's lower knot and at most its upper one lies in the cell
+``bisect_left`` finds, so any value of ``cell`` gives the same result and
+a field shared between threads stays exact.  Its lane form makes the
+same sum over numpy columns, locating cells with ``searchsorted`` and
+adding 0.0 for a zero weight, which changes no sum (one that starts at
++0.0 is never -0.0), so each lane is the scalar form's value bit for bit.
 """
 
 from __future__ import annotations
@@ -162,11 +166,12 @@ def _check_knots(times: np.ndarray, axes: list[np.ndarray]) -> None:
 # cell is [knot i{d}, knot i{d} + 1], the first or last cell when {c} lies
 # beyond the box; w{d} weighs its upper knot and u{d} its lower one.  No
 # f-string: the step loop renames the scalar body's name tokens.
-_WEIGHTS = ("lo{d} = k{d}[i{d}]", "w{d} = ({c} - lo{d}) / (k{d}[i{d} + 1] - lo{d})", "u{d} = 1.0 - w{d}")
+_KNOTS = ("lo{d} = k{d}[i{d}]", "hi{d} = k{d}[i{d} + 1]")
+_WEIGHT = "w{d} = ({c} - lo{d}) / (hi{d} - lo{d})"
 _OUTSIDE = "(w{d} < -1.0) {op} (w{d} > 2.0)"  # more than one cell beyond the box
 _BEYOND = "raise EvalError('domain', 'query %s outside the tabulated box' % {c})"
 _SKIPPED = "raise EvalError('domain', 'query touches a skipped tabulation site')"
-_SCALAR_NAMES = {"bisect_left": bisect_left, "isfinite": math.isfinite, "EvalError": ex.EvalError}  # the body's calls
+_SCALAR_NAMES = {"bisect_left": bisect_left, "EvalError": ex.EvalError}  # the body's calls
 
 
 @functools.cache  # a pure function of n: every field of n axes renders the same text, and binds its own values
@@ -177,17 +182,21 @@ def _interpolant_source(n: int) -> tuple[str, str, tuple]:
     and the table's values flat in C order, where one knot along axis d is
     st{d} values on.  The body is the module docstring's sum over s0 (t),
     x0 .. into v0 ..; it raises EvalError where a coordinate lies more than
-    one cell beyond the box or the sum is not finite.  lanes returns
-    (values[m, n], ok[m]): ok[i] is False exactly where slope(t[i], x[i])
-    raises, values[i] is NaN there and slope's result bit for bit elsewhere.
-    The third is slope's splice record but for its bound values, which
-    are the values of its names, in order.
+    one cell beyond the box or the sum is not finite.  It first tries the
+    cell its last call found on axis d, cell[d]: when lo{d} < {c} <= hi{d}
+    there, that is the cell bisect_left finds and w{d} lies in [0, 1], so
+    it takes it with no further test; otherwise it locates the cell, keeps
+    it in cell[d] and tests the box.  So any valid cell gives the same
+    result.  lanes returns (values[m, n], ok[m]): ok[i] is False exactly
+    where slope(t[i], x[i]) raises, values[i] is NaN there and slope's
+    result bit for bit elsewhere.  The third is slope's splice record but
+    for its bound values, which are the values of its names, in order.
     """
     axes, coords = range(n + 1), ["s0", *[f"x{k}" for k in range(n)]]
     wrong = f"raise ValueError('state has wrong dimension for this field ({n})')"
 
     def weight(c: int) -> str:  # corner c takes the upper knot on axis d when bit d of c is set
-        return "1.0" + "".join(f" * {'w' if c >> d & 1 else 'u'}{d}" for d in axes)
+        return " * ".join(f"{'w' if c >> d & 1 else 'u'}{d}" for d in axes)
 
     def corner(c: int) -> str:  # corner c's index in flat, b being its cell's lower corner
         upper = [f"st{d}" for d in axes if c >> d & 1]
@@ -197,23 +206,27 @@ def _interpolant_source(n: int) -> tuple[str, str, tuple]:
     lanes = [f"if x.shape[1] != {n}: {wrong}", "s0 = t[:, None]", *[f"x{k} = x[:, {k}, None]" for k in range(n)],
              "out = False"]
     for d, a in enumerate(coords):
-        body += [f"i{d} = bisect_left(k{d}, {a}) - 1", f"i{d} = 0 if i{d} < 0 else top{d} if i{d} > top{d} else i{d}",
-                 *[w.format(d=d, c=a) for w in _WEIGHTS], f"if {_OUTSIDE.format(d=d, op='or')}: {_BEYOND.format(c=a)}"]
+        knots, w = [line.format(d=d) for line in _KNOTS], _WEIGHT.format(d=d, c=a)
+        search = [f"i{d} = bisect_left(k{d}, {a}) - 1", f"i{d} = 0 if i{d} < 0 else top{d} if i{d} > top{d} else i{d}",
+                  f"cell[{d}] = i{d}", *knots, w, f"if {_OUTSIDE.format(d=d, op='or')}: {_BEYOND.format(c=a)}"]
+        body += [f"i{d} = cell[{d}]", *knots, f"if lo{d} < {a} <= hi{d}:", f"    {w}", "else:",
+                 *[f"    {line}" for line in search], f"u{d} = 1.0 - w{d}"]
         lanes += [f"i{d} = minimum(maximum(searchsorted(k{d}, {a}, side='left') - 1, 0), top{d})",
-                  *[w.format(d=d, c=a) for w in _WEIGHTS], f"out = out | {_OUTSIDE.format(d=d, op='|')}"]
+                  *knots, w, f"u{d} = 1.0 - w{d}", f"out = out | {_OUTSIDE.format(d=d, op='|')}"]
     cell = "b = " + " + ".join(f"i{d} * st{d}" for d in axes)
     body += [cell, *[f"v{k} = 0.0" for k in range(n)]]
     lanes += [cell + " + components", "v = 0.0"]
     for c in range(1 << len(axes)):
-        body += [f"q = {weight(c)}", "if q != 0.0:", f"    j = {corner(c)}",
-                 *[f"    v{k} += q * flat[j{f' + {k}' if k else ''}]" for k in range(n)]]
+        reads = [f"    v0 += q * flat[{corner(c)}]"] if n == 1 else [
+            f"    j = {corner(c)}", *[f"    v{k} += q * flat[j{f' + {k}' if k else ''}]" for k in range(n)]]
+        body += [f"q = {weight(c)}", "if q != 0.0:", *reads]
         lanes += [f"q = {weight(c)}", f"v = v + where(q != 0.0, q * flat[{corner(c)}], 0.0)"]
     results = tuple(f"v{k}" for k in range(n))
-    body.append(f"if not ({' and '.join(f'isfinite({v})' for v in results)}): {_SKIPPED}")
+    body.append(f"if not ({' and '.join(f'{v} - {v} == 0.0' for v in results)}): {_SKIPPED}")  # 0.0 for finite v only
     lanes += ["ok = ~out[:, 0] & isfinite_lanes(v).all(axis=1)", "v[~ok] = nan", "return v, ok"]
     floats = ", ".join(["float(t)", *[f"float(x[{k}])" for k in range(n)]])
     slope = [f"if len(x) != {n}: {wrong}", f"{', '.join(coords)} = {floats}", *body, f"return ({', '.join(results)},)"]
-    names = (*[f"{kind}{d}" for kind in ("k", "st", "top") for d in axes], "flat", *_SCALAR_NAMES)
+    names = (*[f"{kind}{d}" for kind in ("k", "st", "top") for d in axes], "flat", "cell", *_SCALAR_NAMES)
     sources = [f"def {name}(t, x):\n" + "".join(f"    {line}\n" for line in lines) for name, lines in
                (("slope", slope), ("lanes", lanes))]
     return *sources, (tuple(coords), names, tuple(body), results, True)
@@ -227,7 +240,10 @@ class TabulatedVectorField:
     ok[m]), and the domain answers contains and contains_lanes.  slope and
     lanes are generated per dimension (_interpolant_source) and bound to
     this field's knots and table, as is slope's splice record, which the
-    step loop's driver runs.  times and axes are read-only copies, since the
+    step loop's driver runs.  cell, one int per axis (time first), is the
+    cell the scalar body found last on each axis and tries first; slope and
+    the driver share it, and any valid value of it gives the same results,
+    so it is a hint only.  times and axes are read-only copies, since the
     scalar body reads lists taken here; table is read in place, so a later
     write into it shows.
     Values one cell beyond an edge are linearly continued from the edge
@@ -257,7 +273,9 @@ class TabulatedVectorField:
         knots, flat = (self.times, *self.axes), self.table.reshape(-1)
         cells = [stride // flat.itemsize for stride in self.table.strides[:-1]] + [len(k) - 2 for k in knots]
         slope, lanes, shape = _interpolant_source(self.n)
-        record = ex.Splice(*shape, (*[k.tolist() for k in knots], *cells, memoryview(flat), *_SCALAR_NAMES.values()))
+        self.cell = [0] * (self.n + 1)  # each axis's last cell, the scalar body's first guess
+        record = ex.Splice(*shape, (*[k.tolist() for k in knots], *cells, memoryview(flat), self.cell,
+                                    *_SCALAR_NAMES.values()))
         names = dict(zip(record.names, record.bound))
         self.slope = ex.build(("interpolant", self.n), lambda: slope, names, "slope", record)
         columns = dict(zip(record.names, (*knots, *cells, flat)))  # the same names, over arrays, and no scalar call
@@ -315,18 +333,20 @@ def field_from_family(fam: FlowFamily, cfg: ReconstructionConfig) -> TabulatedVe
     The family must act as the identity on the diagonal at the sample sites
     (families that fail the identity condition produce garbage rates).
     Sites where the stencil cannot stay in-domain become holes; more than
-    50% holes aborts with ReconstructionFailed.  Knots that cannot make a
-    table (fewer than two on an axis, or not strictly increasing) raise
-    TabulatedVectorField's ValueError before the family is evaluated, and
-    then a step h (or h/2 with Richardson) that leaves a time knot unmoved
-    raises StepTooSmall, a ValueError.
+    50% holes aborts with ReconstructionFailed.  Each state axis is the
+    sorted distinct values of the plan's column; where it holds both 0.0
+    and -0.0, the one the plan lists first is the knot.  Knots that cannot
+    make a table (fewer than two on an axis, or not strictly increasing)
+    raise TabulatedVectorField's ValueError before the family is
+    evaluated, and then a step h (or h/2 with Richardson) that leaves a
+    time knot unmoved raises StepTooSmall, a ValueError.
     """
     plan = cfg.grid
     if plan.n != fam.n:
         raise ValueError(f"plan dimension {plan.n} != family dimension {fam.n}")
     times = np.asarray(plan.time_grid, dtype=float)
     points = np.asarray(plan.state_grid, dtype=float)
-    axes = [np.unique(points[:, k]) for k in range(fam.n)]
+    axes = [np.array(sorted(set(points[:, k].tolist()))) for k in range(fam.n)]
     _check_knots(times, axes)  # before the stencil runs: a table these knots cannot hold needs none of it
     _check_step(times, cfg.h, cfg.richardson)
     states = _site_states(axes)  # one lane per state site, in the table's order

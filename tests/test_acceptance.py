@@ -12,10 +12,11 @@ import json
 import math
 import pathlib
 import time
+from bisect import bisect_left
 
 import numpy as np
 
-from flowfam import catalog
+from flowfam import catalog, reconstruct
 from flowfam import expr as ex
 from flowfam.autonomous import check_group_law, check_time_shift, to_group
 from flowfam.cli import main as cli_main
@@ -121,6 +122,26 @@ def test_criterion_3_reconstruction(gate):
     assert hashlib.sha256(field.table.tobytes()).hexdigest() == (
         "112c1e30daed040ce8ff9ab6cb33046a27aefb9da0a743c14e165e87fd520154"
     )
+
+
+def test_criterion_3_searches_a_cell_only_where_the_last_one_misses(monkeypatch):
+    """The interpolant calls bisect_left only when a coordinate leaves the cell it found last on its axis."""
+    calls = []
+    monkeypatch.setitem(reconstruct._SCALAR_NAMES, "bisect_left", lambda k, c: calls.append(c) or bisect_left(k, c))
+    fam = catalog.get("riccati").family()
+    cfg = ReconstructionConfig(h=1e-4, richardson=True, grid=_dense_plan())
+    eval_plan = SamplePlan(GRID_TIMES, tuple((s,) for s in GRID_STATES), random_count=0, seed=0)
+    assert roundtrip_error(fam, cfg, eval_plan=eval_plan).hex() == "0x1.6cf7f4b500000p-19"
+    assert len(calls) == 17_814  # 87,602 with a search on every axis of every call
+    # short hops from |a| <= 0.8, as the benchmark's point queries make
+    rebuilt = numeric_family(field_from_family(fam, cfg), IntegratorConfig())
+    rng = np.random.default_rng(7)
+    sigma = rng.uniform(-1.0, 1.5, 200)
+    tau, a = sigma + rng.uniform(-0.05, 0.05, 200), rng.uniform(-0.8, 0.8, 200)
+    calls.clear()
+    values = [rebuilt.evaluate(*query, [x])[0] for *query, x in zip(tau, sigma, a)]
+    assert len(calls) == 1_378  # 11,944 with a search on every axis of every call, and the same values:
+    assert hashlib.sha256(np.array(values).tobytes()).hexdigest()[:16] == "ac0aa427199eb9b0"
 
 
 def test_criterion_4_condition_suite(gate):

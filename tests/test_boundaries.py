@@ -39,6 +39,8 @@ and caches no generator with ``functools.cache`` or ``lru_cache`` but the
 interpolant's sources, a pure function of the dimension that holds no
 field's bound values.  The interpolant's scalar slope names no numpy, and
 its lane form binds none of numpy's functions that differ from ``math``.
+Its scalar body calls ``bisect_left`` only in the branch where the cell
+it tries first misses, and nothing else but ``EvalError`` on a raise.
 
 A Cauchy datum has one rule in the integrator: ``_start`` refuses a start
 outside the window or the field's domain, or where the field cannot be
@@ -553,6 +555,59 @@ def test_generated_interpolant_slope_uses_no_numpy():
         (defined,) = ast.parse(slope).body
         assert defined.name == "slope"  # a rename must not empty the check
         assert _numpy_in_source(ast.unparse(defined)) == []
+
+
+def _misplaced_calls(lines) -> list[str]:
+    """Calls in the interpolant's scalar body lines but bisect_left in a miss branch, the else of an
+    ``if lo < c <= hi``, and EvalError in a raise."""
+    allowed = set()
+    for node in ast.walk(tree := ast.parse("\n".join(lines))):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) and [
+                type(op) for op in node.test.ops] == [ast.Lt, ast.LtE]:
+            allowed |= {id(call) for branch in node.orelse for call in ast.walk(branch)
+                        if isinstance(call, ast.Call) and ast.unparse(call.func) == "bisect_left"}
+        elif isinstance(node, ast.Raise):
+            allowed |= {id(call) for call in ast.walk(node) if isinstance(call, ast.Call)
+                        and ast.unparse(call.func) == "EvalError"}
+    found = [call for call in ast.walk(tree) if isinstance(call, ast.Call) and id(call) not in allowed]
+    return [f"line {call.lineno} calls {ast.unparse(call.func)}"
+            for call in sorted(found, key=lambda call: (call.lineno, call.col_offset))]
+
+
+def test_interpolant_body_searches_only_where_its_last_cell_misses():
+    for n in (1, 2, 3):
+        _, _, (_, names, lines, _, _) = reconstruct._interpolant_source(n)
+        assert sum("bisect_left(" in line for line in lines) == n + 1  # a rename must not empty the check
+        assert "cell" in names and "isfinite" not in names
+        assert _misplaced_calls(lines) == [], lines
+
+
+def test_detector_sees_a_call_outside_its_branch():
+    lines = (
+        "i0 = bisect_left(k0, s0) - 1",
+        "if lo1 < x0 <= hi1:",
+        "    i1 = bisect_left(k1, x0)",
+        "else:",
+        "    i1 = bisect_left(k1, x0) - 1",
+        "    if w1 > 2.0: raise EvalError('domain', 'beyond')",
+        "if lo2 <= x1 <= hi2:",
+        "    pass",
+        "else:",
+        "    i2 = bisect_left(k2, x1)",
+        "error = EvalError('domain', 'hole')",
+        "if not (isfinite(v0) and math.isfinite(v1)): raise error",
+        "if v0 != v0: raise ValueError(str(v0))",
+    )
+    assert _misplaced_calls(lines) == [
+        "line 1 calls bisect_left",
+        "line 3 calls bisect_left",
+        "line 10 calls bisect_left",
+        "line 11 calls EvalError",
+        "line 12 calls isfinite",
+        "line 12 calls math.isfinite",
+        "line 13 calls ValueError",
+        "line 13 calls str",
+    ]
 
 
 def test_generated_interpolant_lanes_bind_no_numpy_that_differs_from_math():

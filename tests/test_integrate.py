@@ -1112,9 +1112,10 @@ def test_dropped_family_frees_its_field():
 
 
 def test_dropped_tabulated_family_frees_its_field_and_table():
-    # the knot lists and table (a memoryview) that the driver splices in are held by the slope's
-    # splice record, which expr's weak map keeps only while the slope lives, and by each driver
-    # made for a call, which the call drops; the code cache keeps no bound value
+    # the knot lists, the last-cell list and the table (a memoryview) that the driver splices in are
+    # the bound values of the slope's splice record, which expr's weak map keeps only while the slope
+    # lives, and numeric_family keeps the driver its first try makes, with those values, only while
+    # the family lives; the code cache keeps no bound value
     fam = catalog.get("riccati").family()
     plan = SamplePlan(tuple(np.linspace(-0.5, 0.5, 6)), tuple((v,) for v in np.linspace(-0.5, 0.5, 6)), random_count=0)
     field = field_from_family(fam, ReconstructionConfig(grid=plan))

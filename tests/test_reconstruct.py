@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 from itertools import product
 
 import numpy as np
@@ -182,6 +184,25 @@ def test_field_from_family_checks_plan_dimension():
     plan = SamplePlan((0.0, 1.0), ((0.0, 0.0), (1.0, 1.0)), random_count=0)
     with pytest.raises(ValueError):
         field_from_family(riccati_family(), ReconstructionConfig(grid=plan))
+
+
+def test_axes_are_the_sorted_distinct_values_of_the_plan():
+    # the same knots, bit for bit, as numpy's unique on a column with repeats in any order
+    rng = np.random.default_rng(5)
+    column = rng.permutation(np.repeat(rng.uniform(-2.0, 2.0, 9), 3))
+    other = rng.permutation(np.repeat(np.linspace(-1.0, 1.0, 4), 6))
+    plan = SamplePlan((0.0, 0.1), tuple(zip(column.tolist(), other.tolist())), random_count=0)
+    field = field_from_family(rotation_family(), ReconstructionConfig(grid=plan))
+    assert [ax.tobytes() for ax in field.axes] == [np.unique(column).tobytes(), np.unique(other).tobytes()]
+    assert all(ax.dtype == np.float64 for ax in field.axes)
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0], ids=["plus", "minus"])
+def test_an_axis_keeps_the_zero_its_plan_lists_first(first):
+    plan = SamplePlan((0.0, 0.1), ((0.5,), (first,), (-0.5,), (-first,), (0.5,)), random_count=0)
+    field = field_from_family(riccati_family(), ReconstructionConfig(grid=plan))
+    assert field.axes[0].tolist() == [-0.5, 0.0, 0.5]
+    assert math.copysign(1.0, field.axes[0][1]) == math.copysign(1.0, first)
 
 
 def test_holes_are_skipped_not_extrapolated():
@@ -659,6 +680,88 @@ def test_tabulated_lanes_are_its_scalar_calls_in_one_dimension(points):
 @example([(1.0, 0.0, 0.5, 0.25), (2.5, 2.0, 0.5, 1.0), (0.0, -1.0, -0.5, math.nan), (0.5, 0.5, 0.0, 1.76)])
 def test_tabulated_lanes_are_its_scalar_calls_in_three_dimensions(points):
     assert_lanes_are_scalar_calls(_LANE_FIELD_3D, points)
+
+
+def _answer(field, t, x):
+    """outcome of slope, or the message of the ValueError it raises."""
+    try:
+        return outcome(field.slope, t, x)
+    except ValueError as err:
+        return "ValueError", str(err)
+
+
+def _hinted_points(field):
+    """Points as _lane_points draws them, each with a valid cell per axis to try first and, now and
+    then, one state coordinate too many."""
+    knots = [field.times, *field.axes]
+    hint = st.tuples(*[st.integers(0, len(k) - 2) for k in knots]).map(list)
+    point = st.tuples(*map(_lane_coordinate, knots))
+    return st.lists(st.tuples(point, hint, st.sampled_from([False] * 7 + [True])), min_size=1, max_size=12)
+
+
+def assert_the_hint_changes_no_answer(field, items):
+    for (t, *x), hint, extra in items:
+        x = x + [0.0] * extra
+        field.cell[:] = [0] * len(field.cell)
+        want = _answer(field, t, x)
+        field.cell[:] = hint
+        assert _answer(field, t, x) == want, (t, x, hint)
+    assert_lanes_are_scalar_calls(field, [point for point, _, _ in items])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hinted_points(_LANE_FIELD))
+@example([((1.0, 0.0, 0.5), [1, 0, 0], False), ((1.0, 0.0, 0.5), [0, 1, 0], False),  # on knots, either cell
+          ((0.0, -2.0, -0.5), [1, 1, 0], False), ((2.5, 4.0, 0.5), [0, 0, 0], False),  # one cell beyond
+          ((2.5, 4.01, 0.5), [1, 1, 0], False), ((-2.0, 0.0, 0.0), [1, 0, 0], False),  # further
+          ((math.nan, 1.0, 0.0), [1, 1, 0], False), ((0.5, 1.0, 0.0), [1, 1, 0], True)])
+def test_the_last_cell_changes_no_answer(items):
+    assert_the_hint_changes_no_answer(_LANE_FIELD, items)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hinted_points(_LANE_FIELD_1D))
+@example([((1.0, -0.0), [1, 0], False), ((-0.0, 0.0), [1, 1], False), ((1.7, math.nan), [1, 1], False),
+          ((math.inf, 0.0), [1, 1], False), ((3.5, 3.0), [0, 0], False), ((-1.5, -3.0), [1, 1], False)])
+def test_the_last_cell_changes_no_answer_in_one_dimension(items):
+    assert_the_hint_changes_no_answer(_LANE_FIELD_1D, items)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hinted_points(_LANE_FIELD_3D))
+@example([((1.0, 0.0, 0.5, 0.25), [0, 1, 0, 1], False), ((2.5, 2.0, 0.5, 1.0), [0, 0, 0, 0], False),
+          ((0.5, 0.5, 0.0, 1.76), [1, 1, 0, 0], False), ((0.5, 0.5, 0.0, math.nan), [1, 1, 0, 1], True)])
+def test_the_last_cell_changes_no_answer_in_three_dimensions(items):
+    assert_the_hint_changes_no_answer(_LANE_FIELD_3D, items)
+
+
+def test_threads_sharing_a_field_get_its_answers():
+    # each thread asks its own order of the same points, so a call mostly starts from the cells
+    # another thread's call left
+    rng = np.random.default_rng(21)
+    times, axes = np.linspace(0.0, 2.0, 9), [np.linspace(-1.0, 1.0, 13)]
+    field = _holey_field(rng, times, axes, 3)
+    points = [(t, [x]) for t, x in zip(_queries(rng, times, 300), _queries(rng, axes[0], 300))]
+    want = [_answer(field, t, x) for t, x in points]
+    orders = [rng.permutation(len(points)).tolist() for _ in range(4)]
+    answers = [[] for _ in orders]
+
+    def ask(order, found):
+        for _ in range(5):
+            found += [_answer(field, *points[i]) for i in order]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=pair) for pair in zip(orders, answers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [[want[i] for i in order] * 5 for order in orders]
 
 
 def test_tabulated_lanes_read_the_table_as_it_is_now():
