@@ -35,9 +35,12 @@ values equals the scalar form's result at lane i's point bit for bit where
 ok[i], and ok[i] is False exactly where the scalar form raises EvalError.
 There ``+ - * /``, negation, ``sin``, ``cos``, ``sqrt``, ``abs`` and the
 product chains run in numpy, which rounds them as ``math`` and Python
-floats do, while ``exp``, ``tanh``, ``log`` and any other ``^`` map their
-scalar helper over the lanes (_per_lane), since numpy's versions differ
-from ``math`` in the last bit for some arguments.
+floats do, while ``exp``, ``tanh``, ``log`` and any other ``^`` run
+``math`` lane by lane (_per_lane), since numpy's versions differ from
+``math`` in the last bit for some arguments: ``exp``, ``tanh`` and ``log``
+map math's own function over the lanes, and only a batch where a call
+raises or a value is not finite maps their checked scalar helper instead,
+as ``^`` always does.
 Both sources are built from fixed templates, slot indices and generated
 names only; constants and helpers are bound in the function's namespace,
 so no text of an expression is compiled.  ``build`` compiles all of
@@ -423,14 +426,36 @@ def _power_chain(k: int) -> list[tuple[int, int]]:
         square *= 2
 
 
+# the checked helper -> the function it wraps, which a batch maps while every call succeeds with a finite value
+_UNCHECKED = {_CALLS[name]: getattr(math, name) for name in ("exp", "log", "tanh")}
+
+
 def _per_lane(fn, ok: np.ndarray, *args: np.ndarray):
     """fn applied lane by lane where ok; a lane whose call raises EvalError drops out of ok.
 
-    One map runs fn over every lane in ok; only when a call raises are
-    those lanes run again one by one, to find the ones that raise.
+    For exp, log and tanh one map runs math's own function over every lane
+    in ok, and where each call returns a finite value those are fn's values.
+    Otherwise, and for ``^``'s power helper, one map runs fn itself, and
+    only when a call raises are those lanes run again one by one, to find
+    the ones that raise.
     """
     values, ok = np.full(ok.shape, math.nan), ok.copy()
     columns = [a[ok].tolist() for a in args]
+    unchecked = _UNCHECKED.get(fn)
+    if unchecked is not None:
+        try:
+            found = list(map(unchecked, *columns))
+        except (ValueError, OverflowError):  # log of a non-positive value, exp past the largest double
+            pass
+        else:
+            if math.isfinite(sum(found)):  # no value is inf or nan (a sum that overflows takes fn's path too)
+                values[ok] = found
+                return values, ok
+    return _checked_lanes(fn, values, ok, columns)
+
+
+def _checked_lanes(fn, values: np.ndarray, ok: np.ndarray, columns: list):
+    """_per_lane with fn, the checked helper: values and ok filled in place from the lanes' columns."""
     try:
         values[ok] = list(map(fn, *columns))
     except EvalError:
@@ -495,8 +520,8 @@ _SCALAR = _Templates(
 # instead, and lanes outside ok hold arbitrary values.  NaN propagation would
 # not do, since (1/0)^0 is 1 in IEEE arithmetic.  x / 0 is inf or nan, so the
 # finite check drops the lanes the scalar zero test rejects.  numpy's sin, cos,
-# sqrt and abs round as math does; exp, log, tanh and ^ run the scalar helper
-# lane by lane, since numpy's versions differ from math's in the last bit.
+# sqrt and abs round as math does; exp, log, tanh and ^ run math lane by lane
+# through per_lane, since numpy's versions differ from math's in the last bit.
 _LANES = _Templates(
     helpers={"isfinite": np.isfinite, "full": np.full, "column_stack": np.column_stack,
              "power": _pow, "per_lane": _per_lane},

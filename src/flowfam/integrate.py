@@ -12,17 +12,20 @@ left to right in the tableau's order, with no BLAS and no fused
 multiply-add, so its results are the same on every IEEE-double machine.
 Each run of the loop is a driver made for its field (_driver): the loop
 unrolled over the components, with the splice records of the field's
-slope and domain (expr.splice) run where it would call slope or contains;
-expr.build keeps its code, so fields share it.  The tableau and the step
-control are literals there, the repr of each value, which round-trips a
-double, and abs, the finite test (x - x == 0.0) and the step factor's clip
-are comparisons, so a try makes no builtin call and loads no global.  The
-loop also runs over numpy lanes, for every batch of a numeric family, with
-one try generated from the same templates: each stage sum is a chain of
-elementwise ufuncs in the same order, the field is evaluated by its lane
-form (field.lanes and field.domain.contains_lanes), and the step factor
-takes Python's float ** lane by lane, since numpy's power rounds
-differently.  So a lane makes the scalar loop's tries bit for bit.
+slope and domain (expr.splice) run where it would call slope or contains,
+renamed by tokens so that they copy no value: a read that is a plain name
+at its point is that name, and a result the lines compute is made in the
+stage's slope or in inside; expr.build keeps its code, so fields share it.
+The tableau and the step control are literals there, the repr of each
+value, which round-trips a double, and abs, the finite test (x - x == 0.0)
+and the step factor's clip are comparisons, so a try makes no builtin call
+and loads no global.  The loop also runs over numpy lanes, for every batch
+of a numeric family, with one try generated from the same templates: each
+stage sum is a chain of elementwise ufuncs in the same order, the field is
+evaluated by its lane form (field.lanes and field.domain.contains_lanes),
+and the step factor takes Python's float ** lane by lane, since numpy's
+power rounds differently.  So a lane makes the scalar loop's tries bit for
+bit.
 
 Integration stops early when the trajectory escapes: norm past the blow-up
 radius, domain predicate failing, or the step size collapsing below h_min.
@@ -35,8 +38,9 @@ FlowFamily translates them into domain membership.
 _start holds the one rule for a start (rho, a), with its ValueError, and
 builds the first loop state; _integrate is _start, then the step loop.
 advance is _integrate with escape refinement, escape_interval is advance
-toward each window edge, a numeric family's point query is _integrate
-without refinement, and its batches ask _start once per new Cauchy datum.
+toward each window edge, and a numeric family's batches ask _start once
+per new Cauchy datum.  Its point query is _integrate without refinement,
+written out: _start, then the family's driver, with no call between.
 
 A numeric family keeps a bounded cache of the step loop's tries per Cauchy
 datum (sigma, a) and direction, which serves its batches only: a batch
@@ -236,7 +240,7 @@ def drive(field, tau, cfg, refine, state, record=None, values=()):
         else:  # no rhs value (or an overflow) inside the step: halve it, as a rejected try rescales it
             err, factor = 2.0, 0.5
         if err <= 1.0:
-            t_new, y5 = tau if last else t + h, ({s},)
+            t_new = tau if last else t + h
             kind = "blow_up" if y5_norm > radius else None
             if kind is None:
 {accept}
@@ -247,7 +251,7 @@ def drive(field, tau, cfg, refine, state, record=None, values=()):
                     raise EscapeEvent(kind, t_star)
                 raise EscapeEvent(kind, t_new)
             if last:
-                return y5
+                return ({s},)
             t, {y}, {p1} = t_new, {s}, {p7}
             h *= factor
             if (h if h >= 0.0 else -h) < h_min:  # keep crawling; only a failed step underflows
@@ -259,12 +263,15 @@ def drive(field, tau, cfg, refine, state, record=None, values=()):
 """
 
 
-def _renamed(text: str, prefix: str = "f_") -> str:
-    """The line text with prefix before each name token but keywords: spliced lines renamed apart from the loop's."""
+def _renamed(text: str, prefix: str = "f_", names: dict | None = None) -> str:
+    """The line text with each name token but keywords renamed apart from the loop's: to names[name], else prefixed."""
     # a string keeps its text; before Python 3.12 an f-string is one token, so no spliced name is read in one
-    at = [col for kind, name, (_, col), _, _ in tokenize.generate_tokens(io.StringIO(text).readline)
-          if kind == tokenize.NAME and not keyword.iskeyword(name)]
-    return "".join(text[i:j] + prefix for i, j in zip([0, *at], at)) + text[at[-1] if at else 0:]
+    names, out, at = names or {}, [], 0
+    for kind, name, (_, start), (_, end), _ in tokenize.generate_tokens(io.StringIO(text).readline):
+        if kind == tokenize.NAME and not keyword.iskeyword(name):
+            out += [text[at:start], names.get(name, prefix + name)]
+            at = end
+    return "".join(out) + text[at:]
 
 
 def _block(lines: list[str], depth: int) -> str:
@@ -279,25 +286,41 @@ def _drive_source(n: int, rhs: ex.Splice | None = None, inside: ex.Splice | None
     order as max does.  A stage splices rhs, the slope's record, renamed
     apart with f_, else calls field.slope.  An accepted point splices
     inside, the domain's record, renamed with m_, where an EvalError counts
-    as outside, else calls field.domain.contains.  drive takes the records'
-    bound values, in that order, as values.
+    as outside, else calls field.domain.contains.  In a splice, a read
+    whose value at the point is a plain name (stage 7's s_<k>, the accepted
+    point's t_new) is that name, and a result the lines compute is named
+    what the loop calls it (the stage's slope p<s>_<k>, or inside), so the
+    lines copy no value; a result that is a read or a bound name is copied.
+    drive takes the records' bound values, in that order, as values.
     """
     def each(template: str) -> list[str]:
         return [template.format(i=f"_{i}", h="h") for i in range(n)]
 
+    def tupled(point: str) -> str:  # the tuple of a point's components
+        return f"({''.join(v + ', ' for v in each(point))})"
+
     def at(time: str, point: str) -> dict:  # what each read of a record is at a point: s0 its time, x<k> its y<k>
         return dict(zip(["s0", *[f"x{k}" for k in range(n)]], [time, *each(point)]))
 
-    def spliced(found: ex.Splice, prefix: str, args: dict) -> list[str]:
-        return [f"{prefix}{r} = {args[r]}" for r in found.reads] + [_renamed(line, prefix) for line in found.lines]
+    def spliced(found: ex.Splice, prefix: str, args: dict, targets: list) -> list[str]:
+        """found's lines at the point args, renamed apart with prefix, leaving its results in the names targets."""
+        names = {r: args[r] for r in found.reads if args[r].isidentifier()}
+        copies = []
+        for v, target in zip(found.results, targets):
+            if v in found.reads or v in found.names or v in names:  # a value the lines do not compute, or a repeat
+                copies.append(f"{target} = {names.get(v, prefix + v)}")
+            else:
+                names[v] = target
+        reads = [f"{prefix}{r} = {args[r]}" for r in found.reads if r not in names]
+        return reads + [_renamed(line, prefix, names) for line in found.lines] + copies
 
     def stage(s: int, time: str, point: str) -> list[str]:
         slopes, args = each(f"p{s}{{i}}"), at(time, point)
         if rhs is None:
-            return [f"[{', '.join(slopes)}] = slope({time}, ({''.join(v + ', ' for v in each(point))}))"]
+            return [f"[{', '.join(slopes)}] = slope({time}, {tupled(point)})"]
         if rhs.called:
             return [f"[{', '.join(slopes)}] = spliced_slope({', '.join(args[r] for r in rhs.reads)})"]
-        return spliced(rhs, "f_", args) + [f"{p} = f_{v}" for p, v in zip(slopes, rhs.results)]
+        return spliced(rhs, "f_", args, slopes)
 
     def largest(name: str, template: str) -> list[str]:
         first, *rest = each(template)
@@ -310,7 +333,7 @@ def _drive_source(n: int, rhs: ex.Splice | None = None, inside: ex.Splice | None
     norms = [*each("y_abs{i} = y{i} if y{i} >= 0.0 else -y{i}"), *each("s_abs{i} = s{i} if s{i} >= 0.0 else -s{i}"),
              *each("r{i} = " + _RATIO), *largest("err", "r{i}"), *largest("y5_norm", "s_abs{i}")]
     bound = [prefix + name for prefix, found in (("f_", rhs), ("m_", inside)) if found for name in found.names]
-    bind, accept = [f"[{', '.join(bound)}] = values"] if bound else [], ["inside = contains(t_new, y5)"]
+    bind, accept = [f"[{', '.join(bound)}] = values"] if bound else [], [f"inside = contains(t_new, {tupled('s{i}')})"]
     if rhs is None:
         bind.append("slope = field.slope")
     elif rhs.called:
@@ -320,8 +343,8 @@ def _drive_source(n: int, rhs: ex.Splice | None = None, inside: ex.Splice | None
     if inside is None:
         bind.append("contains = field.domain.contains")
     else:
-        accept = ["try:", *["    " + line for line in spliced(inside, "m_", at("t_new", "s{i}"))],
-                  f"    inside = m_{inside.results[0]}", "except ex.EvalError:", "    inside = False"]
+        accept = ["try:", *["    " + line for line in spliced(inside, "m_", at("t_new", "s{i}"), ["inside"])],
+                  "except ex.EvalError:", "    inside = False"]
     return _literal(_DRIVE.format(bind=_block(bind, 4), stages=_block(stages, 12), errors=_block(errors, 12),
                                   norms=_block(norms, 12), accept=_block(accept, 16),
                                   **{name: ", ".join(each(name + "{i}")) for name in ("y", "p1", "s", "p7")}))
@@ -723,12 +746,13 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
 
     Membership of (tau, sigma, a) holds when (sigma, a) and tau pass
     _start's rule for a start and integration from sigma to tau
-    completes within max_steps without escaping.  A point query is one
-    _integrate call, by the driver the family makes at its first try,
-    without escape refinement, since only the yes/no answer matters: a
-    refused start or an overrun is a DomainViolation with the exception's
-    text, and an escape one naming its time and kind.  tol_hint advertises
-    rel_tol so downstream checks can widen comparisons accordingly.
+    completes within max_steps without escaping.  A point query is
+    _integrate written out, _start and then the driver the family makes at
+    its first try, without escape refinement, since only the yes/no answer
+    matters: a refused start or an overrun is a DomainViolation with the
+    exception's text, and an escape one naming its time and kind.  tol_hint
+    advertises rel_tol so downstream checks can widen comparisons
+    accordingly.
 
     The batch evaluator is the cache's solve_lanes.  evaluate_batch records
     the step loop's tries from each Cauchy datum (sigma, a) in each
@@ -749,8 +773,12 @@ def numeric_family(field: VectorField, cfg: IntegratorConfig | None = None) -> F
     driver = functools.cache(lambda: _driver(field))  # made at the first point query that tries a step
 
     def evaluator(tau: float, sigma: float, a: np.ndarray) -> tuple:
-        try:
-            return _integrate(field, sigma, tuple(a.tolist()), tau, cfg, False, driver)
+        try:  # _integrate without refinement, written out
+            state = _start(field, sigma, y := tuple(a.tolist()), tau, cfg)
+            if tau == sigma:
+                return y
+            drive, values = driver()
+            return drive(field, float(tau), cfg, False, state, None, values)
         except EscapeEvent as ev:
             raise DomainViolation(
                 "out_of_domain", f"trajectory escapes at t={ev.time} ({ev.kind})"

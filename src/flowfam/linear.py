@@ -405,9 +405,13 @@ def _window_average(group: FlowFamily, center: float, eps: float, panels: int) -
 
     The group must be affine at the window's ends and center, which are
     probed in one batch; the nodes are probed in another, and their A and b
-    are averaged side by side.  A window whose width hi - lo is not a
-    positive finite float, since it overflows or rounds away next to
-    center, raises UnusableWindow (a ValueError) before any probe.
+    are averaged side by side.  Each sum of weighted nodes is one
+    ``np.add.accumulate``, which adds strictly left to right in node order,
+    so it rounds as a loop over the nodes does (``tests/scalar_checks.py``
+    keeps that loop), never as numpy's pairwise sum.  A window whose width
+    hi - lo is not a positive finite float, since it overflows or rounds
+    away next to center, raises UnusableWindow (a ValueError) before any
+    probe.
     """
     lo, hi = center - eps, center + eps
     if not 0.0 < hi - lo < math.inf:
@@ -423,9 +427,8 @@ def _window_average(group: FlowFamily, center: float, eps: float, panels: int) -
     weights[2:-1:2] = 2.0
     nodes = np.linspace(lo, hi, panels + 1)
     A, b = probe_affine(batch, nodes, np.zeros(len(nodes)), group.n)
-    total_A, total_b = weights[0] * A[0], weights[0] * b[0]
-    for w, A_x, b_x in zip(weights[1:], A[1:], b[1:]):  # summed node by node, in node order
-        total_A, total_b = total_A + w * A_x, total_b + w * b_x
+    total_A = np.add.accumulate(weights[:, None, None] * A, axis=0)[-1]
+    total_b = np.add.accumulate(weights[:, None] * b, axis=0)[-1]
     step = (hi - lo) / panels
     return AffineMap(*(t * (step / 3.0) / (hi - lo) for t in (total_A, total_b)))
 

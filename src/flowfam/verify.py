@@ -60,6 +60,10 @@ __all__ = [
     "CONDITION_NAMES",
 ]
 
+# the most seeded draws a plan takes, as --panels is capped at MAX_PANELS: far more
+# samples than a check needs, and a bound on the draws a config can ask for
+_MAX_RANDOM_COUNT = 2**16
+
 CONDITION_NAMES = (
     "identity",
     "inverse",
@@ -74,11 +78,12 @@ CONDITION_NAMES = (
 class SamplePlan:
     """Deterministic grids plus a seeded budget of random samples.
 
-    random_count and seed are integers (a bool is not one); the draws are
-    those numpy.random.default_rng(seed) would give, so when there are any,
-    the time grid and each state axis must have a finite max - min, as
-    numpy's uniform requires of its bounds.  A check takes the samples as
-    lanes (``columns``), and the skip rule applies per lane.
+    random_count and seed are integers (a bool is not one), random_count
+    in [0, 2^16] and seed in [0, 2^64); the draws are those
+    numpy.random.default_rng(seed) would give, so when there are any, the
+    time grid and each state axis must have a finite max - min, as numpy's
+    uniform requires of its bounds.  A check takes the samples as lanes
+    (``columns``), and the skip rule applies per lane.
     """
 
     time_grid: tuple[float, ...]
@@ -107,25 +112,33 @@ class SamplePlan:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.random_count < 0:
-            raise ValueError("random_count must be non-negative")
+        if not 0 <= self.random_count <= _MAX_RANDOM_COUNT:
+            raise ValueError(f"random_count must lie in [0, {_MAX_RANDOM_COUNT}], got {self.random_count}")
         if self.random_count and not all(math.isfinite(max(axis) - min(axis)) for axis in (times, *zip(*states))):
             raise ValueError("random draws need a time grid and state axes whose max - min is finite")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        object.__setattr__(self, "_lanes", {})  # (k, m) -> columns(k, m)
 
     @property
     def n(self) -> int:
         return len(self.state_grid[0])
 
-    def columns(self, k: int, m: int = 1) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def columns(self, k: int, m: int = 1) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """The (t_1, ..., t_k, a_1, ..., a_m) samples as lanes: k time arrays and m (L, n) state arrays.
 
         Lanes run over the grid product first, t_1 slowest and a_m fastest,
         then over the random batch.  The random batch draws its k time
-        columns and then its m state columns from a fresh stream on the plan
-        seed, so every caller sees the same draws.
+        columns and then its m state columns from the start of the plan
+        seed's stream, so every caller sees the same draws.  The arrays are
+        read-only and built once per (k, m) for each plan.
         """
+        found = self._lanes.get((k, m))
+        if found is None:
+            found = self._lanes[k, m] = self._build_columns(k, m)
+        return found
+
+    def _build_columns(self, k: int, m: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         times, states = np.array(self.time_grid), np.array(self.state_grid)
         lane = np.arange(len(times) ** k * len(states) ** m)
         digits = []
@@ -136,11 +149,16 @@ class SamplePlan:
         state_cols = [states[d] for d in digits[k:]]
         if self.random_count:
             stream, count = PCG64(self.seed), self.random_count
-            drawn = stream.uniform(self.time_grid[:1], self.time_grid[-1:], k * count)
-            time_cols = [np.concatenate([c, d]) for c, d in zip(time_cols, np.reshape(drawn, (k, count)))]
-            drawn = stream.uniform(states.min(axis=0).tolist(), states.max(axis=0).tolist(), m * count)
-            state_cols = [np.concatenate([c, d]) for c, d in zip(state_cols, np.reshape(drawn, (m, count, self.n)))]
-        return time_cols, state_cols
+            # low + (high - low) * u, elementwise as the scalar draw rounds it
+            start, span = times[0], times[-1] - times[0]
+            drawn = start + span * np.frombuffer(stream.units(k * count)).reshape(k, count)
+            time_cols = [np.concatenate([c, d]) for c, d in zip(time_cols, drawn)]
+            low, high = states.min(axis=0), states.max(axis=0)
+            drawn = low + (high - low) * np.frombuffer(stream.units(m * count * self.n)).reshape(m, count, self.n)
+            state_cols = [np.concatenate([c, d]) for c, d in zip(state_cols, drawn)]
+        for column in (*time_cols, *state_cols):
+            column.flags.writeable = False
+        return tuple(time_cols), tuple(state_cols)
 
 
 def default_plan(n: int, random_count: int = 25) -> SamplePlan:

@@ -14,6 +14,9 @@ generates per field must equal ``drive`` bit for bit, hooked or not.
 ``PerLaneRecord`` is phase 1's record hook of the trajectory cache, one
 Python call per lane per try; flowfam's columnar hook must hand every
 query the same starts row and every kept entry the same rows and end.
+``window_average`` is the mollifier's composite-Simpson average with its
+sums made node by node in a Python loop, as flowfam made them before one
+accumulate did; the average flowfam makes must equal it bit for bit.
 
 Each check here draws its samples from ``samples`` (the grid product, then
 numpy.random's draws on the plan seed), evaluates every leg with scalar
@@ -33,6 +36,7 @@ import numpy as np
 from flowfam.core import DomainViolation, inf_norm, scaled_tol
 from flowfam.expr import EvalError
 from flowfam.integrate import EscapeEvent, IntegratorConfig, StepBudgetExceeded, numeric_family
+from flowfam.linear import AffineMap, probe_affine
 from flowfam.reconstruct import ReconstructionFailed, field_from_family
 from flowfam.verify import Accumulator, ConditionReport, default_plan
 
@@ -384,6 +388,21 @@ def check_affine(fam, plan) -> ConditionReport:
                     },
                 )
     return acc.report("affinity", scaled_tol(fam.tol_hint))
+
+
+def window_average(group, center, eps, panels) -> AffineMap:
+    """The composite-Simpson average of G_beta = F_{beta, 0} over [center - eps, center + eps], summed node by node."""
+    lo, hi = center - eps, center + eps
+    weights = np.ones(panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    nodes = np.linspace(lo, hi, panels + 1)
+    A, b = probe_affine(group.evaluate_batch, nodes, np.zeros(len(nodes)), group.n)
+    total_A, total_b = weights[0] * A[0], weights[0] * b[0]
+    for w, A_x, b_x in zip(weights[1:], A[1:], b[1:]):  # summed node by node, in node order
+        total_A, total_b = total_A + w * A_x, total_b + w * b_x
+    step = (hi - lo) / panels
+    return AffineMap(*(t * (step / 3.0) / (hi - lo) for t in (total_A, total_b)))
 
 
 def roundtrip_error(fam, cfg, icfg=None, eval_plan=None) -> float:

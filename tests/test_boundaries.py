@@ -14,7 +14,8 @@ Lane kernels equal the scalar forms bit for bit only while they leave
 ``exp``, ``tanh``, ``log`` and powers to ``math``: numpy's versions round
 some arguments differently, so no module references them, and no generated
 lane function names numpy or binds them.  A lane form runs those scalar
-helpers only through ``per_lane``, which maps one over the lanes.  A power
+helpers only through ``per_lane``, which maps math's own function over
+the lanes, and the helper only where a lane raises or is not finite.  A power
 whose exponent is a literal integer, |k| <= 16, is a chain of products
 instead, in both forms, so its source names no ``power`` helper.
 
@@ -23,12 +24,16 @@ floats, summed in plain arithmetic, so no BLAS kernel fuses its products.
 The driver it generates per field names no numpy either, and no driver's
 loop calls ``slope`` or ``contains`` for a catalog field, a tabulated one
 or one on a predicate: the rhs or the interpolant, and the time box, box or
-predicate, run in the driver itself, spliced from their records.  The
-DOPRI5 tableau is read only by the generated code: no function of
-``integrate`` names a coefficient, so the sums are written once, in the
-templates the driver and the lane try are rendered from.  The driver's loop
-reads no tableau or step-control name and calls no ``abs``, ``min``,
-``max`` or ``isfinite``: the constants are literals, the rest comparisons.
+predicate, run in the driver itself, spliced from their records.  A
+spliced stage or accept test copies no name: a read whose value is a plain
+name reads that name, and a result the record computes is made in the
+loop's own name, so only a result that is a read or a bound name is
+copied.  The DOPRI5 tableau is read only by the generated code: no
+function of ``integrate`` names a coefficient, so the sums are written
+once, in the templates the driver and the lane try are rendered from.  The
+driver's loop reads no tableau or step-control name and calls no ``abs``,
+``min``, ``max`` or ``isfinite``: the constants are literals, the rest
+comparisons.
 
 Source text is compiled in one place only, ``expr.build``, for every
 generator: expression kernels over floats or over lanes, a tabulated
@@ -546,6 +551,55 @@ def test_detector_sees_a_builtin_or_a_constant_in_the_loop():
         "line 7 calls abs",
         "line 7 reads _FACTOR_MIN",
     ]
+
+
+def _bare_copies(source: str) -> list[str]:
+    """Where a spliced block of the generated driver's loop, a stage's or the accept test's try, copies a name."""
+    (drive,) = [node for node in ast.parse(source).body if node.name == "drive"]
+    (loop,) = [node for node in drive.body if isinstance(node, ast.While)]
+    blocks = [stmt for node in ast.walk(loop) if isinstance(node, ast.Try) for stmt in node.body]
+    copies = [node for stmt in blocks for node in ast.walk(stmt) if isinstance(node, ast.Assign)
+              and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Name)]
+    return [f"line {node.lineno} {ast.unparse(node)}" for node in copies]
+
+
+def test_no_spliced_block_copies_a_name_but_a_result_it_does_not_compute():
+    # a stage's lines leave each slope component in its p<s>_<k>, and the accept test's in inside; only a
+    # result that is one of the record's reads or bound names is copied there
+    for field, source in _step_sources():
+        rhs, domain = expr.splice(field.slope), expr.splice(field.domain)
+        kept = {f"p{s}_{k}" for s in range(2, 8) for k, v in enumerate(rhs.results)
+                if not rhs.called and (v in rhs.reads or v in rhs.names)}
+        kept |= {"inside"} if domain.results[0] in domain.reads + domain.names else set()
+        copies = _bare_copies(source)
+        assert [line for line in copies if line.split()[2] not in kept] == [], source
+    # rotation's second slope component is its read x0, so each stage copies it, from s_0 at stage 7
+    rotation = catalog.get("rotation").field()
+    source = integrate._drive_source(2, expr.splice(rotation.slope), expr.splice(rotation.domain))
+    assert [line.split(maxsplit=2)[2] for line in _bare_copies(source)] == [
+        *[f"p{s}_1 = f_x0" for s in range(2, 7)], "p7_1 = s_0"]
+
+
+def test_detector_sees_a_bare_copy_in_a_spliced_block():
+    source = (
+        "def drive(h, gap, last):\n"
+        "    while True:\n"
+        "        if last: h = gap\n"
+        "        try:\n"
+        "            f_x0 = y_0\n"
+        "            f_v1 = -f_x0\n"
+        "            p2_0 = f_v1\n"
+        "            p2_1, p2_2 = f_x0, f_v1\n"
+        "        except ex.EvalError:\n"
+        "            ok = False\n"
+        "        if ok:\n"
+        "            try:\n"
+        "                m_s0 = t_new\n"
+        "                inside = m_lo < m_s0\n"
+        "            except ex.EvalError:\n"
+        "                inside = False\n"
+    )
+    assert _bare_copies(source) == ["line 5 f_x0 = y_0", "line 7 p2_0 = f_v1", "line 13 m_s0 = t_new"]
 
 
 def test_generated_interpolant_slope_uses_no_numpy():

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line layer: config resolution, NDJSON
 shapes, exit codes, CSV artifacts, and byte-level reproducibility."""
 
+import collections
 import json
 import math
 import os
@@ -9,7 +10,9 @@ import sys
 
 import pytest
 
+from flowfam import expr, pcg
 from flowfam.cli import ConfigError, load_config, main
+from flowfam.verify import SamplePlan
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -954,6 +957,48 @@ def test_a_state_grid_that_is_not_finite_is_a_config_error(tmp_path, capsys, arg
     assert [json.loads(line) for line in out.splitlines()] == [
         {"kind": "error", "message": f"{cfg}: plan: state_grid entries must be finite"}
     ]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+def test_more_draws_than_a_plan_takes_is_a_config_error(tmp_path, capsys, argv):
+    # drawn one by one in Python, 10^9 draws would run for hours; the plan refuses them before the first
+    cfg = write_config(tmp_path, {**RICCATI, "plan": {**SMALL_PLAN, "random_count": 10**9}})
+    code = main([*argv, "--config", cfg, "--no-timestamp"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"kind": "error", "message": f"{cfg}: plan: random_count must lie in [0, 65536], got 1000000000"}
+    ]
+
+
+def test_repeated_commands_redo_no_draws_lane_builds_or_checked_lanes(tmp_path, capsys, monkeypatch):
+    """Two passes of the closed-form commands: the second draws nothing, and no pass redoes a plan's lanes or
+    runs exp's checked helper over lanes whose values are all finite."""
+    monkeypatch.setattr(pcg, "_UNITS", {})
+    draws, builds, plans, fallbacks, mapped = [], collections.Counter(), [], [], []
+    next_uint64, build_columns = pcg._Generator.next_uint64, SamplePlan._build_columns
+    checked_lanes = expr._checked_lanes
+
+    def build(plan, k, m):
+        plans.append(plan)  # kept alive, so no two plans share an id
+        builds[id(plan), k, m] += 1
+        return build_columns(plan, k, m)
+
+    monkeypatch.setattr(pcg._Generator, "next_uint64", lambda stream: draws.append(1) or next_uint64(stream))
+    monkeypatch.setattr(SamplePlan, "_build_columns", build)
+    monkeypatch.setattr(expr, "_checked_lanes", lambda *args: fallbacks.append(args[0]) or checked_lanes(*args))
+    monkeypatch.setitem(expr._UNCHECKED, expr._CALLS["exp"], lambda x: mapped.append(1) or math.exp(x))
+    drawn = []
+    for _ in range(2):
+        for name in ("exp_scalar", "rotation"):
+            cfg = write_config(tmp_path, {"system": {"catalog": name}}, f"{name}.json")
+            for argv in (["verify"], ["autonomous"], ["decompose"], ["mollify", "--eps", "0.25", "--alpha=0.5"]):
+                assert main([*argv, "--config", cfg, "--seed", "7", "--no-timestamp"]) == 0, (name, argv)
+        drawn.append(len(draws) - sum(drawn))
+    capsys.readouterr()
+    assert drawn[0] > 0 and drawn[1] == 0
+    assert mapped and fallbacks == []
+    assert len(builds) == 24 and set(builds.values()) == {1}
 
 
 def test_same_seed_is_byte_identical(tmp_path):

@@ -694,3 +694,33 @@ def test_lane_kernel_validates_like_compile_family():
     with pytest.raises(ValidationError) as exc:
         compile_family_lanes(parse("sin(x3) + tau*a5"), 2)
     assert exc.value.variable == "x3"
+
+
+# lanes every helper takes to a finite value, then lanes where exp overflows, log meets 0, -0 and -1, tanh meets
+# +-inf (where it is +-1) and every helper meets NaN
+_PLAIN_LANES = [0.5, 1.25, 3.0, 1e-300, 700.0, 2.5e-8, 7.0e-3]
+_AWKWARD_LANES = [710.0, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("name", ["exp", "log", "tanh"])
+def test_per_lane_maps_math_and_falls_back_to_the_helper_bit_for_bit(name, monkeypatch):
+    helper, fallbacks = fx._CALLS[name], []
+    checked = fx._checked_lanes
+    monkeypatch.setattr(fx, "_checked_lanes", lambda *args: fallbacks.append(args[0]) or checked(*args))
+    for lanes, falls_back in ((_PLAIN_LANES, False), (_PLAIN_LANES + _AWKWARD_LANES, True),
+                              (_AWKWARD_LANES[::-1] + _PLAIN_LANES, True)):
+        x = np.array(lanes)
+        given = np.ones(len(x), dtype=bool)
+        given[2] = False  # a lane an earlier check cleared is not called
+        values, ok = fx._per_lane(helper, given, x)
+        assert given.tolist() == [i != 2 for i in range(len(x))]  # ok is a new mask
+        for i, lane in enumerate(lanes):
+            try:
+                want = helper(lane) if given[i] else None
+            except EvalError:
+                want = None
+            assert ok[i] == (want is not None), (name, lane)
+            if want is not None:
+                assert float(values[i]).hex() == want.hex(), (name, lane)
+        assert fallbacks == ([helper] if falls_back else []), (name, lanes)
+        fallbacks.clear()

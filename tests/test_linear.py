@@ -28,8 +28,12 @@ from flowfam.linear import (
     smooth_apply,
     wronski_consistency,
     _rank_test,
+    _window_average,
 )
 from flowfam.verify import SamplePlan, default_plan
+from flowfam import catalog
+
+import scalar_checks as scalar
 
 
 def affine_family():
@@ -453,6 +457,16 @@ def test_a_window_without_usable_width_is_a_value_error():
     with pytest.raises(UnusableWindow, match=r"averaging window \[-1e\+308, 1e\+308\]") as caught:
         mollify(group, 1e308)
     assert isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize("panels", [2, 4, 256, 2**16])
+@pytest.mark.parametrize("name", [name for name in catalog.names() if name not in ("riccati", "shear")])
+def test_window_average_is_the_node_by_node_sum_bit_for_bit(name, panels):
+    # the affine groups of the catalog: riccati is not affine and shear not autonomous
+    group = to_group(catalog.get(name).family())
+    for center, eps in ((0.0, 0.25), (0.3, math.pi / 2)):
+        got, want = _window_average(group, center, eps, panels), scalar.window_average(group, center, eps, panels)
+        assert (got.A.tobytes(), got.b.tobytes()) == (want.A.tobytes(), want.b.tobytes())
 
 
 def test_mollifier_limit_monotone():

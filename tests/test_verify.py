@@ -1,5 +1,6 @@
 """Condition checks: pass on the reference family, fail on counterexamples."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -438,6 +439,24 @@ def test_samples_arity():
             assert (len(times), len(states)) == (k, m)
             assert all(t.shape == (3**k + 4,) for t in times)
             assert all(s.shape == (3**k + 4, 1) for s in states)
+
+
+def test_columns_are_read_only_and_made_once_per_plan():
+    plan = SamplePlan((0.0, 1.0), ((5.0,), (6.0,)), random_count=2, seed=3)
+    (t1, t2), (a,) = first = plan.columns(2)
+    assert plan.columns(2) is first and plan.columns(1) is not first
+    for column in (t1, t2, a):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+    # a plan with another seed starts with no lanes of its own: same grid, its own draws
+    (u1, _), _ = dataclasses.replace(plan, seed=4).columns(2)
+    assert _bits(u1[:8]) == _bits(t1[:8]) and _bits(u1[8:]) != _bits(t1[8:])
+
+
+def test_random_count_is_capped_at_2_to_the_16():
+    assert SamplePlan((0.0, 1.0), ((0.0,),), random_count=2**16).random_count == 2**16  # no draw is made here
+    with pytest.raises(ValueError, match=r"random_count must lie in \[0, 65536\], got 65537"):
+        SamplePlan((0.0, 1.0), ((0.0,),), random_count=2**16 + 1)
 
 
 def test_accumulator_counts_keep_first_witness():
